@@ -195,9 +195,7 @@ func (a *activation) turn(env envelope) (panicked error) {
 			panicked = perr
 			v = nil
 		}
-		if env.reply != nil {
-			env.reply <- turnResult{val: v, err: err}
-		}
+		env.respond(v, err)
 		return nil
 	}, tm)
 	if err != nil {
@@ -430,8 +428,17 @@ func (a *activation) stopAllTimers() {
 	}
 }
 
-func (e envelope) fail(err error) {
-	if e.reply != nil {
-		e.reply <- turnResult{err: err}
+// respond hands the turn's outcome to whoever awaits it: a multi-actor
+// call's gather, a single caller's reply channel, or nobody (one-way).
+// Every queued envelope is answered exactly once — by its turn, or by fail
+// when the turn never runs.
+func (e envelope) respond(v any, err error) {
+	switch {
+	case e.gather != nil:
+		e.gather.set(int(e.slot), v, err)
+	case e.reply != nil:
+		e.reply <- turnResult{val: v, err: err}
 	}
 }
+
+func (e envelope) fail(err error) { e.respond(nil, err) }

@@ -1,0 +1,611 @@
+// The multi-actor call's equivalence test lives in an external test
+// package because the harnesses it runs on (siloboot, faults, query)
+// import core.
+package core_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"aodb/internal/codec"
+	"aodb/internal/core"
+	"aodb/internal/faults"
+	"aodb/internal/metrics"
+	"aodb/internal/placement"
+	"aodb/internal/query"
+	"aodb/internal/siloboot"
+	"aodb/internal/transport"
+)
+
+// eqGet reads an actor. The actor whose key is Fail answers with errBoom;
+// the actor whose key is Hold ("*" is every actor) parks its turn on the
+// test's gate first.
+type eqGet struct{ Fail, Hold string }
+type eqSet struct{ V int }
+type eqVal struct {
+	Kind, Key string
+	V         int
+}
+
+func init() {
+	codec.Register(eqGet{})
+	codec.Register(eqSet{})
+	codec.Register(eqVal{})
+}
+
+var errBoom = errors.New("boom")
+
+// gate parks the turn eqGet.Hold names: the turn announces itself on
+// entered and waits for release. Subtests run one at a time.
+type gate struct {
+	entered chan string
+	release chan struct{}
+}
+
+var curGate atomic.Pointer[gate]
+
+type eqActor struct {
+	kind string
+	v    int
+}
+
+func (a *eqActor) Receive(ctx *core.Context, msg any) (any, error) {
+	key := ctx.Self().Key
+	switch m := msg.(type) {
+	case eqSet:
+		a.v = m.V
+		return nil, nil
+	case eqGet:
+		if m.Hold == key || m.Hold == "*" {
+			g := curGate.Load()
+			g.entered <- key
+			<-g.release
+		}
+		if m.Fail == key {
+			return nil, fmt.Errorf("%s/%s: %w", a.kind, key, errBoom)
+		}
+		return eqVal{Kind: a.kind, Key: key, V: a.v}, nil
+	}
+	return nil, fmt.Errorf("eqActor: unknown message %T", msg)
+}
+
+var eqKinds = []string{"EqA", "EqB"}
+
+func registerEq(t *testing.T, rt *core.Runtime) {
+	t.Helper()
+	for _, kind := range eqKinds {
+		kind := kind
+		if err := rt.RegisterKind(kind, func() core.Actor { return &eqActor{kind: kind} }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+var siloNames = []string{"silo-1", "silo-2", "silo-3"}
+
+func newHash() *placement.ConsistentHash {
+	h := placement.NewConsistentHash()
+	h.PrefixSep = '@'
+	return h
+}
+
+// hookTransport lets a test act between CallMany's grouping and a frame's
+// delivery, and slide a fault injector under a running runtime.
+type hookTransport struct {
+	transport.Transport
+	before atomic.Pointer[func(node string, req transport.Request)]
+	faulty atomic.Pointer[faults.Transport]
+}
+
+func (h *hookTransport) Call(ctx context.Context, node string, req transport.Request) (any, error) {
+	if f := h.before.Load(); f != nil {
+		(*f)(node, req)
+	}
+	if ft := h.faulty.Load(); ft != nil {
+		return ft.Call(ctx, node, req)
+	}
+	return h.Transport.Call(ctx, node, req)
+}
+
+func (h *hookTransport) Deregister(node string) {
+	h.Transport.(transport.Deregisterer).Deregister(node)
+}
+
+// harness is one deployment the equivalence cases run on.
+type harness struct {
+	// tcp: the client is a separate runtime with an empty directory and a
+	// static view; otherwise client and silos are one runtime.
+	tcp bool
+	// client is the runtime the test calls into; reg its registry.
+	client *core.Runtime
+	reg    *metrics.Registry
+	// silos maps a silo name to the runtime hosting it.
+	silos map[string]*core.Runtime
+	// withFaults returns a client whose outbound calls pass through inj.
+	withFaults func(inj *faults.Injector) *core.Runtime
+	// crash kills a silo so that a CallMany issued next finds its group's
+	// frame failing at the transport.
+	crash func(victim string)
+}
+
+// bootLocal is one runtime with three silos on the in-process transport:
+// the directory is shared, so CallMany groups by registration.
+func bootLocal(t *testing.T) *harness {
+	t.Helper()
+	hook := &hookTransport{Transport: transport.NewLocal(nil, nil)}
+	reg := metrics.NewRegistry()
+	rt, err := core.New(core.Config{Transport: hook, Placement: newHash(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdown(rt) })
+	registerEq(t, rt)
+	h := &harness{tcp: false, client: rt, reg: reg, silos: map[string]*core.Runtime{}}
+	for _, name := range siloNames {
+		if _, err := rt.AddSilo(name, nil); err != nil {
+			t.Fatal(err)
+		}
+		h.silos[name] = rt
+	}
+	h.withFaults = func(inj *faults.Injector) *core.Runtime {
+		hook.faulty.Store(inj.WrapTransport(hook.Transport))
+		return rt
+	}
+	h.crash = func(victim string) {
+		// Crash the silo under the first multi frame addressed to it:
+		// after CallMany grouped by the directory, before delivery.
+		var once atomic.Bool
+		f := func(node string, req transport.Request) {
+			if node == victim && req.TargetKind == core.MultiKind && once.CompareAndSwap(false, true) {
+				if err := rt.CrashSilo(victim); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		hook.before.Store(&f)
+	}
+	return h
+}
+
+// bootTCP is three siloboot silos and a siloboot client on loopback TCP
+// with a static view: the client's directory is empty, so CallMany groups
+// by placement and learns of moved actors from redirect slots.
+func bootTCP(t *testing.T) *harness {
+	t.Helper()
+	h := &harness{tcp: true, silos: map[string]*core.Runtime{}}
+	var nodes []*siloboot.Node
+	for _, name := range append([]string{"client"}, siloNames...) {
+		node, err := siloboot.Start(siloboot.Options{
+			Name:   name,
+			Listen: "127.0.0.1:0",
+			Silos:  strings.Join(siloNames, ","),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
+		t.Cleanup(func() {
+			shutdown(node.Runtime)
+			_ = node.TCP.Close()
+		})
+		registerEq(t, node.Runtime)
+	}
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a != b {
+				a.TCP.SetPeer(b.Name, b.TCP.Addr())
+			}
+		}
+	}
+	for _, node := range nodes[1:] {
+		if _, err := node.Runtime.AddSilo(node.Name, nil); err != nil {
+			t.Fatal(err)
+		}
+		h.silos[node.Name] = node.Runtime
+	}
+	h.client, h.reg = nodes[0].Runtime, nodes[0].Registry
+	h.withFaults = func(inj *faults.Injector) *core.Runtime {
+		rt, err := core.New(core.Config{
+			Transport: noClose{inj.WrapTransport(nodes[0].TCP)},
+			Placement: newHash(),
+			View:      staticView(siloNames),
+			Metrics:   h.reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { shutdown(rt) })
+		registerEq(t, rt)
+		return rt
+	}
+	h.crash = func(victim string) {
+		for _, node := range nodes[1:] {
+			if node.Name == victim {
+				_ = node.TCP.Close()
+			}
+		}
+	}
+	return h
+}
+
+type staticView []string
+
+func (v staticView) View() []string { return v }
+
+// noClose keeps a second runtime's Shutdown from closing the transport it
+// shares with the harness's client.
+type noClose struct{ transport.Transport }
+
+func (noClose) Close() error { return nil }
+
+func shutdown(rt *core.Runtime) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_ = rt.Shutdown(ctx)
+}
+
+// prefixOn finds, for each silo, a key prefix that consistent-hash
+// placement sends there (the '@' prefix places an actor's whole family).
+func prefixOn(t *testing.T) map[string]string {
+	t.Helper()
+	h := newHash()
+	out := map[string]string{}
+	for i := 0; len(out) < len(siloNames) && i < 1000; i++ {
+		p := fmt.Sprintf("p%d", i)
+		silo, err := h.Place("EqA/"+p+"@x", "", siloNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := out[silo]; !ok {
+			out[silo] = p
+		}
+	}
+	if len(out) != len(siloNames) {
+		t.Fatalf("prefixes found for %d of %d silos", len(out), len(siloNames))
+	}
+	return out
+}
+
+// home names the silo whose runtime holds id's registration, or "".
+func (h *harness) home(id core.ID) string {
+	for _, rt := range h.silos {
+		if reg, ok := rt.Directory().Lookup(id.String()); ok {
+			return reg.Silo
+		}
+	}
+	return ""
+}
+
+func (h *harness) counter(name string) int64 { return h.reg.Counter(name).Value() }
+
+// batch is n targets per silo, kinds alternating, the silos interleaved.
+func batch(prefixes map[string]string, n int) []core.ID {
+	var ids []core.ID
+	for i := 0; i < n; i++ {
+		for _, silo := range siloNames {
+			ids = append(ids, core.ID{Kind: eqKinds[i%2], Key: fmt.Sprintf("%s@t%d", prefixes[silo], i)})
+		}
+	}
+	return ids
+}
+
+func warm(t *testing.T, rt *core.Runtime, ids []core.ID) {
+	t.Helper()
+	for i, id := range ids {
+		if _, err := rt.Call(context.Background(), id, eqSet{V: i + 1}); err != nil {
+			t.Fatalf("warming %s: %v", id, err)
+		}
+	}
+}
+
+// sameOutcome checks one CallMany slot against what Call returned for the
+// same target: the same value, or errors of the same class and message.
+func sameOutcome(t *testing.T, id core.ID, got core.CallResult, want any, wantErr error) {
+	t.Helper()
+	if got.Actor != id {
+		t.Errorf("%s: slot carries actor %s", id, got.Actor)
+	}
+	switch {
+	case wantErr == nil && got.Err == nil:
+		if got.Value != want {
+			t.Errorf("%s: CallMany = %+v, Call = %+v", id, got.Value, want)
+		}
+	case wantErr == nil || got.Err == nil:
+		t.Errorf("%s: CallMany err = %v, Call err = %v", id, got.Err, wantErr)
+	default:
+		if core.Transient(got.Err) != core.Transient(wantErr) {
+			t.Errorf("%s: CallMany err %v and Call err %v differ in class", id, got.Err, wantErr)
+		}
+		if errors.Is(got.Err, errBoom) != errors.Is(wantErr, errBoom) {
+			t.Errorf("%s: typed error kept by one path only: %v vs %v", id, got.Err, wantErr)
+		}
+		if strings.Contains(wantErr.Error(), "boom") != strings.Contains(got.Err.Error(), "boom") {
+			t.Errorf("%s: CallMany err %q, Call err %q", id, got.Err, wantErr)
+		}
+	}
+}
+
+// compare runs CallMany and then Call per target, and checks them slot for
+// slot.
+func compare(t *testing.T, rt *core.Runtime, ids []core.ID, msg any) []core.CallResult {
+	t.Helper()
+	ctx := context.Background()
+	got := rt.CallMany(ctx, ids, msg)
+	if len(got) != len(ids) {
+		t.Fatalf("CallMany returned %d slots for %d targets", len(got), len(ids))
+	}
+	for i, id := range ids {
+		want, err := rt.Call(ctx, id, msg)
+		sameOutcome(t, id, got[i], want, err)
+	}
+	return got
+}
+
+func TestCallManyEquivalence(t *testing.T) {
+	for _, on := range []struct {
+		name string
+		boot func(*testing.T) *harness
+	}{{"local", bootLocal}, {"tcp", bootTCP}} {
+		on := on
+		// Every case gets a deployment of its own.
+		run := func(sub string, f func(t *testing.T, h *harness, prefixes map[string]string)) {
+			t.Run(on.name+"/"+sub, func(t *testing.T) { f(t, on.boot(t), prefixOn(t)) })
+		}
+
+		// Mixed kinds over three silos, a target never activated, a target
+		// of an unregistered kind and a handler error in the middle.
+		run("mixed", func(t *testing.T, h *harness, prefixes map[string]string) {
+			ids := batch(prefixes, 6)
+			warm(t, h.client, ids)
+			cold := core.ID{Kind: "EqB", Key: prefixes["silo-2"] + "@never-activated"}
+			ids = append(ids[:9:9], append([]core.ID{cold, {Kind: "Nope", Key: "x"}}, ids[9:]...)...)
+			failing := ids[4].Key
+			frames := h.counter("core.multi.frames")
+			got := compare(t, h.client, ids, eqGet{Fail: failing})
+			if d := h.counter("core.multi.frames") - frames; d != 3 {
+				t.Errorf("CallMany sent %d frames to 3 silos", d)
+			}
+			for i, r := range got {
+				switch {
+				case ids[i].Key == failing:
+					if r.Err == nil || !strings.Contains(r.Err.Error(), "boom") || core.Transient(r.Err) {
+						t.Errorf("failing slot: %v", r.Err)
+					}
+					if !h.tcp && !errors.Is(r.Err, errBoom) {
+						t.Errorf("in-process slot lost the typed error: %v", r.Err)
+					}
+				case ids[i].Kind == "Nope":
+					if !errors.Is(r.Err, core.ErrUnknownKind) {
+						t.Errorf("unknown kind slot: %v", r.Err)
+					}
+				case r.Err != nil:
+					t.Errorf("%s: %v", ids[i], r.Err)
+				}
+			}
+			if v := got[9].Value.(eqVal); v.Key != cold.Key || v.V != 0 {
+				t.Errorf("cold target answered %+v", v)
+			}
+			// query.FanOut is the same call.
+			for i, r := range query.NewEngine(h.client).FanOut(context.Background(), ids, eqGet{Fail: failing}) {
+				sameOutcome(t, ids[i], r, got[i].Value, got[i].Err)
+			}
+		})
+
+		// More targets on one silo than one frame carries.
+		run("split", func(t *testing.T, h *harness, prefixes map[string]string) {
+			ids := make([]core.ID, 600)
+			for i := range ids {
+				ids[i] = core.ID{Kind: "EqA", Key: fmt.Sprintf("%s@big%d", prefixes["silo-3"], i)}
+			}
+			warm(t, h.client, ids[:300]) // the rest activate inside the batch
+			frames := h.counter("core.multi.frames")
+			wire := h.counter("transport.frames.sent")
+			got := h.client.CallMany(context.Background(), ids, eqGet{})
+			if d := h.counter("core.multi.frames") - frames; d != 3 {
+				t.Errorf("600 targets on one silo took %d frames, want 3", d)
+			}
+			if d := h.counter("transport.frames.sent") - wire; h.tcp && d != 3 {
+				t.Errorf("client wrote %d wire frames, want 3", d)
+			}
+			for i, r := range got {
+				want := 0
+				if i < 300 {
+					want = i + 1
+				}
+				if r.Err != nil || r.Value.(eqVal).V != want || r.Value.(eqVal).Key != ids[i].Key {
+					t.Fatalf("slot %d = %+v, want V=%d", i, r, want)
+				}
+			}
+			if home := h.home(ids[599]); home != "silo-3" {
+				t.Errorf("target activated on %q", home)
+			}
+		})
+
+		// A target migrated away: over TCP the client still addresses the
+		// old home, whose slot redirects; the fallback lands on the new one.
+		run("migrated", func(t *testing.T, h *harness, prefixes map[string]string) {
+			ids := batch(prefixes, 3)
+			warm(t, h.client, ids)
+			moved := ids[0] // on silo-1
+			if err := h.silos["silo-1"].Migrate(context.Background(), moved, "silo-2"); err != nil {
+				t.Fatal(err)
+			}
+			reissued := h.counter("core.multi.reissued")
+			got := compare(t, h.client, ids, eqGet{})
+			for i, r := range got {
+				if r.Err != nil {
+					t.Errorf("%s: %v", ids[i], r.Err)
+				}
+			}
+			if home := h.home(moved); home != "silo-2" {
+				t.Errorf("migrated actor lives on %q", home)
+			}
+			if d := h.counter("core.multi.reissued") - reissued; h.tcp && d != 1 {
+				t.Errorf("%d slots re-issued, want the one redirect", d)
+			}
+		})
+
+		// A silo that dies between grouping and delivery: its whole group
+		// falls back to single calls, the other groups are untouched.
+		run("crashed", func(t *testing.T, h *harness, prefixes map[string]string) {
+			ids := batch(prefixes, 5)
+			warm(t, h.client, ids)
+			h.crash("silo-2")
+			reissued := h.counter("core.multi.reissued")
+			got := h.client.CallMany(context.Background(), ids, eqGet{})
+			if d := h.counter("core.multi.reissued") - reissued; d != 5 {
+				t.Errorf("%d slots re-issued, want silo-2's 5", d)
+			}
+			for i, r := range got {
+				onVictim := strings.HasPrefix(ids[i].Key, prefixes["silo-2"]+"@")
+				switch {
+				case !onVictim || !h.tcp:
+					// The in-process view drops the crashed silo, so the
+					// fallback re-places; the actors come back cold (their
+					// state was volatile).
+					if r.Err != nil || r.Value.(eqVal).Key != ids[i].Key {
+						t.Errorf("%s: %+v", ids[i], r)
+					}
+					if home := h.home(ids[i]); home == "" || home == "silo-2" {
+						t.Errorf("%s lives on %q after the crash", ids[i], home)
+					}
+				default:
+					// A static view keeps placing on the dead silo; what is
+					// left is Call's own classified failure.
+					_, err := h.client.Call(context.Background(), ids[i], eqGet{})
+					if r.Err == nil || !core.Transient(r.Err) || !core.Transient(err) {
+						t.Errorf("%s: CallMany err = %v, Call err = %v, want both transient", ids[i], r.Err, err)
+					}
+				}
+			}
+		})
+
+		// Seeded drops and duplicates under the client: every slot ends as
+		// the right value or a classified transient failure.
+		run("faults", func(t *testing.T, h *harness, prefixes map[string]string) {
+			ids := batch(prefixes, 8)
+			warm(t, h.client, ids)
+			inj := faults.New(faults.Config{Seed: 13, Drop: 0.25, Dup: 0.2})
+			rt := h.withFaults(inj)
+			reissued := h.counter("core.multi.reissued")
+			for round := 0; round < 40; round++ {
+				for i, r := range rt.CallMany(context.Background(), ids, eqGet{}) {
+					if r.Err != nil {
+						if !core.Transient(r.Err) {
+							t.Fatalf("round %d %s: unclassified %v", round, ids[i], r.Err)
+						}
+						continue
+					}
+					if v := r.Value.(eqVal); v.Key != ids[i].Key || v.V != i+1 {
+						t.Fatalf("round %d %s answered %+v", round, ids[i], v)
+					}
+				}
+			}
+			if inj.Fired("drop") == 0 || inj.Fired("dup") == 0 {
+				t.Fatalf("injector fired %d drops, %d dups", inj.Fired("drop"), inj.Fired("dup"))
+			}
+			if h.counter("core.multi.reissued") == reissued {
+				t.Error("no dropped frame fell back to single calls")
+			}
+		})
+
+		// A context cancelled before or during the call ends it: slots
+		// still in flight report the context's error, nothing hangs.
+		run("cancelled", func(t *testing.T, h *harness, prefixes map[string]string) {
+			ids := batch(prefixes, 4)
+			warm(t, h.client, ids)
+			dead, cancel := context.WithCancel(context.Background())
+			cancel()
+			for i, r := range h.client.CallMany(dead, ids, eqGet{}) {
+				if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
+					t.Errorf("%s under a cancelled context: %v", ids[i], r.Err)
+				}
+				if r.Err == nil && r.Value.(eqVal).V != i+1 {
+					t.Errorf("%s answered %+v", ids[i], r.Value)
+				}
+			}
+
+			g := &gate{entered: make(chan string, 1), release: make(chan struct{})}
+			curGate.Store(g)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan []core.CallResult, 1)
+			go func() { done <- h.client.CallMany(ctx, ids, eqGet{Hold: ids[1].Key}) }()
+			<-g.entered // ids[1], on silo-2, is parked mid-turn
+			cancel()
+			var got []core.CallResult
+			select {
+			case got = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("CallMany outlived its context")
+			}
+			close(g.release)
+			for i, r := range got {
+				onParked := strings.HasPrefix(ids[i].Key, prefixes["silo-2"]+"@")
+				if onParked && !errors.Is(r.Err, context.Canceled) {
+					t.Errorf("%s shares the parked frame: %+v", ids[i], r)
+				}
+				if !onParked && r.Err != nil && !errors.Is(r.Err, context.Canceled) {
+					t.Errorf("%s: %v", ids[i], r.Err)
+				}
+			}
+		})
+	}
+}
+
+// TestCallManyHandlerCost: the silo side of a multi-actor call starts no
+// goroutine and makes no channel per target. With every target's turn
+// parked, the process runs one goroutine more than before the call (the
+// caller's); and a call to N warm targets allocates less per target than
+// a single Call does.
+func TestCallManyHandlerCost(t *testing.T) {
+	h := bootLocal(t)
+	prefixes := prefixOn(t)
+	const n = 200
+	ids := make([]core.ID, n)
+	for i := range ids {
+		ids[i] = core.ID{Kind: "EqA", Key: fmt.Sprintf("%s@c%d", prefixes["silo-1"], i)}
+	}
+	warm(t, h.client, ids)
+	ctx := context.Background()
+
+	g := &gate{entered: make(chan string, n), release: make(chan struct{})}
+	curGate.Store(g)
+	before := runtime.NumGoroutine()
+	done := make(chan []core.CallResult, 1)
+	go func() { done <- h.client.CallMany(ctx, ids, eqGet{Hold: "*"}) }()
+	for i := 0; i < n; i++ {
+		<-g.entered
+	}
+	if extra := runtime.NumGoroutine() - before; extra > 2 {
+		t.Errorf("%d goroutines more than before a %d-target call, want the caller's alone", extra, n)
+	}
+	close(g.release)
+	for i, r := range <-done {
+		if r.Err != nil || r.Value.(eqVal).V != i+1 {
+			t.Fatalf("slot %d = %+v", i, r)
+		}
+	}
+
+	single := testing.AllocsPerRun(200, func() {
+		if _, err := h.client.Call(ctx, ids[0], eqGet{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	many := testing.AllocsPerRun(20, func() {
+		for _, r := range h.client.CallMany(ctx, ids, eqGet{}) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	})
+	t.Logf("allocs: %.1f per single Call, %.2f per target of a %d-target CallMany", single, many/n, n)
+	if many/n > single-1 {
+		t.Errorf("CallMany allocates %.2f per target, a single Call %.1f: the per-target reply channel is back", many/n, single)
+	}
+}

@@ -41,7 +41,7 @@ func (c *Context) Clock() clock.Clock { return c.rt.clk }
 // since a cycle would deadlock the single-threaded mailboxes involved.
 func (c *Context) Call(id ID, msg any) (any, error) {
 	trace, sp, start := c.childTrace()
-	v, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, true, trace)
+	v, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, true, trace, "")
 	if sp != nil {
 		sp.AddNested(c.rt.clk.Since(start))
 	}
@@ -51,7 +51,7 @@ func (c *Context) Call(id ID, msg any) (any, error) {
 // Tell sends a one-way message to another actor.
 func (c *Context) Tell(id ID, msg any) error {
 	trace, sp, start := c.childTrace()
-	_, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, false, trace)
+	_, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, false, trace, "")
 	if sp != nil {
 		sp.AddNested(c.rt.clk.Since(start))
 	}

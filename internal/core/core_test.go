@@ -74,6 +74,21 @@ func newTestRuntime(t *testing.T, cfg Config) *Runtime {
 	return rt
 }
 
+// awaitTurns waits until the runtime has finished n turns. A caller's reply
+// is sent from inside the turn, before the turn's profiler, tracer and
+// journal accounting, so a test that reads that accounting right after
+// Call returns races it; core.turns is bumped last.
+func awaitTurns(t *testing.T, rt *Runtime, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Metrics().Counter("core.turns").Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d turns finished", rt.Metrics().Counter("core.turns").Value(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func registerCounter(t *testing.T, rt *Runtime, opts ...KindOption) {
 	t.Helper()
 	if err := rt.RegisterKind("Counter", func() Actor { return &counterActor{} }, opts...); err != nil {

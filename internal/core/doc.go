@@ -31,6 +31,11 @@
 //	rt.AddSilo("silo-1", nil)
 //	resp, err := rt.Call(ctx, core.ID{Kind: "Counter", Key: "c1"}, Add{N: 2})
 //
+// Runtime.CallMany sends one message to many actors — a query over an
+// organization's channels, say — at one transport round trip per
+// destination silo rather than one per actor; each target still runs an
+// ordinary turn.
+//
 // Actor implementations receive a *Context giving them their identity,
 // asynchronous Call/Tell to other actors, explicit state writes, timers,
 // and persistent reminders.

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -185,6 +188,64 @@ func TestMailboxFIFOProperty(t *testing.T) {
 	}
 }
 
+// TestMailboxDeepBacklogDrains: a 50k-deep backlog drains in order with
+// pops that do not shift the queue, depth tracks the live part only, the
+// slice is reused once drained, and closeIfEmpty still refuses while
+// anything is queued.
+func TestMailboxDeepBacklogDrains(t *testing.T) {
+	const n = 50_000
+	m := newMailbox()
+	for i := 0; i < n; i++ {
+		if !m.push(envelope{msg: i}) {
+			t.Fatal("push refused")
+		}
+	}
+	if m.depth() != n {
+		t.Fatalf("depth = %d, want %d", m.depth(), n)
+	}
+	late := 0
+	for i := 0; i < n; i++ {
+		if i == n/2 || i == n-1 {
+			if m.closeIfEmpty() {
+				t.Fatalf("closed with %d queued", n-i)
+			}
+		}
+		env, ok := m.pop()
+		if !ok || env.msg.(int) != i {
+			t.Fatalf("pop %d = %v, %v", i, env.msg, ok)
+		}
+		// Interleaved pushes keep their place behind the backlog.
+		if i%1000 == 0 {
+			m.push(envelope{msg: -1 - i})
+			late++
+		}
+		if d := m.depth(); d != n-i-1+late {
+			t.Fatalf("depth after %d pops = %d, want %d", i+1, d, n-i-1+late)
+		}
+	}
+	// The 50 interleaved envelopes follow, in push order.
+	for i := 0; i < n; i += 1000 {
+		env, ok := m.pop()
+		if !ok || env.msg.(int) != -1-i {
+			t.Fatalf("interleaved pop = %v, %v, want %d", env.msg, ok, -1-i)
+		}
+	}
+	if m.depth() != 0 || m.head != 0 || len(m.q) != 0 {
+		t.Fatalf("drained mailbox: depth %d head %d len %d", m.depth(), m.head, len(m.q))
+	}
+	for _, env := range m.q[:cap(m.q)] {
+		if env.msg != nil {
+			t.Fatal("a popped slot still holds its message")
+		}
+	}
+	if !m.closeIfEmpty() {
+		t.Fatal("failed to close drained mailbox")
+	}
+	if _, ok := m.pop(); ok {
+		t.Fatal("pop from closed, drained mailbox")
+	}
+}
+
 func TestMailboxCloseIfEmptyRaces(t *testing.T) {
 	// closeIfEmpty must refuse while a message is queued.
 	m := newMailbox()
@@ -202,5 +263,81 @@ func TestMailboxCloseIfEmptyRaces(t *testing.T) {
 	// Idempotent.
 	if !m.closeIfEmpty() {
 		t.Fatal("closeIfEmpty on closed mailbox returned false")
+	}
+}
+
+// TestCrashSiloErrorsAreTransient: a silo that is closing while the
+// runtime lives (crash, decommission) answers transient — the caller's
+// retry re-places the actor — and only a runtime shutdown answers
+// ErrShutdown. The chaos soak used to leak the permanent "runtime shut
+// down" from calls that raced a silo crash.
+func TestCrashSiloErrorsAreTransient(t *testing.T) {
+	// Retries off, so every raw error of the race reaches the caller.
+	rt := newTestRuntime(t, Config{Retry: RetryPolicy{Disabled: true}})
+	registerCounter(t, rt)
+	addSilo(t, rt, "s1")
+	addSilo(t, rt, "s2")
+	ctx := context.Background()
+
+	// The window itself, without the race: resolve on a crashed silo.
+	s1, _ := rt.Silo("s1")
+	if err := rt.CrashSilo("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.resolve(ctx, ID{"Counter", "late"}); !Transient(err) || errors.Is(err, ErrShutdown) {
+		t.Fatalf("resolve on a crashed silo = %v, want a transient error", err)
+	}
+	if err := s1.migrateOut(ctx, ID{"Counter", "late"}, "s2", 0); !Transient(err) {
+		t.Fatalf("migrateOut on a crashed silo = %v, want a transient error", err)
+	}
+	addSilo(t, rt, "s1")
+
+	// And the race: callers hammer both silos while each is crashed and
+	// re-added in turn.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var calls, failed atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, err := rt.Call(ctx, ID{"Counter", fmt.Sprintf("c%d-%d", w, i%50)}, addMsg{N: 1})
+				calls.Add(1)
+				if err != nil {
+					failed.Add(1)
+					if !Transient(err) {
+						t.Errorf("call racing a silo crash: unclassified %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for round := 0; round < 30; round++ {
+		name := []string{"s1", "s2"}[round%2]
+		time.Sleep(2 * time.Millisecond)
+		if err := rt.CrashSilo(name); err != nil {
+			t.Fatal(err)
+		}
+		addSilo(t, rt, name)
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d calls, %d failed transient", calls.Load(), failed.Load())
+
+	shutdownCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(shutdownCtx); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := rt.Silo("s2")
+	if _, err := s2.resolve(ctx, ID{"Counter", "late"}); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("resolve after Shutdown = %v, want ErrShutdown", err)
 	}
 }

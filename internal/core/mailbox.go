@@ -13,9 +13,14 @@ import (
 type envelope struct {
 	ctx   context.Context
 	msg   any
-	reply chan turnResult // nil for one-way sends
+	reply chan turnResult // nil for one-way sends and gathered calls
 	chain []string        // synchronous call chain, for cycle detection
 	timer bool            // timer ticks do not refresh the idle clock
+
+	// gather and slot route the turn's result into a multi-actor call's
+	// shared reply (see multi.go) instead of a reply channel.
+	gather *gather
+	slot   int32
 
 	// Tracing context, populated only while the runtime's tracer is
 	// enabled (zero otherwise, costing nothing).
@@ -39,9 +44,11 @@ type turnResult struct {
 // limiter. An unbounded queue is also what lets the latency-percentile
 // experiments exhibit honest queueing delay instead of tail-dropping.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// q[head:] are the queued envelopes; q[:head] are popped and zeroed.
 	q      []envelope
+	head   int
 	closed bool
 }
 
@@ -69,16 +76,27 @@ func (m *mailbox) push(env envelope) bool {
 func (m *mailbox) pop() (envelope, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.q) == 0 && !m.closed {
+	for m.head == len(m.q) && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.q) == 0 {
+	if m.head == len(m.q) {
 		return envelope{}, false
 	}
-	env := m.q[0]
-	// Shift instead of reslicing forever; the queue is typically tiny.
-	copy(m.q, m.q[1:])
-	m.q = m.q[:len(m.q)-1]
+	env := m.q[m.head]
+	m.head++
+	// Advancing a head index keeps a pop O(1) however deep the backlog is.
+	// Once more than half the slice is dead the live part moves to the
+	// front, so the slice is reused instead of growing for ever; a move
+	// copies fewer envelopes than were popped since the last one. Popped
+	// slots are zeroed, here or by the move, to drop what they referenced.
+	if m.head <= len(m.q)/2 {
+		m.q[m.head-1] = envelope{}
+		return env, true
+	}
+	n := copy(m.q, m.q[m.head:])
+	clear(m.q[n:])
+	m.q = m.q[:n]
+	m.head = 0
 	return env, true
 }
 
@@ -91,7 +109,7 @@ func (m *mailbox) closeIfEmpty() bool {
 	if m.closed {
 		return true
 	}
-	if len(m.q) > 0 {
+	if m.head < len(m.q) {
 		return false
 	}
 	m.closed = true
@@ -112,12 +130,5 @@ func (m *mailbox) close() {
 func (m *mailbox) depth() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.q)
-}
-
-// empty reports whether the queue is currently drained.
-func (m *mailbox) empty() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.q) == 0
+	return len(m.q) - m.head
 }

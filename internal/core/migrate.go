@@ -79,10 +79,7 @@ func (rt *Runtime) Migrate(ctx context.Context, id ID, target string) error {
 	if _, ok := rt.kind(id.Kind); !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
 	}
-	rt.mu.RLock()
-	dead := rt.shutdown
-	rt.mu.RUnlock()
-	if dead {
+	if rt.isShutdown() {
 		return ErrShutdown
 	}
 	// One correlation id groups every phase event of this hand-off — on
@@ -198,7 +195,7 @@ func (s *Silo) migrateOut(ctx context.Context, id ID, target string, corr uint64
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return ErrShutdown
+		return s.closingErr()
 	}
 	act, active := s.catalog[id]
 	if s.moved == nil {

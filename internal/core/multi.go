@@ -1,0 +1,388 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"aodb/internal/clock"
+	"aodb/internal/codec"
+	"aodb/internal/telemetry"
+	"aodb/internal/transport"
+)
+
+// MultiKind is the reserved transport target kind for multi-actor calls:
+// one request frame carrying one message for many actors of one silo,
+// answered by one frame of per-actor slots.
+const MultiKind = "!multi"
+
+// multiMaxTargets bounds the targets of one MultiKind frame, so a frame's
+// encoded size stays bounded however large the call; bigger groups are
+// split.
+const multiMaxTargets = 256
+
+// reissueWorkers bounds the goroutines that re-issue failed slots through
+// the single-call path. Each of those calls may sit in retry backoff, so
+// a few workers overlap the waits; the path is rare, so few are enough.
+const reissueWorkers = 16
+
+// CallResult is one target's outcome of a CallMany.
+type CallResult struct {
+	Actor ID
+	Value any
+	Err   error
+}
+
+// multiCall is the MultiKind request payload.
+type multiCall struct {
+	Targets []ID
+	Msg     any
+}
+
+// multiSlot is one target's answer inside a multiReply: the turn's value,
+// or its error. Typed errors do not survive gob, so — like codec.Frame's
+// Err and Redirect — the classification the caller needs travels as plain
+// fields: Transient says the slot may be re-issued, Redirect names the
+// silo a wrong-silo answer pointed at. err keeps the error value itself
+// for in-process deliveries (gob skips unexported fields), so a caller on
+// transport.Local sees exactly the error a single Call would return.
+type multiSlot struct {
+	Value     any
+	Err       string
+	Redirect  string
+	Transient bool
+	err       error
+}
+
+// multiReply is the MultiKind response payload, slot i answering target i.
+type multiReply struct {
+	Slots []multiSlot
+}
+
+func init() {
+	codec.Register(multiCall{})
+	codec.Register(multiReply{})
+}
+
+// CallMany sends msg to every actor in ids and returns their outcomes in
+// target order. It is Call for many targets at the price of one transport
+// round trip per destination silo: the targets are resolved as Call
+// resolves them (directory registration, else the kind's placement, over
+// one view snapshot for the whole batch), grouped by silo, and each group
+// travels as one MultiKind frame that the silo fans into the targets'
+// mailboxes. Turn semantics are Call's: every target runs one ordinary
+// turn, in FIFO order with whatever else its mailbox holds.
+//
+// Failures are per target. An error a handler returned is that target's
+// Err, as from Call. A slot the silo could not serve at once (a wrong-silo
+// answer, a deactivating or crashed activation), and every slot of a group
+// whose frame failed, is re-issued through Call's own retry loop, so
+// self-healing stays in one place. When ctx ends first, every target
+// still in flight reports the context's error.
+func (rt *Runtime) CallMany(ctx context.Context, ids []ID, msg any) []CallResult {
+	out := make([]CallResult, len(ids))
+	for i, id := range ids {
+		out[i].Actor = id
+	}
+	if len(ids) == 0 {
+		return out
+	}
+	if rt.isShutdown() {
+		for i := range out {
+			out[i].Err = ErrShutdown
+		}
+		return out
+	}
+	var trace telemetry.SpanContext
+	var root *telemetry.Span
+	if rt.tracer.Enabled() {
+		trace, root = rt.tracer.StartRoot(fmt.Sprintf("callmany %s +%d", ids[0], len(ids)-1))
+	}
+
+	groups := rt.groupBySilo(ids, out)
+	again := make([][]reissue, len(groups))
+	var wg sync.WaitGroup
+	for g := 1; g < len(groups); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			again[g] = rt.sendGroup(ctx, groups[g], ids, msg, trace, out)
+		}(g)
+	}
+	if len(groups) > 0 {
+		again[0] = rt.sendGroup(ctx, groups[0], ids, msg, trace, out)
+	}
+	wg.Wait()
+
+	var failed []reissue
+	for _, a := range again {
+		failed = append(failed, a...)
+	}
+	rt.reissueAll(ctx, failed, ids, msg, trace, out)
+
+	if root != nil {
+		root.Retries = int32(len(failed))
+		var firstErr error
+		for i := range out {
+			if firstErr = out[i].Err; firstErr != nil {
+				break
+			}
+		}
+		rt.tracer.Finish(root, firstErr)
+	}
+	return out
+}
+
+// multiGroup is the targets of one MultiKind frame: positions in the
+// caller's ids, in target order, all addressed to silo.
+type multiGroup struct {
+	silo string
+	idx  []int
+}
+
+// groupBySilo resolves every target and groups them by destination silo,
+// at most multiMaxTargets to a group. A target that cannot be addressed at
+// all gets the error Call would give it and joins no group.
+func (rt *Runtime) groupBySilo(ids []ID, out []CallResult) []multiGroup {
+	var groups []multiGroup
+	var view []string
+	haveView := false
+	var cfg *kindConfig
+	for i, id := range ids {
+		if err := id.Validate(); err != nil {
+			out[i].Err = err
+			continue
+		}
+		if cfg == nil || cfg.kind != id.Kind {
+			c, ok := rt.kind(id.Kind)
+			if !ok {
+				out[i].Err = fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
+				continue
+			}
+			cfg = c
+		}
+		key := id.String()
+		var silo string
+		if r, ok := rt.directory.Lookup(key); ok {
+			silo = r.Silo
+		} else {
+			if !haveView {
+				view, haveView = rt.view(), true
+			}
+			var err error
+			if silo, err = place(rt.strategy(cfg), key, "", view); err != nil {
+				out[i].Err = err
+				continue
+			}
+		}
+		// A silo's open group is its newest; there are few groups, so a
+		// scan from the end finds it faster than a map would.
+		g := len(groups) - 1
+		for g >= 0 && groups[g].silo != silo {
+			g--
+		}
+		if g < 0 || len(groups[g].idx) == multiMaxTargets {
+			g = len(groups)
+			groups = append(groups, multiGroup{silo: silo})
+		}
+		groups[g].idx = append(groups[g].idx, i)
+	}
+	return groups
+}
+
+// reissue names a target to send again through the single-call path,
+// with the silo a wrong-silo slot redirected to, if it did.
+type reissue struct {
+	i        int
+	redirect string
+}
+
+// sendGroup delivers one group as one frame and files the slots that came
+// back into out. It returns the targets to re-issue: the slots the silo
+// marked transient, or the whole group when the frame itself failed.
+func (rt *Runtime) sendGroup(ctx context.Context, g multiGroup, ids []ID, msg any, trace telemetry.SpanContext, out []CallResult) []reissue {
+	// A group that holds every target — the usual case, one org on one
+	// silo — is the caller's slice itself, in order.
+	call := multiCall{Targets: ids, Msg: msg}
+	if len(g.idx) != len(ids) {
+		call.Targets = make([]ID, len(g.idx))
+		for j, i := range g.idx {
+			call.Targets[j] = ids[i]
+		}
+	}
+	size := 0
+	for _, id := range call.Targets {
+		size += len(id.Kind) + len(id.Key) + 8
+	}
+	rt.metrics.Counter("core.multi.frames").Inc()
+	rt.metrics.Counter("core.multi.targets").Add(int64(len(g.idx)))
+	resp, err := rt.cfg.Transport.Call(ctx, g.silo, transport.Request{
+		TargetKind: MultiKind,
+		Method:     "call",
+		Payload:    call,
+		Trace:      trace,
+		// The in-process transport charges serialization by size; a batch
+		// is not a small control message.
+		SizeHint: size,
+	})
+	var slots []multiSlot
+	if err == nil {
+		reply, ok := resp.(multiReply)
+		if !ok || len(reply.Slots) != len(g.idx) {
+			err = fmt.Errorf("core: malformed multi reply %T from %s", resp, g.silo)
+		}
+		slots = reply.Slots
+	}
+	if err != nil && ctx.Err() != nil {
+		// The caller gave up; nothing can be re-issued under its context.
+		for _, i := range g.idx {
+			out[i].Err = err
+		}
+		return nil
+	}
+	var again []reissue
+	if err != nil {
+		// No slot of a failed frame says whether its turn ran — exactly
+		// what a failed single Call leaves its caller knowing — so every
+		// target takes the single-call path, whose retry loop re-places
+		// actors off a dead silo.
+		for _, i := range g.idx {
+			again = append(again, reissue{i: i})
+		}
+		return again
+	}
+	for j, i := range g.idx {
+		switch s := &slots[j]; {
+		case s.Transient:
+			again = append(again, reissue{i: i, redirect: s.Redirect})
+		case s.err != nil:
+			out[i].Err = s.err
+		case s.Err != "":
+			out[i].Err = &transport.RemoteError{Node: g.silo, Msg: s.Err}
+		default:
+			out[i].Value = s.Value
+		}
+	}
+	return again
+}
+
+// reissueAll sends each failed target through the single-call path.
+func (rt *Runtime) reissueAll(ctx context.Context, failed []reissue, ids []ID, msg any, trace telemetry.SpanContext, out []CallResult) {
+	if len(failed) == 0 {
+		return
+	}
+	rt.metrics.Counter("core.multi.reissued").Add(int64(len(failed)))
+	var next atomic.Int32
+	work := func() {
+		for {
+			j := int(next.Add(1)) - 1
+			if j >= len(failed) {
+				return
+			}
+			f := failed[j]
+			out[f.i].Value, out[f.i].Err = rt.call(ctx, "", nil, ids[f.i], msg, true, trace, f.redirect)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < reissueWorkers && w < len(failed); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// gather collects the turns of one MultiKind frame: each target's
+// envelope carries the gather and its slot number, the turn (or whatever
+// fails the envelope) fills the slot, and the last one in closes done. It
+// stands in for a reply channel and a waiting goroutine per target.
+type gather struct {
+	slots   []multiSlot
+	pending atomic.Int32
+	done    chan struct{}
+}
+
+// set files one target's outcome. Slots are distinct memory and the
+// countdown orders every write before the close of done, so the handler
+// reads the slots without a lock.
+func (g *gather) set(i int, v any, err error) {
+	if err != nil {
+		g.slots[i] = multiSlot{
+			Err:       err.Error(),
+			Redirect:  redirectTarget(err),
+			Transient: Transient(err),
+			err:       err,
+		}
+	} else {
+		g.slots[i].Value = v
+	}
+	if g.pending.Add(-1) == 0 {
+		close(g.done)
+	}
+}
+
+// handleMulti serves MultiKind frames (registered in New).
+func (rt *Runtime) handleMulti(ctx context.Context, silo string, req transport.Request) (any, error) {
+	call, ok := req.Payload.(multiCall)
+	if !ok {
+		return nil, fmt.Errorf("core: bad multi payload %T", req.Payload)
+	}
+	if len(call.Targets) == 0 {
+		return multiReply{}, nil
+	}
+	g := &gather{slots: make([]multiSlot, len(call.Targets)), done: make(chan struct{})}
+	g.pending.Store(int32(len(call.Targets)))
+	if s, hosted := rt.Silo(silo); hosted {
+		s.deliverMany(ctx, req, call, g)
+	} else {
+		// Removed or crashed after the transport accepted the frame.
+		gone := fmt.Errorf("core: silo %s is gone: %w", silo, ErrTransient)
+		for i := range call.Targets {
+			g.set(i, nil, gone)
+		}
+	}
+	select {
+	case <-g.done:
+		return multiReply{Slots: g.slots}, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// deliverMany pushes one envelope per target into the targets' mailboxes,
+// in target order, activating actors as a single delivery would. It never
+// waits: a target that cannot take the envelope now (its mailbox is
+// closing, its previous activation is mid-teardown, another silo holds
+// it) has its slot filled with that error — transient, so the caller
+// re-issues it — instead of holding up the batch.
+func (s *Silo) deliverMany(ctx context.Context, req transport.Request, call multiCall, g *gather) {
+	var hlc clock.HLC
+	if s.rt.journal.Enabled() {
+		hlc = clock.HLC(req.HLC)
+	}
+	env := s.envelope(ctx, call.Msg, req.Chain, req.Trace, req.Sender != s.name, hlc)
+	env.gather = g
+	var cfg *kindConfig
+	for i, id := range call.Targets {
+		if cfg == nil || cfg.kind != id.Kind {
+			c, ok := s.rt.kind(id.Kind)
+			if !ok {
+				g.set(i, nil, fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind))
+				continue
+			}
+			cfg = c
+		}
+		env.slot = int32(i)
+		act, err := s.resolveOnce(id, cfg)
+		if err == nil && !act.box.push(env) {
+			err = fmt.Errorf("core: %s is deactivating: %w", id, ErrTransient)
+		}
+		if err != nil {
+			g.set(i, nil, err)
+		}
+	}
+}

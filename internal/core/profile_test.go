@@ -38,6 +38,7 @@ func TestProfilerAccountsTurns(t *testing.T) {
 	if _, err := rt.Call(ctx, ID{"Counter", "cold"}, addMsg{1}); err != nil {
 		t.Fatal(err)
 	}
+	awaitTurns(t, rt, 6)
 
 	hot := prof.HotActors()
 	if len(hot) != 2 {
@@ -77,6 +78,7 @@ func TestProfilerWithoutLimiterUsesWallTime(t *testing.T) {
 	if _, err := rt.Call(ctx, ID{"Counter", "slow"}, slowMsg{D: 5 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
+	awaitTurns(t, rt, 1)
 	hot := prof.HotActors()
 	if len(hot) != 1 || hot[0].Key != "Counter/slow" {
 		t.Fatalf("hot = %+v", hot)
@@ -153,14 +155,17 @@ func TestProfilerToggle(t *testing.T) {
 	rt.AddSilo("silo-1", nil)
 	ctx := context.Background()
 	rt.Call(ctx, ID{"Counter", "a"}, addMsg{1})
+	awaitTurns(t, rt, 1)
 	prof.SetEnabled(false)
 	rt.Call(ctx, ID{"Counter", "a"}, addMsg{1})
+	awaitTurns(t, rt, 2)
 	turns, _ := prof.Totals()
 	if turns != 1 {
 		t.Fatalf("turns = %d, want 1 (second turn observed while disabled)", turns)
 	}
 	prof.SetEnabled(true)
 	rt.Call(ctx, ID{"Counter", "a"}, addMsg{1})
+	awaitTurns(t, rt, 3)
 	turns, _ = prof.Totals()
 	if turns != 2 {
 		t.Fatalf("turns = %d, want 2", turns)

@@ -229,6 +229,10 @@ func New(cfg Config) (*Runtime, error) {
 	if err := rt.RegisterService(MigrateKind, rt.handleMigrate); err != nil {
 		return nil, err
 	}
+	// So are multi-actor calls (Runtime.CallMany), on "!multi".
+	if err := rt.RegisterService(MultiKind, rt.handleMulti); err != nil {
+		return nil, err
+	}
 	return rt, nil
 }
 
@@ -414,6 +418,13 @@ func (rt *Runtime) view() []string {
 	return append([]string(nil), rt.siloList...)
 }
 
+// isShutdown reports whether Shutdown has begun.
+func (rt *Runtime) isShutdown() bool {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return rt.shutdown
+}
+
 func (rt *Runtime) costOf(id ID, msg any) time.Duration {
 	if rt.cfg.Cost == nil {
 		return 0
@@ -443,13 +454,13 @@ func (rt *Runtime) Directory() *directory.Directory { return rt.directory }
 // Call sends msg to the actor named id and waits for its reply. The call
 // activates the actor if needed, according to the kind's placement.
 func (rt *Runtime) Call(ctx context.Context, id ID, msg any) (any, error) {
-	return rt.call(ctx, "", nil, id, msg, true, telemetry.SpanContext{})
+	return rt.call(ctx, "", nil, id, msg, true, telemetry.SpanContext{}, "")
 }
 
 // Tell sends msg one-way: it is delivered through the actor's mailbox but
 // no reply is awaited.
 func (rt *Runtime) Tell(ctx context.Context, id ID, msg any) error {
-	_, err := rt.call(ctx, "", nil, id, msg, false, telemetry.SpanContext{})
+	_, err := rt.call(ctx, "", nil, id, msg, false, telemetry.SpanContext{}, "")
 	return err
 }
 
@@ -459,15 +470,14 @@ func (rt *Runtime) Tell(ctx context.Context, id ID, msg any) error {
 // time budget, and a routing target that proves unreachable has its
 // directory entry evicted so the retry re-places the actor on a live
 // silo. Every returned error is classified — Transient(err) answers
-// whether the caller may usefully retry.
-func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, id ID, msg any, needReply bool, trace telemetry.SpanContext) (any, error) {
+// whether the caller may usefully retry. A non-empty redirect addresses
+// the first attempt to that silo instead of resolving id: the caller
+// already holds a wrong-silo answer naming the actor's home.
+func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, id ID, msg any, needReply bool, trace telemetry.SpanContext, redirect string) (any, error) {
 	if err := id.Validate(); err != nil {
 		return nil, err
 	}
-	rt.mu.RLock()
-	dead := rt.shutdown
-	rt.mu.RUnlock()
-	if dead {
+	if rt.isShutdown() {
 		return nil, ErrShutdown
 	}
 	cfg, ok := rt.kind(id.Kind)
@@ -479,10 +489,7 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 			return nil, fmt.Errorf("%w: %v -> %s", ErrCallCycle, chain, id)
 		}
 	}
-	strat := cfg.placement
-	if strat == nil {
-		strat = rt.cfg.Placement
-	}
+	strat := rt.strategy(cfg)
 	method := "call"
 	if !needReply {
 		method = "tell"
@@ -496,7 +503,7 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 	if callerSilo == "" && !trace.Sampled && rt.tracer.Enabled() {
 		trace, root = rt.tracer.StartRoot(method + " " + id.String())
 	}
-	resp, retries, hops, err := rt.callLoop(ctx, callerSilo, chain, id, msg, strat, method, trace)
+	resp, retries, hops, err := rt.callLoop(ctx, callerSilo, chain, id, msg, strat, method, trace, redirect)
 	if root != nil {
 		root.Retries = int32(retries)
 		root.Hops = int32(hops)
@@ -508,7 +515,7 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 // callLoop is the self-healing delivery loop behind call, reporting how
 // many transparent retries and wrong-silo re-routes the delivery needed
 // so root spans can attribute them.
-func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []string, id ID, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext) (resp any, retries, hops int, err error) {
+func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []string, id ID, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext, redirect string) (resp any, retries, hops int, err error) {
 	// maxHops bounds the wrong-silo re-route loop: losing the activation
 	// race means the directory already names the winner, so re-routing is
 	// immediate (no backoff) but must not spin forever under pathological
@@ -524,7 +531,6 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 	// happy path allocates no timer and pays nothing for the budget.
 	var retryDeadline time.Time
 	var lastErr error
-	redirect := ""
 	for attempt := 1; ; {
 		resp, err := rt.routeOnce(ctx, callerSilo, chain, id, msg, strat, method, trace, redirect)
 		redirect = ""
@@ -583,6 +589,23 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 	return nil, retries, hops, fmt.Errorf("core: %s failed after %d attempts: %w", id, attempts, lastErr)
 }
 
+// strategy is the placement a kind's actors use: its own, else the
+// runtime's default.
+func (rt *Runtime) strategy(cfg *kindConfig) placement.Strategy {
+	if cfg.placement != nil {
+		return cfg.placement
+	}
+	return rt.cfg.Placement
+}
+
+// place picks the silo for an actor the directory does not know.
+func place(strat placement.Strategy, key, callerSilo string, view []string) (string, error) {
+	if len(view) == 0 {
+		return "", ErrNoSilos
+	}
+	return strat.Place(key, callerSilo, view)
+}
+
 // routeOnce resolves id to a silo (directory hit or fresh placement) and
 // performs one transport delivery. When a directory-resolved target turns
 // out to be unreachable, the stale registration is evicted so the next
@@ -599,13 +622,8 @@ func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []str
 	} else if r, ok := rt.directory.Lookup(id.String()); ok {
 		target, reg, fromDirectory = r.Silo, r, true
 	} else {
-		view := rt.view()
-		if len(view) == 0 {
-			return nil, ErrNoSilos
-		}
 		var err error
-		target, err = strat.Place(id.String(), callerSilo, view)
-		if err != nil {
+		if target, err = place(strat, id.String(), callerSilo, rt.view()); err != nil {
 			return nil, err
 		}
 	}

@@ -98,16 +98,8 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 		// must not be cancelled when the sender moves on.
 		turnCtx = context.WithoutCancel(ctx)
 	}
-	env := envelope{ctx: turnCtx, msg: msg, reply: reply, chain: chain, hlc: hlc}
-	if s.rt.tracer.Enabled() { // the one check disabled telemetry costs here
-		env.trace = trace
-		env.remote = remote
-		if trace.Sampled {
-			// The enqueue timestamp feeds the span's mailbox-wait
-			// component; only sampled messages pay the clock read.
-			env.enqueuedAt = s.rt.clk.Now()
-		}
-	}
+	env := s.envelope(turnCtx, msg, chain, trace, remote, hlc)
+	env.reply = reply
 	for {
 		act, err := s.resolve(ctx, id)
 		if err != nil {
@@ -135,6 +127,22 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 	}
 }
 
+// envelope builds the queued form of one inbound message; the caller adds
+// where the turn's result goes.
+func (s *Silo) envelope(ctx context.Context, msg any, chain []string, trace telemetry.SpanContext, remote bool, hlc clock.HLC) envelope {
+	env := envelope{ctx: ctx, msg: msg, chain: chain, hlc: hlc}
+	if s.rt.tracer.Enabled() { // the one check disabled telemetry costs here
+		env.trace = trace
+		env.remote = remote
+		if trace.Sampled {
+			// The enqueue timestamp feeds the span's mailbox-wait
+			// component; only sampled messages pay the clock read.
+			env.enqueuedAt = s.rt.clk.Now()
+		}
+	}
+	return env
+}
+
 // resolve returns the live activation for id on this silo, activating the
 // actor if this silo wins the directory race. It returns wrongSiloError
 // when another silo holds the activation.
@@ -144,61 +152,85 @@ func (s *Silo) resolve(ctx context.Context, id ID) (*activation, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
 	}
 	for {
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			return nil, ErrShutdown
+		act, err := s.resolveOnce(id, cfg)
+		if err != errMidTeardown {
+			return act, err
 		}
-		if act, ok := s.catalog[id]; ok {
-			s.mu.Unlock()
-			return act, nil
+		// Yield and retry.
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		default:
 		}
-		if me, ok := s.moved[id]; ok {
-			if s.rt.clk.Now().Before(me.until) {
-				s.mu.Unlock()
-				return nil, &wrongSiloError{Actor: id.String(), Winner: me.target}
-			}
-			delete(s.moved, id)
+		waitTimer := s.rt.clk.NewTimer(100 * time.Microsecond)
+		select {
+		case <-ctx.Done():
+			waitTimer.Stop()
+			return nil, ctx.Err()
+		case <-waitTimer.C():
 		}
-		s.mu.Unlock()
+	}
+}
 
-		reg, err := s.rt.directory.Register(id.String(), s.name)
-		if err != nil {
-			if !errors.Is(err, directory.ErrAlreadyRegistered) {
-				return nil, err
-			}
-			if reg.Silo != s.name {
-				return nil, &wrongSiloError{Actor: id.String(), Winner: reg.Silo}
-			}
-			// Registered to this silo but not in the catalog: a previous
-			// activation is mid-teardown. Yield and retry.
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			default:
-			}
-			waitTimer := s.rt.clk.NewTimer(100 * time.Microsecond)
-			select {
-			case <-ctx.Done():
-				waitTimer.Stop()
-				return nil, ctx.Err()
-			case <-waitTimer.C():
-			}
-			continue
-		}
+// errMidTeardown is resolveOnce's answer while the actor's previous
+// activation on this silo is still deactivating: registered here, no
+// longer in the catalog. resolve waits it out; a multi-actor call, which
+// must not block its batch on one target, reports the slot transient.
+var errMidTeardown = fmt.Errorf("core: previous activation still deactivating: %w", ErrTransient)
 
-		act := newActivation(id, s, cfg, reg)
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			s.rt.directory.Unregister(reg)
-			return nil, ErrShutdown
-		}
-		s.catalog[id] = act
+// resolveOnce is one non-blocking pass of resolve.
+func (s *Silo) resolveOnce(id ID, cfg *kindConfig) (*activation, error) {
+	s.mu.Lock()
+	if s.closing {
 		s.mu.Unlock()
-		go act.run()
+		return nil, s.closingErr()
+	}
+	if act, ok := s.catalog[id]; ok {
+		s.mu.Unlock()
 		return act, nil
 	}
+	if me, ok := s.moved[id]; ok {
+		if s.rt.clk.Now().Before(me.until) {
+			s.mu.Unlock()
+			return nil, &wrongSiloError{Actor: id.String(), Winner: me.target}
+		}
+		delete(s.moved, id)
+	}
+	s.mu.Unlock()
+
+	reg, err := s.rt.directory.Register(id.String(), s.name)
+	if err != nil {
+		if !errors.Is(err, directory.ErrAlreadyRegistered) {
+			return nil, err
+		}
+		if reg.Silo != s.name {
+			return nil, &wrongSiloError{Actor: id.String(), Winner: reg.Silo}
+		}
+		return nil, errMidTeardown
+	}
+
+	act := newActivation(id, s, cfg, reg)
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		s.rt.directory.Unregister(reg)
+		return nil, s.closingErr()
+	}
+	s.catalog[id] = act
+	s.mu.Unlock()
+	go act.run()
+	return act, nil
+}
+
+// closingErr is what a silo that has stopped taking work answers. While
+// the runtime lives that is a property of the moment — the silo crashed
+// or is being decommissioned, and a retry re-places the actor on a live
+// one — so it is transient; only a runtime shutdown is ErrShutdown.
+func (s *Silo) closingErr() error {
+	if s.rt.isShutdown() {
+		return ErrShutdown
+	}
+	return fmt.Errorf("core: silo %s is closing: %w", s.name, ErrTransient)
 }
 
 // removeActivation drops a fully deactivated activation from the catalog.

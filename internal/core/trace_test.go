@@ -61,6 +61,7 @@ func TestTraceEndToEndComponents(t *testing.T) {
 	if _, err := rt.Call(context.Background(), ID{"Relay", "r"}, relayMsg{Target: target}); err != nil {
 		t.Fatal(err)
 	}
+	awaitTurns(t, rt, 2)
 
 	spans := tracer.Spans()
 	if len(spans) != 3 {
@@ -140,6 +141,7 @@ func TestTraceAttributesStorageTime(t *testing.T) {
 	if _, err := rt.Call(ctx, id, saveMsg{}); err != nil {
 		t.Fatal(err)
 	}
+	awaitTurns(t, rt, 2)
 	var saveTurn *telemetry.Span
 	spans := tracer.Spans()
 	for i := range spans {
@@ -175,6 +177,7 @@ func TestRootSpanRecordsRetries(t *testing.T) {
 	if _, err := rt.Call(context.Background(), ID{"Counter", "a"}, addMsg{3}); err != nil {
 		t.Fatal(err)
 	}
+	awaitTurns(t, rt, 1)
 	spans := tracer.Spans()
 	root, turns := spansByKind(spans, spans[0].TraceID)
 	if root == nil || root.Retries != 2 || root.Err != "" {
@@ -198,11 +201,13 @@ func TestTraceSurvivesSiloCrash(t *testing.T) {
 
 	var victim ID
 	found := false
+	var calls int64
 	for i := 0; i < 200 && !found; i++ {
 		id := ID{"Counter", fmt.Sprintf("c%d", i)}
 		if _, err := rt.Call(ctx, id, addMsg{N: 1}); err != nil {
 			t.Fatal(err)
 		}
+		calls++
 		if reg, ok := rt.Directory().Lookup(id.String()); ok && reg.Silo == "s1" {
 			victim, found = id, true
 		}
@@ -217,6 +222,7 @@ func TestTraceSurvivesSiloCrash(t *testing.T) {
 	if _, err := rt.Call(ctx, victim, getMsg{}); err != nil {
 		t.Fatalf("call after crash: %v", err)
 	}
+	awaitTurns(t, rt, calls+1)
 	spans := tracer.Spans()
 	var root *telemetry.Span
 	for i := range spans {
@@ -279,6 +285,7 @@ func TestIntrospectionSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	awaitTurns(t, rt, 5) // the last turn still holds its limiter slot when its reply lands
 	snap := rt.IntrospectionSnapshot()
 	if len(snap.Silos) != 2 || snap.Silos[0].Name != "s1" || snap.Silos[1].Name != "s2" {
 		t.Fatalf("snapshot silos = %+v", snap.Silos)

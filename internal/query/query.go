@@ -11,54 +11,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"aodb/internal/core"
 	"aodb/internal/index"
 )
 
 // Result pairs one actor's answer with its identity.
-type Result struct {
-	Actor core.ID
-	Value any
-	Err   error
-}
+type Result = core.CallResult
 
 // Engine executes multi-actor queries.
 type Engine struct {
 	rt *core.Runtime
-	// Parallelism bounds concurrent fan-out calls (default 64).
-	Parallelism int
 }
 
 // NewEngine returns a query engine over rt.
 func NewEngine(rt *core.Runtime) *Engine {
-	return &Engine{rt: rt, Parallelism: 64}
+	return &Engine{rt: rt}
 }
 
-// FanOut sends msg to every target and collects results in target order.
-// Individual actor failures are recorded per result, not returned as a
-// query failure, so one broken actor cannot hide the rest of the answer.
+// FanOut sends msg to every target and collects results in target order:
+// one frame per destination silo, however many targets (see
+// core.Runtime.CallMany). Individual actor failures are recorded per
+// result, not returned as a query failure, so one broken actor cannot hide
+// the rest of the answer.
 func (e *Engine) FanOut(ctx context.Context, targets []core.ID, msg any) []Result {
-	results := make([]Result, len(targets))
-	par := e.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i, id := range targets {
-		wg.Add(1)
-		go func(i int, id core.ID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			v, err := e.rt.Call(ctx, id, msg)
-			results[i] = Result{Actor: id, Value: v, Err: err}
-		}(i, id)
-	}
-	wg.Wait()
-	return results
+	return e.rt.CallMany(ctx, targets, msg)
 }
 
 // ByIndex resolves value through ix to actor keys of the given kind and

@@ -112,14 +112,15 @@ func TestFanOutEmptyTargets(t *testing.T) {
 	}
 }
 
-func TestFanOutParallelismBound(t *testing.T) {
+// TestFanOutSplitsLargeGroups: more targets than one multi-actor frame
+// carries, spread over both silos, still come back complete and in order.
+func TestFanOutSplitsLargeGroups(t *testing.T) {
 	rt := newRuntime(t)
-	ids := seed(t, rt, 50)
+	ids := seed(t, rt, 700)
 	e := NewEngine(rt)
-	e.Parallelism = 1 // degenerate but must still complete correctly
 	results := e.FanOut(context.Background(), ids, readMsg{})
 	for i, r := range results {
-		if r.Err != nil || r.Value.(int) != i*10 {
+		if r.Err != nil || r.Actor != ids[i] || r.Value.(int) != i*10 {
 			t.Fatalf("result %d = %+v", i, r)
 		}
 	}
