@@ -16,7 +16,6 @@ import (
 	"aodb/internal/bench"
 	"aodb/internal/capacity"
 	"aodb/internal/core"
-	"aodb/internal/journal"
 	"aodb/internal/kvstore"
 	"aodb/internal/telemetry"
 )
@@ -207,8 +206,8 @@ func BenchmarkActorCallHot(b *testing.B) {
 	}
 }
 
-// benchHotLoop is the shared body of the telemetry-overhead trio below:
-// the same hot-actor call loop under three tracer configurations, so
+// benchHotLoop is the shared body of the recorder-overhead benchmarks
+// below: the same hot-actor call loop under each tracer configuration, so
 // `go test -bench 'ActorCallHot' -count N` + benchstat quantifies what
 // the subsystem costs (the disabled case must stay within 2% of the
 // baseline — its hot path is one atomic load).
@@ -254,52 +253,21 @@ func BenchmarkActorCallHotTraced(b *testing.B) {
 	benchHotLoop(b, telemetry.New(telemetry.Config{SampleEvery: 1}))
 }
 
-// benchHotLoopJournal mirrors benchHotLoop for the flight recorder: the
-// same hot-actor call loop with a journal installed, enabled or not.
-// The disabled case is the contract under test — one atomic load per
-// call site, within noise of the bare baseline.
-func benchHotLoopJournal(b *testing.B, enabled bool) {
-	jr := journal.New(journal.Config{Silo: "bench"})
-	jr.SetEnabled(enabled)
-	rt, err := core.New(core.Config{IdleAfter: time.Hour, CollectEvery: time.Hour, Journal: jr})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		rt.Shutdown(ctx)
-	})
-	if err := rt.RegisterKind("Echo", func() core.Actor { return echoActor{} }); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rt.AddSilo("silo-1", nil); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	id := core.ID{Kind: "Echo", Key: "one"}
-	if _, err := rt.Call(ctx, id, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.Call(ctx, id, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkActorCallHotJournalDisabled: flight recorder installed but
-// switched off — the configuration production runs idle in.
+// BenchmarkActorCallHotJournalDisabled: a recorder with the flight
+// recorder's events part installed but switched off — the configuration
+// production runs idle in. One atomic load per call site, within noise of
+// the bare baseline.
 func BenchmarkActorCallHotJournalDisabled(b *testing.B) {
-	benchHotLoopJournal(b, false)
+	tracer := telemetry.New(telemetry.Config{Silo: "bench", Parts: telemetry.Events})
+	tracer.SetEnabled(false)
+	benchHotLoop(b, tracer)
 }
 
 // BenchmarkActorCallHotJournaled: flight recorder on; fast calls record
-// nothing (no slow turns, no anomalies), so this measures the enabled
-// check plus the HLC bookkeeping on the call path.
+// no event (no slow turns, no anomalies), so this measures the enabled
+// check plus the per-kind turn accounting on the call path.
 func BenchmarkActorCallHotJournaled(b *testing.B) {
-	benchHotLoopJournal(b, true)
+	benchHotLoop(b, telemetry.New(telemetry.Config{Silo: "bench", Parts: telemetry.Events}))
 }
 
 // BenchmarkActorCallParallel measures many goroutines calling many actors.

@@ -67,7 +67,7 @@ func run(ctx context.Context, fig, ablation string, transportBench, hot bool, ho
 		bench.PrintTransportBench(out, results)
 	}
 	if hot {
-		res, err := bench.HotActorExperiment(ctx, hotSensors, 4*hotK, opts)
+		res, err := bench.HotActorExperiment(ctx, hotSensors, opts)
 		if err != nil {
 			return err
 		}

@@ -44,11 +44,12 @@
 // request, -slow-turn D flags turns slower than D).
 //
 // Observability is opt-in, preserving the one-atomic-check disabled
-// contract on the hot path:
+// contract on the hot path. -trace, -profile and -journal each switch on
+// one part of the silo's single recorder:
 //
 //   - -profile accounts per-actor CPU, turns, mailbox high-water marks,
-//     and state sizes in a bounded K-slot heavy-hitter sketch
-//     (-profile-k sizes it), surfaced on /obs, /metrics, and shmtop.
+//     and state sizes in a bounded heavy-hitter sketch, surfaced on
+//     /obs, /metrics, and shmtop.
 //   - -pprof mounts net/http/pprof under /debug/pprof/ on the
 //     introspection port for on-demand CPU/heap profiles.
 //   - -history runs the cluster aggregator in-process: the silo scrapes
@@ -62,14 +63,13 @@
 //     of HLC-stamped cluster events (membership transitions, migration
 //     phases, quorum outcomes, hinted handoff, breaker trips, slow
 //     turns, WAL flush stalls, panics), served at /events and merged
-//     across silos by /cluster/events and shmtrace. Anomalies — lost
+//     across silos by /cluster/events and shmtop -trace. Anomalies — lost
 //     quorums, panics, members declared dead, SLO-breaching turns —
 //     freeze the ring to a capture file under -journal-capture-dir, so
 //     the window around a crash survives the crash.
 //
 // The TCP wire path is tunable: -stripes N opens N parallel gob streams
-// per peer, -no-batching disables write coalescing (the measured
-// baseline), and -net-workers N sizes the inbound dispatch pool. The
+// per peer and -net-workers N sizes the inbound dispatch pool. The
 // transport's instruments (transport.flush.*, transport.sendq.depth)
 // share the silo's /metrics page.
 //
@@ -84,16 +84,16 @@ import (
 	"log"
 	"os/signal"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"aodb/internal/core"
-	"aodb/internal/gossip"
-	"aodb/internal/journal"
 	"aodb/internal/kvstore"
 	"aodb/internal/obs"
 	"aodb/internal/shm"
 	"aodb/internal/siloboot"
+	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
 
@@ -116,20 +116,16 @@ func main() {
 	flag.StringVar(&cfg.introspect, "introspect", "", "HTTP introspection listen address (empty = off)")
 	flag.BoolVar(&cfg.trace, "trace", false, "enable distributed tracing")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 1, "sample every Nth request when tracing")
-	flag.DurationVar(&cfg.slowTurn, "slow-turn", 250*time.Millisecond, "flag actor turns slower than this")
+	flag.DurationVar(&cfg.slowTurn, "slow-turn", 250*time.Millisecond, "flag actor turns slower than this (10x is an SLO breach, which captures the journal)")
 	flag.BoolVar(&cfg.profile, "profile", false, "account per-actor hot spots (CPU, turns, mailbox high-water) in a bounded sketch")
-	flag.IntVar(&cfg.profileK, "profile-k", 64, "hot-actor sketch slots (memory is O(K) regardless of actor count)")
 	flag.BoolVar(&cfg.journal, "journal", false, "record HLC-stamped cluster events in the flight-recorder ring (served at /events)")
 	flag.IntVar(&cfg.journalSize, "journal-size", 0, "flight-recorder ring capacity in events (0 = 4096)")
 	flag.StringVar(&cfg.journalCaptureDir, "journal-capture-dir", "", "freeze the ring to JSON files here when an anomaly fires (empty = captures off)")
-	flag.DurationVar(&cfg.journalSLO, "journal-slo", 0, "turn duration treated as an SLO breach, triggering a capture (0 = 10x -slow-turn)")
-	flag.DurationVar(&cfg.walStall, "wal-stall", time.Second, "with -journal and -store, journal WAL group flushes slower than this")
 	flag.BoolVar(&cfg.pprofOn, "pprof", false, "mount /debug/pprof on the introspection port")
 	flag.BoolVar(&cfg.history, "history", false, "aggregate cluster metrics in-process and serve /cluster with history")
 	flag.StringVar(&cfg.obsPeers, "obs-peers", "", "comma-separated name=url introspection endpoints to aggregate with -history")
 	flag.DurationVar(&cfg.historyEvery, "history-every", 2*time.Second, "aggregator poll interval with -history")
 	flag.IntVar(&cfg.stripes, "stripes", 0, "gob connection stripes per peer (0 = min(4, GOMAXPROCS))")
-	flag.BoolVar(&cfg.noBatching, "no-batching", false, "disable transport write coalescing (measured baseline)")
 	flag.IntVar(&cfg.netWorkers, "net-workers", 0, "inbound dispatch pool size (0 = default)")
 	flag.Parse()
 
@@ -155,48 +151,33 @@ type serverConfig struct {
 	traceSample                          int
 	slowTurn                             time.Duration
 	profile                              bool
-	profileK                             int
 	journal                              bool
 	journalSize                          int
 	journalCaptureDir                    string
-	journalSLO                           time.Duration
-	walStall                             time.Duration
 	pprofOn                              bool
 	history                              bool
 	obsPeers                             string
 	historyEvery                         time.Duration
 	stripes                              int
-	noBatching                           bool
 	netWorkers                           int
 }
 
-func run(ctx context.Context, cfg serverConfig) error {
-	// The flight recorder is built here, not in siloboot, so it can hook
-	// sources the boot layer never sees — like the store's WAL flush
-	// stalls below, which need the journal before kvstore.Open runs.
-	var jr *journal.Journal
-	if cfg.journal {
-		jr = journal.New(journal.Config{
-			Silo:       cfg.name,
-			Size:       cfg.journalSize,
-			CaptureDir: cfg.journalCaptureDir,
-			SlowTurn:   cfg.slowTurn,
-			SLOTurn:    cfg.journalSLO,
-			OnCapture: func(path, reason string) {
-				log.Printf("shmserver: journal capture %s (%s)", path, reason)
-			},
-		})
-		jr.SetEnabled(true)
-	}
+// walStall is how slow a WAL group flush must be to make the journal.
+const walStall = time.Second
 
+func run(ctx context.Context, cfg serverConfig) error {
+	// The store opens before the node that owns the recorder exists, so
+	// its WAL-stall hook reads the recorder through a holder filled in
+	// once siloboot.Start returns (a nil tracer records nothing).
+	var recorder atomic.Pointer[telemetry.Tracer]
 	var store *kvstore.Store
 	if cfg.storeDir != "" {
 		kvOpts := kvstore.Options{Dir: cfg.storeDir, Durable: cfg.durable}
-		if jr != nil {
-			kvOpts.FlushStallAfter = cfg.walStall
+		if cfg.journal {
+			kvOpts.FlushStallAfter = walStall
 			kvOpts.OnFlushStall = func(d time.Duration, records int) {
-				if jr.Enabled() {
-					jr.Record(journal.WALStall, "", 0, fmt.Sprintf("flush took %v (%d records)", d, records))
+				if tr := recorder.Load(); tr.Recording() {
+					tr.Record(telemetry.WALStall, "", 0, fmt.Sprintf("flush took %v (%d records)", d, records))
 				}
 			}
 		}
@@ -224,7 +205,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 		Peers:  cfg.peers,
 		TCP: transport.TCPOptions{
 			Stripes:         cfg.stripes,
-			NoBatching:      cfg.noBatching,
 			DispatchWorkers: cfg.netWorkers,
 		},
 		// Circuit breakers between silos: a dead peer fails fast instead
@@ -244,13 +224,15 @@ func run(ctx context.Context, cfg serverConfig) error {
 		TraceSample:    cfg.traceSample,
 		SlowTurn:       cfg.slowTurn,
 		Profile:        cfg.profile,
-		ProfileK:       cfg.profileK,
-		Journal:        jr,
+		Events:         cfg.journal,
+		EventCapacity:  cfg.journalSize,
+		CaptureDir:     cfg.journalCaptureDir,
 		ObsAddr:        cfg.introspect,
 	})
 	if err != nil {
 		return err
 	}
+	recorder.Store(node.Tracer)
 	rt := node.Runtime
 	persist := core.PersistNone
 	if store != nil {
@@ -283,25 +265,17 @@ func run(ctx context.Context, cfg serverConfig) error {
 	if cfg.introspect != "" {
 		in := node.Introspection(cfg.pprofOn)
 		if cfg.history {
-			aggCfg := obs.Config{
-				Targets:  obsTargets(cfg.obsPeers),
-				Interval: cfg.historyEvery,
-			}
-			if ag := node.Gossip; ag != nil {
-				// Scrape targets come from the live membership view: peers
-				// gossip their introspection addresses, so a joiner shows up
-				// on /cluster without anyone editing -obs-peers. Members the
-				// view declares dead keep their last-good snapshot, marked
-				// stale immediately.
-				self := cfg.name
-				aggCfg.Discover = func() []obs.Target { return gossipTargets(ag, self) }
-				aggCfg.Dead = func(name string) bool { return gossipDead(ag, name) }
+			// With gossip on, scrape targets come from the live membership
+			// view (in.Members): peers gossip their introspection addresses,
+			// so a joiner shows up on /cluster without anyone editing
+			// -obs-peers. Members the view declares dead keep their last-good
+			// snapshot, marked stale immediately.
+			aggCfg := obs.Config{Interval: cfg.historyEvery, Members: in.Members}
+			for _, p := range siloboot.SplitPairs(cfg.obsPeers) {
+				aggCfg.Targets = append(aggCfg.Targets, obs.Target{Name: p[0], URL: obs.NormalizeURL(p[1])})
 			}
 			agg := obs.New(aggCfg)
-			agg.AddLocal(cfg.name, in.Obs)
-			if jr != nil {
-				agg.AddLocalEvents(cfg.name, jr.WireSnapshot)
-			}
+			agg.AddLocal(cfg.name, in)
 			go agg.Run(ctx)
 			in.Extra = agg.Register
 		}
@@ -337,48 +311,4 @@ func run(ctx context.Context, cfg serverConfig) error {
 	// toward reachable homes and fsync it, then put a final WAL sync on
 	// the store — nothing acknowledged is left in memory.
 	return node.Drain(shCtx)
-}
-
-func obsTargets(pairs string) []obs.Target {
-	var out []obs.Target
-	for _, p := range siloboot.SplitPairs(pairs) {
-		url := p[1]
-		if len(url) > 0 && url[0] != 'h' {
-			url = "http://" + url
-		}
-		out = append(out, obs.Target{Name: p[0], URL: url})
-	}
-	return out
-}
-
-// gossipTargets lists the membership view's advertised introspection
-// endpoints as aggregator scrape targets (self excluded — it is wired
-// in-process via AddLocal).
-func gossipTargets(ag *gossip.Agent, self string) []obs.Target {
-	var out []obs.Target
-	for _, m := range ag.Members() {
-		if m.Name == self || m.ObsAddr == "" {
-			continue
-		}
-		if m.State != gossip.StateAlive && m.State != gossip.StateSuspect {
-			continue
-		}
-		url := m.ObsAddr
-		if url[0] != 'h' {
-			url = "http://" + url
-		}
-		out = append(out, obs.Target{Name: m.Name, URL: url})
-	}
-	return out
-}
-
-// gossipDead reports whether the membership view has declared a silo
-// dead (or it left); the aggregator marks its last-good snapshot stale.
-func gossipDead(ag *gossip.Agent, name string) bool {
-	for _, m := range ag.Members() {
-		if m.Name == name {
-			return m.State == gossip.StateDead || m.State == gossip.StateLeft
-		}
-	}
-	return false
 }

@@ -1,9 +1,9 @@
-// Command shmtop is a live terminal view of an SHM cluster — top(1) for
-// virtual actors. Each frame shows per-silo load (activations, mailbox
-// backlog, capacity utilization, scrape health), cluster-wide tail
-// latency percentiles from the merged HDR histograms, and the K hottest
-// actors with CPU-share, turn, and queue attribution from the merged
-// heavy-hitter sketches.
+// Command shmtop is the one observer tool for an SHM cluster — top(1) for
+// virtual actors, and the reader of their flight recorders. Each frame
+// shows per-silo load (activations, mailbox backlog, capacity
+// utilization, scrape health), cluster-wide tail latency percentiles from
+// the merged HDR histograms, and the K hottest actors with CPU-share,
+// turn, and queue attribution from the merged heavy-hitter sketches.
 //
 // Point it at silo introspection endpoints directly (it embeds the
 // cluster aggregator):
@@ -23,11 +23,27 @@
 //
 // When silos run with -journal, each frame ends with a TIMELINE panel:
 // the newest flight-recorder events across the cluster, HLC-merged into
-// causal order (see shmtrace for the full-timeline tool). -events sets
-// the row count (0 hides the panel).
+// causal order. -events sets the row count (0 hides the panel).
 //
 // -once renders a single frame and exits (scriptable; the CI smoke test
 // uses it), -interval sets the refresh period, -k the hot-actor rows.
+//
+// -trace prints the whole merged timeline instead of frames: what the
+// cluster did, and in what causal order. Every event carries a hybrid
+// logical clock stamp that travels on the wire with actor calls,
+// migrations, and replica writes, so merging the per-silo rings by HLC
+// yields one timeline where cause sorts before effect even across
+// machines with skewed wall clocks. It reads the same three sources, or,
+// after a crash, the capture files the anomaly froze to disk (they
+// survive the process that wrote them):
+//
+//	shmtop -trace -capture '/data/silo-2/captures/flight-*.json'
+//
+// Filters narrow the timeline to one incident: -actor an actor id, -corr
+// a correlation id (16 hex digits, printed in every line — one migration
+// or quorum write shares one id across every silo it touched), -kind a
+// wire kind name like migrate-drain or quorum-write-fail, -n the newest N
+// events. -json emits the merged Event array instead of the table.
 package main
 
 import (
@@ -35,9 +51,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -45,14 +63,13 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"aodb/internal/journal"
 	"aodb/internal/obs"
 	"aodb/internal/siloboot"
 	"aodb/internal/telemetry"
 )
 
 func main() {
-	cluster := flag.String("cluster", "", "URL of an aggregating silo (shmserver -history); reads its /cluster")
+	cluster := flag.String("cluster", "", "URL of an aggregating silo (shmserver -history); reads its /cluster and /cluster/events")
 	silos := flag.String("silos", "", "comma-separated name=url silo introspection endpoints to scrape directly")
 	discover := flag.String("discover", "", "URL of any one gossiping silo; the rest are discovered live from its /members view")
 	interval := flag.Duration("interval", 2*time.Second, "refresh period")
@@ -60,22 +77,55 @@ func main() {
 	events := flag.Int("events", 12, "TIMELINE rows: newest flight-recorder events, HLC-merged (0 = off)")
 	once := flag.Bool("once", false, "render one frame and exit")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-scrape timeout")
+	trace := flag.Bool("trace", false, "print the merged flight-recorder timeline and exit")
+	capture := flag.String("capture", "", "with -trace: comma-separated capture file paths or globs (flight-*.json) to merge instead of scraping")
+	var filter telemetry.EventFilter
+	flag.StringVar(&filter.Actor, "actor", "", "with -trace: only events for this actor id")
+	flag.StringVar(&filter.Corr, "corr", "", "with -trace: only events with this correlation id (16 hex digits)")
+	flag.StringVar(&filter.Kind, "kind", "", "with -trace: only events of this kind (e.g. migrate-drain, quorum-write-fail)")
+	flag.IntVar(&filter.N, "n", 0, "with -trace: newest N events after filtering (0 = all)")
+	asJSON := flag.Bool("json", false, "with -trace: emit the merged timeline as JSON instead of a table")
 	flag.Parse()
 
 	modes := 0
-	for _, m := range []string{*cluster, *silos, *discover} {
+	for _, m := range []string{*cluster, *silos, *discover, *capture} {
 		if m != "" {
 			modes++
 		}
 	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "shmtop: need exactly one of -cluster URL, -silos name=url,..., or -discover URL")
+	if modes != 1 || (*capture != "" && !*trace) {
+		fmt.Fprintln(os.Stderr, "shmtop: need exactly one of -cluster URL, -silos name=url,..., -discover URL, or (with -trace) -capture files")
+		os.Exit(2)
+	}
+	if filter.Kind != "" && telemetry.ParseEventKind(filter.Kind) == 0 {
+		fmt.Fprintf(os.Stderr, "shmtop: -kind %q is not an event kind\n", filter.Kind)
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	if *capture != "" {
+		timeline, err := mergeCaptures(*capture, os.Stderr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shmtop: %v\n", err)
+			os.Exit(1)
+		}
+		printTrace(os.Stdout, filter.Apply(timeline), *asJSON)
+		return
+	}
 	fetch, fetchEvents := newFetcher(*cluster, *silos, *discover, *timeout)
+	if *trace {
+		// Silos that fail to answer are reported and skipped — after a
+		// crash, the survivors' rings are exactly the point. A source that
+		// cannot be read at all is an error.
+		timeline, err := fetchEvents(ctx, 0, os.Stderr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shmtop: %v\n", err)
+			os.Exit(1)
+		}
+		printTrace(os.Stdout, filter.Apply(timeline), *asJSON)
+		return
+	}
 	for {
 		snap, err := fetch(ctx)
 		if err != nil {
@@ -85,9 +135,11 @@ func main() {
 			}
 			fmt.Printf("shmtop: %v (retrying)\n", err)
 		} else {
-			var timeline []journal.WireEvent
+			var timeline []telemetry.Event
 			if *events > 0 {
-				timeline = fetchEvents(ctx, *events)
+				// The panel is best-effort: the silo table above already
+				// shows who is down.
+				timeline, _ = fetchEvents(ctx, *events, io.Discard)
 			}
 			frame := render(snap, *k, timeline)
 			if *once {
@@ -110,121 +162,176 @@ func main() {
 // aggregator's /cluster + /cluster/events endpoints, or an embedded
 // aggregator over the given silos — listed statically with -silos, or
 // discovered live from a gossiping seed's /members view with -discover.
-func newFetcher(cluster, silos, discover string, timeout time.Duration) (func(context.Context) (obs.ClusterSnapshot, error), func(context.Context, int) []journal.WireEvent) {
+// The timeline source takes the newest n events (0 = all), names the
+// silos it had to merge without on warn, and fails when the source itself
+// (the aggregator, the seed) cannot be read.
+func newFetcher(cluster, silos, discover string, timeout time.Duration) (func(context.Context) (obs.ClusterSnapshot, error), func(context.Context, int, io.Writer) ([]telemetry.Event, error)) {
 	client := &http.Client{Timeout: timeout}
 	if cluster != "" {
-		base := normalizeURL(cluster)
+		base := obs.NormalizeURL(cluster)
 		fetch := func(ctx context.Context) (obs.ClusterSnapshot, error) {
 			var snap obs.ClusterSnapshot
-			err := getJSON(ctx, client, base+"/cluster", &snap)
+			err := obs.FetchJSON(ctx, client, base+"/cluster", &snap)
 			return snap, err
 		}
-		fetchEvents := func(ctx context.Context, n int) []journal.WireEvent {
-			var events []journal.WireEvent
-			_ = getJSON(ctx, client, fmt.Sprintf("%s/cluster/events?n=%d", base, n), &events)
-			return events
+		fetchEvents := func(ctx context.Context, n int, _ io.Writer) ([]telemetry.Event, error) {
+			url := base + "/cluster/events"
+			if n > 0 {
+				url += fmt.Sprintf("?n=%d", n)
+			}
+			var events []telemetry.Event
+			err := obs.FetchJSON(ctx, client, url, &events)
+			return events, err
 		}
 		return fetch, fetchEvents
 	}
 
 	aggCfg := obs.Config{Timeout: timeout}
+	var mv *memberView
 	if discover != "" {
-		mv := &memberView{client: client, seed: normalizeURL(discover)}
-		aggCfg.Discover = mv.targets
-		aggCfg.Dead = mv.dead
+		mv = &memberView{client: client, seed: obs.NormalizeURL(discover)}
+		aggCfg.Members = mv.members
 	} else {
 		for _, p := range siloboot.SplitPairs(silos) {
-			aggCfg.Targets = append(aggCfg.Targets, obs.Target{Name: p[0], URL: normalizeURL(p[1])})
+			aggCfg.Targets = append(aggCfg.Targets, obs.Target{Name: p[0], URL: obs.NormalizeURL(p[1])})
 		}
 	}
 	agg := obs.New(aggCfg)
 	fetch := func(ctx context.Context) (obs.ClusterSnapshot, error) {
 		return agg.PollOnce(ctx), nil
 	}
-	fetchEvents := func(ctx context.Context, n int) []journal.WireEvent {
-		events := agg.EventsOnce(ctx)
-		if n < len(events) {
-			events = events[len(events)-n:]
+	fetchEvents := func(ctx context.Context, n int, warn io.Writer) ([]telemetry.Event, error) {
+		events, err := agg.EventsOnce(ctx)
+		if err != nil {
+			fmt.Fprintf(warn, "shmtop: merging without:\n%v\n", err)
 		}
-		return events
+		return telemetry.EventFilter{N: n}.Apply(events), mv.failure()
 	}
 	return fetch, fetchEvents
 }
 
+// mergeCaptures reads flight-recorder capture files (comma-separated
+// paths or globs) and merges their rings, noting each file on log.
+func mergeCaptures(spec string, log io.Writer) ([]telemetry.Event, error) {
+	var sets [][]telemetry.Event
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		paths, err := filepath.Glob(part)
+		if err != nil {
+			return nil, fmt.Errorf("bad glob %q: %w", part, err)
+		}
+		if len(paths) == 0 {
+			return nil, fmt.Errorf("no capture files match %q", part)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			// Capture files wrap the ring in metadata; raw /events dumps
+			// are bare arrays. Accept both.
+			var cf telemetry.Capture
+			if err := json.Unmarshal(data, &cf); err != nil {
+				if jerr := json.Unmarshal(data, &cf.Events); jerr != nil {
+					return nil, fmt.Errorf("%s: %w", path, err)
+				}
+			} else {
+				fmt.Fprintf(log, "shmtop: %s: %d events from %s (captured: %s)\n", filepath.Base(path), len(cf.Events), cf.Silo, cf.Reason)
+			}
+			sets = append(sets, cf.Events)
+		}
+	}
+	return telemetry.MergeEvents(sets...), nil
+}
+
+// printTrace writes -trace's output: the timeline as a table, one event
+// per line in causal order, or as a JSON array.
+func printTrace(w io.Writer, events []telemetry.Event, asJSON bool) {
+	if asJSON {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		_ = enc.Encode(events)
+		return
+	}
+	if len(events) == 0 {
+		fmt.Fprintln(w, "shmtop: no events (recorders empty, off, or filtered out)")
+		return
+	}
+	writeTimeline(w, events)
+	fmt.Fprintf(w, "— %d events, causally ordered (HLC, ties by silo/seq) —\n", len(events))
+}
+
+// writeTimeline tabulates events, oldest first. The correlation id column
+// is what ties one logical operation's lines together across silos.
+func writeTimeline(w io.Writer, events []telemetry.Event) {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "TIME\tSILO\tKIND\tACTOR\tCORR\tDETAIL")
+	for _, e := range events {
+		ts := e.Time
+		if t, err := time.Parse(time.RFC3339Nano, e.Time); err == nil {
+			ts = t.Format("15:04:05.000")
+		}
+		actor, corr := e.Actor, e.Corr
+		if actor == "" {
+			actor = "-"
+		}
+		if corr == "" {
+			corr = "-"
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", ts, e.Silo, e.Kind, actor, corr, e.Detail)
+	}
+	tw.Flush()
+}
+
 // memberView is shmtop's observer-mode window onto the cluster: it
 // polls one seed silo's /members (the gossip view, with each member's
-// advertised scrape endpoint) and derives the aggregator's target list
-// and dead-set from it. The last good view is kept across seed hiccups
+// advertised scrape endpoint), which the aggregator turns into scrape
+// targets and a dead-set. The last good view is kept across seed hiccups
 // so a frame during a seed restart still shows the known members.
 type memberView struct {
 	client *http.Client
 	seed   string
 
-	mu      sync.Mutex
-	last    []telemetry.MemberInfo
-	deadSet map[string]bool
+	mu   sync.Mutex
+	last []telemetry.MemberInfo
+	err  error // the latest poll's
 }
 
-// targets refreshes the view and lists scrape targets: every member
-// advertising an endpoint, dead ones included — the aggregator keeps
-// their last-good snapshot and the dead-set marks it stale.
-func (mv *memberView) targets() []obs.Target {
+func (mv *memberView) members() []telemetry.MemberInfo {
 	ctx, cancel := context.WithTimeout(context.Background(), mv.client.Timeout)
 	defer cancel()
 	var members []telemetry.MemberInfo
-	if err := getJSON(ctx, mv.client, mv.seed+"/members", &members); err == nil && len(members) > 0 {
-		mv.mu.Lock()
+	err := obs.FetchJSON(ctx, mv.client, mv.seed+"/members", &members)
+	mv.mu.Lock()
+	defer mv.mu.Unlock()
+	if err == nil && len(members) == 0 {
+		err = fmt.Errorf("%s/members lists no members (silos need -gossip)", mv.seed)
+	}
+	if err == nil {
 		mv.last = members
-		mv.deadSet = make(map[string]bool, len(members))
-		for _, m := range members {
-			if m.State == "dead" || m.State == "left" {
-				mv.deadSet[m.Name] = true
-			}
-		}
-		mv.mu.Unlock()
+	}
+	mv.err = err
+	return mv.last
+}
+
+// failure reports why the seed has never served a view; nil once it has,
+// and for a nil receiver (static targets).
+func (mv *memberView) failure() error {
+	if mv == nil {
+		return nil
 	}
 	mv.mu.Lock()
 	defer mv.mu.Unlock()
-	var out []obs.Target
-	for _, m := range mv.last {
-		if m.ObsAddr != "" {
-			out = append(out, obs.Target{Name: m.Name, URL: normalizeURL(m.ObsAddr)})
-		}
+	if mv.last != nil {
+		return nil
 	}
-	return out
+	return mv.err
 }
 
-func (mv *memberView) dead(name string) bool {
-	mv.mu.Lock()
-	defer mv.mu.Unlock()
-	return mv.deadSet[name]
-}
-
-func normalizeURL(u string) string {
-	u = strings.TrimSuffix(u, "/")
-	if !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return u
-}
-
-func getJSON(ctx context.Context, client *http.Client, url string, into any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s returned %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
-}
-
-func render(snap obs.ClusterSnapshot, k int, timeline []journal.WireEvent) string {
+func render(snap obs.ClusterSnapshot, k int, timeline []telemetry.Event) string {
 	var b strings.Builder
 	up := 0
 	for _, s := range snap.Silos {
@@ -391,26 +498,10 @@ func render(snap obs.ClusterSnapshot, k int, timeline []journal.WireEvent) strin
 	}
 
 	// Flight-recorder timeline: the newest cluster events, HLC-merged
-	// into causal order. shmtrace is the full-depth version of this view.
+	// into causal order. -trace is the full-depth version of this view.
 	if len(timeline) > 0 {
 		b.WriteString("\nTIMELINE (flight recorder, causal order; newest last)\n")
-		tw = tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "TIME\tSILO\tKIND\tACTOR\tCORR\tDETAIL")
-		for _, e := range timeline {
-			ts := e.Time
-			if t, err := time.Parse(time.RFC3339Nano, e.Time); err == nil {
-				ts = t.Format("15:04:05.000")
-			}
-			actor, corr := e.Actor, e.Corr
-			if actor == "" {
-				actor = "-"
-			}
-			if corr == "" {
-				corr = "-"
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", ts, e.Silo, e.Kind, actor, corr, e.Detail)
-		}
-		tw.Flush()
+		writeTimeline(&b, timeline)
 	}
 	return b.String()
 }

@@ -335,14 +335,14 @@ func TestFormatters(t *testing.T) {
 // fan-in aggregation actors (one org per 100 sensors) should outrank
 // individual sensors.
 func TestRunSHMProfiled(t *testing.T) {
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: 32})
+	prof := telemetry.New(telemetry.Config{Parts: telemetry.Profile, HotActors: 32})
 	res, err := RunSHM(context.Background(), SHMConfig{
 		Sensors:     100,
 		Silos:       1,
 		Duration:    3 * time.Second,
 		Warmup:      500 * time.Millisecond,
 		UserQueries: true,
-		Profiler:    prof,
+		Tracer:      prof,
 	})
 	if err != nil {
 		t.Fatal(err)

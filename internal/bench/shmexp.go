@@ -41,14 +41,11 @@ type SHMConfig struct {
 	Store           *kvstore.Store
 	WriteEveryBatch bool
 	Seed            int64
-	// Tracer, when non-nil, is installed on the runtime so the run
-	// records spans; the result then carries the insert-class tail
-	// attribution at p50/p99/p99.9.
+	// Tracer, when non-nil, is installed on the runtime as its recorder.
+	// If it records spans, the result carries the insert-class tail
+	// attribution at p50/p99/p99.9; if it profiles, the top-K hot-actor
+	// table.
 	Tracer *telemetry.Tracer
-	// Profiler, when non-nil, is installed on the runtime so every turn
-	// feeds per-actor hot-spot accounting; the result then carries the
-	// top-K hot-actor table.
-	Profiler *telemetry.ActorProfiler
 }
 
 // SHMResult is one experiment data point.
@@ -67,10 +64,10 @@ type SHMResult struct {
 	RemoteCalls   int64
 	Activations   int
 	// Attribution is the insert-request tail-latency component table,
-	// present when the run was traced (Config.Tracer non-nil).
+	// present when the run was traced (Config.Tracer recorded spans).
 	Attribution *telemetry.AttributionTable
-	// HotActors is the profiler's top-K heavy-hitter list (Config.Profiler
-	// non-nil), with ProfTurns/ProfCPUNanos the totals shares are
+	// HotActors is the profile's top-K heavy-hitter list (Config.Tracer
+	// profiled), with ProfTurns/ProfCPUNanos the totals shares are
 	// computed against.
 	HotActors    []metrics.TopKEntry
 	ProfTurns    int64
@@ -144,7 +141,6 @@ func RunSHM(ctx context.Context, cfg SHMConfig) (SHMResult, error) {
 		IdleAfter:    time.Hour,
 		CollectEvery: time.Hour,
 		Tracer:       cfg.Tracer,
-		Profiler:     cfg.Profiler,
 	})
 	if err != nil {
 		return SHMResult{}, err
@@ -225,14 +221,12 @@ func RunSHM(ctx context.Context, cfg SHMConfig) (SHMResult, error) {
 		RemoteCalls:   remoteCalls,
 		Activations:   activations,
 	}
-	if cfg.Tracer != nil {
-		tab := TailAttribution(cfg.Tracer.Spans(), ReqInsert, []float64{50, 99, 99.9})
+	if spans := cfg.Tracer.Spans(); spans != nil {
+		tab := TailAttribution(spans, ReqInsert, []float64{50, 99, 99.9})
 		res.Attribution = &tab
 	}
-	if cfg.Profiler != nil {
-		res.HotActors = cfg.Profiler.HotActors()
-		res.ProfTurns, res.ProfCPUNanos = cfg.Profiler.Totals()
-	}
+	res.HotActors = cfg.Tracer.HotActors()
+	res.ProfTurns, res.ProfCPUNanos = cfg.Tracer.ProfileTotals()
 	return res, nil
 }
 
@@ -242,20 +236,17 @@ func RunSHM(ctx context.Context, cfg SHMConfig) (SHMResult, error) {
 // and user actors fan 100 sensors' traffic into single activations, so
 // they should dominate the per-actor CPU ranking — the attribution the
 // shmtop HOT ACTORS panel surfaces in production.
-func HotActorExperiment(ctx context.Context, sensors, k int, opts FigureOptions) (SHMResult, error) {
+func HotActorExperiment(ctx context.Context, sensors int, opts FigureOptions) (SHMResult, error) {
 	opts.fill()
 	if sensors <= 0 {
 		sensors = 2000
 	}
-	// The sketch's per-entry error bound is TotalCPU/K; with thousands of
-	// lightly-loaded sensor actors in the mix, K must be well above the
-	// inverse of the heaviest actor's CPU share or the evict-min floor
-	// drowns the true ranking. A thousand counters is still O(K) bounded
-	// memory — a few hundred KB against an unbounded actor population.
-	if k < 1024 {
-		k = 1024
-	}
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: k})
+	// The sketch's per-entry error bound is TotalCPU/slots; with thousands
+	// of lightly-loaded sensor actors in the mix, the slot count must be
+	// well above the inverse of the heaviest actor's CPU share or the
+	// evict-min floor drowns the true ranking. A thousand counters is still
+	// bounded memory — a few hundred KB against an unbounded population.
+	prof := telemetry.New(telemetry.Config{Parts: telemetry.Profile, HotActors: 1024})
 	return RunSHM(ctx, SHMConfig{
 		Sensors:     sensors,
 		Silos:       1,
@@ -264,7 +255,7 @@ func HotActorExperiment(ctx context.Context, sensors, k int, opts FigureOptions)
 		Duration:    opts.Duration,
 		Warmup:      opts.Warmup,
 		UserQueries: true,
-		Profiler:    prof,
+		Tracer:      prof,
 	})
 }
 

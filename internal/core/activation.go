@@ -12,7 +12,6 @@ import (
 
 	"aodb/internal/capacity"
 	"aodb/internal/directory"
-	"aodb/internal/journal"
 	"aodb/internal/kvstore"
 	"aodb/internal/telemetry"
 )
@@ -140,54 +139,41 @@ func (a *activation) turn(env envelope) (panicked error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One enabled check covers both the always-on per-kind stats and the
-	// sampled-path span; disabled tracing pays nothing further.
+	// One enabled load decides whether the recorder sees this turn at all;
+	// what it records (span, profile, events) is its own business, told
+	// once more at the end of the turn. Disabled, a turn pays this check.
 	tr := a.silo.rt.tracer
-	var sp *telemetry.Span
-	var tm *capacity.TurnTiming
-	var turnStart time.Time
-	if tr.Enabled() {
-		turnStart = a.silo.rt.clk.Now()
-		if sp = tr.StartTurn(env.trace, a.id.String(), a.silo.name); sp != nil {
+	recording := tr.Enabled()
+	var tn telemetry.Turn
+	var timing capacity.TurnTiming
+	var tm *capacity.TurnTiming // nil adds no clock reads to the limiter
+	if recording {
+		// reg.Actor is id.String() as registered: the recorder's label for
+		// every turn, so it is not rebuilt per turn.
+		tn = tr.StartTurn(env.trace, a.reg.Actor, a.id.Kind, a.silo.name)
+		if tn.Timed {
+			tm = &timing
+			tn.Depth = a.box.depth()
+		}
+		if sp := tn.Span; sp != nil {
 			sp.Remote = env.remote
 			if !env.enqueuedAt.IsZero() {
-				sp.Mailbox = turnStart.Sub(env.enqueuedAt)
+				sp.Mailbox = sp.Start.Sub(env.enqueuedAt)
 			}
-			tm = new(capacity.TurnTiming)
 			a.cur = sp
 		}
 	}
-	// The hot-spot profiler accounts every turn (not just sampled ones):
-	// mailbox backlog at turn start, then CPU after the turn completes.
-	// Disabled profiling pays exactly this one check.
-	prof := a.silo.rt.profiler
-	profiling := prof.Enabled()
-	var profDepth int
-	if profiling {
-		profDepth = a.box.depth()
-		if tm == nil {
-			tm = new(capacity.TurnTiming)
-		}
-	}
-	// The flight recorder needs wall time per turn to spot SLO breaches;
-	// disabled it pays exactly this one check.
-	jr := a.silo.rt.journal
-	journaling := jr.Enabled()
-	if journaling && turnStart.IsZero() {
-		turnStart = a.silo.rt.clk.Now()
-	}
-	timeExec := sp != nil || profiling
 	cost := a.silo.rt.costOf(a.id, env.msg)
 	var turnErr error
 	var execDur time.Duration
 	err := a.silo.limiter.ExecuteTimed(ctx, cost, func() error {
 		cctx := a.context(ctx, env.chain)
 		var execStart time.Time
-		if timeExec {
+		if tn.Timed {
 			execStart = a.silo.rt.clk.Now()
 		}
 		v, err := a.invoke(cctx, env.msg)
-		if timeExec {
+		if tn.Timed {
 			execDur = a.silo.rt.clk.Since(execStart)
 		}
 		turnErr = err
@@ -204,30 +190,9 @@ func (a *activation) turn(env envelope) (panicked error) {
 			turnErr = err
 		}
 	}
-	if sp != nil {
-		sp.Exec = execDur
-		sp.CPUWait = tm.SlotWait
-		sp.CPUBurn = tm.Burn
+	if recording {
 		a.cur = nil
-		tr.Finish(sp, turnErr)
-	}
-	if profiling {
-		// CPU attribution: simulated burn (dominant on capacity-limited
-		// silos) plus real handler wall time (dominant without a limiter).
-		prof.ObserveTurn(a.id.String(), a.id.Kind, a.silo.name, tm.Burn+execDur, profDepth)
-	}
-	if !turnStart.IsZero() {
-		turnDur := a.silo.rt.clk.Since(turnStart)
-		if tr.Enabled() {
-			tr.ObserveTurn(a.id.Kind, turnDur)
-		}
-		if journaling {
-			corr := env.trace.TraceID
-			if panicked != nil {
-				jr.Record(journal.ActorPanic, a.id.String(), corr, "turn panicked")
-			}
-			jr.ObserveTurn(a.id.String(), corr, turnDur)
-		}
+		tr.EndTurn(&tn, execDur, timing.SlotWait, timing.Burn, turnErr, panicked != nil)
 	}
 	a.silo.metrics.Counter("core.turns").Inc()
 	return panicked
@@ -322,9 +287,7 @@ func (a *activation) loadState(ctx context.Context) error {
 		return fmt.Errorf("core: corrupt state for %s: %w", a.id, err)
 	}
 	a.stateVersion = ver
-	if prof := a.silo.rt.profiler; prof.Enabled() {
-		prof.ObserveState(a.id.String(), a.id.Kind, len(data))
-	}
+	a.observeState(len(data))
 	return nil
 }
 
@@ -367,10 +330,16 @@ func (a *activation) writeState(ctx context.Context) error {
 	}
 	a.stateVersion = next
 	a.silo.metrics.Counter("core.state_writes").Inc()
-	if prof := a.silo.rt.profiler; prof.Enabled() {
-		prof.ObserveState(a.id.String(), a.id.Kind, len(data))
-	}
+	a.observeState(len(data))
 	return nil
+}
+
+// observeState feeds one serialized-state size (a load or a write) to the
+// recorder's profile.
+func (a *activation) observeState(bytes int) {
+	if tr := a.silo.rt.tracer; tr.Enabled() {
+		tr.ObserveState(a.reg.Actor, a.id.Kind, bytes)
+	}
 }
 
 // idleFor returns how long the activation has gone without real traffic.

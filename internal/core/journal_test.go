@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
-	"aodb/internal/journal"
+	"aodb/internal/clock"
 	"aodb/internal/kvstore"
 	"aodb/internal/telemetry"
+	"aodb/internal/transport"
 )
 
 // TestMigrateJournalContinuity: one migration's flight-recorder events —
@@ -19,9 +21,8 @@ func TestMigrateJournalContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	jr := journal.New(journal.Config{Silo: "proc-1"})
-	jr.SetEnabled(true)
-	rt := newTestRuntime(t, Config{Store: kv, Journal: jr})
+	jr := telemetry.New(telemetry.Config{Silo: "proc-1", Parts: telemetry.Events})
+	rt := newTestRuntime(t, Config{Store: kv, Tracer: jr})
 	registerCounter(t, rt, WithPersistence(PersistOnDeactivate))
 	rt.AddSilo("silo-1", nil)
 	rt.AddSilo("silo-2", nil)
@@ -40,8 +41,8 @@ func TestMigrateJournalContinuity(t *testing.T) {
 		t.Fatalf("Migrate: %v", err)
 	}
 
-	var prepare, drain, activate *journal.WireEvent
-	for _, e := range jr.WireSnapshot() {
+	var prepare, drain, activate *telemetry.Event
+	for _, e := range jr.Events() {
 		if e.Actor != id.String() {
 			continue
 		}
@@ -120,5 +121,43 @@ func TestMigrateTraceContextSurvives(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no turn span attributed to %s on %s after migration", id, dst)
+	}
+}
+
+// TestInboundHLCStampIsMerged: a request stamped by a sender whose clock
+// runs an hour ahead pulls this silo's clock past the stamp before the
+// delivery runs — for actor calls and service RPCs alike, since both
+// enter through Silo.handle — so everything the delivery causes sorts
+// after its send in a merged timeline.
+func TestInboundHLCStampIsMerged(t *testing.T) {
+	jr := telemetry.New(telemetry.Config{Silo: "proc-1", Parts: telemetry.Events})
+	rt := newTestRuntime(t, Config{Tracer: jr})
+	registerCounter(t, rt)
+	served := false
+	if err := rt.RegisterService("!probe", func(context.Context, string, transport.Request) (any, error) {
+		served = true
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	silo, err := rt.AddSilo("silo-1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead := telemetry.New(telemetry.Config{Silo: "far", Parts: telemetry.Events,
+		Clock: clock.NewFake(time.Now().Add(time.Hour))})
+	for _, req := range []transport.Request{
+		{TargetKind: "Counter", TargetKey: "a", Method: "call", Payload: addMsg{N: 1}, HLC: ahead.StampHLC()},
+		{TargetKind: "!probe", TargetKey: "silo-1", Method: "call", HLC: ahead.StampHLC()},
+	} {
+		if _, err := silo.handle(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if local := jr.StampHLC(); local <= req.HLC {
+			t.Fatalf("%s: local clock %d did not pass the inbound stamp %d", req.TargetKind, local, req.HLC)
+		}
+	}
+	if !served {
+		t.Fatal("service RPC not dispatched")
 	}
 }

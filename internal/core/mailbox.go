@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"aodb/internal/clock"
 	"aodb/internal/telemetry"
 )
 
@@ -27,10 +26,6 @@ type envelope struct {
 	trace      telemetry.SpanContext
 	enqueuedAt time.Time // when the message entered the mailbox (sampled only)
 	remote     bool      // arrived over a cross-silo or external hop
-
-	// hlc is the sender's hybrid-logical-clock stamp, populated only
-	// while the runtime's flight journal is enabled (zero otherwise).
-	hlc clock.HLC
 }
 
 type turnResult struct {

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"aodb/internal/codec"
-	"aodb/internal/journal"
+	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
 
@@ -85,15 +85,9 @@ func (rt *Runtime) Migrate(ctx context.Context, id ID, target string) error {
 	// One correlation id groups every phase event of this hand-off — on
 	// this silo and, riding the RPC payloads, on the source and target —
 	// so a merged timeline shows prepare→drain→activate as one story.
-	var corr uint64
-	if rt.journal.Enabled() {
-		corr = rt.journal.NewCorr()
-	}
+	corr := rt.tracer.NewCorr()
 	if reg, ok := rt.directory.Lookup(id.String()); ok && reg.Silo != target {
-		if corr != 0 {
-			rt.journal.Record(journal.MigratePrepare, id.String(), corr,
-				"from="+reg.Silo+" to="+target)
-		}
+		rt.tracer.Record(telemetry.MigratePrepare, id.String(), corr, "from="+reg.Silo+" to="+target)
 		// Clear any stale marker at the target first (it may have hosted
 		// this actor before): during the drain, redirected calls must fall
 		// through to the directory there, not bounce straight back here.
@@ -139,19 +133,16 @@ func (rt *Runtime) Migrate(ctx context.Context, id ID, target string) error {
 	return nil
 }
 
-// migrateReq builds a MigrateKind RPC, HLC-stamped when the flight
-// recorder is on so remote phase events order after the coordinator's.
+// migrateReq builds a MigrateKind RPC, HLC-stamped when events are being
+// recorded so remote phase events order after the coordinator's.
 func (rt *Runtime) migrateReq(id ID, payload any) transport.Request {
-	req := transport.Request{
+	return transport.Request{
 		TargetKind: MigrateKind,
 		TargetKey:  id.String(),
 		Method:     "call",
 		Payload:    payload,
+		HLC:        rt.tracer.StampHLC(),
 	}
-	if rt.journal.Enabled() {
-		req.HLC = uint64(rt.journal.Now())
-	}
-	return req
 }
 
 // handleMigrate serves MigrateKind RPCs (registered in New), dispatching
@@ -210,18 +201,13 @@ func (s *Silo) migrateOut(ctx context.Context, id ID, target string, corr uint64
 	select {
 	case <-act.drained:
 		s.metrics.Counter("core.migrations.out").Inc()
-		if s.rt.journal.Enabled() {
-			s.rt.journal.Record(journal.MigrateDrain, id.String(), corr, "to="+target)
-		}
+		s.rt.tracer.Record(telemetry.MigrateDrain, id.String(), corr, "to="+target)
 		return nil
 	case <-ctx.Done():
 		act.fenced.Store(true)
 		s.rt.directory.Unregister(act.reg)
 		s.metrics.Counter("core.migrations.forced").Inc()
-		if s.rt.journal.Enabled() {
-			s.rt.journal.Record(journal.MigrateForced, id.String(), corr,
-				"to="+target+" (laggard fenced)")
-		}
+		s.rt.tracer.Record(telemetry.MigrateForced, id.String(), corr, "to="+target+" (laggard fenced)")
 		return nil
 	}
 }
@@ -251,9 +237,7 @@ func (s *Silo) activateFor(ctx context.Context, id ID, corr uint64) error {
 	}
 	if !existed {
 		s.metrics.Counter("core.migrations.in").Inc()
-		if s.rt.journal.Enabled() {
-			s.rt.journal.Record(journal.MigrateActivate, id.String(), corr, "")
-		}
+		s.rt.tracer.Record(telemetry.MigrateActivate, id.String(), corr, "")
 	}
 	return nil
 }

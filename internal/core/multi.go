@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aodb/internal/clock"
 	"aodb/internal/codec"
 	"aodb/internal/telemetry"
 	"aodb/internal/transport"
@@ -96,7 +95,7 @@ func (rt *Runtime) CallMany(ctx context.Context, ids []ID, msg any) []CallResult
 	}
 	var trace telemetry.SpanContext
 	var root *telemetry.Span
-	if rt.tracer.Enabled() {
+	if rt.tracer.Tracing() {
 		trace, root = rt.tracer.StartRoot(fmt.Sprintf("callmany %s +%d", ids[0], len(ids)-1))
 	}
 
@@ -360,11 +359,7 @@ func (rt *Runtime) handleMulti(ctx context.Context, silo string, req transport.R
 // it) has its slot filled with that error — transient, so the caller
 // re-issues it — instead of holding up the batch.
 func (s *Silo) deliverMany(ctx context.Context, req transport.Request, call multiCall, g *gather) {
-	var hlc clock.HLC
-	if s.rt.journal.Enabled() {
-		hlc = clock.HLC(req.HLC)
-	}
-	env := s.envelope(ctx, call.Msg, req.Chain, req.Trace, req.Sender != s.name, hlc)
+	env := s.envelope(ctx, call.Msg, req.Chain, req.Trace, req.Sender != s.name)
 	env.gather = g
 	var cfg *kindConfig
 	for i, id := range call.Targets {

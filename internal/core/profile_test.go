@@ -14,9 +14,9 @@ import (
 // counted, CPU burn is attributed to the actor that spent it, and the
 // hosting silo rides along as the entry label.
 func TestProfilerAccountsTurns(t *testing.T) {
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: 8})
+	prof := telemetry.New(telemetry.Config{Parts: telemetry.Profile})
 	rt := newTestRuntime(t, Config{
-		Profiler: prof,
+		Tracer: prof,
 		Cost: func(id ID, msg any) time.Duration {
 			if id.Key == "hot" {
 				return 2 * time.Millisecond
@@ -57,21 +57,21 @@ func TestProfilerAccountsTurns(t *testing.T) {
 	if top.Label != "silo-1" {
 		t.Fatalf("top label = %q, want silo-1", top.Label)
 	}
-	turns, cpu := prof.Totals()
+	turns, cpu := prof.ProfileTotals()
 	if turns != 6 || cpu <= 0 {
 		t.Fatalf("totals = %d turns %d cpu", turns, cpu)
 	}
-	kinds := prof.KindProfiles()
+	kinds := prof.KindStats()
 	if len(kinds) != 1 || kinds[0].Kind != "Counter" || kinds[0].Turns != 6 {
-		t.Fatalf("kind profiles = %+v", kinds)
+		t.Fatalf("kind stats = %+v", kinds)
 	}
 }
 
 // TestProfilerWithoutLimiterUsesWallTime: on an unbounded silo there is no
 // simulated burn, so attribution falls back to real handler time.
 func TestProfilerWithoutLimiterUsesWallTime(t *testing.T) {
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: 8})
-	rt := newTestRuntime(t, Config{Profiler: prof})
+	prof := telemetry.New(telemetry.Config{Parts: telemetry.Profile})
+	rt := newTestRuntime(t, Config{Tracer: prof})
 	registerCounter(t, rt)
 	rt.AddSilo("silo-1", nil)
 	ctx := context.Background()
@@ -92,13 +92,13 @@ func TestProfilerWithoutLimiterUsesWallTime(t *testing.T) {
 // serialized state size reaches both the per-actor entry and the per-kind
 // max, on write and on a fresh activation's load.
 func TestProfilerAccountsStateSize(t *testing.T) {
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: 8})
+	prof := telemetry.New(telemetry.Config{Parts: telemetry.Profile})
 	store, err := kvstore.Open(kvstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := newTestRuntime(t, Config{
-		Profiler:  prof,
+		Tracer:    prof,
 		Store:     store,
 		IdleAfter: 10 * time.Millisecond,
 	})
@@ -121,7 +121,7 @@ func TestProfilerAccountsStateSize(t *testing.T) {
 	if !found {
 		t.Fatalf("state size not attributed: %+v", prof.HotActors())
 	}
-	kinds := prof.KindProfiles()
+	kinds := prof.KindStats()
 	if len(kinds) != 1 || kinds[0].MaxStateBytes <= 0 {
 		t.Fatalf("kind state bytes missing: %+v", kinds)
 	}
@@ -138,19 +138,19 @@ func TestProfilerNilIsInert(t *testing.T) {
 	if _, err := rt.Call(context.Background(), ID{"Counter", "a"}, addMsg{1}); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Profiler() != nil {
-		t.Fatal("expected nil profiler")
+	if rt.Tracer() != nil {
+		t.Fatal("expected nil tracer")
 	}
-	if rt.Profiler().HotActors() != nil {
-		t.Fatal("nil profiler returned data")
+	if rt.Tracer().HotActors() != nil {
+		t.Fatal("nil tracer returned data")
 	}
 }
 
 // TestProfilerDisabledMidRun: toggling the profiler off stops accounting
 // without losing what was already gathered.
 func TestProfilerToggle(t *testing.T) {
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: 8})
-	rt := newTestRuntime(t, Config{Profiler: prof})
+	prof := telemetry.New(telemetry.Config{Parts: telemetry.Profile})
+	rt := newTestRuntime(t, Config{Tracer: prof})
 	registerCounter(t, rt)
 	rt.AddSilo("silo-1", nil)
 	ctx := context.Background()
@@ -159,14 +159,14 @@ func TestProfilerToggle(t *testing.T) {
 	prof.SetEnabled(false)
 	rt.Call(ctx, ID{"Counter", "a"}, addMsg{1})
 	awaitTurns(t, rt, 2)
-	turns, _ := prof.Totals()
+	turns, _ := prof.ProfileTotals()
 	if turns != 1 {
 		t.Fatalf("turns = %d, want 1 (second turn observed while disabled)", turns)
 	}
 	prof.SetEnabled(true)
 	rt.Call(ctx, ID{"Counter", "a"}, addMsg{1})
 	awaitTurns(t, rt, 3)
-	turns, _ = prof.Totals()
+	turns, _ = prof.ProfileTotals()
 	if turns != 2 {
 		t.Fatalf("turns = %d, want 2", turns)
 	}

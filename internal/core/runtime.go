@@ -13,7 +13,6 @@ import (
 	"aodb/internal/capacity"
 	"aodb/internal/clock"
 	"aodb/internal/directory"
-	"aodb/internal/journal"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
@@ -123,19 +122,12 @@ type Config struct {
 	// that panics exercises the recovery path exactly as an application
 	// bug would); nil adds no hot-path overhead.
 	BeforeTurn func(id ID, msg any)
-	// Tracer enables distributed tracing and runtime introspection. Nil
-	// (or a disabled tracer) costs one nil-or-atomic check per message,
-	// mirroring the internal/faults contract.
+	// Tracer is the runtime's one recorder: distributed tracing, the
+	// flight recorder's events and HLC stamps, per-actor hot-spot
+	// accounting — whichever parts it was built with. Nil (or a disabled
+	// tracer) costs one nil-or-atomic check per message, mirroring the
+	// internal/faults contract.
 	Tracer *telemetry.Tracer
-	// Profiler enables per-activation hot-spot accounting (CPU burn, turn
-	// counts, mailbox high-water marks, state sizes) under the same
-	// contract: nil or disabled costs one nil-or-atomic check per turn.
-	Profiler *telemetry.ActorProfiler
-	// Journal enables the cluster flight recorder: HLC stamps on every
-	// envelope and cross-silo request, plus structured events (migration
-	// phases, slow turns, panics) in a bounded ring. Same contract: nil
-	// or disabled costs one nil-or-atomic check per message.
-	Journal *journal.Journal
 }
 
 // Runtime is an actor-oriented database instance: a set of silos, a grain
@@ -146,10 +138,8 @@ type Runtime struct {
 	retry     RetryPolicy // cfg.Retry with defaults resolved
 	directory *directory.Directory
 	metrics   *metrics.Registry
-	tracer    *telemetry.Tracer        // nil = tracing off
-	profiler  *telemetry.ActorProfiler // nil = profiling off
-	journal   *journal.Journal         // nil = flight recorder off
-	states    StateStore               // nil = no persistence
+	tracer    *telemetry.Tracer // nil = recording off
+	states    StateStore        // nil = no persistence
 	reminders *systemstore.Store
 
 	// services maps reserved transport target kinds (e.g. replication
@@ -199,8 +189,6 @@ func New(cfg Config) (*Runtime, error) {
 		directory: directory.New(),
 		metrics:   cfg.Metrics,
 		tracer:    cfg.Tracer,
-		profiler:  cfg.Profiler,
-		journal:   cfg.Journal,
 		kinds:     make(map[string]*kindConfig),
 		silos:     make(map[string]*Silo),
 	}
@@ -435,15 +423,8 @@ func (rt *Runtime) costOf(id ID, msg any) time.Duration {
 // Metrics exposes the runtime's instrument registry.
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.metrics }
 
-// Tracer exposes the runtime's tracer; nil when tracing is not configured.
+// Tracer exposes the runtime's recorder; nil when none is configured.
 func (rt *Runtime) Tracer() *telemetry.Tracer { return rt.tracer }
-
-// Profiler exposes the runtime's hot-spot profiler; nil when profiling is
-// not configured.
-func (rt *Runtime) Profiler() *telemetry.ActorProfiler { return rt.profiler }
-
-// Journal exposes the runtime's flight recorder; nil when not configured.
-func (rt *Runtime) Journal() *journal.Journal { return rt.journal }
 
 // Clock exposes the runtime clock.
 func (rt *Runtime) Clock() clock.Clock { return rt.clk }
@@ -500,7 +481,7 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 	// followed through the cluster. Actor-to-actor calls arrive with the
 	// parent turn's context in trace and never re-sample.
 	var root *telemetry.Span
-	if callerSilo == "" && !trace.Sampled && rt.tracer.Enabled() {
+	if callerSilo == "" && !trace.Sampled && rt.tracer.Tracing() {
 		trace, root = rt.tracer.StartRoot(method + " " + id.String())
 	}
 	resp, retries, hops, err := rt.callLoop(ctx, callerSilo, chain, id, msg, strat, method, trace, redirect)

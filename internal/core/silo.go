@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"aodb/internal/capacity"
-	"aodb/internal/clock"
 	"aodb/internal/directory"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
@@ -68,11 +67,9 @@ func (s *Silo) Activations() int {
 func (s *Silo) handle(ctx context.Context, req transport.Request) (any, error) {
 	// Merge the sender's HLC stamp before anything else runs, so every
 	// event this delivery causes — service RPCs included — orders after
-	// the send. One atomic load when the flight recorder is off.
-	var hlc clock.HLC
-	if s.rt.journal.Enabled() && req.HLC != 0 {
-		hlc = clock.HLC(req.HLC)
-		s.rt.journal.Observe(hlc)
+	// the send. Only a sender that records events stamps its frames.
+	if req.HLC != 0 {
+		s.rt.tracer.ObserveHLC(req.HLC)
 	}
 	// Reserved service kinds (replication RPCs) bypass actor resolution;
 	// a runtime with no services pays one atomic load and a nil check.
@@ -83,12 +80,12 @@ func (s *Silo) handle(ctx context.Context, req transport.Request) (any, error) {
 	// An empty sender is an external client; both that and another silo's
 	// name count as a remote hop for trace attribution.
 	remote := req.Sender != s.name
-	return s.deliver(ctx, id, req.Payload, req.Method != "tell", req.Chain, req.Trace, remote, hlc)
+	return s.deliver(ctx, id, req.Payload, req.Method != "tell", req.Chain, req.Trace, remote)
 }
 
 // deliver routes one message to the actor's activation, creating it if
 // needed, and waits for the reply when needReply is set.
-func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chain []string, trace telemetry.SpanContext, remote bool, hlc clock.HLC) (any, error) {
+func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chain []string, trace telemetry.SpanContext, remote bool) (any, error) {
 	var reply chan turnResult
 	turnCtx := ctx
 	if needReply {
@@ -98,7 +95,7 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 		// must not be cancelled when the sender moves on.
 		turnCtx = context.WithoutCancel(ctx)
 	}
-	env := s.envelope(turnCtx, msg, chain, trace, remote, hlc)
+	env := s.envelope(turnCtx, msg, chain, trace, remote)
 	env.reply = reply
 	for {
 		act, err := s.resolve(ctx, id)
@@ -129,9 +126,9 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 
 // envelope builds the queued form of one inbound message; the caller adds
 // where the turn's result goes.
-func (s *Silo) envelope(ctx context.Context, msg any, chain []string, trace telemetry.SpanContext, remote bool, hlc clock.HLC) envelope {
-	env := envelope{ctx: ctx, msg: msg, chain: chain, hlc: hlc}
-	if s.rt.tracer.Enabled() { // the one check disabled telemetry costs here
+func (s *Silo) envelope(ctx context.Context, msg any, chain []string, trace telemetry.SpanContext, remote bool) envelope {
+	env := envelope{ctx: ctx, msg: msg, chain: chain}
+	if s.rt.tracer.Enabled() { // the one check a disabled recorder costs here
 		env.trace = trace
 		env.remote = remote
 		if trace.Sampled {

@@ -8,10 +8,10 @@
 // protocol adds no per-member background load and converges in O(log n)
 // periods regardless of cluster size.
 //
-// The Agent exposes the same subscriber surface as cluster.Membership
+// The Agent exposes the same subscriber surface as cluster.StaticView
 // (View + Subscribe firing cluster.Event), so placement, the replication
 // ring, and the directory consume a live view without knowing whether it
-// came from heartbeats, gossip, or a static list. Messages run over the
+// came from gossip or a static list. Messages run over the
 // cluster's existing transport under the reserved "!gossip" target kind
 // rather than a separate UDP socket: probe RTTs then measure the same
 // path actor calls take, which is exactly the reachability placement
@@ -32,7 +32,6 @@ import (
 	"aodb/internal/cluster"
 	"aodb/internal/codec"
 	"aodb/internal/metrics"
-	"aodb/internal/systemstore"
 	"aodb/internal/transport"
 )
 
@@ -601,11 +600,11 @@ type pendingEvent struct {
 	peer [2]string // non-empty name => OnPeer notification
 }
 
-var statusFor = map[State]systemstore.SiloStatus{
-	StateAlive:   systemstore.StatusActive,
-	StateSuspect: systemstore.StatusSuspect,
-	StateDead:    systemstore.StatusDead,
-	StateLeft:    systemstore.StatusDead,
+var statusFor = map[State]cluster.SiloStatus{
+	StateAlive:   cluster.StatusActive,
+	StateSuspect: cluster.StatusSuspect,
+	StateDead:    cluster.StatusDead,
+	StateLeft:    cluster.StatusDead,
 }
 
 // applyLocked merges one rumor under SWIM's override rules and queues

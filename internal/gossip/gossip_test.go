@@ -10,7 +10,6 @@ import (
 	"aodb/internal/cluster"
 	"aodb/internal/gossip"
 	"aodb/internal/metrics"
-	"aodb/internal/systemstore"
 	"aodb/internal/transport"
 )
 
@@ -149,7 +148,7 @@ func TestJoinPropagation(t *testing.T) {
 	_, agents, _ := startAgents(t, names)
 
 	var mu sync.Mutex
-	seen := map[string]systemstore.SiloStatus{}
+	seen := map[string]cluster.SiloStatus{}
 	agents["silo-1"].Subscribe(func(ev cluster.Event) {
 		mu.Lock()
 		seen[ev.Silo] = ev.Status
@@ -165,7 +164,7 @@ func TestJoinPropagation(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, joined := range []string{"silo-2", "silo-3"} {
-		if st, ok := seen[joined]; ok && st != systemstore.StatusActive {
+		if st, ok := seen[joined]; ok && st != cluster.StatusActive {
 			t.Errorf("silo-1 last saw %s as %s, want active", joined, st)
 		}
 	}
@@ -184,7 +183,7 @@ func TestFailureDetectionDeclaresDead(t *testing.T) {
 	var mu sync.Mutex
 	var deadEvent bool
 	agents["silo-1"].Subscribe(func(ev cluster.Event) {
-		if ev.Silo == "silo-3" && ev.Status == systemstore.StatusDead {
+		if ev.Silo == "silo-3" && ev.Status == cluster.StatusDead {
 			mu.Lock()
 			deadEvent = true
 			mu.Unlock()
@@ -262,7 +261,7 @@ func TestIndirectProbeKeepsMemberAlive(t *testing.T) {
 	var mu sync.Mutex
 	var died bool
 	agents["silo-1"].Subscribe(func(ev cluster.Event) {
-		if ev.Silo == "silo-3" && ev.Status == systemstore.StatusDead {
+		if ev.Silo == "silo-3" && ev.Status == cluster.StatusDead {
 			mu.Lock()
 			died = true
 			mu.Unlock()
@@ -384,5 +383,4 @@ var (
 	_ cluster.Provider = (*gossip.Agent)(nil)
 	_ cluster.Provider = (*cluster.StaticView)(nil)
 	_ cluster.Provider = (*cluster.FilteredView)(nil)
-	_ cluster.Provider = (*cluster.Membership)(nil)
 )

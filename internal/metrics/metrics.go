@@ -381,68 +381,77 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 }
 
 // Registry is a named collection of metrics, used by silos and benchmarks
-// to expose their instruments.
+// to expose their instruments. Call sites look instruments up by name on
+// hot paths (once per turn, per store operation), so a lookup of an
+// existing instrument is one atomic load and a map read: each table is
+// copy-on-write behind an atomic pointer, and the mutex is taken only to
+// add a name.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu         sync.Mutex // serializes creation
+	counters   table[Counter]
+	gauges     table[Gauge]
+	histograms table[Histogram]
+}
+
+// table is one copy-on-write name -> instrument map.
+type table[T any] struct {
+	m atomic.Pointer[map[string]*T]
+}
+
+func (t *table[T]) load() map[string]*T {
+	if m := t.m.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// get returns the instrument registered under name, creating it with mk
+// under mu if needed.
+func (t *table[T]) get(mu *sync.Mutex, name string, mk func() *T) *T {
+	if v, ok := t.load()[name]; ok {
+		return v
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	old := t.load()
+	if v, ok := old[name]; ok {
+		return v
+	}
+	next := make(map[string]*T, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	v := mk()
+	next[name] = v
+	t.m.Store(&next)
+	return v
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the counter registered under name, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return r.counters.get(&r.mu, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the gauge registered under name, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.gauges.get(&r.mu, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the histogram registered under name, creating it if
 // needed.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram()
-		r.histograms[name] = h
-	}
-	return h
+	return r.histograms.get(&r.mu, name, NewHistogram)
 }
 
 // Counters returns a point-in-time copy of every counter value, keyed by
-// name. Exporters (the telemetry introspection endpoint) use this rather
-// than parsing Dump output.
+// name.
 func (r *Registry) Counters() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
+	cs := r.counters.load()
+	out := make(map[string]int64, len(cs))
+	for name, c := range cs {
 		out[name] = c.Value()
 	}
 	return out
@@ -450,10 +459,9 @@ func (r *Registry) Counters() map[string]int64 {
 
 // Gauges returns a point-in-time copy of every gauge value, keyed by name.
 func (r *Registry) Gauges() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
+	gs := r.gauges.load()
+	out := make(map[string]int64, len(gs))
+	for name, g := range gs {
 		out[name] = g.Value()
 	}
 	return out
@@ -461,16 +469,9 @@ func (r *Registry) Gauges() map[string]int64 {
 
 // Histograms returns a snapshot of every histogram, keyed by name.
 func (r *Registry) Histograms() map[string]Snapshot {
-	r.mu.Lock()
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for name, h := range r.histograms {
-		hists[name] = h
-	}
-	r.mu.Unlock()
-	// Snapshot outside the registry lock: each snapshot copies the full
-	// bucket array and must not serialize recorders behind the registry.
-	out := make(map[string]Snapshot, len(hists))
-	for name, h := range hists {
+	hs := r.histograms.load()
+	out := make(map[string]Snapshot, len(hs))
+	for name, h := range hs {
 		out[name] = h.Snapshot()
 	}
 	return out
@@ -478,17 +479,15 @@ func (r *Registry) Histograms() map[string]Snapshot {
 
 // Dump renders every metric in the registry, sorted by name, one per line.
 func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var lines []string
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %s = %d", name, c.Value()))
+	for name, v := range r.Counters() {
+		lines = append(lines, fmt.Sprintf("counter %s = %d", name, v))
 	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s = %d", name, g.Value()))
+	for name, v := range r.Gauges() {
+		lines = append(lines, fmt.Sprintf("gauge %s = %d", name, v))
 	}
-	for name, h := range r.histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s: %s", name, h.Snapshot()))
+	for name, h := range r.Histograms() {
+		lines = append(lines, fmt.Sprintf("histogram %s: %s", name, h))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")

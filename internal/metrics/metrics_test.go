@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -365,5 +366,65 @@ func BenchmarkHistogramRecord(b *testing.B) {
 				v = -v
 			}
 		}
+	})
+}
+
+// TestRegistryGetOrCreateRace: goroutines racing to create the same and
+// different names must each see one instrument per name, with no update
+// lost to a table copy (meaningful under -race).
+func TestRegistryGetOrCreateRace(t *testing.T) {
+	r := NewRegistry()
+	const workers, names = 8, 32
+	got := make([][names]*Counter, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				name := "c" + string(rune('A'+i))
+				got[w][i] = r.Counter(name)
+				got[w][i].Inc()
+				r.Gauge(name).Add(1)
+				r.Histogram(name).Record(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < names; i++ {
+		for w := 1; w < workers; w++ {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("name %d: workers 0 and %d hold different counters", i, w)
+			}
+		}
+		if v := got[0][i].Value(); v != workers {
+			t.Fatalf("name %d: counter = %d, want %d", i, v, workers)
+		}
+	}
+	if n := len(r.Counters()); n != names {
+		t.Fatalf("registry holds %d counters, want %d", n, names)
+	}
+	for name, h := range r.Histograms() {
+		if h.Count != workers {
+			t.Fatalf("histogram %s count = %d, want %d", name, h.Count, workers)
+		}
+	}
+}
+
+// BenchmarkRegistryCounterParallel is the by-name lookup core pays once a
+// turn ("core.turns"), from every mailbox goroutine at once. It times the
+// lookup alone: an Inc on the one shared counter would measure that cache
+// line bouncing between CPUs, not the registry.
+func BenchmarkRegistryCounterParallel(b *testing.B) {
+	r := NewRegistry()
+	for _, name := range []string{"core.turns", "core.activations", "core.active", "core.state_writes"} {
+		r.Counter(name)
+	}
+	b.RunParallel(func(pb *testing.PB) {
+		var c *Counter
+		for pb.Next() {
+			c = r.Counter("core.turns")
+		}
+		runtime.KeepAlive(c)
 	})
 }

@@ -14,29 +14,38 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"aodb/internal/journal"
 	"aodb/internal/metrics"
 	"aodb/internal/telemetry"
 )
 
 // Target names one silo's scrape endpoint. URL is the introspection base
-// (e.g. "http://10.0.0.1:9180"); the aggregator appends /obs.
+// (e.g. "http://10.0.0.1:9180"); the aggregator appends /obs or /events.
 type Target struct {
 	Name string `json:"name"`
 	URL  string `json:"url"`
 }
 
-// Source is an in-process snapshot provider, used when the aggregator
-// runs inside a silo process (telemetry.Introspection.Obs fits).
-type Source func() telemetry.ObsSnapshot
+// NormalizeURL accepts a bare host:port or a full URL for a scrape base.
+func NormalizeURL(u string) string {
+	u = strings.TrimSuffix(u, "/")
+	if !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return u
+}
+
+const (
+	historyLen = 120 // poll rounds of per-metric history: four minutes at the default interval
+	topK       = 32  // size of the merged hot-actor list
+)
 
 // Config tunes an Aggregator. The zero value is usable for in-process
 // sources; add Targets for remote silos.
@@ -48,28 +57,21 @@ type Config struct {
 	// Timeout bounds each individual scrape (default 2s) so one slow or
 	// dead silo can never stall the poll round.
 	Timeout time.Duration
-	// HistoryLen is how many poll rounds of per-metric history to retain
-	// (default 120 — four minutes at the default interval).
-	HistoryLen int
-	// TopK is the size of the merged hot-actor list (default 32).
-	TopK int
 	// StaleAfter marks a silo's last-known snapshot stale once it is this
 	// old (default 3 poll intervals).
 	StaleAfter time.Duration
-	// Client overrides the scrape HTTP client (tests; default 2s-timeout
-	// client).
+	// Client overrides the scrape HTTP client (tests; default a client
+	// with the scrape timeout).
 	Client *http.Client
-	// Discover, when set, is consulted at the start of every poll round
-	// for the current scrape targets — typically backed by a gossip
-	// observer's membership view, so the aggregator follows joins and
-	// departures with no static -silos list. Discovered targets are
-	// unioned with Targets; a target that stops being discovered keeps
-	// its last-good snapshot (marked stale via Dead or age).
-	Discover func() []Target
-	// Dead, when set, reports whether a silo is currently believed dead
-	// (gossip state dead/left). A dead silo's last-good snapshot is
-	// marked stale immediately rather than waiting out StaleAfter.
-	Dead func(name string) bool
+	// Members, when set, is consulted at the start of every round for the
+	// membership view (a gossip agent's, or a seed silo's /members), so
+	// the aggregator follows joins and departures with no static list:
+	// every member advertising an observability endpoint is a scrape
+	// target, unioned with Targets, and a member the view declares dead
+	// or left has its last-good snapshot marked stale immediately rather
+	// than waiting out StaleAfter. A member that drops out of the view
+	// keeps its last-good snapshot. Nil or empty views change nothing.
+	Members func() []telemetry.MemberInfo
 }
 
 func (c Config) withDefaults() Config {
@@ -78,12 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 120
-	}
-	if c.TopK <= 0 {
-		c.TopK = 32
 	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 3 * c.Interval
@@ -111,29 +107,20 @@ type SiloView struct {
 	Snapshot *telemetry.ObsSnapshot `json:"snapshot,omitempty"`
 }
 
-// ClusterSnapshot is the merged cluster-wide view.
+// ClusterSnapshot is the merged cluster-wide view: the per-silo views,
+// and every silo's freshest snapshot folded into one ObsSnapshot —
+// counters and gauges sum across silos, histograms merge losslessly
+// (identical log-linear layout on every silo), per-kind accounting sums
+// its totals and maxes its high-water marks, and the hot actors are the
+// cluster-wide merged top-K heavy-hitter list. Its JSON is flat: the
+// merged fields sit beside now, partial and silos.
 type ClusterSnapshot struct {
 	Now time.Time `json:"now"`
 	// Partial is set when at least one silo's data is stale or missing.
 	Partial bool       `json:"partial,omitempty"`
 	Silos   []SiloView `json:"silos"`
 
-	// Counters and Gauges sum across silos; Hists merge losslessly
-	// (identical log-linear layout on every silo).
-	Counters map[string]int64            `json:"counters,omitempty"`
-	Gauges   map[string]int64            `json:"gauges,omitempty"`
-	Hists    map[string]metrics.Snapshot `json:"histograms,omitempty"`
-
-	// HotActors is the cluster-wide merged top-K heavy-hitter list.
-	HotActors []metrics.TopKEntry `json:"hot_actors,omitempty"`
-	// Kinds sums per-kind turn/CPU accounting and maxes the high-water
-	// marks across silos.
-	Kinds []telemetry.KindProfile `json:"kind_profiles,omitempty"`
-	// KindStats sums the tracer's always-on per-kind turn stats.
-	KindStats []telemetry.KindStats `json:"kind_stats,omitempty"`
-
-	ProfTurns    int64 `json:"prof_turns,omitempty"`
-	ProfCPUNanos int64 `json:"prof_cpu_nanos,omitempty"`
+	telemetry.ObsSnapshot
 }
 
 // Sample is one history-ring entry: the merged percentiles of every
@@ -149,10 +136,7 @@ type Sample struct {
 // siloState is the aggregator's memory of one silo between rounds.
 type siloState struct {
 	target Target
-	source Source // non-nil for in-process silos
-	// events is the in-process flight-journal source (nil for remote
-	// silos, whose /events endpoint is scraped instead).
-	events func() []journal.WireEvent
+	local  *telemetry.Introspection // non-nil for in-process silos: no HTTP hop
 	last   *telemetry.ObsSnapshot
 	lastAt time.Time
 	err    string
@@ -165,230 +149,177 @@ type Aggregator struct {
 
 	mu      sync.Mutex
 	silos   []*siloState
+	dead    map[string]bool // members the view last declared dead or left
 	latest  ClusterSnapshot
 	history []Sample // ring, oldest first once full
-	polled  bool
 }
 
 // New creates an aggregator over cfg.Targets.
 func New(cfg Config) *Aggregator {
 	cfg = cfg.withDefaults()
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
+	a := &Aggregator{cfg: cfg, client: cfg.Client}
+	if a.client == nil {
+		a.client = &http.Client{Timeout: cfg.Timeout}
 	}
-	a := &Aggregator{cfg: cfg, client: client}
 	for _, t := range cfg.Targets {
 		a.silos = append(a.silos, &siloState{target: t})
 	}
 	return a
 }
 
-// AddLocal registers an in-process snapshot source (no HTTP hop), used by
-// a silo process that aggregates itself alongside remote peers.
-func (a *Aggregator) AddLocal(name string, src Source) {
+// AddLocal registers an in-process silo (no HTTP hop), used by a silo
+// process that aggregates itself alongside remote peers.
+func (a *Aggregator) AddLocal(name string, in *telemetry.Introspection) {
 	a.mu.Lock()
-	a.silos = append(a.silos, &siloState{target: Target{Name: name}, source: src})
+	a.silos = append(a.silos, &siloState{target: Target{Name: name}, local: in})
 	a.mu.Unlock()
 }
 
-// AddLocalEvents registers an in-process flight-journal source for name
-// (journal.WireSnapshot fits), merged into /cluster/events without an
-// HTTP hop. Attaches to an existing silo entry when one matches.
-func (a *Aggregator) AddLocalEvents(name string, src func() []journal.WireEvent) {
+// round starts one scrape round: it folds the membership view into the
+// silo list and the dead set, and returns the silos to scrape, each with
+// the address to scrape it at (a copy: rounds run concurrently, and a
+// later one may move the silo's). New names are added, and a known silo
+// adopts a changed address. Nothing is ever removed — a departed member's
+// last-good snapshot stays, marked stale.
+func (a *Aggregator) round() ([]*siloState, []Target) {
+	var members []telemetry.MemberInfo
+	if a.cfg.Members != nil {
+		members = a.cfg.Members()
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, s := range a.silos {
-		if s.target.Name == name {
-			s.events = src
-			return
+	if len(members) > 0 {
+		known := make(map[string]*siloState, len(a.silos))
+		for _, s := range a.silos {
+			known[s.target.Name] = s
 		}
-	}
-	a.silos = append(a.silos, &siloState{target: Target{Name: name}, events: src})
-}
-
-// discoverLocked folds freshly discovered targets into the silo list:
-// new names are added, and a known silo with no URL yet (or a changed
-// one) adopts the discovered address. Nothing is ever removed — a
-// departed member's last-good snapshot stays, marked stale/dead.
-func (a *Aggregator) discoverLocked(targets []Target) {
-	known := make(map[string]*siloState, len(a.silos))
-	for _, s := range a.silos {
-		known[s.target.Name] = s
-	}
-	for _, t := range targets {
-		if s, ok := known[t.Name]; ok {
-			if t.URL != "" && s.target.URL != t.URL {
-				s.target.URL = t.URL
+		a.dead = make(map[string]bool)
+		for _, m := range members {
+			a.dead[m.Name] = m.State == "dead" || m.State == "left"
+			if m.ObsAddr == "" {
+				continue
 			}
-			continue
+			if s, ok := known[m.Name]; ok {
+				s.target.URL = NormalizeURL(m.ObsAddr)
+			} else {
+				a.silos = append(a.silos, &siloState{target: Target{Name: m.Name, URL: NormalizeURL(m.ObsAddr)}})
+			}
 		}
-		a.silos = append(a.silos, &siloState{target: t})
 	}
+	targets := make([]Target, len(a.silos))
+	for i, s := range a.silos {
+		targets[i] = s.target
+	}
+	return append([]*siloState(nil), a.silos...), targets
 }
 
-// PollOnce scrapes every silo concurrently (each under its own timeout),
-// merges what answered, and returns the resulting cluster snapshot. A
-// down or slow silo contributes its last good snapshot, marked stale; a
-// silo that has never answered contributes only an error entry. PollOnce
-// never blocks longer than the scrape timeout.
-func (a *Aggregator) PollOnce(ctx context.Context) ClusterSnapshot {
-	var discovered []Target
-	if a.cfg.Discover != nil {
-		discovered = a.cfg.Discover()
+// FetchJSON GETs url and decodes its JSON body into out.
+func FetchJSON(ctx context.Context, client *http.Client, url string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
 	}
-	a.mu.Lock()
-	if discovered != nil {
-		a.discoverLocked(discovered)
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
 	}
-	silos := append([]*siloState(nil), a.silos...)
-	a.mu.Unlock()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s returned %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("decoding %s: %w", url, err)
+	}
+	return nil
+}
 
-	type result struct {
-		snap *telemetry.ObsSnapshot
-		err  error
-	}
-	results := make([]result, len(silos))
+// scrapeAll starts a round and reads one endpoint of every silo
+// concurrently, each under the per-scrape timeout: in-process silos
+// through local, remote ones with a GET of path. It is the one scrape
+// path; a silo that fails to answer leaves its slot zero and its error set.
+func scrapeAll[T any](ctx context.Context, a *Aggregator, path string, local func(*telemetry.Introspection) T) ([]*siloState, []T, []error) {
+	silos, targets := a.round()
+	out := make([]T, len(silos))
+	errs := make([]error, len(silos))
 	var wg sync.WaitGroup
 	for i, s := range silos {
+		if s.local != nil {
+			out[i] = local(s.local)
+			continue
+		}
 		wg.Add(1)
-		go func(i int, s *siloState) {
+		go func(i int) {
 			defer wg.Done()
-			snap, err := a.scrape(ctx, s)
-			results[i] = result{snap, err}
-		}(i, s)
+			t := targets[i]
+			if t.URL == "" {
+				errs[i] = fmt.Errorf("obs: no scrape url for %s", t.Name)
+				return
+			}
+			cctx, cancel := context.WithTimeout(ctx, a.cfg.Timeout)
+			defer cancel()
+			errs[i] = FetchJSON(cctx, a.client, strings.TrimSuffix(t.URL, "/")+path, &out[i])
+		}(i)
 	}
 	wg.Wait()
+	return silos, out, errs
+}
 
+// PollOnce scrapes every silo's /obs, merges what answered, and returns
+// the resulting cluster snapshot. A down or slow silo contributes its last
+// good snapshot, marked stale; a silo that has never answered contributes
+// only an error entry. PollOnce never blocks longer than the scrape
+// timeout.
+func (a *Aggregator) PollOnce(ctx context.Context) ClusterSnapshot {
+	silos, snaps, errs := scrapeAll(ctx, a, "/obs", (*telemetry.Introspection).Obs)
 	now := time.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i, s := range silos {
-		if results[i].err == nil && results[i].snap != nil {
-			s.last = results[i].snap
-			s.lastAt = now
-			s.err = ""
-		} else if results[i].err != nil {
-			s.err = results[i].err.Error()
+		if errs[i] != nil {
+			s.err = errs[i].Error()
+			continue
 		}
+		if snaps[i].Silo == "" {
+			snaps[i].Silo = s.target.Name
+		}
+		s.last, s.lastAt, s.err = &snaps[i], now, ""
 	}
 	snap := a.mergeLocked(now)
 	a.latest = snap
 	a.appendHistoryLocked(snap)
-	a.polled = true
 	return snap
 }
 
-func (a *Aggregator) scrape(ctx context.Context, s *siloState) (*telemetry.ObsSnapshot, error) {
-	if s.source != nil {
-		snap := s.source()
-		if snap.Silo == "" {
-			snap.Silo = s.target.Name
+// EventsOnce scrapes every silo's flight-recorder ring (/events) and
+// merges them into one causally ordered, HLC-sorted timeline. Silos that
+// fail to answer contribute nothing and are named in the error — the
+// merged timeline is the freshest partial truth, same contract as
+// PollOnce.
+func (a *Aggregator) EventsOnce(ctx context.Context) ([]telemetry.Event, error) {
+	silos, sets, errs := scrapeAll(ctx, a, "/events", func(in *telemetry.Introspection) []telemetry.Event {
+		return in.Tracer.Events()
+	})
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("%s unreachable (%w)", silos[i].target.Name, err) // names never change
 		}
-		return &snap, nil
 	}
-	cctx, cancel := context.WithTimeout(ctx, a.cfg.Timeout)
-	defer cancel()
-	url := strings.TrimSuffix(s.target.URL, "/") + "/obs"
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: %s returned %s", url, resp.Status)
-	}
-	var snap telemetry.ObsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("obs: decoding %s: %w", url, err)
-	}
-	if snap.Silo == "" {
-		snap.Silo = s.target.Name
-	}
-	return &snap, nil
-}
-
-// EventsOnce scrapes every silo's flight-recorder ring (in-process
-// sources directly, remote silos via /events) and merges them into one
-// causally ordered, HLC-sorted timeline. Silos that fail to answer
-// simply contribute nothing — the merged timeline is the freshest
-// partial truth, same contract as PollOnce.
-func (a *Aggregator) EventsOnce(ctx context.Context) []journal.WireEvent {
-	var discovered []Target
-	if a.cfg.Discover != nil {
-		discovered = a.cfg.Discover()
-	}
-	a.mu.Lock()
-	if discovered != nil {
-		a.discoverLocked(discovered)
-	}
-	silos := append([]*siloState(nil), a.silos...)
-	a.mu.Unlock()
-
-	sets := make([][]journal.WireEvent, len(silos))
-	var wg sync.WaitGroup
-	for i, s := range silos {
-		if s.events != nil {
-			sets[i] = s.events()
-			continue
-		}
-		if s.target.URL == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, s *siloState) {
-			defer wg.Done()
-			sets[i], _ = a.scrapeEvents(ctx, s)
-		}(i, s)
-	}
-	wg.Wait()
-	return journal.Merge(sets...)
-}
-
-func (a *Aggregator) scrapeEvents(ctx context.Context, s *siloState) ([]journal.WireEvent, error) {
-	cctx, cancel := context.WithTimeout(ctx, a.cfg.Timeout)
-	defer cancel()
-	url := strings.TrimSuffix(s.target.URL, "/") + "/events"
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: %s returned %s", url, resp.Status)
-	}
-	var events []journal.WireEvent
-	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
-		return nil, fmt.Errorf("obs: decoding %s: %w", url, err)
-	}
-	return events, nil
+	return telemetry.MergeEvents(sets...), errors.Join(errs...)
 }
 
 // mergeLocked folds every silo's freshest snapshot into one cluster view.
 func (a *Aggregator) mergeLocked(now time.Time) ClusterSnapshot {
-	out := ClusterSnapshot{
-		Now:      now,
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-		Hists:    map[string]metrics.Snapshot{},
-	}
-	kinds := map[string]*telemetry.KindProfile{}
-	kstats := map[string]*telemetry.KindStats{}
+	out := ClusterSnapshot{Now: now}
+	out.Counters = map[string]int64{}
+	out.Gauges = map[string]int64{}
+	out.Hists = map[string]metrics.Snapshot{}
+	kinds := map[string]*telemetry.KindStats{}
+	turns := map[string]*telemetry.KindTurns{}
 	var hotLists [][]metrics.TopKEntry
 	for _, s := range a.silos {
 		view := SiloView{Name: s.target.Name, URL: s.target.URL, Ok: s.err == "", Error: s.err}
-		dead := a.cfg.Dead != nil && a.cfg.Dead(s.target.Name)
-		if dead {
-			view.Dead = true
-		}
+		dead := a.dead[s.target.Name]
+		view.Dead = dead
 		if s.last == nil {
 			view.Ok = false
 			out.Partial = true
@@ -415,45 +346,40 @@ func (a *Aggregator) mergeLocked(now time.Time) ClusterSnapshot {
 			out.Hists[k] = out.Hists[k].Merge(h)
 		}
 		hotLists = append(hotLists, s.last.HotActors)
-		for _, kp := range s.last.Kinds {
-			m, ok := kinds[kp.Kind]
-			if !ok {
-				cp := kp
-				kinds[kp.Kind] = &cp
-				continue
-			}
-			m.Turns += kp.Turns
-			m.CPUNanos += kp.CPUNanos
-			if kp.MailboxHWM > m.MailboxHWM {
-				m.MailboxHWM = kp.MailboxHWM
-			}
-			if kp.MaxStateBytes > m.MaxStateBytes {
-				m.MaxStateBytes = kp.MaxStateBytes
-			}
-		}
-		for _, ks := range s.last.KindStats {
-			m, ok := kstats[ks.Kind]
+		for _, ks := range s.last.Kinds {
+			m, ok := kinds[ks.Kind]
 			if !ok {
 				cp := ks
-				kstats[ks.Kind] = &cp
+				kinds[ks.Kind] = &cp
 				continue
 			}
 			m.Turns += ks.Turns
-			m.SlowTurns += ks.SlowTurns
-			m.TurnNanos += ks.TurnNanos
+			m.CPUNanos += ks.CPUNanos
+			m.MailboxHWM = max(m.MailboxHWM, ks.MailboxHWM)
+			m.MaxStateBytes = max(m.MaxStateBytes, ks.MaxStateBytes)
+		}
+		for _, kt := range s.last.KindTurns {
+			m, ok := turns[kt.Kind]
+			if !ok {
+				m = &telemetry.KindTurns{Kind: kt.Kind}
+				turns[kt.Kind] = m
+			}
+			m.Turns += kt.Turns
+			m.SlowTurns += kt.SlowTurns
+			m.TurnNanos += kt.TurnNanos
 		}
 		out.ProfTurns += s.last.ProfTurns
 		out.ProfCPUNanos += s.last.ProfCPUNanos
 	}
-	out.HotActors = metrics.MergeTopK(a.cfg.TopK, hotLists...)
-	for _, kp := range kinds {
-		out.Kinds = append(out.Kinds, *kp)
+	out.HotActors = metrics.MergeTopK(topK, hotLists...)
+	for _, ks := range kinds {
+		out.Kinds = append(out.Kinds, *ks)
 	}
 	sort.Slice(out.Kinds, func(i, j int) bool { return out.Kinds[i].Kind < out.Kinds[j].Kind })
-	for _, ks := range kstats {
-		out.KindStats = append(out.KindStats, *ks)
+	for _, kt := range turns {
+		out.KindTurns = append(out.KindTurns, *kt)
 	}
-	sort.Slice(out.KindStats, func(i, j int) bool { return out.KindStats[i].Kind < out.KindStats[j].Kind })
+	sort.Slice(out.KindTurns, func(i, j int) bool { return out.KindTurns[i].Kind < out.KindTurns[j].Kind })
 	return out
 }
 
@@ -466,7 +392,7 @@ func (a *Aggregator) appendHistoryLocked(snap ClusterSnapshot) {
 		}
 	}
 	a.history = append(a.history, s)
-	if over := len(a.history) - a.cfg.HistoryLen; over > 0 {
+	if over := len(a.history) - historyLen; over > 0 {
 		a.history = a.history[over:]
 	}
 }
@@ -475,7 +401,7 @@ func (a *Aggregator) appendHistoryLocked(snap ClusterSnapshot) {
 func (a *Aggregator) Latest() (ClusterSnapshot, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.latest, a.polled
+	return a.latest, !a.latest.Now.IsZero()
 }
 
 // History returns the retained poll-round samples, oldest first.
@@ -501,20 +427,14 @@ func (a *Aggregator) Run(ctx context.Context) {
 	}
 }
 
-// Handler serves the merged cluster view:
+// Register mounts the merged cluster view on a mux, letting a silo process
+// serve it from its own introspection endpoint:
 //
 //	/cluster          merged snapshot as JSON (scrapes on demand if Run
 //	                  is not polling yet)
 //	/cluster/history  the per-metric history ring as JSON
 //	/cluster/prom     the merged view in Prometheus text format
-func (a *Aggregator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	a.Register(mux)
-	return mux
-}
-
-// Register mounts the /cluster routes on an existing mux, letting a silo
-// process serve the aggregated view from its own introspection endpoint.
+//	/cluster/events   the HLC-merged flight-recorder timeline as JSON
 func (a *Aggregator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/cluster", a.serveCluster)
 	mux.HandleFunc("/cluster/history", a.serveHistory)
@@ -526,18 +446,8 @@ func (a *Aggregator) Register(mux *http.ServeMux) {
 // scrapes on every request (event rings move faster than metric polls)
 // and honors the same filters as the per-silo /events endpoint.
 func (a *Aggregator) serveEvents(w http.ResponseWriter, r *http.Request) {
-	events := a.EventsOnce(r.Context())
-	q := r.URL.Query()
-	events = telemetry.FilterEvents(events, q.Get("actor"), q.Get("corr"), q.Get("kind"))
-	if nStr := q.Get("n"); nStr != "" {
-		if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(events) {
-			events = events[len(events)-n:]
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(events)
+	events, _ := a.EventsOnce(r.Context())
+	telemetry.ServeEvents(w, r, events)
 }
 
 func (a *Aggregator) serveCluster(w http.ResponseWriter, r *http.Request) {
@@ -545,19 +455,15 @@ func (a *Aggregator) serveCluster(w http.ResponseWriter, r *http.Request) {
 	if !ok || r.URL.Query().Get("refresh") != "" {
 		snap = a.PollOnce(r.Context())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap)
+	telemetry.WriteJSON(w, snap)
 }
 
 func (a *Aggregator) serveHistory(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(a.History())
+	telemetry.WriteJSON(w, a.History())
 }
 
+// serveProm renders the merged view through the silos' own /metrics
+// renderer, under the aodb_cluster_ prefix, after the scrape-health rows.
 func (a *Aggregator) serveProm(w http.ResponseWriter, r *http.Request) {
 	snap, ok := a.Latest()
 	if !ok {
@@ -575,52 +481,6 @@ func (a *Aggregator) serveProm(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "aodb_cluster_silo_up{silo=%q} %d\n", s.Name, state)
 	}
 	fmt.Fprintf(&b, "aodb_cluster_silos %d\naodb_cluster_silos_up %d\n", len(snap.Silos), up)
-	for _, name := range sortedKeys(snap.Counters) {
-		fmt.Fprintf(&b, "aodb_cluster_%s %d\n", promName(name), snap.Counters[name])
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		fmt.Fprintf(&b, "aodb_cluster_%s %d\n", promName(name), snap.Gauges[name])
-	}
-	for _, name := range sortedKeys(snap.Hists) {
-		h := snap.Hists[name]
-		n := "aodb_cluster_" + promName(name)
-		fmt.Fprintf(&b, "# TYPE %s summary\n", n)
-		for _, q := range []float64{50, 90, 99, 99.9} {
-			fmt.Fprintf(&b, "%s{quantile=\"%g\"} %d\n", n, q/100, h.Percentile(q))
-		}
-		fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", n, h.Sum, n, h.Count)
-	}
-	for _, e := range snap.HotActors {
-		fmt.Fprintf(&b, "aodb_cluster_hot_actor_cpu_nanos{actor=%q,silo=%q} %d\n", e.Key, e.Label, e.Count)
-		fmt.Fprintf(&b, "aodb_cluster_hot_actor_turns{actor=%q,silo=%q} %d\n", e.Key, e.Label, e.Turns)
-	}
-	for _, kp := range snap.Kinds {
-		fmt.Fprintf(&b, "aodb_cluster_kind_cpu_nanos{kind=%q} %d\n", kp.Kind, kp.CPUNanos)
-		fmt.Fprintf(&b, "aodb_cluster_kind_turns{kind=%q} %d\n", kp.Kind, kp.Turns)
-	}
+	snap.WriteProm(&b, "aodb_cluster_", func(v string) string { return v })
 	_, _ = w.Write([]byte(b.String()))
-}
-
-func promName(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-			b.WriteRune(r)
-		case r >= '0' && r <= '9' && i > 0:
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +18,8 @@ import (
 )
 
 // buildSilo fabricates one silo's introspection state: a registry with a
-// shared-name latency histogram, a profiler with silo-local hot actors.
+// shared-name latency histogram, a recorder with silo-local hot actors and
+// one flight-recorder event.
 func buildSilo(name string, latencies []time.Duration, hot map[string]time.Duration) *telemetry.Introspection {
 	reg := metrics.NewRegistry()
 	h := reg.Histogram("shm.call_latency")
@@ -23,11 +27,14 @@ func buildSilo(name string, latencies []time.Duration, hot map[string]time.Durat
 		h.Record(int64(d))
 	}
 	reg.Counter("core.turns").Add(int64(len(latencies)))
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: 16})
+	tr := telemetry.New(telemetry.Config{Silo: name, Parts: telemetry.Profile | telemetry.Events})
 	for actor, cpu := range hot {
-		prof.ObserveTurn(actor, "Sensor", name, cpu, 1)
+		tn := tr.StartTurn(telemetry.SpanContext{}, actor, "Sensor", name)
+		tn.Depth = 1
+		tr.EndTurn(&tn, cpu, 0, 0, nil, false)
 	}
-	return &telemetry.Introspection{Registry: reg, Profiler: prof, Name: name}
+	tr.Record(telemetry.MemberJoin, "", 0, "member="+name)
+	return &telemetry.Introspection{Registry: reg, Tracer: tr, Name: name}
 }
 
 // TestAggregatorMergesSilos is the acceptance-criteria check at unit
@@ -57,7 +64,7 @@ func TestAggregatorMergesSilos(t *testing.T) {
 			union.Record(int64(d))
 		}
 	}
-	agg := New(Config{Targets: targets, TopK: 10})
+	agg := New(Config{Targets: targets})
 	snap := agg.PollOnce(context.Background())
 
 	if snap.Partial {
@@ -97,6 +104,46 @@ func TestAggregatorMergesSilos(t *testing.T) {
 	if len(snap.Kinds) != 1 || snap.Kinds[0].Turns != 4 {
 		t.Fatalf("kind profiles = %+v", snap.Kinds)
 	}
+	// So do the turn counters served as kind_stats.
+	if len(snap.KindTurns) != 1 || snap.KindTurns[0].Kind != "Sensor" || snap.KindTurns[0].Turns != 4 || snap.KindTurns[0].TurnNanos <= 0 {
+		t.Fatalf("kind stats = %+v", snap.KindTurns)
+	}
+}
+
+// TestConcurrentRoundsWithMovingMembers: a metrics round and a timeline
+// round run at once in shmserver -history (the Run loop and a
+// /cluster/events request) while the membership view re-announces, and
+// sometimes moves, every member's address. Meaningful under -race.
+func TestConcurrentRoundsWithMovingMembers(t *testing.T) {
+	in := buildSilo("silo-1", []time.Duration{time.Millisecond}, nil)
+	a, b := httptest.NewServer(in.Handler()), httptest.NewServer(in.Handler())
+	defer a.Close()
+	defer b.Close()
+	var polls atomic.Int64
+	agg := New(Config{Members: func() []telemetry.MemberInfo {
+		addr := a.URL
+		if polls.Add(1)%2 == 0 {
+			addr = b.URL
+		}
+		return []telemetry.MemberInfo{{Name: "silo-1", ObsAddr: addr, State: "alive"}}
+	}})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if w%2 == 0 {
+					if snap := agg.PollOnce(context.Background()); len(snap.Silos) != 1 || !snap.Silos[0].Ok {
+						t.Errorf("round saw %+v", snap.Silos)
+					}
+				} else if events, err := agg.EventsOnce(context.Background()); err != nil || len(events) != 1 {
+					t.Errorf("timeline round: %d events, %v", len(events), err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestAggregatorSiloDownIsPartialNotHung: a dead target must not stall
@@ -197,23 +244,23 @@ func TestAggregatorSlowSiloGoesStale(t *testing.T) {
 
 func TestAggregatorHistoryRing(t *testing.T) {
 	in := buildSilo("silo-1", []time.Duration{time.Millisecond}, nil)
-	agg := New(Config{HistoryLen: 3})
-	agg.AddLocal("silo-1", in.Obs)
-	for i := 0; i < 5; i++ {
+	agg := New(Config{})
+	agg.AddLocal("silo-1", in)
+	for i := 0; i < historyLen+5; i++ {
 		agg.PollOnce(context.Background())
 	}
 	hist := agg.History()
-	if len(hist) != 3 {
-		t.Fatalf("history len = %d, want 3 (bounded ring)", len(hist))
+	if len(hist) != historyLen {
+		t.Fatalf("history len = %d, want %d (bounded ring)", len(hist), historyLen)
 	}
 	for i := 1; i < len(hist); i++ {
 		if hist[i].Time.Before(hist[i-1].Time) {
 			t.Fatal("history out of order")
 		}
 	}
-	q, ok := hist[2].Quantiles["shm.call_latency"]
+	q, ok := hist[historyLen-1].Quantiles["shm.call_latency"]
 	if !ok || q[0] <= 0 {
-		t.Fatalf("history sample quantiles missing: %+v", hist[2])
+		t.Fatalf("history sample quantiles missing: %+v", hist[historyLen-1])
 	}
 }
 
@@ -223,8 +270,8 @@ func TestClusterEndpoint(t *testing.T) {
 	in := buildSilo("silo-1", []time.Duration{time.Millisecond, 2 * time.Millisecond},
 		map[string]time.Duration{"Sensor/x": time.Millisecond})
 	agg := New(Config{})
-	agg.AddLocal("silo-1", in.Obs)
-	srv := httptest.NewServer(agg.Handler())
+	agg.AddLocal("silo-1", in)
+	srv := httptest.NewServer(clusterMux(agg))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/cluster")
@@ -232,8 +279,26 @@ func TestClusterEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The merged view's fields sit flat beside now/silos, as they always
+	// have on the wire.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"now", "silos", "counters", "histograms", "hot_actors", "kind_profiles", "kind_stats", "prof_turns", "prof_cpu_nanos"} {
+		if _, ok := keys[k]; !ok {
+			t.Fatalf("/cluster JSON has no %q key: %s", k, raw)
+		}
+	}
+	if len(keys) != 9 {
+		t.Fatalf("/cluster JSON has unexpected keys: %s", raw)
+	}
 	var snap ClusterSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if len(snap.Silos) != 1 || !snap.Silos[0].Ok {
@@ -251,12 +316,77 @@ func TestClusterEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer promResp.Body.Close()
-	var buf [1 << 16]byte
-	n, _ := promResp.Body.Read(buf[:])
-	body := string(buf[:n])
-	for _, want := range []string{"aodb_cluster_silos_up 1", "aodb_cluster_shm_call_latency", "aodb_cluster_hot_actor_cpu_nanos"} {
+	promBody, err := io.ReadAll(promResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(promBody)
+	for _, want := range []string{
+		"aodb_cluster_silos_up 1",
+		`aodb_cluster_silo_up{silo="silo-1"} 1`,
+		"aodb_cluster_core_turns 2",
+		`aodb_cluster_shm_call_latency{quantile="0.99"}`,
+		`aodb_cluster_hot_actor_cpu_nanos{actor="Sensor/x",silo="silo-1"} 1000000`,
+		`aodb_cluster_kind_turns{kind="Sensor"} 1`,
+		`aodb_cluster_kind_cpu_nanos{kind="Sensor"} 1000000`,
+	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("prom output missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// TestClusterEventsMergesLocalAndRemote: /cluster/events reads in-process
+// and remote rings through the one scrape path, merges them by HLC, and
+// honors the per-silo endpoint's filters; an unreachable silo contributes
+// nothing rather than failing the timeline.
+func TestClusterEventsMergesLocalAndRemote(t *testing.T) {
+	local := buildSilo("silo-1", nil, nil)
+	remote := buildSilo("silo-2", nil, nil)
+	remote.Tracer.ObserveHLC(local.Tracer.StampHLC())
+	remote.Tracer.Record(telemetry.MemberDead, "", 0, "member=silo-3")
+	srv := httptest.NewServer(remote.Handler())
+	defer srv.Close()
+	agg := New(Config{
+		Targets: []Target{{Name: "silo-2", URL: srv.URL}, {Name: "ghost", URL: "http://127.0.0.1:1"}},
+		Timeout: 500 * time.Millisecond,
+	})
+	agg.AddLocal("silo-1", local)
+
+	events, err := agg.EventsOnce(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "ghost unreachable") || strings.Contains(err.Error(), "silo-2") {
+		t.Fatalf("EventsOnce error = %v, want only ghost named", err)
+	}
+	if len(events) != 3 {
+		t.Fatalf("merged %d events, want 3: %+v", len(events), events)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].HLC < events[i-1].HLC {
+			t.Fatalf("timeline not HLC-ordered: %+v", events)
+		}
+	}
+	if last := events[2]; last.Kind != "member-dead" || last.Silo != "silo-2" {
+		t.Fatalf("the event caused last must sort last: %+v", events)
+	}
+
+	api := httptest.NewServer(clusterMux(agg))
+	defer api.Close()
+	resp, err := http.Get(api.URL + "/cluster/events?kind=member-join&n=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var filtered []telemetry.Event
+	if err := json.NewDecoder(resp.Body).Decode(&filtered); err != nil {
+		t.Fatal(err)
+	}
+	if len(filtered) != 1 || filtered[0].Kind != "member-join" {
+		t.Fatalf("filtered timeline = %+v", filtered)
+	}
+}
+
+func clusterMux(agg *Aggregator) http.Handler {
+	mux := http.NewServeMux()
+	agg.Register(mux)
+	return mux
 }

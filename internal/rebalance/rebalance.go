@@ -5,8 +5,8 @@
 // strategy (consistent hashing), a membership change moves some actors'
 // ideal homes, and every activation still sitting on its old home is a
 // remote hop on every call until it moves — the planner computes
-// exactly the hash-diff set. And the load signal: the ActorProfiler's
-// top-K sketch names the hottest activations on an overloaded silo, and
+// exactly the hash-diff set. And the load signal: the recorder's
+// top-K profile names the hottest activations on an overloaded silo, and
 // gossip's piggybacked per-silo loads name the silos with headroom; the
 // planner sheds the former to the latter. Execution is core.Migrate's
 // live hand-off — drain with a state flush, redirect markers, version
@@ -25,7 +25,6 @@ import (
 	"aodb/internal/core"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
-	"aodb/internal/telemetry"
 )
 
 // Viewer is the live silo set (cluster.Provider, gossip.Agent, or a
@@ -58,12 +57,6 @@ type Config struct {
 	// there. Leave nil for non-deterministic strategies (random,
 	// prefer-local) — they have no stable target to diff against.
 	Strategy placement.Strategy
-	// Profiler, when set, steers overload shedding toward the silo's
-	// hottest activations (top-K CPU attribution). Optional: without it,
-	// shedding falls back to plain activation counts — any local actor
-	// is a candidate, which still relieves an overloaded silo, just
-	// without picking the most profitable movers first.
-	Profiler *telemetry.ActorProfiler
 	// Loads reports the latest known per-silo load (gossip's piggybacked
 	// Load values). Nil disables overload shedding.
 	Loads func() map[string]int64
@@ -183,8 +176,8 @@ func (rb *Rebalancer) Plan() []Move {
 
 // planShed appends overload moves: when this silo's reported load runs
 // OverloadRatio above the cluster mean, local actors go to the
-// least-loaded member — the profiler's hottest first when one is
-// running, otherwise any local activations (plain-count shedding).
+// least-loaded member — the profile's hottest first when the runtime's
+// recorder keeps one, otherwise any local activations (plain-count shedding).
 func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.ID]bool, moves []Move) []Move {
 	loads := rb.cfg.Loads()
 	if len(loads) == 0 {
@@ -223,8 +216,10 @@ func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.
 	if budget < 1 {
 		budget = 1
 	}
-	if rb.cfg.Profiler != nil {
-		for _, hot := range rb.cfg.Profiler.HotActors() {
+	// When the runtime's recorder profiles, shed its hottest activations
+	// (top-K CPU attribution) — the most profitable movers first.
+	if hots := rb.cfg.Runtime.Tracer().HotActors(); len(hots) > 0 {
+		for _, hot := range hots {
 			if budget == 0 || len(moves) >= rb.cfg.MaxMoves {
 				break
 			}
@@ -241,7 +236,7 @@ func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.
 		}
 		return moves
 	}
-	// No profiler: shed by plain activation count. Every local actor is
+	// No profile: shed by plain activation count. Every local actor is
 	// equally anonymous, so take them in ActiveIDs' stable order — the
 	// next round re-measures and sheds again if the silo is still hot.
 	for _, id := range silo.ActiveIDs() {

@@ -52,13 +52,17 @@ func (c *counterActor) Receive(ctx *core.Context, msg any) (any, error) {
 }
 
 func newRuntime(t *testing.T, view *mutView, strat placement.Strategy) *core.Runtime {
+	return newRecordedRuntime(t, view, strat, nil)
+}
+
+func newRecordedRuntime(t *testing.T, view *mutView, strat placement.Strategy, tr *telemetry.Tracer) *core.Runtime {
 	t.Helper()
 	kv, err := kvstore.Open(kvstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = kv.Close() })
-	rt, err := core.New(core.Config{Store: kv, View: view, Placement: strat})
+	rt, err := core.New(core.Config{Store: kv, View: view, Placement: strat, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,8 @@ func TestPlacementDiffOnJoin(t *testing.T) {
 func TestOverloadShedding(t *testing.T) {
 	view := &mutView{}
 	view.set("silo-1", "silo-2", "silo-3")
-	rt := newRuntime(t, view, nil)
+	prof := telemetry.New(telemetry.Config{Parts: telemetry.Profile})
+	rt := newRecordedRuntime(t, view, nil, prof)
 	for _, s := range []string{"silo-1", "silo-2", "silo-3"} {
 		if _, err := rt.AddSilo(s, nil); err != nil {
 			t.Fatal(err)
@@ -162,7 +167,6 @@ func TestOverloadShedding(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	prof := telemetry.NewProfiler(telemetry.ProfilerConfig{K: 8})
 	// Activate a few actors; force them onto silo-1 via Migrate so the
 	// profiler labels line up regardless of random placement.
 	for i := 0; i < 4; i++ {
@@ -173,7 +177,8 @@ func TestOverloadShedding(t *testing.T) {
 		if err := rt.Migrate(ctx, id, "silo-1"); err != nil {
 			t.Fatal(err)
 		}
-		prof.ObserveTurn(id.String(), "Counter", "silo-1", time.Duration(100-i)*time.Millisecond, 1)
+		tn := prof.StartTurn(telemetry.SpanContext{}, id.String(), "Counter", "silo-1")
+		prof.EndTurn(&tn, time.Duration(100-i)*time.Millisecond, 0, 0, nil, false)
 	}
 
 	loads := map[string]int64{"silo-1": 900, "silo-2": 100, "silo-3": 200}
@@ -181,7 +186,6 @@ func TestOverloadShedding(t *testing.T) {
 		Runtime:  rt,
 		Silo:     "silo-1",
 		View:     view,
-		Profiler: prof,
 		Loads:    func() map[string]int64 { return loads },
 		MaxMoves: 8,
 	})

@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"aodb/internal/clock"
-	"aodb/internal/journal"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
+	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
 
@@ -72,13 +72,13 @@ type Config struct {
 	Clock clock.Clock
 	// Metrics receives replication instrumentation; nil allocates one.
 	Metrics *metrics.Registry
-	// Journal, when enabled, records quorum outcomes, hint activity, and
-	// ring changes in the cluster flight recorder, and stamps replica
-	// RPCs with HLC timestamps. Nil or disabled costs one nil-or-atomic
-	// check per operation. Successful plain reads are not recorded (a
-	// read-heavy workload would wash the ring out); reads that needed a
-	// stand-in fallback or a repair are.
-	Journal *journal.Journal
+	// Tracer, when it records events, gets quorum outcomes, hint
+	// activity, and ring changes in the cluster flight recorder, and
+	// replica RPCs are stamped with HLC timestamps. Nil or disabled costs
+	// one nil-or-atomic check per operation. Successful plain reads are
+	// not recorded (a read-heavy workload would wash the ring out); reads
+	// that needed a stand-in fallback or a repair are.
+	Tracer *telemetry.Tracer
 }
 
 // quorumErr is the sentinel type behind ErrQuorum. It self-classifies as
@@ -252,8 +252,8 @@ func (c *Coordinator) UpdateRing(r *Ring) {
 	c.oldUntil = c.cfg.Clock.Now().Add(c.cfg.RingTransition)
 	c.cfg.Metrics.Counter("replication.ring.changes").Inc()
 	c.cfg.Metrics.Gauge("replication.ring.size").Set(int64(r.Size()))
-	if c.cfg.Journal.Enabled() {
-		c.cfg.Journal.Record(journal.RingChange, "", 0,
+	if tr := c.cfg.Tracer; tr.Recording() {
+		tr.Record(telemetry.RingChange, "", 0,
 			fmt.Sprintf("members=%v (transition window open)", r.Members()))
 	}
 }
@@ -350,9 +350,7 @@ func (c *Coordinator) call(ctx context.Context, silo string, payload any) (any, 
 		Method:     "call",
 		Payload:    payload,
 		Sender:     c.cfg.Sender,
-	}
-	if c.cfg.Journal.Enabled() {
-		req.HLC = uint64(c.cfg.Journal.Now())
+		HLC:        c.cfg.Tracer.StampHLC(),
 	}
 	return c.cfg.Transport.Call(cctx, silo, req)
 }
@@ -485,10 +483,7 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 
 	// One correlation id ties this attempt's outcome to every hint it
 	// records, so a merged timeline shows the sloppy-quorum story whole.
-	var corr uint64
-	if c.cfg.Journal.Enabled() {
-		corr = c.cfg.Journal.NewCorr()
-	}
+	corr := c.cfg.Tracer.NewCorr()
 
 	ackCur, ackOld := 0, 0
 	var firstErr error
@@ -524,7 +519,7 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 			case Stale, Conflict:
 				c.dropHints(attemptHints)
 				if corr != 0 {
-					c.cfg.Journal.Record(journal.QuorumWriteFail, key, corr,
+					c.cfg.Tracer.Record(telemetry.QuorumWriteFail, key, corr,
 						fmt.Sprintf("fenced by %s at %s", r.out, env.Version))
 				}
 				return errFenced(key, env.Version, r.out)
@@ -544,7 +539,7 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 			if len(attemptHints) > 0 {
 				detail += fmt.Sprintf(" (sloppy, %d hinted)", len(attemptHints))
 			}
-			c.cfg.Journal.Record(journal.QuorumWrite, key, corr, detail)
+			c.cfg.Tracer.Record(telemetry.QuorumWrite, key, corr, detail)
 		}
 		return nil
 	}
@@ -564,7 +559,7 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		if firstErr != nil {
 			detail += ": " + firstErr.Error()
 		}
-		c.cfg.Journal.Record(journal.QuorumWriteFail, key, corr, detail)
+		c.cfg.Tracer.Record(telemetry.QuorumWriteFail, key, corr, detail)
 	}
 	if firstErr != nil {
 		return fmt.Errorf("%w: %s got %d/%d acks: %v", ErrQuorum, key, acked, w, firstErr)
@@ -599,7 +594,7 @@ func (c *Coordinator) hintAndHandoff(ctx context.Context, home writeTarget, key 
 			*attemptHints = append(*attemptHints, id)
 			c.mHinted.Inc()
 			if corr != 0 {
-				c.cfg.Journal.Record(journal.HintRecorded, key, corr, "home="+home.silo)
+				c.cfg.Tracer.Record(telemetry.HintRecorded, key, corr, "home="+home.silo)
 			}
 		}
 	}
@@ -714,12 +709,12 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 		if old != nil && okOld < got {
 			got = okOld
 		}
-		if c.cfg.Journal.Enabled() {
+		if tr := c.cfg.Tracer; tr.Recording() {
 			detail := fmt.Sprintf("reads=%d/%d", got, rq)
 			if firstErr != nil {
 				detail += ": " + firstErr.Error()
 			}
-			c.cfg.Journal.Record(journal.QuorumReadFail, key, c.cfg.Journal.NewCorr(), detail)
+			tr.Record(telemetry.QuorumReadFail, key, tr.NewCorr(), detail)
 		}
 		if firstErr != nil {
 			return Envelope{}, false, fmt.Errorf("%w: %s got %d/%d reads: %v", ErrQuorum, key, got, rq, firstErr)
@@ -756,8 +751,8 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 	// Only the interesting reads make the journal — ones that leaned on a
 	// stand-in or pushed a repair. Plain healthy reads would wash the ring
 	// out under a read-heavy workload.
-	if (fellBack || repaired > 0) && c.cfg.Journal.Enabled() {
-		c.cfg.Journal.Record(journal.QuorumRead, key, c.cfg.Journal.NewCorr(),
+	if tr := c.cfg.Tracer; (fellBack || repaired > 0) && tr.Recording() {
+		tr.Record(telemetry.QuorumRead, key, tr.NewCorr(),
 			fmt.Sprintf("standin-fallback=%v repaired=%d at %s", fellBack, repaired, win.Version))
 	}
 	return win, true, nil
@@ -876,8 +871,8 @@ func (c *Coordinator) ReplayHints(ctx context.Context) (delivered, remaining int
 			}
 			delivered++
 			c.mReplayed.Inc()
-			if c.cfg.Journal.Enabled() {
-				c.cfg.Journal.Record(journal.HintReplayed, h.Key, 0, "home="+h.Home)
+			if tr := c.cfg.Tracer; tr.Recording() {
+				tr.Record(telemetry.HintReplayed, h.Key, 0, "home="+h.Home)
 			}
 		}
 	}

@@ -6,24 +6,22 @@ import (
 	"time"
 
 	"aodb/internal/clock"
-	"aodb/internal/journal"
 	"aodb/internal/metrics"
+	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
 
 // TestQuorumFanoutHLCContinuity proves the hybrid logical clock rides
-// the replication fan-out: the coordinator's journal runs on a clock an
-// hour in the future, so the replica-side journal (real clock) can only
+// the replication fan-out: the coordinator's recorder runs on a clock an
+// hour in the future, so the replica-side recorder (real clock) can only
 // end up past that future stamp by observing it off the wire. After one
 // quorum write, the replica's next event must sort after the
 // coordinator's quorum-write event in a merged timeline — cause before
 // effect, regardless of wall-clock skew.
 func TestQuorumFanoutHLCContinuity(t *testing.T) {
 	ahead := clock.NewFake(time.Now().Add(time.Hour))
-	jrCoord := journal.New(journal.Config{Silo: "s1", Clock: ahead})
-	jrCoord.SetEnabled(true)
-	jrReplica := journal.New(journal.Config{Silo: "s2"})
-	jrReplica.SetEnabled(true)
+	jrCoord := telemetry.New(telemetry.Config{Silo: "s1", Clock: ahead, Parts: telemetry.Events})
+	jrReplica := telemetry.New(telemetry.Config{Silo: "s2", Parts: telemetry.Events})
 
 	silos := []string{"s1", "s2", "s3"}
 	ring, err := NewRing(silos)
@@ -33,12 +31,13 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 	tr := transport.NewLocal(nil, nil)
 	t.Cleanup(func() { _ = tr.Close() })
 	svc := NewService()
-	svc.UseJournal(jrReplica)
 	for _, s := range silos {
 		st := testStore(t, s, ring, 3)
 		svc.Host(s, st)
 		silo := s
 		if err := tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
+			// What core.Silo.handle does before dispatching a service RPC.
+			jrReplica.ObserveHLC(req.HLC)
 			return svc.Handle(ctx, silo, req)
 		}); err != nil {
 			t.Fatal(err)
@@ -51,7 +50,7 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 		W:         2,
 		Transport: tr,
 		Metrics:   metrics.NewRegistry(),
-		Journal:   jrCoord,
+		Tracer:    jrCoord,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +61,8 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var write *journal.WireEvent
-	for _, e := range jrCoord.WireSnapshot() {
+	var write *telemetry.Event
+	for _, e := range jrCoord.Events() {
 		if e.Kind == "quorum-write" {
 			e := e
 			write = &e
@@ -78,9 +77,9 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 
 	// Without the wire stamp the replica's clock is an hour behind the
 	// coordinator's; having observed it, its next mint must be ahead.
-	jrReplica.Record(journal.HintReplayed, "device@hlc", 0, "post-write probe")
-	var probe *journal.WireEvent
-	for _, e := range jrReplica.WireSnapshot() {
+	jrReplica.Record(telemetry.HintReplayed, "device@hlc", 0, "post-write probe")
+	var probe *telemetry.Event
+	for _, e := range jrReplica.Events() {
 		if e.Detail == "post-write probe" {
 			e := e
 			probe = &e
@@ -94,7 +93,7 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 			probe.HLC, write.HLC)
 	}
 	// And the merged timeline agrees: quorum-write before the probe.
-	merged := journal.Merge(jrCoord.WireSnapshot(), jrReplica.WireSnapshot())
+	merged := telemetry.MergeEvents(jrCoord.Events(), jrReplica.Events())
 	wi, pi := -1, -1
 	for i, e := range merged {
 		switch {

@@ -10,7 +10,6 @@ import (
 
 	"aodb/internal/clock"
 	"aodb/internal/codec"
-	"aodb/internal/journal"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
 	"aodb/internal/transport"
@@ -42,6 +41,15 @@ const (
 	// must treat its write as fenced.
 	Conflict
 )
+
+// applyCounter names the per-outcome apply counters, spelled out so the
+// apply path does not build a name per call.
+var applyCounter = [...]string{
+	Applied:  "replication.apply.applied",
+	Equal:    "replication.apply.equal",
+	Stale:    "replication.apply.stale",
+	Conflict: "replication.apply.conflict",
+}
 
 func (o Outcome) String() string {
 	switch o {
@@ -228,7 +236,7 @@ func (s *Store) Apply(ctx context.Context, key string, env Envelope) (Outcome, e
 	if err != nil {
 		return 0, err
 	}
-	s.cfg.Metrics.Counter("replication.apply." + out.String()).Inc()
+	s.cfg.Metrics.Counter(applyCounter[out]).Inc()
 	return out, nil
 }
 
@@ -383,19 +391,10 @@ var errBadRPC = errors.New("replication: bad rpc")
 type Service struct {
 	mu     sync.RWMutex
 	stores map[string]*Store
-	// journal, when set, merges inbound HLC stamps before dispatch (see
-	// UseJournal).
-	journal *journal.Journal
 }
 
 // NewService returns an empty service; register stores with Host.
 func NewService() *Service { return &Service{stores: make(map[string]*Store)} }
-
-// UseJournal merges each inbound RPC's HLC stamp into jr's clock before
-// dispatch, so events this replica records after applying a write sort
-// causally after the coordinator's quorum-write event in a merged
-// timeline. Set once at boot, before Handle runs.
-func (sv *Service) UseJournal(jr *journal.Journal) { sv.journal = jr }
 
 // Host serves silo's replica store. Re-hosting a silo replaces its
 // store (a wiped-and-rebuilt replica hot-swaps itself back in).
@@ -413,11 +412,11 @@ func (sv *Service) Store(silo string) *Store {
 }
 
 // Handle dispatches one replication RPC addressed to silo. It has the
-// core.ServiceHandler shape and is registered under TargetKind.
+// core.ServiceHandler shape and is registered under TargetKind; the
+// runtime has merged the request's HLC stamp by the time it runs, so
+// events this replica records after applying a write sort after the
+// coordinator's quorum-write event in a merged timeline.
 func (sv *Service) Handle(ctx context.Context, silo string, req transport.Request) (any, error) {
-	if sv.journal.Enabled() && req.HLC != 0 {
-		sv.journal.Observe(clock.HLC(req.HLC))
-	}
 	st := sv.Store(silo)
 	if st == nil {
 		return nil, fmt.Errorf("%w: no replica store on silo %q", errBadRPC, silo)

@@ -1,9 +1,9 @@
 // Package siloboot is the shared bring-up path for SHM cluster processes
 // (shmserver silos and the shmload client). Both need the same stack —
 // a TCP transport with static peers, consistent-hash placement keyed on
-// the actor-id prefix, a static cluster view, optional tracing and
-// hot-spot profiling, one metrics registry spanning runtime and wire
-// path — and keeping that wiring in one place means a flag added here
+// the actor-id prefix, a static cluster view, one optional recorder
+// (tracing, hot-spot profiling, flight-recorder events), one metrics
+// registry spanning runtime and wire path — and keeping that wiring in one place means a flag added here
 // (or a default changed) behaves identically in every process.
 package siloboot
 
@@ -19,13 +19,11 @@ import (
 	"aodb/internal/cluster"
 	"aodb/internal/core"
 	"aodb/internal/gossip"
-	"aodb/internal/journal"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
 	"aodb/internal/rebalance"
 	"aodb/internal/replication"
-	"aodb/internal/systemstore"
 	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
@@ -88,26 +86,25 @@ type Options struct {
 	// SweepEvery is the anti-entropy period (0 = 30s).
 	SweepEvery time.Duration
 
-	// Trace enables distributed tracing: sample every TraceSample-th
-	// request (minimum 1), flag turns slower than SlowTurn, keep
-	// TraceCapacity spans (0 = telemetry default).
+	// Trace, Profile and Events select what the node's one recorder
+	// (Node.Tracer; nil when all three are off) records. Trace is
+	// distributed tracing: sample every TraceSample-th request (minimum
+	// 1), keep TraceCapacity spans (0 = telemetry default). Profile is
+	// per-actor hot-spot accounting. Events is the cluster flight
+	// recorder: the node stamps outgoing RPCs with HLC timestamps and
+	// records membership transitions, migration phases, quorum outcomes,
+	// breaker trips, slow turns, and panics into its ring, freezing it to
+	// a file under CaptureDir (when set) on an anomaly; EventCapacity
+	// sizes the ring (0 = telemetry default). SlowTurn is the recorder's
+	// one slow-turn threshold (0 = telemetry default).
 	Trace         bool
 	TraceSample   int
-	SlowTurn      time.Duration
 	TraceCapacity int
-
-	// Profile enables the per-actor hot-spot profiler with a ProfileK-slot
-	// heavy-hitter sketch (0 = default 64).
-	Profile  bool
-	ProfileK int
-
-	// Journal, when set and enabled, is the cluster flight recorder: the
-	// node stamps outgoing RPCs with HLC timestamps and records
-	// membership transitions, migration phases, quorum outcomes, breaker
-	// trips, slow turns, and panics into its ring. The command constructs
-	// it (journal.New + SetEnabled) so it can also hook sources siloboot
-	// never sees, like the kvstore's WAL flush stalls.
-	Journal *journal.Journal
+	Profile       bool
+	Events        bool
+	EventCapacity int
+	CaptureDir    string
+	SlowTurn      time.Duration
 	// ObsAddr is the advertised observability endpoint (host:port of the
 	// introspection listener), gossiped to peers so aggregators discover
 	// scrape targets from the membership view alone.
@@ -125,9 +122,7 @@ type Node struct {
 	Registry *metrics.Registry
 	TCP      *transport.TCP
 	Breaker  *transport.Breaker // nil unless Options.Breaker
-	Tracer   *telemetry.Tracer  // nil unless Options.Trace
-	Profiler *telemetry.ActorProfiler
-	Journal  *journal.Journal // nil unless Options.Journal
+	Tracer   *telemetry.Tracer  // nil unless Options.Trace, Profile or Events
 	Runtime  *core.Runtime
 	// Gossip and Rebalancer are set by their Options flags; both start on
 	// JoinCluster and stop in Drain.
@@ -155,15 +150,11 @@ func Start(opts Options) (*Node, error) {
 	if topts.Metrics == nil {
 		topts.Metrics = reg
 	}
-	if jr := opts.Journal; jr != nil && topts.StampHLC == nil {
+	tracer := newTracer(opts)
+	if opts.Events && topts.StampHLC == nil {
 		// Frames leaving this process carry a causal timestamp; local
-		// deliveries skip the mint (they share the journal's clock).
-		topts.StampHLC = func() uint64 {
-			if jr.Enabled() {
-				return uint64(jr.Now())
-			}
-			return 0
-		}
+		// deliveries skip the mint (they share the recorder's clock).
+		topts.StampHLC = tracer.StampHLC
 	}
 	tcp, err := transport.NewTCPWithOptions(opts.Name, opts.Listen, topts)
 	if err != nil {
@@ -176,33 +167,13 @@ func Start(opts Options) (*Node, error) {
 	var breaker *transport.Breaker
 	if opts.Breaker {
 		bopts := transport.BreakerOptions{}
-		if jr := opts.Journal; jr != nil {
+		if opts.Events {
 			bopts.OnTrip = func(node string, failures int) {
-				if jr.Enabled() {
-					jr.Record(journal.BreakerTrip, "", 0,
-						"node="+node+" failures="+strconv.Itoa(failures))
-				}
+				tracer.Record(telemetry.BreakerTrip, "", 0, "node="+node+" failures="+strconv.Itoa(failures))
 			}
 		}
 		breaker = transport.NewBreaker(tcp, bopts)
 		tr = breaker
-	}
-
-	var tracer *telemetry.Tracer
-	if opts.Trace {
-		sample := opts.TraceSample
-		if sample < 1 {
-			sample = 1
-		}
-		tracer = telemetry.New(telemetry.Config{
-			SampleEvery: uint64(sample),
-			SlowTurn:    opts.SlowTurn,
-			Capacity:    opts.TraceCapacity,
-		})
-	}
-	var profiler *telemetry.ActorProfiler
-	if opts.Profile {
-		profiler = telemetry.NewProfiler(telemetry.ProfilerConfig{K: opts.ProfileK})
 	}
 
 	// Membership: by default a static view over opts.Silos, identical on
@@ -268,7 +239,6 @@ func Start(opts Options) (*Node, error) {
 			return nil, err
 		}
 		svc = replication.NewService()
-		svc.UseJournal(opts.Journal)
 		svc.Host(opts.Name, rstore)
 		coord, err = replication.NewCoordinator(replication.Config{
 			Ring:      ring,
@@ -280,7 +250,7 @@ func Start(opts Options) (*Node, error) {
 			Local:     map[string]*replication.Store{opts.Name: rstore},
 			HintDir:   opts.HintDir,
 			Metrics:   reg,
-			Journal:   opts.Journal,
+			Tracer:    tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -301,8 +271,6 @@ func Start(opts Options) (*Node, error) {
 		Store:     opts.Store,
 		View:      view,
 		Tracer:    tracer,
-		Profiler:  profiler,
-		Journal:   opts.Journal,
 		Metrics:   reg,
 	}
 	if coord != nil {
@@ -325,7 +293,6 @@ func Start(opts Options) (*Node, error) {
 			Silo:     opts.Name,
 			View:     view,
 			Strategy: hash,
-			Profiler: profiler,
 			Loads:    loads,
 			Every:    opts.RebalanceEvery,
 			Metrics:  reg,
@@ -346,20 +313,18 @@ func Start(opts Options) (*Node, error) {
 		// a transition window), and the rebalancer re-plans immediately.
 		var ringMu sync.Mutex
 		agent.Subscribe(func(e cluster.Event) {
-			if jr := opts.Journal; jr.Enabled() {
-				switch e.Status {
-				case systemstore.StatusActive:
-					jr.Record(journal.MemberJoin, "", 0, "member="+e.Silo)
-				case systemstore.StatusSuspect:
-					jr.Record(journal.MemberSuspect, "", 0, "member="+e.Silo)
-				case systemstore.StatusDead:
-					// MemberDead is anomalous: recording it also freezes a
-					// ring capture, so the survivors persist the window
-					// around a crash even though the crashed silo cannot.
-					jr.Record(journal.MemberDead, "", 0, "member="+e.Silo)
-				}
+			switch e.Status {
+			case cluster.StatusActive:
+				tracer.Record(telemetry.MemberJoin, "", 0, "member="+e.Silo)
+			case cluster.StatusSuspect:
+				tracer.Record(telemetry.MemberSuspect, "", 0, "member="+e.Silo)
+			case cluster.StatusDead:
+				// MemberDead is anomalous: recording it also freezes a
+				// ring capture, so the survivors persist the window
+				// around a crash even though the crashed silo cannot.
+				tracer.Record(telemetry.MemberDead, "", 0, "member="+e.Silo)
 			}
-			if e.Status == systemstore.StatusDead {
+			if e.Status == cluster.StatusDead {
 				rt.Directory().EvictSilo(e.Silo)
 			}
 			if coord != nil {
@@ -418,8 +383,6 @@ func Start(opts Options) (*Node, error) {
 		TCP:             tcp,
 		Breaker:         breaker,
 		Tracer:          tracer,
-		Profiler:        profiler,
-		Journal:         opts.Journal,
 		Runtime:         rt,
 		Gossip:          agent,
 		Rebalancer:      rebalancer,
@@ -428,6 +391,33 @@ func Start(opts Options) (*Node, error) {
 		store:           opts.Store,
 		bootstrapCancel: bootstrapCancel,
 	}, nil
+}
+
+// newTracer builds the node's recorder from the Trace, Profile and Events
+// options; nil when all are off.
+func newTracer(opts Options) *telemetry.Tracer {
+	var parts telemetry.Parts
+	if opts.Trace {
+		parts |= telemetry.Spans
+	}
+	if opts.Profile {
+		parts |= telemetry.Profile
+	}
+	if opts.Events {
+		parts |= telemetry.Events
+	}
+	if parts == 0 {
+		return nil
+	}
+	return telemetry.New(telemetry.Config{
+		Parts:         parts,
+		SampleEvery:   uint64(max(opts.TraceSample, 1)),
+		Capacity:      opts.TraceCapacity,
+		EventCapacity: opts.EventCapacity,
+		SlowTurn:      opts.SlowTurn,
+		Silo:          opts.Name,
+		CaptureDir:    opts.CaptureDir,
+	})
 }
 
 // JoinCluster starts the gossip agent (probing Seeds synchronously, so
@@ -490,8 +480,6 @@ func (n *Node) Introspection(pprof bool) *telemetry.Introspection {
 		Registry: n.Registry,
 		Tracer:   n.Tracer,
 		Runtime:  n.Runtime,
-		Profiler: n.Profiler,
-		Journal:  n.Journal,
 		Name:     n.Name,
 		Pprof:    pprof,
 	}
@@ -499,8 +487,8 @@ func (n *Node) Introspection(pprof bool) *telemetry.Introspection {
 		in.Breakers = n.Breaker.States
 	}
 	if ag := n.Gossip; ag != nil {
-		// /members lets an observer process (shmtop, shmtrace) discover
-		// every silo's scrape endpoint and liveness from any one seed.
+		// /members lets an observer process (shmtop) discover every
+		// silo's scrape endpoint and liveness from any one seed.
 		in.Members = func() []telemetry.MemberInfo {
 			members := ag.Members()
 			out := make([]telemetry.MemberInfo, 0, len(members))

@@ -2,7 +2,6 @@ package systemstore
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -23,105 +22,6 @@ func newStore(t *testing.T) (*Store, *clock.Fake) {
 		t.Fatal(err)
 	}
 	return s, fc
-}
-
-func TestAnnounceAndMembers(t *testing.T) {
-	s, _ := newStore(t)
-	ctx := context.Background()
-	for _, name := range []string{"silo-b", "silo-a"} {
-		if _, err := s.Announce(ctx, SiloEntry{Name: name, Address: name + ":1111"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	members, err := s.Members(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(members) != 2 || members[0].Name != "silo-a" || members[1].Name != "silo-b" {
-		t.Fatalf("members = %+v", members)
-	}
-	if members[0].Status != StatusJoining || members[0].Generation != 1 {
-		t.Fatalf("default entry = %+v", members[0])
-	}
-}
-
-func TestAnnounceBumpsGeneration(t *testing.T) {
-	s, _ := newStore(t)
-	ctx := context.Background()
-	e1, err := s.Announce(ctx, SiloEntry{Name: "s", Address: "a:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := s.Announce(ctx, SiloEntry{Name: "s", Address: "a:2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1.Generation != 1 || e2.Generation != 2 {
-		t.Fatalf("generations = %d, %d; want 1, 2", e1.Generation, e2.Generation)
-	}
-	m, err := s.Member(ctx, "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Address != "a:2" {
-		t.Fatalf("address = %q, want a:2", m.Address)
-	}
-}
-
-func TestAnnounceEmptyNameRejected(t *testing.T) {
-	s, _ := newStore(t)
-	if _, err := s.Announce(context.Background(), SiloEntry{}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-}
-
-func TestHeartbeatUpdatesTimestampAndRevivesSuspect(t *testing.T) {
-	s, fc := newStore(t)
-	ctx := context.Background()
-	if _, err := s.Announce(ctx, SiloEntry{Name: "s", Address: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetStatus(ctx, "s", StatusSuspect); err != nil {
-		t.Fatal(err)
-	}
-	fc.Advance(30 * time.Second)
-	if err := s.Heartbeat(ctx, "s"); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := s.Member(ctx, "s")
-	if m.Status != StatusActive {
-		t.Fatalf("status after heartbeat = %q, want active", m.Status)
-	}
-	if !m.LastHeartbeat.Equal(fc.Now()) {
-		t.Fatalf("LastHeartbeat = %v, want %v", m.LastHeartbeat, fc.Now())
-	}
-}
-
-func TestHeartbeatUnknownSilo(t *testing.T) {
-	s, _ := newStore(t)
-	if err := s.Heartbeat(context.Background(), "ghost"); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestActiveFiltersByStatus(t *testing.T) {
-	s, _ := newStore(t)
-	ctx := context.Background()
-	for _, name := range []string{"a", "b", "c"} {
-		if _, err := s.Announce(ctx, SiloEntry{Name: name, Address: name}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.SetStatus(ctx, "a", StatusActive)
-	s.SetStatus(ctx, "b", StatusActive)
-	s.SetStatus(ctx, "c", StatusDead)
-	active, err := s.Active(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(active) != 2 {
-		t.Fatalf("active = %+v, want 2", active)
-	}
 }
 
 func TestReminderRegisterAndDue(t *testing.T) {
@@ -219,7 +119,7 @@ func TestRemindersForIsolatesTargets(t *testing.T) {
 	}
 }
 
-func TestSystemTablesSurviveReopen(t *testing.T) {
+func TestRemindersSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	kv, err := kvstore.Open(kvstore.Options{Dir: dir})
 	if err != nil {
@@ -228,9 +128,6 @@ func TestSystemTablesSurviveReopen(t *testing.T) {
 	ctx := context.Background()
 	s, err := New(kv, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Announce(ctx, SiloEntry{Name: "s1", Address: "a:1", Status: StatusActive}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RegisterReminder(ctx, Reminder{Target: "A/1", Name: "r", Period: time.Minute}); err != nil {
@@ -246,10 +143,6 @@ func TestSystemTablesSurviveReopen(t *testing.T) {
 	s2, err := New(kv2, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	m, err := s2.Member(ctx, "s1")
-	if err != nil || m.Address != "a:1" {
-		t.Fatalf("member after reopen = %+v, %v", m, err)
 	}
 	rs, err := s2.RemindersFor(ctx, "A/1")
 	if err != nil || len(rs) != 1 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"aodb/internal/journal"
 	"aodb/internal/metrics"
 )
 
@@ -71,6 +71,10 @@ type MemberInfo struct {
 //	/obs      the full mergeable observability snapshot as JSON — sparse
 //	          histogram buckets, heavy-hitter sketch entries, per-kind
 //	          profiles — the scrape surface the cluster aggregator merges
+//	/events   the flight-recorder ring as a JSON array of Event, oldest
+//	          first (empty without the Events part); filters ?actor=,
+//	          ?corr=, ?kind=, ?n= (see EventFilter)
+//	/members  the live membership view, when Members is set
 //	/debug/pprof/...  net/http/pprof, only when Pprof is set
 //
 // Every field is optional; nil sources simply do not contribute.
@@ -78,19 +82,12 @@ type Introspection struct {
 	Registry *metrics.Registry
 	Tracer   *Tracer
 	Runtime  RuntimeSource
-	// Profiler contributes per-actor hot-spot accounting to /obs and
-	// /metrics.
-	Profiler *ActorProfiler
-	// Journal serves the flight-recorder ring at /events (nil or disabled
-	// serves an empty timeline). Filters: ?n= newest-N, ?actor=, ?corr=
-	// (16-hex-digit id), ?kind= (wire kind name).
-	Journal *journal.Journal
 	// Breakers supplies circuit-breaker states (transport.Breaker.States
 	// fits; a func field keeps telemetry free of a transport dependency).
 	Breakers func() []BreakerState
 	// Members, when set, serves the live membership view at /members —
-	// enough for an observer process (shmtop, shmtrace) to discover every
-	// silo's scrape endpoint and dead/alive status from any one seed silo,
+	// enough for an observer process (shmtop) to discover every silo's
+	// scrape endpoint and dead/alive status from any one seed silo,
 	// without joining gossip itself. A func field keeps telemetry free of
 	// a gossip dependency.
 	Members func() []MemberInfo
@@ -142,15 +139,26 @@ type ObsSnapshot struct {
 	Gauges   map[string]int64            `json:"gauges,omitempty"`
 	Hists    map[string]metrics.Snapshot `json:"histograms,omitempty"`
 
+	// HotActors, Kinds and the totals are present with the Profile part.
 	HotActors []metrics.TopKEntry `json:"hot_actors,omitempty"`
-	Kinds     []KindProfile       `json:"kind_profiles,omitempty"`
-	// ProfTurns/ProfCPUNanos are the profiler-wide totals hot-actor
+	Kinds     []KindStats         `json:"kind_profiles,omitempty"`
+	// ProfTurns/ProfCPUNanos are the profile-wide totals hot-actor
 	// shares are computed against.
 	ProfTurns    int64 `json:"prof_turns,omitempty"`
 	ProfCPUNanos int64 `json:"prof_cpu_nanos,omitempty"`
 
-	KindStats []KindStats    `json:"kind_stats,omitempty"`
+	KindTurns []KindTurns    `json:"kind_stats,omitempty"`
 	Breakers  []BreakerState `json:"breakers,omitempty"`
+}
+
+// KindTurns is one kind's turn counters as /obs has always served them
+// under kind_stats (hence the untagged field names): the same table as
+// KindStats, whichever parts feed it.
+type KindTurns struct {
+	Kind      string
+	Turns     int64
+	SlowTurns int64
+	TurnNanos int64 // summed turn wall time
 }
 
 // Obs assembles the process's current ObsSnapshot (also used in-process
@@ -166,23 +174,24 @@ func (in *Introspection) Obs() ObsSnapshot {
 		rs := in.Runtime.IntrospectionSnapshot()
 		snap.Runtime = &rs
 	}
-	if in.Profiler != nil {
-		snap.HotActors = in.Profiler.HotActors()
-		snap.Kinds = in.Profiler.KindProfiles()
-		snap.ProfTurns, snap.ProfCPUNanos = in.Profiler.Totals()
+	kinds := in.Tracer.KindStats()
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].Kind < kinds[j].Kind })
+	for _, ks := range kinds {
+		snap.KindTurns = append(snap.KindTurns, KindTurns{ks.Kind, ks.Turns, ks.SlowTurns, ks.TurnNanos})
 	}
-	if in.Tracer != nil {
-		snap.KindStats = in.Tracer.KindStats()
+	if hot := in.Tracer.HotActors(); hot != nil { // the Profile part is on
+		snap.HotActors, snap.Kinds = hot, kinds
+		snap.ProfTurns, snap.ProfCPUNanos = in.Tracer.ProfileTotals()
 	}
 	if in.Breakers != nil {
 		snap.Breakers = in.Breakers()
+		sort.Slice(snap.Breakers, func(i, j int) bool { return snap.Breakers[i].Node < snap.Breakers[j].Node })
 	}
 	return snap
 }
 
 func (in *Introspection) serveObs(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, in.Obs())
+	WriteJSON(w, in.Obs())
 }
 
 // Serve listens on addr and serves the introspection surface until ctx
@@ -231,95 +240,90 @@ func promName(name string) string {
 	return b.String()
 }
 
+// WriteProm renders the snapshot in Prometheus text format, every series
+// named prefix + the sanitized metric name, label values passed through
+// label. It is the one renderer: /metrics renders a silo's own snapshot
+// under "aodb_" with sanitized label values, the aggregator's
+// /cluster/prom the merged one under "aodb_cluster_" with raw ones, as
+// each always has.
+func (s *ObsSnapshot) WriteProm(w io.Writer, prefix string, label func(string) string) {
+	for _, name := range sortedKeys(s.Counters) {
+		n := prefix + promName(name)
+		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, s.Counters[name])
+	}
+	for _, name := range sortedKeys(s.Gauges) {
+		n := prefix + promName(name)
+		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, s.Gauges[name])
+	}
+	for _, name := range sortedKeys(s.Hists) {
+		h := s.Hists[name]
+		n := prefix + promName(name)
+		fmt.Fprintf(w, "# TYPE %s summary\n", n)
+		for _, q := range []float64{50, 90, 99, 99.9} {
+			fmt.Fprintf(w, "%s{quantile=\"%g\"} %d\n", n, q/100, h.Percentile(q))
+		}
+		fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", n, h.Sum, n, h.Count)
+	}
+	for _, kt := range s.KindTurns {
+		k := label(kt.Kind)
+		fmt.Fprintf(w, "%skind_turns{kind=%q} %d\n", prefix, k, kt.Turns)
+		fmt.Fprintf(w, "%skind_slow_turns{kind=%q} %d\n", prefix, k, kt.SlowTurns)
+		fmt.Fprintf(w, "%skind_turn_nanos{kind=%q} %d\n", prefix, k, kt.TurnNanos)
+	}
+	for _, ks := range s.Kinds {
+		k := label(ks.Kind)
+		fmt.Fprintf(w, "%skind_cpu_nanos{kind=%q} %d\n", prefix, k, ks.CPUNanos)
+		fmt.Fprintf(w, "%skind_mailbox_hwm{kind=%q} %d\n", prefix, k, ks.MailboxHWM)
+		fmt.Fprintf(w, "%skind_max_state_bytes{kind=%q} %d\n", prefix, k, ks.MaxStateBytes)
+	}
+	if s.Runtime != nil {
+		for _, st := range s.Runtime.Silos {
+			n := label(st.Name)
+			fmt.Fprintf(w, "%ssilo_activations{silo=%q} %d\n", prefix, n, st.Activations)
+			fmt.Fprintf(w, "%ssilo_mailbox_depth{silo=%q} %d\n", prefix, n, st.MailboxDepth)
+			fmt.Fprintf(w, "%ssilo_mailbox_max{silo=%q} %d\n", prefix, n, st.MailboxMax)
+			if st.Utilization >= 0 {
+				fmt.Fprintf(w, "%ssilo_utilization{silo=%q} %g\n", prefix, n, st.Utilization)
+			}
+			for _, kind := range sortedKeys(st.ByKind) {
+				fmt.Fprintf(w, "%ssilo_kind_activations{silo=%q,kind=%q} %d\n",
+					prefix, n, label(kind), st.ByKind[kind])
+			}
+		}
+	}
+	if len(s.HotActors) > 0 {
+		fmt.Fprintf(w, "# TYPE %shot_actor_cpu_nanos gauge\n", prefix)
+	}
+	for _, e := range s.HotActors {
+		l := label(e.Label)
+		fmt.Fprintf(w, "%shot_actor_cpu_nanos{actor=%q,silo=%q} %d\n", prefix, e.Key, l, e.Count)
+		fmt.Fprintf(w, "%shot_actor_turns{actor=%q,silo=%q} %d\n", prefix, e.Key, l, e.Turns)
+		fmt.Fprintf(w, "%shot_actor_mailbox_hwm{actor=%q,silo=%q} %d\n", prefix, e.Key, l, e.HighWater)
+	}
+	for _, st := range s.Breakers {
+		// closed=0 open=1 half-open=2 for alertable gauges.
+		code := 0
+		switch st.State {
+		case "open":
+			code = 1
+		case "half-open":
+			code = 2
+		}
+		n := label(st.Node)
+		fmt.Fprintf(w, "%sbreaker_state{node=%q} %d\n", prefix, n, code)
+		fmt.Fprintf(w, "%sbreaker_failures{node=%q} %d\n", prefix, n, st.Failures)
+		fmt.Fprintf(w, "%sbreaker_trips{node=%q} %d\n", prefix, n, st.Trips)
+	}
+}
+
 func (in *Introspection) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var b strings.Builder
-	if in.Registry != nil {
-		counters := in.Registry.Counters()
-		for _, name := range sortedKeys(counters) {
-			n := "aodb_" + promName(name)
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", n, n, counters[name])
-		}
-		gauges := in.Registry.Gauges()
-		for _, name := range sortedKeys(gauges) {
-			n := "aodb_" + promName(name)
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", n, n, gauges[name])
-		}
-		hists := in.Registry.Histograms()
-		names := make([]string, 0, len(hists))
-		for name := range hists {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			s := hists[name]
-			n := "aodb_" + promName(name)
-			fmt.Fprintf(&b, "# TYPE %s summary\n", n)
-			for _, q := range []float64{50, 90, 99, 99.9} {
-				fmt.Fprintf(&b, "%s{quantile=\"%g\"} %d\n", n, q/100, s.Percentile(q))
-			}
-			fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", n, s.Sum, n, s.Count)
-		}
-	}
+	snap := in.Obs()
+	snap.WriteProm(&b, "aodb_", promName)
 	if in.Tracer != nil {
 		fmt.Fprintf(&b, "# TYPE aodb_trace_spans_recorded counter\naodb_trace_spans_recorded %d\n", in.Tracer.Recorded())
 		fmt.Fprintf(&b, "# TYPE aodb_trace_slow_turns counter\naodb_trace_slow_turns %d\n", in.Tracer.SlowTurns())
-		stats := in.Tracer.KindStats()
-		sort.Slice(stats, func(i, j int) bool { return stats[i].Kind < stats[j].Kind })
-		for _, ks := range stats {
-			k := promName(ks.Kind)
-			fmt.Fprintf(&b, "aodb_kind_turns{kind=%q} %d\n", k, ks.Turns)
-			fmt.Fprintf(&b, "aodb_kind_slow_turns{kind=%q} %d\n", k, ks.SlowTurns)
-			fmt.Fprintf(&b, "aodb_kind_turn_nanos{kind=%q} %d\n", k, ks.TurnNanos)
-		}
-	}
-	if in.Runtime != nil {
-		snap := in.Runtime.IntrospectionSnapshot()
-		for _, s := range snap.Silos {
-			n := promName(s.Name)
-			fmt.Fprintf(&b, "aodb_silo_activations{silo=%q} %d\n", n, s.Activations)
-			fmt.Fprintf(&b, "aodb_silo_mailbox_depth{silo=%q} %d\n", n, s.MailboxDepth)
-			fmt.Fprintf(&b, "aodb_silo_mailbox_max{silo=%q} %d\n", n, s.MailboxMax)
-			if s.Utilization >= 0 {
-				fmt.Fprintf(&b, "aodb_silo_utilization{silo=%q} %g\n", n, s.Utilization)
-			}
-			for _, kind := range sortedKeys(s.ByKind) {
-				fmt.Fprintf(&b, "aodb_silo_kind_activations{silo=%q,kind=%q} %d\n",
-					n, promName(kind), s.ByKind[kind])
-			}
-		}
-	}
-	if in.Profiler != nil {
-		hot := in.Profiler.HotActors()
-		fmt.Fprintf(&b, "# TYPE aodb_hot_actor_cpu_nanos gauge\n")
-		for _, e := range hot {
-			fmt.Fprintf(&b, "aodb_hot_actor_cpu_nanos{actor=%q,silo=%q} %d\n", e.Key, promName(e.Label), e.Count)
-			fmt.Fprintf(&b, "aodb_hot_actor_turns{actor=%q,silo=%q} %d\n", e.Key, promName(e.Label), e.Turns)
-			fmt.Fprintf(&b, "aodb_hot_actor_mailbox_hwm{actor=%q,silo=%q} %d\n", e.Key, promName(e.Label), e.HighWater)
-		}
-		for _, kp := range in.Profiler.KindProfiles() {
-			k := promName(kp.Kind)
-			fmt.Fprintf(&b, "aodb_kind_cpu_nanos{kind=%q} %d\n", k, kp.CPUNanos)
-			fmt.Fprintf(&b, "aodb_kind_mailbox_hwm{kind=%q} %d\n", k, kp.MailboxHWM)
-			fmt.Fprintf(&b, "aodb_kind_max_state_bytes{kind=%q} %d\n", k, kp.MaxStateBytes)
-		}
-	}
-	if in.Breakers != nil {
-		states := in.Breakers()
-		sort.Slice(states, func(i, j int) bool { return states[i].Node < states[j].Node })
-		for _, st := range states {
-			// closed=0 open=1 half-open=2 for alertable gauges.
-			code := 0
-			switch st.State {
-			case "open":
-				code = 1
-			case "half-open":
-				code = 2
-			}
-			fmt.Fprintf(&b, "aodb_breaker_state{node=%q} %d\n", promName(st.Node), code)
-			fmt.Fprintf(&b, "aodb_breaker_failures{node=%q} %d\n", promName(st.Node), st.Failures)
-			fmt.Fprintf(&b, "aodb_breaker_trips{node=%q} %d\n", promName(st.Node), st.Trips)
-		}
 	}
 	_, _ = w.Write([]byte(b.String()))
 }
@@ -334,86 +338,61 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 func (in *Introspection) serveTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if in.Tracer == nil {
-		_, _ = w.Write([]byte("[]"))
-		return
-	}
-	var spans []Span
+	spans := in.Tracer.Spans()
 	if r.URL.Query().Get("slow") != "" {
 		spans = in.Tracer.SlowSpans()
-	} else {
-		spans = in.Tracer.Spans()
 	}
 	if limStr := r.URL.Query().Get("limit"); limStr != "" {
 		if lim, err := strconv.Atoi(limStr); err == nil && lim >= 0 && lim < len(spans) {
 			spans = spans[len(spans)-lim:] // newest spans live at the end
 		}
 	}
-	writeJSON(w, spans)
+	if spans == nil {
+		spans = []Span{}
+	}
+	WriteJSON(w, spans)
 }
 
-// serveEvents serves the flight-recorder ring as a JSON array of
-// journal.WireEvent, oldest first, with optional filters.
 func (in *Introspection) serveEvents(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if in.Journal == nil {
-		_, _ = w.Write([]byte("[]\n"))
-		return
-	}
-	events := in.Journal.WireSnapshot()
+	ServeEvents(w, r, in.Tracer.Events())
+}
+
+// ServeEvents serves a timeline (oldest first) as a JSON array, "[]" when
+// empty, narrowed by the request's ?actor=, ?corr=, ?kind= and ?n= (the
+// newest n of what matched; n=0 is none, as it has always been here).
+func ServeEvents(w http.ResponseWriter, r *http.Request, events []Event) {
 	q := r.URL.Query()
-	events = FilterEvents(events, q.Get("actor"), q.Get("corr"), q.Get("kind"))
-	if nStr := q.Get("n"); nStr != "" {
-		if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(events) {
-			events = events[len(events)-n:] // newest events live at the end
-		}
+	n, err := strconv.Atoi(q.Get("n"))
+	events = EventFilter{Actor: q.Get("actor"), Corr: q.Get("corr"), Kind: q.Get("kind"), N: n}.Apply(events)
+	if events == nil || (err == nil && n == 0) {
+		events = []Event{}
 	}
-	writeJSON(w, events)
+	WriteJSON(w, events)
 }
 
 func (in *Introspection) serveMembers(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if in.Members == nil {
-		_, _ = w.Write([]byte("[]\n"))
-		return
+	var members []MemberInfo
+	if in.Members != nil {
+		members = in.Members()
 	}
-	writeJSON(w, in.Members())
-}
-
-// FilterEvents applies the /events query filters (empty selectors match
-// everything). Shared with shmtrace, which filters merged timelines with
-// the same semantics.
-func FilterEvents(events []journal.WireEvent, actor, corr, kind string) []journal.WireEvent {
-	if actor == "" && corr == "" && kind == "" {
-		return events
+	if members == nil {
+		members = []MemberInfo{}
 	}
-	out := events[:0:0]
-	for _, e := range events {
-		if actor != "" && e.Actor != actor {
-			continue
-		}
-		if corr != "" && e.Corr != corr {
-			continue
-		}
-		if kind != "" && e.Kind != kind {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+	WriteJSON(w, members)
 }
 
 func (in *Introspection) serveActors(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if in.Runtime == nil {
-		_, _ = w.Write([]byte("{}"))
+		WriteJSON(w, struct{}{})
 		return
 	}
-	writeJSON(w, in.Runtime.IntrospectionSnapshot())
+	WriteJSON(w, in.Runtime.IntrospectionSnapshot())
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON serves v as indented JSON, as every endpoint here and the
+// cluster aggregator's do.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {

@@ -3,9 +3,12 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +31,7 @@ func testIntrospection() *Introspection {
 		_, sp := tr.StartRoot("call Sensor/1")
 		tr.Finish(sp, nil)
 	}
-	tr.ObserveTurn("Sensor", 5*time.Millisecond)
+	profTurn(tr, "Sensor/1", "Sensor", "silo-1", 5*time.Millisecond, 0)
 
 	return &Introspection{
 		Registry: reg,
@@ -119,6 +122,11 @@ func TestEmptyIntrospectionServes(t *testing.T) {
 	if body := get(t, h, "/actors"); strings.TrimSpace(body) != "{}" {
 		t.Fatalf("/actors = %q", body)
 	}
+	for _, path := range []string{"/events", "/members"} {
+		if body := get(t, h, path); strings.TrimSpace(body) != "[]" {
+			t.Fatalf("%s = %q", path, body)
+		}
+	}
 }
 
 func TestServeGracefulShutdown(t *testing.T) {
@@ -147,5 +155,84 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after context cancellation")
+	}
+}
+
+// jsonShape reduces decoded JSON to its structure: objects keep their keys,
+// arrays collapse to the union of their elements' shapes, scalars to their
+// type.
+func jsonShape(v any) any {
+	switch v := v.(type) {
+	case map[string]any:
+		out := map[string]any{}
+		for k, e := range v {
+			out[k] = jsonShape(e)
+		}
+		return out
+	case []any:
+		union := map[string]any{}
+		for _, e := range v {
+			m, ok := jsonShape(e).(map[string]any)
+			if !ok {
+				return []any{jsonShape(e)}
+			}
+			for k, s := range m {
+				union[k] = s
+			}
+		}
+		return []any{union}
+	default:
+		return fmt.Sprintf("%T", v)
+	}
+}
+
+// TestObsWireShapeMatchesParent pins /obs against a document the commit
+// before the one-recorder change served (testdata/obs.parent.json, a silo
+// with a tracer, a profiler and a breaker): the same state served now has
+// the same keys at every level — kind_stats with its untagged field names
+// beside kind_profiles included — and the old document decodes into
+// today's ObsSnapshot with nothing lost, which is what a mixed-version
+// aggregator does.
+func TestObsWireShapeMatchesParent(t *testing.T) {
+	raw, err := os.ReadFile("testdata/obs.parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent any
+	if err := json.Unmarshal(raw, &parent); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := metrics.NewRegistry()
+	reg.Counter("core.turns").Add(3)
+	reg.Gauge("core.active").Set(2)
+	reg.Histogram("shm.call_latency").Record(int64(time.Millisecond))
+	tr := New(Config{Parts: Spans | Profile})
+	profTurn(tr, "Sensor/1", "Sensor", "silo-1", 2*time.Millisecond, 4)
+	profTurn(tr, "Org/1", "Org", "silo-1", 50*time.Microsecond, 0)
+	tr.ObserveState("Sensor/1", "Sensor", 512)
+	in := &Introspection{Registry: reg, Tracer: tr, Name: "silo-1", Breakers: func() []BreakerState {
+		return []BreakerState{{Node: "silo-2", State: "open", Failures: 5, Trips: 1}}
+	}}
+	var now any
+	if err := json.Unmarshal([]byte(get(t, in.Handler(), "/obs")), &now); err != nil {
+		t.Fatal(err)
+	}
+	if want, got := jsonShape(parent), jsonShape(now); !reflect.DeepEqual(want, got) {
+		t.Fatalf("/obs shape changed:\nparent %v\nnow    %v", want, got)
+	}
+
+	var snap ObsSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Kinds) != 2 || snap.Kinds[1] != (KindStats{Kind: "Sensor", Turns: 2, CPUNanos: 2100000, MailboxHWM: 4, MaxStateBytes: 512}) {
+		t.Fatalf("parent kind_profiles decoded to %+v", snap.Kinds)
+	}
+	if len(snap.KindTurns) != 2 || snap.KindTurns[1] != (KindTurns{Kind: "Sensor", Turns: 2, SlowTurns: 1, TurnNanos: 2100000}) {
+		t.Fatalf("parent kind_stats decoded to %+v", snap.KindTurns)
+	}
+	if len(snap.HotActors) != 2 || snap.ProfTurns != 3 || len(snap.Breakers) != 1 {
+		t.Fatalf("parent snapshot decoded to %+v", snap)
 	}
 }

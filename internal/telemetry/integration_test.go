@@ -40,9 +40,9 @@ func (hopActor) Receive(ctx *core.Context, msg any) (any, error) {
 }
 
 // newTCPNode builds one process-like node: a TCP endpoint, its own
-// tracer (distinct seed, as separate processes would have), and a
+// tracer (named after the node, as separate processes' would be), and a
 // runtime with consistent-hash placement over the shared static view.
-func newTCPNode(t *testing.T, name string, view []string, seed int64) (*core.Runtime, *transport.TCP, *telemetry.Tracer) {
+func newTCPNode(t *testing.T, name string, view []string) (*core.Runtime, *transport.TCP, *telemetry.Tracer) {
 	t.Helper()
 	tcp, err := transport.NewTCP(name, "127.0.0.1:0")
 	if err != nil {
@@ -50,7 +50,7 @@ func newTCPNode(t *testing.T, name string, view []string, seed int64) (*core.Run
 	}
 	hash := placement.NewConsistentHash()
 	hash.PrefixSep = '@'
-	tracer := telemetry.New(telemetry.Config{Seed: seed})
+	tracer := telemetry.New(telemetry.Config{Silo: name})
 	rt, err := core.New(core.Config{
 		Transport: tcp,
 		Placement: hash,
@@ -83,9 +83,9 @@ func newTCPNode(t *testing.T, name string, view []string, seed int64) (*core.Run
 // cross-silo hop — three separate tracers stitched into one trace.
 func TestTraceAcrossTCPSilos(t *testing.T) {
 	view := []string{"silo-1", "silo-2"}
-	rt1, tcp1, tr1 := newTCPNode(t, "silo-1", view, 1)
-	rt2, tcp2, tr2 := newTCPNode(t, "silo-2", view, 2)
-	rtC, tcpC, trC := newTCPNode(t, "client", view, 3)
+	rt1, tcp1, tr1 := newTCPNode(t, "silo-1", view)
+	rt2, tcp2, tr2 := newTCPNode(t, "silo-2", view)
+	rtC, tcpC, trC := newTCPNode(t, "client", view)
 
 	if _, err := rt1.AddSilo("silo-1", nil); err != nil {
 		t.Fatal(err)

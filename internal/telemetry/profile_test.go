@@ -7,32 +7,44 @@ import (
 	"time"
 )
 
-func TestProfilerDisabledContract(t *testing.T) {
-	var p *ActorProfiler
-	if p.Enabled() {
-		t.Fatal("nil profiler reports enabled")
+// profTurn records one synthetic unsampled turn with the given CPU and
+// mailbox depth, as the runtime would.
+func profTurn(tr *Tracer, actor, kind, silo string, cpu time.Duration, depth int) {
+	tn := tr.StartTurn(SpanContext{}, actor, kind, silo)
+	tn.Depth = depth
+	tr.EndTurn(&tn, cpu, 0, 0, nil, false)
+}
+
+func TestProfileOffAndDisabledRecordNothing(t *testing.T) {
+	spansOnly := New(Config{})
+	if tn := spansOnly.StartTurn(SpanContext{}, "Sensor@1", "Sensor", "silo-1"); tn.Timed {
+		t.Fatal("an unsampled turn with no profile must not be timed")
 	}
-	p.SetEnabled(true) // must not panic
-	p.ObserveTurn("Sensor@1", "Sensor", "silo-1", time.Millisecond, 1)
-	p.ObserveState("Sensor@1", "Sensor", 10)
-	if p.HotActors() != nil || p.KindProfiles() != nil {
-		t.Fatal("nil profiler returned data")
+	profTurn(spansOnly, "Sensor@1", "Sensor", "silo-1", time.Millisecond, 1)
+	spansOnly.ObserveState("Sensor@1", "Sensor", 10)
+	if spansOnly.HotActors() != nil {
+		t.Fatal("tracer without the Profile part returned hot actors")
 	}
-	real := NewProfiler(ProfilerConfig{})
-	if !real.Enabled() {
-		t.Fatal("new profiler disabled")
+	if ks := spansOnly.KindStats(); len(ks) != 1 || ks[0].Turns != 1 || ks[0].CPUNanos != 0 || ks[0].MaxStateBytes != 0 {
+		t.Fatalf("kind stats without profile = %+v", ks)
 	}
-	real.SetEnabled(false)
-	if real.Enabled() {
-		t.Fatal("SetEnabled(false) ignored")
+
+	prof := New(Config{Parts: Profile})
+	if tn := prof.StartTurn(SpanContext{}, "Sensor@1", "Sensor", "silo-1"); !tn.Timed || tn.Span != nil {
+		t.Fatalf("profile-only turn = %+v, want timed and spanless", tn)
+	}
+	prof.SetEnabled(false)
+	prof.ObserveState("Sensor@1", "Sensor", 10)
+	if len(prof.HotActors()) != 0 {
+		t.Fatal("disabled tracer observed state")
 	}
 }
 
-func TestProfilerAccounting(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{K: 8})
-	p.ObserveTurn("Sensor@hot", "Sensor", "silo-1", 3*time.Millisecond, 5)
-	p.ObserveTurn("Sensor@hot", "Sensor", "silo-1", 2*time.Millisecond, 2)
-	p.ObserveTurn("Org@1", "Org", "silo-2", time.Millisecond, 9)
+func TestProfileAccounting(t *testing.T) {
+	p := New(Config{Parts: Profile})
+	profTurn(p, "Sensor@hot", "Sensor", "silo-1", 3*time.Millisecond, 5)
+	profTurn(p, "Sensor@hot", "Sensor", "silo-1", 2*time.Millisecond, 2)
+	profTurn(p, "Org@1", "Org", "silo-2", time.Millisecond, 9)
 	p.ObserveState("Sensor@hot", "Sensor", 4096)
 
 	hot := p.HotActors()
@@ -45,27 +57,27 @@ func TestProfilerAccounting(t *testing.T) {
 		t.Fatalf("top hot actor = %+v", top)
 	}
 
-	kinds := map[string]KindProfile{}
-	for _, kp := range p.KindProfiles() {
-		kinds[kp.Kind] = kp
+	kinds := map[string]KindStats{}
+	for _, ks := range p.KindStats() {
+		kinds[ks.Kind] = ks
 	}
 	s := kinds["Sensor"]
 	if s.Turns != 2 || s.CPUNanos != int64(5*time.Millisecond) || s.MailboxHWM != 5 || s.MaxStateBytes != 4096 {
-		t.Fatalf("Sensor kind profile = %+v", s)
+		t.Fatalf("Sensor kind stats = %+v", s)
 	}
 	if o := kinds["Org"]; o.MailboxHWM != 9 {
-		t.Fatalf("Org kind profile = %+v", o)
+		t.Fatalf("Org kind stats = %+v", o)
 	}
-	turns, cpu := p.Totals()
+	turns, cpu := p.ProfileTotals()
 	if turns != 3 || cpu != int64(6*time.Millisecond) {
 		t.Fatalf("totals = %d turns, %d cpu", turns, cpu)
 	}
 }
 
-func TestProfilerZeroCostTurnsStillRank(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{K: 4})
+func TestProfileZeroCostTurnsStillRank(t *testing.T) {
+	p := New(Config{Parts: Profile})
 	for i := 0; i < 100; i++ {
-		p.ObserveTurn("Echo@busy", "Echo", "silo-1", 0, 0)
+		profTurn(p, "Echo@busy", "Echo", "silo-1", 0, 0)
 	}
 	hot := p.HotActors()
 	if len(hot) == 0 || hot[0].Key != "Echo@busy" || hot[0].Turns != 100 {
@@ -73,16 +85,15 @@ func TestProfilerZeroCostTurnsStillRank(t *testing.T) {
 	}
 }
 
-// TestProfilerBoundedMemory drives 100k+ distinct actors through a small
-// sketch: the acceptance criterion's O(K) memory check at the profiler
-// level.
-func TestProfilerBoundedMemory(t *testing.T) {
+// TestProfileBoundedMemory drives 100k+ distinct actors through a small
+// sketch: memory stays O(HotActors), and the heavy actor still surfaces.
+func TestProfileBoundedMemory(t *testing.T) {
 	const k = 32
-	p := NewProfiler(ProfilerConfig{K: k})
+	p := New(Config{Parts: Profile, HotActors: k})
 	for i := 0; i < 110000; i++ {
-		p.ObserveTurn(fmt.Sprintf("Sensor@%d", i), "Sensor", "silo-1", time.Microsecond, 0)
+		profTurn(p, fmt.Sprintf("Sensor@%d", i), "Sensor", "silo-1", time.Microsecond, 0)
 		if i%100 == 0 {
-			p.ObserveTurn("Sensor@heavy", "Sensor", "silo-1", time.Millisecond, 3)
+			profTurn(p, "Sensor@heavy", "Sensor", "silo-1", time.Millisecond, 3)
 		}
 	}
 	hot := p.HotActors()
@@ -92,31 +103,31 @@ func TestProfilerBoundedMemory(t *testing.T) {
 	if hot[0].Key != "Sensor@heavy" {
 		t.Fatalf("heavy actor not on top: %+v", hot[0])
 	}
-	turns, _ := p.Totals()
+	turns, _ := p.ProfileTotals()
 	if turns != 110000+1100 {
 		t.Fatalf("turns = %d", turns)
 	}
 }
 
-func TestProfilerConcurrent(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{K: 16})
+func TestProfileConcurrent(t *testing.T) {
+	p := New(Config{Parts: Profile})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3000; i++ {
-				p.ObserveTurn(fmt.Sprintf("A@%d", i%64), "A", "silo-1", time.Microsecond, i%10)
+				profTurn(p, fmt.Sprintf("A@%d", i%64), "A", "silo-1", time.Microsecond, i%10)
 				if i%50 == 0 {
 					p.ObserveState(fmt.Sprintf("A@%d", i%64), "A", i)
 					_ = p.HotActors()
-					_ = p.KindProfiles()
+					_ = p.KindStats()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	turns, _ := p.Totals()
+	turns, _ := p.ProfileTotals()
 	if turns != 8*3000 {
 		t.Fatalf("turns = %d, want 24000", turns)
 	}
@@ -135,7 +146,7 @@ func TestSpanRingConcurrentPushSnapshot(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				_, sp := tr.StartRoot(fmt.Sprintf("call Echo@%d", i))
 				tr.Finish(sp, nil)
-				tr.ObserveTurn("Echo", time.Duration(i))
+				profTurn(tr, "Echo@x", "Echo", "silo-1", time.Duration(i), 0)
 			}
 		}(g)
 	}

@@ -1,19 +1,30 @@
-// Package telemetry is the runtime's distributed-tracing and
-// introspection layer: trace contexts that ride message envelopes across
-// silos, per-turn spans with component sub-timings (mailbox wait,
-// simulated-CPU wait and burn, handler execution, storage reads/writes),
-// a bounded in-memory span store with deterministic head-based sampling,
-// a slow-turn detector, and the tail-latency attribution used by the
-// Figure 8/9 experiments to answer "where does the p99.9 come from".
+// Package telemetry is the runtime's recorder: the one handle through
+// which a silo records what it does and serves it. A Tracer holds up to
+// three parts, fixed at construction by Config.Parts:
 //
-// The design contract mirrors internal/faults: a nil *Tracer (or a
-// disabled one) costs exactly one nil-or-atomic check at each
-// instrumentation point, so production hot paths pay nothing when
-// telemetry is off. When enabled, every turn feeds cheap per-kind
-// counters and the slow-turn detector; full component spans are recorded
-// only for sampled traces. Sampling is head-based and deterministic: the
-// root of every Nth external request is sampled (no RNG), so two runs
-// over the same request sequence trace the same requests.
+//	Spans    trace contexts that ride message envelopes across silos,
+//	         per-turn spans with component sub-timings (mailbox wait,
+//	         simulated-CPU wait and burn, handler execution, storage
+//	         reads/writes), a bounded span store with deterministic
+//	         head-based sampling, and the retained slow-turn spans
+//	Events   the causal flight recorder: a bounded ring of HLC-stamped
+//	         cluster events, merged across silos into one timeline, and
+//	         frozen to disk when an anomaly fires (events.go)
+//	Profile  per-actor hot-spot accounting in a bounded heavy-hitter
+//	         sketch, plus per-kind CPU, mailbox and state-size marks
+//
+// With Spans or Profile, every turn — sampled or not — feeds the per-kind
+// turn counters; with any part, the one slow-turn threshold. The package also holds
+// the tail-latency attribution the Figure 8/9 experiments use to answer
+// "where does the p99.9 come from", and the HTTP surface that serves all
+// of it (http.go).
+//
+// The contract mirrors internal/faults: a nil *Tracer (or a disabled one)
+// costs one nil-or-atomic check at each instrumentation point, so
+// production hot paths pay nothing when recording is off. Sampling is
+// head-based and deterministic: the root of every Nth external request is
+// sampled (no RNG), so two runs over the same request sequence trace the
+// same requests.
 package telemetry
 
 import (
@@ -22,6 +33,7 @@ import (
 	"time"
 
 	"aodb/internal/clock"
+	"aodb/internal/metrics"
 )
 
 // SpanContext is the trace identity that crosses silo boundaries inside
@@ -184,9 +196,28 @@ func (s Span) ExecSelf() time.Duration {
 	return self
 }
 
-// Config tunes a Tracer. The zero value samples every root request,
-// keeps 16384 spans, and flags turns slower than 250ms.
+// Parts selects what a Tracer records (see the package comment).
+type Parts uint8
+
+// Recorder parts; combine with |.
+const (
+	Spans Parts = 1 << iota
+	Events
+	Profile
+)
+
+// Fixed sizes of the recorder. Each had one value in use.
+const (
+	slowCapacity = 128 // retained slow-turn spans
+	captureMax   = 8   // capture files per process: a flapping anomaly cannot fill the disk
+	sloFactor    = 10  // a turn this many times SlowTurn is an SLO breach and freezes the ring
+)
+
+// Config tunes a Tracer. The zero value records spans only, samples every
+// root request, keeps 16384 spans, and flags turns slower than 250ms.
 type Config struct {
+	// Parts selects what is recorded (default Spans).
+	Parts Parts
 	// SampleEvery samples the root of every Nth external request
 	// (default 1 = every request). Sampling is a modulo over an atomic
 	// counter — deterministic, no RNG.
@@ -194,106 +225,150 @@ type Config struct {
 	// Capacity bounds the span store (default 16384); the oldest spans
 	// are overwritten first.
 	Capacity int
-	// SlowTurn is the slow-turn detector threshold (default 250ms).
-	// Every turn is checked while the tracer is enabled, sampled or not.
+	// EventCapacity bounds the event ring (default 4096 slots).
+	EventCapacity int
+	// HotActors sizes the heavy-hitter sketch (default 64 slots). Memory
+	// is O(HotActors) whatever the actor count.
+	HotActors int
+	// SlowTurn is the one slow-turn threshold (default 250ms): it counts
+	// a kind's slow turns, retains the sampled span, and records a
+	// slow-turn event. Every turn is checked while the tracer is
+	// enabled, sampled or not.
 	SlowTurn time.Duration
-	// SlowCapacity bounds the retained slow-turn spans (default 128).
-	SlowCapacity int
-	// Seed salts span/trace id generation so distinct processes mint
-	// distinct ids (default 1).
-	Seed int64
-	// Clock times spans; nil means the real clock. Tests use clock.Fake
-	// for deterministic component timings.
+	// Clock times spans and drives the HLC's physical component; nil
+	// means the real clock. Tests use clock.Fake for deterministic
+	// timings.
 	Clock clock.Clock
+	// Silo names the recording process: stamped on every event and
+	// capture file, and salted into id generation so distinct silos mint
+	// distinct span and correlation ids.
+	Silo string
+	// CaptureDir, when set, enables anomaly-triggered capture: quorum
+	// loss, actor panics, members declared dead, and SLO-breaching turns
+	// freeze a snapshot of the event ring to a JSON file in this
+	// directory.
+	CaptureDir string
 }
 
-// KindStats is a snapshot of the always-on per-actor-kind turn counters.
+// KindStats is one actor kind's accounting. Turns, SlowTurns and
+// TurnNanos count every turn while a tracer with the Spans or Profile
+// part is enabled; the rest are filled by the Profile part. Its JSON is
+// /obs's kind_profiles row; the turn counters travel as KindTurns.
 type KindStats struct {
-	Kind      string
-	Turns     int64
-	SlowTurns int64
-	TurnNanos int64 // summed turn wall time
+	Kind string `json:"kind"`
+	// Turns and CPUNanos are totals since the tracer started; CPUNanos
+	// is simulated burn plus real handler time.
+	Turns    int64 `json:"turns"`
+	CPUNanos int64 `json:"cpu_nanos"`
+	// MailboxHWM is the deepest backlog any activation of the kind has
+	// seen at turn start.
+	MailboxHWM int64 `json:"mailbox_hwm"`
+	// MaxStateBytes is the largest serialized state observed for the kind.
+	MaxStateBytes int64 `json:"max_state_bytes"`
+	SlowTurns     int64 `json:"-"`
+	TurnNanos     int64 `json:"-"` // summed turn wall time
 }
 
 type kindStat struct {
-	turns atomic.Int64
-	slow  atomic.Int64
-	nanos atomic.Int64
+	turns, slow, nanos             atomic.Int64
+	cpu, mailboxHWM, maxStateBytes atomic.Int64
 }
 
-// Tracer makes sampling decisions, mints ids, and stores completed
-// spans. All methods are safe on a nil receiver (tracing off) and safe
-// for concurrent use.
+func raise(v *atomic.Int64, to int64) {
+	for {
+		cur := v.Load()
+		if to <= cur || v.CompareAndSwap(cur, to) {
+			return
+		}
+	}
+}
+
+// Tracer is one silo's recorder. All methods are safe on a nil receiver
+// (recording off) and safe for concurrent use.
 type Tracer struct {
 	cfg     Config
-	clk     clock.Clock
 	enabled atomic.Bool
 
 	seq    atomic.Uint64 // root-request counter driving head sampling
 	ids    atomic.Uint64 // id counter, mixed through splitmix64
 	idBase uint64
 
-	store *spanRing
-	slow  *spanRing
-
-	recorded  atomic.Int64
-	slowCount atomic.Int64
-
 	kinds sync.Map // kind string -> *kindStat
+
+	// Spans part.
+	store *ring[Span]
+	slow  *ring[Span]
+
+	// Events part.
+	hlc       *clock.HLCSource
+	events    *ring[event]
+	captures  atomic.Int32
+	captureMu sync.Mutex // one capture writes at a time; TryLock drops extras
+
+	// Profile part.
+	hot      *metrics.TopK
+	profTurn atomic.Int64
 }
 
 // New returns an enabled tracer for cfg.
 func New(cfg Config) *Tracer {
+	if cfg.Parts == 0 {
+		cfg.Parts = Spans
+	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 1
 	}
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 16384
 	}
+	if cfg.EventCapacity <= 0 {
+		cfg.EventCapacity = 4096
+	}
+	if cfg.HotActors <= 0 {
+		cfg.HotActors = 64
+	}
 	if cfg.SlowTurn <= 0 {
 		cfg.SlowTurn = 250 * time.Millisecond
-	}
-	if cfg.SlowCapacity <= 0 {
-		cfg.SlowCapacity = 128
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
 	}
-	t := &Tracer{
-		cfg:    cfg,
-		clk:    cfg.Clock,
-		idBase: splitmix64(uint64(cfg.Seed)),
-		store:  newSpanRing(cfg.Capacity),
-		slow:   newSpanRing(cfg.SlowCapacity),
+	// FNV-1a of the silo name: ids must not collide across silos whose
+	// counters all start at zero.
+	salt := uint64(1)
+	for i := 0; i < len(cfg.Silo); i++ {
+		salt = (salt ^ uint64(cfg.Silo[i])) * 1099511628211
+	}
+	t := &Tracer{cfg: cfg, idBase: splitmix64(salt)}
+	if t.has(Spans) {
+		t.store = newRing[Span](cfg.Capacity)
+		t.slow = newRing[Span](slowCapacity)
+	}
+	if t.has(Events) {
+		t.hlc = clock.NewHLC(cfg.Clock)
+		t.events = newRing[event](cfg.EventCapacity)
+	}
+	if t.has(Profile) {
+		t.hot = metrics.NewTopK(cfg.HotActors)
 	}
 	t.enabled.Store(true)
 	return t
 }
 
+func (t *Tracer) has(p Parts) bool { return t.cfg.Parts&p != 0 }
+
 // Enabled reports whether instrumentation should run. This is the one
-// check disabled telemetry costs on the hot path.
+// check a disabled recorder costs on the hot path.
 func (t *Tracer) Enabled() bool {
 	return t != nil && t.enabled.Load()
 }
 
-// SetEnabled toggles the tracer without losing recorded spans.
+// SetEnabled toggles the tracer without losing what it has recorded.
 func (t *Tracer) SetEnabled(v bool) {
 	if t == nil {
 		return
 	}
 	t.enabled.Store(v)
-}
-
-// Clock exposes the tracer's clock so instrumentation points time spans
-// consistently with the runtime.
-func (t *Tracer) Clock() clock.Clock {
-	if t == nil {
-		return clock.Real()
-	}
-	return t.clk
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap bijective mixer that
@@ -308,17 +383,21 @@ func splitmix64(x uint64) uint64 {
 func (t *Tracer) nextID() uint64 {
 	id := splitmix64(t.idBase + t.ids.Add(1))
 	if id == 0 {
-		id = 1 // 0 means "no span"
+		id = 1 // 0 means "no span", "uncorrelated"
 	}
 	return id
 }
+
+// Tracing reports whether root requests are being sampled into spans;
+// call sites that format a root's name check it first. Nil-receiver safe.
+func (t *Tracer) Tracing() bool { return t.Enabled() && t.has(Spans) }
 
 // StartRoot makes the head-based sampling decision for one external
 // request against target. When sampled it returns the trace context to
 // send and the live root span; otherwise span is nil and the context is
 // unsampled. Callers must Finish the span.
 func (t *Tracer) StartRoot(target string) (SpanContext, *Span) {
-	if !t.Enabled() {
+	if !t.Tracing() {
 		return SpanContext{}, nil
 	}
 	n := t.seq.Add(1)
@@ -330,67 +409,137 @@ func (t *Tracer) StartRoot(target string) (SpanContext, *Span) {
 		SpanID:  t.nextID(),
 		Kind:    KindRoot,
 		Actor:   target,
-		Start:   t.clk.Now(),
+		Start:   t.cfg.Clock.Now(),
 	}
 	return SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Sampled: true}, sp
 }
 
-// StartTurn opens a turn span under parent for one actor turn hosted on
-// silo. Returns nil when parent is unsampled or the tracer is off.
-func (t *Tracer) StartTurn(parent SpanContext, actor, silo string) *Span {
-	if !t.Enabled() || !parent.Sampled {
-		return nil
-	}
-	return &Span{
-		TraceID: parent.TraceID,
-		SpanID:  t.nextID(),
-		Parent:  parent.SpanID,
-		Kind:    KindTurn,
-		Actor:   actor,
-		Silo:    silo,
-		Start:   t.clk.Now(),
-	}
-}
-
-// Finish stamps the span's duration and records it. Safe on nil spans so
-// instrumentation can call it unconditionally on the sampled path.
+// Finish stamps a root span's duration and records it. Safe on nil spans
+// so instrumentation can call it unconditionally on the sampled path.
 func (t *Tracer) Finish(sp *Span, err error) {
 	if t == nil || sp == nil {
 		return
 	}
-	sp.Dur = t.clk.Since(sp.Start)
+	sp.Dur = t.cfg.Clock.Since(sp.Start)
 	if err != nil {
 		sp.Err = err.Error()
 	}
-	c := sp.capture()
-	t.recorded.Add(1)
-	t.store.push(c)
-	if c.Kind == KindTurn && c.Dur >= t.cfg.SlowTurn {
-		t.slowCount.Add(1)
-		t.slow.push(c)
-	}
+	t.store.push(sp.capture())
 }
 
-// ObserveTurn feeds the always-on per-kind stats and the slow-turn
-// detector. It is called for every turn (sampled or not) while the
-// tracer is enabled.
-func (t *Tracer) ObserveTurn(kind string, d time.Duration) {
-	if t == nil {
+// Turn is the recorder's state for one actor turn, held on the turn's
+// stack between StartTurn and EndTurn. The zero value records nothing.
+type Turn struct {
+	// Span is the turn's span when the turn is sampled: the runtime
+	// carries it in the turn's context so storage and nested calls can
+	// attribute their time to it.
+	Span *Span
+	// Timed asks the runtime to measure the handler's execution and the
+	// capacity model's timings, and to fill Depth: a span or the profile
+	// wants them. Untimed turns pay two clock reads and nothing else.
+	Timed bool
+	// Depth is the mailbox backlog at turn start.
+	Depth int
+
+	trace uint64
+	actor string
+	kind  string
+	silo  string
+	start time.Time
+}
+
+// StartTurn begins recording one turn of actor (of kind) hosted on silo,
+// caused by parent. Call it only when Enabled; whatever happens to the
+// enabled flag afterwards, EndTurn completes what StartTurn began.
+func (t *Tracer) StartTurn(parent SpanContext, actor, kind, silo string) Turn {
+	tn := Turn{trace: parent.TraceID, actor: actor, kind: kind, silo: silo, start: t.cfg.Clock.Now()}
+	if parent.Sampled && t.has(Spans) {
+		tn.Span = &Span{
+			TraceID: parent.TraceID,
+			SpanID:  t.nextID(),
+			Parent:  parent.SpanID,
+			Kind:    KindTurn,
+			Actor:   actor,
+			Silo:    silo,
+			Start:   tn.start,
+		}
+	}
+	tn.Timed = tn.Span != nil || t.has(Profile)
+	return tn
+}
+
+// EndTurn records the turn StartTurn began: the span if sampled, the
+// per-kind counters (not for an events-only tracer, whose turn stays two
+// clock reads and a compare), the profile's CPU
+// attribution (simulated burn, dominant on capacity-limited silos, plus
+// real handler time, dominant without a limiter), and the slow-turn,
+// SLO-breach and panic events. A zero Turn is ignored.
+func (t *Tracer) EndTurn(tn *Turn, exec, cpuWait, cpuBurn time.Duration, err error, panicked bool) {
+	if t == nil || tn.start.IsZero() {
 		return
 	}
-	v, ok := t.kinds.Load(kind)
-	if !ok {
-		v, _ = t.kinds.LoadOrStore(kind, &kindStat{})
+	dur := t.cfg.Clock.Since(tn.start)
+	slow := dur >= t.cfg.SlowTurn
+	if sp := tn.Span; sp != nil {
+		sp.Dur, sp.Exec, sp.CPUWait, sp.CPUBurn = dur, exec, cpuWait, cpuBurn
+		if err != nil {
+			sp.Err = err.Error()
+		}
+		c := sp.capture()
+		t.store.push(c)
+		if slow {
+			t.slow.push(c)
+		}
 	}
-	st := v.(*kindStat)
-	st.turns.Add(1)
-	st.nanos.Add(int64(d))
-	if d >= t.cfg.SlowTurn {
-		st.slow.Add(1)
+	if t.has(Spans | Profile) {
+		ks := t.kind(tn.kind)
+		ks.turns.Add(1)
+		ks.nanos.Add(int64(dur))
+		if slow {
+			ks.slow.Add(1)
+		}
+		if t.has(Profile) {
+			// A 1ns floor keeps turn-count-hot (but cheap) actors rankable:
+			// zero-weight offers would never displace sketch residents.
+			w := max(int64(cpuBurn+exec), 1)
+			t.profTurn.Add(1)
+			t.hot.Observe(tn.actor, w, metrics.TopKEntry{Turns: 1, HighWater: int64(tn.Depth), Bytes: -1, Label: tn.silo})
+			ks.cpu.Add(w)
+			raise(&ks.mailboxHWM, int64(tn.Depth))
+		}
+	}
+	if t.has(Events) {
+		if panicked {
+			t.record(ActorPanic, tn.actor, tn.trace, "turn panicked")
+		}
+		if slow {
+			t.record(SlowTurn, tn.actor, tn.trace, "turn took "+dur.Round(time.Microsecond).String())
+			if dur >= sloFactor*t.cfg.SlowTurn {
+				t.captureAsync("slo-breach")
+			}
+		}
 	}
 }
 
-// KindStats snapshots the per-kind turn counters, sorted by kind name at
+// ObserveState accounts one serialized-state observation (a load or a
+// write) of the given size in the profile.
+func (t *Tracer) ObserveState(actor, kind string, bytes int) {
+	if !t.Enabled() || !t.has(Profile) {
+		return
+	}
+	t.hot.Observe(actor, 0, metrics.TopKEntry{Bytes: int64(bytes)})
+	raise(&t.kind(kind).maxStateBytes, int64(bytes))
+}
+
+func (t *Tracer) kind(kind string) *kindStat {
+	if v, ok := t.kinds.Load(kind); ok {
+		return v.(*kindStat)
+	}
+	v, _ := t.kinds.LoadOrStore(kind, &kindStat{})
+	return v.(*kindStat)
+}
+
+// KindStats snapshots the per-kind accounting, sorted by kind name at
 // the caller's leisure (map iteration order is not stable).
 func (t *Tracer) KindStats() []KindStats {
 	if t == nil {
@@ -400,14 +549,37 @@ func (t *Tracer) KindStats() []KindStats {
 	t.kinds.Range(func(k, v any) bool {
 		st := v.(*kindStat)
 		out = append(out, KindStats{
-			Kind:      k.(string),
-			Turns:     st.turns.Load(),
-			SlowTurns: st.slow.Load(),
-			TurnNanos: st.nanos.Load(),
+			Kind:          k.(string),
+			Turns:         st.turns.Load(),
+			SlowTurns:     st.slow.Load(),
+			TurnNanos:     st.nanos.Load(),
+			CPUNanos:      st.cpu.Load(),
+			MailboxHWM:    st.mailboxHWM.Load(),
+			MaxStateBytes: st.maxStateBytes.Load(),
 		})
 		return true
 	})
 	return out
+}
+
+// HotActors returns the profile's resident heavy hitters, hottest first:
+// Key is the actor id, Count its CPU nanos (upper bound, Err the slack),
+// Turns/HighWater/Bytes the auxiliary accounting, Label the hosting silo.
+// Nil without the Profile part.
+func (t *Tracer) HotActors() []metrics.TopKEntry {
+	if t == nil || t.hot == nil {
+		return nil
+	}
+	return t.hot.Snapshot()
+}
+
+// ProfileTotals returns the profile-wide turn and CPU totals hot-actor
+// shares are expressed against.
+func (t *Tracer) ProfileTotals() (turns, cpuNanos int64) {
+	if t == nil || t.hot == nil {
+		return 0, 0
+	}
+	return t.profTurn.Load(), t.hot.Total()
 }
 
 // Spans returns the stored spans, oldest first.
@@ -415,7 +587,8 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	return t.store.snapshot()
+	spans, _ := t.store.snapshot()
+	return spans
 }
 
 // SlowSpans returns the retained slow-turn spans, oldest first.
@@ -423,7 +596,8 @@ func (t *Tracer) SlowSpans() []Span {
 	if t == nil {
 		return nil
 	}
-	return t.slow.snapshot()
+	spans, _ := t.slow.snapshot()
+	return spans
 }
 
 // Recorded returns how many spans have been recorded (including ones the
@@ -432,7 +606,7 @@ func (t *Tracer) Recorded() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.recorded.Load()
+	return t.store.pushed()
 }
 
 // SlowTurns returns how many turns exceeded the slow-turn threshold on
@@ -441,41 +615,56 @@ func (t *Tracer) SlowTurns() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.slowCount.Load()
+	return t.slow.pushed()
 }
 
-// spanRing is a bounded overwrite-oldest span buffer.
-type spanRing struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	total int
+// ring is a bounded overwrite-oldest buffer: the span store, the
+// slow-turn spans and the event ring. A nil ring (its part is off) holds
+// nothing.
+type ring[T any] struct {
+	mu   sync.Mutex
+	buf  []T
+	next int
+	n    int64 // pushes ever
 }
 
-func newSpanRing(capacity int) *spanRing {
-	return &spanRing{buf: make([]Span, capacity)}
+func newRing[T any](capacity int) *ring[T] {
+	return &ring[T]{buf: make([]T, capacity)}
 }
 
-func (r *spanRing) push(sp Span) {
-	r.mu.Lock()
-	r.buf[r.next] = sp
-	r.next = (r.next + 1) % len(r.buf)
-	if r.total < len(r.buf) {
-		r.total++
+func (r *ring[T]) push(v T) {
+	if r == nil {
+		return
 	}
+	r.mu.Lock()
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % len(r.buf)
+	r.n++
 	r.mu.Unlock()
 }
 
-func (r *spanRing) snapshot() []Span {
+func (r *ring[T]) pushed() int64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, r.total)
-	start := r.next - r.total
-	if start < 0 {
-		start += len(r.buf)
+	return r.n
+}
+
+// snapshot returns the held values oldest first, and the 1-based push
+// sequence of the first of them.
+func (r *ring[T]) snapshot() (out []T, first int64) {
+	if r == nil {
+		return nil, 0
 	}
-	for i := 0; i < r.total; i++ {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	held := int(min(r.n, int64(len(r.buf))))
+	out = make([]T, 0, held)
+	start := (r.next - held + len(r.buf)) % len(r.buf)
+	for i := 0; i < held; i++ {
 		out = append(out, r.buf[(start+i)%len(r.buf)])
 	}
-	return out
+	return out, r.n - int64(held) + 1
 }

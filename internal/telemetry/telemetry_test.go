@@ -10,7 +10,7 @@ import (
 )
 
 func TestHeadSamplingIsDeterministic(t *testing.T) {
-	mk := func() *Tracer { return New(Config{SampleEvery: 3, Seed: 7}) }
+	mk := func() *Tracer { return New(Config{SampleEvery: 3}) }
 	a, b := mk(), mk()
 	for i := 0; i < 9; i++ {
 		_, spA := a.StartRoot("call X/1")
@@ -34,7 +34,7 @@ func TestRootContextLinksTurnSpans(t *testing.T) {
 	if sc.TraceID != root.TraceID || sc.SpanID != root.SpanID {
 		t.Fatalf("context %+v does not name root %+v", sc, root)
 	}
-	turn := tr.StartTurn(sc, "Sensor/1", "silo-1")
+	turn := tr.StartTurn(sc, "Sensor/1", "Sensor", "silo-1").Span
 	if turn == nil {
 		t.Fatal("sampled parent must open a turn span")
 	}
@@ -48,7 +48,7 @@ func TestRootContextLinksTurnSpans(t *testing.T) {
 	if child.TraceID != turn.TraceID || child.SpanID != turn.SpanID || !child.Sampled {
 		t.Fatalf("child context %+v", child)
 	}
-	if sp := tr.StartTurn(SpanContext{}, "Sensor/1", "silo-1"); sp != nil {
+	if tn := tr.StartTurn(SpanContext{}, "Sensor/1", "Sensor", "silo-1"); tn.Span != nil || tn.Timed {
 		t.Fatal("unsampled parent must not open a span")
 	}
 }
@@ -78,13 +78,13 @@ func TestSlowTurnDetector(t *testing.T) {
 	tr := New(Config{SlowTurn: 100 * time.Millisecond, Clock: clk})
 	sc, root := tr.StartRoot("call X/1")
 
-	fast := tr.StartTurn(sc, "X/1", "silo-1")
+	fast := tr.StartTurn(sc, "X/1", "X", "silo-1")
 	clk.Advance(10 * time.Millisecond)
-	tr.Finish(fast, nil)
+	tr.EndTurn(&fast, 0, 0, 0, nil, false)
 
-	slow := tr.StartTurn(sc, "X/2", "silo-1")
+	slow := tr.StartTurn(sc, "X/2", "X", "silo-1")
 	clk.Advance(250 * time.Millisecond)
-	tr.Finish(slow, nil)
+	tr.EndTurn(&slow, 0, 0, 0, nil, false)
 
 	// A slow root is end-to-end latency, not a slow turn.
 	clk.Advance(time.Second)
@@ -99,16 +99,27 @@ func TestSlowTurnDetector(t *testing.T) {
 	}
 }
 
-func TestFinishRecordsErrorAndDuration(t *testing.T) {
-	clk := clock.NewFake(time.Unix(0, 0))
+func TestEndTurnRecordsErrorDurationAndTimings(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1, 0))
 	tr := New(Config{Clock: clk})
 	sc, _ := tr.StartRoot("call X/1")
-	sp := tr.StartTurn(sc, "X/1", "s")
+	tn := tr.StartTurn(sc, "X/1", "X", "s")
+	if !tn.Timed {
+		t.Fatal("a sampled turn must ask for timings")
+	}
 	clk.Advance(7 * time.Millisecond)
-	tr.Finish(sp, errors.New("boom"))
+	tr.EndTurn(&tn, 3*time.Millisecond, time.Millisecond, 2*time.Millisecond, errors.New("boom"), false)
 	got := tr.Spans()
 	if len(got) != 1 || got[0].Dur != 7*time.Millisecond || got[0].Err != "boom" {
 		t.Fatalf("spans = %+v", got)
+	}
+	if got[0].Exec != 3*time.Millisecond || got[0].CPUWait != time.Millisecond || got[0].CPUBurn != 2*time.Millisecond {
+		t.Fatalf("timings not recorded: %+v", got[0])
+	}
+	// A zero Turn (the tracer was off when the turn began) records nothing.
+	tr.EndTurn(&Turn{}, time.Second, 0, 0, nil, true)
+	if len(tr.Spans()) != 1 || tr.KindStats()[0].Turns != 1 {
+		t.Fatal("zero Turn was recorded")
 	}
 }
 
@@ -150,12 +161,10 @@ func TestNilAndDisabledTracer(t *testing.T) {
 		t.Fatal("nil tracer sampled")
 	}
 	tr.Finish(&Span{}, nil)
-	tr.ObserveTurn("X", time.Second)
-	if tr.Spans() != nil || tr.KindStats() != nil || tr.Recorded() != 0 {
+	tr.EndTurn(&Turn{}, time.Second, 0, 0, nil, false)
+	tr.ObserveState("X/1", "X", 10)
+	if tr.Spans() != nil || tr.KindStats() != nil || tr.Recorded() != 0 || tr.HotActors() != nil {
 		t.Fatal("nil tracer has data")
-	}
-	if tr.Clock() == nil {
-		t.Fatal("nil tracer must still expose a clock")
 	}
 
 	on := New(Config{})
@@ -169,11 +178,19 @@ func TestNilAndDisabledTracer(t *testing.T) {
 	}
 }
 
-func TestObserveTurnKindStats(t *testing.T) {
-	tr := New(Config{SlowTurn: 100 * time.Millisecond})
-	tr.ObserveTurn("Sensor", 10*time.Millisecond)
-	tr.ObserveTurn("Sensor", 200*time.Millisecond)
-	tr.ObserveTurn("Org", 5*time.Millisecond)
+// turn records one synthetic unsampled turn that took wall on clk.
+func turn(tr *Tracer, clk *clock.Fake, actor, kind string, wall time.Duration) {
+	tn := tr.StartTurn(SpanContext{}, actor, kind, "silo-1")
+	clk.Advance(wall)
+	tr.EndTurn(&tn, 0, 0, 0, nil, false)
+}
+
+func TestEveryTurnFeedsKindStats(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1000, 0))
+	tr := New(Config{SlowTurn: 100 * time.Millisecond, Clock: clk})
+	turn(tr, clk, "Sensor/1", "Sensor", 10*time.Millisecond)
+	turn(tr, clk, "Sensor/2", "Sensor", 200*time.Millisecond)
+	turn(tr, clk, "Org/1", "Org", 5*time.Millisecond)
 	stats := tr.KindStats()
 	if len(stats) != 2 {
 		t.Fatalf("stats = %+v", stats)

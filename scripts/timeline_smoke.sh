@@ -7,7 +7,7 @@
 # survivors must: suspect and declare the victim dead, shrink the
 # replication ring, freeze anomaly captures (flight-*.json) to disk, and
 # — once silo-3 rejoins — live-migrate actors back onto it. Finally
-# shmtrace merges every surviving journal into one timeline and the test
+# shmtop -trace merges every surviving journal into one timeline and the test
 # asserts the whole incident reads in causal order:
 #
 #   member-suspect -> member-dead -> ring-change -> migrate-activate
@@ -38,7 +38,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$bin" ./cmd/shmserver ./cmd/shmload ./cmd/shmtop ./cmd/shmtrace
+go build -o "$bin" ./cmd/shmserver ./cmd/shmload ./cmd/shmtop
 
 start_silo() { # name listen obs seeds extra...
   local name=$1 listen=$2 obs=$3 seeds=$4; shift 4
@@ -123,7 +123,7 @@ cat "$data/load.out"
 
 # Merge the cluster's journals (via the aggregator silo-1 discovered
 # from gossip) and assert the incident reads in causal order.
-timeline=$("$bin/shmtrace" -cluster "http://$O1")
+timeline=$("$bin/shmtop" -trace -cluster "http://$O1")
 echo "--- merged timeline (tail) ---"
 echo "$timeline" | tail -25
 
@@ -143,7 +143,7 @@ echo "timeline smoke: causal order holds (suspect@$s -> dead@$d -> ring-change@$
 # filters must narrow to the incident.
 "$bin/shmtop" -cluster "http://$O1" -once -k 5 -events 10 | grep -q "TIMELINE" \
   || { echo "timeline smoke: shmtop missing TIMELINE panel"; exit 1; }
-"$bin/shmtrace" -cluster "http://$O1" -kind member-dead | grep -q "member-dead" \
-  || { echo "timeline smoke: shmtrace -kind filter broken"; exit 1; }
+"$bin/shmtop" -trace -cluster "http://$O1" -kind member-dead | grep -q "member-dead" \
+  || { echo "timeline smoke: shmtop -trace -kind filter broken"; exit 1; }
 
 echo "timeline smoke: OK"
