@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"aodb/internal/bench"
+	"aodb/internal/core"
 	"aodb/internal/shm"
 	"aodb/internal/siloboot"
 	"aodb/internal/transport"
@@ -58,6 +59,10 @@ func main() {
 	}
 }
 
+// populateWait bounds how long Populate is retried against a cluster that
+// is still booting.
+const populateWait = 30 * time.Second
+
 func run(opts siloboot.Options, sensors int, duration, warmup time.Duration, queries bool) error {
 	// The client shares the silo bring-up path (transport, placement,
 	// static view, tracing) but never calls AddSilo: placement only
@@ -93,7 +98,15 @@ func run(opts siloboot.Options, sensors int, duration, warmup time.Duration, que
 	fmt.Printf("shmload: populating %d sensors across %d orgs...\n",
 		sensors, shm.DefaultPopulation(sensors).Orgs())
 	pop := shm.DefaultPopulation(sensors)
-	keys, err := platform.Populate(ctx, pop)
+	// Silos boot with their replicas read-gated and answer transient until
+	// the gates clear; a client started alongside them waits that out.
+	var keys []string
+	for deadline := time.Now().Add(populateWait); ; time.Sleep(100 * time.Millisecond) {
+		keys, err = platform.Populate(ctx, pop)
+		if err == nil || !core.Transient(err) || time.Now().After(deadline) {
+			break
+		}
+	}
 	if err != nil {
 		return err
 	}

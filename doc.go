@@ -6,9 +6,9 @@
 //
 //   - internal/core — the virtual-actor runtime (Orleans-style grains:
 //     on-demand activation, single-threaded turns, idle collection,
-//     persistent state, timers, reminders)
-//   - internal/kvstore, internal/wal, internal/systemstore — the durable
-//     storage substrate (DynamoDB/RDS analogs)
+//     persistent state)
+//   - internal/kvstore, internal/wal — the durable storage substrate
+//     (the DynamoDB analog)
 //   - internal/cluster, internal/directory, internal/placement,
 //     internal/transport, internal/netsim — the distribution substrate
 //   - internal/txn, internal/index, internal/query, internal/streams —

@@ -1,6 +1,6 @@
 // AODB data-management features: secondary indexes, multi-actor queries,
-// streams, and reminders — the features that turn an actor runtime into
-// an actor-oriented database.
+// and streams — the features that turn an actor runtime into an
+// actor-oriented database.
 //
 // The example indexes cow actors by pasture zone, answers "mean weight of
 // the cows in zone-b" with an index-driven fan-out query, rebalances a

@@ -17,6 +17,7 @@ import (
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
 	"aodb/internal/replication"
+	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
 
@@ -130,6 +131,13 @@ type ReplChaosResult struct {
 	ReadRepairs, DivergentKeys   uint64
 	BreakerTrips                 bool
 	VerifyElapsed                time.Duration
+	// Activations and StaleFences are core.activations and
+	// core.stale_writes_fenced: a run in which no silo crashes and no turn
+	// panics activates each ledger once and fences nothing.
+	Activations, StaleFences int64
+	// LossTimeline is the flight recorder's view of the first lost write's
+	// ledger around that write's ack, so a red run explains itself.
+	LossTimeline []telemetry.Event
 }
 
 // replReplica is one silo's wipeable storage: the harness swaps the
@@ -170,6 +178,9 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	reg := metrics.NewRegistry()
 	inj := faults.New(cfg.Faults)
 	inj.SetEnabled(false)
+	// One recorder for the runtime and the coordinator, sized to hold a
+	// whole soak (one quorum-write event per acked write, plus hints).
+	rec := telemetry.New(telemetry.Config{Parts: telemetry.Events, Silo: "soak", EventCapacity: 1 << 16})
 
 	siloNames := make([]string, cfg.Silos)
 	for i := range siloNames {
@@ -235,6 +246,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 		Alive:     func(silo string) bool { return siloUp(view, silo) },
 		HintDir:   filepath.Join(cfg.StoreDir, "hints"),
 		Metrics:   reg,
+		Tracer:    rec,
 	})
 	if err != nil {
 		return res, err
@@ -250,6 +262,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 		CollectEvery: time.Hour,
 		BeforeTurn:   func(id core.ID, msg any) { panicHook(id.String()) },
 		Metrics:      reg,
+		Tracer:       rec,
 	})
 	if err != nil {
 		return res, err
@@ -370,7 +383,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 		seqCtr     atomic.Uint64
 		retriedOps atomic.Int64
 		ackedMu    sync.Mutex
-		acked      []uint64
+		acked      []ackedWrite
 		unclassMu  sync.Mutex
 		unclass    []string
 	)
@@ -390,7 +403,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 					cancel()
 					if err == nil {
 						ackedMu.Lock()
-						acked = append(acked, seq)
+						acked = append(acked, ackedWrite{seq: seq, hlc: rec.StampHLC()})
 						ackedMu.Unlock()
 						break
 					}
@@ -476,10 +489,15 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 			survived[s] = true
 		}
 	}
-	for _, s := range acked {
-		if !survived[s] {
-			res.LostWrites = append(res.LostWrites, s)
+	for _, a := range acked {
+		if survived[a.seq] {
+			continue
 		}
+		if len(res.LostWrites) == 0 {
+			ledger := core.ID{Kind: "Ledger", Key: fmt.Sprintf("L%d", a.seq%uint64(cfg.Ledgers))}
+			res.LossTimeline = eventsAround(rec, ledger.String(), a.hlc)
+		}
+		res.LostWrites = append(res.LostWrites, a.seq)
 	}
 
 	res.AckedWrites = len(acked)
@@ -495,8 +513,25 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	res.ReadRepairs = uint64(reg.Counter("replication.readrepair.count").Value())
 	res.DivergentKeys = uint64(reg.Counter("replication.antientropy.divergent_keys").Value())
 	res.BreakerTrips = breaker.Trips() > 0
+	res.Activations = reg.Counter("core.activations").Value()
+	res.StaleFences = reg.Counter("core.stale_writes_fenced").Value()
 	res.VerifyElapsed = time.Since(verifyStart)
 	return res, nil
+}
+
+// ackedWrite is one acknowledged ledger put and the recorder's clock at
+// the moment the client saw the ack.
+type ackedWrite struct {
+	seq, hlc uint64
+}
+
+// eventsAround returns actor's events nearest the instant at: the eight
+// before it and the eight after, in causal order.
+func eventsAround(rec *telemetry.Tracer, actor string, at uint64) []telemetry.Event {
+	const each = 8
+	evs := telemetry.EventFilter{Actor: actor}.Apply(telemetry.MergeEvents(rec.Events()))
+	i := sort.Search(len(evs), func(i int) bool { return evs[i].HLC > at })
+	return evs[max(0, i-each):min(len(evs), i+each)]
 }
 
 func siloUp(v *chaosView, name string) bool {

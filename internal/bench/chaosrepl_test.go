@@ -14,26 +14,22 @@ import (
 // acknowledged write must survive (the surviving copies, hints, and
 // anti-entropy must cover every wipe), and every client-visible error
 // must be classified.
+//
+// The drops-only row is the fault class that used to lose writes on its
+// own: with no crash, wipe or panic nothing may deactivate a ledger, so
+// each activates exactly once and no write is ever fenced.
 func TestChaosSoakReplicated(t *testing.T) {
 	duration := 6 * time.Second
 	if testing.Short() {
 		duration = 2 * time.Second
 	}
-	cfg := ReplChaosConfig{
-		Silos:      3,
-		N:          3,
-		R:          2,
-		W:          2,
-		Ledgers:    8,
-		Clients:    8,
-		Duration:   duration,
-		CrashEvery: duration / 5,
-		WipeEvery:  duration / 6,
-		OpTimeout:  2 * time.Second,
-		Seed:       42,
-		StoreDir:   t.TempDir(),
-		Durable:    true,
-		Faults: faults.Config{
+	for _, row := range []struct {
+		name       string
+		crashEvery time.Duration
+		faults     faults.Config
+		stable     bool // no crash, wipe or panic: nothing may deactivate a ledger
+	}{
+		{name: "full", crashEvery: duration / 5, faults: faults.Config{
 			Drop:     0.02,
 			Dup:      0.01,
 			Delay:    0.02,
@@ -41,40 +37,70 @@ func TestChaosSoakReplicated(t *testing.T) {
 			KVWrite:  0.01,
 			Panic:    0.005,
 			Wipe:     0.75, // most wipe ticks fire (at most one rebuild at a time regardless)
-		},
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	res, err := RunChaosReplicated(ctx, cfg)
-	if err != nil {
-		t.Fatalf("replicated chaos harness: %v", err)
-	}
+		}},
+		{name: "drops only", crashEvery: time.Hour, faults: faults.Config{Drop: 0.02}, stable: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := ReplChaosConfig{
+				Silos:      3,
+				N:          3,
+				R:          2,
+				W:          2,
+				Ledgers:    8,
+				Clients:    8,
+				Duration:   duration,
+				CrashEvery: row.crashEvery,
+				WipeEvery:  duration / 6,
+				OpTimeout:  2 * time.Second,
+				Seed:       42,
+				StoreDir:   t.TempDir(),
+				Durable:    true,
+				Faults:     row.faults,
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+			defer cancel()
+			res, err := RunChaosReplicated(ctx, cfg)
+			if err != nil {
+				t.Fatalf("replicated chaos harness: %v", err)
+			}
 
-	if len(res.LostWrites) != 0 {
-		t.Errorf("LOST %d acknowledged replicated writes: %v", len(res.LostWrites), res.LostWrites)
+			if len(res.LostWrites) != 0 {
+				t.Errorf("LOST %d acknowledged replicated writes: %v", len(res.LostWrites), res.LostWrites)
+				for _, e := range res.LossTimeline {
+					t.Logf("%-30s %-17s %s %s", e.Time, e.Kind, e.Actor, e.Detail)
+				}
+			}
+			if len(res.Unclassified) != 0 {
+				t.Errorf("unclassified errors: %v", res.Unclassified)
+			}
+			if res.AckedWrites == 0 {
+				t.Error("no writes were acknowledged; the soak exercised nothing")
+			}
+			if row.stable {
+				if res.Activations != int64(cfg.Ledgers) || res.StaleFences != 0 {
+					t.Errorf("activations=%d staleFences=%d, want %d and 0: nothing in this row may deactivate a ledger",
+						res.Activations, res.StaleFences, cfg.Ledgers)
+				}
+			} else {
+				if res.Crashes == 0 {
+					t.Error("no silo crashes happened; the soak exercised nothing")
+				}
+				if res.Wipes == 0 {
+					t.Error("no storage wipes happened; the soak never lost a replica disk")
+				}
+			}
+			if res.VerifyElapsed > 30*time.Second {
+				t.Errorf("healing audit took %v", res.VerifyElapsed)
+			}
+			t.Logf("acked=%d crashes=%d restarts=%d wipes=%d retriedOps=%d activations=%d staleFences=%d "+
+				"injected(drop=%d dup=%d delay=%d kv=%d panic=%d) "+
+				"hints(recorded=%d replayed=%d) readRepairs=%d divergentKeys=%d breakerTrips=%v verify=%v",
+				res.AckedWrites, res.Crashes, res.Restarts, res.Wipes, res.RetriedOps, res.Activations, res.StaleFences,
+				res.InjectedDrops, res.InjectedDups, res.InjectedDelays, res.InjectedKVErrs,
+				res.InjectedPanics, res.HintsRecorded, res.HintsReplayed,
+				res.ReadRepairs, res.DivergentKeys, res.BreakerTrips, res.VerifyElapsed)
+		})
 	}
-	if len(res.Unclassified) != 0 {
-		t.Errorf("unclassified errors: %v", res.Unclassified)
-	}
-	if res.AckedWrites == 0 {
-		t.Error("no writes were acknowledged; the soak exercised nothing")
-	}
-	if res.Crashes == 0 {
-		t.Error("no silo crashes happened; the soak exercised nothing")
-	}
-	if res.Wipes == 0 {
-		t.Error("no storage wipes happened; the soak never lost a replica disk")
-	}
-	if res.VerifyElapsed > 30*time.Second {
-		t.Errorf("healing audit took %v", res.VerifyElapsed)
-	}
-	t.Logf("acked=%d crashes=%d restarts=%d wipes=%d retriedOps=%d "+
-		"injected(drop=%d dup=%d delay=%d kv=%d panic=%d) "+
-		"hints(recorded=%d replayed=%d) readRepairs=%d divergentKeys=%d breakerTrips=%v verify=%v",
-		res.AckedWrites, res.Crashes, res.Restarts, res.Wipes, res.RetriedOps,
-		res.InjectedDrops, res.InjectedDups, res.InjectedDelays, res.InjectedKVErrs,
-		res.InjectedPanics, res.HintsRecorded, res.HintsReplayed,
-		res.ReadRepairs, res.DivergentKeys, res.BreakerTrips, res.VerifyElapsed)
 }
 
 // TestChaosReplicatedCalmRunIsClean: zero fault probabilities, no

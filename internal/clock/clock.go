@@ -2,7 +2,7 @@
 //
 // Production code uses the wall clock; tests and deterministic simulations
 // use a fake clock that only advances when told to. Every component in this
-// repository that needs time (idle-activation collection, reminders, token
+// repository that needs time (idle-activation collection, token
 // buckets, latency windows) takes a Clock so its behaviour is testable
 // without real sleeps.
 package clock

@@ -36,7 +36,6 @@ type FrameKind byte
 // Frame kinds.
 const (
 	FrameRequest FrameKind = iota + 1
-	FrameOneWay
 	FrameResponse
 	FrameError
 )
@@ -68,6 +67,9 @@ type Frame struct {
 	// (errors collapse to Err strings), so the redirect travels as its
 	// own field and is rebuilt as a transport.RedirectError client-side.
 	Redirect string
+	// Transient carries the serving silo's retry classification of Err
+	// across the wire, for the same reason.
+	Transient bool
 }
 
 // Stream frames gob values over an io.ReadWriter. Writes are serialized;

@@ -51,7 +51,7 @@ func TestTraceFieldsRoundTrip(t *testing.T) {
 	frames := []*Frame{
 		{ID: 1, Kind: FrameRequest, Payload: ping{Seq: 1},
 			TraceID: 0xdeadbeef, ParentSpan: 77, TraceSampled: true},
-		{ID: 2, Kind: FrameOneWay, Payload: ping{Seq: 2}},
+		{ID: 2, Kind: FrameRequest, Payload: ping{Seq: 2}},
 	}
 	for _, f := range frames {
 		if err := s.Write(f); err != nil {
@@ -93,7 +93,7 @@ func TestMultipleFramesInOrder(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewStream(&buf)
 	for i := 0; i < 10; i++ {
-		if err := s.Write(&Frame{ID: uint64(i), Kind: FrameOneWay, Payload: ping{Seq: i}}); err != nil {
+		if err := s.Write(&Frame{ID: uint64(i), Kind: FrameRequest, Payload: ping{Seq: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < frames; j++ {
-				if err := writer.Write(&Frame{ID: uint64(i*1000 + j), Kind: FrameOneWay, Payload: ping{Seq: j}}); err != nil {
+				if err := writer.Write(&Frame{ID: uint64(i*1000 + j), Kind: FrameRequest, Payload: ping{Seq: j}}); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -162,7 +162,7 @@ func TestBufferedStreamWriteNoFlush(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewBufferedStream(&buf, 0)
 	for i := 0; i < 5; i++ {
-		if err := s.WriteNoFlush(&Frame{ID: uint64(i), Kind: FrameOneWay, Payload: ping{Seq: i}}); err != nil {
+		if err := s.WriteNoFlush(&Frame{ID: uint64(i), Kind: FrameRequest, Payload: ping{Seq: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestBufferedStreamWriteFlushes(t *testing.T) {
 func TestUnbufferedStreamBatchingAPI(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewStream(&buf)
-	if err := s.WriteNoFlush(&Frame{ID: 1, Kind: FrameOneWay, Payload: ping{Seq: 1}}); err != nil {
+	if err := s.WriteNoFlush(&Frame{ID: 1, Kind: FrameRequest, Payload: ping{Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,7 +26,7 @@ type activation struct {
 	box   *mailbox
 	reg   directory.Registration
 
-	lastBusy atomic.Int64 // unix nanos of last non-timer turn
+	lastBusy atomic.Int64 // unix nanos of the last turn
 	crashed  atomic.Bool  // silo crash: skip all teardown persistence
 	// fenced marks an activation cut off by a forced migration hand-off:
 	// ownership has already moved, so any state write it still attempts
@@ -45,9 +44,6 @@ type activation struct {
 	// and the kvstore instrumentation read it via a.context.
 	cur *telemetry.Span
 
-	timersMu sync.Mutex
-	timers   map[string]func() // name -> stop
-
 	drained chan struct{} // closed after full deactivation cleanup
 }
 
@@ -59,7 +55,6 @@ func newActivation(id ID, silo *Silo, cfg *kindConfig, reg directory.Registratio
 		actor:   cfg.factory(),
 		box:     newMailbox(),
 		reg:     reg,
-		timers:  make(map[string]func()),
 		drained: make(chan struct{}),
 	}
 	a.lastBusy.Store(silo.rt.clk.Now().UnixNano())
@@ -132,9 +127,7 @@ func (a *activation) activate() (err error) {
 // turn executes one message under the silo's capacity limiter. It returns
 // non-nil only when the actor panicked, which poisons the activation.
 func (a *activation) turn(env envelope) (panicked error) {
-	if !env.timer {
-		a.lastBusy.Store(a.silo.rt.clk.Now().UnixNano())
-	}
+	a.lastBusy.Store(a.silo.rt.clk.Now().UnixNano())
 	ctx := env.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -221,7 +214,6 @@ func (a *activation) invoke(cctx *Context, msg any) (v any, err error) {
 // state. A dirty teardown (panic poison or silo crash) skips hooks and
 // persistence: the in-memory state is suspect or deliberately "lost".
 func (a *activation) deactivate(wasActive, dirty bool) {
-	a.stopAllTimers()
 	if wasActive {
 		if !dirty {
 			a.teardownHooks()
@@ -326,6 +318,9 @@ func (a *activation) writeState(ctx context.Context) error {
 			a.box.close() // self-deactivate; successor owns the state now
 			return fmt.Errorf("%w: %s at v%d: %v", ErrStaleActivation, a.id, a.stateVersion, err)
 		}
+		if next != 0 {
+			a.stateVersion = next // the failed attempt spent this version
+		}
 		return err
 	}
 	a.stateVersion = next
@@ -345,56 +340,6 @@ func (a *activation) observeState(bytes int) {
 // idleFor returns how long the activation has gone without real traffic.
 func (a *activation) idleFor(now time.Time) time.Duration {
 	return now.Sub(time.Unix(0, a.lastBusy.Load()))
-}
-
-// registerTimer installs a per-activation timer delivering msg every
-// period. Timer ticks do not refresh the idle clock, matching Orleans
-// semantics where timers do not keep a grain alive.
-func (a *activation) registerTimer(name string, period time.Duration, msg any) error {
-	if period <= 0 {
-		return fmt.Errorf("core: timer %q period must be positive", name)
-	}
-	a.timersMu.Lock()
-	defer a.timersMu.Unlock()
-	if _, ok := a.timers[name]; ok {
-		return fmt.Errorf("core: timer %q already registered on %s", name, a.id)
-	}
-	stop := make(chan struct{})
-	a.timers[name] = func() { close(stop) }
-	ticker := a.silo.rt.clk.NewTicker(period)
-	go func() {
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C():
-				if !a.box.push(envelope{msg: msg, timer: true}) {
-					return // deactivating
-				}
-			}
-		}
-	}()
-	return nil
-}
-
-// cancelTimer stops a named timer; unknown names are ignored.
-func (a *activation) cancelTimer(name string) {
-	a.timersMu.Lock()
-	defer a.timersMu.Unlock()
-	if stop, ok := a.timers[name]; ok {
-		stop()
-		delete(a.timers, name)
-	}
-}
-
-func (a *activation) stopAllTimers() {
-	a.timersMu.Lock()
-	defer a.timersMu.Unlock()
-	for name, stop := range a.timers {
-		stop()
-		delete(a.timers, name)
-	}
 }
 
 // respond hands the turn's outcome to whoever awaits it: a multi-actor

@@ -86,18 +86,3 @@ func WithPersistence(m PersistMode) KindOption {
 func WithIdleAfter(d time.Duration) KindOption {
 	return func(c *kindConfig) { c.idleAfter = d }
 }
-
-// ReminderTick is delivered to an actor when one of its persistent
-// reminders fires. Actors receiving reminders handle this message type in
-// Receive.
-type ReminderTick struct {
-	Name string
-	Due  time.Time
-}
-
-// timerTick is the internal envelope payload for activation timers; the
-// actor receives the user's message, this wrapper never escapes.
-type timerTick struct {
-	name string
-	msg  any
-}

@@ -7,13 +7,12 @@ import (
 
 	"aodb/internal/clock"
 	"aodb/internal/kvstore"
-	"aodb/internal/systemstore"
 	"aodb/internal/telemetry"
 )
 
 // Context is passed to every actor turn. It carries the caller's
 // context.Context (cancellation, deadlines) plus the actor-facing runtime
-// surface: identity, messaging, persistence, timers, and reminders.
+// surface: identity, messaging, and persistence.
 //
 // A Context is only valid for the duration of the turn that received it;
 // actors must not retain it across turns.
@@ -93,40 +92,6 @@ func (c *Context) Table(name string) (*kvstore.Table, error) {
 		return nil, errors.New("core: runtime has no store configured")
 	}
 	return c.rt.cfg.Store.EnsureTable(name, kvstore.Throughput{})
-}
-
-// RegisterTimer delivers msg to this actor every period while it stays
-// activated. Timers are volatile: they die with the activation and do not
-// keep it alive.
-func (c *Context) RegisterTimer(name string, period time.Duration, msg any) error {
-	return c.act.registerTimer(name, period, msg)
-}
-
-// CancelTimer stops a named timer.
-func (c *Context) CancelTimer(name string) {
-	c.act.cancelTimer(name)
-}
-
-// RegisterReminder persists a reminder that fires a ReminderTick at this
-// actor every period, re-activating it if it was collected. Requires a
-// Store on the runtime.
-func (c *Context) RegisterReminder(name string, period time.Duration) error {
-	if c.rt.reminders == nil {
-		return errors.New("core: reminders need a Store on the runtime")
-	}
-	return c.rt.reminders.RegisterReminder(c.Context, systemstore.Reminder{
-		Target: c.self.String(),
-		Name:   name,
-		Period: period,
-	})
-}
-
-// UnregisterReminder removes a persistent reminder.
-func (c *Context) UnregisterReminder(name string) error {
-	if c.rt.reminders == nil {
-		return errors.New("core: reminders need a Store on the runtime")
-	}
-	return c.rt.reminders.UnregisterReminder(c.Context, c.self.String(), name)
 }
 
 // DeactivateOnIdle requests prompt collection of this activation: it is

@@ -473,102 +473,6 @@ func TestBusyActorNotCollected(t *testing.T) {
 	}
 }
 
-func TestTimerFiresAndCancels(t *testing.T) {
-	var ticks atomic.Int32
-	rt := newTestRuntime(t, Config{})
-	rt.RegisterKind("Ticky", func() Actor {
-		return actorFunc(func(ctx *Context, msg any) (any, error) {
-			switch msg.(type) {
-			case string: // "start"
-				return nil, ctx.RegisterTimer("beat", 10*time.Millisecond, addMsg{})
-			case addMsg:
-				if ticks.Add(1) >= 3 {
-					ctx.CancelTimer("beat")
-				}
-				return nil, nil
-			}
-			return nil, nil
-		})
-	})
-	rt.AddSilo("silo-1", nil)
-	if _, err := rt.Call(context.Background(), ID{"Ticky", "t"}, "start"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for ticks.Load() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ticks = %d, want >= 3", ticks.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(100 * time.Millisecond)
-	if n := ticks.Load(); n > 5 {
-		t.Fatalf("timer kept firing after cancel: %d ticks", n)
-	}
-}
-
-func TestDuplicateTimerRejected(t *testing.T) {
-	rt := newTestRuntime(t, Config{})
-	rt.RegisterKind("T", func() Actor {
-		return actorFunc(func(ctx *Context, msg any) (any, error) {
-			if err := ctx.RegisterTimer("x", time.Hour, nil); err != nil {
-				return nil, err
-			}
-			return nil, ctx.RegisterTimer("x", time.Hour, nil)
-		})
-	})
-	rt.AddSilo("silo-1", nil)
-	if _, err := rt.Call(context.Background(), ID{"T", "1"}, getMsg{}); err == nil {
-		t.Fatal("duplicate timer accepted")
-	}
-}
-
-func TestReminderFiresAfterDeactivation(t *testing.T) {
-	kv, err := kvstore.Open(kvstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv.Close()
-	var reminded atomic.Int32
-	rt := newTestRuntime(t, Config{
-		Store:          kv,
-		IdleAfter:      20 * time.Millisecond,
-		CollectEvery:   10 * time.Millisecond,
-		RemindersEvery: 20 * time.Millisecond,
-	})
-	rt.RegisterKind("Sleeper", func() Actor {
-		return actorFunc(func(ctx *Context, msg any) (any, error) {
-			switch msg.(type) {
-			case string:
-				return nil, ctx.RegisterReminder("wake", 50*time.Millisecond)
-			case ReminderTick:
-				reminded.Add(1)
-				return nil, nil
-			}
-			return nil, nil
-		})
-	})
-	silo, _ := rt.AddSilo("silo-1", nil)
-	if _, err := rt.Call(context.Background(), ID{"Sleeper", "s"}, "arm"); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for collection, then for the reminder to re-activate it.
-	deadline := time.Now().Add(5 * time.Second)
-	sawCollected := false
-	for {
-		if silo.Activations() == 0 {
-			sawCollected = true
-		}
-		if reminded.Load() >= 1 && sawCollected {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reminded=%d collected=%v", reminded.Load(), sawCollected)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestCapacityLimiterQueuesTurns(t *testing.T) {
 	limiter := capacity.NewLimiter(capacity.Profile{Workers: 1, Speed: 1}, nil)
 	rt := newTestRuntime(t, Config{

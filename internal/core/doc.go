@@ -1,8 +1,8 @@
 // Package core implements the actor-oriented database runtime — this
 // repository's reproduction of the Orleans virtual-actor substrate the
 // paper builds its IoT data platform on, extended with the data-management
-// hooks (persistent state, provisioned storage, reminders) that make it an
-// AODB rather than a plain actor framework.
+// hooks (persistent state, provisioned storage) that make it an AODB
+// rather than a plain actor framework.
 //
 // # Virtual actors
 //
@@ -37,6 +37,5 @@
 // ordinary turn.
 //
 // Actor implementations receive a *Context giving them their identity,
-// asynchronous Call/Tell to other actors, explicit state writes, timers,
-// and persistent reminders.
+// asynchronous Call/Tell to other actors, and explicit state writes.
 package core

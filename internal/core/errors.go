@@ -1,12 +1,19 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"aodb/internal/transport"
 )
+
+// transientErr is the type of the runtime's retryable sentinels. Its
+// method lets a layer core does not import — the transport, marking an
+// error reply — classify them as Transient does.
+type transientErr string
+
+func (e transientErr) Error() string      { return string(e) }
+func (transientErr) TransientError() bool { return true }
 
 // Errors surfaced by the runtime.
 var (
@@ -19,13 +26,13 @@ var (
 	// single-threaded mailbox.
 	ErrCallCycle = errors.New("core: call cycle detected")
 	// ErrNoSilos reports a runtime with no silos added yet.
-	ErrNoSilos = errors.New("core: no silos in runtime")
+	ErrNoSilos error = transientErr("core: no silos in runtime")
 
 	// ErrTransient marks errors that are safe to retry: the failure is a
 	// property of the moment (an activation race, a dead silo being
 	// routed around, a dropped message), not of the request. Errors carry
 	// the mark via errors.Is; use Transient to classify.
-	ErrTransient = errors.New("core: transient failure")
+	ErrTransient error = transientErr("core: transient failure")
 	// ErrActorPanic marks a panic recovered inside an actor handler. The
 	// panicking activation is poisoned and deactivated; the error is
 	// permanent for the call that triggered it, but a fresh Call to the
@@ -36,7 +43,7 @@ var (
 	// check: another activation of the same actor has written since this
 	// one loaded. The stale activation deactivates itself; retrying
 	// reaches the fresh one, so the error is transient.
-	ErrStaleActivation = errors.New("core: stale activation fenced")
+	ErrStaleActivation error = transientErr("core: stale activation fenced")
 )
 
 // PanicError is the recovered panic from an actor handler, carrying the
@@ -104,26 +111,11 @@ func redirectTarget(err error) string {
 //     cycles, runtime shutdown, actor panics, and any error an actor's
 //     own handler returned (the turn ran; retrying would re-execute it).
 //
-// Errors from layers core does not import can self-classify by
-// implementing `TransientError() bool` anywhere in their chain — the
-// replication layer's quorum failure does (replicas come back; the
-// caller saw no ack, so retrying is safe).
+// Errors classify themselves by implementing `TransientError() bool`
+// anywhere in their chain: core's own transient sentinels do, so does the
+// replication layer's quorum failure (replicas come back; the caller saw
+// no ack, so retrying is safe), and so does an error that crossed the
+// wire, which reports what the serving silo's Transient said of it.
 func Transient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrTransient) {
-		return true
-	}
-	var t interface{ TransientError() bool }
-	if errors.As(err, &t) {
-		return t.TransientError()
-	}
-	if transport.IsUnreachable(err) {
-		return true
-	}
-	if errors.Is(err, ErrNoSilos) || errors.Is(err, ErrStaleActivation) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
+	return err != nil && (errors.Is(err, ErrTransient) || transport.Transient(err))
 }

@@ -274,6 +274,65 @@ func TestCallRetriesExhaust(t *testing.T) {
 	}
 }
 
+// alternating places successive actors on successive silos, so a
+// re-placement is certain to pick a different silo than the placement
+// before it.
+type alternating struct{ n atomic.Int32 }
+
+func (a *alternating) Name() string { return "alternating" }
+
+func (a *alternating) Place(_, _ string, silos []string) (string, error) {
+	return silos[int(a.n.Add(1)-1)%len(silos)], nil
+}
+
+// TestUnreachableCallKeepsRegistration: a lost message to a live,
+// registered activation must not cost the actor its directory entry. The
+// retry reaches the same activation; had the call path unregistered it,
+// re-placement would have activated a second instance on the other silo
+// while the first still ran.
+func TestUnreachableCallKeepsRegistration(t *testing.T) {
+	ft := &failFirstTransport{Transport: transport.NewLocal(nil, nil)}
+	var built atomic.Int32
+	rt := newTestRuntime(t, Config{
+		Transport: ft,
+		Placement: &alternating{},
+		Retry:     RetryPolicy{BaseBackoff: time.Millisecond},
+	})
+	if err := rt.RegisterKind("Counter", func() Actor { built.Add(1); return &counterActor{} }); err != nil {
+		t.Fatal(err)
+	}
+	addSilo(t, rt, "s1")
+	addSilo(t, rt, "s2")
+	ctx := context.Background()
+	id := ID{"Counter", "a"}
+
+	if _, err := rt.Call(ctx, id, addMsg{1}); err != nil {
+		t.Fatal(err)
+	}
+	reg, ok := rt.Directory().Lookup(id.String())
+	if !ok {
+		t.Fatal("actor not in directory")
+	}
+
+	ft.remaining.Store(1) // the next delivery is lost on the way to a live silo
+	v, err := rt.Call(ctx, id, addMsg{1})
+	if err != nil {
+		t.Fatalf("retried call failed: %v", err)
+	}
+	if v.(int) != 2 {
+		t.Fatalf("v = %v, want 2: the retry reached a different activation", v)
+	}
+	if got := rt.Metrics().Counter("core.call_retries").Value(); got != 1 {
+		t.Fatalf("core.call_retries = %d, want 1", got)
+	}
+	if got, acts := built.Load(), rt.Metrics().Counter("core.activations").Value(); got != 1 || acts != 1 {
+		t.Fatalf("factory ran %d times, core.activations = %d; want one activation", got, acts)
+	}
+	if now, ok := rt.Directory().Lookup(id.String()); !ok || now != reg {
+		t.Fatalf("registration = %+v (ok=%v), want the original %+v", now, ok, reg)
+	}
+}
+
 // TestCrashSiloFailsOverWithPersistedState: CrashSilo kills a silo
 // abruptly; a queued call behind the in-flight turn fails transient and the
 // retry layer transparently re-activates the actor on the surviving silo
@@ -399,62 +458,4 @@ func TestZombieWriteFenced(t *testing.T) {
 	if v, err := rt.Call(ctx, id, getMsg{}); err != nil || v.(int) != 1 {
 		t.Fatalf("post-fence call: v=%v err=%v", v, err)
 	}
-}
-
-// TestReminderSurvivesSiloCrash: a persistent reminder keeps firing after
-// the silo hosting its target crashes — the reminder service routes the
-// tick through the normal call path, which re-activates the actor on a
-// surviving silo.
-func TestReminderSurvivesSiloCrash(t *testing.T) {
-	store, kverr := kvstore.Open(kvstore.Options{})
-	if kverr != nil {
-		t.Fatal(kverr)
-	}
-	var ticks atomic.Int32
-	rt := newTestRuntime(t, Config{Store: store, RemindersEvery: 10 * time.Millisecond})
-	err := rt.RegisterKind("Pinger", func() Actor {
-		return actorFunc(func(ctx *Context, msg any) (any, error) {
-			switch msg.(type) {
-			case addMsg:
-				return nil, ctx.RegisterReminder("beat", 20*time.Millisecond)
-			case ReminderTick:
-				ticks.Add(1)
-				return nil, nil
-			}
-			return nil, errors.New("unknown")
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addSilo(t, rt, "s1")
-	addSilo(t, rt, "s2")
-	ctx := context.Background()
-	id := ID{"Pinger", "p"}
-
-	if _, err := rt.Call(ctx, id, addMsg{}); err != nil {
-		t.Fatal(err)
-	}
-	waitTicks := func(n int32) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for ticks.Load() < n {
-			if time.Now().After(deadline) {
-				t.Fatalf("only %d reminder ticks (want %d)", ticks.Load(), n)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitTicks(1)
-
-	reg, ok := rt.Directory().Lookup(id.String())
-	if !ok {
-		t.Fatal("pinger not in directory")
-	}
-	if err := rt.CrashSilo(reg.Silo); err != nil {
-		t.Fatal(err)
-	}
-	before := ticks.Load()
-	// The reminder must keep beating on the surviving silo.
-	waitTicks(before + 2)
 }

@@ -14,8 +14,8 @@ type ID struct {
 	Key  string
 }
 
-// String renders the canonical "Kind/Key" form used by the directory, the
-// state table, and the reminder table.
+// String renders the canonical "Kind/Key" form used by the directory and
+// the state table.
 func (id ID) String() string { return id.Kind + "/" + id.Key }
 
 // IsZero reports whether the ID is empty.

@@ -9,51 +9,6 @@ import (
 	"aodb/internal/kvstore"
 )
 
-// TestTimerDoesNotKeepActivationAlive checks Orleans semantics: timer
-// ticks are not "activity", so an actor that only receives timer ticks is
-// still collected when idle.
-func TestTimerDoesNotKeepActivationAlive(t *testing.T) {
-	var ticks atomic.Int32
-	rt := newTestRuntime(t, Config{
-		IdleAfter:    60 * time.Millisecond,
-		CollectEvery: 20 * time.Millisecond,
-	})
-	rt.RegisterKind("Ticker", func() Actor {
-		return actorFunc(func(ctx *Context, msg any) (any, error) {
-			switch msg.(type) {
-			case string:
-				return nil, ctx.RegisterTimer("beat", 10*time.Millisecond, timerBeat{})
-			case timerBeat:
-				ticks.Add(1)
-			}
-			return nil, nil
-		})
-	})
-	silo, _ := rt.AddSilo("silo-1", nil)
-	if _, err := rt.Call(context.Background(), ID{"Ticker", "t"}, "start"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for silo.Activations() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ticking activation never collected (ticks=%d)", ticks.Load())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// Timer must have fired at least once before collection, and must
-	// stop firing afterwards.
-	if ticks.Load() == 0 {
-		t.Fatal("timer never fired")
-	}
-	settled := ticks.Load()
-	time.Sleep(100 * time.Millisecond)
-	if ticks.Load() != settled {
-		t.Fatal("timer kept firing after deactivation")
-	}
-}
-
-type timerBeat struct{}
-
 // TestDeactivateOnIdleIsPrompt checks the explicit early-deactivation
 // request from inside a turn.
 func TestDeactivateOnIdleIsPrompt(t *testing.T) {

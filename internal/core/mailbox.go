@@ -14,7 +14,6 @@ type envelope struct {
 	msg   any
 	reply chan turnResult // nil for one-way sends and gathered calls
 	chain []string        // synchronous call chain, for cycle detection
-	timer bool            // timer ticks do not refresh the idle clock
 
 	// gather and slot route the turn's result into a multi-actor call's
 	// shared reply (see multi.go) instead of a reply channel.

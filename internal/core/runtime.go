@@ -16,7 +16,6 @@ import (
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
-	"aodb/internal/systemstore"
 	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
@@ -85,12 +84,12 @@ type Config struct {
 	// Placement is the default strategy for kinds without an override.
 	// Nil means random placement (Orleans' default).
 	Placement placement.Strategy
-	// Store enables actor-state persistence and reminders when set.
+	// Store enables actor-state persistence when set.
 	Store *kvstore.Store
 	// States overrides where activation state loads and flushes go. Nil
 	// uses Store's state table directly; a replication coordinator's
 	// state store routes them through quorum reads and writes instead.
-	// Store (for reminders and the table default) may still be set
+	// Store (for Context.Table and the table default) may still be set
 	// alongside it.
 	States StateStore
 	// StateTable names the grain-state table in Store (default "grains").
@@ -105,9 +104,6 @@ type Config struct {
 	IdleAfter time.Duration
 	// CollectEvery is the idle-collector period (default 15 seconds).
 	CollectEvery time.Duration
-	// RemindersEvery is the reminder-poll period; zero disables the
-	// reminder service (it also requires Store).
-	RemindersEvery time.Duration
 	// View overrides the silo set used for placement. Nil means all silos
 	// added to this Runtime.
 	View ViewProvider
@@ -140,7 +136,6 @@ type Runtime struct {
 	metrics   *metrics.Registry
 	tracer    *telemetry.Tracer // nil = recording off
 	states    StateStore        // nil = no persistence
-	reminders *systemstore.Store
 
 	// services maps reserved transport target kinds (e.g. replication
 	// RPCs) to their handlers. Copy-on-write: the hot inbound path does
@@ -153,9 +148,6 @@ type Runtime struct {
 	silos    map[string]*Silo
 	siloList []string // sorted names, rebuilt on AddSilo
 	shutdown bool
-
-	reminderStop chan struct{}
-	reminderDone chan struct{}
 }
 
 // New creates a runtime. Add at least one silo and register kinds before
@@ -198,16 +190,6 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, err
 		}
 		rt.states = tableStateStore{t: table}
-		sys, err := systemstore.New(cfg.Store, cfg.Clock)
-		if err != nil {
-			return nil, err
-		}
-		rt.reminders = sys
-		if cfg.RemindersEvery > 0 {
-			rt.reminderStop = make(chan struct{})
-			rt.reminderDone = make(chan struct{})
-			go rt.reminderLoop()
-		}
 	}
 	if cfg.States != nil {
 		rt.states = cfg.States
@@ -448,9 +430,9 @@ func (rt *Runtime) Tell(ctx context.Context, id ID, msg any) error {
 // call is the shared routing path for external callers (callerSilo == "")
 // and actor-to-actor calls. It is self-healing: transient failures (see
 // Transient) are retried with exponential backoff and jitter inside a
-// time budget, and a routing target that proves unreachable has its
-// directory entry evicted so the retry re-places the actor on a live
-// silo. Every returned error is classified — Transient(err) answers
+// time budget, and each retry resolves the actor afresh, so one whose
+// silo membership has meanwhile evicted is re-placed on a live silo.
+// Every returned error is classified — Transient(err) answers
 // whether the caller may usefully retry. A non-empty redirect addresses
 // the first attempt to that silo instead of resolving id: the caller
 // already holds a wrong-silo answer naming the actor's home.
@@ -588,20 +570,20 @@ func place(strat placement.Strategy, key, callerSilo string, view []string) (str
 }
 
 // routeOnce resolves id to a silo (directory hit or fresh placement) and
-// performs one transport delivery. When a directory-resolved target turns
-// out to be unreachable, the stale registration is evicted so the next
-// attempt re-places the actor on a live silo — the heart of routing
-// around a crashed silo.
+// performs one transport delivery. It only reads the directory: a target
+// that proves unreachable may be a live activation behind a lost message,
+// and unregistering it here would let the retry place a second one. A
+// registration is removed by its owner (activation teardown), by
+// membership (CrashSilo, RemoveSilo, a gossip death's EvictSilo) or by a
+// forced migration's fence — never by a caller.
 func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []string, id ID, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext, redirect string) (any, error) {
 	var target string
-	var reg directory.Registration
-	fromDirectory := false
 	if redirect != "" {
 		// The previous hop named the actor's current home; trust it over
 		// the directory (which may hold the stale pre-migration route).
 		target = redirect
 	} else if r, ok := rt.directory.Lookup(id.String()); ok {
-		target, reg, fromDirectory = r.Silo, r, true
+		target = r.Silo
 	} else {
 		var err error
 		if target, err = place(strat, id.String(), callerSilo, rt.view()); err != nil {
@@ -621,60 +603,11 @@ func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []str
 	// clock already, and the TCP transport stamps frames that actually
 	// leave the process (TCPOptions.StampHLC) — so the hot local path
 	// pays no clock work even with the recorder on.
-	// One-way sends also travel as transport calls: the reply just
-	// acknowledges the enqueue, not the turn. This keeps Tell reliable
-	// when the target silo loses an activation race and the message
-	// must be re-routed to the winner.
-	resp, err := rt.cfg.Transport.Call(ctx, target, req)
-	if err != nil && fromDirectory && transport.IsUnreachable(err) {
-		if rt.directory.Unregister(reg) {
-			rt.metrics.Counter("core.stale_routes_evicted").Inc()
-		}
-	}
-	return resp, err
-}
-
-// reminderLoop polls the reminder table and fires due reminders by calling
-// their target actors, re-activating them if needed.
-func (rt *Runtime) reminderLoop() {
-	defer close(rt.reminderDone)
-	t := rt.clk.NewTicker(rt.cfg.RemindersEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.reminderStop:
-			return
-		case <-t.C():
-			rt.fireDueReminders()
-		}
-	}
-}
-
-func (rt *Runtime) fireDueReminders() {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	now := rt.clk.Now()
-	due, err := rt.reminders.Due(ctx, now)
-	if err != nil {
-		rt.metrics.Counter("core.reminder_poll_errors").Inc()
-		return
-	}
-	for _, r := range due {
-		id, err := ParseID(r.Target)
-		if err != nil {
-			rt.metrics.Counter("core.reminder_bad_target").Inc()
-			_ = rt.reminders.UnregisterReminder(ctx, r.Target, r.Name)
-			continue
-		}
-		if _, err := rt.Call(ctx, id, ReminderTick{Name: r.Name, Due: r.NextDue}); err != nil {
-			rt.metrics.Counter("core.reminder_delivery_errors").Inc()
-			continue // leave NextDue unchanged; retried next poll
-		}
-		if _, err := rt.reminders.Advance(ctx, r, now); err != nil {
-			rt.metrics.Counter("core.reminder_advance_errors").Inc()
-		}
-		rt.metrics.Counter("core.reminders_fired").Inc()
-	}
+	// A Tell travels as a transport call too: the reply acknowledges the
+	// enqueue, not the turn. This keeps Tell reliable when the target
+	// silo loses an activation race and the message must be re-routed to
+	// the winner.
+	return rt.cfg.Transport.Call(ctx, target, req)
 }
 
 // Shutdown deactivates every activation on every silo (persisting state
@@ -692,10 +625,6 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 	}
 	rt.mu.Unlock()
 
-	if rt.reminderStop != nil {
-		close(rt.reminderStop)
-		<-rt.reminderDone
-	}
 	var firstErr error
 	for _, s := range silos {
 		close(s.collectorStop)

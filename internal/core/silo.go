@@ -51,9 +51,6 @@ func newSilo(name string, rt *Runtime, limiter *capacity.Limiter) *Silo {
 	}
 }
 
-// Name returns the silo's cluster-unique name.
-func (s *Silo) Name() string { return s.name }
-
 // Activations returns the number of live activations (for tests and
 // benchmark reporting).
 func (s *Silo) Activations() int {

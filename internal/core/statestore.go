@@ -22,6 +22,10 @@ type StateStore interface {
 	// replicated store that found a tombstone.
 	Load(ctx context.Context, key string) (data []byte, version int64, err error)
 	// Store persists data fenced on version and returns the new version.
+	// A store whose failed write may still have landed somewhere (a
+	// replicated store short of its quorum) returns the version that
+	// attempt spent beside the error, and the caller's next write must
+	// fence on it; the plain table returns zero with every error.
 	Store(ctx context.Context, key string, data []byte, version int64) (int64, error)
 }
 

@@ -52,9 +52,9 @@ type Config struct {
 	// Seed makes every decision reproducible. Two injectors with the same
 	// Seed and the same consultation sequence make identical decisions.
 	Seed int64
-	// Drop is the probability a transport Call or Send is dropped: the
-	// message never reaches the target and the caller gets a transient
-	// unreachable error (Call) or silence (Send).
+	// Drop is the probability a transport Call is dropped: the message
+	// never reaches the target and the caller gets a transient unreachable
+	// error.
 	Drop float64
 	// Dup is the probability a delivered message is delivered twice,
 	// exercising at-least-once handling in actors.
@@ -235,22 +235,6 @@ func (t *Transport) Call(ctx context.Context, node string, req transport.Request
 		_, _ = t.inner.Call(ctx, node, req)
 	}
 	return resp, err
-}
-
-// Send delivers one-way, subject to the same faults; drops are silent, as
-// lost one-way messages are.
-func (t *Transport) Send(ctx context.Context, node string, req transport.Request) error {
-	if fire, _ := t.inj.decide("drop", t.inj.cfgDrop()); fire {
-		return nil
-	}
-	if err := t.maybeDelay(ctx); err != nil {
-		return err
-	}
-	err := t.inner.Send(ctx, node, req)
-	if fire, _ := t.inj.decide("dup", t.inj.cfgDup()); fire && err == nil {
-		_ = t.inner.Send(ctx, node, req)
-	}
-	return err
 }
 
 // Close forwards to the inner transport.

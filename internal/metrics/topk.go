@@ -120,18 +120,6 @@ func (t *TopK) Len() int {
 	return len(t.heap)
 }
 
-// K returns the sketch's slot count.
-func (t *TopK) K() int { return t.k }
-
-// Reset drops every counter.
-func (t *TopK) Reset() {
-	t.mu.Lock()
-	t.index = make(map[string]*topkNode, t.k)
-	t.heap = nil
-	t.total = 0
-	t.mu.Unlock()
-}
-
 // Snapshot returns the resident entries sorted by descending count.
 func (t *TopK) Snapshot() []TopKEntry {
 	t.mu.Lock()

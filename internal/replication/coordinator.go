@@ -355,8 +355,8 @@ func (c *Coordinator) call(ctx context.Context, silo string, payload any) (any, 
 	return c.cfg.Transport.Call(cctx, silo, req)
 }
 
-// serveLocal dispatches payload against an in-process store without
-// codec round-trips, mirroring Service.Handle.
+// serveLocal dispatches one replication RPC payload against a store: the
+// coordinator's in-process shortcut and the body of Service.Handle.
 func serveLocal(ctx context.Context, st *Store, payload any) (any, error) {
 	switch m := payload.(type) {
 	case rpcApply:
@@ -543,12 +543,10 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		}
 		return nil
 	}
-	// The write failed: the caller gets no ack, so this attempt's hints
-	// must not outlive it. The caller's version did not advance, so its
-	// retry reuses this (epoch, seq) with different bytes — a surviving
-	// hint from the failed attempt, replayed after the retry is acked,
-	// could win the same-version value-hash tie-break and erase the
-	// acknowledged write on every replica.
+	// The write failed: the caller gets no ack and retries above this
+	// (epoch, seq) (see Store), so replaying the attempt's hints could
+	// only land a value nobody was promised. Dropping them keeps the
+	// queue to hints that still owe a home an acknowledged write.
 	c.dropHints(attemptHints)
 	acked := ackCur
 	if old != nil && ackOld < acked {
@@ -784,6 +782,12 @@ func (c *Coordinator) Load(ctx context.Context, key string) ([]byte, int64, erro
 		return nil, 0, fmt.Errorf("%w: %s", kvstore.ErrNotFound, key)
 	}
 	next := Version{Epoch: env.Version.Epoch + 1}
+	// The claim lives only in the new activation until its first write, so
+	// a predecessor can still be acked below it: the recorder is the one
+	// place a timeline can see that window open.
+	if tr := c.cfg.Tracer; tr.Recording() {
+		tr.Record(telemetry.EpochClaim, key, 0, fmt.Sprintf("epoch %d over %s", next.Epoch, env.Version))
+	}
 	if env.Tombstone {
 		// Deleted: absent to the caller, but the epoch claim must order
 		// above the tombstone or new writes would be stale-rejected.
@@ -809,8 +813,10 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, int64, error
 // Store quorum-writes data under key, fenced on the packed version the
 // caller loaded at: the write carries (epoch, seq+1), and any replica
 // holding a higher version rejects it, surfacing as an error matching
-// kvstore.ErrVersionMismatch. On success the caller's new version is
-// returned.
+// kvstore.ErrVersionMismatch. The caller's new version is returned on
+// success and also beside a quorum failure: that attempt may sit on a
+// minority of replicas, so its (epoch, seq) is spent and a retry must
+// write above it rather than reuse it with different bytes.
 func (c *Coordinator) Store(ctx context.Context, key string, data []byte, version int64) (int64, error) {
 	v := Unpack(version)
 	next := Version{Epoch: v.Epoch, Seq: v.Seq + 1}
@@ -821,7 +827,10 @@ func (c *Coordinator) Store(ctx context.Context, key string, data []byte, versio
 	}
 	env := Envelope{Version: next, Value: data}
 	if err := c.writeQuorum(ctx, key, env); err != nil {
-		return 0, err
+		if errors.Is(err, kvstore.ErrVersionMismatch) {
+			return 0, err
+		}
+		return next.Packed(), err
 	}
 	return next.Packed(), nil
 }

@@ -177,18 +177,11 @@ func (s *Store) rings() (cur, old *Ring) {
 // Table exposes the backing table (for tests and tooling).
 func (s *Store) Table() *kvstore.Table { return s.cfg.Table }
 
-// SwapTable replaces the backing table, used when a wiped replica's
-// store is rebuilt in place. The caller owns the old table's lifecycle.
-func (s *Store) SwapTable(t *kvstore.Table) { s.cfg.Table = t }
-
 // SetRebuilding gates (true) or releases (false) the replica's read
 // path. A replica restored onto empty storage must stay gated until an
 // anti-entropy pass against its peers comes back clean — see
 // ErrRebuilding for why.
 func (s *Store) SetRebuilding(v bool) { s.rebuilding.Store(v) }
-
-// Rebuilding reports whether the read path is gated.
-func (s *Store) Rebuilding() bool { return s.rebuilding.Load() }
 
 // Apply merges env into the replica under the if-newer rule and reports
 // what happened. It is idempotent: re-applying any envelope the replica
@@ -421,39 +414,5 @@ func (sv *Service) Handle(ctx context.Context, silo string, req transport.Reques
 	if st == nil {
 		return nil, fmt.Errorf("%w: no replica store on silo %q", errBadRPC, silo)
 	}
-	switch m := req.Payload.(type) {
-	case rpcApply:
-		env, err := DecodeEnvelope(m.Env)
-		if err != nil {
-			return nil, err
-		}
-		out, err := st.Apply(ctx, m.Key, env)
-		if err != nil {
-			return nil, err
-		}
-		return rpcApplyResp{Outcome: uint8(out)}, nil
-	case rpcFetch:
-		env, found, err := st.Fetch(ctx, m.Key)
-		if err != nil {
-			return nil, err
-		}
-		resp := rpcFetchResp{Found: found}
-		if found {
-			resp.Env = env.Encode()
-		}
-		return resp, nil
-	case rpcDigest:
-		d, err := st.Digest(ctx, m.Peer, m.Buckets)
-		if err != nil {
-			return nil, err
-		}
-		return rpcDigestResp{Buckets: d}, nil
-	case rpcKeys:
-		ks, err := st.BucketKeys(ctx, m.Peer, m.Bucket, m.Buckets)
-		if err != nil {
-			return nil, err
-		}
-		return rpcKeysResp{Keys: ks}, nil
-	}
-	return nil, fmt.Errorf("%w: payload %T", errBadRPC, req.Payload)
+	return serveLocal(ctx, st, req.Payload)
 }

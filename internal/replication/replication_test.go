@@ -458,21 +458,23 @@ func TestReplayHintsIdempotentAfterPartialReplay(t *testing.T) {
 }
 
 func TestFailedWriteAttemptDropsHints(t *testing.T) {
-	// Regression: a quorum write that FAILS must not leave its hints
-	// behind. The caller's version does not advance on failure, so its
-	// retry reuses the same (epoch, seq) with different bytes; a
-	// surviving hint from the failed attempt, replayed after the retry
-	// is acked, could win the same-version value-hash tie-break and
-	// erase the acknowledged write on every replica.
+	// Regression: a quorum write that FAILS spends its (epoch, seq) and
+	// leaves no hints. It may sit on a minority of replicas, so a retry
+	// that reused the version with different bytes would meet Conflict
+	// there and be fenced — and a surviving hint could later resurrect
+	// bytes nobody was promised. Store returns the spent version beside
+	// the error; the retry writes above it and applies everywhere.
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 3, filepath.Join(t.TempDir(), "hints"))
+	c := newTestCluster(t, 3, 2, 2, filepath.Join(t.TempDir(), "hints"))
 	key := "device@31"
 	homes := c.ring.ReplicaSet(key, 3)
 
-	// W=3 with a dead home and no stand-ins (Silos==N): the write fails.
-	dead := homes[0]
-	c.tr.Deregister(dead)
-	_, err := c.coord.Store(ctx, key, []byte("failed-attempt"), 0)
+	// Two dead homes and no stand-ins (Silos==N): attempt 1 lands on one
+	// replica and fails its quorum.
+	for _, dead := range homes[1:] {
+		c.tr.Deregister(dead)
+	}
+	spent, err := c.coord.Store(ctx, key, []byte("failed-attempt"), 0)
 	if !errors.Is(err, ErrQuorum) {
 		t.Fatalf("want ErrQuorum, got %v", err)
 	}
@@ -480,42 +482,37 @@ func TestFailedWriteAttemptDropsHints(t *testing.T) {
 	if !errors.As(err, &tr) || !tr.TransientError() {
 		t.Fatalf("quorum failure must self-classify transient: %v", err)
 	}
+	if want := (Version{Seq: 1}).Packed(); spent != want {
+		t.Fatalf("failed write returned version %s, want the spent %s", Unpack(spent), Unpack(want))
+	}
+	if env, found, _ := c.svc.Store(homes[0]).Fetch(ctx, key); !found || string(env.Value) != "failed-attempt" {
+		t.Fatalf("attempt 1 should sit on %s alone: found=%v value=%q", homes[0], found, env.Value)
+	}
 	if n := c.coord.Hints().Pending(); n != 0 {
 		t.Fatalf("failed write left %d hints pending", n)
 	}
 
-	// The retry (same version, different bytes) acks once the home is
-	// back; no stale hint may later resurrect the failed bytes.
-	silo := dead
-	if err := c.tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
-		return c.svc.Handle(ctx, silo, req)
-	}); err != nil {
-		t.Fatal(err)
+	// The homes come back; the retry carries different bytes.
+	for _, silo := range homes[1:] {
+		silo := silo
+		if err := c.tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
+			return c.svc.Handle(ctx, silo, req)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The retry reuses version (e0,s1) with different bytes. Depending on
-	// the value-hash tie-break it either applies directly or gets fenced
-	// by the conflict rule — in which case the writer re-loads with an
-	// epoch bump (exactly what core does for a fenced activation) and
-	// retries above the conflict.
-	if _, err := c.coord.Store(ctx, key, []byte("acked-retry"), 0); err != nil {
-		if !errors.Is(err, kvstore.ErrVersionMismatch) {
-			t.Fatalf("retry: %v", err)
-		}
-		_, claim, lerr := c.coord.Load(ctx, key)
-		if lerr != nil && !errors.Is(lerr, kvstore.ErrNotFound) {
-			t.Fatalf("reload after fence: %v", lerr)
-		}
-		if _, err := c.coord.Store(ctx, key, []byte("acked-retry"), claim); err != nil {
-			t.Fatalf("retry above fence: %v", err)
-		}
+	acked, err := c.coord.Store(ctx, key, []byte("acked-retry"), spent)
+	if err != nil {
+		t.Fatalf("retry above the spent version: %v", err)
 	}
 	if d, r := c.coord.ReplayHints(ctx); d != 0 || r != 0 {
 		t.Fatalf("replay should be empty: delivered=%d remaining=%d", d, r)
 	}
 	for _, h := range homes {
 		env, found, err := c.svc.Store(h).Fetch(ctx, key)
-		if err != nil || !found || string(env.Value) != "acked-retry" {
-			t.Fatalf("%s holds %q (found=%v err=%v), want acked-retry", h, env.Value, found, err)
+		if err != nil || !found || string(env.Value) != "acked-retry" || env.Version.Packed() != acked {
+			t.Fatalf("%s holds %q at %s (found=%v err=%v), want acked-retry at %s",
+				h, env.Value, env.Version, found, err, Unpack(acked))
 		}
 	}
 }

@@ -45,6 +45,7 @@ const (
 	ActorPanic
 	WALStall
 	Captured
+	EpochClaim
 )
 
 var eventKindNames = [...]string{
@@ -67,6 +68,7 @@ var eventKindNames = [...]string{
 	ActorPanic:      "panic",
 	WALStall:        "wal-stall",
 	Captured:        "captured",
+	EpochClaim:      "epoch-claim",
 }
 
 // String returns the kind's wire name (used in /events JSON and filters).

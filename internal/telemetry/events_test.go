@@ -269,7 +269,7 @@ func TestEventFilter(t *testing.T) {
 
 func TestEventKindNames(t *testing.T) {
 	seen := map[string]bool{}
-	for k := MemberJoin; k <= Captured; k++ {
+	for k := MemberJoin; k <= EpochClaim; k++ {
 		name := k.String()
 		if strings.HasPrefix(name, "kind-") || seen[name] {
 			t.Fatalf("kind %d has no unique wire name: %q", k, name)

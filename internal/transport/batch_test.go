@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -32,37 +31,6 @@ func newTCPPairOpts(t *testing.T, opts TCPOptions) (*TCP, *TCP) {
 	b.SetPeer("silo-a", a.Addr())
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
-}
-
-// TestTCPLocalSendDrainedOnClose: a one-way send to the endpoint's own
-// silo runs the handler in a goroutine; Close must wait for it (it used
-// to leak untracked), and sends after Close must be rejected.
-func TestTCPLocalSendDrainedOnClose(t *testing.T) {
-	tp, err := NewTCP("solo", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var finished atomic.Bool
-	started := make(chan struct{})
-	tp.Register("solo", func(context.Context, Request) (any, error) {
-		close(started)
-		time.Sleep(50 * time.Millisecond)
-		finished.Store(true)
-		return nil, nil
-	})
-	if err := tp.Send(context.Background(), "solo", Request{}); err != nil {
-		t.Fatal(err)
-	}
-	<-started // Close starts only after the handler goroutine is live
-	if err := tp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !finished.Load() {
-		t.Fatal("Close returned before the local one-way handler finished")
-	}
-	if err := tp.Send(context.Background(), "solo", Request{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Send after Close = %v, want ErrClosed", err)
-	}
 }
 
 // TestTCPWriteFailureEvictsConn: when a connection's socket breaks, the
@@ -212,19 +180,12 @@ func TestTCPQueuedFramesFailFastOnConnDeath(t *testing.T) {
 }
 
 // TestTCPStripedConnectionsConcurrent hammers a striped transport from
-// many goroutines mixing calls and one-way sends; run under -race this
-// is the striping data-race check, and every call must succeed and
-// return its own reply.
+// many goroutines; run under -race this is the striping data-race check,
+// and every call must succeed and return its own reply.
 func TestTCPStripedConnectionsConcurrent(t *testing.T) {
 	a, b := newTCPPairOpts(t, TCPOptions{Stripes: 4})
-	var oneWays atomic.Int32
 	b.Register("silo-b", func(_ context.Context, req Request) (any, error) {
-		p := req.Payload.(testPayload)
-		if req.Method == "oneway" {
-			oneWays.Add(1)
-			return nil, nil
-		}
-		return testReply{N: p.N}, nil
+		return testReply{N: req.Payload.(testPayload).N}, nil
 	})
 	const workers = 16
 	const perWorker = 40
@@ -246,12 +207,6 @@ func TestTCPStripedConnectionsConcurrent(t *testing.T) {
 					t.Errorf("worker %d call %d: crossed response %v", w, i, resp)
 					return
 				}
-				if i%4 == 0 {
-					if err := a.Send(ctx, "silo-b", Request{TargetKey: key, Method: "oneway", Payload: testPayload{n}}); err != nil {
-						t.Errorf("worker %d send %d: %v", w, i, err)
-						return
-					}
-				}
 			}
 		}(w)
 	}
@@ -267,13 +222,6 @@ func TestTCPStripedConnectionsConcurrent(t *testing.T) {
 	a.mu.Unlock()
 	if dialed < 2 {
 		t.Fatalf("striping inactive: %d stripes dialed, want >= 2", dialed)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for oneWays.Load() < workers*perWorker/4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := oneWays.Load(); got < workers*perWorker/4 {
-		t.Fatalf("one-way frames delivered = %d, want %d", got, workers*perWorker/4)
 	}
 }
 
@@ -369,14 +317,12 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	// Enqueue the first frame; its flush blocks on the unread pipe while
 	// nine more frames pile into the queue.
 	const frames = 10
-	dones := make([]chan error, frames)
 	for i := 0; i < frames; i++ {
-		dones[i] = make(chan error, 1)
 		f := codec.GetFrame()
 		f.ID = uint64(i + 1)
-		f.Kind = codec.FrameOneWay
+		f.Kind = codec.FrameRequest
 		f.Payload = testPayload{i}
-		if err := w.enqueue(context.Background(), &sendReq{frame: f, done: dones[i]}); err != nil {
+		if err := w.enqueue(context.Background(), &sendReq{frame: f}); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 		if i == 0 {
@@ -387,15 +333,12 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	}
 	// Unblock the pipe; everything drains.
 	go io.Copy(io.Discard, there) //nolint:errcheck
-	for i, d := range dones {
-		select {
-		case err := <-d:
-			if err != nil {
-				t.Fatalf("frame %d failed: %v", i, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("frame %d never flushed", i)
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("transport.frames.sent").Value() < frames {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames flushed", reg.Counter("transport.frames.sent").Value(), frames)
 		}
+		time.Sleep(time.Millisecond)
 	}
 	snap := reg.Histogram("transport.flush.frames").Snapshot()
 	if snap.Count < 2 {

@@ -92,76 +92,3 @@ func BenchmarkTransportCall(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTransportSend measures one-way frame throughput (ingest-style
-// traffic: fire-and-forget inserts). Each sender waits only for its
-// frame to reach the wire, so this isolates the write path the batching
-// work targets.
-func BenchmarkTransportSend(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{
-		{"batch", false},
-		{"nobatch", true},
-	} {
-		for _, callers := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/callers=%d", mode.name, callers), func(b *testing.B) {
-				reg := metrics.NewRegistry()
-				a, err := NewTCPWithOptions("bench-a", "127.0.0.1:0", TCPOptions{NoBatching: mode.noBatch, Metrics: reg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer a.Close()
-				var received atomic.Int64
-				peer, err := NewTCPWithOptions("bench-b", "127.0.0.1:0", TCPOptions{NoBatching: mode.noBatch})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer peer.Close()
-				a.SetPeer("bench-b", peer.Addr())
-				if err := peer.Register("bench-b", func(context.Context, Request) (any, error) {
-					received.Add(1)
-					return nil, nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if err := a.Send(context.Background(), "bench-b", Request{TargetKey: "warm", Payload: testPayload{0}}); err != nil {
-					b.Fatal(err)
-				}
-				framesBase := reg.Counter("transport.frames.sent").Value()
-				flushesBase := reg.Counter("transport.flushes").Value()
-				keys := benchKeys()
-
-				b.ResetTimer()
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for c := 0; c < callers; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						ctx := context.Background()
-						for {
-							i := next.Add(1)
-							if i > int64(b.N) {
-								return
-							}
-							if err := a.Send(ctx, "bench-b", Request{TargetKey: keys[i%64], Payload: testPayload{int(i)}}); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-
-				frames := reg.Counter("transport.frames.sent").Value() - framesBase
-				flushes := reg.Counter("transport.flushes").Value() - flushesBase
-				if flushes > 0 {
-					b.ReportMetric(float64(frames)/float64(flushes), "frames/flush")
-				}
-			})
-		}
-	}
-}

@@ -179,17 +179,6 @@ func (b *Breaker) Call(ctx context.Context, node string, req Request) (any, erro
 	return resp, err
 }
 
-// Send delivers a one-way request through the node's breaker. Delivery
-// errors the inner transport reports synchronously feed the breaker.
-func (b *Breaker) Send(ctx context.Context, node string, req Request) error {
-	if err := b.allow(node); err != nil {
-		return err
-	}
-	err := b.inner.Send(ctx, node, req)
-	b.record(node, err)
-	return err
-}
-
 // States reports every tracked node's breaker state, failure streak, and
 // trip count for operator introspection (the telemetry /metrics surface
 // exports these as aodb_breaker_* gauges). Nodes that never failed have

@@ -17,12 +17,6 @@ type flakyTransport struct {
 
 func (f *flakyTransport) Register(node string, h Handler) error { return f.local.Register(node, h) }
 func (f *flakyTransport) Close() error                          { return f.local.Close() }
-func (f *flakyTransport) Send(ctx context.Context, node string, req Request) error {
-	if f.down[node] {
-		return &UnreachableError{Node: node, Err: errors.New("down")}
-	}
-	return f.local.Send(ctx, node, req)
-}
 func (f *flakyTransport) Call(ctx context.Context, node string, req Request) (any, error) {
 	if f.down[node] {
 		return nil, &UnreachableError{Node: node, Err: errors.New("down")}

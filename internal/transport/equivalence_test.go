@@ -66,11 +66,6 @@ func TestTCPBatchingFaultEquivalence(t *testing.T) {
 			default:
 				out = append(out, "err:"+err.Error())
 			}
-			if i%3 == 0 {
-				if err := ft.Send(ctx, "silo-b", transport.Request{TargetKey: "one-way", Payload: eqPayload{i}}); err != nil {
-					out = append(out, "send-err")
-				}
-			}
 		}
 		return out
 	}

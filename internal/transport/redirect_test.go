@@ -58,3 +58,39 @@ func TestTCPRedirectSurvivesWire(t *testing.T) {
 		t.Fatalf("err = %T %v, want *RemoteError", err, err)
 	}
 }
+
+type retryableError struct{}
+
+func (retryableError) Error() string        { return "quorum not reached" }
+func (retryableError) TransientError() bool { return true }
+
+// TestTCPTransientSurvivesWire: whether a handler's error may be retried
+// must read the same on the caller as on the serving silo. gob flattens
+// the error to a string, so the classification rides in its own frame
+// field and comes back as RemoteError.TransientError.
+func TestTCPTransientSurvivesWire(t *testing.T) {
+	a, b := newTCPPair(t)
+	served := []error{
+		fmt.Errorf("activating: %w", retryableError{}),
+		fmt.Errorf("nested call: %w", &UnreachableError{Node: "silo-c", Err: errors.New("down")}),
+		errors.New("boom"),
+	}
+	if err := b.Register("silo-b", func(_ context.Context, req Request) (any, error) {
+		return nil, served[req.Payload.(testPayload).N]
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range served {
+		_, err := a.Call(context.Background(), "silo-b", Request{Payload: testPayload{i}})
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("served %q: err = %T %v, want *RemoteError", want, err, err)
+		}
+		if IsUnreachable(err) {
+			t.Fatalf("served %q: the reply arrived, yet the caller reads silo-b as unreachable", want)
+		}
+		if got := Transient(err); got != Transient(want) {
+			t.Fatalf("served %q: Transient on the caller = %v, on the serving silo = %v", want, got, Transient(want))
+		}
+	}
+}

@@ -323,7 +323,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 			return
 		}
 		switch f.Kind {
-		case codec.FrameRequest, codec.FrameOneWay:
+		case codec.FrameRequest:
 			in := inboundFrame{w: w, f: f}
 			// Count the frame against the reply writer before anything is
 			// scheduled: a burst read off the wire raises active to the
@@ -366,7 +366,7 @@ func (t *TCP) dispatch(w *frameWriter, f *codec.Frame) {
 		},
 		HLC: f.HLC,
 	}
-	id, kind := f.ID, f.Kind
+	id := f.ID
 	// The request header is done: req holds its own copies of the payload
 	// and chain references, which outlive the frame's return to the pool.
 	codec.PutFrame(f)
@@ -376,9 +376,6 @@ func (t *TCP) dispatch(w *frameWriter, f *codec.Frame) {
 		err = fmt.Errorf("transport: node %q has no handler", t.node)
 	} else {
 		resp, err = h(context.Background(), req)
-	}
-	if kind == codec.FrameOneWay {
-		return
 	}
 	out := codec.GetFrame()
 	out.ID = id
@@ -394,6 +391,7 @@ func (t *TCP) dispatch(w *frameWriter, f *codec.Frame) {
 		if errors.As(err, &r) {
 			out.Redirect = r.RedirectTarget()
 		}
+		out.Transient = Transient(err)
 	}
 	// A reply that cannot be written is a response the peer will never
 	// see. The writer marks the stream dead (closing the connection so
@@ -551,10 +549,10 @@ func (c *tcpConn) readLoop() {
 
 // requestFrame builds a pooled frame for req. The caller owns the frame
 // until it hands it to a writer.
-func requestFrame(id uint64, kind codec.FrameKind, req Request) *codec.Frame {
+func requestFrame(id uint64, req Request) *codec.Frame {
 	f := codec.GetFrame()
 	f.ID = id
-	f.Kind = kind
+	f.Kind = codec.FrameRequest
 	f.TargetKind = req.TargetKind
 	f.TargetKey = req.TargetKey
 	f.Method = req.Method
@@ -600,7 +598,7 @@ func (t *TCP) Call(ctx context.Context, node string, req Request) (any, error) {
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
-	r := &sendReq{frame: requestFrame(id, codec.FrameRequest, req), span: telemetry.SpanFrom(ctx)}
+	r := &sendReq{frame: requestFrame(id, req), span: telemetry.SpanFrom(ctx)}
 	if err := c.enqueue(ctx, r); err != nil {
 		c.pmu.Lock()
 		delete(c.pending, id)
@@ -633,83 +631,20 @@ func (t *TCP) Call(ctx context.Context, node string, req Request) (any, error) {
 	}
 	respChans.Put(ch)
 	if f.Kind == codec.FrameError {
-		msg, redirect := f.Err, f.Redirect
+		msg, redirect, transient := f.Err, f.Redirect, f.Transient
 		codec.PutFrame(f)
 		if redirect != "" {
 			return nil, &RedirectError{Node: node, Target: redirect, Msg: msg}
 		}
-		return nil, &RemoteError{Node: node, Msg: msg}
+		return nil, &RemoteError{Node: node, Msg: msg, Transient: transient}
 	}
 	payload := f.Payload
 	codec.PutFrame(f)
 	return payload, nil
 }
 
-// Send delivers a one-way frame and waits only for the write to reach
-// the wire (one flush away under batching), so write failures surface as
-// UnreachableError. Sends to this endpoint's own silo run the handler
-// directly (asynchronously, preserving one-way semantics); those handler
-// goroutines are tracked and drained by Close.
-func (t *TCP) Send(ctx context.Context, node string, req Request) error {
-	if node == t.node {
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return ErrClosed
-		}
-		h := t.loadHandler()
-		if h == nil {
-			t.mu.Unlock()
-			return fmt.Errorf("transport: node %q has no handler", t.node)
-		}
-		t.wg.Add(1)
-		t.mu.Unlock()
-		go func() {
-			defer t.wg.Done()
-			_, _ = h(context.WithoutCancel(ctx), req)
-		}()
-		return nil
-	}
-	c, err := t.conn(node, req.TargetKey)
-	if err != nil {
-		return err
-	}
-	if req.HLC == 0 && t.opts.StampHLC != nil {
-		req.HLC = t.opts.StampHLC()
-	}
-	c.active.Add(1)
-	defer c.active.Add(-1)
-	r := &sendReq{
-		frame: requestFrame(c.nextID.Add(1), codec.FrameOneWay, req),
-		done:  make(chan error, 1),
-		span:  telemetry.SpanFrom(ctx),
-	}
-	if err := c.enqueue(ctx, r); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return err
-		}
-		return &UnreachableError{Node: node, Err: fmt.Errorf("write: %w", err)}
-	}
-	var werr error
-	if done := ctx.Done(); done == nil {
-		werr = <-r.done
-	} else {
-		select {
-		case werr = <-r.done:
-		case <-done:
-			// The frame is queued and may still go out; one-way semantics
-			// allow either outcome.
-			return ctx.Err()
-		}
-	}
-	if werr != nil {
-		return &UnreachableError{Node: node, Err: fmt.Errorf("write: %w", werr)}
-	}
-	return nil
-}
-
 // Close stops the listener and all connections, waiting for in-flight
-// dispatches (including local one-way handler goroutines) to drain.
+// dispatches to drain.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {

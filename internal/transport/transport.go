@@ -52,8 +52,6 @@ type Transport interface {
 	Register(node string, h Handler) error
 	// Call delivers req to node and waits for the response.
 	Call(ctx context.Context, node string, req Request) (any, error)
-	// Send delivers req to node without waiting for a result.
-	Send(ctx context.Context, node string, req Request) error
 	// Close releases connections and stops serving.
 	Close() error
 }
@@ -98,14 +96,32 @@ func IsUnreachable(err error) bool {
 	return errors.As(err, &u) || errors.Is(err, ErrCircuitOpen)
 }
 
-// RemoteError wraps an error string that crossed the wire.
+// RemoteError wraps an error string that crossed the wire, with the
+// retry classification the serving node gave the original (see Transient).
 type RemoteError struct {
-	Node string
-	Msg  string
+	Node      string
+	Msg       string
+	Transient bool
 }
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("remote error from %s: %s", e.Node, e.Msg)
+}
+
+// TransientError reports what the serving node's error said of itself.
+func (e *RemoteError) TransientError() bool { return e.Transient }
+
+// Transient reports whether err may be retried as far as a layer that
+// knows no error by name can tell: an error anywhere in the chain
+// classifies itself through a TransientError() bool method, or the
+// failure is unreachability or deadline expiry. It is the bit a TCP
+// error reply carries, and the part of core.Transient below core.
+func Transient(err error) bool {
+	var t interface{ TransientError() bool }
+	if errors.As(err, &t) {
+		return t.TransientError()
+	}
+	return IsUnreachable(err) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // RedirectError reports that the addressed node rejected the request and
@@ -232,21 +248,6 @@ func (l *Local) Call(ctx context.Context, node string, req Request) (any, error)
 		return nil, err
 	}
 	return resp, nil
-}
-
-// Send delivers req without waiting for the handler to finish.
-func (l *Local) Send(ctx context.Context, node string, req Request) error {
-	h, err := l.handler(node)
-	if err != nil {
-		return err
-	}
-	go func() {
-		if err := l.delay(ctx, req.Sender, node, req.SizeHint); err != nil {
-			return
-		}
-		_, _ = h(context.WithoutCancel(ctx), req)
-	}()
-	return nil
 }
 
 // Stats returns how many calls stayed on their silo vs crossed silos.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,29 +93,6 @@ func TestLocalRemoteLatencyApplied(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Millisecond {
 		t.Fatalf("same-silo call took %v, want ~0", elapsed)
-	}
-}
-
-func TestLocalSendIsAsync(t *testing.T) {
-	l := NewLocal(nil, nil)
-	defer l.Close()
-	var hits atomic.Int32
-	done := make(chan struct{})
-	l.Register("s", func(context.Context, Request) (any, error) {
-		hits.Add(1)
-		close(done)
-		return nil, nil
-	})
-	if err := l.Send(context.Background(), "s", Request{}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("one-way send never delivered")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("handler hits = %d", hits.Load())
 	}
 }
 
@@ -223,26 +199,6 @@ func TestTCPRegisterWrongNode(t *testing.T) {
 	a, _ := newTCPPair(t)
 	if err := a.Register("other", echoHandler); err == nil {
 		t.Fatal("registering foreign silo name accepted")
-	}
-}
-
-func TestTCPOneWaySend(t *testing.T) {
-	a, b := newTCPPair(t)
-	got := make(chan int, 1)
-	b.Register("silo-b", func(_ context.Context, req Request) (any, error) {
-		got <- req.Payload.(testPayload).N
-		return nil, nil
-	})
-	if err := a.Send(context.Background(), "silo-b", Request{Payload: testPayload{7}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-got:
-		if n != 7 {
-			t.Fatalf("payload = %d", n)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("one-way frame never arrived")
 	}
 }
 

@@ -56,9 +56,6 @@ const maxFlushYields = 8
 // sendReq is one frame queued for a connection's writer.
 type sendReq struct {
 	frame *codec.Frame
-	// done, when non-nil, receives the write result exactly once; it must
-	// be buffered. One-way sends wait on it so write failures surface.
-	done chan error
 	// span is the caller's sampled trace span; the time the frame spends
 	// between enqueue and wire is attributed to it as flush wait.
 	span *telemetry.Span
@@ -88,7 +85,7 @@ type frameWriter struct {
 	maxFrames int
 	maxBytes  int
 
-	// active counts callers currently inside a Call/Send (or inbound
+	// active counts callers currently inside a Call (or inbound
 	// dispatch) on this connection. It is the batching-worthwhile signal:
 	// a solo caller writes inline — identical cost to the unbatched
 	// baseline — because nobody else's frames could share its flush, while
@@ -134,8 +131,8 @@ func (w *frameWriter) fail(err error) {
 }
 
 // enqueue hands one frame to the writer, taking ownership of it in all
-// outcomes: on any failure path the frame is settled (done notified,
-// reply errors counted, frame pooled) before enqueue returns. The
+// outcomes: on any failure path the frame is settled (reply errors
+// counted, frame pooled) before enqueue returns. The
 // returned error is for the caller's control flow only. ctx bounds the
 // wait for queue space (backpressure).
 func (w *frameWriter) enqueue(ctx context.Context, r *sendReq) error {
@@ -215,8 +212,8 @@ func (w *frameWriter) writeDirect(r *sendReq) error {
 }
 
 // finish settles one frame the writer took ownership of: attributes its
-// queue-to-wire time to the caller's span, counts lost replies, returns
-// the frame to the pool, and delivers the result to a waiting sender.
+// queue-to-wire time to the caller's span, counts lost replies, and
+// returns the frame to the pool.
 func (w *frameWriter) finish(r *sendReq, err error) {
 	if r.span != nil {
 		r.span.AddFlushWait(time.Since(r.enq))
@@ -226,9 +223,6 @@ func (w *frameWriter) finish(r *sendReq, err error) {
 	}
 	codec.PutFrame(r.frame)
 	r.frame = nil
-	if r.done != nil {
-		r.done <- err
-	}
 }
 
 // run is the connection's sole writer goroutine in batching mode.
