@@ -16,14 +16,15 @@ import (
 )
 
 // activation is one in-memory instance of a virtual actor, owned by a
-// silo. All application code for the actor runs on the activation's single
-// mailbox goroutine.
+// silo. It has no goroutine of its own: all application code for the actor
+// runs on whichever worker currently owns its mailbox (see mailbox and
+// workers), one worker at a time, which is what keeps turns single-threaded.
 type activation struct {
 	id    ID
 	silo  *Silo
 	cfg   *kindConfig
 	actor Actor
-	box   *mailbox
+	box   mailbox
 	reg   directory.Registration
 
 	lastBusy atomic.Int64 // unix nanos of the last turn
@@ -32,71 +33,97 @@ type activation struct {
 	// ownership has already moved, so any state write it still attempts
 	// must fail as stale rather than clobber the successor's writes.
 	fenced atomic.Bool
+	// closeOnIdle is Context.DeactivateOnIdle's request, consumed by the
+	// owning worker when the mailbox next runs empty.
+	closeOnIdle atomic.Bool
+
+	// The rest is touched only by the worker that owns the mailbox.
+	// started says the first visit has run activate, activateErr is what
+	// that returned, poison is the panic of a turn (see visit).
+	started     bool
+	activateErr error
+	poison      error
 
 	// stateVersion is the kvstore version the activation's state was
 	// loaded at; writes are fenced with PutIf so a zombie activation (one
 	// that survived a simulated silo crash mid-turn) can never clobber
-	// its successor's state. Only touched on the mailbox goroutine.
+	// its successor's state.
 	stateVersion int64
 
 	// cur is the span of the turn currently executing, when that turn is
-	// sampled. Set and cleared by the mailbox goroutine; Context methods
-	// and the kvstore instrumentation read it via a.context.
+	// sampled. Context methods and the kvstore instrumentation read it
+	// via a.context.
 	cur *telemetry.Span
 
 	drained chan struct{} // closed after full deactivation cleanup
 }
 
+// newActivation returns an activation whose mailbox is already owned: the
+// caller hands it to a worker, whose first visit activates it.
 func newActivation(id ID, silo *Silo, cfg *kindConfig, reg directory.Registration) *activation {
 	a := &activation{
 		id:      id,
 		silo:    silo,
 		cfg:     cfg,
 		actor:   cfg.factory(),
-		box:     newMailbox(),
 		reg:     reg,
 		drained: make(chan struct{}),
 	}
+	a.box.owned = true
 	a.lastBusy.Store(silo.rt.clk.Now().UnixNano())
 	return a
 }
 
-// run is the mailbox goroutine: activate, process turns, deactivate. A
-// panic in any turn poisons the activation: the panicking call gets a
-// PanicError, queued and late messages fail transient (so retries reach a
-// fresh activation), and the silo process itself never crashes.
-func (a *activation) run() {
-	activateErr := a.activate()
-	if activateErr != nil {
-		// Fail every queued message, then tear down so the next call can
-		// retry with a fresh activation.
-		a.box.close()
+// push and close flip the mailbox's owned bit and make the hand-off the flip
+// obliges; the third flipper, closeIfEmpty, is the idle collector's.
+func (a *activation) push(env envelope) bool {
+	ok, wake := a.box.push(env)
+	if wake {
+		a.silo.workers.handOff(a)
 	}
-	var poison error
-	for {
-		env, ok := a.box.pop()
-		if !ok {
-			break
-		}
-		if activateErr != nil {
-			env.fail(fmt.Errorf("core: activating %s: %w", a.id, activateErr))
-			continue
-		}
-		if a.crashed.Load() {
-			env.fail(fmt.Errorf("core: %s lost to silo crash: %w", a.id, ErrTransient))
-			continue
-		}
-		if poison != nil {
-			env.fail(fmt.Errorf("core: %s deactivating after panic: %w", a.id, ErrTransient))
-			continue
-		}
-		if perr := a.turn(env); perr != nil {
-			poison = perr
+	return ok
+}
+
+func (a *activation) close() {
+	if a.box.close() {
+		a.silo.workers.handOff(a)
+	}
+}
+
+// visit is one worker's tenure as owner: activate on the first, run turns
+// until the mailbox is empty, and let go — or deactivate, once it is closed
+// and drained. A panic in any turn poisons the activation: the panicking
+// call gets a PanicError, queued and late messages fail transient (so
+// retries reach a fresh activation), and the silo process never crashes.
+func (a *activation) visit() {
+	if !a.started {
+		a.started = true
+		if a.activateErr = a.activate(); a.activateErr != nil {
+			// Fail every queued message, then tear down so the next call
+			// can retry with a fresh activation.
 			a.box.close()
 		}
 	}
-	dirty := poison != nil || a.crashed.Load()
-	a.deactivate(activateErr == nil, dirty)
+	for {
+		env, st := a.box.pop(a.closeOnIdle.Load())
+		switch {
+		case st == released:
+			return
+		case st == drained:
+			a.deactivate(a.activateErr == nil, a.poison != nil || a.crashed.Load())
+			return
+		case a.activateErr != nil:
+			env.fail(fmt.Errorf("core: activating %s: %w", a.id, a.activateErr))
+		case a.crashed.Load():
+			env.fail(fmt.Errorf("core: %s lost to silo crash: %w", a.id, ErrTransient))
+		case a.poison != nil:
+			env.fail(fmt.Errorf("core: %s deactivating after panic: %w", a.id, ErrTransient))
+		default:
+			if a.poison = a.turn(env); a.poison != nil {
+				a.box.close()
+			}
+		}
+	}
 }
 
 // activate loads persistent state and runs the OnActivate hook. Panics in
@@ -304,18 +331,22 @@ func (a *activation) writeState(ctx context.Context) error {
 		// a plain table load does not, so the local fence closes that
 		// window.)
 		a.silo.metrics.Counter("core.stale_writes_fenced").Inc()
-		a.box.close() // self-deactivate; successor owns the state now
+		a.close() // self-deactivate; successor owns the state now
 		return fmt.Errorf("%w: %s migrated away mid-write", ErrStaleActivation, a.id)
 	}
 	data, err := json.Marshal(st.State())
 	if err != nil {
 		return err
 	}
+	if a.crashed.Load() {
+		// A dead process writes nothing; beside a successor it could be acked.
+		return fmt.Errorf("core: %s lost to silo crash: %w", a.id, ErrTransient)
+	}
 	next, err := a.silo.rt.states.Store(ctx, a.id.String(), data, a.stateVersion)
 	if err != nil {
 		if errors.Is(err, kvstore.ErrVersionMismatch) {
 			a.silo.metrics.Counter("core.stale_writes_fenced").Inc()
-			a.box.close() // self-deactivate; successor owns the state now
+			a.close() // self-deactivate; successor owns the state now
 			return fmt.Errorf("%w: %s at v%d: %v", ErrStaleActivation, a.id, a.stateVersion, err)
 		}
 		if next != 0 {

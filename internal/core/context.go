@@ -95,16 +95,6 @@ func (c *Context) Table(name string) (*kvstore.Table, error) {
 }
 
 // DeactivateOnIdle requests prompt collection of this activation: it is
-// torn down as soon as its mailbox drains, rather than waiting for the
-// idle collector.
-func (c *Context) DeactivateOnIdle() {
-	// Closing when empty now may lose the race with queued messages; the
-	// collector semantics are fine here because the mailbox close is
-	// attempted after the current turn by a goroutine watching emptiness.
-	go func() {
-		for !c.act.box.closeIfEmpty() {
-			t := c.rt.clk.NewTimer(time.Millisecond)
-			<-t.C()
-		}
-	}()
-}
+// torn down as soon as its mailbox drains — by the worker that finds it
+// empty, in the same visit — rather than waiting for the idle collector.
+func (c *Context) DeactivateOnIdle() { c.act.closeOnIdle.Store(true) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,23 +163,27 @@ func TestIDRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestMailboxFIFOProperty: any push sequence pops in order.
+// TestMailboxFIFOProperty: any push sequence pops in order; only the first
+// push into the idle mailbox asks for a wake.
 func TestMailboxFIFOProperty(t *testing.T) {
 	f := func(values []int) bool {
-		m := newMailbox()
-		for _, v := range values {
-			if !m.push(envelope{msg: v}) {
+		m := new(mailbox)
+		for i, v := range values {
+			if ok, wake := m.push(envelope{msg: v}); !ok || wake != (i == 0) {
 				return false
 			}
 		}
 		for _, want := range values {
-			env, ok := m.pop()
-			if !ok || env.msg.(int) != want {
+			env, st := m.pop(false)
+			if st != popped || env.msg.(int) != want {
 				return false
 			}
 		}
-		m.close()
-		if _, ok := m.pop(); ok {
+		// Closing asks for a wake only when no push had taken the mailbox.
+		if wake := m.close(); wake != (len(values) == 0) {
+			return false
+		}
+		if _, st := m.pop(false); st != drained {
 			return false
 		}
 		return true
@@ -194,10 +199,10 @@ func TestMailboxFIFOProperty(t *testing.T) {
 // anything is queued.
 func TestMailboxDeepBacklogDrains(t *testing.T) {
 	const n = 50_000
-	m := newMailbox()
+	m := new(mailbox)
 	for i := 0; i < n; i++ {
-		if !m.push(envelope{msg: i}) {
-			t.Fatal("push refused")
+		if ok, wake := m.push(envelope{msg: i}); !ok || wake != (i == 0) {
+			t.Fatalf("push %d = %v, wake %v", i, ok, wake)
 		}
 	}
 	if m.depth() != n {
@@ -210,13 +215,16 @@ func TestMailboxDeepBacklogDrains(t *testing.T) {
 				t.Fatalf("closed with %d queued", n-i)
 			}
 		}
-		env, ok := m.pop()
-		if !ok || env.msg.(int) != i {
-			t.Fatalf("pop %d = %v, %v", i, env.msg, ok)
+		env, st := m.pop(false)
+		if st != popped || env.msg.(int) != i {
+			t.Fatalf("pop %d = %v, %v", i, env.msg, st)
 		}
-		// Interleaved pushes keep their place behind the backlog.
+		// Interleaved pushes keep their place behind the backlog, and ask
+		// for no wake: the mailbox is owned.
 		if i%1000 == 0 {
-			m.push(envelope{msg: -1 - i})
+			if ok, wake := m.push(envelope{msg: -1 - i}); !ok || wake {
+				t.Fatalf("interleaved push = %v, wake %v", ok, wake)
+			}
 			late++
 		}
 		if d := m.depth(); d != n-i-1+late {
@@ -225,9 +233,9 @@ func TestMailboxDeepBacklogDrains(t *testing.T) {
 	}
 	// The 50 interleaved envelopes follow, in push order.
 	for i := 0; i < n; i += 1000 {
-		env, ok := m.pop()
-		if !ok || env.msg.(int) != -1-i {
-			t.Fatalf("interleaved pop = %v, %v, want %d", env.msg, ok, -1-i)
+		env, st := m.pop(false)
+		if st != popped || env.msg.(int) != -1-i {
+			t.Fatalf("interleaved pop = %v, %v, want %d", env.msg, st, -1-i)
 		}
 	}
 	if m.depth() != 0 || m.head != 0 || len(m.q) != 0 {
@@ -238,32 +246,206 @@ func TestMailboxDeepBacklogDrains(t *testing.T) {
 			t.Fatal("a popped slot still holds its message")
 		}
 	}
-	if !m.closeIfEmpty() {
-		t.Fatal("failed to close drained mailbox")
+	// Empty but still owned: the worker has not let go yet.
+	if m.closeIfEmpty() {
+		t.Fatal("closed an owned mailbox")
 	}
-	if _, ok := m.pop(); ok {
+	if _, st := m.pop(false); st != released {
+		t.Fatalf("pop from open, empty mailbox = %v, want released", st)
+	}
+	if !m.closeIfEmpty() {
+		t.Fatal("failed to close idle mailbox")
+	}
+	if _, st := m.pop(false); st != drained {
 		t.Fatal("pop from closed, drained mailbox")
 	}
 }
 
 func TestMailboxCloseIfEmptyRaces(t *testing.T) {
 	// closeIfEmpty must refuse while a message is queued.
-	m := newMailbox()
+	m := new(mailbox)
 	m.push(envelope{msg: 1})
 	if m.closeIfEmpty() {
 		t.Fatal("closed non-empty mailbox")
 	}
-	m.pop()
-	if !m.closeIfEmpty() {
-		t.Fatal("failed to close empty mailbox")
+	m.pop(false)
+	// And while the worker that popped it still owns the mailbox: the turn
+	// is running.
+	if m.closeIfEmpty() {
+		t.Fatal("closed an owned mailbox")
 	}
-	if m.push(envelope{msg: 2}) {
+	if _, st := m.pop(false); st != released {
+		t.Fatalf("empty pop = %v, want released", st)
+	}
+	if !m.closeIfEmpty() {
+		t.Fatal("failed to close idle mailbox")
+	}
+	if ok, _ := m.push(envelope{msg: 2}); ok {
 		t.Fatal("push into closed mailbox succeeded")
 	}
-	// Idempotent.
-	if !m.closeIfEmpty() {
-		t.Fatal("closeIfEmpty on closed mailbox returned false")
+	// The wake is asked for once.
+	if m.closeIfEmpty() {
+		t.Fatal("closeIfEmpty on closed mailbox asked for a second wake")
 	}
+	if m.close() {
+		t.Fatal("close on closed mailbox asked for a second wake")
+	}
+
+	// closeOnIdle: the empty pop closes instead of releasing.
+	m = new(mailbox)
+	m.push(envelope{msg: 1})
+	if _, st := m.pop(true); st != popped {
+		t.Fatal("closeOnIdle pop skipped a queued message")
+	}
+	if _, st := m.pop(true); st != drained {
+		t.Fatal("closeOnIdle pop of an empty mailbox did not close it")
+	}
+	if ok, _ := m.push(envelope{msg: 2}); ok {
+		t.Fatal("push into closed mailbox succeeded")
+	}
+}
+
+// TestMailboxOneWakePerFlip: under 8 concurrent pushers and a closer, every
+// idle→owned flip is reported to exactly one caller. The worker here is
+// the test: a reported wake starts a visit, visits of one mailbox must
+// never overlap, and every accepted push must be popped. A mailbox the
+// closer wins is replaced by a fresh one, as a torn-down activation is.
+func TestMailboxOneWakePerFlip(t *testing.T) {
+	const pushers, perPusher = 8, 2000
+	type box struct {
+		mailbox
+		owners atomic.Int64
+	}
+	var cur atomic.Pointer[box]
+	cur.Store(new(box))
+	var wakes, npopped, accepted, closes atomic.Int64
+	var visits sync.WaitGroup
+	visit := func(m *box) {
+		defer visits.Done()
+		wakes.Add(1)
+		for n := 0; ; n++ {
+			if m.owners.Add(1) != 1 {
+				t.Error("two owners at once")
+			}
+			if n%64 == 0 {
+				runtime.Gosched() // widen the owned window
+			}
+			// The count drops before the pop that may let go: after that
+			// pop another flip, and another owner, are legitimate.
+			m.owners.Add(-1)
+			switch _, st := m.pop(false); st {
+			case popped:
+				npopped.Add(1)
+			case drained:
+				closes.Add(1)
+				cur.Store(new(box))
+				return
+			default:
+				return
+			}
+		}
+	}
+	var pushing sync.WaitGroup
+	for p := 0; p < pushers; p++ {
+		pushing.Add(1)
+		go func() {
+			defer pushing.Done()
+			for i := 0; i < perPusher; {
+				m := cur.Load()
+				ok, wake := m.push(envelope{msg: i})
+				if wake {
+					visits.Add(1)
+					go visit(m)
+				}
+				if !ok {
+					runtime.Gosched() // closed: wait for its successor
+					continue
+				}
+				accepted.Add(1)
+				i++
+				runtime.Gosched() // let the mailbox run empty now and then
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	closerDone := make(chan struct{})
+	go func() { // the idle collector: loses while a worker owns the mailbox
+		defer close(closerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m := cur.Load()
+			if m.closeIfEmpty() {
+				visits.Add(1)
+				go visit(m)
+			}
+			runtime.Gosched()
+		}
+	}()
+	pushing.Wait()
+	close(stop)
+	<-closerDone
+	visits.Wait()
+	if npopped.Load() != accepted.Load() || accepted.Load() != pushers*perPusher {
+		t.Fatalf("%d pushes accepted, %d popped, want %d", accepted.Load(), npopped.Load(), pushers*perPusher)
+	}
+	t.Logf("%d accepted, %d wakes, %d mailboxes closed idle", accepted.Load(), wakes.Load(), closes.Load())
+}
+
+// TestCrashedTurnWritesNothing: a turn that was already running when its
+// silo crashed gets no state write out — a dead process writes nothing, and
+// a write issued after the crash could be acknowledged beside the
+// successor's claim — and its caller sees a transient error.
+func TestCrashedTurnWritesNothing(t *testing.T) {
+	kv, err := kvstore.Open(kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	rt := newTestRuntime(t, Config{Store: kv, Retry: RetryPolicy{Disabled: true}})
+	entered, release := make(chan struct{}), make(chan struct{})
+	rt.RegisterKind("Slow", func() Actor { return &slowWriter{entered: entered, release: release} },
+		WithPersistence(PersistExplicit))
+	addSilo(t, rt, "s1")
+	id := ID{"Slow", "w"}
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Call(context.Background(), id, 7)
+		done <- err
+	}()
+	<-entered // the turn is past the crashed check and has not written yet
+	if err := rt.CrashSilo("s1"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; !Transient(err) {
+		t.Fatalf("call whose silo crashed mid-turn = %v, want a transient error", err)
+	}
+	if n := rt.Metrics().Counter("core.state_writes").Value(); n != 0 {
+		t.Fatalf("%d state writes from a crashed activation", n)
+	}
+	table, _ := kv.EnsureTable("grains", kvstore.Throughput{})
+	if _, err := table.Get(context.Background(), id.String()); !errors.Is(err, kvstore.ErrNotFound) {
+		t.Fatalf("state of the crashed activation in the store: %v", err)
+	}
+}
+
+// slowWriter parks its turn on the test's gate, then persists.
+type slowWriter struct {
+	state            struct{ N int }
+	entered, release chan struct{}
+}
+
+func (w *slowWriter) State() any { return &w.state }
+
+func (w *slowWriter) Receive(ctx *Context, msg any) (any, error) {
+	w.state.N = msg.(int)
+	w.entered <- struct{}{}
+	<-w.release
+	return nil, ctx.WriteState()
 }
 
 // TestCrashSiloErrorsAreTransient: a silo that is closing while the

@@ -37,44 +37,62 @@ type turnResult struct {
 // too, and backpressure in this runtime comes from the silo's capacity
 // limiter. An unbounded queue is also what lets the latency-percentile
 // experiments exhibit honest queueing delay instead of tail-dropping.
+//
+// No goroutine waits on a mailbox. The owned bit says a worker holds the
+// activation (or has been handed it): push, close and closeIfEmpty report
+// the idle→owned flip, and whoever flips it hands the activation to a
+// worker (or is one); the worker gives the bit back inside pop, in the critical section
+// that found the queue empty, so a push either lands before that pop or
+// flips the bit again. Open and unowned implies empty; a closed mailbox
+// stays owned for good, by the worker that tears the activation down. The
+// zero value is an open, idle, empty mailbox.
 type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	// q[head:] are the queued envelopes; q[:head] are popped and zeroed.
 	q      []envelope
 	head   int
 	closed bool
+	owned  bool
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
+// popState is what pop found.
+type popState uint8
 
-// push enqueues env, returning false if the mailbox has been closed (the
-// activation is deactivating and the caller must re-resolve the actor).
-func (m *mailbox) push(env envelope) bool {
+const (
+	popped   popState = iota // an envelope: run its turn
+	released                 // open and empty: the worker no longer owns the activation
+	drained                  // closed and empty: the worker tears the activation down
+)
+
+// push enqueues env. ok is false if the mailbox has been closed (the
+// activation is deactivating and the caller must re-resolve the actor);
+// wake is true if the push flipped the owned bit.
+func (m *mailbox) push(env envelope) (ok, wake bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return false
+		return false, false
 	}
 	m.q = append(m.q, env)
-	m.cond.Signal()
-	return true
+	wake = !m.owned
+	m.owned = true
+	return true, wake
 }
 
-// pop dequeues the next envelope, blocking while the mailbox is open and
-// empty. It returns ok=false once the mailbox is closed and drained.
-func (m *mailbox) pop() (envelope, bool) {
+// pop dequeues the next envelope for the worker that owns the mailbox; it
+// never blocks. An empty mailbox is released, or — closed, or closed here
+// because the activation asked for that with closeOnIdle — reported
+// drained, once.
+func (m *mailbox) pop(closeOnIdle bool) (envelope, popState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.head == len(m.q) && !m.closed {
-		m.cond.Wait()
-	}
 	if m.head == len(m.q) {
-		return envelope{}, false
+		if m.closed || closeOnIdle {
+			m.closed = true
+			return envelope{}, drained
+		}
+		m.owned = false
+		return envelope{}, released
 	}
 	env := m.q[m.head]
 	m.head++
@@ -85,39 +103,38 @@ func (m *mailbox) pop() (envelope, bool) {
 	// slots are zeroed, here or by the move, to drop what they referenced.
 	if m.head <= len(m.q)/2 {
 		m.q[m.head-1] = envelope{}
-		return env, true
+		return env, popped
 	}
 	n := copy(m.q, m.q[m.head:])
 	clear(m.q[n:])
 	m.q = m.q[:n]
 	m.head = 0
-	return env, true
+	return env, popped
 }
 
-// closeIfEmpty atomically closes the mailbox when it holds no messages,
-// returning whether it closed. The idle collector uses this so that a
-// message racing in keeps the activation alive.
-func (m *mailbox) closeIfEmpty() bool {
+// closeIfEmpty closes the mailbox if it is idle and reports whether it did,
+// which flips the owned bit. It refuses while a worker owns the mailbox —
+// a turn is queued or running — so traffic keeps an activation alive; the
+// idle collector relies on that.
+func (m *mailbox) closeIfEmpty() (wake bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return true
-	}
-	if m.head < len(m.q) {
+	if m.closed || m.owned {
 		return false
 	}
-	m.closed = true
-	m.cond.Broadcast()
+	m.closed, m.owned = true, true
 	return true
 }
 
-// close closes the mailbox unconditionally; queued envelopes will still be
-// drained by pop. Used at runtime shutdown.
-func (m *mailbox) close() {
+// close closes the mailbox unconditionally; queued envelopes are still
+// drained by pop. wake is true if the call flipped the owned bit.
+func (m *mailbox) close() (wake bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.cond.Broadcast()
+	wake = !m.owned
+	m.owned = true
+	return wake
 }
 
 // depth reports the number of queued messages, for introspection gauges.

@@ -197,7 +197,7 @@ func (s *Silo) migrateOut(ctx context.Context, id ID, target string, corr uint64
 	if !active {
 		return nil
 	}
-	act.box.close()
+	act.close()
 	select {
 	case <-act.drained:
 		s.metrics.Counter("core.migrations.out").Inc()

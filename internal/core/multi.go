@@ -373,7 +373,7 @@ func (s *Silo) deliverMany(ctx context.Context, req transport.Request, call mult
 		}
 		env.slot = int32(i)
 		act, err := s.resolveOnce(id, cfg)
-		if err == nil && !act.box.push(env) {
+		if err == nil && !act.push(env) {
 			err = fmt.Errorf("core: %s is deactivating: %w", id, ErrTransient)
 		}
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -143,11 +144,15 @@ type Runtime struct {
 	// services, one nil check.
 	services atomic.Pointer[map[string]ServiceHandler]
 
+	// kinds is copy-on-write like services and shutdown an atomic flag:
+	// every call reads both, and a read lock's reader count is a cache
+	// line the cores would pass back and forth. Both are written under mu.
+	kinds    atomic.Pointer[map[string]*kindConfig]
+	shutdown atomic.Bool
+
 	mu       sync.RWMutex
-	kinds    map[string]*kindConfig
 	silos    map[string]*Silo
 	siloList []string // sorted names, rebuilt on AddSilo
-	shutdown bool
 }
 
 // New creates a runtime. Add at least one silo and register kinds before
@@ -181,9 +186,9 @@ func New(cfg Config) (*Runtime, error) {
 		directory: directory.New(),
 		metrics:   cfg.Metrics,
 		tracer:    cfg.Tracer,
-		kinds:     make(map[string]*kindConfig),
 		silos:     make(map[string]*Silo),
 	}
+	rt.kinds.Store(&map[string]*kindConfig{})
 	if cfg.Store != nil {
 		table, err := cfg.Store.EnsureTable(cfg.StateTable, cfg.StateThroughput)
 		if err != nil {
@@ -254,17 +259,17 @@ func (rt *Runtime) RegisterKind(kind string, factory Factory, opts ...KindOption
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if _, ok := rt.kinds[kind]; ok {
+	if _, ok := rt.kind(kind); ok {
 		return fmt.Errorf("core: kind %q already registered", kind)
 	}
-	rt.kinds[kind] = cfg
+	next := maps.Clone(*rt.kinds.Load())
+	next[kind] = cfg
+	rt.kinds.Store(&next)
 	return nil
 }
 
 func (rt *Runtime) kind(name string) (*kindConfig, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	cfg, ok := rt.kinds[name]
+	cfg, ok := (*rt.kinds.Load())[name]
 	return cfg, ok
 }
 
@@ -275,7 +280,7 @@ func (rt *Runtime) AddSilo(name string, limiter *capacity.Limiter) (*Silo, error
 		return nil, errors.New("core: empty silo name")
 	}
 	rt.mu.Lock()
-	if rt.shutdown {
+	if rt.shutdown.Load() {
 		rt.mu.Unlock()
 		return nil, ErrShutdown
 	}
@@ -389,11 +394,7 @@ func (rt *Runtime) view() []string {
 }
 
 // isShutdown reports whether Shutdown has begun.
-func (rt *Runtime) isShutdown() bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.shutdown
-}
+func (rt *Runtime) isShutdown() bool { return rt.shutdown.Load() }
 
 func (rt *Runtime) costOf(id ID, msg any) time.Duration {
 	if rt.cfg.Cost == nil {
@@ -614,11 +615,11 @@ func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []str
 // where configured), stops background loops, and closes the transport.
 func (rt *Runtime) Shutdown(ctx context.Context) error {
 	rt.mu.Lock()
-	if rt.shutdown {
+	if rt.shutdown.Load() {
 		rt.mu.Unlock()
 		return nil
 	}
-	rt.shutdown = true
+	rt.shutdown.Store(true)
 	silos := make([]*Silo, 0, len(rt.silos))
 	for _, s := range rt.silos {
 		silos = append(silos, s)

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
-
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"aodb/internal/capacity"
 	"aodb/internal/directory"
@@ -24,10 +24,12 @@ type Silo struct {
 	rt      *Runtime
 	limiter *capacity.Limiter // nil = unbounded
 	metrics *metrics.Registry
+	workers workers // the goroutines that run this silo's turns
 
-	mu      sync.Mutex
-	catalog map[ID]*activation
-	closing bool
+	mu          sync.Mutex
+	catalog     map[ID]*activation
+	catalogPeak int // most activations held since catalog was last made
+	closing     bool
 	// moved records actors handed off to another silo: calls landing here
 	// are redirected instead of re-activating locally. Entries expire
 	// (pruned by the collector) once cluster views have converged on the
@@ -99,7 +101,7 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 		if err != nil {
 			return nil, err
 		}
-		if act.box.push(env) {
+		if act.push(env) {
 			break
 		}
 		// The activation closed between resolve and push; wait for its
@@ -211,8 +213,9 @@ func (s *Silo) resolveOnce(id ID, cfg *kindConfig) (*activation, error) {
 		return nil, s.closingErr()
 	}
 	s.catalog[id] = act
+	s.catalogPeak = max(s.catalogPeak, len(s.catalog))
 	s.mu.Unlock()
-	go act.run()
+	s.workers.handOff(act) // the first visit activates it
 	return act, nil
 }
 
@@ -227,12 +230,21 @@ func (s *Silo) closingErr() error {
 	return fmt.Errorf("core: silo %s is closing: %w", s.name, ErrTransient)
 }
 
+// catalogShrinkAbove is the peak population past which a catalog that
+// drains to empty is made afresh: a Go map never gives buckets back. A silo
+// cycling between no activation and a few keeps its map, allocating nothing.
+const catalogShrinkAbove = 1024
+
 // removeActivation drops a fully deactivated activation from the catalog.
 func (s *Silo) removeActivation(a *activation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.catalog[a.id]; ok && cur == a {
 		delete(s.catalog, a.id)
+		if len(s.catalog) == 0 && s.catalogPeak > catalogShrinkAbove {
+			s.catalog = make(map[ID]*activation)
+			s.catalogPeak = 0
+		}
 	}
 }
 
@@ -271,42 +283,59 @@ func (s *Silo) collectIdle() {
 		}
 	}
 	s.mu.Unlock()
-	for _, act := range candidates {
-		// closeIfEmpty loses the race to any in-flight message, which is
-		// exactly right: traffic keeps an activation alive.
-		act.box.closeIfEmpty()
+	// One sweep can close thousands of activations, far more than the
+	// silo parks workers for; handed off, each would start a goroutine,
+	// and the Go runtime never gives a goroutine's descriptor back. A few
+	// lanes share the sweep instead: a lane flips the owned bit and is
+	// itself the worker of every activation it closes.
+	var next atomic.Int64
+	lane := func() {
+		growStack(0)
+		for i := next.Add(1) - 1; i < int64(len(candidates)); i = next.Add(1) - 1 {
+			if candidates[i].box.closeIfEmpty() {
+				candidates[i].visit()
+			}
+		}
+	}
+	for n := min(len(candidates), 64); n > 0; n-- {
+		go lane()
 	}
 }
 
 // crashAll abruptly kills every activation: mailboxes close, queued and
 // in-flight work fails transient, and teardown skips hooks and state
 // writes — in-memory state is lost exactly as a process crash would lose
-// it. It does not wait for activation goroutines: a crash is not a drain.
+// it. It does not wait for the teardowns: a crash is not a drain.
 func (s *Silo) crashAll() {
+	for _, a := range s.stop(true) {
+		a.close()
+	}
+}
+
+// stop marks the silo closing — it resolves no more activations and its
+// parked workers exit — and returns the activations it still holds. A
+// crash marks them crashed first: a turn that starts on the corpse could
+// still get a write acknowledged beside its successor's.
+func (s *Silo) stop(crashed bool) []*activation {
 	s.mu.Lock()
 	s.closing = true
 	acts := make([]*activation, 0, len(s.catalog))
 	for _, a := range s.catalog {
+		if crashed {
+			a.crashed.Store(true)
+		}
 		acts = append(acts, a)
 	}
 	s.mu.Unlock()
-	for _, a := range acts {
-		a.crashed.Store(true)
-		a.box.close()
-	}
+	s.workers.stop()
+	return acts
 }
 
 // drainAll synchronously deactivates every activation (shutdown path).
 func (s *Silo) drainAll(ctx context.Context) error {
-	s.mu.Lock()
-	s.closing = true
-	acts := make([]*activation, 0, len(s.catalog))
-	for _, a := range s.catalog {
-		acts = append(acts, a)
-	}
-	s.mu.Unlock()
+	acts := s.stop(false)
 	for _, a := range acts {
-		a.box.close()
+		a.close()
 	}
 	for _, a := range acts {
 		select {

@@ -37,6 +37,23 @@ type Directory struct {
 type shard struct {
 	mu sync.RWMutex
 	m  map[string]Registration
+	// peak is the most entries m has held since it was last made.
+	peak int
+}
+
+// shrinkAbove is the peak past which a shard map that drains to empty is
+// made afresh: a Go map never gives buckets back, so without that one
+// population burst sizes the directory for the life of the silo. Below it
+// the map is kept and nothing is allocated.
+const shrinkAbove = 64
+
+// drained re-makes an emptied map that has outgrown shrinkAbove. Called
+// with mu held, after deletions.
+func (sh *shard) drained() {
+	if len(sh.m) == 0 && sh.peak > shrinkAbove {
+		sh.m = make(map[string]Registration)
+		sh.peak = 0
+	}
 }
 
 type counter struct {
@@ -91,6 +108,7 @@ func (d *Directory) Register(actor, silo string) (Registration, error) {
 	}
 	reg := Registration{Actor: actor, Silo: silo, Seq: d.seq.next()}
 	sh.m[actor] = reg
+	sh.peak = max(sh.peak, len(sh.m))
 	return reg, nil
 }
 
@@ -115,6 +133,7 @@ func (d *Directory) Unregister(reg Registration) bool {
 		return false
 	}
 	delete(sh.m, reg.Actor)
+	sh.drained()
 	return true
 }
 
@@ -131,6 +150,7 @@ func (d *Directory) EvictSilo(silo string) int {
 				n++
 			}
 		}
+		sh.drained()
 		sh.mu.Unlock()
 	}
 	return n

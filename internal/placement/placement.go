@@ -152,7 +152,8 @@ func (c *ConsistentHash) Name() string { return "consistent-hash" }
 
 func (c *ConsistentHash) rebuild(silos []string) {
 	c.ringFor = append([]string(nil), silos...)
-	c.ring = c.ring[:0]
+	// A fresh array: Place searches the ring it took outside the lock.
+	c.ring = make([]ringEntry, 0, len(silos)*c.replicas)
 	for _, s := range silos {
 		for r := 0; r < c.replicas; r++ {
 			c.ring = append(c.ring, ringEntry{hash: hash32(fmt.Sprintf("%s#%d", s, r)), silo: s})

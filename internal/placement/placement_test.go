@@ -3,6 +3,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -157,6 +158,32 @@ func TestConsistentHashMinimalReshuffleOnSiloLoss(t *testing.T) {
 	if moved > n/10 {
 		t.Fatalf("%d of %d surviving actors moved; consistent hashing broken", moved, n)
 	}
+}
+
+// TestConsistentHashViewChangeUnderLoad: callers that disagree on the silo
+// set (a view change in flight) make the ring rebuild while another caller
+// still searches the ring it took; each must get the placement of its own
+// set. Run with -race: the rebuild used to reuse the old ring's array.
+func TestConsistentHashViewChangeUnderLoad(t *testing.T) {
+	shared := NewConsistentHash()
+	views := [][]string{silos[:3], silos}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(view []string) {
+			defer wg.Done()
+			own := NewConsistentHash()
+			for i := 0; i < 300; i++ {
+				actor := fmt.Sprintf("A/%d", i)
+				got, _ := shared.Place(actor, "", view)
+				if want, _ := own.Place(actor, "", view); got != want {
+					t.Errorf("%s over %d silos placed on %s, want %s", actor, len(view), got, want)
+					return
+				}
+			}
+		}(views[g%2])
+	}
+	wg.Wait()
 }
 
 func TestStrategyNames(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -149,11 +150,12 @@ func (e *RedirectError) TransientError() bool { return true }
 // Local is an in-process transport with simulated link latency. It is the
 // default for tests, examples, and the benchmark harness.
 type Local struct {
-	mu       sync.RWMutex
-	handlers map[string]Handler
+	// handlers is copy-on-write: every call reads it with one atomic load,
+	// writers swap in a new map under mu. A nil map is a closed transport.
+	handlers atomic.Pointer[map[string]Handler]
+	mu       sync.Mutex
 	model    *netsim.Model
 	clk      clock.Clock
-	closed   bool
 
 	localCalls  atomic.Int64
 	remoteCalls atomic.Int64
@@ -165,7 +167,9 @@ func NewLocal(model *netsim.Model, clk clock.Clock) *Local {
 	if clk == nil {
 		clk = clock.Real()
 	}
-	return &Local{handlers: make(map[string]Handler), model: model, clk: clk}
+	l := &Local{model: model, clk: clk}
+	l.handlers.Store(&map[string]Handler{})
+	return l
 }
 
 // Register binds node's inbound handler.
@@ -175,13 +179,16 @@ func (l *Local) Register(node string, h Handler) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	old := l.handlers.Load()
+	if old == nil {
 		return ErrClosed
 	}
-	if _, ok := l.handlers[node]; ok {
+	if _, ok := (*old)[node]; ok {
 		return fmt.Errorf("transport: node %q already registered", node)
 	}
-	l.handlers[node] = h
+	next := maps.Clone(*old)
+	next[node] = h
+	l.handlers.Store(&next)
 	return nil
 }
 
@@ -189,16 +196,21 @@ func (l *Local) Register(node string, h Handler) error {
 func (l *Local) Deregister(node string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.handlers, node)
+	old := l.handlers.Load()
+	if old == nil {
+		return
+	}
+	next := maps.Clone(*old)
+	delete(next, node)
+	l.handlers.Store(&next)
 }
 
 func (l *Local) handler(node string) (Handler, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.closed {
+	m := l.handlers.Load()
+	if m == nil {
 		return nil, ErrClosed
 	}
-	h, ok := l.handlers[node]
+	h, ok := (*m)[node]
 	if !ok {
 		// A node the local transport does not know is either never-added
 		// or deregistered (simulated crash); both are unreachability.
@@ -260,7 +272,6 @@ func (l *Local) Stats() (local, remote int64) {
 func (l *Local) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closed = true
-	l.handlers = map[string]Handler{}
+	l.handlers.Store(nil)
 	return nil
 }
