@@ -31,7 +31,7 @@ func main() {
 	queries := flag.Bool("queries", true, "issue live/raw user queries per org")
 	trace := flag.Bool("trace", false, "trace requests end to end and print insert tail attribution")
 	traceSample := flag.Int("trace-sample", 1, "sample every Nth request when tracing")
-	stripes := flag.Int("stripes", 0, "gob connection stripes per silo (0 = min(4, GOMAXPROCS))")
+	stripes := flag.Int("stripes", 0, "connection stripes per silo (0 = min(4, GOMAXPROCS))")
 	gossipOn := flag.Bool("gossip", false, "follow the cluster's gossip membership as an observer: placement tracks silos joining and leaving mid-run")
 	seeds := flag.String("seeds", "", "comma-separated name=addr seed silos to probe for the initial view (with -gossip)")
 	replicas := flag.Int("replicas", 0, "cluster's -replicas setting (accepted for a shared flag set; state replication happens on the silos)")

@@ -68,7 +68,7 @@
 //     freeze the ring to a capture file under -journal-capture-dir, so
 //     the window around a crash survives the crash.
 //
-// The TCP wire path is tunable: -stripes N opens N parallel gob streams
+// The TCP wire path is tunable: -stripes N opens N parallel frame streams
 // per peer and -net-workers N sizes the inbound dispatch pool. The
 // transport's instruments (transport.flush.*, transport.sendq.depth)
 // share the silo's /metrics page.
@@ -125,7 +125,7 @@ func main() {
 	flag.BoolVar(&cfg.history, "history", false, "aggregate cluster metrics in-process and serve /cluster with history")
 	flag.StringVar(&cfg.obsPeers, "obs-peers", "", "comma-separated name=url introspection endpoints to aggregate with -history")
 	flag.DurationVar(&cfg.historyEvery, "history-every", 2*time.Second, "aggregator poll interval with -history")
-	flag.IntVar(&cfg.stripes, "stripes", 0, "gob connection stripes per peer (0 = min(4, GOMAXPROCS))")
+	flag.IntVar(&cfg.stripes, "stripes", 0, "connection stripes per peer (0 = min(4, GOMAXPROCS))")
 	flag.IntVar(&cfg.netWorkers, "net-workers", 0, "inbound dispatch pool size (0 = default)")
 	flag.Parse()
 

@@ -10,7 +10,10 @@
 //   - internal/kvstore, internal/wal — the durable storage substrate
 //     (the DynamoDB analog)
 //   - internal/cluster, internal/directory, internal/placement,
-//     internal/transport, internal/netsim — the distribution substrate
+//     internal/transport, internal/codec, internal/netsim — the
+//     distribution substrate (on TCP a message is a length-prefixed binary
+//     frame: a hand-written header and a tagged payload, with gob only as
+//     the per-payload fallback for types without a registered form)
 //   - internal/txn, internal/index, internal/query, internal/streams —
 //     the database features layered on the actor runtime
 //   - internal/shm — the structural health monitoring data platform

@@ -1,24 +1,52 @@
 // Package codec handles wire encoding for cross-silo messages.
 //
-// Messages are Go values encoded with encoding/gob. Gob needs concrete
-// types registered before they travel inside interface fields, so every
-// message type an application sends between actors registers itself here
-// (typically from an init function in the package that declares it).
-// The Stream type pairs a gob encoder/decoder over one connection and
-// serializes concurrent writers.
+// A frame on the wire is a 4-byte big-endian length followed by that many
+// bytes: a hand-written header and a tagged payload.
+//
+//	kind      byte
+//	flags     byte     bit 0 TraceSampled, bit 1 Transient
+//	ID, TraceID, ParentSpan, HLC            uvarint each
+//	TargetKind, TargetKey, Method, Sender   uvarint length + bytes each
+//	Chain     uvarint count, then that many strings
+//	Err, Redirect                           strings
+//	Payload   tag byte + the tagged form
+//
+// The payload's tag names one of three kinds of form. The codec's own:
+// nil, int64, int, float64, bool, string, []string, []byte. A registered
+// binary form: a package that puts a type on a hot path gives it an
+// encoder and a decoder with RegisterWire. And the fallback for every
+// other type: a length-prefixed blob from a gob encoder that lives as long
+// as the stream, which is why application message types still register
+// themselves with Register (typically from an init function in the package
+// that declares them).
+//
+// Three invariants hold the format together. A frame is encoded and
+// appended to the stream's buffer under one hold of the write mutex: gob
+// sends a type's descriptor the first time it meets the type, so blobs
+// must reach the peer's decoder in the order they were encoded, and more
+// than one goroutine writes a stream. Any encode error must end the
+// connection: a fallback encode that failed has already recorded its types
+// as sent. And Read, which one goroutine calls, trusts nothing it is sent:
+// the declared length is checked against MaxFrameBytes before anything is
+// allocated, every element count against the bytes left in the frame
+// (Dec.Len), errors stick to the decoder, and every string and slice
+// handed out is a copy, because the read buffer is reused.
 //
 // Streams come in two write flavors. An unbuffered stream (NewStream)
-// pushes every frame to the connection inside Write — one-plus syscalls
-// per frame, the transport's measured baseline. A buffered stream
-// (NewBufferedStream) parks encoded frames in a bufio.Writer until
-// Flush, which is what the transport's write-coalescing ("smart
-// batching") path uses to share one syscall across many frames.
+// pushes every frame to the connection inside Write — one syscall per
+// frame, the transport's measured baseline. A buffered stream
+// (NewBufferedStream) keeps encoded frames in its buffer until Flush,
+// which is what the transport's write-coalescing ("smart batching") path
+// uses to share one syscall across many frames.
 package codec
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -61,43 +89,69 @@ type Frame struct {
 	// their own clock so cross-silo events get a causal order.
 	HLC     uint64
 	Payload any
-	Err     string // set when Kind == FrameError
-	// Redirect carries a wrong-silo redirect across the wire: the target
-	// silo the caller should re-route to. Typed errors do not survive gob
-	// (errors collapse to Err strings), so the redirect travels as its
-	// own field and is rebuilt as a transport.RedirectError client-side.
+	// Err is an error reply's message (Kind == FrameError). An error
+	// crosses the wire as message, redirect target and retry class, not as
+	// a Go value.
+	Err string
+	// Redirect is the silo a wrong-silo answer tells the caller to
+	// re-route to; the client side rebuilds a transport.RedirectError
+	// from it.
 	Redirect string
-	// Transient carries the serving silo's retry classification of Err
-	// across the wire, for the same reason.
+	// Transient is the serving silo's retry classification of Err.
 	Transient bool
 }
 
-// Stream frames gob values over an io.ReadWriter. Writes are serialized;
+// MaxFrameBytes bounds the length a frame may declare. A reader checks
+// it before allocating anything; a writer refuses to send more.
+const MaxFrameBytes = 64 << 20
+
+// maxKeptBuffer is the largest scratch buffer a stream keeps between
+// frames. One that a large frame grew past it is dropped, so a stream's
+// resting size is set by its usual traffic, not by its largest frame.
+const maxKeptBuffer = 1 << 20
+
+// readChunk is how much of a frame's declared length Read allocates ahead
+// of the bytes arriving.
+const readChunk = 64 << 10
+
+const (
+	flagTraceSampled = 1 << iota
+	flagTransient
+)
+
+// Stream exchanges frames over an io.ReadWriter. Writes are serialized;
 // reads must be performed by a single goroutine.
 type Stream struct {
-	wmu sync.Mutex
-	bw  *bufio.Writer // nil for unbuffered streams
-	enc *gob.Encoder
-	dec *gob.Decoder
+	wmu   sync.Mutex
+	w     io.Writer
+	limit int // flush once this many bytes are buffered; 0 = after every frame
+	enc   Enc // enc.buf is the write buffer: whole frames not yet on w
+
+	r    *bufio.Reader
+	rlen [4]byte
+	rbuf []byte // the frame being decoded; reused
+	dec  Dec
 }
 
 // NewStream wraps rw in an unbuffered frame stream: every Write lands on
 // rw before it returns.
 func NewStream(rw io.ReadWriter) *Stream {
-	return &Stream{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw)}
+	// 4 KiB takes several small frames off the connection in one read; a
+	// frame larger than that is read straight into the frame buffer.
+	return &Stream{w: rw, r: bufio.NewReaderSize(rw, 4096)}
 }
 
-// NewBufferedStream wraps rw in a stream whose writes accumulate in a
-// size-byte buffer until Flush (or Write, which flushes for callers that
-// want unbuffered semantics on a buffered stream). size <= 0 picks a
-// 64 KiB default. The read side is unchanged: gob decoders buffer on
-// their own.
+// NewBufferedStream wraps rw in a stream whose writes accumulate until
+// Flush (or Write, which flushes for callers that want unbuffered
+// semantics on a buffered stream), or until size bytes are waiting.
+// size <= 0 picks a 64 KiB default. The read side is NewStream's.
 func NewBufferedStream(rw io.ReadWriter, size int) *Stream {
 	if size <= 0 {
 		size = 64 << 10
 	}
-	bw := bufio.NewWriterSize(rw, size)
-	return &Stream{bw: bw, enc: gob.NewEncoder(bw), dec: gob.NewDecoder(rw)}
+	s := NewStream(rw)
+	s.limit = size
+	return s
 }
 
 // Write encodes one frame and ensures it reaches the underlying writer
@@ -105,13 +159,10 @@ func NewBufferedStream(rw io.ReadWriter, size int) *Stream {
 func (s *Stream) Write(f *Frame) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := s.enc.Encode(f); err != nil {
+	if err := s.append(f); err != nil {
 		return err
 	}
-	if s.bw != nil {
-		return s.bw.Flush()
-	}
-	return nil
+	return s.flush()
 }
 
 // WriteNoFlush encodes one frame into the stream's buffer without
@@ -120,48 +171,156 @@ func (s *Stream) Write(f *Frame) error {
 func (s *Stream) WriteNoFlush(f *Frame) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.enc.Encode(f)
+	if err := s.append(f); err != nil {
+		return err
+	}
+	if len(s.enc.buf) >= s.limit {
+		return s.flush()
+	}
+	return nil
 }
 
 // Flush pushes buffered frames to the underlying writer.
 func (s *Stream) Flush() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.bw == nil {
-		return nil
-	}
-	return s.bw.Flush()
+	return s.flush()
 }
 
 // Buffered reports how many encoded bytes sit unflushed in the buffer.
 func (s *Stream) Buffered() int {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.bw == nil {
-		return 0
+	return len(s.enc.buf)
+}
+
+// append encodes f behind its length at the end of the write buffer, or
+// leaves the buffer as it was. The caller holds wmu, and keeps holding it
+// until the frame is in the buffer: see the package comment.
+func (s *Stream) append(f *Frame) error {
+	e := &s.enc
+	start := len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0)
+	var flags byte
+	if f.TraceSampled {
+		flags |= flagTraceSampled
 	}
-	return s.bw.Buffered()
+	if f.Transient {
+		flags |= flagTransient
+	}
+	e.Byte(byte(f.Kind))
+	e.Byte(flags)
+	e.Uvarint(f.ID)
+	e.Uvarint(f.TraceID)
+	e.Uvarint(f.ParentSpan)
+	e.Uvarint(f.HLC)
+	e.String(f.TargetKind)
+	e.String(f.TargetKey)
+	e.String(f.Method)
+	e.String(f.Sender)
+	e.Strings(f.Chain)
+	e.String(f.Err)
+	e.String(f.Redirect)
+	e.Any(f.Payload)
+	n := len(e.buf) - start - 4
+	err := e.err
+	if err == nil && n > MaxFrameBytes {
+		err = fmt.Errorf("codec: frame of %d bytes exceeds the %d-byte limit", n, MaxFrameBytes)
+	}
+	if err != nil {
+		e.buf, e.err = e.buf[:start], nil
+		return err
+	}
+	binary.BigEndian.PutUint32(e.buf[start:], uint32(n))
+	return nil
+}
+
+func (s *Stream) flush() error {
+	e := &s.enc
+	if len(e.buf) == 0 {
+		return nil
+	}
+	_, err := s.w.Write(e.buf)
+	if cap(e.buf) > maxKeptBuffer {
+		e.buf = nil
+	} else {
+		e.buf = e.buf[:0]
+	}
+	return err
 }
 
 // Read decodes the next frame into a pooled Frame. The caller owns the
 // result and should PutFrame it when the header is no longer needed
 // (values reached through Payload/Chain survive the frame's return to
-// the pool). Decoding into a pooled frame is sound because pooled frames
-// are zeroed: gob omits zero-valued fields on the wire and leaves the
-// corresponding target fields untouched, so a dirty target would leak
-// the previous message's fields into this one.
+// the pool). Every field of the frame is assigned, whatever the pool
+// handed out. At the end of the input Read returns io.EOF if it falls
+// between two frames and io.ErrUnexpectedEOF if it falls inside one; any
+// error leaves the stream unusable.
 func (s *Stream) Read() (*Frame, error) {
-	f := GetFrame()
-	if err := s.dec.Decode(f); err != nil {
-		PutFrame(f)
+	if _, err := io.ReadFull(s.r, s.rlen[:]); err != nil {
 		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(s.rlen[:]))
+	if n > MaxFrameBytes {
+		return nil, fmt.Errorf("codec: frame declares %d bytes, over the %d-byte limit", n, MaxFrameBytes)
+	}
+	// Allocate no further ahead of the bytes received than one chunk:
+	// the declared length is the peer's word, the bytes are a fact.
+	buf := s.rbuf[:0]
+	for len(buf) < n {
+		m := n - len(buf)
+		if cap(buf) < n {
+			m = min(m, readChunk)
+		}
+		buf = slices.Grow(buf, m)[:len(buf)+m]
+		if _, err := io.ReadFull(s.r, buf[len(buf)-m:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	if cap(buf) <= maxKeptBuffer {
+		s.rbuf = buf
+	} else {
+		s.rbuf = nil
+	}
+
+	d := &s.dec
+	d.buf, d.off, d.err = buf, 0, nil
+	d.run, d.runLo, d.runHi = "", 0, 0
+	f := GetFrame()
+	f.Kind = FrameKind(d.Byte())
+	flags := d.Byte()
+	f.TraceSampled = flags&flagTraceSampled != 0
+	f.Transient = flags&flagTransient != 0
+	f.ID = d.Uvarint()
+	f.TraceID = d.Uvarint()
+	f.ParentSpan = d.Uvarint()
+	f.HLC = d.Uvarint()
+	f.TargetKind = d.Interned()
+	f.TargetKey = d.String()
+	f.Method = d.Interned()
+	f.Sender = d.Interned()
+	f.Chain = d.Strings()
+	f.Err = d.String()
+	f.Redirect = d.Interned()
+	f.Payload = d.Any()
+	if d.err == nil && d.off != len(buf) {
+		d.err = errTrailing
+	}
+	d.buf = nil // rbuf alone decides whether the buffer is kept
+	if d.err != nil {
+		PutFrame(f)
+		return nil, d.err
 	}
 	return f, nil
 }
 
-// framePool recycles Frame headers on the transport's encode path, where
-// a frame lives only from construction to gob-encode. Decoded frames are
-// not pooled: their Payload escapes to application code.
+// framePool recycles Frame headers: on the encode path a frame lives only
+// from construction to its encoding, on the decode path until the
+// transport has copied the header out. Payloads are never recycled: they
+// escape to application code.
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // GetFrame returns a zeroed frame from the pool.

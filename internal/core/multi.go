@@ -40,11 +40,10 @@ type multiCall struct {
 }
 
 // multiSlot is one target's answer inside a multiReply: the turn's value,
-// or its error. Typed errors do not survive gob, so — like codec.Frame's
-// Err and Redirect — the classification the caller needs travels as plain
-// fields: Transient says the slot may be re-issued, Redirect names the
-// silo a wrong-silo answer pointed at. err keeps the error value itself
-// for in-process deliveries (gob skips unexported fields), so a caller on
+// or its error as codec.Frame carries one — the message, plus what the
+// caller acts on: Transient says the slot may be re-issued, Redirect names
+// the silo a wrong-silo answer pointed at. err keeps the error value
+// itself for in-process deliveries (it has no wire form), so a caller on
 // transport.Local sees exactly the error a single Call would return.
 type multiSlot struct {
 	Value     any
@@ -59,9 +58,63 @@ type multiReply struct {
 	Slots []multiSlot
 }
 
+// Wire forms (tags 0x40–0x4f are this package's). Msg and the slots'
+// values are payloads in their own right and recurse through Any. A
+// target's kind goes through the stream's intern table and the keys share
+// one copy (see codec.Dec.ShareStrings), so a 210-target frame decodes in
+// a handful of allocations; resolveOnce clones the key it keeps.
 func init() {
 	codec.Register(multiCall{})
 	codec.Register(multiReply{})
+	codec.RegisterWire(0x40,
+		func(e *codec.Enc, m multiCall) {
+			e.Any(m.Msg)
+			e.Len(len(m.Targets))
+			for _, id := range m.Targets {
+				e.String(id.Kind)
+			}
+			for _, id := range m.Targets {
+				e.String(id.Key)
+			}
+		},
+		func(d *codec.Dec) multiCall {
+			m := multiCall{Msg: d.Any()}
+			n := d.Len(2)
+			if n == 0 {
+				return m
+			}
+			m.Targets = make([]ID, n)
+			for i := range m.Targets {
+				m.Targets[i].Kind = d.Interned()
+			}
+			d.ShareStrings(n)
+			for i := range m.Targets {
+				m.Targets[i].Key = d.String()
+			}
+			return m
+		})
+	codec.RegisterWire(0x41,
+		func(e *codec.Enc, m multiReply) {
+			e.Len(len(m.Slots))
+			for i := range m.Slots {
+				s := &m.Slots[i]
+				e.Any(s.Value)
+				e.String(s.Err)
+				e.String(s.Redirect)
+				e.Bool(s.Transient)
+			}
+		},
+		func(d *codec.Dec) multiReply {
+			n := d.Len(4)
+			if n == 0 {
+				return multiReply{}
+			}
+			slots := make([]multiSlot, n)
+			for i := range slots {
+				slots[i] = multiSlot{Value: d.Any(), Err: d.String(), Redirect: d.Interned(), Transient: d.Bool()}
+			}
+			return multiReply{Slots: slots}
+		})
 }
 
 // CallMany sends msg to every actor in ids and returns their outcomes in
@@ -372,7 +425,7 @@ func (s *Silo) deliverMany(ctx context.Context, req transport.Request, call mult
 			cfg = c
 		}
 		env.slot = int32(i)
-		act, err := s.resolveOnce(id, cfg)
+		act, err := s.resolveOnce(id, cfg, true)
 		if err == nil && !act.push(env) {
 			err = fmt.Errorf("core: %s is deactivating: %w", id, ErrTransient)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,7 +149,7 @@ func (s *Silo) resolve(ctx context.Context, id ID) (*activation, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
 	}
 	for {
-		act, err := s.resolveOnce(id, cfg)
+		act, err := s.resolveOnce(id, cfg, false)
 		if err != errMidTeardown {
 			return act, err
 		}
@@ -174,8 +175,11 @@ func (s *Silo) resolve(ctx context.Context, id ID) (*activation, error) {
 // must not block its batch on one target, reports the slot transient.
 var errMidTeardown = fmt.Errorf("core: previous activation still deactivating: %w", ErrTransient)
 
-// resolveOnce is one non-blocking pass of resolve.
-func (s *Silo) resolveOnce(id ID, cfg *kindConfig) (*activation, error) {
+// resolveOnce is one non-blocking pass of resolve. sharedKey says id.Key
+// is a slice of memory shared with other keys (the targets of a decoded
+// MultiKind frame): an activation created for it keeps a copy instead, so
+// one long-lived actor does not hold a whole frame's keys in memory.
+func (s *Silo) resolveOnce(id ID, cfg *kindConfig, sharedKey bool) (*activation, error) {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
@@ -205,6 +209,9 @@ func (s *Silo) resolveOnce(id ID, cfg *kindConfig) (*activation, error) {
 		return nil, errMidTeardown
 	}
 
+	if sharedKey {
+		id.Key = strings.Clone(id.Key)
+	}
 	act := newActivation(id, s, cfg, reg)
 	s.mu.Lock()
 	if s.closing {

@@ -371,6 +371,20 @@ func init() {
 	codec.Register(rpcDigestResp{})
 	codec.Register(rpcKeys{})
 	codec.Register(rpcKeysResp{})
+	// The quorum write and read paths get binary wire forms (tags
+	// 0x50–0x5f are this package's); anti-entropy rides the gob fallback.
+	codec.RegisterWire(0x50,
+		func(e *codec.Enc, m rpcApply) { e.String(m.Key); e.Bytes(m.Env) },
+		func(d *codec.Dec) rpcApply { return rpcApply{Key: d.String(), Env: d.Bytes()} })
+	codec.RegisterWire(0x51,
+		func(e *codec.Enc, m rpcApplyResp) { e.Byte(m.Outcome) },
+		func(d *codec.Dec) rpcApplyResp { return rpcApplyResp{Outcome: d.Byte()} })
+	codec.RegisterWire(0x52,
+		func(e *codec.Enc, m rpcFetch) { e.String(m.Key) },
+		func(d *codec.Dec) rpcFetch { return rpcFetch{Key: d.String()} })
+	codec.RegisterWire(0x53,
+		func(e *codec.Enc, m rpcFetchResp) { e.Bool(m.Found); e.Bytes(m.Env) },
+		func(d *codec.Dec) rpcFetchResp { return rpcFetchResp{Found: d.Bool(), Env: d.Bytes()} })
 }
 
 // errBadRPC reports a replication request whose payload type or target

@@ -317,10 +317,28 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 }
 
 func (c *physicalChannelActor) rangeQuery(from, to time.Time) []DataPoint {
-	var out []DataPoint
-	for _, p := range c.state.Window {
-		if !p.At.Before(from) && !p.At.After(to) {
-			out = append(out, p)
+	return pointsIn(c.state.Window, from, to)
+}
+
+// pointsIn returns the window's points in [from, to], in window order and
+// without assuming the window sorted. It counts before it copies: the
+// reply is one allocation of exactly its size, where growing a slice match
+// by match threw away twice a full-minute reply's bytes on the way.
+func pointsIn(window []DataPoint, from, to time.Time) []DataPoint {
+	in := func(p *DataPoint) bool { return !p.At.Before(from) && !p.At.After(to) }
+	n := 0
+	for i := range window {
+		if in(&window[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]DataPoint, 0, n)
+	for i := range window {
+		if in(&window[i]) {
+			out = append(out, window[i])
 		}
 	}
 	return out
@@ -386,13 +404,7 @@ func (v *virtualChannelActor) Receive(ctx *core.Context, msg any) (any, error) {
 		}
 		return v.state.Window[len(v.state.Window)-1], nil
 	case RangeQuery:
-		var out []DataPoint
-		for _, p := range v.state.Window {
-			if !p.At.Before(m.From) && !p.At.After(m.To) {
-				out = append(out, p)
-			}
-		}
-		return out, nil
+		return pointsIn(v.state.Window, m.From, m.To), nil
 	default:
 		return nil, fmt.Errorf("shm: VirtualChannel: unknown message %T", msg)
 	}

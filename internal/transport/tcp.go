@@ -18,14 +18,14 @@ import (
 // the production defaults: write coalescing on, four connection stripes
 // per peer, and an inbound dispatch pool sized to GOMAXPROCS.
 type TCPOptions struct {
-	// Stripes is how many parallel gob streams to open per peer. Each
-	// stripe has its own encoder and writer goroutine, so striping breaks
-	// the single-encoder serialization on hot peer links. Frames pick a
-	// stripe by target-key hash (keyless frames round-robin), keeping any
-	// one actor's traffic ordered on one stream. Default
-	// min(4, GOMAXPROCS): stripes exploit parallel encoders, so opening
-	// more than the machine can run in parallel only fragments write
-	// batches.
+	// Stripes is how many parallel connections to open per peer. Each
+	// stripe is a codec.Stream of its own — write mutex, buffer, writer
+	// goroutine — so frames for one peer encode in parallel instead of
+	// queueing on one stream's mutex. Frames pick a stripe by target-key
+	// hash (keyless frames round-robin), keeping any one actor's traffic
+	// ordered on one stream. Default min(4, GOMAXPROCS): opening more
+	// stripes than the machine can encode in parallel only fragments
+	// write batches.
 	Stripes int
 	// NoBatching disables write coalescing and restores the pre-batching
 	// behavior — one mutex-serialized encode+flush per frame on the
@@ -92,7 +92,8 @@ func (o *TCPOptions) fill() {
 
 // TCP is a transport for real multi-process deployments. Each endpoint
 // hosts one silo, listens on a TCP address, and multiplexes concurrent
-// calls to each peer over a small set of striped gob-framed connections.
+// calls to each peer over a small set of striped connections, each a
+// codec.Stream of length-prefixed binary frames.
 // Outbound frames are write-coalesced (see TCPOptions); inbound frames
 // run on a bounded dispatch pool with goroutine spill.
 type TCP struct {
@@ -593,6 +594,7 @@ func (t *TCP) Call(ctx context.Context, node string, req Request) (any, error) {
 	c.pmu.Lock()
 	if c.pdead {
 		c.pmu.Unlock()
+		respChans.Put(ch) // never registered: nothing can deliver into it
 		return nil, &UnreachableError{Node: node, Err: fmt.Errorf("connection failed: %w", c.deadErr())}
 	}
 	c.pending[id] = ch

@@ -4,7 +4,8 @@
 // living in one process and charges each delivery the latency a netsim
 // Model assigns to the link — this is what the benchmark harness uses to
 // reproduce the paper's multi-server EC2 deployment on a single machine.
-// The TCP transport connects real processes with gob-encoded frames over
+// The TCP transport connects real processes with codec frames — a
+// length, a binary header and a tagged payload (package codec) — over
 // multiplexed connections, and backs the cmd/shmserver + cmd/shmload pair.
 package transport
 
