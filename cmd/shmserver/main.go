@@ -29,12 +29,12 @@
 // write block until its WAL record is fsynced, group-committed across
 // concurrent writers. Adding -replicas N (identical on every silo)
 // replicates actor state N ways across the cluster's stores: state
-// writes must reach a -write-quorum of replicas before they ack, reads
-// assemble a -read-quorum with read-repair, failed replicas get hinted
-// handoff, and a background anti-entropy sweep (-sweep-every)
-// reconciles divergence — so wiping one silo's -store directory loses
-// nothing that was acknowledged (see scripts/repl_smoke.sh). On
-// shutdown the silo drains its hint queue and puts a final WAL sync
+// writes must reach a -write-quorum of the key's home replicas before
+// they ack, reads assemble a -read-quorum of homes with read-repair, and
+// a background anti-entropy sweep (-sweep-every) brings a home that
+// missed writes or lost its disk back up to date — so wiping one silo's
+// -store directory loses nothing that was acknowledged (see
+// scripts/repl_smoke.sh). On shutdown the silo puts a final WAL sync
 // barrier on the store. With -introspect ADDR the silo
 // serves its runtime state over HTTP: /metrics (Prometheus text),
 // /trace (recent sampled spans; ?slow=1 for slow turns), /actors
@@ -61,8 +61,8 @@
 //     declares dead have their last-good snapshots marked stale.
 //   - -journal runs the causal flight recorder: a bounded per-silo ring
 //     of HLC-stamped cluster events (membership transitions, migration
-//     phases, quorum outcomes, hinted handoff, breaker trips, slow
-//     turns, WAL flush stalls, panics), served at /events and merged
+//     phases, quorum outcomes, breaker trips, slow turns, WAL flush
+//     stalls, panics), served at /events and merged
 //     across silos by /cluster/events and shmtop -trace. Anomalies — lost
 //     quorums, panics, members declared dead, SLO-breaching turns —
 //     freeze the ring to a capture file under -journal-capture-dir, so
@@ -83,7 +83,6 @@ import (
 	"fmt"
 	"log"
 	"os/signal"
-	"path/filepath"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -190,12 +189,8 @@ func run(ctx context.Context, cfg serverConfig) error {
 	} else if cfg.durable {
 		return fmt.Errorf("-durable needs -store DIR")
 	}
-	hintDir := ""
-	if cfg.replicas > 1 {
-		if cfg.storeDir == "" {
-			return fmt.Errorf("-replicas needs -store DIR")
-		}
-		hintDir = filepath.Join(cfg.storeDir, "hints")
+	if cfg.replicas > 1 && cfg.storeDir == "" {
+		return fmt.Errorf("-replicas needs -store DIR")
 	}
 
 	node, err := siloboot.Start(siloboot.Options{
@@ -218,7 +213,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 		Replicas:       cfg.replicas,
 		ReadQuorum:     cfg.readQuorum,
 		WriteQuorum:    cfg.writeQuorum,
-		HintDir:        hintDir,
 		SweepEvery:     cfg.sweepEvery,
 		Trace:          cfg.trace,
 		TraceSample:    cfg.traceSample,
@@ -307,8 +301,7 @@ func run(ctx context.Context, cfg serverConfig) error {
 	if err := rt.Shutdown(shCtx); err != nil {
 		return err
 	}
-	// Storage drain barrier: with replication on, flush the hint queue
-	// toward reachable homes and fsync it, then put a final WAL sync on
-	// the store — nothing acknowledged is left in memory.
+	// Storage drain barrier: stop the anti-entropy sweeper and put a
+	// final WAL sync on the store — nothing acknowledged is left in memory.
 	return node.Drain(shCtx)
 }

@@ -418,13 +418,10 @@ func render(snap obs.ClusterSnapshot, k int, timeline []telemetry.Event) string 
 	}
 
 	// Replica health: summed replication counters across the cluster
-	// (hints pending is a gauge — nonzero means some home is still owed
-	// writes; divergent keys count anti-entropy repairs). Shown only when
-	// the cluster replicates.
+	// (divergent keys count anti-entropy repairs). Shown only when the
+	// cluster replicates.
 	if replicating(snap) {
-		fmt.Fprintf(&b, "\nREPLICATION  hints pending=%d replayed=%d  read-repairs=%d  anti-entropy: divergent=%d sweeps=%d\n",
-			snap.Gauges["replication.hints.pending"],
-			snap.Counters["replication.hints.replayed"],
+		fmt.Fprintf(&b, "\nREPLICATION  read-repairs=%d  anti-entropy: divergent=%d sweeps=%d\n",
 			snap.Counters["replication.readrepair.count"],
 			snap.Counters["replication.antientropy.divergent_keys"],
 			snap.Counters["replication.antientropy.sweeps"])

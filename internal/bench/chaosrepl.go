@@ -28,11 +28,11 @@ import (
 // harder: every acknowledged write survives even though replicas keep
 // losing all local state, and every client-visible error is classified.
 //
-// The soak runs a strict quorum (Silos == N), so every write ack is a
-// real home-set ack and any two W>N/2 quorums intersect; sloppy-quorum
-// stand-ins (which trade that intersection for availability) are
-// exercised by the replication package's own tests, not by this
-// invariant check. See DESIGN.md, "Replication".
+// Quorums are strict: only a key's N homes count toward R and W, so any
+// two W>N/2 quorums intersect whatever the cluster size. With Silos > N
+// every key also has silos that are not its homes; they stay alive while
+// a home is down and must never stand in for it. See DESIGN.md,
+// "Replication".
 type ReplChaosConfig struct {
 	// Silos is the cluster size and the replication factor N's ceiling
 	// (default 3).
@@ -61,9 +61,7 @@ type ReplChaosConfig struct {
 	Faults faults.Config
 	Seed   int64
 	// StoreDir is required: each silo's replica store lives in its own
-	// subdirectory (that is what a wipe destroys), and the coordinator's
-	// hint queue lives beside them (never wiped — it models the
-	// coordinator's own disk, not a replica's).
+	// subdirectory (that is what a wipe destroys).
 	StoreDir string
 	// Durable makes every replica apply fsync before acking, so the
 	// zero-lost-writes audit is checked against real durability.
@@ -127,10 +125,9 @@ type ReplChaosResult struct {
 	Unclassified []string // must be empty
 	InjectedDrops, InjectedDups, InjectedDelays,
 	InjectedKVErrs, InjectedPanics uint64
-	HintsRecorded, HintsReplayed uint64
-	ReadRepairs, DivergentKeys   uint64
-	BreakerTrips                 bool
-	VerifyElapsed                time.Duration
+	ReadRepairs, DivergentKeys uint64
+	BreakerTrips               bool
+	VerifyElapsed              time.Duration
 	// Activations and StaleFences are core.activations and
 	// core.stale_writes_fenced: a run in which no silo crashes and no turn
 	// panics activates each ledger once and fences nothing.
@@ -179,7 +176,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	inj := faults.New(cfg.Faults)
 	inj.SetEnabled(false)
 	// One recorder for the runtime and the coordinator, sized to hold a
-	// whole soak (one quorum-write event per acked write, plus hints).
+	// whole soak (one quorum-write event per acked write).
 	rec := telemetry.New(telemetry.Config{Parts: telemetry.Events, Silo: "soak", EventCapacity: 1 << 16})
 
 	siloNames := make([]string, cfg.Silos)
@@ -244,14 +241,12 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 		W:         cfg.W,
 		Transport: breaker,
 		Alive:     func(silo string) bool { return siloUp(view, silo) },
-		HintDir:   filepath.Join(cfg.StoreDir, "hints"),
 		Metrics:   reg,
 		Tracer:    rec,
 	})
 	if err != nil {
 		return res, err
 	}
-	defer coord.Close(context.Background())
 
 	panicHook := inj.PanicHook()
 	rt, err := core.New(core.Config{
@@ -329,7 +324,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	// sweeps until a full pass finds nothing divergent — only then is the
 	// next wipe eligible. In-flight replica RPCs during the swap fail
 	// with kvstore.ErrClosed and count as ordinary replica failures
-	// (hinted, retried); they never reach a client unclassified.
+	// (failed homes, retried); they never reach a client unclassified.
 	wipeDone := make(chan struct{})
 	go func() {
 		defer close(wipeDone)
@@ -426,8 +421,8 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	<-crashDone
 	<-wipeDone
 
-	// Heal: stop injecting, restart every silo, drain the hint queue,
-	// sweep to convergence, then audit through quorum reads.
+	// Heal: stop injecting, restart every silo, sweep to convergence,
+	// then audit through quorum reads.
 	verifyStart := time.Now()
 	inj.SetEnabled(false)
 	for _, r := range replicas {
@@ -449,16 +444,6 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 		view.set(name, true)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		_, remaining := coord.ReplayHints(ctx)
-		if remaining == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("bench: %d hints still pending after healing", remaining)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	for {
 		sctx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
 		n, serr := coord.SweepOnce(sctx, "", 64)
@@ -508,8 +493,6 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	res.InjectedDelays = inj.Fired("delay")
 	res.InjectedKVErrs = inj.Fired("kvwrite")
 	res.InjectedPanics = inj.Fired("panic")
-	res.HintsRecorded = uint64(reg.Counter("replication.hints.recorded").Value())
-	res.HintsReplayed = uint64(reg.Counter("replication.hints.replayed").Value())
 	res.ReadRepairs = uint64(reg.Counter("replication.readrepair.count").Value())
 	res.DivergentKeys = uint64(reg.Counter("replication.antientropy.divergent_keys").Value())
 	res.BreakerTrips = breaker.Trips() > 0

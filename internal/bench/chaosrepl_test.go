@@ -11,38 +11,44 @@ import (
 // TestChaosSoakReplicated is the replication capstone: acknowledged
 // ledger writes through an N=3/W=2/R=2 quorum coordinator while silos
 // crash AND replica disks are wiped to nothing mid-flight. Every
-// acknowledged write must survive (the surviving copies, hints, and
-// anti-entropy must cover every wipe), and every client-visible error
-// must be classified.
+// acknowledged write must survive (the surviving copies and anti-entropy
+// must cover every wipe), and every client-visible error must be
+// classified.
 //
 // The drops-only row is the fault class that used to lose writes on its
 // own: with no crash, wipe or panic nothing may deactivate a ledger, so
-// each activates exactly once and no write is ever fenced.
+// each activates exactly once and no write is ever fenced. The stand-ins
+// row runs the full faults on N+2 silos, so every key has two live silos
+// that are not its homes while one of its homes is down; strict quorums
+// must not let them answer for it.
 func TestChaosSoakReplicated(t *testing.T) {
 	duration := 6 * time.Second
 	if testing.Short() {
 		duration = 2 * time.Second
 	}
+	full := faults.Config{
+		Drop:     0.02,
+		Dup:      0.01,
+		Delay:    0.02,
+		MaxDelay: 2 * time.Millisecond,
+		KVWrite:  0.01,
+		Panic:    0.005,
+		Wipe:     0.75, // most wipe ticks fire (at most one rebuild at a time regardless)
+	}
 	for _, row := range []struct {
 		name       string
+		silos      int
 		crashEvery time.Duration
 		faults     faults.Config
 		stable     bool // no crash, wipe or panic: nothing may deactivate a ledger
 	}{
-		{name: "full", crashEvery: duration / 5, faults: faults.Config{
-			Drop:     0.02,
-			Dup:      0.01,
-			Delay:    0.02,
-			MaxDelay: 2 * time.Millisecond,
-			KVWrite:  0.01,
-			Panic:    0.005,
-			Wipe:     0.75, // most wipe ticks fire (at most one rebuild at a time regardless)
-		}},
-		{name: "drops only", crashEvery: time.Hour, faults: faults.Config{Drop: 0.02}, stable: true},
+		{name: "full", silos: 3, crashEvery: duration / 5, faults: full},
+		{name: "drops only", silos: 3, crashEvery: time.Hour, faults: faults.Config{Drop: 0.02}, stable: true},
+		{name: "stand-ins", silos: 5, crashEvery: duration / 5, faults: full},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := ReplChaosConfig{
-				Silos:      3,
+				Silos:      row.silos,
 				N:          3,
 				R:          2,
 				W:          2,
@@ -94,11 +100,10 @@ func TestChaosSoakReplicated(t *testing.T) {
 			}
 			t.Logf("acked=%d crashes=%d restarts=%d wipes=%d retriedOps=%d activations=%d staleFences=%d "+
 				"injected(drop=%d dup=%d delay=%d kv=%d panic=%d) "+
-				"hints(recorded=%d replayed=%d) readRepairs=%d divergentKeys=%d breakerTrips=%v verify=%v",
+				"readRepairs=%d divergentKeys=%d breakerTrips=%v verify=%v",
 				res.AckedWrites, res.Crashes, res.Restarts, res.Wipes, res.RetriedOps, res.Activations, res.StaleFences,
 				res.InjectedDrops, res.InjectedDups, res.InjectedDelays, res.InjectedKVErrs,
-				res.InjectedPanics, res.HintsRecorded, res.HintsReplayed,
-				res.ReadRepairs, res.DivergentKeys, res.BreakerTrips, res.VerifyElapsed)
+				res.InjectedPanics, res.ReadRepairs, res.DivergentKeys, res.BreakerTrips, res.VerifyElapsed)
 		})
 	}
 }

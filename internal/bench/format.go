@@ -160,12 +160,12 @@ func PrintDurability(w io.Writer, results []DurabilityResult) {
 func PrintQuorum(w io.Writer, rows []QuorumAblationRow) {
 	fmt.Fprintln(w, "Ablation R — replicated state N/R/W tradeoff (durable quorum puts; soak = crashes + replica disk wipes)")
 	tw := newTable(w)
-	fmt.Fprintln(tw, "N\tR\tW\tput p50\tput p95\tbaseline p50\tacked\tlost\twipes\thints replayed")
+	fmt.Fprintln(tw, "N\tR\tW\tput p50\tput p95\tbaseline p50\tacked\tlost\twipes")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%s\t%s\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%s\t%s\t%d\t%d\t%d\n",
 			r.Latency.N, r.Latency.R, r.Latency.W,
 			ms(r.Latency.P50), ms(r.Latency.P95), ms(r.Latency.BaselineP50),
-			r.Soak.AckedWrites, len(r.Soak.LostWrites), r.Soak.Wipes, r.Soak.HintsReplayed)
+			r.Soak.AckedWrites, len(r.Soak.LostWrites), r.Soak.Wipes)
 	}
 	tw.Flush()
 	fmt.Fprintln(w, "(baseline = bare durable single-table put; N=1/W=1 losing writes under wipes is the expected failure mode)")

@@ -63,7 +63,6 @@ type kindConfig struct {
 	placement placement.Strategy // nil -> runtime default
 	persist   PersistMode
 	idleAfter time.Duration // 0 -> runtime default
-	reentrant bool          // reserved; turns are strictly serialized today
 }
 
 // KindOption customizes a kind registration.

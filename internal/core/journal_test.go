@@ -107,20 +107,24 @@ func TestMigrateTraceContextSurvives(t *testing.T) {
 	if _, err := rt.Call(ctx, id, addMsg{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	spans := tracer.Spans()
-	if len(spans) <= before {
-		t.Fatalf("no spans recorded after migration: %d before, %d after", before, len(spans))
-	}
 	// The post-migration turn must attribute to the new home, under a
-	// root span — the trace tree stays intact across the move.
-	found := false
-	for _, sp := range spans {
-		if sp.Kind == telemetry.KindTurn && sp.Actor == id.String() && sp.Silo == dst && sp.TraceID != 0 {
-			found = true
+	// root span — the trace tree stays intact across the move. The turn
+	// replies before it records its span, so wait for the span.
+	found := func(spans []telemetry.Span) bool {
+		for _, sp := range spans {
+			if sp.Kind == telemetry.KindTurn && sp.Actor == id.String() && sp.Silo == dst && sp.TraceID != 0 {
+				return true
+			}
 		}
+		return false
 	}
-	if !found {
-		t.Fatalf("no turn span attributed to %s on %s after migration", id, dst)
+	deadline := time.Now().Add(5 * time.Second)
+	for spans := tracer.Spans(); len(spans) <= before || !found(spans); spans = tracer.Spans() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no turn span attributed to %s on %s after migration: %d spans before, %d after",
+				id, dst, before, len(spans))
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

@@ -32,11 +32,11 @@ func (i *Injector) cfgWipe() float64 {
 }
 
 // StorageWipe destroys a replica's persistent storage: every WAL
-// segment, snapshot, and hint file under dir is removed, while dir
-// itself remains so the store can be recreated in place. This models
-// losing a disk, the failure replication exists to survive — after a
-// wipe the silo must recover its state from its peers (read-repair,
-// hinted handoff, anti-entropy), not from local media.
+// segment and snapshot under dir is removed, while dir itself remains
+// so the store can be recreated in place. This models losing a disk,
+// the failure replication exists to survive — after a wipe the silo
+// must recover its state from its peers (anti-entropy and read-repair),
+// not from local media.
 func StorageWipe(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

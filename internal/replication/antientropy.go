@@ -130,11 +130,10 @@ func (c *Coordinator) SweepPair(ctx context.Context, a, b string, buckets int) (
 
 // SweepOnce reconciles every live silo pair (optionally only pairs
 // involving `only`, which is how each shmserver process avoids sweeping
-// the whole cluster's pairs) and replays pending hints first — a
-// returned home drains its backlog before the digest exchange, so the
-// sweep only pays for genuinely lost updates.
+// the whole cluster's pairs). It is the one repair path besides read
+// repair: a home that missed writes while down, or came back wiped,
+// converges here.
 func (c *Coordinator) SweepOnce(ctx context.Context, only string, buckets int) (divergent int, err error) {
-	c.ReplayHints(ctx)
 	// During a ring transition, sweep over the union membership: the
 	// old→new backfill of moved replicas rides these very pairs.
 	cur, old := c.rings()

@@ -55,14 +55,10 @@ type Config struct {
 	// chaos soak does) to force every replica hop through the transport,
 	// faults and all.
 	Local map[string]*Store
-	// Alive, when set, reports whether a silo is believed reachable;
-	// writes skip straight to a stand-in (plus a hint) for silos it
-	// vetoes instead of paying a timeout. Nil means optimistic: every
-	// home is tried and failures demote to stand-ins.
+	// Alive, when set, reports whether a silo is believed reachable; a
+	// write counts a home it vetoes as failed instead of paying a
+	// timeout. Nil means optimistic: every home is tried.
 	Alive func(silo string) bool
-	// HintDir persists the hinted-handoff queue; empty disables hinting
-	// (failed home writes then simply don't count toward W).
-	HintDir string
 	// TombstoneTTL bounds how long deleted keys keep their tombstones
 	// before TTL reclamation (default 1h).
 	TombstoneTTL time.Duration
@@ -72,12 +68,12 @@ type Config struct {
 	Clock clock.Clock
 	// Metrics receives replication instrumentation; nil allocates one.
 	Metrics *metrics.Registry
-	// Tracer, when it records events, gets quorum outcomes, hint
-	// activity, and ring changes in the cluster flight recorder, and
-	// replica RPCs are stamped with HLC timestamps. Nil or disabled costs
-	// one nil-or-atomic check per operation. Successful plain reads are
-	// not recorded (a read-heavy workload would wash the ring out); reads
-	// that needed a stand-in fallback or a repair are.
+	// Tracer, when it records events, gets quorum outcomes and ring
+	// changes in the cluster flight recorder, and replica RPCs are
+	// stamped with HLC timestamps. Nil or disabled costs one
+	// nil-or-atomic check per operation. Successful plain reads are not
+	// recorded (a read-heavy workload would wash the ring out); reads
+	// that pushed a repair are.
 	Tracer *telemetry.Tracer
 }
 
@@ -102,13 +98,14 @@ func errFenced(key string, v Version, out Outcome) error {
 	return fmt.Errorf("%w: quorum write %s at %s fenced (%s)", kvstore.ErrVersionMismatch, key, v, out)
 }
 
-// Coordinator performs quorum reads and writes over the replica ring,
-// with sloppy quorums, hinted handoff, and read-repair. One coordinator
-// serves a whole process (shmserver) or a whole simulated cluster (the
-// bench harness); it is safe for concurrent use.
+// Coordinator performs strict quorum reads and writes over the key's
+// home replicas, with read-repair; anti-entropy (SweepOnce, Sweeper)
+// converges whatever a quorum left behind. Only homes count toward R and
+// W: a missed home is a failed home, never covered by another silo. One
+// coordinator serves a whole process (shmserver) or a whole simulated
+// cluster (the bench harness); it is safe for concurrent use.
 type Coordinator struct {
-	cfg   Config
-	hints *HintQueue // nil when hinting is disabled
+	cfg Config
 
 	mu       sync.Mutex
 	suspects map[string]*suspect
@@ -117,9 +114,6 @@ type Coordinator struct {
 	oldUntil time.Time // when the old ring's quorum veto lapses
 
 	mReadRepair *metrics.Counter
-	mReplayed   *metrics.Counter
-	mSloppy     *metrics.Counter
-	mHinted     *metrics.Counter
 }
 
 // suspect tracks consecutive replica-storage failures for one silo, the
@@ -133,8 +127,7 @@ type suspect struct {
 // storage dead for placement filtering.
 const unhealthyAfter = 3
 
-// NewCoordinator builds a Coordinator, opening its hint queue when
-// HintDir is set (pending hints from a previous run are recovered).
+// NewCoordinator builds a Coordinator.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Ring == nil {
 		return nil, errors.New("replication: coordinator needs a ring")
@@ -164,23 +157,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			}
 		}
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:         cfg,
 		ring:        cfg.Ring,
 		suspects:    make(map[string]*suspect),
 		mReadRepair: cfg.Metrics.Counter("replication.readrepair.count"),
-		mReplayed:   cfg.Metrics.Counter("replication.hints.replayed"),
-		mSloppy:     cfg.Metrics.Counter("replication.writes.sloppy"),
-		mHinted:     cfg.Metrics.Counter("replication.hints.recorded"),
-	}
-	if cfg.HintDir != "" {
-		q, err := OpenHintQueue(cfg.HintDir, cfg.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		c.hints = q
-	}
-	return c, nil
+	}, nil
 }
 
 // DefaultRingTransition is how long a superseded ring stays in the
@@ -279,23 +261,9 @@ func (c *Coordinator) Quorums() (r, w int) {
 	return r, w
 }
 
-// Hints exposes the hint queue (nil when hinting is disabled).
-func (c *Coordinator) Hints() *HintQueue { return c.hints }
-
-// Close flushes what it can — one last hint-replay pass toward alive
-// homes, then a hint-WAL sync — and releases the queue. Replica stores
-// and the transport belong to the caller.
-func (c *Coordinator) Close(ctx context.Context) error {
-	if c.hints == nil {
-		return nil
-	}
-	_, _ = c.ReplayHints(ctx)
-	if err := c.hints.Sync(); err != nil {
-		_ = c.hints.Close()
-		return err
-	}
-	return c.hints.Close()
-}
+// Close releases nothing: replica stores and the transport belong to
+// the caller, and the coordinator holds no other resource.
+func (c *Coordinator) Close(context.Context) error { return nil }
 
 // alive reports whether writes should try silo at all.
 func (c *Coordinator) alive(silo string) bool {
@@ -459,14 +427,13 @@ func quorumTargets(key string, cur *Ring, nCur int, old *Ring, nOld int) []write
 	return targets
 }
 
-// writeQuorum pushes enc to the key's home set until W replicas hold it,
-// demoting dead or failing homes to stand-ins from the extended
-// preference list and recording a durable hint for each missed home.
-// During a ring transition the write must clear W on the superseded
-// ring's home set too — that is what keeps R+W > N intersection valid
-// against the union of old and new replica sets mid-change. Fenced
-// outcomes (Stale/Conflict) abort immediately: a newer epoch owns the
-// key.
+// writeQuorum pushes enc to the key's home set and succeeds once W homes
+// hold it; a dead or failing home is one failed home, so a write that
+// cannot reach W homes fails with ErrQuorum. During a ring transition
+// the write must clear W on the superseded ring's home set too — that is
+// what keeps R+W > N intersection valid against the union of old and new
+// replica sets mid-change. Fenced outcomes (Stale/Conflict) abort
+// immediately: a newer epoch owns the key.
 func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope) error {
 	enc := env.Encode()
 	cur, old := c.rings()
@@ -477,17 +444,10 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		nOld, _, wOld = c.quorumFor(old)
 	}
 	targets := quorumTargets(key, cur, n, old, nOld)
-	pref := cur.Preference(key, n, cur.Size()-n)
-	standins := pref[n:]
-	nextStandin := 0
-
-	// One correlation id ties this attempt's outcome to every hint it
-	// records, so a merged timeline shows the sloppy-quorum story whole.
 	corr := c.cfg.Tracer.NewCorr()
 
 	ackCur, ackOld := 0, 0
 	var firstErr error
-	var attemptHints []uint64
 	type res struct {
 		t   writeTarget
 		out Outcome
@@ -496,7 +456,7 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 	results := make(chan res, len(targets))
 	for _, t := range targets {
 		if !c.alive(t.silo) {
-			// Known-dead home: skip the timeout, go straight to handoff.
+			// Known-dead home: a failed home without paying the timeout.
 			results <- res{t: t, err: &transport.UnreachableError{Node: t.silo, Err: errors.New("replication: vetoed by alive check")}}
 			continue
 		}
@@ -517,7 +477,6 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 					ackOld++
 				}
 			case Stale, Conflict:
-				c.dropHints(attemptHints)
 				if corr != 0 {
 					c.cfg.Tracer.Record(telemetry.QuorumWriteFail, key, corr,
 						fmt.Sprintf("fenced by %s at %s", r.out, env.Version))
@@ -529,25 +488,14 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		if firstErr == nil {
 			firstErr = r.err
 		}
-		// Sloppy quorum: hand the write to the next healthy stand-in and
-		// leave a durable hint pointing back at the missed home.
-		c.hintAndHandoff(ctx, r.t, key, enc, standins, &nextStandin, &ackCur, &ackOld, &attemptHints, corr)
 	}
 	if ackCur >= w && (old == nil || ackOld >= wOld) {
 		if corr != 0 {
-			detail := fmt.Sprintf("acks=%d/%d at %s", ackCur, w, env.Version)
-			if len(attemptHints) > 0 {
-				detail += fmt.Sprintf(" (sloppy, %d hinted)", len(attemptHints))
-			}
-			c.cfg.Tracer.Record(telemetry.QuorumWrite, key, corr, detail)
+			c.cfg.Tracer.Record(telemetry.QuorumWrite, key, corr,
+				fmt.Sprintf("acks=%d/%d at %s", ackCur, w, env.Version))
 		}
 		return nil
 	}
-	// The write failed: the caller gets no ack and retries above this
-	// (epoch, seq) (see Store), so replaying the attempt's hints could
-	// only land a value nobody was promised. Dropping them keeps the
-	// queue to hints that still owe a home an acknowledged write.
-	c.dropHints(attemptHints)
 	acked := ackCur
 	if old != nil && ackOld < acked {
 		acked = ackOld
@@ -565,74 +513,16 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 	return fmt.Errorf("%w: %s got %d/%d acks", ErrQuorum, key, acked, w)
 }
 
-// dropHints best-effort retires the hints a failed write attempt
-// recorded. Drop is idempotent, so racing a concurrent replay is safe.
-func (c *Coordinator) dropHints(ids []uint64) {
-	if c.hints == nil {
-		return
-	}
-	for _, id := range ids {
-		_ = c.hints.Drop(id)
-	}
-}
-
-// hintAndHandoff records a hint for a missed home and, to keep the
-// sloppy quorum honest, stores the envelope on the next live stand-in.
-// The stand-in ack counts toward W only when the hint is durably
-// recorded first — otherwise a coordinator crash could strand the only
-// pointer from the stand-in copy back to the home set. The ack is
-// credited to whichever ring(s)' home set the missed home was in. The
-// hint's id is appended to attemptHints so the caller can retire it if
-// the overall write fails its quorum.
-func (c *Coordinator) hintAndHandoff(ctx context.Context, home writeTarget, key string, enc []byte, standins []string, nextStandin *int, ackCur, ackOld *int, attemptHints *[]uint64, corr uint64) {
-	hinted := false
-	if c.hints != nil {
-		if id, err := c.hints.Add(Hint{Home: home.silo, Key: key, Env: enc}); err == nil {
-			hinted = true
-			*attemptHints = append(*attemptHints, id)
-			c.mHinted.Inc()
-			if corr != 0 {
-				c.cfg.Tracer.Record(telemetry.HintRecorded, key, corr, "home="+home.silo)
-			}
-		}
-	}
-	if !hinted {
-		return
-	}
-	for *nextStandin < len(standins) {
-		s := standins[*nextStandin]
-		*nextStandin++
-		if !c.alive(s) {
-			continue
-		}
-		out, err := c.applyTo(ctx, s, key, enc)
-		if err != nil {
-			continue
-		}
-		if out == Applied || out == Equal {
-			if home.cur {
-				*ackCur++
-			}
-			if home.old {
-				*ackOld++
-			}
-			c.mSloppy.Inc()
-			return
-		}
-		// Stale/Conflict on a stand-in: it already holds something newer
-		// (an earlier handoff); the hint still covers the home.
-		return
-	}
-}
-
-// readQuorum collects R replica answers for key (a clean "not found"
-// counts as an answer) and returns the winning envelope under the
+// readQuorum collects R home answers for key (a clean "not found" from a
+// home counts as an answer) and returns the winning envelope under the
 // (version, value-hash) order, repairing any responder that returned an
-// older answer. During a ring transition R answers are required from
-// the superseded ring's home set as well — a write acked before the
-// change only intersects the old homes, and the new homes' "not found"
-// answers must not outvote it. found is false when no responder held
-// the key.
+// older answer. Only homes answer: any R homes intersect the W homes
+// that acked the last write, so a read that cannot reach R homes fails
+// with ErrQuorum rather than answer without that write. During a ring
+// transition R answers are required from the superseded ring's home set
+// as well — a write acked before the change only intersects the old
+// homes, and the new homes' "not found" answers must not outvote it.
+// found is false when no responder held the key.
 func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, bool, error) {
 	cur, old := c.rings()
 	n, rq, _ := c.quorumFor(cur)
@@ -642,7 +532,6 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 		nOld, rOld, _ = c.quorumFor(old)
 	}
 	targets := quorumTargets(key, cur, n, old, nOld)
-	pref := cur.Preference(key, n, cur.Size()-n)
 
 	type res struct {
 		t     writeTarget
@@ -676,32 +565,6 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 		}
 		oks = append(oks, r)
 	}
-	// Home quorum short? Fall back to stand-ins: during a sloppy-quorum
-	// window they may hold the only reachable copies. Stand-in answers
-	// count toward every active ring's quorum — they are exactly as
-	// sloppy as the handoff writes that fed them.
-	queried := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		queried[t.silo] = true
-	}
-	fellBack := false
-	for i := n; (okCur < rq || okOld < rOld) && i < len(pref); i++ {
-		s := pref[i]
-		if queried[s] || !c.alive(s) {
-			continue
-		}
-		env, found, err := c.fetchFrom(ctx, s, key)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		okCur++
-		okOld++
-		fellBack = true
-		oks = append(oks, res{t: writeTarget{silo: s}, env: env, found: found})
-	}
 	if okCur < rq || okOld < rOld {
 		got := okCur
 		if old != nil && okOld < got {
@@ -734,7 +597,7 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 	}
 	// Read-repair: push the winner to every responder that answered with
 	// something older (or nothing). Best-effort and synchronous — the
-	// repairs hit at most R-1 replicas that just proved reachable.
+	// repairs hit at most N-1 homes that just proved reachable.
 	enc := win.Encode()
 	repaired := 0
 	for _, r := range oks {
@@ -746,12 +609,12 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 			repaired++
 		}
 	}
-	// Only the interesting reads make the journal — ones that leaned on a
-	// stand-in or pushed a repair. Plain healthy reads would wash the ring
-	// out under a read-heavy workload.
-	if tr := c.cfg.Tracer; (fellBack || repaired > 0) && tr.Recording() {
+	// Only the interesting reads make the journal — ones that pushed a
+	// repair. Plain healthy reads would wash the ring out under a
+	// read-heavy workload.
+	if tr := c.cfg.Tracer; repaired > 0 && tr.Recording() {
 		tr.Record(telemetry.QuorumRead, key, tr.NewCorr(),
-			fmt.Sprintf("standin-fallback=%v repaired=%d at %s", fellBack, repaired, win.Version))
+			fmt.Sprintf("repaired=%d at %s", repaired, win.Version))
 	}
 	return win, true, nil
 }
@@ -851,39 +714,4 @@ func (c *Coordinator) Delete(ctx context.Context, key string, version int64) err
 		Expires:   c.cfg.Clock.Now().Add(c.cfg.TombstoneTTL),
 	}
 	return c.writeQuorum(ctx, key, env)
-}
-
-// ReplayHints delivers pending hints whose home silos are alive,
-// dropping each hint once its envelope lands (or proves superseded —
-// Apply's if-newer rule makes redelivery harmless, so replay after a
-// partial previous replay, a coordinator crash, or a home crash
-// mid-handoff converges to the same state). Returns how many hints were
-// delivered and how many remain.
-func (c *Coordinator) ReplayHints(ctx context.Context) (delivered, remaining int) {
-	if c.hints == nil {
-		return 0, 0
-	}
-	for _, home := range c.hints.Homes() {
-		if !c.alive(home) {
-			continue
-		}
-		ids, hints := c.hints.For(home)
-		for i, h := range hints {
-			if ctx.Err() != nil {
-				return delivered, c.hints.Pending()
-			}
-			if _, err := c.applyTo(ctx, h.Home, h.Key, h.Env); err != nil {
-				break // home went away again; keep its remaining hints
-			}
-			if err := c.hints.Drop(ids[i]); err != nil {
-				return delivered, c.hints.Pending()
-			}
-			delivered++
-			c.mReplayed.Inc()
-			if tr := c.cfg.Tracer; tr.Recording() {
-				tr.Record(telemetry.HintReplayed, h.Key, 0, "home="+h.Home)
-			}
-		}
-	}
-	return delivered, c.hints.Pending()
 }

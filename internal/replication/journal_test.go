@@ -55,7 +55,6 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = coord.Close(context.Background()) })
 
 	if _, err := coord.Store(context.Background(), "device@hlc", []byte("state"), 0); err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 
 	// Without the wire stamp the replica's clock is an hour behind the
 	// coordinator's; having observed it, its next mint must be ahead.
-	jrReplica.Record(telemetry.HintReplayed, "device@hlc", 0, "post-write probe")
+	jrReplica.Record(telemetry.QuorumRead, "device@hlc", 0, "post-write probe")
 	var probe *telemetry.Event
 	for _, e := range jrReplica.Events() {
 		if e.Detail == "post-write probe" {

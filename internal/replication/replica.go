@@ -28,7 +28,7 @@ const (
 	// Applied: the envelope was newer and is now the replica's value.
 	Applied Outcome = iota + 1
 	// Equal: the replica already holds this exact envelope — an
-	// idempotent duplicate (a retried write, a replayed hint).
+	// idempotent duplicate (a retried write, a repeated repair).
 	Equal
 	// Stale: the replica holds a strictly newer version; the incoming
 	// envelope was discarded. On a fenced write path this is the fence
@@ -186,7 +186,7 @@ func (s *Store) SetRebuilding(v bool) { s.rebuilding.Store(v) }
 // Apply merges env into the replica under the if-newer rule and reports
 // what happened. It is idempotent: re-applying any envelope the replica
 // has seen returns Equal (or Stale) without touching storage, which is
-// what makes hint replay and write retries safe.
+// what makes repairs and write retries safe.
 func (s *Store) Apply(ctx context.Context, key string, env Envelope) (Outcome, error) {
 	var ttl time.Duration
 	if env.Tombstone {
@@ -295,8 +295,7 @@ func (s *Store) BucketKeys(ctx context.Context, peer string, bucket uint32, buck
 // home — under the current ring or, during a transition window, the
 // superseded one, so a silo still offers keys it no longer homes to
 // their new homes (the old→new backfill after a ring change). Keys this
-// silo merely stands in for (hinted data awaiting handoff) are
-// excluded: the hint queue, not anti-entropy, drains those.
+// silo does not home under either ring are skipped.
 func (s *Store) scanShared(ctx context.Context, peer string, fn func(key string, env Envelope)) error {
 	self := s.cfg.Silo
 	cur, old := s.rings()

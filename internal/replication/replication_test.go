@@ -3,7 +3,6 @@ package replication
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -94,13 +93,14 @@ func TestRingReplicaSets(t *testing.T) {
 			}
 		}
 		counts[set[0]]++
-		pref := r1.Preference(key, 3, 2)
-		if len(pref) != 5 {
-			t.Fatalf("preference should extend to 5, got %v", pref)
+		// A larger n extends the same walk, and n clamps to the ring.
+		all := r1.ReplicaSet(key, 9)
+		if len(all) != 5 {
+			t.Fatalf("replica set should clamp to 5 members, got %v", all)
 		}
 		for j := range set {
-			if pref[j] != set[j] {
-				t.Fatalf("preference prefix %v must equal replica set %v", pref, set)
+			if all[j] != set[j] {
+				t.Fatalf("replica set %v must be a prefix of %v", set, all)
 			}
 		}
 	}
@@ -204,96 +204,80 @@ func TestApplyTombstoneExpires(t *testing.T) {
 	}
 }
 
-func TestHintQueuePersistence(t *testing.T) {
-	dir := t.TempDir()
-	q, err := OpenHintQueue(filepath.Join(dir, "hints"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, err := q.Add(Hint{Home: "s1", Key: "a", Env: []byte("e1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Add(Hint{Home: "s2", Key: "b", Env: []byte("e2")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Drop(id1); err != nil {
-		t.Fatal(err)
-	}
-	if q.Pending() != 1 {
-		t.Fatalf("want 1 pending, got %d", q.Pending())
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen: the dropped hint must stay dropped, the pending one recovered.
-	q2, err := OpenHintQueue(filepath.Join(dir, "hints"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q2.Close()
-	if q2.Pending() != 1 {
-		t.Fatalf("after reopen want 1 pending, got %d", q2.Pending())
-	}
-	homes := q2.Homes()
-	if len(homes) != 1 || homes[0] != "s2" {
-		t.Fatalf("want pending home s2, got %v", homes)
-	}
-	ids, hints := q2.For("s2")
-	if len(hints) != 1 || hints[0].Key != "b" || string(hints[0].Env) != "e2" {
-		t.Fatalf("recovered hint wrong: %v %v", ids, hints)
-	}
-}
+// threeSilos is a ring of exactly N=3: every silo is a home of every
+// key. fiveSilos is N+2: every key has two silos that are not its homes.
+var (
+	threeSilos = []string{"s1", "s2", "s3"}
+	fiveSilos  = []string{"s1", "s2", "s3", "s4", "s5"}
+)
 
-// testCluster wires three replica stores behind a Local transport with a
-// full runtime-free service loop, so coordinator tests exercise the real
-// RPC path including deregistration (silo death).
+// testCluster wires one replica store per silo behind a Local transport
+// with a full runtime-free service loop, so coordinator tests exercise
+// the real RPC path including deregistration (silo death).
 type testCluster struct {
+	t     *testing.T
 	tr    *transport.Local
 	ring  *Ring
 	svc   *Service
 	coord *Coordinator
 }
 
-func newTestCluster(t *testing.T, n, r, w int, hintDir string) *testCluster {
+func newTestCluster(t *testing.T, silos []string, n, r, w int) *testCluster {
 	t.Helper()
-	silos := []string{"s1", "s2", "s3"}
 	ring, err := NewRing(silos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := transport.NewLocal(nil, nil)
 	t.Cleanup(func() { _ = tr.Close() })
-	svc := NewService()
+	c := &testCluster{t: t, tr: tr, ring: ring, svc: NewService()}
 	for _, s := range silos {
-		st := testStore(t, s, ring, n)
-		svc.Host(s, st)
-		silo := s
-		if err := tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
-			return svc.Handle(ctx, silo, req)
-		}); err != nil {
-			t.Fatal(err)
-		}
+		c.svc.Host(s, testStore(t, s, ring, n))
+		c.up(s)
 	}
-	coord, err := NewCoordinator(Config{
+	c.coord, err = NewCoordinator(Config{
 		Ring:      ring,
 		N:         n,
 		R:         r,
 		W:         w,
 		Transport: tr,
-		HintDir:   hintDir,
 		Metrics:   metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = coord.Close(context.Background()) })
-	return &testCluster{tr: tr, ring: ring, svc: svc, coord: coord}
+	return c
+}
+
+// down makes silo unreachable; its store keeps what it holds.
+func (c *testCluster) down(silo string) { c.tr.Deregister(silo) }
+
+// up makes silo reachable again.
+func (c *testCluster) up(silo string) {
+	c.t.Helper()
+	if err := c.tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
+		return c.svc.Handle(ctx, silo, req)
+	}); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// requireTransientQuorum fails the test unless err is a transient
+// ErrQuorum — never a not-found, never nil.
+func requireTransientQuorum(t *testing.T, op string, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrQuorum) || errors.Is(err, kvstore.ErrNotFound) {
+		t.Fatalf("%s: want ErrQuorum, got %v", op, err)
+	}
+	var tr interface{ TransientError() bool }
+	if !errors.As(err, &tr) || !tr.TransientError() {
+		t.Fatalf("%s: quorum failure must self-classify transient: %v", op, err)
+	}
 }
 
 func TestQuorumWriteReadRoundtrip(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 2, "")
+	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	key := "device@42"
 
 	// Virgin key: Load reports not found with a zero claim.
@@ -339,7 +323,7 @@ func TestQuorumWriteReadRoundtrip(t *testing.T) {
 
 func TestDeleteTombstoneAndReload(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 2, "")
+	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	key := "device@7"
 	v, err := c.coord.Store(ctx, key, []byte("x"), 0)
 	if err != nil {
@@ -368,145 +352,133 @@ func TestDeleteTombstoneAndReload(t *testing.T) {
 	}
 }
 
-func TestSloppyQuorumHintedHandoff(t *testing.T) {
+// TestReadQuorumCountsHomesOnly is the fixed schedule behind strict
+// quorums. On a ring of N+2 silos, a write is acked by two homes while
+// the third is down; then the third returns and the two that hold the
+// write become unreachable. Only one home can answer, so a read must fail
+// transient. Counting a silo that is not a home toward R would pair the
+// home that missed the write with a silo that never saw the key, answer
+// "not found", and a Load would then claim an epoch over an empty key and
+// drop the acked write.
+func TestReadQuorumCountsHomesOnly(t *testing.T) {
+	for _, variant := range []struct {
+		name             string
+		firstOtherIsDown bool
+	}{
+		{name: "other silos up"},
+		{name: "first other silo down", firstOtherIsDown: true},
+	} {
+		t.Run(variant.name, func(t *testing.T) {
+			ctx := context.Background()
+			c := newTestCluster(t, fiveSilos, 3, 2, 2)
+			key := "device@101"
+			walk := c.ring.ReplicaSet(key, len(fiveSilos))
+			homes, others := walk[:3], walk[3:]
+
+			c.down(homes[2])
+			v, err := c.coord.Store(ctx, key, []byte("acked"), 0)
+			if err != nil {
+				t.Fatalf("write with two of three homes up: %v", err)
+			}
+			c.up(homes[2])
+			c.down(homes[0])
+			c.down(homes[1])
+			if variant.firstOtherIsDown {
+				c.down(others[0])
+			}
+
+			_, _, err = c.coord.Load(ctx, key)
+			requireTransientQuorum(t, "Load", err)
+			_, _, err = c.coord.Get(ctx, key)
+			requireTransientQuorum(t, "Get", err)
+
+			// The write was never lost: with its holders back, it reads.
+			c.up(homes[0])
+			c.up(homes[1])
+			data, gv, err := c.coord.Get(ctx, key)
+			if err != nil || string(data) != "acked" || gv != v {
+				t.Fatalf("read with the homes back: %q at %s, %v", data, Unpack(gv), err)
+			}
+		})
+	}
+}
+
+// TestMissedHomeConvergesByAntiEntropy: a home that is down when a write
+// lands misses it and counts as one failed home; once it returns, one
+// anti-entropy sweep gives it the acked version. With a majority of homes
+// down, writes and reads fail transient even though the silos that are
+// not homes are alive.
+func TestMissedHomeConvergesByAntiEntropy(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 2, filepath.Join(t.TempDir(), "hints"))
+	c := newTestCluster(t, fiveSilos, 3, 2, 2)
 	key := "device@13"
 	homes := c.ring.ReplicaSet(key, 3)
 
-	// Kill one home replica; W=2 must still be reachable via stand-in or
-	// the surviving homes, and a hint must be recorded.
-	dead := homes[0]
-	c.tr.Deregister(dead)
+	// One home down: the other two ack, and no other silo takes a copy.
+	missed := homes[0]
+	c.down(missed)
 	v, err := c.coord.Store(ctx, key, []byte("during-outage"), 0)
 	if err != nil {
-		t.Fatalf("sloppy write failed: %v", err)
+		t.Fatalf("write with one home down: %v", err)
 	}
-	if c.coord.Hints().Pending() == 0 {
-		t.Fatal("expected a pending hint for the dead home")
-	}
-	// The dead replica holds nothing.
-	deadStore := c.svc.Store(dead)
-	if _, found, _ := deadStore.Fetch(ctx, key); found {
-		t.Fatal("dead home should not hold the value yet")
+	for _, s := range fiveSilos {
+		_, found, _ := c.svc.Store(s).Fetch(ctx, key)
+		if want := s != missed && c.ring.Homes(key, 3, s); found != want {
+			t.Fatalf("%s holds the write = %v, want %v", s, found, want)
+		}
 	}
 
-	// Home returns: replay hints, then verify the home caught up.
-	silo := dead
-	if err := c.tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
-		return c.svc.Handle(ctx, silo, req)
-	}); err != nil {
-		t.Fatal(err)
+	// The home returns: one sweep brings it to the acked version.
+	c.up(missed)
+	if n, err := c.coord.SweepOnce(ctx, "", 16); err != nil || n == 0 {
+		t.Fatalf("sweep after the home returned: divergent=%d err=%v", n, err)
 	}
-	delivered, remaining := c.coord.ReplayHints(ctx)
-	if delivered == 0 || remaining != 0 {
-		t.Fatalf("replay: delivered=%d remaining=%d", delivered, remaining)
+	env, found, err := c.svc.Store(missed).Fetch(ctx, key)
+	if err != nil || !found || string(env.Value) != "during-outage" || env.Version != Unpack(v) {
+		t.Fatalf("returned home holds %q at %s (found=%v err=%v), want during-outage at %s",
+			env.Value, env.Version, found, err, Unpack(v))
 	}
-	env, found, err := deadStore.Fetch(ctx, key)
-	if err != nil || !found || string(env.Value) != "during-outage" {
-		t.Fatalf("home after replay: found=%v env=%+v err=%v", found, env, err)
-	}
-	if env.Version != Unpack(v) {
-		t.Fatalf("home version %v, want %v", env.Version, Unpack(v))
-	}
-	// Replay again: idempotent, nothing pending.
-	if d2, r2 := c.coord.ReplayHints(ctx); d2 != 0 || r2 != 0 {
-		t.Fatalf("second replay should be a no-op: %d %d", d2, r2)
-	}
+
+	// A majority of homes down, every other silo alive: no quorum.
+	c.down(homes[1])
+	c.down(homes[2])
+	_, err = c.coord.Store(ctx, key, []byte("no-quorum"), v)
+	requireTransientQuorum(t, "Store", err)
+	_, _, err = c.coord.Load(ctx, key)
+	requireTransientQuorum(t, "Load", err)
 }
 
-func TestReplayHintsIdempotentAfterPartialReplay(t *testing.T) {
-	// Kill a replica mid-handoff: deliver the hint once, "crash" before
-	// dropping it (simulated by re-adding the same hint), and verify
-	// replay converges without corrupting the home.
+func TestFailedWriteSpendsItsVersion(t *testing.T) {
+	// Regression: a quorum write that FAILS spends its (epoch, seq). It
+	// may sit on a minority of replicas, so a retry that reused the
+	// version with different bytes would meet Conflict there and be
+	// fenced. Store returns the spent version beside the error; the retry
+	// writes above it and applies everywhere.
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 2, filepath.Join(t.TempDir(), "hints"))
-	key := "device@77"
-	homes := c.ring.ReplicaSet(key, 3)
-	dead := homes[0]
-	c.tr.Deregister(dead)
-	if _, err := c.coord.Store(ctx, key, []byte("v"), 0); err != nil {
-		t.Fatal(err)
-	}
-	ids, hints := c.coord.Hints().For(dead)
-	if len(hints) != 1 {
-		t.Fatalf("want 1 hint, got %d", len(hints))
-	}
-	// Simulate a coordinator crash after delivery but before the drop:
-	// the same hint is still pending and will be delivered again.
-	silo := dead
-	if err := c.tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
-		return c.svc.Handle(ctx, silo, req)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st := c.svc.Store(dead)
-	env, _ := DecodeEnvelope(hints[0].Env)
-	if out, err := st.Apply(ctx, key, env); err != nil || out != Applied {
-		t.Fatalf("first delivery: %v %v", out, err)
-	}
-	// Hint not dropped (crash) — replay redelivers; Apply must be Equal.
-	delivered, remaining := c.coord.ReplayHints(ctx)
-	if delivered != 1 || remaining != 0 {
-		t.Fatalf("replay after crash: %d %d", delivered, remaining)
-	}
-	got, found, _ := st.Fetch(ctx, key)
-	if !found || !got.Equal(env) {
-		t.Fatalf("home diverged after redelivery: %+v vs %+v", got, env)
-	}
-	_ = ids
-}
-
-func TestFailedWriteAttemptDropsHints(t *testing.T) {
-	// Regression: a quorum write that FAILS spends its (epoch, seq) and
-	// leaves no hints. It may sit on a minority of replicas, so a retry
-	// that reused the version with different bytes would meet Conflict
-	// there and be fenced — and a surviving hint could later resurrect
-	// bytes nobody was promised. Store returns the spent version beside
-	// the error; the retry writes above it and applies everywhere.
-	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 2, filepath.Join(t.TempDir(), "hints"))
+	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	key := "device@31"
 	homes := c.ring.ReplicaSet(key, 3)
 
-	// Two dead homes and no stand-ins (Silos==N): attempt 1 lands on one
-	// replica and fails its quorum.
+	// Two dead homes: attempt 1 lands on one replica and fails its quorum.
 	for _, dead := range homes[1:] {
-		c.tr.Deregister(dead)
+		c.down(dead)
 	}
 	spent, err := c.coord.Store(ctx, key, []byte("failed-attempt"), 0)
-	if !errors.Is(err, ErrQuorum) {
-		t.Fatalf("want ErrQuorum, got %v", err)
-	}
-	var tr interface{ TransientError() bool }
-	if !errors.As(err, &tr) || !tr.TransientError() {
-		t.Fatalf("quorum failure must self-classify transient: %v", err)
-	}
+	requireTransientQuorum(t, "Store", err)
 	if want := (Version{Seq: 1}).Packed(); spent != want {
 		t.Fatalf("failed write returned version %s, want the spent %s", Unpack(spent), Unpack(want))
 	}
 	if env, found, _ := c.svc.Store(homes[0]).Fetch(ctx, key); !found || string(env.Value) != "failed-attempt" {
 		t.Fatalf("attempt 1 should sit on %s alone: found=%v value=%q", homes[0], found, env.Value)
 	}
-	if n := c.coord.Hints().Pending(); n != 0 {
-		t.Fatalf("failed write left %d hints pending", n)
-	}
 
 	// The homes come back; the retry carries different bytes.
 	for _, silo := range homes[1:] {
-		silo := silo
-		if err := c.tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
-			return c.svc.Handle(ctx, silo, req)
-		}); err != nil {
-			t.Fatal(err)
-		}
+		c.up(silo)
 	}
 	acked, err := c.coord.Store(ctx, key, []byte("acked-retry"), spent)
 	if err != nil {
 		t.Fatalf("retry above the spent version: %v", err)
-	}
-	if d, r := c.coord.ReplayHints(ctx); d != 0 || r != 0 {
-		t.Fatalf("replay should be empty: delivered=%d remaining=%d", d, r)
 	}
 	for _, h := range homes {
 		env, found, err := c.svc.Store(h).Fetch(ctx, key)
@@ -524,7 +496,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 	// unreachable, a Load served by {wiped-empty, stale} would adopt a
 	// stale winner, epoch-bump it, and erase the acked write.
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 2, "")
+	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	key := "device@59"
 	homes := c.ring.ReplicaSet(key, 3)
 	if _, err := c.coord.Store(ctx, key, []byte("acked"), 0); err != nil {
@@ -534,7 +506,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 	// One holder crashes, another is rebuilding: the remaining single
 	// answer must NOT satisfy R=2 — the read fails transient instead of
 	// returning something potentially stale.
-	c.tr.Deregister(homes[0])
+	c.down(homes[0])
 	rebuilding := c.svc.Store(homes[1])
 	rebuilding.SetRebuilding(true)
 	if _, _, err := rebuilding.Fetch(ctx, key); !errors.Is(err, ErrRebuilding) {
@@ -561,7 +533,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 
 func TestReadRepair(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 3, 2, "")
+	c := newTestCluster(t, threeSilos, 3, 3, 2)
 	key := "device@5"
 	v, err := c.coord.Store(ctx, key, []byte("fresh"), 0)
 	if err != nil {
@@ -586,7 +558,7 @@ func TestReadRepair(t *testing.T) {
 
 func TestAntiEntropyRestoresWipedReplica(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2, 2, "")
+	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	keys := []string{"d@1", "d@2", "d@3", "d@4", "d@5", "d@6", "d@7", "d@8"}
 	vers := map[string]int64{}
 	for _, k := range keys {
@@ -628,8 +600,8 @@ func TestAntiEntropyRestoresWipedReplica(t *testing.T) {
 
 func TestCoordinatorUnhealthy(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 1, 1, "")
-	c.tr.Deregister("s3")
+	c := newTestCluster(t, threeSilos, 3, 1, 1)
+	c.down("s3")
 	for i := 0; i < unhealthyAfter; i++ {
 		_, _, _ = c.coord.fetchFrom(ctx, "s3", "k")
 	}
@@ -640,11 +612,7 @@ func TestCoordinatorUnhealthy(t *testing.T) {
 		t.Fatal("s1 should be healthy")
 	}
 	// Recovery clears the suspicion.
-	if err := c.tr.Register("s3", func(ctx context.Context, req transport.Request) (any, error) {
-		return c.svc.Handle(ctx, "s3", req)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	c.up("s3")
 	_, _, _ = c.coord.fetchFrom(ctx, "s3", "k")
 	if c.coord.Unhealthy("s3") {
 		t.Fatal("s3 should recover after a successful call")

@@ -41,8 +41,8 @@ const ringVnodes = 256
 // Ring maps keys to ordered replica sets with a consistent-hash ring of
 // virtual nodes. The ring is built over the full static membership — not
 // the live view — so a key's home replicas stay stable while a silo is
-// down; that stability is what makes hinted handoff meaningful (the hint
-// names a home that will come back, not a moving target).
+// down: a home that missed writes comes back to the same keys, and
+// anti-entropy brings it up to date.
 type Ring struct {
 	points []ringPoint // sorted by hash
 	silos  []string    // distinct members, stable order
@@ -152,18 +152,6 @@ func (r *Ring) Size() int { return len(r.silos) }
 // then successive distinct silos around the ring. n is clamped to the
 // member count.
 func (r *Ring) ReplicaSet(key string, n int) []string {
-	return r.walk(key, n, nil)
-}
-
-// Preference returns the key's home set of size n extended by up to
-// extra additional distinct silos — the stand-in candidates a sloppy
-// quorum may write to when home replicas are down. The first n entries
-// are exactly ReplicaSet(key, n).
-func (r *Ring) Preference(key string, n, extra int) []string {
-	return r.walk(key, n+extra, nil)
-}
-
-func (r *Ring) walk(key string, n int, out []string) []string {
 	if n > len(r.silos) {
 		n = len(r.silos)
 	}
@@ -175,6 +163,7 @@ func (r *Ring) walk(key string, n int, out []string) []string {
 	if idx == len(r.points) {
 		idx = 0
 	}
+	out := make([]string, 0, n)
 	taken := make([]bool, len(r.silos))
 	for i := 0; len(out) < n && i < len(r.points); i++ {
 		p := r.points[(idx+i)%len(r.points)]

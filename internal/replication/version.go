@@ -10,9 +10,9 @@
 //   - per-silo replica stores (Store) hold versioned envelopes in the
 //     WAL-backed kvstore and apply mutations if-newer, idempotently;
 //   - a quorum Coordinator performs durable puts/gets/deletes against
-//     R-of-N / W-of-N replica quorums, with sloppy quorums and hinted
-//     handoff when home replicas are down, read-repair on quorum reads,
-//     and a background anti-entropy sweep (Sweeper) for convergence;
+//     strict R-of-N / W-of-N quorums of the key's home replicas, with
+//     read-repair on quorum reads and a background anti-entropy sweep
+//     (Sweeper) for convergence;
 //   - deletes are tombstones with a TTL, reclaimed lazily by the
 //     kvstore's existing TTL machinery.
 //

@@ -70,18 +70,17 @@ type Options struct {
 	Store *kvstore.Store
 
 	// Replicas enables replicated actor state when > 1 (and Store is
-	// set): every state load and flush goes through an N/R/W quorum
-	// coordinator over the cluster's replica stores, with hinted handoff
-	// and a background anti-entropy sweep. On a storeless process (the
-	// load client) the knob is inert — replication lives where state
-	// does.
+	// set): every state load and flush goes through a strict N/R/W quorum
+	// coordinator over the cluster's replica stores, with read repair and
+	// a background anti-entropy sweep. On a storeless process (the load
+	// client) the knob is inert — replication lives where state does.
 	Replicas int
 	// ReadQuorum / WriteQuorum override R and W (0 = majority of
 	// Replicas).
 	ReadQuorum  int
 	WriteQuorum int
-	// HintDir persists the hinted-handoff queue (usually a subdirectory
-	// of the store dir; it is the coordinator's disk, not a replica's).
+	// HintDir is ignored: replication keeps no hint queue. The field
+	// stays only so callers that still set it compile.
 	HintDir string
 	// SweepEvery is the anti-entropy period (0 = 30s).
 	SweepEvery time.Duration
@@ -248,7 +247,6 @@ func Start(opts Options) (*Node, error) {
 			Transport: tr,
 			Sender:    opts.Name,
 			Local:     map[string]*replication.Store{opts.Name: rstore},
-			HintDir:   opts.HintDir,
 			Metrics:   reg,
 			Tracer:    tracer,
 		})
@@ -439,10 +437,9 @@ func (n *Node) JoinCluster() error {
 }
 
 // Drain is the graceful storage shutdown, run after Runtime.Shutdown has
-// deactivated (and flushed) every actor: stop the anti-entropy sweeper,
-// replay and sync the hint queue so no hinted write is stranded in
-// memory, and put a final WAL sync barrier on the store — every
-// acknowledged write is on disk before the process exits.
+// deactivated (and flushed) every actor: stop the anti-entropy sweeper
+// and put a final WAL sync barrier on the store — every acknowledged
+// write is on disk before the process exits.
 func (n *Node) Drain(ctx context.Context) error {
 	if n.bootstrapCancel != nil {
 		n.bootstrapCancel()
@@ -459,18 +456,10 @@ func (n *Node) Drain(ctx context.Context) error {
 	if n.Sweeper != nil {
 		n.Sweeper.Stop()
 	}
-	var firstErr error
-	if n.Coordinator != nil {
-		if err := n.Coordinator.Close(ctx); err != nil {
-			firstErr = err
-		}
-	}
 	if n.store != nil {
-		if err := n.store.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		return n.store.Sync()
 	}
-	return firstErr
+	return nil
 }
 
 // Introspection assembles the node's observability endpoint, wiring in

@@ -14,9 +14,9 @@ import (
 
 // The Events part is the cluster flight recorder: a bounded per-silo ring
 // of structured events (membership transitions, migration phases, quorum
-// outcomes, hinted-handoff activity, breaker trips, slow turns, WAL flush
-// stalls), each stamped with a hybrid logical clock so the rings of many
-// silos merge into one causally ordered timeline after the fact.
+// outcomes, breaker trips, slow turns, WAL flush stalls), each stamped
+// with a hybrid logical clock so the rings of many silos merge into one
+// causally ordered timeline after the fact.
 // Anomalies (quorum loss, actor panics, members declared dead,
 // SLO-breaching turns) freeze a snapshot of the ring to disk so the
 // interesting window survives wraparound — and the process.
@@ -38,8 +38,6 @@ const (
 	QuorumWriteFail
 	QuorumRead
 	QuorumReadFail
-	HintRecorded
-	HintReplayed
 	BreakerTrip
 	SlowTurn
 	ActorPanic
@@ -61,8 +59,6 @@ var eventKindNames = [...]string{
 	QuorumWriteFail: "quorum-write-fail",
 	QuorumRead:      "quorum-read",
 	QuorumReadFail:  "quorum-read-fail",
-	HintRecorded:    "hint-recorded",
-	HintReplayed:    "hint-replayed",
 	BreakerTrip:     "breaker-trip",
 	SlowTurn:        "slow-turn",
 	ActorPanic:      "panic",

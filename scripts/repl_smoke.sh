@@ -65,13 +65,13 @@ peers="silo-1=$L1,silo-2=$L2,silo-3=$L3"
   -sensors 20 -duration 3s -warmup 1s -queries=true
 
 # Gracefully stop silo-2: its activations persist through the write
-# quorum (their state lands on peer replicas too), its hint queue
-# drains, and its WAL gets a final sync barrier.
+# quorum (their state lands on peer replicas too), and its WAL gets a
+# final sync barrier.
 kill -TERM "$pid2"
 wait "$pid2" 2>/dev/null || true
 pid2=
 
-# Total storage loss: silo-2's WAL, snapshots, and hint queue are gone.
+# Total storage loss: silo-2's WAL and snapshots are gone.
 rm -rf "$data/silo-2"
 
 start_silo silo-2 "$L2" "$O2" "silo-1=$L1,silo-3=$L3"
@@ -97,8 +97,6 @@ echo "$prom" | grep -Eq '^aodb_cluster_replication_antientropy_sweeps [1-9]' \
   || { echo "repl smoke: no anti-entropy sweeps ran"; exit 1; }
 echo "$prom" | grep -Eq '^aodb_cluster_replication_antientropy_divergent_keys [1-9]' \
   || { echo "repl smoke: wiped replica was never repaired by anti-entropy"; exit 1; }
-echo "$prom" | grep -Eq '^aodb_cluster_replication_hints_pending 0' \
-  || { echo "repl smoke: hints still pending after convergence"; exit 1; }
 
 frame=$("$bin/shmtop" -cluster "http://$O1" -once -k 5)
 echo "$frame" | grep -q "REPLICATION" || { echo "repl smoke: shmtop missing replica-health line"; exit 1; }
