@@ -79,14 +79,21 @@ func EqualsGob(t *testing.T, v any) {
 	}
 }
 
-// RoundTripAllocs is the allocations of writing f to a long-lived
-// buffered stream and reading it back, in steady state. It skips the test
-// under the race detector, which makes sync.Pool drop frames at random.
-func RoundTripAllocs(t *testing.T, f *codec.Frame) float64 {
+// SkipUnderRace skips an allocation guard under the race detector, which
+// allocates on its own account and makes sync.Pool drop items at random.
+func SkipUnderRace(t testing.TB) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+}
+
+// RoundTripAllocs is the allocations of writing f to a long-lived
+// buffered stream and reading it back, in steady state. It skips the test
+// under the race detector.
+func RoundTripAllocs(t *testing.T, f *codec.Frame) float64 {
+	t.Helper()
+	SkipUnderRace(t)
 	var wire bytes.Buffer
 	s := codec.NewBufferedStream(&wire, 0)
 	roundTrip := func() {

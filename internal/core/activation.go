@@ -95,10 +95,11 @@ func (a *activation) close() {
 // and drained. A panic in any turn poisons the activation: the panicking
 // call gets a PanicError, queued and late messages fail transient (so
 // retries reach a fresh activation), and the silo process never crashes.
-func (a *activation) visit() {
+// c is the visiting worker's Context, reset for each turn and hook.
+func (a *activation) visit(c *Context) {
 	if !a.started {
 		a.started = true
-		if a.activateErr = a.activate(); a.activateErr != nil {
+		if a.activateErr = a.activate(c); a.activateErr != nil {
 			// Fail every queued message, then tear down so the next call
 			// can retry with a fresh activation.
 			a.box.close()
@@ -110,7 +111,7 @@ func (a *activation) visit() {
 		case st == released:
 			return
 		case st == drained:
-			a.deactivate(a.activateErr == nil, a.poison != nil || a.crashed.Load())
+			a.deactivate(c, a.activateErr == nil, a.poison != nil || a.crashed.Load())
 			return
 		case a.activateErr != nil:
 			env.fail(fmt.Errorf("core: activating %s: %w", a.id, a.activateErr))
@@ -119,7 +120,7 @@ func (a *activation) visit() {
 		case a.poison != nil:
 			env.fail(fmt.Errorf("core: %s deactivating after panic: %w", a.id, ErrTransient))
 		default:
-			if a.poison = a.turn(env); a.poison != nil {
+			if a.poison = a.turn(c, env); a.poison != nil {
 				a.box.close()
 			}
 		}
@@ -128,16 +129,18 @@ func (a *activation) visit() {
 
 // activate loads persistent state and runs the OnActivate hook. Panics in
 // either are recovered into an activation error.
-func (a *activation) activate() (err error) {
+func (a *activation) activate(c *Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			a.silo.metrics.Counter("core.panics").Inc()
 			err = &PanicError{Actor: a.id.String(), Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	cctx := a.context(context.Background(), nil)
+	cctx := a.context(c, context.Background(), nil)
 	if a.cfg.persist != PersistNone {
-		if err := a.loadState(cctx); err != nil {
+		// The store gets the turn's context.Context, never the worker's
+		// Context: a store may use it after returning.
+		if err := a.loadState(cctx.Context); err != nil {
 			return err
 		}
 	}
@@ -153,7 +156,7 @@ func (a *activation) activate() (err error) {
 
 // turn executes one message under the silo's capacity limiter. It returns
 // non-nil only when the actor panicked, which poisons the activation.
-func (a *activation) turn(env envelope) (panicked error) {
+func (a *activation) turn(c *Context, env envelope) (panicked error) {
 	a.lastBusy.Store(a.silo.rt.clk.Now().UnixNano())
 	ctx := env.ctx
 	if ctx == nil {
@@ -187,7 +190,7 @@ func (a *activation) turn(env envelope) (panicked error) {
 	var turnErr error
 	var execDur time.Duration
 	err := a.silo.limiter.ExecuteTimed(ctx, cost, func() error {
-		cctx := a.context(ctx, env.chain)
+		cctx := a.context(c, ctx, env.chain)
 		var execStart time.Time
 		if tn.Timed {
 			execStart = a.silo.rt.clk.Now()
@@ -240,10 +243,10 @@ func (a *activation) invoke(cctx *Context, msg any) (v any, err error) {
 // registration disappears, so a successor activation can never load stale
 // state. A dirty teardown (panic poison or silo crash) skips hooks and
 // persistence: the in-memory state is suspect or deliberately "lost".
-func (a *activation) deactivate(wasActive, dirty bool) {
+func (a *activation) deactivate(c *Context, wasActive, dirty bool) {
 	if wasActive {
 		if !dirty {
-			a.teardownHooks()
+			a.teardownHooks(c)
 		}
 		a.silo.metrics.Gauge("core.active").Add(-1)
 		a.silo.metrics.Counter("core.deactivations").Inc()
@@ -255,33 +258,37 @@ func (a *activation) deactivate(wasActive, dirty bool) {
 
 // teardownHooks runs OnDeactivate and the final state write, recovering
 // panics so a buggy teardown cannot crash the silo.
-func (a *activation) teardownHooks() {
+func (a *activation) teardownHooks(c *Context) {
 	defer func() {
 		if r := recover(); r != nil {
 			a.silo.metrics.Counter("core.panics").Inc()
 			a.silo.metrics.Counter("core.deactivate_hook_errors").Inc()
 		}
 	}()
-	cctx := a.context(context.Background(), nil)
+	cctx := a.context(c, context.Background(), nil)
 	if hook, ok := a.actor.(Deactivator); ok {
 		if err := hook.OnDeactivate(cctx); err != nil {
 			a.silo.metrics.Counter("core.deactivate_hook_errors").Inc()
 		}
 	}
 	if a.cfg.persist == PersistOnDeactivate {
-		if err := a.writeState(cctx); err != nil {
+		if err := a.writeState(cctx.Context); err != nil {
 			a.silo.metrics.Counter("core.state_write_errors").Inc()
 		}
 	}
 }
 
-func (a *activation) context(ctx context.Context, chain []string) *Context {
+// context readies c, the visiting worker's Context, for one turn or hook
+// of a. Every field is set, so nothing of the worker's previous turn — of
+// this activation or another — survives into this one.
+func (a *activation) context(c *Context, ctx context.Context, chain []string) *Context {
 	if a.cur != nil {
 		// Carry the turn's span in the context so the kvstore layer can
 		// attribute storage time without importing core.
 		ctx = telemetry.WithSpan(ctx, a.cur)
 	}
-	return &Context{Context: ctx, rt: a.silo.rt, silo: a.silo, self: a.id, act: a, chain: chain}
+	*c = Context{Context: ctx, rt: a.silo.rt, silo: a.silo, self: a.id, act: a, chain: chain}
+	return c
 }
 
 // loadState hydrates a Stateful actor from the state store, remembering
@@ -291,7 +298,7 @@ func (a *activation) loadState(ctx context.Context) error {
 	if !ok || a.silo.rt.states == nil {
 		return nil
 	}
-	data, ver, err := a.silo.rt.states.Load(ctx, a.id.String())
+	data, ver, err := a.silo.rt.states.Load(ctx, a.reg.Actor)
 	if err != nil {
 		if isNotFound(err) {
 			// First activation ever: keep zero-value state, but adopt the
@@ -342,7 +349,7 @@ func (a *activation) writeState(ctx context.Context) error {
 		// A dead process writes nothing; beside a successor it could be acked.
 		return fmt.Errorf("core: %s lost to silo crash: %w", a.id, ErrTransient)
 	}
-	next, err := a.silo.rt.states.Store(ctx, a.id.String(), data, a.stateVersion)
+	next, err := a.silo.rt.states.Store(ctx, a.reg.Actor, data, a.stateVersion)
 	if err != nil {
 		if errors.Is(err, kvstore.ErrVersionMismatch) {
 			a.silo.metrics.Counter("core.stale_writes_fenced").Inc()

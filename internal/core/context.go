@@ -14,8 +14,12 @@ import (
 // context.Context (cancellation, deadlines) plus the actor-facing runtime
 // surface: identity, messaging, and persistence.
 //
-// A Context is only valid for the duration of the turn that received it;
-// actors must not retain it across turns.
+// A Context belongs to the worker running the turn, not to the actor: the
+// worker resets it for every turn and lifecycle hook it runs. It is valid
+// only for the duration of the turn that received it; actors must not
+// retain it across turns, nor hand it to a goroutine that outlives the turn.
+// A turn blocked in an awaited Call keeps its worker, so the nested turn
+// runs on another worker with a Context of its own.
 type Context struct {
 	context.Context
 	rt    *Runtime
@@ -36,21 +40,25 @@ func (c *Context) SiloName() string { return c.silo.name }
 func (c *Context) Clock() clock.Clock { return c.rt.clk }
 
 // Call invokes another actor and waits for its reply. The runtime tracks
-// the synchronous call chain and fails fast with ErrCallCycle on re-entry,
-// since a cycle would deadlock the single-threaded mailboxes involved.
+// the chain of awaited calls and fails fast with ErrCallCycle when the
+// target is already waiting in it, since a cycle would deadlock the
+// single-threaded mailboxes involved. A Tell starts a new chain.
 func (c *Context) Call(id ID, msg any) (any, error) {
 	trace, sp, start := c.childTrace()
-	v, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, true, trace, "")
+	v, err := c.rt.call(c.Context, c.silo.name, c.callChain(), id, msg, true, trace, "")
 	if sp != nil {
 		sp.AddNested(c.rt.clk.Since(start))
 	}
 	return v, err
 }
 
-// Tell sends a one-way message to another actor.
+// Tell sends a one-way message to another actor. A Tell starts a new call
+// chain: it is acknowledged once the message is queued, so the teller never
+// waits for the told turn, and that turn cannot close a deadlock cycle. It
+// may Call its teller back, and an actor may Tell itself.
 func (c *Context) Tell(id ID, msg any) error {
 	trace, sp, start := c.childTrace()
-	_, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, false, trace, "")
+	_, err := c.rt.call(c.Context, c.silo.name, nil, id, msg, false, trace, "")
 	if sp != nil {
 		sp.AddNested(c.rt.clk.Since(start))
 	}
@@ -68,10 +76,13 @@ func (c *Context) childTrace() (telemetry.SpanContext, *telemetry.Span, time.Tim
 	return sp.ChildContext(), sp, c.rt.clk.Now()
 }
 
-func (c *Context) chainCopy() []string {
+// callChain is the chain an awaited Call from this turn carries: the turn's
+// own chain, then this actor by its registration, which is its ID rendered
+// once. It is a fresh slice, since the callee holds it for its whole turn.
+func (c *Context) callChain() []string {
 	out := make([]string, len(c.chain), len(c.chain)+1)
 	copy(out, c.chain)
-	return out
+	return append(out, c.act.reg.Actor)
 }
 
 // WriteState persists the actor's state now — the analog of Orleans'

@@ -18,6 +18,13 @@ type ID struct {
 // the state table.
 func (id ID) String() string { return id.Kind + "/" + id.Key }
 
+// is reports whether s is id's canonical form without rendering it:
+// length first, then kind, separator and key.
+func (id ID) is(s string) bool {
+	n := len(id.Kind)
+	return len(s) == n+1+len(id.Key) && s[:n] == id.Kind && s[n] == '/' && s[n+1:] == id.Key
+}
+
 // IsZero reports whether the ID is empty.
 func (id ID) IsZero() bool { return id.Kind == "" && id.Key == "" }
 

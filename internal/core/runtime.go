@@ -449,7 +449,7 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
 	}
 	for _, hop := range chain {
-		if hop == id.String() {
+		if id.is(hop) {
 			return nil, fmt.Errorf("%w: %v -> %s", ErrCallCycle, chain, id)
 		}
 	}

@@ -91,9 +91,12 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 	if needReply {
 		reply = make(chan turnResult, 1)
 	} else {
-		// One-way deliveries are acknowledged at enqueue; the turn itself
-		// must not be cancelled when the sender moves on.
-		turnCtx = context.WithoutCancel(ctx)
+		// One-way deliveries are acknowledged at enqueue, so the turn runs
+		// under nothing of the sender's: not its cancellation or deadline,
+		// and not its values. The only value the runtime puts in a context
+		// is the sending turn's span (telemetry.WithSpan), and a told turn
+		// that is recorded carries its own (activation.context).
+		turnCtx = context.Background()
 	}
 	env := s.envelope(turnCtx, msg, chain, trace, remote)
 	env.reply = reply
@@ -298,9 +301,10 @@ func (s *Silo) collectIdle() {
 	var next atomic.Int64
 	lane := func() {
 		growStack(0)
+		c := new(Context) // a lane is a worker: one Context for all its visits
 		for i := next.Add(1) - 1; i < int64(len(candidates)); i = next.Add(1) - 1 {
 			if candidates[i].box.closeIfEmpty() {
-				candidates[i].visit()
+				candidates[i].visit(c)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,11 +35,13 @@ type workers struct {
 	}
 }
 
-// worker is one goroutine's handle: where it takes hand-offs while parked.
-// Handles are pooled, so a burst of starts allocates nothing per start.
+// worker is one goroutine's handle: where it takes hand-offs while parked,
+// and the Context every turn it runs is given. Handles are pooled, so a
+// burst of starts allocates nothing per start.
 type worker struct {
 	wake chan *activation // capacity 1: a hand-off never blocks the waker
 	run  func()           // w.loop, bound once: `go w.run()` allocates no closure
+	ctx  Context          // reset per turn; emptied between visits
 }
 
 var handles sync.Pool // of *worker; no New, which would be an initialization cycle
@@ -74,7 +77,10 @@ func (w *worker) loop() {
 	var pad [turnStack / 2]byte
 	growStack(0)
 	for a := <-w.wake; a != nil; a = <-w.wake {
-		a.visit()
+		a.visit(&w.ctx)
+		// A parked worker keeps no activation alive, and a Context kept
+		// past its turn reads as context.Background, not as a nil one.
+		w.ctx = Context{Context: context.Background()}
 		if !a.silo.workers.park(w, a) {
 			break
 		}

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -241,7 +242,7 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 	if c.state.WindowCap <= 0 {
 		c.state.WindowCap = defaultWindowCap
 	}
-	stats := map[time.Time]*BucketStat{}
+	var stats []BucketStat // the StatUpdate's hourly stats, built in place
 	for _, p := range points {
 		// Accumulated change (requirement 4): how far the element moved.
 		if c.state.HasLast {
@@ -267,20 +268,7 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 		}
 		// Hourly statistics for the aggregator chain (requirement 6).
 		if c.state.Aggregator != "" {
-			b := TruncateToLevel(p.At, LevelHour)
-			s, ok := stats[b]
-			if !ok {
-				s = &BucketStat{Bucket: b, Min: p.Value, Max: p.Value}
-				stats[b] = s
-			}
-			s.Count++
-			s.Sum += p.Value
-			if p.Value < s.Min {
-				s.Min = p.Value
-			}
-			if p.Value > s.Max {
-				s.Max = p.Value
-			}
+			stats = addStat(stats, TruncateToLevel(p.At, LevelHour), p.Value)
 		}
 	}
 	c.state.Window = append(c.state.Window, points...)
@@ -299,14 +287,10 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 			return err
 		}
 	}
-	if c.state.Aggregator != "" && len(stats) > 0 {
-		flat := make([]BucketStat, 0, len(stats))
-		for _, s := range stats {
-			flat = append(flat, *s)
-		}
-		sort.Slice(flat, func(i, j int) bool { return flat[i].Bucket.Before(flat[j].Bucket) })
+	if len(stats) > 0 {
+		slices.SortFunc(stats, func(x, y BucketStat) int { return x.Bucket.Compare(y.Bucket) })
 		if err := ctx.Tell(core.ID{Kind: KindAggregator, Key: c.state.Aggregator},
-			StatUpdate{Channel: ctx.Self().Key, Stats: flat}); err != nil {
+			StatUpdate{Channel: ctx.Self().Key, Stats: stats}); err != nil {
 			return err
 		}
 	}
@@ -314,6 +298,33 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 		return ctx.WriteState()
 	}
 	return nil
+}
+
+// addStat folds one reading into the stat of hour bucket b, opening it if
+// stats has none yet. A batch spans one hour or two, so a scan is all the
+// lookup it needs; buckets are told apart by ==, as a map keyed by
+// time.Time would tell them.
+func addStat(stats []BucketStat, b time.Time, v float64) []BucketStat {
+	i := 0
+	for i < len(stats) && stats[i].Bucket != b {
+		i++
+	}
+	if i == len(stats) {
+		if stats == nil {
+			stats = make([]BucketStat, 0, 2)
+		}
+		stats = append(stats, BucketStat{Bucket: b, Min: v, Max: v})
+	}
+	s := &stats[i]
+	s.Count++
+	s.Sum += v
+	if v < s.Min {
+		s.Min = v
+	}
+	if v > s.Max {
+		s.Max = v
+	}
+	return stats
 }
 
 func (c *physicalChannelActor) rangeQuery(from, to time.Time) []DataPoint {
@@ -462,6 +473,11 @@ func (v *virtualChannelActor) combine() []DataPoint {
 // the parallelism across levels §4.2 calls out.
 type aggregatorActor struct {
 	state aggState
+	// lastBucket and lastKey are the newest bucket and its RFC3339 key in
+	// PerChannel (volatile): an update's stats, and the updates after it,
+	// mostly fall in the same hour, day or month.
+	lastBucket time.Time
+	lastKey    string
 }
 
 type aggState struct {
@@ -503,15 +519,15 @@ func (a *aggregatorActor) Receive(ctx *core.Context, msg any) (any, error) {
 		}
 		for _, s := range m.Stats {
 			b := TruncateToLevel(s.Bucket, level)
-			key := b.Format(time.RFC3339)
+			key := a.bucketKey(b)
 			cur := buckets[key]
 			cur.Bucket = b
 			cur.Merge(BucketStat{Bucket: b, Count: s.Count, Sum: s.Sum, Min: s.Min, Max: s.Max})
 			buckets[key] = cur
 		}
 		if a.state.Next != "" {
-			if err := ctx.Tell(core.ID{Kind: KindAggregator, Key: a.state.Next},
-				StatUpdate{Channel: m.Channel, Stats: m.Stats}); err != nil {
+			// The update goes up the chain as it came: msg is it, boxed.
+			if err := ctx.Tell(core.ID{Kind: KindAggregator, Key: a.state.Next}, msg); err != nil {
 				return nil, err
 			}
 		}
@@ -521,6 +537,15 @@ func (a *aggregatorActor) Receive(ctx *core.Context, msg any) (any, error) {
 	default:
 		return nil, fmt.Errorf("shm: Aggregator: unknown message %T", msg)
 	}
+}
+
+// bucketKey is b's key in PerChannel, rendered only when b is not the
+// bucket last rendered.
+func (a *aggregatorActor) bucketKey(b time.Time) string {
+	if b != a.lastBucket || a.lastKey == "" {
+		a.lastBucket, a.lastKey = b, b.Format(time.RFC3339)
+	}
+	return a.lastKey
 }
 
 // aggregatorChainFromKey derives an aggregator's level and successor
