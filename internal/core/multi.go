@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -196,12 +197,33 @@ type multiGroup struct {
 // groupBySilo resolves every target and groups them by destination silo,
 // at most multiMaxTargets to a group. A target that cannot be addressed at
 // all gets the error Call would give it and joins no group.
+//
+// The targets' canonical forms are rendered once, into one string, and
+// each target's directory key is a substring of it: a rendering per
+// target would escape into placement one allocation at a time.
 func (rt *Runtime) groupBySilo(ids []ID, out []CallResult) []multiGroup {
+	n := 0
+	for _, id := range ids {
+		n += len(id.Kind) + 1 + len(id.Key)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, id := range ids {
+		b.WriteString(id.Kind)
+		b.WriteByte('/')
+		b.WriteString(id.Key)
+	}
+	keys := b.String()
+
 	var groups []multiGroup
 	var view []string
 	haveView := false
 	var cfg *kindConfig
+	off := 0
 	for i, id := range ids {
+		end := off + len(id.Kind) + 1 + len(id.Key)
+		key := keys[off:end]
+		off = end
 		if err := id.Validate(); err != nil {
 			out[i].Err = err
 			continue
@@ -214,7 +236,6 @@ func (rt *Runtime) groupBySilo(ids []ID, out []CallResult) []multiGroup {
 			}
 			cfg = c
 		}
-		key := id.String()
 		var silo string
 		if r, ok := rt.directory.Lookup(key); ok {
 			silo = r.Silo
@@ -236,7 +257,9 @@ func (rt *Runtime) groupBySilo(ids []ID, out []CallResult) []multiGroup {
 		}
 		if g < 0 || len(groups[g].idx) == multiMaxTargets {
 			g = len(groups)
-			groups = append(groups, multiGroup{silo: silo})
+			// Sized for every target left, so the usual group — the whole
+			// call on one silo — is one allocation, not a doubling series.
+			groups = append(groups, multiGroup{silo: silo, idx: make([]int, 0, min(len(ids)-i, multiMaxTargets))})
 		}
 		groups[g].idx = append(groups[g].idx, i)
 	}

@@ -161,6 +161,8 @@ func (s *sensorActor) Receive(ctx *core.Context, msg any) (any, error) {
 // channels and aggregators.
 type physicalChannelActor struct {
 	state channelState
+	// latest is the Latest reply, boxed (volatile; see latestReply).
+	latest any
 }
 
 type channelState struct {
@@ -200,10 +202,7 @@ func (c *physicalChannelActor) Receive(ctx *core.Context, msg any) (any, error) 
 	case InsertPoints:
 		return nil, c.insert(ctx, m.Points)
 	case Latest:
-		if len(c.state.Window) == 0 {
-			return DataPoint{}, nil
-		}
-		return c.state.Window[len(c.state.Window)-1], nil
+		return latestReply(&c.latest, c.state.Window), nil
 	case RangeQuery:
 		return c.rangeQuery(m.From, m.To), nil
 	case HistoryQuery:
@@ -272,6 +271,7 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 		}
 	}
 	c.state.Window = append(c.state.Window, points...)
+	c.latest = nil
 	if over := len(c.state.Window) - c.state.WindowCap; over > 0 {
 		if c.state.Archive {
 			evicted := append([]DataPoint(nil), c.state.Window[:over]...)
@@ -327,6 +327,24 @@ func addStat(stats []BucketStat, b time.Time, v float64) []BucketStat {
 	return stats
 }
 
+// noLatest is the Latest reply of an empty window, boxed once.
+var noLatest any = DataPoint{}
+
+// latestReply is a window's Latest reply, boxed once per change of the
+// window rather than once per query: *memo holds the box until the owner
+// sets it to nil on appending. A reply is immutable once returned (a value
+// inside an interface cannot be changed), and an actor's turns run one at
+// a time, so every query until the next append shares the box.
+func latestReply(memo *any, window []DataPoint) any {
+	if *memo == nil {
+		if len(window) == 0 {
+			return noLatest
+		}
+		*memo = window[len(window)-1]
+	}
+	return *memo
+}
+
 func (c *physicalChannelActor) rangeQuery(from, to time.Time) []DataPoint {
 	return pointsIn(c.state.Window, from, to)
 }
@@ -367,6 +385,8 @@ type virtualChannelActor struct {
 	// needed because inputs deliver asynchronously and one channel may
 	// run several packets ahead of another.
 	pending map[string][][]DataPoint
+	// latest is the Latest reply, boxed (volatile; see latestReply).
+	latest any
 }
 
 type virtualState struct {
@@ -404,16 +424,14 @@ func (v *virtualChannelActor) Receive(ctx *core.Context, msg any) (any, error) {
 		for v.roundReady() {
 			derived := v.combine()
 			v.state.Window = append(v.state.Window, derived...)
+			v.latest = nil
 			if over := len(v.state.Window) - v.state.WindowCap; over > 0 {
 				v.state.Window = append(v.state.Window[:0], v.state.Window[over:]...)
 			}
 		}
 		return nil, nil
 	case Latest:
-		if len(v.state.Window) == 0 {
-			return DataPoint{}, nil
-		}
-		return v.state.Window[len(v.state.Window)-1], nil
+		return latestReply(&v.latest, v.state.Window), nil
 	case RangeQuery:
 		return pointsIn(v.state.Window, m.From, m.To), nil
 	default:
