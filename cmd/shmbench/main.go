@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"aodb/internal/bench"
@@ -154,7 +155,13 @@ func run(ctx context.Context, fig, ablation string, transportBench, hot bool, ho
 		if err != nil {
 			return err
 		}
-		bench.PrintQuorum(out, rows)
+		fast, err := bench.RunQuorumLatency(ctx, bench.QuorumLatencyConfig{
+			Silos: 1, N: 1, R: 1, W: 1, Ops: 3000, Dir: filepath.Join(dir, "fast"), Durable: true,
+		})
+		if err != nil {
+			return err
+		}
+		bench.PrintQuorum(out, rows, fast)
 	case "elastic":
 		// The sf8 demo shape: 2,100 sensors per final silo, scaled like
 		// the figures, growing 2 -> 8 under the ledger audit load.

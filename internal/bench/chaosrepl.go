@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -577,9 +578,32 @@ type QuorumLatencyResult struct {
 	N, R, W, Ops        int
 	Mean, P50, P95, P99 time.Duration
 	// Baseline is the same op count of bare durable table puts on one
-	// store — the PR 3 fast path the N=1 coordinator must stay within
-	// 10% of.
+	// store: the cost an N=1 coordinator's Local-map fast path adds
+	// nothing to.
 	BaselineMean, BaselineP50 time.Duration
+	// RPCs is the transport calls the measured puts made; the N=1 fast
+	// path makes none. Allocs and BaselineAllocs are each loop's
+	// allocations per put, background goroutines included.
+	RPCs                   int64
+	Allocs, BaselineAllocs float64
+}
+
+// countingTransport counts the calls that go through it.
+type countingTransport struct {
+	transport.Transport
+	calls atomic.Int64
+}
+
+func (c *countingTransport) Call(ctx context.Context, node string, req transport.Request) (any, error) {
+	c.calls.Add(1)
+	return c.Transport.Call(ctx, node, req)
+}
+
+// mallocs is the process's allocation count so far.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 // RunQuorumLatency measures one N/R/W point. The first silo's store is
@@ -625,7 +649,7 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 	}
 	svc := replication.NewService()
 	locals := make(map[string]*replication.Store)
-	tr := transport.NewLocal(nil, nil)
+	tr := &countingTransport{Transport: transport.NewLocal(nil, nil)}
 	defer tr.Close()
 	for i, name := range names {
 		dir := ""
@@ -650,13 +674,14 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 		svc.Host(name, rstore)
 		if i == 0 {
 			locals[name] = rstore
-		} else {
-			silo := name
-			if err := tr.Register(silo, func(hctx context.Context, req transport.Request) (any, error) {
-				return svc.Handle(hctx, silo, req)
-			}); err != nil {
-				return out, err
-			}
+		}
+		// The first silo answers on the transport too, so a coordinator
+		// that missed its Local map would show up as RPCs, not as an error.
+		silo := name
+		if err := tr.Register(silo, func(hctx context.Context, req transport.Request) (any, error) {
+			return svc.Handle(hctx, silo, req)
+		}); err != nil {
+			return out, err
 		}
 	}
 	coord, err := replication.NewCoordinator(replication.Config{
@@ -683,6 +708,7 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 		versions[key(i)] = v
 	}
 	durs := make([]time.Duration, 0, cfg.Ops)
+	calls, allocs := tr.calls.Load(), mallocs()
 	for i := 0; i < cfg.Ops; i++ {
 		k := key(i)
 		start := time.Now()
@@ -693,6 +719,8 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 		durs = append(durs, time.Since(start))
 		versions[k] = v
 	}
+	out.Allocs = float64(mallocs()-allocs) / float64(cfg.Ops)
+	out.RPCs = tr.calls.Load() - calls
 	out.Mean, out.P50, out.P95, out.P99 = latStats(durs)
 
 	// Baseline: bare durable puts on a standalone table, same op count.
@@ -710,6 +738,7 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 		return out, err
 	}
 	bdurs := make([]time.Duration, 0, cfg.Ops)
+	allocs = mallocs()
 	for i := 0; i < cfg.Ops; i++ {
 		start := time.Now()
 		if _, err := btab.Put(ctx, key(i), value); err != nil {
@@ -717,6 +746,7 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 		}
 		bdurs = append(bdurs, time.Since(start))
 	}
+	out.BaselineAllocs = float64(mallocs()-allocs) / float64(cfg.Ops)
 	out.BaselineMean, out.BaselineP50, _, _ = latStats(bdurs)
 	return out, nil
 }

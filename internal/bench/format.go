@@ -156,8 +156,12 @@ func PrintDurability(w io.Writer, results []DurabilityResult) {
 
 // PrintQuorum renders the replication N/R/W ablation: per-write quorum
 // latency against what a storage-kill soak at that setting actually
-// lost. The lost column is the argument for W>=2.
-func PrintQuorum(w io.Writer, rows []QuorumAblationRow) {
+// lost. The lost column is the argument for W>=2. fast is the N=1
+// coordinator on one silo, whose puts take the Local-map fast path: its
+// latency against a bare table put is reported here, where a timing
+// belongs, and its transport calls and allocations are what
+// TestQuorumLatencyN1FastPath asserts.
+func PrintQuorum(w io.Writer, rows []QuorumAblationRow, fast QuorumLatencyResult) {
 	fmt.Fprintln(w, "Ablation R — replicated state N/R/W tradeoff (durable quorum puts; soak = crashes + replica disk wipes)")
 	tw := newTable(w)
 	fmt.Fprintln(tw, "N\tR\tW\tput p50\tput p95\tbaseline p50\tacked\tlost\twipes")
@@ -169,6 +173,9 @@ func PrintQuorum(w io.Writer, rows []QuorumAblationRow) {
 	}
 	tw.Flush()
 	fmt.Fprintln(w, "(baseline = bare durable single-table put; N=1/W=1 losing writes under wipes is the expected failure mode)")
+	fmt.Fprintf(w, "N=1 fast path, one silo: put p50 %s against baseline %s (%.2f ×), mean %s against %s; %d transport calls in %d puts; %.1f allocations a put against %.1f\n",
+		ms(fast.P50), ms(fast.BaselineP50), float64(fast.P50)/float64(fast.BaselineP50), ms(fast.Mean), ms(fast.BaselineMean),
+		fast.RPCs, fast.Ops, fast.Allocs, fast.BaselineAllocs)
 }
 
 // PrintCattleModels renders the actor-vs-object trace ablation.

@@ -20,6 +20,14 @@
 // themselves with Register (typically from an init function in the package
 // that declares them).
 //
+// A run is n values of one type with a form, the codec's own or a
+// registered one, written untagged behind one element tag and the count
+// (Enc.Run); it decodes into one []T (Dec.Run), not n boxes. A registered
+// type may have a second form that is tried first (RegisterWireAlt). The
+// one in use is core's multi-actor reply: tag 0x41 carries its slots one
+// by one, and tag 0x42 carries a reply whose slots all succeeded with
+// values of one type as a run.
+//
 // Three invariants hold the format together. A frame is encoded and
 // appended to the stream's buffer under one hold of the write mutex: gob
 // sends a type's descriptor the first time it meets the type, so blobs

@@ -32,12 +32,37 @@ const (
 	firstWireTag = 0x10
 )
 
-// wireType is one registered binary form.
+// wireType is one binary form: a registered one, or one of the codec's
+// own that a run can carry.
 type wireType struct {
 	tag byte
 	typ reflect.Type
 	enc func(*Enc, any)
 	dec func(*Dec) any
+	// run reads n untagged values into one []T (Dec.Run).
+	run func(d *Dec, n int) any
+	// alt is typ's second form (RegisterWireAlt), tried first on every
+	// encode; try writes it, or writes nothing and reports false.
+	alt *wireType
+	try func(*Enc, any) bool
+}
+
+// form builds T's wireType from its encoder and decoder, run reader
+// included.
+func form[T any](tag byte, enc func(*Enc, T), dec func(*Dec) T) *wireType {
+	return &wireType{
+		tag: tag,
+		typ: reflect.TypeFor[T](),
+		enc: func(e *Enc, v any) { enc(e, v.(T)) },
+		dec: func(d *Dec) any { return dec(d) },
+		run: func(d *Dec, n int) any {
+			vs := make([]T, n)
+			for i := range vs {
+				vs[i] = dec(d)
+			}
+			return vs
+		},
+	}
 }
 
 // wireTable is the registration table, replaced whole on every
@@ -52,39 +77,90 @@ var (
 	wireTypes atomic.Pointer[wireTable]
 )
 
-func init() { wireTypes.Store(&wireTable{byType: map[reflect.Type]*wireType{}}) }
+// The table starts with the codec's own forms, so a run can carry them
+// too; Any and Dec.Any still switch on them first.
+func init() {
+	t := &wireTable{byType: map[reflect.Type]*wireType{}}
+	for _, w := range []*wireType{
+		form(tagInt64, (*Enc).Varint, (*Dec).Varint),
+		form(tagInt, func(e *Enc, v int) { e.Varint(int64(v)) }, func(d *Dec) int { return int(d.Varint()) }),
+		form(tagFloat64, (*Enc).Float64, (*Dec).Float64),
+		form(tagBool, (*Enc).Bool, (*Dec).Bool),
+		form(tagString, (*Enc).String, (*Dec).String),
+		form(tagStrings, (*Enc).Strings, (*Dec).Strings),
+		form(tagBytes, (*Enc).Bytes, (*Dec).Bytes),
+	} {
+		t.byType[w.typ] = w
+		t.byTag[w.tag] = w
+	}
+	wireTypes.Store(t)
+}
 
 // RegisterWire gives values of type T a hand-written binary form on the
 // wire, identified by tag: enc appends a value's fields to the frame, dec
 // reads them back in the same order. Types without one travel through the
 // gob fallback (see Register), which is also the reference the tests hold
 // every registered form to: a value must come out of dec as it comes out
-// of a gob round trip, so a slice that was sent empty is decoded nil. Call
-// it from an init function; a reserved tag, or a tag or type registered
-// twice, panics there rather than corrupting a stream later.
+// of a gob round trip, so a slice that was sent empty is decoded nil. A
+// registered type can also travel as a run (Enc.Run). Call it from an init
+// function; a reserved tag, or a tag or type registered twice, panics
+// there rather than corrupting a stream later.
 func RegisterWire[T any](tag byte, enc func(*Enc, T), dec func(*Dec) T) {
+	w := form(tag, enc, dec)
+	wireMu.Lock()
+	defer wireMu.Unlock()
+	old := wireTypes.Load()
+	checkTag(old, tag, w.typ)
+	if prev := old.byType[w.typ]; prev != nil {
+		panic(fmt.Sprintf("codec: %v registered under wire tags %#x and %#x", w.typ, prev.tag, tag))
+	}
+	publish(old, w, w)
+}
+
+// RegisterWireAlt gives T, which RegisterWire has given a form, a second
+// form under tag that every encode tries first: enc writes it and reports
+// true, or writes nothing and reports false, and the value then takes T's
+// first form. dec reads the second form back. It is for a value that has a
+// compact shape only some of the time, such as a reply whose slots form a
+// run only when none failed.
+func RegisterWireAlt[T any](tag byte, enc func(*Enc, T) bool, dec func(*Dec) T) {
 	typ := reflect.TypeFor[T]()
 	wireMu.Lock()
 	defer wireMu.Unlock()
 	old := wireTypes.Load()
+	checkTag(old, tag, typ)
+	first := old.byType[typ]
+	if first == nil || first.tag < firstWireTag || first.alt != nil {
+		panic(fmt.Sprintf("codec: %v needs one registered form before a second", typ))
+	}
+	alt := &wireType{
+		tag: tag,
+		typ: typ,
+		dec: func(d *Dec) any { return dec(d) },
+		try: func(e *Enc, v any) bool { return enc(e, v.(T)) },
+	}
+	next := *first
+	next.alt = alt
+	publish(old, &next, alt)
+}
+
+// checkTag panics unless tag is free for a form of typ.
+func checkTag(t *wireTable, tag byte, typ reflect.Type) {
 	if tag < firstWireTag {
 		panic(fmt.Sprintf("codec: wire tag %#x for %v is reserved", tag, typ))
 	}
-	if w := old.byTag[tag]; w != nil {
+	if w := t.byTag[tag]; w != nil {
 		panic(fmt.Sprintf("codec: wire tag %#x registered for both %v and %v", tag, w.typ, typ))
 	}
-	if w := old.byType[typ]; w != nil {
-		panic(fmt.Sprintf("codec: %v registered under wire tags %#x and %#x", typ, w.tag, tag))
-	}
-	w := &wireType{
-		tag: tag,
-		typ: typ,
-		enc: func(e *Enc, v any) { enc(e, v.(T)) },
-		dec: func(d *Dec) any { return dec(d) },
-	}
+}
+
+// publish replaces the table with old plus w, the form of its type, and
+// tagged, the form newly taking a tag. Called with wireMu held.
+func publish(old *wireTable, w, tagged *wireType) {
 	next := &wireTable{byType: maps.Clone(old.byType), byTag: old.byTag}
-	next.byType[typ] = w
-	next.byTag[tag] = w
+	next.byType[w.typ] = w
+	next.byTag[w.tag] = w
+	next.byTag[tagged.tag] = tagged
 	wireTypes.Store(next)
 }
 
@@ -184,12 +260,58 @@ func (e *Enc) Any(v any) {
 		e.Bytes(x)
 	default:
 		if w := wireTypes.Load().byType[reflect.TypeOf(v)]; w != nil {
+			if a := w.alt; a != nil {
+				mark := len(e.buf)
+				e.Byte(a.tag)
+				if a.try(e, v) {
+					return
+				}
+				e.buf = e.buf[:mark]
+			}
 			e.Byte(w.tag)
 			w.enc(e, v)
 			return
 		}
 		e.gobFallback(v)
 	}
+}
+
+// Run writes n values as a run and reports true: the tag of their one
+// type, the count, then each value's form with no tag of its own. at(i) is
+// value i. Run writes nothing and reports false unless n > 0, every value
+// has the same dynamic type, and that type has a form of the codec's own
+// or a registered one; the caller then keeps its per-value form for nil
+// values, mixed types and types on the gob fallback. Dec.Run reads a run
+// back as one []T.
+func (e *Enc) Run(n int, at func(i int) any) bool {
+	if n <= 0 {
+		return false
+	}
+	w := wireTypes.Load().byType[reflect.TypeOf(at(0))]
+	if w == nil {
+		return false
+	}
+	for i := 1; i < n; i++ {
+		if reflect.TypeOf(at(i)) != w.typ {
+			return false
+		}
+	}
+	start := len(e.buf)
+	e.Byte(w.tag)
+	e.Len(n)
+	body := len(e.buf)
+	for i := 0; i < n; i++ {
+		w.enc(e, at(i))
+	}
+	// Dec.Run bounds the count by the bytes after it, one a value at
+	// least, which a form that writes nothing (a message with no fields)
+	// would break. Such a form writes nothing for any value — its decoder
+	// reads nothing — so the undo below drops no gob blob.
+	if len(e.buf)-body < n {
+		e.buf = e.buf[:start]
+		return false
+	}
+	return true
 }
 
 // gobFallback writes v as a tagGob blob. It is a function of its own, and
@@ -438,6 +560,19 @@ func (d *Dec) Any() any {
 		d.fail(fmt.Errorf("codec: unknown payload tag %#x", tag))
 		return nil
 	}
+}
+
+// Run reads what Enc.Run wrote: the run's values as one []T, in an any.
+// The count goes through Len, so a forged one cannot size the slice past
+// the bytes the frame holds.
+func (d *Dec) Run() any {
+	tag := d.Byte()
+	w := wireTypes.Load().byTag[tag]
+	if w == nil || w.run == nil {
+		d.fail(fmt.Errorf("codec: unknown run element tag %#x", tag))
+		return nil
+	}
+	return w.run(d, d.Len(1))
 }
 
 // gobFallback reads one tagGob blob. bytes.Reader is an io.ByteReader, so

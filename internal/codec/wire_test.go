@@ -30,12 +30,114 @@ type blob struct {
 	Tags []string
 }
 
+// series has both shapes a payload that can carry a run has: each value
+// tagged (0xf2), or a run (0xf3) when Enc.Run takes the values. A series
+// decoded from a run holds it, one []T, in Run.
+type series struct {
+	Vs  []any
+	Run any
+}
+
+// mark's registered form writes nothing.
+type mark struct{}
+
 func init() {
 	codec.Register(stamp{})
 	codec.Register(blob{})
+	codec.Register(mark{})
 	codec.RegisterWire(0xf0,
 		func(e *codec.Enc, s stamp) { e.Time(s.At); e.String(s.Note) },
 		func(d *codec.Dec) stamp { return stamp{At: d.Time(), Note: d.String()} })
+	codec.RegisterWire(0xf2,
+		func(e *codec.Enc, s series) {
+			e.Len(len(s.Vs))
+			for _, v := range s.Vs {
+				e.Any(v)
+			}
+		},
+		func(d *codec.Dec) series {
+			s := series{Vs: make([]any, d.Len(1))}
+			for i := range s.Vs {
+				s.Vs[i] = d.Any()
+			}
+			return s
+		})
+	codec.RegisterWireAlt(0xf3,
+		func(e *codec.Enc, s series) bool { return e.Run(len(s.Vs), func(i int) any { return s.Vs[i] }) },
+		func(d *codec.Dec) series { return series{Run: d.Run()} })
+	codec.RegisterWire(0xf4, func(*codec.Enc, mark) {}, func(*codec.Dec) mark { return mark{} })
+}
+
+// seriesOf is a series of n values, value i made by f.
+func seriesOf(n int, f func(i int) any) series {
+	s := series{Vs: make([]any, n)}
+	for i := range s.Vs {
+		s.Vs[i] = f(i)
+	}
+	return s
+}
+
+// TestRunForm: values of one type with a form — the codec's own, or a
+// registered one — travel as a run and decode into one []T whose elements
+// are what a gob round trip of each value gives; zero values, one value
+// and 600 alike. Anything else keeps the per-value form: no values, a nil,
+// two types, a type on the gob fallback, a form that writes no bytes.
+func TestRunForm(t *testing.T) {
+	at := payloadAt(t)
+	utc := time.Date(2026, 7, 5, 10, 0, 0, 0, time.UTC)
+	runs := map[string]func(i int) any{
+		"stamp":    func(i int) any { return stamp{At: utc.Add(time.Duration(i) * time.Second), Note: keys(i + 1)[i]} },
+		"zero":     func(int) any { return stamp{} },
+		"int64":    func(i int) any { return int64(i*i - 300*i) },
+		"int":      func(i int) any { return -i },
+		"float64":  func(i int) any { return float64(i) / 3 },
+		"bool":     func(i int) any { return i%3 == 0 },
+		"string":   func(i int) any { return strings.Repeat("k", i%70) },
+		"[]string": func(i int) any { return keys(i % 4) },
+		"[]byte":   func(i int) any { return bytes.Repeat([]byte{byte(i)}, i%5) },
+	}
+	for name, f := range runs {
+		for _, n := range []int{1, 600} {
+			s := seriesOf(n, f)
+			if tag := codectest.Encode(t, s)[at]; tag != 0xf3 {
+				t.Errorf("%d %s values: payload tag %#x, want the run's 0xf3", n, name, tag)
+				continue
+			}
+			got := codectest.StreamRoundTrip(t, s).(series)
+			run := reflect.ValueOf(got.Run)
+			if got.Vs != nil || run.Kind() != reflect.Slice || run.Type().Elem() != reflect.TypeOf(s.Vs[0]) || run.Len() != n {
+				t.Errorf("%d %s values decoded as %#v", n, name, got)
+				continue
+			}
+			for i, v := range s.Vs {
+				if want := codectest.GobRoundTrip(t, v); !reflect.DeepEqual(run.Index(i).Interface(), want) {
+					t.Errorf("%s value %d of %d: got %#v, want %#v", name, i, n, run.Index(i).Interface(), want)
+				}
+			}
+		}
+	}
+	for name, s := range map[string]series{
+		"none":      {Vs: []any{}},
+		"a nil":     {Vs: []any{int64(1), nil, int64(3)}},
+		"two types": {Vs: []any{int64(1), "2"}},
+		"int types": {Vs: []any{int64(1), 2}},
+		"fallback":  {Vs: []any{blob{N: 1}, blob{N: 2}}},
+		"no bytes":  {Vs: []any{mark{}, mark{}, mark{}}},
+	} {
+		if tag := codectest.Encode(t, s)[at]; tag != 0xf2 {
+			t.Errorf("%s: payload tag %#x, want the per-value 0xf2", name, tag)
+		}
+		got := codectest.StreamRoundTrip(t, s).(series)
+		if len(got.Vs) != len(s.Vs) || got.Run != nil {
+			t.Errorf("%s: decoded %#v", name, got)
+			continue
+		}
+		for i, v := range s.Vs {
+			if v != nil && !reflect.DeepEqual(got.Vs[i], codectest.GobRoundTrip(t, v)) || v == nil && got.Vs[i] != nil {
+				t.Errorf("%s value %d: got %#v, want %#v", name, i, got.Vs[i], v)
+			}
+		}
+	}
 }
 
 func keys(n int) []string {
@@ -94,8 +196,9 @@ func TestWireEqualsGob(t *testing.T) {
 	}
 }
 
-// TestRegisterWireRejectsCollisions: a reserved tag, a tag taken twice and
-// a type registered twice all panic at registration.
+// TestRegisterWireRejectsCollisions: a reserved tag, a tag taken twice, a
+// type registered twice (one of the codec's own included) and a second
+// form for a type without exactly one all panic at registration.
 func TestRegisterWireRejectsCollisions(t *testing.T) {
 	type other struct{ X int }
 	enc, dec := func(*codec.Enc, other) {}, func(*codec.Dec) other { return other{} }
@@ -104,6 +207,18 @@ func TestRegisterWireRejectsCollisions(t *testing.T) {
 		"tag in use":   func() { codec.RegisterWire(0xf0, enc, dec) },
 		"type in use": func() {
 			codec.RegisterWire(0xf1, func(*codec.Enc, stamp) {}, func(*codec.Dec) stamp { return stamp{} })
+		},
+		"type of the codec's own": func() {
+			codec.RegisterWire(0xf1, func(*codec.Enc, int64) {}, func(*codec.Dec) int64 { return 0 })
+		},
+		"second form without a first": func() {
+			codec.RegisterWireAlt(0xf1, func(*codec.Enc, other) bool { return false }, dec)
+		},
+		"second form twice": func() {
+			codec.RegisterWireAlt(0xf1, func(*codec.Enc, series) bool { return false }, func(*codec.Dec) series { return series{} })
+		},
+		"second form in use": func() {
+			codec.RegisterWireAlt(0xf0, func(*codec.Enc, mark) bool { return false }, func(*codec.Dec) mark { return mark{} })
 		},
 	} {
 		func() {
@@ -242,6 +357,24 @@ func malformed(t testing.TB) map[string][]byte {
 
 	st := codectest.Encode(t, stamp{Note: "n"})
 	out["truncated registered form"] = setLength(st[:len(st)-1])
+
+	// A run of three int64s: 0xf3, the element tag, the count, the values.
+	run := codectest.Encode(t, seriesOf(3, func(i int) any { return int64(i + 1) }))
+	forged := append(append([]byte{}, run[:at+2]...), binary.AppendUvarint(nil, 1<<40)...)
+	out["run count beyond the frame"] = setLength(append(forged, run[at+3:]...))
+	more = append([]byte{}, run...)
+	more[at+2] = 4
+	out["run count beyond the bytes left"] = more
+	elem := append([]byte{}, run...)
+	elem[at+1] = 0xee
+	out["unknown run element tag"] = elem
+	nested := append([]byte{}, run...)
+	nested[at+1] = 0xf3
+	out["run of a second form"] = nested
+	// Three stamps take more bytes than their count needs, so a run cut
+	// short passes the count check and ends inside its last value.
+	stamps := codectest.Encode(t, seriesOf(3, func(i int) any { return stamp{Note: keys(3)[i]} }))
+	out["run cut short"] = setLength(stamps[:len(stamps)-1])
 	return out
 }
 
@@ -258,7 +391,8 @@ func valid(t testing.TB) [][]byte {
 	}
 	out := [][]byte{wire.Bytes()}
 	for _, v := range []any{nil, int64(-9), 9, 2.5, true, "text", keys(3), []byte{1, 2, 3},
-		stamp{At: time.Date(2019, 3, 26, 1, 2, 3, 4, time.FixedZone("", 3600)), Note: "n"}, blob{N: 3, Tags: []string{"t"}}} {
+		stamp{At: time.Date(2019, 3, 26, 1, 2, 3, 4, time.FixedZone("", 3600)), Note: "n"}, blob{N: 3, Tags: []string{"t"}},
+		seriesOf(3, func(i int) any { return stamp{Note: keys(3)[i]} })} {
 		out = append(out, codectest.Encode(t, v))
 	}
 	return out

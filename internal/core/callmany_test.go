@@ -23,20 +23,26 @@ import (
 	"aodb/internal/transport"
 )
 
-// eqGet reads an actor. The actor whose key is Fail answers with errBoom;
-// the actor whose key is Hold ("*" is every actor) parks its turn on the
-// test's gate first.
-type eqGet struct{ Fail, Hold string }
+// eqGet reads an actor. The actor whose key is Fail answers with errBoom,
+// the one whose key is Odd answers an int64 instead of an eqVal, and the
+// one whose key is Hold ("*" is every actor) parks its turn on the test's
+// gate first.
+type eqGet struct{ Fail, Odd, Hold string }
 type eqSet struct{ V int }
 type eqVal struct {
 	Kind, Key string
 	V         int
 }
 
+// eqVal has a registered wire form, so a TCP reply whose slots all
+// succeeded takes the run form.
 func init() {
 	codec.Register(eqGet{})
 	codec.Register(eqSet{})
 	codec.Register(eqVal{})
+	codec.RegisterWire(0xe0,
+		func(e *codec.Enc, v eqVal) { e.String(v.Kind); e.String(v.Key); e.Varint(int64(v.V)) },
+		func(d *codec.Dec) eqVal { return eqVal{Kind: d.String(), Key: d.String(), V: int(d.Varint())} })
 }
 
 var errBoom = errors.New("boom")
@@ -69,6 +75,9 @@ func (a *eqActor) Receive(ctx *core.Context, msg any) (any, error) {
 		}
 		if m.Fail == key {
 			return nil, fmt.Errorf("%s/%s: %w", a.kind, key, errBoom)
+		}
+		if m.Odd == key {
+			return int64(a.v), nil
 		}
 		return eqVal{Kind: a.kind, Key: key, V: a.v}, nil
 	}
@@ -332,7 +341,7 @@ func sameOutcome(t *testing.T, id core.ID, got core.CallResult, want any, wantEr
 }
 
 // compare runs CallMany and then Call per target, and checks them slot for
-// slot.
+// slot; then CallManyOf, checked slot for slot against CallMany.
 func compare(t *testing.T, rt *core.Runtime, ids []core.ID, msg any) []core.CallResult {
 	t.Helper()
 	ctx := context.Background()
@@ -344,7 +353,38 @@ func compare(t *testing.T, rt *core.Runtime, ids []core.ID, msg any) []core.Call
 		want, err := rt.Call(ctx, id, msg)
 		sameOutcome(t, id, got[i], want, err)
 	}
+	sameAsMany(t, ctx, rt, ids, msg, got)
 	return got
+}
+
+// typedResults runs CallManyOf[eqVal] and returns its outcomes in
+// CallMany's shape: a slot's Value is its eqVal, or nil beside its error.
+func typedResults(t *testing.T, ctx context.Context, rt *core.Runtime, ids []core.ID, msg any) []core.CallResult {
+	t.Helper()
+	vals, errs := core.CallManyOf[eqVal](ctx, rt, ids, msg)
+	if len(vals) != len(ids) || errs != nil && len(errs) != len(ids) {
+		t.Fatalf("CallManyOf returned %d values and %d errors for %d targets", len(vals), len(errs), len(ids))
+	}
+	out := make([]core.CallResult, len(ids))
+	for i, id := range ids {
+		out[i] = core.CallResult{Actor: id, Value: vals[i]}
+		if errs != nil && errs[i] != nil {
+			out[i].Value, out[i].Err = nil, errs[i]
+			if vals[i] != (eqVal{}) {
+				t.Errorf("%s: CallManyOf failed the slot and kept the value %+v", id, vals[i])
+			}
+		}
+	}
+	return out
+}
+
+// sameAsMany runs CallManyOf over ids and checks every slot against what
+// CallMany answered for it: the same value, or an error of the same class.
+func sameAsMany(t *testing.T, ctx context.Context, rt *core.Runtime, ids []core.ID, msg any, many []core.CallResult) {
+	t.Helper()
+	for i, r := range typedResults(t, ctx, rt, ids, msg) {
+		sameOutcome(t, ids[i], r, many[i].Value, many[i].Err)
+	}
 }
 
 func TestCallManyEquivalence(t *testing.T) {
@@ -368,8 +408,8 @@ func TestCallManyEquivalence(t *testing.T) {
 			failing := ids[4].Key
 			frames := h.counter("core.multi.frames")
 			got := compare(t, h.client, ids, eqGet{Fail: failing})
-			if d := h.counter("core.multi.frames") - frames; d != 3 {
-				t.Errorf("CallMany sent %d frames to 3 silos", d)
+			if d := h.counter("core.multi.frames") - frames; d != 6 {
+				t.Errorf("CallMany and CallManyOf sent %d frames to 3 silos, want 3 each", d)
 			}
 			for i, r := range got {
 				switch {
@@ -425,6 +465,11 @@ func TestCallManyEquivalence(t *testing.T) {
 			if home := h.home(ids[599]); home != "silo-3" {
 				t.Errorf("target activated on %q", home)
 			}
+			frames = h.counter("core.multi.frames")
+			sameAsMany(t, context.Background(), h.client, ids, eqGet{}, got)
+			if d := h.counter("core.multi.frames") - frames; d != 3 {
+				t.Errorf("CallManyOf over 600 targets on one silo took %d frames, want 3", d)
+			}
 		})
 
 		// A target migrated away: over TCP the client still addresses the
@@ -446,8 +491,8 @@ func TestCallManyEquivalence(t *testing.T) {
 			if home := h.home(moved); home != "silo-2" {
 				t.Errorf("migrated actor lives on %q", home)
 			}
-			if d := h.counter("core.multi.reissued") - reissued; h.tcp && d != 1 {
-				t.Errorf("%d slots re-issued, want the one redirect", d)
+			if d := h.counter("core.multi.reissued") - reissued; h.tcp && d != 2 {
+				t.Errorf("%d slots re-issued by CallMany and CallManyOf, want the one redirect each", d)
 			}
 		})
 
@@ -462,6 +507,7 @@ func TestCallManyEquivalence(t *testing.T) {
 			if d := h.counter("core.multi.reissued") - reissued; d != 5 {
 				t.Errorf("%d slots re-issued, want silo-2's 5", d)
 			}
+			sameAsMany(t, context.Background(), h.client, ids, eqGet{}, got)
 			for i, r := range got {
 				onVictim := strings.HasPrefix(ids[i].Key, prefixes["silo-2"]+"@")
 				switch {
@@ -494,8 +540,12 @@ func TestCallManyEquivalence(t *testing.T) {
 			inj := faults.New(faults.Config{Seed: 13, Drop: 0.25, Dup: 0.2})
 			rt := h.withFaults(inj)
 			reissued := h.counter("core.multi.reissued")
-			for round := 0; round < 40; round++ {
-				for i, r := range rt.CallMany(context.Background(), ids, eqGet{}) {
+			for round := 0; round < 80; round++ {
+				results := rt.CallMany(context.Background(), ids, eqGet{})
+				if round%2 == 1 {
+					results = typedResults(t, context.Background(), rt, ids, eqGet{})
+				}
+				for i, r := range results {
 					if r.Err != nil {
 						if !core.Transient(r.Err) {
 							t.Fatalf("round %d %s: unclassified %v", round, ids[i], r.Err)
@@ -522,12 +572,14 @@ func TestCallManyEquivalence(t *testing.T) {
 			warm(t, h.client, ids)
 			dead, cancel := context.WithCancel(context.Background())
 			cancel()
-			for i, r := range h.client.CallMany(dead, ids, eqGet{}) {
-				if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
-					t.Errorf("%s under a cancelled context: %v", ids[i], r.Err)
-				}
-				if r.Err == nil && r.Value.(eqVal).V != i+1 {
-					t.Errorf("%s answered %+v", ids[i], r.Value)
+			for _, results := range [][]core.CallResult{h.client.CallMany(dead, ids, eqGet{}), typedResults(t, dead, h.client, ids, eqGet{})} {
+				for i, r := range results {
+					if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
+						t.Errorf("%s under a cancelled context: %v", ids[i], r.Err)
+					}
+					if r.Err == nil && r.Value.(eqVal).V != i+1 {
+						t.Errorf("%s answered %+v", ids[i], r.Value)
+					}
 				}
 			}
 
@@ -552,6 +604,39 @@ func TestCallManyEquivalence(t *testing.T) {
 				}
 				if !onParked && r.Err != nil && !errors.Is(r.Err, context.Canceled) {
 					t.Errorf("%s: %v", ids[i], r.Err)
+				}
+			}
+		})
+
+		// A value of another type than the caller asked for is that slot's
+		// error, not a panic, whether it came boxed or in a run.
+		run("mistyped", func(t *testing.T, h *harness, prefixes map[string]string) {
+			ids := batch(prefixes, 4)
+			warm(t, h.client, ids)
+			odd := 4 // on silo-2, whose frame alone holds two types
+			ctx := context.Background()
+			many := h.client.CallMany(ctx, ids, eqGet{Odd: ids[odd].Key})
+			if v, ok := many[odd].Value.(int64); !ok || v != int64(odd+1) {
+				t.Fatalf("CallMany's odd slot = %+v", many[odd])
+			}
+			vals, errs := core.CallManyOf[eqVal](ctx, h.client, ids, eqGet{Odd: ids[odd].Key})
+			if errs == nil {
+				t.Fatal("CallManyOf[eqVal] reported no error for an int64 slot")
+			}
+			for i := range ids {
+				switch {
+				case i == odd:
+					if errs[i] == nil || !strings.Contains(errs[i].Error(), "answered int64") || core.Transient(errs[i]) {
+						t.Errorf("odd slot: value %+v, err %v", vals[i], errs[i])
+					}
+				case errs[i] != nil || vals[i] != many[i].Value:
+					t.Errorf("%s: CallManyOf = %+v, %v; CallMany = %+v", ids[i], vals[i], errs[i], many[i])
+				}
+			}
+			ints, errs := core.CallManyOf[int64](ctx, h.client, ids, eqGet{Odd: ids[odd].Key})
+			for i := range ids {
+				if i == odd && (errs[i] != nil || ints[i] != int64(odd+1)) || i != odd && (errs[i] == nil || !strings.Contains(errs[i].Error(), "want int64")) {
+					t.Errorf("%s as an int64: %d, %v", ids[i], ints[i], errs[i])
 				}
 			}
 		})

@@ -13,3 +13,25 @@ func MultiReply(values []any) any {
 	}
 	return multiReply{Slots: slots}
 }
+
+// ReplyValues is a MultiKind reply's slot values, in either form, and
+// whether it is a decoded run, whose values it boxes as CallMany does.
+func ReplyValues(reply any) (values []any, run bool) {
+	r := reply.(multiReply)
+	if r.run == nil {
+		for _, s := range r.Slots {
+			values = append(values, s.Value)
+		}
+		return values, false
+	}
+	out := make(results, r.len())
+	idx := make([]int, len(out))
+	for i := range idx {
+		idx[i] = i
+	}
+	out.run(idx, r.run)
+	for _, res := range out {
+		values = append(values, res.Value)
+	}
+	return values, true
+}

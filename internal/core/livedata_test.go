@@ -60,9 +60,9 @@ func TestCallManyRoutesAsCall(t *testing.T) {
 }
 
 // TestMultiReplyDecodeAllocs pins what a LiveData reply costs the client
-// to decode: a 210-slot multiReply of DataPoints is a slot array and, per
-// slot, the box the decoded DataPoint goes into (CallResult.Value is an
-// any). The per-slot box is the next cost to remove, and this is its row.
+// to decode: a 210-slot multiReply of DataPoints travels as a run and
+// decodes into the reply's box, one []DataPoint and that slice's box — 3,
+// where the per-slot form cost a box a slot (212).
 func TestMultiReplyDecodeAllocs(t *testing.T) {
 	at := time.Date(2026, 7, 5, 10, 0, 0, 0, time.UTC)
 	values := make([]any, 210)
@@ -70,7 +70,7 @@ func TestMultiReplyDecodeAllocs(t *testing.T) {
 		values[i] = shm.DataPoint{At: at.Add(time.Duration(i) * time.Second), Value: float64(i) + 0.5}
 	}
 	f := &codec.Frame{Kind: codec.FrameResponse, Payload: core.MultiReply(values)}
-	const most = 233.2 // measured 212, + 10 %
+	const most = 3.3 // measured 3, + 10 %
 	if got := codectest.RoundTripAllocs(t, f); got > most {
 		t.Errorf("210-slot DataPoint reply: %.0f allocations a round trip, want at most %.1f", got, most)
 	} else {

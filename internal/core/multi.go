@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,15 +56,29 @@ type multiSlot struct {
 }
 
 // multiReply is the MultiKind response payload, slot i answering target i.
+// A reply decoded from the run form (tag 0x42) has no Slots: run holds
+// every slot's value as one []T, each slot having succeeded.
 type multiReply struct {
 	Slots []multiSlot
+	run   any
+}
+
+// len is the reply's slot count, in either form.
+func (r multiReply) len() int {
+	if r.run != nil {
+		return reflect.ValueOf(r.run).Len()
+	}
+	return len(r.Slots)
 }
 
 // Wire forms (tags 0x40–0x4f are this package's). Msg and the slots'
 // values are payloads in their own right and recurse through Any. A
 // target's kind goes through the stream's intern table and the keys share
 // one copy (see codec.Dec.ShareStrings), so a 210-target frame decodes in
-// a handful of allocations; resolveOnce clones the key it keeps.
+// a handful of allocations; resolveOnce clones the key it keeps. A reply
+// takes the run form, 0x42, when every slot succeeded with a value of one
+// type that has a form (codec.Enc.Run), and decodes into one []T instead
+// of a box a slot; any other reply takes the per-slot form, 0x41.
 func init() {
 	codec.Register(multiCall{})
 	codec.Register(multiReply{})
@@ -116,6 +131,20 @@ func init() {
 			}
 			return multiReply{Slots: slots}
 		})
+	codec.RegisterWireAlt(0x42,
+		func(e *codec.Enc, m multiReply) bool {
+			if m.run != nil {
+				run := reflect.ValueOf(m.run)
+				return e.Run(run.Len(), func(i int) any { return run.Index(i).Interface() })
+			}
+			for i := range m.Slots {
+				if s := &m.Slots[i]; s.Err != "" || s.Redirect != "" || s.Transient || s.err != nil {
+					return false
+				}
+			}
+			return e.Run(len(m.Slots), func(i int) any { return m.Slots[i].Value })
+		},
+		func(d *codec.Dec) multiReply { return multiReply{run: d.Run()} })
 }
 
 // CallMany sends msg to every actor in ids and returns their outcomes in
@@ -138,14 +167,118 @@ func (rt *Runtime) CallMany(ctx context.Context, ids []ID, msg any) []CallResult
 	for i, id := range ids {
 		out[i].Actor = id
 	}
+	rt.callMany(ctx, ids, msg, results(out))
+	return out
+}
+
+// CallManyOf is CallMany for a caller that knows what the targets answer:
+// vals[i] is target i's value as a T. errs is nil when every target
+// succeeded; otherwise errs[i] is target i's error, as CallMany reports
+// it, and vals[i] is T's zero value. A value that is not a T (nil
+// included, unless T is an interface) is its target's error, not a panic.
+// Routing, grouping and re-issue are CallMany's own. What differs is the
+// caller's cost: a group answered in the run form is copied out of one
+// decoded []T, where CallMany boxes every slot.
+func CallManyOf[T any](ctx context.Context, rt *Runtime, ids []ID, msg any) (vals []T, errs []error) {
+	out := &typed[T]{ids: ids, vals: make([]T, len(ids))}
+	rt.callMany(ctx, ids, msg, out)
+	return out.vals, out.errs
+}
+
+// outcomes is where a multi-actor call files what each target answered.
+// Each target is filed once, by one goroutine, and the call reads the
+// outcomes only after every goroutine that files them has finished.
+type outcomes interface {
+	value(i int, v any)
+	// run files a decoded run: target idx[j] answered element j of vs, a
+	// []T.
+	run(idx []int, vs any)
+	fail(i int, err error)
+	firstErr() error
+}
+
+// results is CallMany's outcomes.
+type results []CallResult
+
+func (r results) value(i int, v any) { r[i].Value = v }
+
+func (r results) run(idx []int, vs any) {
+	run := reflect.ValueOf(vs)
+	for j, i := range idx {
+		r[i].Value = run.Index(j).Interface()
+	}
+}
+
+func (r results) fail(i int, err error) { r[i].Err = err }
+
+func (r results) firstErr() error {
+	for i := range r {
+		if r[i].Err != nil {
+			return r[i].Err
+		}
+	}
+	return nil
+}
+
+// typed is CallManyOf's outcomes. errs is made at the first failure, so a
+// call in which every target succeeds allocates none.
+type typed[T any] struct {
+	ids  []ID
+	vals []T
+	mu   sync.Mutex
+	errs []error
+}
+
+func (o *typed[T]) value(i int, v any) {
+	t, ok := v.(T)
+	if !ok && (v != nil || reflect.TypeFor[T]().Kind() != reflect.Interface) {
+		o.fail(i, fmt.Errorf("core: %s answered %T, want %v", o.ids[i], v, reflect.TypeFor[T]()))
+		return
+	}
+	o.vals[i] = t
+}
+
+func (o *typed[T]) run(idx []int, vs any) {
+	run, ok := vs.([]T)
+	if !ok {
+		for _, i := range idx {
+			o.fail(i, fmt.Errorf("core: %s answered %v, want %v", o.ids[i], reflect.TypeOf(vs).Elem(), reflect.TypeFor[T]()))
+		}
+		return
+	}
+	for j, i := range idx {
+		o.vals[i] = run[j]
+	}
+}
+
+func (o *typed[T]) fail(i int, err error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.errs == nil {
+		o.errs = make([]error, len(o.vals))
+	}
+	o.errs[i] = err
+}
+
+func (o *typed[T]) firstErr() error {
+	for _, err := range o.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// callMany is the one gather behind CallMany and CallManyOf.
+func (rt *Runtime) callMany(ctx context.Context, ids []ID, msg any, out outcomes) {
 	if len(ids) == 0 {
-		return out
+		return
 	}
 	if rt.isShutdown() {
-		for i := range out {
-			out[i].Err = ErrShutdown
+		for i := range ids {
+			out.fail(i, ErrShutdown)
 		}
-		return out
+		return
 	}
 	var trace telemetry.SpanContext
 	var root *telemetry.Span
@@ -154,37 +287,35 @@ func (rt *Runtime) CallMany(ctx context.Context, ids []ID, msg any) []CallResult
 	}
 
 	groups := rt.groupBySilo(ids, out)
-	again := make([][]reissue, len(groups))
-	var wg sync.WaitGroup
-	for g := 1; g < len(groups); g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			again[g] = rt.sendGroup(ctx, groups[g], ids, msg, trace, out)
-		}(g)
-	}
-	if len(groups) > 0 {
-		again[0] = rt.sendGroup(ctx, groups[0], ids, msg, trace, out)
-	}
-	wg.Wait()
-
 	var failed []reissue
-	for _, a := range again {
-		failed = append(failed, a...)
+	switch len(groups) {
+	case 0:
+	case 1:
+		// The usual call, one org on one silo, starts no goroutine and so
+		// allocates no wait group.
+		failed = rt.sendGroup(ctx, groups[0], ids, msg, trace, out)
+	default:
+		again := make([][]reissue, len(groups))
+		var wg sync.WaitGroup
+		for g := 1; g < len(groups); g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				again[g] = rt.sendGroup(ctx, groups[g], ids, msg, trace, out)
+			}(g)
+		}
+		again[0] = rt.sendGroup(ctx, groups[0], ids, msg, trace, out)
+		wg.Wait()
+		for _, a := range again {
+			failed = append(failed, a...)
+		}
 	}
 	rt.reissueAll(ctx, failed, ids, msg, trace, out)
 
 	if root != nil {
 		root.Retries = int32(len(failed))
-		var firstErr error
-		for i := range out {
-			if firstErr = out[i].Err; firstErr != nil {
-				break
-			}
-		}
-		rt.tracer.Finish(root, firstErr)
+		rt.tracer.Finish(root, out.firstErr())
 	}
-	return out
 }
 
 // multiGroup is the targets of one MultiKind frame: positions in the
@@ -201,7 +332,7 @@ type multiGroup struct {
 // The targets' canonical forms are rendered once, into one string, and
 // each target's directory key is a substring of it: a rendering per
 // target would escape into placement one allocation at a time.
-func (rt *Runtime) groupBySilo(ids []ID, out []CallResult) []multiGroup {
+func (rt *Runtime) groupBySilo(ids []ID, out outcomes) []multiGroup {
 	n := 0
 	for _, id := range ids {
 		n += len(id.Kind) + 1 + len(id.Key)
@@ -225,13 +356,13 @@ func (rt *Runtime) groupBySilo(ids []ID, out []CallResult) []multiGroup {
 		key := keys[off:end]
 		off = end
 		if err := id.Validate(); err != nil {
-			out[i].Err = err
+			out.fail(i, err)
 			continue
 		}
 		if cfg == nil || cfg.kind != id.Kind {
 			c, ok := rt.kind(id.Kind)
 			if !ok {
-				out[i].Err = fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
+				out.fail(i, fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind))
 				continue
 			}
 			cfg = c
@@ -245,7 +376,7 @@ func (rt *Runtime) groupBySilo(ids []ID, out []CallResult) []multiGroup {
 			}
 			var err error
 			if silo, err = place(rt.strategy(cfg), key, "", view); err != nil {
-				out[i].Err = err
+				out.fail(i, err)
 				continue
 			}
 		}
@@ -276,7 +407,7 @@ type reissue struct {
 // sendGroup delivers one group as one frame and files the slots that came
 // back into out. It returns the targets to re-issue: the slots the silo
 // marked transient, or the whole group when the frame itself failed.
-func (rt *Runtime) sendGroup(ctx context.Context, g multiGroup, ids []ID, msg any, trace telemetry.SpanContext, out []CallResult) []reissue {
+func (rt *Runtime) sendGroup(ctx context.Context, g multiGroup, ids []ID, msg any, trace telemetry.SpanContext, out outcomes) []reissue {
 	// A group that holds every target — the usual case, one org on one
 	// silo — is the caller's slice itself, in order.
 	call := multiCall{Targets: ids, Msg: msg}
@@ -301,18 +432,17 @@ func (rt *Runtime) sendGroup(ctx context.Context, g multiGroup, ids []ID, msg an
 		// is not a small control message.
 		SizeHint: size,
 	})
-	var slots []multiSlot
+	var reply multiReply
 	if err == nil {
-		reply, ok := resp.(multiReply)
-		if !ok || len(reply.Slots) != len(g.idx) {
+		var ok bool
+		if reply, ok = resp.(multiReply); !ok || reply.len() != len(g.idx) {
 			err = fmt.Errorf("core: malformed multi reply %T from %s", resp, g.silo)
 		}
-		slots = reply.Slots
 	}
 	if err != nil && ctx.Err() != nil {
 		// The caller gave up; nothing can be re-issued under its context.
 		for _, i := range g.idx {
-			out[i].Err = err
+			out.fail(i, err)
 		}
 		return nil
 	}
@@ -327,23 +457,27 @@ func (rt *Runtime) sendGroup(ctx context.Context, g multiGroup, ids []ID, msg an
 		}
 		return again
 	}
+	if reply.run != nil {
+		out.run(g.idx, reply.run)
+		return nil
+	}
 	for j, i := range g.idx {
-		switch s := &slots[j]; {
+		switch s := &reply.Slots[j]; {
 		case s.Transient:
 			again = append(again, reissue{i: i, redirect: s.Redirect})
 		case s.err != nil:
-			out[i].Err = s.err
+			out.fail(i, s.err)
 		case s.Err != "":
-			out[i].Err = &transport.RemoteError{Node: g.silo, Msg: s.Err}
+			out.fail(i, &transport.RemoteError{Node: g.silo, Msg: s.Err})
 		default:
-			out[i].Value = s.Value
+			out.value(i, s.Value)
 		}
 	}
 	return again
 }
 
 // reissueAll sends each failed target through the single-call path.
-func (rt *Runtime) reissueAll(ctx context.Context, failed []reissue, ids []ID, msg any, trace telemetry.SpanContext, out []CallResult) {
+func (rt *Runtime) reissueAll(ctx context.Context, failed []reissue, ids []ID, msg any, trace telemetry.SpanContext, out outcomes) {
 	if len(failed) == 0 {
 		return
 	}
@@ -356,7 +490,11 @@ func (rt *Runtime) reissueAll(ctx context.Context, failed []reissue, ids []ID, m
 				return
 			}
 			f := failed[j]
-			out[f.i].Value, out[f.i].Err = rt.call(ctx, "", nil, ids[f.i], msg, true, trace, f.redirect)
+			if v, err := rt.call(ctx, "", nil, ids[f.i], msg, true, trace, f.redirect); err != nil {
+				out.fail(f.i, err)
+			} else {
+				out.value(f.i, v)
+			}
 		}
 	}
 	var wg sync.WaitGroup

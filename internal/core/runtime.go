@@ -583,9 +583,10 @@ func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []str
 		// The previous hop named the actor's current home; trust it over
 		// the directory (which may hold the stale pre-migration route).
 		target = redirect
-	} else if r, ok := rt.directory.Lookup(id.String()); ok {
+	} else if r, ok := rt.directory.LookupID(id.Kind, id.Key); ok {
 		target = r.Silo
 	} else {
+		// A miss renders the id once, for placement.
 		var err error
 		if target, err = place(strat, id.String(), callerSilo, rt.view()); err != nil {
 			return nil, err

@@ -71,6 +71,53 @@ func TestWireEqualsGob(t *testing.T) {
 	}
 }
 
+// TestMultiReplyForms: a reply whose slots all succeeded with values of
+// one type that has a form takes the run form, 0x42; every other reply
+// takes the per-slot form, 0x41, and the tests above hold it to gob.
+func TestMultiReplyForms(t *testing.T) {
+	at := len(codectest.Encode(t, nil)) - 1
+	slotted := func(values ...any) multiReply {
+		g := &gather{slots: make([]multiSlot, len(values)), done: make(chan struct{})}
+		g.pending.Store(int32(len(values)))
+		for i, v := range values {
+			if err, ok := v.(error); ok {
+				g.set(i, nil, err)
+			} else {
+				g.set(i, v, nil)
+			}
+		}
+		return multiReply{Slots: g.slots}
+	}
+	for name, c := range map[string]struct {
+		reply multiReply
+		tag   byte
+	}{
+		"float64s":     {slotted(1.5, 2.5, -0.0), 0x42},
+		"strings":      {slotted("a", "", "c"), 0x42},
+		"one int64":    {slotted(int64(7)), 0x42},
+		"empty":        {multiReply{}, 0x41},
+		"error":        {slotted(1.5, errors.New("handler said no")), 0x41},
+		"transient":    {slotted(1.5, fmt.Errorf("core: K/b is deactivating: %w", ErrTransient)), 0x41},
+		"redirect":     {slotted(1.5, &wrongSiloError{Actor: "K/a", Winner: "silo-2"}), 0x41},
+		"two types":    {slotted(1.5, "2.5"), 0x41},
+		"gob fallback": {slotted(wireNote{Text: "a"}, wireNote{Text: "b"}), 0x41},
+		"nil value":    {slotted(1.5, nil), 0x41},
+		"mixed":        {wireReply(), 0x41},
+	} {
+		if tag := codectest.Encode(t, c.reply)[at]; tag != c.tag {
+			t.Errorf("%s: tag %#x, want %#x", name, tag, c.tag)
+		}
+		got := codectest.StreamRoundTrip(t, c.reply).(multiReply)
+		if got.len() != len(c.reply.Slots) {
+			t.Errorf("%s: %d slots came back, want %d", name, got.len(), len(c.reply.Slots))
+		}
+		// A decoded run re-encodes as a run.
+		if c.tag == 0x42 && !reflect.DeepEqual(codectest.StreamRoundTrip(t, got), got) {
+			t.Errorf("%s: a decoded run did not survive a second round trip", name)
+		}
+	}
+}
+
 // TestMultiCallDecodeAllocs: a 210-target frame costs a handful of
 // allocations to decode — the targets and one copy of their keys — not two
 // strings a target.

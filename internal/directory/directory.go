@@ -81,7 +81,7 @@ func (d *Directory) shard(actor string) *shard {
 	return &d.shards[fnv32(actor)%uint32(len(d.shards))]
 }
 
-func fnv32(s string) uint32 {
+func fnv32[S string | []byte](s S) uint32 {
 	const (
 		offset = 2166136261
 		prime  = 16777619
@@ -118,6 +118,27 @@ func (d *Directory) Lookup(actor string) (Registration, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	reg, ok := sh.m[actor]
+	return reg, ok
+}
+
+// idBuf is the longest canonical id LookupID renders on its stack; a
+// longer one costs it the allocation Lookup's caller would have paid.
+const idBuf = 64
+
+// LookupID is Lookup(kind + "/" + key) without building that string. The
+// canonical id is written into a stack buffer, which both the shard hash
+// and the map index read: Go indexes a string-keyed map by a converted
+// byte slice without allocating.
+func (d *Directory) LookupID(kind, key string) (Registration, bool) {
+	if len(kind)+1+len(key) > idBuf {
+		return d.Lookup(kind + "/" + key)
+	}
+	var buf [idBuf]byte
+	id := append(append(append(buf[:0], kind...), '/'), key...)
+	sh := &d.shards[fnv32(id)%uint32(len(d.shards))]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	reg, ok := sh.m[string(id)]
 	return reg, ok
 }
 

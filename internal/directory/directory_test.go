@@ -3,8 +3,11 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"aodb/internal/codec/codectest"
 )
 
 func TestRegisterAndLookup(t *testing.T) {
@@ -154,4 +157,71 @@ func BenchmarkLookup(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// TestLookupIDAgreesWithLookup: LookupID(kind, key) answers what
+// Lookup(kind + "/" + key) answers — keys holding '/', ids longer than
+// LookupID's stack buffer, and registrations removed by Unregister and by
+// EvictSilo alike.
+func TestLookupIDAgreesWithLookup(t *testing.T) {
+	d := New()
+	type id struct{ kind, key string }
+	var ids []id
+	for i := 0; i < 200; i++ {
+		ids = append(ids, id{"PhysicalChannel", fmt.Sprintf("org-%d@sensor-%d/ch-%d", i%3, i, i%2)})
+	}
+	ids = append(ids,
+		id{"K", "a/b/c"}, id{"K/J", "x"}, id{"K", "/"}, id{"K", ""},
+		id{"K", strings.Repeat("k", idBuf-2)},   // exactly fills the buffer
+		id{"K", strings.Repeat("k", idBuf-1)},   // one byte past it
+		id{"Kind", strings.Repeat("long/", 40)}, // far past it
+	)
+	regs := map[id]Registration{}
+	for i, x := range ids {
+		silo := fmt.Sprintf("silo-%d", i%3)
+		reg, err := d.Register(x.kind+"/"+x.key, silo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[x] = reg
+	}
+	agree := func(when string) {
+		t.Helper()
+		for _, x := range ids {
+			want, wantOK := d.Lookup(x.kind + "/" + x.key)
+			if got, ok := d.LookupID(x.kind, x.key); got != want || ok != wantOK {
+				t.Errorf("%s: LookupID(%q, %q) = %+v, %v; Lookup = %+v, %v", when, x.kind, x.key, got, ok, want, wantOK)
+			}
+		}
+		if _, ok := d.LookupID("PhysicalChannel", "never-registered"); ok {
+			t.Errorf("%s: LookupID found an id never registered", when)
+		}
+	}
+	agree("registered")
+	for _, x := range ids[:50] {
+		if !d.Unregister(regs[x]) {
+			t.Fatalf("Unregister(%+v) failed", regs[x])
+		}
+	}
+	agree("after Unregister")
+	if d.EvictSilo("silo-1") == 0 {
+		t.Fatal("EvictSilo dropped nothing")
+	}
+	agree("after EvictSilo")
+}
+
+// TestLookupIDAllocs: a directory hit allocates nothing.
+func TestLookupIDAllocs(t *testing.T) {
+	codectest.SkipUnderRace(t)
+	d := New()
+	if _, err := d.Register("PhysicalChannel/org-3@sensor-12/ch-0", "silo-1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ok := d.LookupID("PhysicalChannel", "org-3@sensor-12/ch-0"); !ok {
+			t.Fatal("miss")
+		}
+	}); got != 0 {
+		t.Errorf("LookupID hit: %.0f allocations, want 0", got)
+	}
 }

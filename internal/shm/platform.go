@@ -8,7 +8,6 @@ import (
 	"aodb/internal/core"
 	"aodb/internal/devicefmt"
 	"aodb/internal/placement"
-	"aodb/internal/query"
 )
 
 // Key construction. The organization prefix before '@' lets consistent-
@@ -33,8 +32,7 @@ func AggregatorKey(org, level string) string { return fmt.Sprintf("%s@agg/%s", o
 // the kinds, provides the ingestion entry point the benchmark drives, and
 // exposes the online queries (live data, raw ranges, aggregates, alerts).
 type Platform struct {
-	rt  *core.Runtime
-	eng *query.Engine
+	rt *core.Runtime
 }
 
 // Options configures kind registration.
@@ -84,7 +82,7 @@ func NewPlatform(rt *core.Runtime, opts Options) (*Platform, error) {
 			return nil, err
 		}
 	}
-	return &Platform{rt: rt, eng: query.NewEngine(rt)}, nil
+	return &Platform{rt: rt}, nil
 }
 
 // Runtime returns the underlying runtime.
@@ -197,13 +195,15 @@ func (p *Platform) LiveData(ctx context.Context, org string) ([]LiveReading, err
 		}
 		targets[i] = core.ID{Kind: kind, Key: ch}
 	}
-	results := p.eng.FanOut(ctx, targets, Latest{})
-	out := make([]LiveReading, 0, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("shm: live data from %s: %w", channels[i], r.Err)
+	points, errs := core.CallManyOf[DataPoint](ctx, p.rt, targets, Latest{})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("shm: live data from %s: %w", channels[i], err)
 		}
-		out = append(out, LiveReading{Channel: channels[i], Point: r.Value.(DataPoint)})
+	}
+	out := make([]LiveReading, len(points))
+	for i, pt := range points {
+		out[i] = LiveReading{Channel: channels[i], Point: pt}
 	}
 	return out, nil
 }
