@@ -17,43 +17,23 @@ import (
 	"aodb/internal/core"
 	"aodb/internal/shm"
 	"aodb/internal/siloboot"
-	"aodb/internal/transport"
 )
 
 func main() {
-	name := flag.String("name", "loadclient", "this client's transport name")
-	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address for responses")
-	silos := flag.String("silos", "silo-1", "comma-separated names of ALL silos (same order as servers)")
-	peers := flag.String("peers", "", "comma-separated name=addr pairs for the silos")
+	opts := siloboot.Options{
+		Name:          "loadclient",
+		Listen:        "127.0.0.1:0",
+		Silos:         "silo-1",
+		TraceSample:   1,
+		TraceCapacity: 1 << 17,
+	}
+	opts.Flags(flag.CommandLine, false)
 	sensors := flag.Int("sensors", 50, "sensors to simulate")
 	duration := flag.Duration("duration", 10*time.Second, "run duration")
 	warmup := flag.Duration("warmup", 2*time.Second, "warmup to discard")
 	queries := flag.Bool("queries", true, "issue live/raw user queries per org")
-	trace := flag.Bool("trace", false, "trace requests end to end and print insert tail attribution")
-	traceSample := flag.Int("trace-sample", 1, "sample every Nth request when tracing")
-	stripes := flag.Int("stripes", 0, "connection stripes per silo (0 = min(4, GOMAXPROCS))")
-	gossipOn := flag.Bool("gossip", false, "follow the cluster's gossip membership as an observer: placement tracks silos joining and leaving mid-run")
-	seeds := flag.String("seeds", "", "comma-separated name=addr seed silos to probe for the initial view (with -gossip)")
-	replicas := flag.Int("replicas", 0, "cluster's -replicas setting (accepted for a shared flag set; state replication happens on the silos)")
-	readQuorum := flag.Int("read-quorum", 0, "cluster's -read-quorum setting (accepted for a shared flag set)")
-	writeQuorum := flag.Int("write-quorum", 0, "cluster's -write-quorum setting (accepted for a shared flag set)")
 	flag.Parse()
 
-	opts := siloboot.Options{
-		Name:          *name,
-		Listen:        *listen,
-		Silos:         *silos,
-		Peers:         *peers,
-		TCP:           transport.TCPOptions{Stripes: *stripes},
-		Gossip:        *gossipOn,
-		Seeds:         *seeds,
-		Replicas:      *replicas,
-		ReadQuorum:    *readQuorum,
-		WriteQuorum:   *writeQuorum,
-		Trace:         *trace,
-		TraceSample:   *traceSample,
-		TraceCapacity: 1 << 17,
-	}
 	if err := run(opts, *sensors, *duration, *warmup, *queries); err != nil {
 		log.Fatalf("shmload: %v", err)
 	}

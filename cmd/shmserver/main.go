@@ -68,9 +68,9 @@
 //     freeze the ring to a capture file under -journal-capture-dir, so
 //     the window around a crash survives the crash.
 //
-// The TCP wire path is tunable: -stripes N opens N parallel frame streams
-// per peer and -net-workers N sizes the inbound dispatch pool. The
-// transport's instruments (transport.flush.*, transport.sendq.depth)
+// The TCP wire path sizes itself from GOMAXPROCS: up to four frame
+// streams per peer and an inbound dispatch pool of at least 64 workers.
+// The transport's instruments (transport.flush.*, transport.sendq.depth)
 // share the silo's /metrics page.
 //
 // SIGINT/SIGTERM shuts down gracefully: the introspection endpoint
@@ -93,86 +93,73 @@ import (
 	"aodb/internal/shm"
 	"aodb/internal/siloboot"
 	"aodb/internal/telemetry"
-	"aodb/internal/transport"
 )
 
 func main() {
-	cfg := serverConfig{}
-	flag.StringVar(&cfg.name, "name", "silo-1", "this silo's cluster-unique name")
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:7001", "TCP listen address")
-	flag.StringVar(&cfg.silos, "silos", "silo-1", "comma-separated names of ALL silos (identical on every node)")
-	flag.StringVar(&cfg.peers, "peers", "", "comma-separated name=addr pairs for the other silos")
-	flag.BoolVar(&cfg.gossip, "gossip", false, "SWIM gossip membership: the live view replaces the static -silos list, so silos can join and leave at runtime")
-	flag.StringVar(&cfg.seeds, "seeds", "", "comma-separated name=addr seed silos probed at startup to join a running cluster (with -gossip)")
-	flag.BoolVar(&cfg.rebalance, "rebalance", false, "live-migrate actors whose placement moved after a membership change (and shed hot actors with -profile)")
-	flag.DurationVar(&cfg.rebalanceEvery, "rebalance-every", 10*time.Second, "background rebalance planning period with -rebalance")
-	flag.StringVar(&cfg.storeDir, "store", "", "durability directory (empty = in-memory)")
-	flag.BoolVar(&cfg.durable, "durable", false, "with -store, fsync every actor-state write via WAL group commit (ack => on disk)")
-	flag.IntVar(&cfg.replicas, "replicas", 0, "replicate actor state across N silos with quorum reads/writes (0/1 = off; needs -store)")
-	flag.IntVar(&cfg.readQuorum, "read-quorum", 0, "replicas that must answer a state read (0 = majority of -replicas)")
-	flag.IntVar(&cfg.writeQuorum, "write-quorum", 0, "replicas that must ack a state write (0 = majority of -replicas)")
-	flag.DurationVar(&cfg.sweepEvery, "sweep-every", 30*time.Second, "anti-entropy sweep period with -replicas")
-	flag.StringVar(&cfg.introspect, "introspect", "", "HTTP introspection listen address (empty = off)")
-	flag.BoolVar(&cfg.trace, "trace", false, "enable distributed tracing")
-	flag.IntVar(&cfg.traceSample, "trace-sample", 1, "sample every Nth request when tracing")
-	flag.DurationVar(&cfg.slowTurn, "slow-turn", 250*time.Millisecond, "flag actor turns slower than this (10x is an SLO breach, which captures the journal)")
-	flag.BoolVar(&cfg.profile, "profile", false, "account per-actor hot spots (CPU, turns, mailbox high-water) in a bounded sketch")
-	flag.BoolVar(&cfg.journal, "journal", false, "record HLC-stamped cluster events in the flight-recorder ring (served at /events)")
-	flag.IntVar(&cfg.journalSize, "journal-size", 0, "flight-recorder ring capacity in events (0 = 4096)")
-	flag.StringVar(&cfg.journalCaptureDir, "journal-capture-dir", "", "freeze the ring to JSON files here when an anomaly fires (empty = captures off)")
-	flag.BoolVar(&cfg.pprofOn, "pprof", false, "mount /debug/pprof on the introspection port")
-	flag.BoolVar(&cfg.history, "history", false, "aggregate cluster metrics in-process and serve /cluster with history")
-	flag.StringVar(&cfg.obsPeers, "obs-peers", "", "comma-separated name=url introspection endpoints to aggregate with -history")
-	flag.DurationVar(&cfg.historyEvery, "history-every", 2*time.Second, "aggregator poll interval with -history")
-	flag.IntVar(&cfg.stripes, "stripes", 0, "connection stripes per peer (0 = min(4, GOMAXPROCS))")
-	flag.IntVar(&cfg.netWorkers, "net-workers", 0, "inbound dispatch pool size (0 = default)")
+	opts := siloboot.Options{
+		Name:           "silo-1",
+		Listen:         "127.0.0.1:7001",
+		Silos:          "silo-1",
+		RebalanceEvery: 10 * time.Second,
+		SweepEvery:     30 * time.Second,
+		TraceSample:    1,
+		SlowTurn:       250 * time.Millisecond,
+		// Circuit breakers between silos: a dead peer fails fast instead
+		// of stalling every call during its dial timeout.
+		Breaker: true,
+	}
+	opts.Flags(flag.CommandLine, true)
+	flag.BoolVar(&opts.Rebalance, "rebalance", false, "live-migrate actors whose placement moved after a membership change (and shed hot actors with -profile)")
+	flag.DurationVar(&opts.RebalanceEvery, "rebalance-every", opts.RebalanceEvery, "background rebalance planning period with -rebalance")
+	flag.DurationVar(&opts.SweepEvery, "sweep-every", opts.SweepEvery, "anti-entropy sweep period with -replicas")
+	flag.StringVar(&opts.ObsAddr, "introspect", "", "HTTP introspection listen address (empty = off)")
+	flag.DurationVar(&opts.SlowTurn, "slow-turn", opts.SlowTurn, "flag actor turns slower than this (10x is an SLO breach, which captures the journal)")
+	flag.BoolVar(&opts.Profile, "profile", false, "account per-actor hot spots (CPU, turns, mailbox high-water) in a bounded sketch")
+	flag.BoolVar(&opts.Events, "journal", false, "record HLC-stamped cluster events in the flight-recorder ring (served at /events)")
+	flag.IntVar(&opts.EventCapacity, "journal-size", 0, "flight-recorder ring capacity in events (0 = 4096)")
+	flag.StringVar(&opts.CaptureDir, "journal-capture-dir", "", "freeze the ring to JSON files here when an anomaly fires (empty = captures off)")
+	var srv server
+	flag.StringVar(&srv.storeDir, "store", "", "durability directory (empty = in-memory)")
+	flag.BoolVar(&srv.durable, "durable", false, "with -store, fsync every actor-state write via WAL group commit (ack => on disk)")
+	flag.BoolVar(&srv.pprof, "pprof", false, "mount /debug/pprof on the introspection port")
+	flag.BoolVar(&srv.history, "history", false, "aggregate cluster metrics in-process and serve /cluster with history")
+	flag.StringVar(&srv.obsPeers, "obs-peers", "", "comma-separated name=url introspection endpoints to aggregate with -history")
+	flag.DurationVar(&srv.historyEvery, "history-every", 2*time.Second, "aggregator poll interval with -history")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, cfg); err != nil {
+	if err := run(ctx, opts, srv); err != nil {
 		log.Fatalf("shmserver: %v", err)
 	}
 }
 
-type serverConfig struct {
-	name, listen, silos, peers, storeDir string
-	introspect                           string
-	gossip                               bool
-	seeds                                string
-	rebalance                            bool
-	rebalanceEvery                       time.Duration
-	durable                              bool
-	replicas                             int
-	readQuorum, writeQuorum              int
-	sweepEvery                           time.Duration
-	trace                                bool
-	traceSample                          int
-	slowTurn                             time.Duration
-	profile                              bool
-	journal                              bool
-	journalSize                          int
-	journalCaptureDir                    string
-	pprofOn                              bool
-	history                              bool
-	obsPeers                             string
-	historyEvery                         time.Duration
-	stripes                              int
-	netWorkers                           int
+// server holds the flags shmserver handles itself: storage, which it
+// opens before the node exists, and the introspection endpoint's extras.
+// Every other flag binds straight into siloboot.Options.
+type server struct {
+	storeDir       string
+	durable        bool
+	pprof, history bool
+	obsPeers       string
+	historyEvery   time.Duration
 }
 
 // walStall is how slow a WAL group flush must be to make the journal.
 const walStall = time.Second
 
-func run(ctx context.Context, cfg serverConfig) error {
+func run(ctx context.Context, opts siloboot.Options, srv server) error {
+	obsPeers, err := siloboot.SplitPairs(srv.obsPeers)
+	if err != nil {
+		return fmt.Errorf("-obs-peers: %w", err)
+	}
 	// The store opens before the node that owns the recorder exists, so
 	// its WAL-stall hook reads the recorder through a holder filled in
 	// once siloboot.Start returns (a nil tracer records nothing).
 	var recorder atomic.Pointer[telemetry.Tracer]
-	var store *kvstore.Store
-	if cfg.storeDir != "" {
-		kvOpts := kvstore.Options{Dir: cfg.storeDir, Durable: cfg.durable}
-		if cfg.journal {
+	if srv.storeDir != "" {
+		kvOpts := kvstore.Options{Dir: srv.storeDir, Durable: srv.durable}
+		if opts.Events {
 			kvOpts.FlushStallAfter = walStall
 			kvOpts.OnFlushStall = func(d time.Duration, records int) {
 				if tr := recorder.Load(); tr.Recording() {
@@ -180,62 +167,33 @@ func run(ctx context.Context, cfg serverConfig) error {
 				}
 			}
 		}
-		var err error
-		store, err = kvstore.Open(kvOpts)
+		store, err := kvstore.Open(kvOpts)
 		if err != nil {
 			return err
 		}
 		defer store.Close()
-	} else if cfg.durable {
+		opts.Store = store
+	} else if srv.durable {
 		return fmt.Errorf("-durable needs -store DIR")
 	}
-	if cfg.replicas > 1 && cfg.storeDir == "" {
+	if opts.Replicas > 1 && srv.storeDir == "" {
 		return fmt.Errorf("-replicas needs -store DIR")
 	}
 
-	node, err := siloboot.Start(siloboot.Options{
-		Name:   cfg.name,
-		Listen: cfg.listen,
-		Silos:  cfg.silos,
-		Peers:  cfg.peers,
-		TCP: transport.TCPOptions{
-			Stripes:         cfg.stripes,
-			DispatchWorkers: cfg.netWorkers,
-		},
-		// Circuit breakers between silos: a dead peer fails fast instead
-		// of stalling every call during its dial timeout.
-		Breaker:        true,
-		Gossip:         cfg.gossip,
-		Seeds:          cfg.seeds,
-		Rebalance:      cfg.rebalance,
-		RebalanceEvery: cfg.rebalanceEvery,
-		Store:          store,
-		Replicas:       cfg.replicas,
-		ReadQuorum:     cfg.readQuorum,
-		WriteQuorum:    cfg.writeQuorum,
-		SweepEvery:     cfg.sweepEvery,
-		Trace:          cfg.trace,
-		TraceSample:    cfg.traceSample,
-		SlowTurn:       cfg.slowTurn,
-		Profile:        cfg.profile,
-		Events:         cfg.journal,
-		EventCapacity:  cfg.journalSize,
-		CaptureDir:     cfg.journalCaptureDir,
-		ObsAddr:        cfg.introspect,
-	})
+	node, err := siloboot.Start(opts)
 	if err != nil {
 		return err
 	}
 	recorder.Store(node.Tracer)
 	rt := node.Runtime
 	persist := core.PersistNone
-	if store != nil {
+	if opts.Store != nil {
 		persist = core.PersistOnDeactivate
 	}
 	if _, err := shm.NewPlatform(rt, shm.Options{Persist: persist}); err != nil {
 		return err
 	}
-	if _, err := rt.AddSilo(cfg.name, nil); err != nil {
+	if _, err := rt.AddSilo(opts.Name, nil); err != nil {
 		return err
 	}
 	// Join after the silo can serve: kinds registered, AddSilo done. The
@@ -243,49 +201,49 @@ func run(ctx context.Context, cfg serverConfig) error {
 	if err := node.JoinCluster(); err != nil {
 		return err
 	}
-	fmt.Printf("shmserver: silo %s listening on %s (cluster: %s)\n", cfg.name, node.TCP.Addr(), cfg.silos)
+	fmt.Printf("shmserver: silo %s listening on %s (cluster: %s)\n", opts.Name, node.TCP.Addr(), opts.Silos)
 	if node.Gossip != nil {
-		fmt.Printf("shmserver: gossip membership on (seeds: %q, rebalance: %v)\n", cfg.seeds, cfg.rebalance)
+		fmt.Printf("shmserver: gossip membership on (seeds: %q, rebalance: %v)\n", opts.Seeds, opts.Rebalance)
 	}
 	if node.Coordinator != nil {
 		r, w := node.Coordinator.Quorums()
 		fmt.Printf("shmserver: replicating actor state %d-way (R=%d, W=%d, sweep every %v)\n",
-			node.Coordinator.N(), r, w, cfg.sweepEvery)
+			node.Coordinator.N(), r, w, opts.SweepEvery)
 	}
 
 	// The introspection endpoint shares the signal context: on SIGINT it
 	// drains in-flight scrapes before the runtime goes away underneath it.
 	httpDone := make(chan error, 1)
-	if cfg.introspect != "" {
-		in := node.Introspection(cfg.pprofOn)
-		if cfg.history {
+	if opts.ObsAddr != "" {
+		in := node.Introspection(srv.pprof)
+		if srv.history {
 			// With gossip on, scrape targets come from the live membership
 			// view (in.Members): peers gossip their introspection addresses,
 			// so a joiner shows up on /cluster without anyone editing
 			// -obs-peers. Members the view declares dead keep their last-good
 			// snapshot, marked stale immediately.
-			aggCfg := obs.Config{Interval: cfg.historyEvery, Members: in.Members}
-			for _, p := range siloboot.SplitPairs(cfg.obsPeers) {
+			aggCfg := obs.Config{Interval: srv.historyEvery, Members: in.Members}
+			for _, p := range obsPeers {
 				aggCfg.Targets = append(aggCfg.Targets, obs.Target{Name: p[0], URL: obs.NormalizeURL(p[1])})
 			}
 			agg := obs.New(aggCfg)
-			agg.AddLocal(cfg.name, in)
+			agg.AddLocal(opts.Name, in)
 			go agg.Run(ctx)
 			in.Extra = agg.Register
 		}
 		ready := make(chan string, 1)
-		go func() { httpDone <- in.Serve(ctx, cfg.introspect, ready) }()
+		go func() { httpDone <- in.Serve(ctx, opts.ObsAddr, ready) }()
 		select {
 		case addr := <-ready:
 			fmt.Printf("shmserver: introspection on http://%s\n", addr)
-			if cfg.history {
+			if srv.history {
 				fmt.Printf("shmserver: cluster aggregation on http://%s/cluster\n", addr)
 			}
 		case err := <-httpDone:
 			return fmt.Errorf("introspection endpoint: %w", err)
 		}
 	} else {
-		if cfg.history || cfg.pprofOn {
+		if srv.history || srv.pprof {
 			return fmt.Errorf("-history and -pprof need -introspect ADDR")
 		}
 		httpDone <- nil

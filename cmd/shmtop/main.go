@@ -101,6 +101,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shmtop: -kind %q is not an event kind\n", filter.Kind)
 		os.Exit(2)
 	}
+	targets, err := siloboot.SplitPairs(*silos)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shmtop: -silos: %v\n", err)
+		os.Exit(2)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -113,7 +118,7 @@ func main() {
 		printTrace(os.Stdout, filter.Apply(timeline), *asJSON)
 		return
 	}
-	fetch, fetchEvents := newFetcher(*cluster, *silos, *discover, *timeout)
+	fetch, fetchEvents := newFetcher(*cluster, targets, *discover, *timeout)
 	if *trace {
 		// Silos that fail to answer are reported and skipped — after a
 		// crash, the survivors' rings are exactly the point. A source that
@@ -165,7 +170,7 @@ func main() {
 // The timeline source takes the newest n events (0 = all), names the
 // silos it had to merge without on warn, and fails when the source itself
 // (the aggregator, the seed) cannot be read.
-func newFetcher(cluster, silos, discover string, timeout time.Duration) (func(context.Context) (obs.ClusterSnapshot, error), func(context.Context, int, io.Writer) ([]telemetry.Event, error)) {
+func newFetcher(cluster string, silos [][2]string, discover string, timeout time.Duration) (func(context.Context) (obs.ClusterSnapshot, error), func(context.Context, int, io.Writer) ([]telemetry.Event, error)) {
 	client := &http.Client{Timeout: timeout}
 	if cluster != "" {
 		base := obs.NormalizeURL(cluster)
@@ -192,7 +197,7 @@ func newFetcher(cluster, silos, discover string, timeout time.Duration) (func(co
 		mv = &memberView{client: client, seed: obs.NormalizeURL(discover)}
 		aggCfg.Members = mv.members
 	} else {
-		for _, p := range siloboot.SplitPairs(silos) {
+		for _, p := range silos {
 			aggCfg.Targets = append(aggCfg.Targets, obs.Target{Name: p[0], URL: obs.NormalizeURL(p[1])})
 		}
 	}

@@ -36,7 +36,7 @@ func TestRenderAgainstLiveSilo(t *testing.T) {
 	srv := httptest.NewServer(in.Handler())
 	defer srv.Close()
 
-	fetch, events := newFetcher("", "silo-1="+srv.URL, "", time.Second)
+	fetch, events := newFetcher("", [][2]string{{"silo-1", srv.URL}}, "", time.Second)
 	snap, err := fetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestTraceSourceFailures(t *testing.T) {
 	ctx := context.Background()
 
 	var warn bytes.Buffer
-	_, events := newFetcher("", "silo-1="+srv.URL+",silo-2="+ghost, "", time.Second)
+	_, events := newFetcher("", [][2]string{{"silo-1", srv.URL}, {"silo-2", ghost}}, "", time.Second)
 	timeline, err := events(ctx, 0, &warn)
 	if err != nil || len(timeline) != 1 {
 		t.Fatalf("-silos with one silo down: %d events, %v", len(timeline), err)
@@ -86,16 +86,16 @@ func TestTraceSourceFailures(t *testing.T) {
 		t.Fatalf("warning = %q, want silo-2 alone named", warn.String())
 	}
 
-	_, events = newFetcher(ghost, "", "", time.Second)
+	_, events = newFetcher(ghost, nil, "", time.Second)
 	if _, err := events(ctx, 0, io.Discard); err == nil {
 		t.Fatal("-cluster at an unreachable aggregator must fail")
 	}
-	_, events = newFetcher("", "", ghost, time.Second)
+	_, events = newFetcher("", nil, ghost, time.Second)
 	if _, err := events(ctx, 0, io.Discard); err == nil {
 		t.Fatal("-discover at an unreachable seed must fail")
 	}
 	// A seed that answers but gossips nothing has no one to ask either.
-	_, events = newFetcher("", "", srv.URL, time.Second)
+	_, events = newFetcher("", nil, srv.URL, time.Second)
 	if _, err := events(ctx, 0, io.Discard); err == nil || !strings.Contains(err.Error(), "no members") {
 		t.Fatalf("-discover at a seed without a view: %v", err)
 	}

@@ -117,7 +117,7 @@ func AblationDurability(ctx context.Context, opts FigureOptions) ([]DurabilityRe
 				}
 				return out, err
 			}
-			if err := store.CreateTable("grains", kvstore.Throughput{ReadUnits: 200, WriteUnits: 200}); err != nil {
+			if err := store.CreateTable(core.StateTable, kvstore.Throughput{ReadUnits: 200, WriteUnits: 200}); err != nil {
 				store.Close()
 				if cleanupDir != "" {
 					os.RemoveAll(cleanupDir)

@@ -201,7 +201,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 			return err
 		}
 		st.SetWriteFault(inj.KVWriteFault())
-		tab, err := st.EnsureTable("grains", kvstore.Throughput{})
+		tab, err := st.EnsureTable(core.StateTable, kvstore.Throughput{})
 		if err != nil {
 			st.Close()
 			return err
@@ -661,7 +661,7 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 			return out, err
 		}
 		defer st.Close()
-		tab, err := st.EnsureTable("grains", kvstore.Throughput{})
+		tab, err := st.EnsureTable(core.StateTable, kvstore.Throughput{})
 		if err != nil {
 			return out, err
 		}
@@ -733,7 +733,7 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 		return out, err
 	}
 	defer bst.Close()
-	btab, err := bst.EnsureTable("grains", kvstore.Throughput{})
+	btab, err := bst.EnsureTable(core.StateTable, kvstore.Throughput{})
 	if err != nil {
 		return out, err
 	}

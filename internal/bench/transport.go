@@ -36,7 +36,6 @@ type TransportBenchConfig struct {
 	Callers    int
 	Duration   time.Duration
 	NoBatching bool
-	Stripes    int // 0 = transport default
 	Payload    int // payload bytes per request; 0 = 256
 }
 
@@ -73,13 +72,13 @@ func TransportBench(ctx context.Context, cfg TransportBenchConfig) (TransportBen
 	// The caller endpoint gets its own registry so frames-per-flush
 	// reflects the request path, not the peer's reply flushes.
 	reg := metrics.NewRegistry()
-	opts := transport.TCPOptions{NoBatching: cfg.NoBatching, Stripes: cfg.Stripes, Metrics: reg}
+	opts := transport.TCPOptions{NoBatching: cfg.NoBatching, Metrics: reg}
 	caller, err := transport.NewTCPWithOptions("bench-caller", "127.0.0.1:0", opts)
 	if err != nil {
 		return TransportBenchResult{}, err
 	}
 	defer caller.Close()
-	peerOpts := transport.TCPOptions{NoBatching: cfg.NoBatching, Stripes: cfg.Stripes}
+	peerOpts := transport.TCPOptions{NoBatching: cfg.NoBatching}
 	peer, err := transport.NewTCPWithOptions("bench-peer", "127.0.0.1:0", peerOpts)
 	if err != nil {
 		return TransportBenchResult{}, err

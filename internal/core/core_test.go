@@ -349,7 +349,7 @@ func TestExplicitStatePersistence(t *testing.T) {
 	if _, err := rt.Call(ctx, id, saveMsg{}); err != nil {
 		t.Fatal(err)
 	}
-	table, _ := kv.Table("grains")
+	table, _ := kv.Table(StateTable)
 	it, err := table.Get(ctx, "Counter/persist-me")
 	if err != nil {
 		t.Fatalf("state not written: %v", err)
@@ -365,7 +365,7 @@ func TestStateLoadedOnActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	table, err := kv.EnsureTable("grains", kvstore.Throughput{})
+	table, err := kv.EnsureTable(StateTable, kvstore.Throughput{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestPersistOnShutdown(t *testing.T) {
 	if err := rt.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	table, _ := kv.Table("grains")
+	table, _ := kv.Table(StateTable)
 	it, err := table.Get(ctx, "Counter/c")
 	if err != nil {
 		t.Fatalf("state not persisted at shutdown: %v", err)

@@ -427,7 +427,7 @@ func TestCrashedTurnWritesNothing(t *testing.T) {
 	if n := rt.Metrics().Counter("core.state_writes").Value(); n != 0 {
 		t.Fatalf("%d state writes from a crashed activation", n)
 	}
-	table, _ := kv.EnsureTable("grains", kvstore.Throughput{})
+	table, _ := kv.EnsureTable(StateTable, kvstore.Throughput{})
 	if _, err := table.Get(context.Background(), id.String()); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("state of the crashed activation in the store: %v", err)
 	}

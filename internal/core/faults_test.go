@@ -214,10 +214,7 @@ func TestCallRetriesTransientFailures(t *testing.T) {
 	inner := transport.NewLocal(nil, nil)
 	ft := &failFirstTransport{Transport: inner}
 	ft.remaining.Store(2)
-	rt := newTestRuntime(t, Config{
-		Transport: ft,
-		Retry:     RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
-	})
+	rt := newTestRuntime(t, Config{Transport: ft})
 	registerCounter(t, rt)
 	addSilo(t, rt, "s1")
 
@@ -258,10 +255,7 @@ func TestCallRetriesExhaust(t *testing.T) {
 	inner := transport.NewLocal(nil, nil)
 	ft := &failFirstTransport{Transport: inner}
 	ft.remaining.Store(1 << 20)
-	rt := newTestRuntime(t, Config{
-		Transport: ft,
-		Retry:     RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-	})
+	rt := newTestRuntime(t, Config{Transport: ft})
 	registerCounter(t, rt)
 	addSilo(t, rt, "s1")
 
@@ -269,7 +263,7 @@ func TestCallRetriesExhaust(t *testing.T) {
 	if err == nil || !Transient(err) {
 		t.Fatalf("err = %v, want transient after exhaustion", err)
 	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
+	if !strings.Contains(err.Error(), "after 4 attempts") {
 		t.Fatalf("err %v does not report attempts", err)
 	}
 }
@@ -296,7 +290,6 @@ func TestUnreachableCallKeepsRegistration(t *testing.T) {
 	rt := newTestRuntime(t, Config{
 		Transport: ft,
 		Placement: &alternating{},
-		Retry:     RetryPolicy{BaseBackoff: time.Millisecond},
 	})
 	if err := rt.RegisterKind("Counter", func() Actor { built.Add(1); return &counterActor{} }); err != nil {
 		t.Fatal(err)
@@ -431,7 +424,7 @@ func TestZombieWriteFenced(t *testing.T) {
 
 	// Simulate a successor writing behind the live activation's back: bump
 	// the stored version directly, as a replacement activation would.
-	table, err := store.EnsureTable("grains", kvstore.Throughput{})
+	table, err := store.EnsureTable(StateTable, kvstore.Throughput{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,10 +299,12 @@ func (rt *Runtime) callMany(ctx context.Context, ids []ID, msg any, out outcomes
 		var wg sync.WaitGroup
 		for g := 1; g < len(groups); g++ {
 			wg.Add(1)
-			go func(g int) {
+			// trace is passed, not captured: a captured trace moves to the
+			// heap on every call.
+			go func(g int, trace telemetry.SpanContext) {
 				defer wg.Done()
 				again[g] = rt.sendGroup(ctx, groups[g], ids, msg, trace, out)
-			}(g)
+			}(g, trace)
 		}
 		again[0] = rt.sendGroup(ctx, groups[0], ids, msg, trace, out)
 		wg.Wait()

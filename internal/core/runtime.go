@@ -34,46 +34,35 @@ type ViewProvider interface {
 
 // RetryPolicy configures the self-healing call path: transient failures
 // (see Transient) are retried transparently with exponential backoff and
-// jitter, up to MaxAttempts and within a per-call time budget. The zero
-// value means the defaults; set Disabled to turn transparent retries off.
+// jitter, up to maxAttempts and within a per-call time budget. The zero
+// value retries; set Disabled to turn transparent retries off.
 type RetryPolicy struct {
 	// Disabled turns off transparent retries (wrong-silo re-routing, an
-	// internal correctness mechanism, still happens).
+	// internal correctness mechanism, still happens). It stays settable
+	// because tests read a first attempt's error through it.
 	Disabled bool
-	// MaxAttempts is the total number of tries including the first
-	// (default 4).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry (default 2ms);
-	// it doubles per retry up to MaxBackoff (default 250ms).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter is the fraction of each backoff randomized away to
-	// decorrelate retry storms, in [0,1) (default 0.5).
-	Jitter float64
-	// Budget bounds the total time spent retrying one call when the
-	// caller's context has no deadline of its own (default 5s). The
-	// first attempt is never cut short by the budget — only retries are.
-	Budget time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 2 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 250 * time.Millisecond
-	}
-	if p.Jitter <= 0 || p.Jitter >= 1 {
-		p.Jitter = 0.5
-	}
-	if p.Budget <= 0 {
-		p.Budget = 5 * time.Second
-	}
-	return p
-}
+// The retry schedule of the self-healing call path.
+const (
+	// maxAttempts is the total number of tries including the first: 4.
+	maxAttempts = 4
+	// baseBackoff is the delay before the first retry, 2 ms; it doubles
+	// per retry up to maxBackoff, 250 ms.
+	baseBackoff = 2 * time.Millisecond
+	maxBackoff  = 250 * time.Millisecond
+	// retryJitter is the fraction of each backoff randomized away to
+	// decorrelate retry storms: 0.5.
+	retryJitter = 0.5
+	// retryBudget bounds the total time spent retrying one call when the
+	// caller's context has no deadline of its own: 5 s. The first attempt
+	// is never cut short by the budget — only retries are.
+	retryBudget = 5 * time.Second
+)
+
+// StateTable names the grain-state table every runtime persists activation
+// state to, and every replica store keeps its envelopes in.
+const StateTable = "grains"
 
 // Config configures a Runtime. The zero value is usable: an in-process
 // transport with no latency model, random placement, no persistence, and
@@ -93,8 +82,6 @@ type Config struct {
 	// Store (for Context.Table and the table default) may still be set
 	// alongside it.
 	States StateStore
-	// StateTable names the grain-state table in Store (default "grains").
-	StateTable string
 	// StateThroughput provisions the state table when it must be created
 	// (zero = unlimited).
 	StateThroughput kvstore.Throughput
@@ -132,7 +119,6 @@ type Config struct {
 type Runtime struct {
 	cfg       Config
 	clk       clock.Clock
-	retry     RetryPolicy // cfg.Retry with defaults resolved
 	directory *directory.Directory
 	metrics   *metrics.Registry
 	tracer    *telemetry.Tracer // nil = recording off
@@ -167,9 +153,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Placement == nil {
 		cfg.Placement = placement.NewRandom(cfg.Clock.Now().UnixNano())
 	}
-	if cfg.StateTable == "" {
-		cfg.StateTable = "grains"
-	}
 	if cfg.IdleAfter <= 0 {
 		cfg.IdleAfter = 2 * time.Minute
 	}
@@ -182,7 +165,6 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:       cfg,
 		clk:       cfg.Clock,
-		retry:     cfg.Retry.withDefaults(),
 		directory: directory.New(),
 		metrics:   cfg.Metrics,
 		tracer:    cfg.Tracer,
@@ -190,7 +172,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.kinds.Store(&map[string]*kindConfig{})
 	if cfg.Store != nil {
-		table, err := cfg.Store.EnsureTable(cfg.StateTable, cfg.StateThroughput)
+		table, err := cfg.Store.EnsureTable(StateTable, cfg.StateThroughput)
 		if err != nil {
 			return nil, err
 		}
@@ -485,12 +467,12 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 	// immediate (no backoff) but must not spin forever under pathological
 	// churn.
 	const maxHops = 8
-	pol := rt.retry
-	attempts := pol.MaxAttempts
-	if pol.Disabled {
+	disabled := rt.cfg.Retry.Disabled
+	attempts := maxAttempts
+	if disabled {
 		attempts = 1
 	}
-	backoff := pol.BaseBackoff
+	backoff := baseBackoff
 	// The retry deadline is armed lazily on the first failure, so the
 	// happy path allocates no timer and pays nothing for the budget.
 	var retryDeadline time.Time
@@ -527,14 +509,15 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 			break
 		}
 		if retryDeadline.IsZero() {
-			retryDeadline = rt.clk.Now().Add(pol.Budget)
+			retryDeadline = rt.clk.Now().Add(retryBudget)
 		} else if rt.clk.Now().After(retryDeadline) {
 			break
 		}
 		retries++
 		rt.metrics.Counter("core.call_retries").Inc()
-		// Equal jitter: sleep in [d*(1-Jitter), d] to decorrelate storms.
-		d := backoff - time.Duration(pol.Jitter*float64(backoff)*rand.Float64())
+		// Equal jitter: sleep in [d*(1-retryJitter), d] to decorrelate
+		// storms.
+		d := backoff - time.Duration(retryJitter*float64(backoff)*rand.Float64())
 		t := rt.clk.NewTimer(d)
 		select {
 		case <-ctx.Done():
@@ -542,12 +525,9 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 			return nil, retries, hops, fmt.Errorf("core: %s retry interrupted: %v: %w", id, ctx.Err(), lastErr)
 		case <-t.C():
 		}
-		backoff *= 2
-		if backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
+		backoff = min(2*backoff, maxBackoff)
 	}
-	if pol.Disabled {
+	if disabled {
 		return nil, retries, hops, lastErr
 	}
 	return nil, retries, hops, fmt.Errorf("core: %s failed after %d attempts: %w", id, attempts, lastErr)

@@ -169,7 +169,6 @@ func TestRootSpanRecordsRetries(t *testing.T) {
 	rt := newTestRuntime(t, Config{
 		Transport: ft,
 		Tracer:    tracer,
-		Retry:     RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
 	})
 	registerCounter(t, rt)
 	addSilo(t, rt, "s1")

@@ -4,7 +4,7 @@
 // out, and moves unresponsive peers through a suspect→dead state machine
 // that the accused can refute by bumping its incarnation number. All
 // membership news travels piggybacked on the probe traffic itself — each
-// update rides along on ~RetransmitMult·log2(n) messages — so the
+// update rides along on ~retransmitMult·log2(n) messages — so the
 // protocol adds no per-member background load and converges in O(log n)
 // periods regardless of cluster size.
 //
@@ -156,23 +156,18 @@ type Config struct {
 	// tcp.SetPeer) before Start.
 	Seeds [][2]string
 
+	// ProbeEvery, ProbeTimeout and SuspectAfter stay settable because
+	// the gossip tests converge on the wall clock and shorten them.
+	//
 	// ProbeEvery is the SWIM protocol period (default 300ms): one random
 	// member is probed per period.
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds the direct probe and each indirect relay
 	// (default 250ms).
 	ProbeTimeout time.Duration
-	// IndirectProbes is k, the number of relays asked to ping-req an
-	// unresponsive member before suspecting it (default 3).
-	IndirectProbes int
 	// SuspectAfter is how long a suspect may refute before it is
 	// declared dead (default 2s ≈ 6–7 protocol periods).
 	SuspectAfter time.Duration
-	// RetransmitMult scales per-update dissemination: each rumor rides
-	// on RetransmitMult·⌈log2(n+1)⌉ outgoing messages (default 4).
-	RetransmitMult int
-	// MaxPiggyback caps rumors per message (default 8).
-	MaxPiggyback int
 
 	// Observer makes the agent a pure listener: it probes and merges
 	// views but never announces itself, so it gains a live view of the
@@ -192,6 +187,17 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+const (
+	// indirectProbes is k, the number of relays asked to ping-req an
+	// unresponsive member before suspecting it: 3.
+	indirectProbes = 3
+	// retransmitMult scales per-update dissemination: each rumor rides on
+	// retransmitMult·⌈log2(n+1)⌉ outgoing messages, ×4.
+	retransmitMult = 4
+	// maxPiggyback caps rumors per message at 8.
+	maxPiggyback = 8
+)
+
 func (c *Config) fill() error {
 	if c.Name == "" {
 		return errors.New("gossip: config needs a name")
@@ -205,17 +211,8 @@ func (c *Config) fill() error {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 250 * time.Millisecond
 	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = 3
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 2 * time.Second
-	}
-	if c.RetransmitMult <= 0 {
-		c.RetransmitMult = 4
-	}
-	if c.MaxPiggyback <= 0 {
-		c.MaxPiggyback = 8
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real()
@@ -351,7 +348,7 @@ func (a *Agent) Leave(ctx context.Context) {
 	a.leaving = true
 	inc := a.incarnation
 	a.enqueueLocked(Update{Name: a.cfg.Name, Addr: a.cfg.Addr, State: uint8(StateLeft), Incarnation: inc})
-	targets := a.pickLocked(a.cfg.IndirectProbes, a.cfg.Name)
+	targets := a.pickLocked(indirectProbes, a.cfg.Name)
 	a.mu.Unlock()
 	for _, t := range targets {
 		a.probeOnce(t, false)
@@ -489,7 +486,7 @@ func (a *Agent) probeOnce(target string, full bool) bool {
 
 func (a *Agent) indirectProbe(target string) bool {
 	a.mu.Lock()
-	relays := a.pickLocked(a.cfg.IndirectProbes, a.cfg.Name, target)
+	relays := a.pickLocked(indirectProbes, a.cfg.Name, target)
 	a.mu.Unlock()
 	if len(relays) == 0 {
 		return false
@@ -761,7 +758,7 @@ func (a *Agent) refreshGaugesLocked() {
 // superseding any queued rumor about the same member.
 func (a *Agent) enqueueLocked(u Update) {
 	n := len(a.members)
-	budget := a.cfg.RetransmitMult * int(math.Ceil(math.Log2(float64(n+2))))
+	budget := retransmitMult * int(math.Ceil(math.Log2(float64(n+2))))
 	for i, q := range a.queue {
 		if q.u.Name == u.Name {
 			a.queue[i] = &queuedUpdate{u: u, left: budget}
@@ -771,7 +768,7 @@ func (a *Agent) enqueueLocked(u Update) {
 	a.queue = append(a.queue, &queuedUpdate{u: u, left: budget})
 }
 
-// piggybackLocked selects up to MaxPiggyback rumors, preferring the
+// piggybackLocked selects up to maxPiggyback rumors, preferring the
 // least-transmitted, and charges each one transmission.
 func (a *Agent) piggybackLocked() []Update {
 	if len(a.queue) == 0 {
@@ -779,8 +776,8 @@ func (a *Agent) piggybackLocked() []Update {
 	}
 	sort.SliceStable(a.queue, func(i, j int) bool { return a.queue[i].left > a.queue[j].left })
 	n := len(a.queue)
-	if n > a.cfg.MaxPiggyback {
-		n = a.cfg.MaxPiggyback
+	if n > maxPiggyback {
+		n = maxPiggyback
 	}
 	out := make([]Update, 0, n)
 	for _, q := range a.queue[:n] {

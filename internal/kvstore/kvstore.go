@@ -85,14 +85,6 @@ type Options struct {
 	// default), WAL writes are buffered and synced on snapshot/Close,
 	// mirroring how the paper keeps storage off the hot path.
 	Durable bool
-	// FlushMaxRecords bounds the WAL group-commit batch (default 1024).
-	FlushMaxRecords int
-	// FlushMaxWait, when positive, lets the flush leader linger for
-	// followers before syncing; zero flushes as soon as the disk is free.
-	FlushMaxWait time.Duration
-	// SnapshotEvery triggers automatic snapshot compaction after this many
-	// WAL records. Zero means 100,000.
-	SnapshotEvery int
 	// Clock drives the throughput buckets; nil means the real clock.
 	Clock clock.Clock
 	// Metrics receives operation counters; nil allocates a private registry.
@@ -102,7 +94,15 @@ type Options struct {
 	// flight journal learns about a stalling disk before it fails.
 	FlushStallAfter time.Duration
 	OnFlushStall    func(d time.Duration, records int)
+
+	// snapshotEvery overrides defaultSnapshotEvery; tests lower it to
+	// trigger compaction after a few writes.
+	snapshotEvery int
 }
+
+// defaultSnapshotEvery starts a background snapshot compaction after
+// every 100,000 WAL records.
+const defaultSnapshotEvery = 100000
 
 // WriteFault is a fault-injection hook consulted before every mutation
 // (Put/PutIf/Delete/DeleteIf). Returning a non-nil error fails the write
@@ -187,8 +187,8 @@ const snapshotSuffix = ".snap"
 // Open opens or creates a store. With a durability directory, any existing
 // snapshot is loaded and the WAL tail replayed on top of it.
 func Open(opts Options) (*Store, error) {
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 100000
+	if opts.snapshotEvery <= 0 {
+		opts.snapshotEvery = defaultSnapshotEvery
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real()
@@ -215,8 +215,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	l, err := wal.Open(filepath.Join(opts.Dir, "wal"), wal.Options{
 		SyncEveryAppend: opts.Durable,
-		MaxBatchRecords: opts.FlushMaxRecords,
-		MaxBatchWait:    opts.FlushMaxWait,
 		Metrics:         s.reg,
 		FlushStallAfter: opts.FlushStallAfter,
 		OnFlushStall:    opts.OnFlushStall,
@@ -871,7 +869,7 @@ func (s *Store) stageMutation(payload []byte) (*wal.Ack, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.applied.Add(1)%int64(s.opts.SnapshotEvery) == 0 {
+	if s.applied.Add(1)%int64(s.opts.snapshotEvery) == 0 {
 		s.kickSnapshot()
 	}
 	return ack, nil
@@ -951,6 +949,7 @@ func (s *Store) Snapshot() error {
 	// applied before its table's cut (staging and applying share the
 	// table lock), so the snapshot covers it. Records applied during the
 	// dump carry later sequences and replay idempotently on top.
+	failures := s.log.Failures()
 	dump := snapshotFile{
 		LastSeq: s.log.NextSeq() - 1,
 		Tables:  make(map[string]snapshotTable, len(s.tables)),
@@ -973,9 +972,15 @@ func (s *Store) Snapshot() error {
 	// it supersede the WAL prefix) would smuggle the unacknowledged write
 	// into recovery. Syncing here makes every captured mutation durable
 	// before the snapshot is committed; on failure the snapshot is
-	// abandoned and the WAL remains the only truth.
+	// abandoned and the WAL remains the only truth. The flush that fails
+	// may also be run by its own batch leader after the dump, leaving
+	// Sync an empty queue, so any flush failure since the cutoff abandons
+	// the snapshot too.
 	if err := s.log.Sync(); err != nil {
 		return err
+	}
+	if s.log.Failures() != failures {
+		return errors.New("kvstore: snapshot abandoned: a WAL flush failed after its cutoff")
 	}
 
 	var buf bytes.Buffer

@@ -394,7 +394,7 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 
 func TestAutoSnapshotTriggers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, SnapshotEvery: 10})
+	s, err := Open(Options{Dir: dir, snapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestAutoSnapshotTriggers(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no snapshot appeared after exceeding SnapshotEvery")
+			t.Fatal("no snapshot appeared after exceeding snapshotEvery")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,7 +99,7 @@ func TestSweepReportsActualCountOnError(t *testing.T) {
 func TestCloseDrainsBackgroundSnapshot(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		dir := t.TempDir()
-		s, err := Open(Options{Dir: dir, SnapshotEvery: 2})
+		s, err := Open(Options{Dir: dir, snapshotEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +137,7 @@ func TestCloseDrainsBackgroundSnapshot(t *testing.T) {
 // one compaction at a time (kickSnapshot is single-flight).
 func TestSnapshotSingleFlight(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, SnapshotEvery: 1})
+	s, err := Open(Options{Dir: dir, snapshotEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +386,17 @@ func waitForValue(t *testing.T, tb *Table, key string, want []byte) {
 	t.Fatalf("key %q never reached state %q", key, want)
 }
 
+// holdBatch stages a record of the test's own and never waits on it: the
+// test leads the WAL's pending group-commit batch, so mutations staged
+// next join it as followers and stay unflushed until a Sync barrier
+// flushes the batch.
+func holdBatch(t *testing.T, s *Store) {
+	t.Helper()
+	if _, err := s.log.Stage(encodeRecord(opPut, "t", "held", nil, 1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSnapshotAbortsWhenFlushFails: Snapshot's dump can capture a write
 // whose group-commit flush is still in flight. If that flush fails, the
 // write is rolled back and its caller gets an error — so the snapshot
@@ -392,40 +405,29 @@ func waitForValue(t *testing.T, tb *Table, key string, want []byte) {
 func TestSnapshotAbortsWhenFlushFails(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	// Seed the durable state with the default flush wait, then reopen
-	// with a long batching window so in-flight flushes can be observed:
-	// with FlushMaxWait set, a lone writer parks for the full window.
-	seed, err := Open(Options{Dir: dir, Durable: true})
+	s, err := Open(Options{Dir: dir, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stb, err := seed.EnsureTable("t", Throughput{})
+	tb, err := s.EnsureTable("t", Throughput{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stb.Put(ctx, "k", []byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	seed.Close()
-	s, err := Open(Options{Dir: dir, Durable: true, FlushMaxWait: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := s.Table("t")
-	if err != nil {
+	if _, err := tb.Put(ctx, "k", []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 	s.log.InjectWriteFault(func(f *os.File, p []byte) (int, error) {
 		return 0, errors.New("disk full")
 	})
+	holdBatch(t, s)
 	putErr := make(chan error, 1)
 	go func() {
 		_, err := tb.Put(ctx, "k", []byte("bad"))
 		putErr <- err
 	}()
-	// The write is applied in memory while its flush (parked on the
-	// FlushMaxWait window) has not happened yet — exactly what a
-	// background compaction could catch mid-flight.
+	// The write is applied in memory while its flush (held by the test's
+	// leader record) has not happened yet — exactly what a background
+	// compaction could catch mid-flight.
 	waitForValue(t, tb, "k", []byte("bad"))
 	if err := s.Snapshot(); err == nil {
 		t.Fatal("snapshot committed a dump containing a write whose flush failed")
@@ -455,6 +457,104 @@ func TestSnapshotAbortsWhenFlushFails(t *testing.T) {
 	s.Close()
 }
 
+// TestSnapshotAbortsWhenLeaderFailsFlush: the flush that fails can be run
+// by the batch's own leader after Snapshot's dump, just before its Sync
+// barrier. The failure gives the batch's sequences back and leaves Sync
+// an empty queue, so the barrier alone would pass and the snapshot would
+// commit the unacknowledged write under a cutoff that covers it. The
+// test orders the race: an earlier batch holds the flush turn in a
+// blocked fsync while the doomed batch's leader and then Snapshot's
+// barrier queue up behind it.
+func TestSnapshotAbortsWhenLeaderFailsFlush(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s, err := Open(Options{Dir: dir, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := s.EnsureTable("t", Throughput{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Put(ctx, "k", []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	syncing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.log.InjectSyncFault(func(f *os.File) error {
+		once.Do(func() {
+			close(syncing)
+			<-release
+		})
+		return f.Sync()
+	})
+	otherErr := make(chan error, 1)
+	go func() {
+		_, err := tb.Put(ctx, "other", []byte("v"))
+		otherErr <- err
+	}()
+	<-syncing // the earlier batch holds the flush turn
+	putErr := make(chan error, 1)
+	go func() {
+		_, err := tb.Put(ctx, "k", []byte("bad"))
+		putErr <- err
+	}()
+	waitForValue(t, tb, "k", []byte("bad"))
+	waitParked(t, "wal.(*Ack).Wait") // the doomed batch's leader queues first
+	s.log.InjectWriteFault(func(f *os.File, p []byte) (int, error) {
+		return 0, errors.New("disk full")
+	})
+	snapErr := make(chan error, 1)
+	go func() { snapErr <- s.Snapshot() }()
+	waitParked(t, "kvstore.(*Store).Snapshot") // dump taken, barrier queued
+	close(release)
+	if err := <-otherErr; err != nil {
+		t.Fatalf("earlier batch: %v", err)
+	}
+	if err := <-putErr; err == nil {
+		t.Fatal("put acked without durability")
+	}
+	if err := <-snapErr; err == nil {
+		t.Fatal("snapshot committed a dump containing a write whose flush its leader failed")
+	}
+	s.log.InjectWriteFault(nil)
+	// Crash-reopen: only the acked write may be visible.
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	defer s2.Close()
+	tb2, err := s2.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := tb2.Get(ctx, "k")
+	if err != nil {
+		t.Fatalf("acked write lost: %v", err)
+	}
+	if !bytes.Equal(it.Value, []byte("good")) || it.Version != 1 {
+		t.Fatalf("recovered %q v%d, want acked %q v1", it.Value, it.Version, "good")
+	}
+	s.Close()
+}
+
+// waitParked waits until a goroutine whose stack passes through fn is
+// parked on a sync.Mutex.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no goroutine in %s parked on a mutex", fn)
+}
+
 // TestFailedDurableRollbackConverges is the regression for the delete-
 // rollback resurrection race: a delete, a put (whose version restarts at
 // 1, colliding with the deleted item's) and another delete of the same
@@ -466,31 +566,23 @@ func TestFailedDurableRollbackConverges(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		dir := t.TempDir()
-		seed, err := Open(Options{Dir: dir, Durable: true})
+		s, err := Open(Options{Dir: dir, Durable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stb, err := seed.EnsureTable("t", Throughput{})
+		tb, err := s.EnsureTable("t", Throughput{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stb.Put(ctx, "k", []byte("durable")); err != nil {
-			t.Fatal(err)
-		}
-		seed.Close()
-		// Long batching window so all three failing mutations share one
-		// parked batch (see TestSnapshotAbortsWhenFlushFails).
-		s, err := Open(Options{Dir: dir, Durable: true, FlushMaxWait: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := s.Table("t")
-		if err != nil {
+		if _, err := tb.Put(ctx, "k", []byte("durable")); err != nil {
 			t.Fatal(err)
 		}
 		s.log.InjectWriteFault(func(f *os.File, p []byte) (int, error) {
 			return 0, errors.New("disk full")
 		})
+		// All three failing mutations join one batch held open by the
+		// test's leader record.
+		holdBatch(t, s)
 		errs := make(chan error, 3)
 		go func() { errs <- tb.Delete(ctx, "k") }()
 		waitForValue(t, tb, "k", nil)

@@ -57,22 +57,25 @@ type Config struct {
 	// Timeout bounds each individual scrape (default 2s) so one slow or
 	// dead silo can never stall the poll round.
 	Timeout time.Duration
-	// StaleAfter marks a silo's last-known snapshot stale once it is this
-	// old (default 3 poll intervals).
-	StaleAfter time.Duration
-	// Client overrides the scrape HTTP client (tests; default a client
-	// with the scrape timeout).
-	Client *http.Client
 	// Members, when set, is consulted at the start of every round for the
 	// membership view (a gossip agent's, or a seed silo's /members), so
 	// the aggregator follows joins and departures with no static list:
 	// every member advertising an observability endpoint is a scrape
 	// target, unioned with Targets, and a member the view declares dead
 	// or left has its last-good snapshot marked stale immediately rather
-	// than waiting out StaleAfter. A member that drops out of the view
-	// keeps its last-good snapshot. Nil or empty views change nothing.
+	// than waiting out the staleness bound. A member that drops out of
+	// the view keeps its last-good snapshot. Nil or empty views change
+	// nothing.
 	Members func() []telemetry.MemberInfo
+
+	// staleAfter overrides the staleness bound, staleIntervals poll
+	// intervals; tests shrink it to see any re-merged data marked stale.
+	staleAfter time.Duration
 }
+
+// staleIntervals marks a silo's last-known snapshot stale once it is 3
+// poll intervals old.
+const staleIntervals = 3
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -81,8 +84,8 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 3 * c.Interval
+	if c.staleAfter <= 0 {
+		c.staleAfter = staleIntervals * c.Interval
 	}
 	return c
 }
@@ -157,10 +160,7 @@ type Aggregator struct {
 // New creates an aggregator over cfg.Targets.
 func New(cfg Config) *Aggregator {
 	cfg = cfg.withDefaults()
-	a := &Aggregator{cfg: cfg, client: cfg.Client}
-	if a.client == nil {
-		a.client = &http.Client{Timeout: cfg.Timeout}
-	}
+	a := &Aggregator{cfg: cfg, client: &http.Client{Timeout: cfg.Timeout}}
 	for _, t := range cfg.Targets {
 		a.silos = append(a.silos, &siloState{target: t})
 	}
@@ -328,7 +328,7 @@ func (a *Aggregator) mergeLocked(now time.Time) ClusterSnapshot {
 		}
 		age := now.Sub(s.lastAt)
 		view.AgeSeconds = age.Seconds()
-		if s.err != "" || dead || age > a.cfg.StaleAfter {
+		if s.err != "" || dead || age > a.cfg.staleAfter {
 			view.Ok = false
 			view.Stale = true
 			out.Partial = true

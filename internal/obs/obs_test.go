@@ -216,7 +216,7 @@ func TestAggregatorSlowSiloGoesStale(t *testing.T) {
 	agg := New(Config{
 		Targets:    []Target{{Name: "silo-1", URL: srv.URL}},
 		Timeout:    300 * time.Millisecond,
-		StaleAfter: time.Nanosecond, // any re-merged old data counts as stale
+		staleAfter: time.Nanosecond, // any re-merged old data counts as stale
 	})
 	first := agg.PollOnce(context.Background())
 	if first.Partial || first.Hists["shm.call_latency"].Count != 1 {

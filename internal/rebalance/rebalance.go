@@ -60,16 +60,6 @@ type Config struct {
 	// Loads reports the latest known per-silo load (gossip's piggybacked
 	// Load values). Nil disables overload shedding.
 	Loads func() map[string]int64
-	// MaxMoves caps migrations per planning round (default 32): a big
-	// membership change rebalances over several rounds instead of
-	// draining half the silo at once.
-	MaxMoves int
-	// OverloadRatio is the shed threshold as a multiple of the cluster
-	// mean load (default 1.5).
-	OverloadRatio float64
-	// DrainTimeout bounds each migration's source drain; past it the
-	// hand-off is forced and the laggard fenced (default 5s).
-	DrainTimeout time.Duration
 	// Every is the background planning period (default 10s); membership
 	// events trigger immediate rounds via Notify.
 	Every time.Duration
@@ -77,7 +67,23 @@ type Config struct {
 	Clock clock.Clock
 	// Metrics receives rebalance instrumentation; nil allocates one.
 	Metrics *metrics.Registry
+
+	// maxMoves overrides defaultMaxMoves; tests lower it to see the
+	// overload budget cut in.
+	maxMoves int
 }
+
+const (
+	// defaultMaxMoves caps migrations per planning round at 32: a big
+	// membership change rebalances over several rounds instead of
+	// draining half the silo at once.
+	defaultMaxMoves = 32
+	// overloadRatio is the shed threshold: 1.5× the cluster mean load.
+	overloadRatio = 1.5
+	// drainTimeout bounds each migration's source drain at 5 s; past it
+	// the hand-off is forced and the laggard fenced.
+	drainTimeout = 5 * time.Second
+)
 
 // Rebalancer owns one silo's share of cluster rebalancing.
 type Rebalancer struct {
@@ -105,14 +111,8 @@ func New(cfg Config) (*Rebalancer, error) {
 	if cfg.View == nil {
 		return nil, errors.New("rebalance: needs a membership view")
 	}
-	if cfg.MaxMoves <= 0 {
-		cfg.MaxMoves = 32
-	}
-	if cfg.OverloadRatio <= 1 {
-		cfg.OverloadRatio = 1.5
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
+	if cfg.maxMoves <= 0 {
+		cfg.maxMoves = defaultMaxMoves
 	}
 	if cfg.Every <= 0 {
 		cfg.Every = 10 * time.Second
@@ -137,7 +137,7 @@ func New(cfg Config) (*Rebalancer, error) {
 
 // Plan computes this round's migrations off cfg.Silo: first the
 // placement diff against the current view, then overload shedding,
-// capped at MaxMoves.
+// capped at maxMoves.
 func (rb *Rebalancer) Plan() []Move {
 	view := append([]string(nil), rb.cfg.View.View()...)
 	sort.Strings(view)
@@ -155,7 +155,7 @@ func (rb *Rebalancer) Plan() []Move {
 
 	if rb.cfg.Strategy != nil {
 		for _, id := range silo.ActiveIDs() {
-			if len(moves) >= rb.cfg.MaxMoves {
+			if len(moves) >= rb.cfg.maxMoves {
 				break
 			}
 			want, err := rb.cfg.Strategy.Place(id.String(), rb.cfg.Silo, view)
@@ -167,7 +167,7 @@ func (rb *Rebalancer) Plan() []Move {
 		}
 	}
 
-	if rb.cfg.Loads != nil && len(moves) < rb.cfg.MaxMoves {
+	if rb.cfg.Loads != nil && len(moves) < rb.cfg.maxMoves {
 		moves = rb.planShed(silo, view, planned, moves)
 	}
 	rb.mPlanned.Add(int64(len(moves)))
@@ -175,7 +175,7 @@ func (rb *Rebalancer) Plan() []Move {
 }
 
 // planShed appends overload moves: when this silo's reported load runs
-// OverloadRatio above the cluster mean, local actors go to the
+// overloadRatio above the cluster mean, local actors go to the
 // least-loaded member — the profile's hottest first when the runtime's
 // recorder keeps one, otherwise any local activations (plain-count shedding).
 func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.ID]bool, moves []Move) []Move {
@@ -206,13 +206,13 @@ func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.
 		return moves
 	}
 	mean := float64(total) / float64(counted)
-	if float64(mine) <= rb.cfg.OverloadRatio*mean {
+	if float64(mine) <= overloadRatio*mean {
 		return moves
 	}
 	// Shed conservatively: at most a quarter of the round budget, so a
 	// load spike moves a few hot actors and re-measures rather than
 	// stampeding the coolest silo.
-	budget := rb.cfg.MaxMoves / 4
+	budget := rb.cfg.maxMoves / 4
 	if budget < 1 {
 		budget = 1
 	}
@@ -220,7 +220,7 @@ func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.
 	// (top-K CPU attribution) — the most profitable movers first.
 	if hots := rb.cfg.Runtime.Tracer().HotActors(); len(hots) > 0 {
 		for _, hot := range hots {
-			if budget == 0 || len(moves) >= rb.cfg.MaxMoves {
+			if budget == 0 || len(moves) >= rb.cfg.maxMoves {
 				break
 			}
 			if hot.Label != rb.cfg.Silo {
@@ -240,7 +240,7 @@ func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.
 	// equally anonymous, so take them in ActiveIDs' stable order — the
 	// next round re-measures and sheds again if the silo is still hot.
 	for _, id := range silo.ActiveIDs() {
-		if budget == 0 || len(moves) >= rb.cfg.MaxMoves {
+		if budget == 0 || len(moves) >= rb.cfg.maxMoves {
 			break
 		}
 		if planned[id] {
@@ -254,7 +254,7 @@ func (rb *Rebalancer) planShed(silo *core.Silo, view []string, planned map[core.
 }
 
 // Execute runs the planned migrations, each drain bounded by
-// DrainTimeout. It returns how many completed; failed moves are counted
+// drainTimeout. It returns how many completed; failed moves are counted
 // and skipped (the next round re-plans from live state).
 func (rb *Rebalancer) Execute(ctx context.Context, moves []Move) int {
 	doneCount := 0
@@ -262,7 +262,7 @@ func (rb *Rebalancer) Execute(ctx context.Context, moves []Move) int {
 		if ctx.Err() != nil {
 			return doneCount
 		}
-		mctx, cancel := context.WithTimeout(ctx, rb.cfg.DrainTimeout)
+		mctx, cancel := context.WithTimeout(ctx, drainTimeout)
 		err := rb.cfg.Runtime.Migrate(mctx, m.Actor, m.To)
 		cancel()
 		if err != nil {

@@ -105,7 +105,7 @@ func TestPlacementDiffOnJoin(t *testing.T) {
 		t.Fatalf("pre-join: silo-1 hosts %d, want %d", s1.Activations(), actors)
 	}
 
-	rb, err := New(Config{Runtime: rt, Silo: "silo-1", View: view, Strategy: strat, MaxMoves: actors})
+	rb, err := New(Config{Runtime: rt, Silo: "silo-1", View: view, Strategy: strat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestOverloadShedding(t *testing.T) {
 		Silo:     "silo-1",
 		View:     view,
 		Loads:    func() map[string]int64 { return loads },
-		MaxMoves: 8,
+		maxMoves: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestOverloadShedding(t *testing.T) {
 			t.Fatalf("shed target %s, want least-loaded silo-2", m.To)
 		}
 	}
-	// Budget: at most a quarter of MaxMoves per round.
+	// Budget: at most a quarter of maxMoves per round.
 	if len(moves) > 2 {
 		t.Fatalf("shed %d moves in one round, want a conservative trickle", len(moves))
 	}

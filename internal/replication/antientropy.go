@@ -50,7 +50,7 @@ func newerSummary(a, b KeySummary) bool {
 // two sides disagree on, copy the (version, value-hash) winner to the
 // loser. Returns how many divergent keys were repaired. A key missing on
 // one side is treated as never-received and pushed — which is why
-// TombstoneTTL must exceed the sweep interval by a wide margin: a
+// tombstoneTTL must exceed the sweep interval by a wide margin: a
 // reclaimed tombstone plus a still-live older value on a long-dead
 // replica would otherwise resurrect (the classic Dynamo grace-period
 // caveat, documented in DESIGN.md).

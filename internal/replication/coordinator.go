@@ -35,12 +35,6 @@ type Config struct {
 	// quorums trade them away for latency, which is exactly the ablation
 	// the benchmark measures.
 	N, R, W int
-	// RingTransition is how long the previous ring keeps its quorum veto
-	// after an UpdateRing: during the window, writes must clear the
-	// write quorum on both the old and new home sets, and reads consult
-	// both (default one minute; SettleRing ends it early once
-	// anti-entropy has backfilled the moved replicas).
-	RingTransition time.Duration
 	// Transport reaches remote replica stores; requests carry TargetKind
 	// and are served by a Service on the peer. Required unless every
 	// ring member is wired through Local below.
@@ -59,11 +53,6 @@ type Config struct {
 	// write counts a home it vetoes as failed instead of paying a
 	// timeout. Nil means optimistic: every home is tried.
 	Alive func(silo string) bool
-	// TombstoneTTL bounds how long deleted keys keep their tombstones
-	// before TTL reclamation (default 1h).
-	TombstoneTTL time.Duration
-	// CallTimeout bounds each replica RPC (default 2s).
-	CallTimeout time.Duration
 	// Clock defaults to the real clock.
 	Clock clock.Clock
 	// Metrics receives replication instrumentation; nil allocates one.
@@ -135,15 +124,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.N <= 0 {
 		cfg.N = 1
 	}
-	if cfg.RingTransition <= 0 {
-		cfg.RingTransition = DefaultRingTransition
-	}
-	if cfg.TombstoneTTL <= 0 {
-		cfg.TombstoneTTL = time.Hour
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 2 * time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
 	}
@@ -165,10 +145,19 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}, nil
 }
 
-// DefaultRingTransition is how long a superseded ring stays in the
-// quorum path after an UpdateRing — long enough for one anti-entropy
-// sweep to backfill the moved replicas under the default cadence.
-const DefaultRingTransition = time.Minute
+const (
+	// ringTransition is how long a superseded ring keeps its quorum veto
+	// after an UpdateRing: 1 min, long enough for one anti-entropy sweep
+	// to backfill the moved replicas under the default cadence. During
+	// the window, writes must clear the write quorum on both the old and
+	// new home sets, and reads consult both; SettleRing ends it early.
+	ringTransition = time.Minute
+	// tombstoneTTL bounds how long deleted keys keep their tombstones
+	// before TTL reclamation: 1 h.
+	tombstoneTTL = time.Hour
+	// callTimeout bounds each replica RPC: 2 s.
+	callTimeout = 2 * time.Second
+)
 
 // quorumFor clamps the desired N/R/W to what ring can actually provide.
 func (c *Coordinator) quorumFor(ring *Ring) (n, r, w int) {
@@ -212,7 +201,7 @@ func (c *Coordinator) Ring() *Ring {
 }
 
 // UpdateRing swaps the replica ring live (a silo joined or left). The
-// superseded ring stays in the quorum path for RingTransition: writes
+// superseded ring stays in the quorum path for ringTransition: writes
 // must clear W on both home sets and reads consult both, so R+W > N
 // intersection holds against the union of old and new replica sets
 // while anti-entropy backfills the keys whose homes moved. Back-to-back
@@ -231,7 +220,7 @@ func (c *Coordinator) UpdateRing(r *Ring) {
 		c.oldRing = c.ring
 	}
 	c.ring = r
-	c.oldUntil = c.cfg.Clock.Now().Add(c.cfg.RingTransition)
+	c.oldUntil = c.cfg.Clock.Now().Add(ringTransition)
 	c.cfg.Metrics.Counter("replication.ring.changes").Inc()
 	c.cfg.Metrics.Gauge("replication.ring.size").Set(int64(r.Size()))
 	if tr := c.cfg.Tracer; tr.Recording() {
@@ -310,7 +299,7 @@ func (c *Coordinator) call(ctx context.Context, silo string, payload any) (any, 
 	if c.cfg.Transport == nil {
 		return nil, &transport.UnreachableError{Node: silo, Err: errors.New("replication: no route")}
 	}
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	req := transport.Request{
 		TargetKind: TargetKind,
@@ -699,7 +688,7 @@ func (c *Coordinator) Store(ctx context.Context, key string, data []byte, versio
 }
 
 // Delete quorum-writes a tombstone for key, fenced like Store. The
-// tombstone carries an absolute expiry TombstoneTTL from now; replicas
+// tombstone carries an absolute expiry tombstoneTTL from now; replicas
 // reclaim it via kvstore TTL once every replica has had a chance to see
 // it.
 func (c *Coordinator) Delete(ctx context.Context, key string, version int64) error {
@@ -711,7 +700,7 @@ func (c *Coordinator) Delete(ctx context.Context, key string, version int64) err
 	env := Envelope{
 		Version:   next,
 		Tombstone: true,
-		Expires:   c.cfg.Clock.Now().Add(c.cfg.TombstoneTTL),
+		Expires:   c.cfg.Clock.Now().Add(tombstoneTTL),
 	}
 	return c.writeQuorum(ctx, key, env)
 }

@@ -160,7 +160,7 @@ func (s *Store) UpdateRing(r *Ring) {
 		s.oldRing = s.ring
 	}
 	s.ring = r
-	s.oldUntil = s.cfg.Clock.Now().Add(DefaultRingTransition)
+	s.oldUntil = s.cfg.Clock.Now().Add(ringTransition)
 }
 
 // rings returns the current ring and, within the transition window, the

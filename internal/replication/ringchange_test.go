@@ -188,7 +188,7 @@ func TestQuorumDuringRingChange(t *testing.T) {
 	// Once the window lapses (no explicit SettleRing — the clock does
 	// it), reads run purely against the grown ring and still see the
 	// mid-transition write.
-	c.clk.Advance(2 * DefaultRingTransition)
+	c.clk.Advance(2 * ringTransition)
 	data, gv, err := c.coord.Get(ctx, key)
 	if err != nil || string(data) != "during" || gv != v1 {
 		t.Fatalf("post-transition read = %q v=%v, %v", data, gv, err)

@@ -10,6 +10,9 @@ package siloboot
 import (
 	"context"
 	"errors"
+	"flag"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,11 +37,13 @@ type Options struct {
 	Name   string
 	Listen string
 	// Silos is the comma-separated list of ALL silo names, identical on
-	// every node so consistent-hash placement agrees cluster-wide.
+	// every node so consistent-hash placement agrees cluster-wide (see
+	// SplitNames).
 	Silos string
-	// Peers holds comma-separated name=addr pairs for the other processes.
+	// Peers holds comma-separated name=addr pairs for the other processes
+	// (see SplitPairs).
 	Peers string
-	// TCP tunes the wire path (stripes, batching, dispatch pool).
+	// TCP tunes the wire path (stripes, batching).
 	TCP transport.TCPOptions
 	// Breaker wraps the transport in per-peer circuit breakers (servers
 	// want this; a short-lived load client typically does not).
@@ -114,6 +119,39 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
+// Flags registers on fs the flags every cluster process shares, bound to
+// o's fields with o's current values as their defaults: -name, -listen,
+// -silos, -peers, -gossip, -seeds, -replicas, -read-quorum,
+// -write-quorum, -trace and -trace-sample. silo picks the help text: a
+// silo hosts actors, a load client only routes calls to them.
+func (o *Options) Flags(fs *flag.FlagSet, silo bool) {
+	help := func(server, client string) string {
+		if silo {
+			return server
+		}
+		return client
+	}
+	fs.StringVar(&o.Name, "name", o.Name, help("this silo's cluster-unique name", "this client's transport name"))
+	fs.StringVar(&o.Listen, "listen", o.Listen, help("TCP listen address", "TCP listen address for responses"))
+	fs.StringVar(&o.Silos, "silos", o.Silos, help("comma-separated names of ALL silos (identical on every node)",
+		"comma-separated names of ALL silos (same order as servers)"))
+	fs.StringVar(&o.Peers, "peers", o.Peers, help("comma-separated name=addr pairs for the other silos",
+		"comma-separated name=addr pairs for the silos"))
+	fs.BoolVar(&o.Gossip, "gossip", o.Gossip, help("SWIM gossip membership: the live view replaces the static -silos list, so silos can join and leave at runtime",
+		"follow the cluster's gossip membership as an observer: placement tracks silos joining and leaving mid-run"))
+	fs.StringVar(&o.Seeds, "seeds", o.Seeds, help("comma-separated name=addr seed silos probed at startup to join a running cluster (with -gossip)",
+		"comma-separated name=addr seed silos to probe for the initial view (with -gossip)"))
+	fs.IntVar(&o.Replicas, "replicas", o.Replicas, help("replicate actor state across N silos with quorum reads/writes (0/1 = off; needs -store)",
+		"cluster's -replicas setting (accepted for a shared flag set; state replication happens on the silos)"))
+	fs.IntVar(&o.ReadQuorum, "read-quorum", o.ReadQuorum, help("replicas that must answer a state read (0 = majority of -replicas)",
+		"cluster's -read-quorum setting (accepted for a shared flag set)"))
+	fs.IntVar(&o.WriteQuorum, "write-quorum", o.WriteQuorum, help("replicas that must ack a state write (0 = majority of -replicas)",
+		"cluster's -write-quorum setting (accepted for a shared flag set)"))
+	fs.BoolVar(&o.Trace, "trace", o.Trace, help("enable distributed tracing",
+		"trace requests end to end and print insert tail attribution"))
+	fs.IntVar(&o.TraceSample, "trace-sample", o.TraceSample, "sample every Nth request when tracing")
+}
+
 // Node is a started cluster process: the runtime plus the pieces the
 // command-level code still needs (shutdown, peers, introspection).
 type Node struct {
@@ -141,6 +179,19 @@ type Node struct {
 // AddSilo — a load client deliberately never does, so no actor places
 // onto it.
 func Start(opts Options) (*Node, error) {
+	silos, err := SplitNames(opts.Silos)
+	if err != nil {
+		return nil, fmt.Errorf("siloboot: -silos: %w", err)
+	}
+	peers, err := SplitPairs(opts.Peers)
+	if err != nil {
+		return nil, fmt.Errorf("siloboot: -peers: %w", err)
+	}
+	seeds, err := SplitPairs(opts.Seeds)
+	if err != nil {
+		return nil, fmt.Errorf("siloboot: -seeds: %w", err)
+	}
+	member := slices.Contains(silos, opts.Name)
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -159,7 +210,7 @@ func Start(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, pair := range SplitPairs(opts.Peers) {
+	for _, pair := range peers {
 		tcp.SetPeer(pair[0], pair[1])
 	}
 	var tr transport.Transport = tcp
@@ -183,7 +234,7 @@ func Start(opts Options) (*Node, error) {
 	// after core.New.
 	var rtHold atomic.Pointer[core.Runtime]
 	var agent *gossip.Agent
-	var view cluster.Viewer = cluster.NewStaticView(strings.Split(opts.Silos, ",")...)
+	var view cluster.Viewer = cluster.NewStaticView(silos...)
 	if opts.Gossip {
 		name := opts.Name
 		agent, err = gossip.New(gossip.Config{
@@ -191,8 +242,8 @@ func Start(opts Options) (*Node, error) {
 			Addr:      tcp.Addr(),
 			ObsAddr:   opts.ObsAddr,
 			Transport: tr,
-			Seeds:     SplitPairs(opts.Seeds),
-			Observer:  !memberOf(name, opts.Silos),
+			Seeds:     seeds,
+			Observer:  !member,
 			Load: func() int64 {
 				rt := rtHold.Load()
 				if rt == nil {
@@ -223,11 +274,11 @@ func Start(opts Options) (*Node, error) {
 	var svc *replication.Service
 	var rstore *replication.Store
 	if opts.Replicas > 1 && opts.Store != nil {
-		ring, err := replication.NewRing(strings.Split(opts.Silos, ","))
+		ring, err := replication.NewRing(silos)
 		if err != nil {
 			return nil, err
 		}
-		tab, err := opts.Store.EnsureTable("grains", kvstore.Throughput{})
+		tab, err := opts.Store.EnsureTable(core.StateTable, kvstore.Throughput{})
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +305,7 @@ func Start(opts Options) (*Node, error) {
 			return nil, err
 		}
 		view = cluster.NewFilteredView(view, coord.Unhealthy)
-	} else if opts.Replicas > 1 && opts.Store == nil && memberOf(opts.Name, opts.Silos) {
+	} else if opts.Replicas > 1 && opts.Store == nil && member {
 		// A process that is itself one of the cluster's silos cannot
 		// replicate without somewhere to keep its replica; a storeless
 		// load client merely passing the shared flag set through is fine.
@@ -281,7 +332,7 @@ func Start(opts Options) (*Node, error) {
 	rtHold.Store(rt)
 
 	var rebalancer *rebalance.Rebalancer
-	if opts.Rebalance && memberOf(opts.Name, opts.Silos) {
+	if opts.Rebalance && member {
 		var loads func() map[string]int64
 		if agent != nil {
 			loads = agent.Loads
@@ -494,28 +545,49 @@ func (n *Node) Introspection(pprof bool) *telemetry.Introspection {
 	return in
 }
 
-// memberOf reports whether name is one of the comma-separated silos.
-func memberOf(name, silos string) bool {
-	for _, s := range strings.Split(silos, ",") {
-		if strings.TrimSpace(s) == name {
-			return true
+// SplitNames parses a comma-separated list of names, such as -silos.
+// Each entry is trimmed of spaces; an empty entry (including an empty
+// list) or a repeated name is an error that names it.
+func SplitNames(s string) ([]string, error) {
+	names := strings.Split(s, ",")
+	for i, name := range names {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			return nil, fmt.Errorf("entry %d of %q is empty", i+1, s)
 		}
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("%q is listed twice", name)
+		}
+		names[i] = name
 	}
-	return false
+	return names, nil
 }
 
-// SplitPairs parses "name=addr,name=addr" peer lists, skipping empty and
-// malformed segments.
-func SplitPairs(s string) [][2]string {
-	var out [][2]string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if name, addr, ok := strings.Cut(part, "="); ok {
-			out = append(out, [2]string{name, addr})
-		}
+// SplitPairs parses a comma-separated list of name=addr pairs, such as
+// -peers, -seeds, shmserver -obs-peers and shmtop -silos. A blank string
+// is the empty list. Names and addresses are trimmed of spaces; an empty
+// entry, an entry without "=" or with an empty half, and a repeated name
+// are errors that name the entry.
+func SplitPairs(s string) ([][2]string, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
 	}
-	return out
+	var out [][2]string
+	for i, part := range strings.Split(s, ",") {
+		name, addr, ok := strings.Cut(part, "=")
+		name, addr = strings.TrimSpace(name), strings.TrimSpace(addr)
+		switch {
+		case strings.TrimSpace(part) == "":
+			return nil, fmt.Errorf("entry %d of %q is empty", i+1, s)
+		case !ok || name == "" || addr == "":
+			return nil, fmt.Errorf("entry %q is not name=addr", strings.TrimSpace(part))
+		}
+		for _, p := range out {
+			if p[0] == name {
+				return nil, fmt.Errorf("%q is listed twice", name)
+			}
+		}
+		out = append(out, [2]string{name, addr})
+	}
+	return out, nil
 }

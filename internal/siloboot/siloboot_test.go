@@ -3,6 +3,8 @@ package siloboot
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,5 +170,59 @@ func TestGossipBootAndElasticJoin(t *testing.T) {
 			}
 			t.Fatalf("%s state = %v, want %d", id, v, i+1)
 		}
+	}
+}
+
+// TestStartParsesLists: -silos, -peers and -seeds are each parsed once,
+// trimmed, and a malformed entry fails the boot with an error that names
+// it — instead of a silo named " silo-2" that placement can pick but
+// nothing serves, a "" silo in the view but not the ring, or a peer
+// silently dropped.
+func TestStartParsesLists(t *testing.T) {
+	cases := []struct {
+		name                string
+		silos, peers, seeds string
+		wantErr             string // "" = boots; the ring is silo-1, silo-2
+	}{
+		{name: "trimmed", silos: "silo-1, silo-2", peers: " silo-2 = 127.0.0.1:1 "},
+		{name: "trailing comma", silos: "silo-1,silo-2,", wantErr: `entry 3 of "silo-1,silo-2," is empty`},
+		{name: "empty silos", silos: "", wantErr: "-silos"},
+		{name: "duplicate silo", silos: "silo-1,silo-2, silo-1", wantErr: `"silo-1" is listed twice`},
+		{name: "peer without =", silos: "silo-1,silo-2", peers: "silo-2", wantErr: `-peers: entry "silo-2" is not name=addr`},
+		{name: "peer without addr", silos: "silo-1,silo-2", peers: "silo-2=", wantErr: `entry "silo-2=" is not name=addr`},
+		{name: "empty peer", silos: "silo-1,silo-2", peers: "silo-2=127.0.0.1:1,,", wantErr: "-peers: entry 2"},
+		{name: "duplicate seed", silos: "silo-1,silo-2", seeds: "silo-2=127.0.0.1:1,silo-2=127.0.0.1:2", wantErr: `-seeds: "silo-2" is listed twice`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			kv, err := kvstore.Open(kvstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			node, err := Start(Options{
+				Name: "silo-1", Listen: "127.0.0.1:0", Silos: tc.silos, Peers: tc.peers, Seeds: tc.seeds,
+				Store: kv, Replicas: 2,
+			})
+			if err == nil {
+				defer func() {
+					_ = node.Runtime.Shutdown(context.Background())
+					_ = node.Drain(context.Background())
+					_ = node.TCP.Close()
+				}()
+			}
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Start error = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := node.Coordinator.Ring().Members(); !slices.Equal(got, []string{"silo-1", "silo-2"}) {
+				t.Fatalf("ring members = %q, want [silo-1 silo-2]", got)
+			}
+		})
 	}
 }

@@ -94,7 +94,7 @@ func TestTCPWriteFailureEvictsConn(t *testing.T) {
 // UnreachableError promptly (no stuck callers), and after the peer
 // restarts the same transport must recover.
 func TestTCPQueuedFramesFailFastOnConnDeath(t *testing.T) {
-	caller, err := NewTCPWithOptions("caller", "127.0.0.1:0", TCPOptions{Stripes: 2, SendQueue: 8})
+	caller, err := NewTCPWithOptions("caller", "127.0.0.1:0", TCPOptions{Stripes: 2, sendQueue: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

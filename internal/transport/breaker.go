@@ -10,20 +10,27 @@ import (
 	"aodb/internal/telemetry"
 )
 
-// BreakerOptions tunes the per-target circuit breakers.
+const (
+	// defaultFailureThreshold is how many consecutive unreachable failures
+	// open the circuit to a node: 5.
+	defaultFailureThreshold = 5
+	// breakerCooldown is how long an open circuit rejects calls before
+	// letting a single probe through: 1 s.
+	breakerCooldown = time.Second
+)
+
+// BreakerOptions configures the per-target circuit breakers.
 type BreakerOptions struct {
-	// FailureThreshold is how many consecutive unreachable failures open
-	// the circuit to a node (default 5).
-	FailureThreshold int
-	// Cooldown is how long an open circuit rejects calls before letting a
-	// single probe through (default 1 second).
-	Cooldown time.Duration
 	// Clock defaults to the real clock.
 	Clock clock.Clock
 	// OnTrip, when set, is called (outside the breaker lock) each time a
 	// node's circuit transitions to open, with the failure streak that
 	// tripped it. The flight journal hooks here; nil costs nothing.
 	OnTrip func(node string, failures int)
+
+	// failureThreshold overrides defaultFailureThreshold; tests lower it
+	// to trip a breaker in fewer calls.
+	failureThreshold int
 }
 
 // Breaker state machine per target node.
@@ -45,7 +52,7 @@ type breakerNode struct {
 // that keeps failing at the transport level (dead connections, failed
 // dials, deregistration) trips its breaker: further calls fail fast with
 // ErrCircuitOpen instead of hammering the dead node, which lets the
-// runtime's retry layer re-place actors on live silos. After Cooldown the
+// runtime's retry layer re-place actors on live silos. After the cooldown the
 // breaker goes half-open and admits one probe; a successful probe closes
 // the circuit, a failed one re-opens it.
 //
@@ -62,11 +69,8 @@ type Breaker struct {
 
 // NewBreaker wraps inner with circuit breakers.
 func NewBreaker(inner Transport, opts BreakerOptions) *Breaker {
-	if opts.FailureThreshold <= 0 {
-		opts.FailureThreshold = 5
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = time.Second
+	if opts.failureThreshold <= 0 {
+		opts.failureThreshold = defaultFailureThreshold
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real()
@@ -106,7 +110,7 @@ func (b *Breaker) allow(node string) error {
 	case stateClosed:
 		return nil
 	case stateOpen:
-		if b.opts.Clock.Since(n.openedAt) < b.opts.Cooldown {
+		if b.opts.Clock.Since(n.openedAt) < breakerCooldown {
 			return fmt.Errorf("%w: %q", ErrCircuitOpen, node)
 		}
 		n.state = stateHalfOpen
@@ -146,7 +150,7 @@ func (b *Breaker) record(node string, err error) {
 	}
 	n.failures++
 	n.probing = false
-	if n.state == stateHalfOpen || n.failures >= b.opts.FailureThreshold {
+	if n.state == stateHalfOpen || n.failures >= b.opts.failureThreshold {
 		if n.state != stateOpen {
 			b.trips++
 			n.trips++
@@ -193,7 +197,7 @@ func (b *Breaker) States() []telemetry.BreakerState {
 		case stateOpen:
 			// An open breaker past its cooldown admits the next call as
 			// a probe; report the state the next caller will see.
-			if b.opts.Clock.Since(n.openedAt) < b.opts.Cooldown {
+			if b.opts.Clock.Since(n.openedAt) < breakerCooldown {
 				state = "open"
 			} else {
 				state = "half-open"
@@ -220,7 +224,7 @@ func (b *Breaker) Open(node string) bool {
 	if !ok || n.state != stateOpen {
 		return false
 	}
-	return b.opts.Clock.Since(n.openedAt) < b.opts.Cooldown
+	return b.opts.Clock.Since(n.openedAt) < breakerCooldown
 }
 
 // Close shuts down the inner transport.

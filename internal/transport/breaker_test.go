@@ -27,7 +27,7 @@ func (f *flakyTransport) Call(ctx context.Context, node string, req Request) (an
 func TestBreakerOpensAndProbes(t *testing.T) {
 	clk := clock.NewFake(time.Unix(0, 0))
 	flaky := &flakyTransport{local: NewLocal(nil, clk), down: map[string]bool{}}
-	br := NewBreaker(flaky, BreakerOptions{FailureThreshold: 3, Cooldown: time.Second, Clock: clk})
+	br := NewBreaker(flaky, BreakerOptions{failureThreshold: 3, Clock: clk})
 	if err := br.Register("peer", echoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBreakerOpensAndProbes(t *testing.T) {
 
 func TestBreakerHandlerErrorsDoNotTrip(t *testing.T) {
 	local := NewLocal(nil, nil)
-	br := NewBreaker(local, BreakerOptions{FailureThreshold: 2})
+	br := NewBreaker(local, BreakerOptions{failureThreshold: 2})
 	br.Register("peer", func(context.Context, Request) (any, error) {
 		return nil, errors.New("application error")
 	})
@@ -106,7 +106,7 @@ func TestBreakerHandlerErrorsDoNotTrip(t *testing.T) {
 func TestBreakerPerNodeIsolation(t *testing.T) {
 	clk := clock.NewFake(time.Unix(0, 0))
 	flaky := &flakyTransport{local: NewLocal(nil, clk), down: map[string]bool{"dead": true}}
-	br := NewBreaker(flaky, BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute, Clock: clk})
+	br := NewBreaker(flaky, BreakerOptions{failureThreshold: 1, Clock: clk})
 	br.Register("live", echoHandler)
 	ctx := context.Background()
 	if _, err := br.Call(ctx, "dead", Request{}); !IsUnreachable(err) {

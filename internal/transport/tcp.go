@@ -16,7 +16,8 @@ import (
 
 // TCPOptions tunes the TCP transport's wire path. The zero value gives
 // the production defaults: write coalescing on, four connection stripes
-// per peer, and an inbound dispatch pool sized to GOMAXPROCS.
+// per peer, and an inbound dispatch pool sized to GOMAXPROCS. The batch
+// and buffer bounds are constants (maxBatchFrames and its neighbours).
 type TCPOptions struct {
 	// Stripes is how many parallel connections to open per peer. Each
 	// stripe is a codec.Stream of its own — write mutex, buffer, writer
@@ -25,31 +26,15 @@ type TCPOptions struct {
 	// hash (keyless frames round-robin), keeping any one actor's traffic
 	// ordered on one stream. Default min(4, GOMAXPROCS): opening more
 	// stripes than the machine can encode in parallel only fragments
-	// write batches.
+	// write batches. It stays settable because tests outside this package
+	// pin a stripe count.
 	Stripes int
 	// NoBatching disables write coalescing and restores the pre-batching
 	// behavior — one mutex-serialized encode+flush per frame on the
-	// caller's goroutine. Kept as the measured baseline.
+	// caller's goroutine. It stays settable as the reference of the
+	// batching equivalence test, the baseline of `shmbench -transport`,
+	// and because tests outside this package pin it.
 	NoBatching bool
-	// MaxBatchFrames caps how many frames one flush may coalesce.
-	// Default 64.
-	MaxBatchFrames int
-	// MaxBatchBytes flushes early once the write buffer holds this many
-	// encoded bytes. Default 48 KiB.
-	MaxBatchBytes int
-	// WriteBuffer is the per-stream write buffer size. Default 64 KiB.
-	WriteBuffer int
-	// SendQueue bounds each connection's writer queue; a full queue
-	// applies backpressure to callers (bounded by their context).
-	// Default 256.
-	SendQueue int
-	// DispatchWorkers sizes the inbound dispatch worker pool. A frame is
-	// queued only after claiming an idle worker's slot and spills to a
-	// spawned goroutine otherwise, so a slow handler can never deadlock
-	// request/response cycles. Default max(4*GOMAXPROCS, MaxBatchFrames):
-	// at least one full coalesced batch of fast handlers runs on warm
-	// pool stacks instead of paying a goroutine spawn per frame.
-	DispatchWorkers int
 	// Metrics receives transport instrumentation (flush sizes and
 	// latency, send-queue depth, lost replies, evictions); nil allocates
 	// a private registry.
@@ -61,32 +46,34 @@ type TCPOptions struct {
 	// actually crosses a machine carries a causal timestamp. Return 0 to
 	// skip stamping (recorder disabled).
 	StampHLC func() uint64
+
+	// sendQueue overrides defaultSendQueue; tests shrink it to fill the
+	// queue quickly.
+	sendQueue int
 }
+
+// Wire-path bounds. Each is the one value every deployment, smoke script
+// and benchmark runs with.
+const (
+	// maxBatchFrames caps how many frames one flush may coalesce.
+	maxBatchFrames = 64
+	// maxBatchBytes flushes early once the write buffer holds this many
+	// encoded bytes (48 KiB).
+	maxBatchBytes = 48 << 10
+	// writeBuffer is the per-stream write buffer size (64 KiB).
+	writeBuffer = 64 << 10
+	// defaultSendQueue bounds each connection's writer queue (256 frames);
+	// a full queue applies backpressure to callers, bounded by their
+	// context.
+	defaultSendQueue = 256
+)
 
 func (o *TCPOptions) fill() {
 	if o.Stripes <= 0 {
-		o.Stripes = runtime.GOMAXPROCS(0)
-		if o.Stripes > 4 {
-			o.Stripes = 4
-		}
+		o.Stripes = min(runtime.GOMAXPROCS(0), 4)
 	}
-	if o.MaxBatchFrames <= 0 {
-		o.MaxBatchFrames = 64
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 48 << 10
-	}
-	if o.WriteBuffer <= 0 {
-		o.WriteBuffer = 64 << 10
-	}
-	if o.SendQueue <= 0 {
-		o.SendQueue = 256
-	}
-	if o.DispatchWorkers <= 0 {
-		o.DispatchWorkers = 4 * runtime.GOMAXPROCS(0)
-		if o.DispatchWorkers < o.MaxBatchFrames {
-			o.DispatchWorkers = o.MaxBatchFrames
-		}
+	if o.sendQueue <= 0 {
+		o.sendQueue = defaultSendQueue
 	}
 }
 
@@ -165,6 +152,13 @@ func NewTCP(node, addr string) (*TCP, error) {
 // NewTCPWithOptions starts a TCP endpoint with explicit wire-path tuning.
 func NewTCPWithOptions(node, addr string, opts TCPOptions) (*TCP, error) {
 	opts.fill()
+	// The inbound dispatch pool: max(4×GOMAXPROCS, maxBatchFrames)
+	// workers. A frame is queued only after claiming an idle worker's slot
+	// and spills to a spawned goroutine otherwise, so a slow handler can
+	// never deadlock request/response cycles; the floor lets one full
+	// coalesced batch of fast handlers run on warm pool stacks instead of
+	// paying a goroutine spawn per frame.
+	workers := max(4*runtime.GOMAXPROCS(0), maxBatchFrames)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -174,13 +168,13 @@ func NewTCPWithOptions(node, addr string, opts TCPOptions) (*TCP, error) {
 		listener:  ln,
 		opts:      opts,
 		m:         newTCPMetrics(opts.Metrics),
-		dispatchq: make(chan inboundFrame, opts.DispatchWorkers),
+		dispatchq: make(chan inboundFrame, workers),
 		stopc:     make(chan struct{}),
 		peers:     make(map[string]string),
 		conns:     make(map[string][]*tcpConn),
 		accepted:  make(map[net.Conn]struct{}),
 	}
-	for i := 0; i < opts.DispatchWorkers; i++ {
+	for i := 0; i < workers; i++ {
 		t.wg.Add(1)
 		go t.dispatchWorker()
 	}
@@ -248,20 +242,18 @@ func (t *TCP) newStream(conn net.Conn) *codec.Stream {
 	if t.opts.NoBatching {
 		return codec.NewStream(conn)
 	}
-	return codec.NewBufferedStream(conn, t.opts.WriteBuffer)
+	return codec.NewBufferedStream(conn, writeBuffer)
 }
 
 func (t *TCP) newWriter(peer string, raw net.Conn, stream *codec.Stream) *frameWriter {
 	return &frameWriter{
-		peer:      peer,
-		raw:       raw,
-		stream:    stream,
-		m:         t.m,
-		noBatch:   t.opts.NoBatching,
-		maxFrames: t.opts.MaxBatchFrames,
-		maxBytes:  t.opts.MaxBatchBytes,
-		q:         make(chan *sendReq, t.opts.SendQueue),
-		closed:    make(chan struct{}),
+		peer:    peer,
+		raw:     raw,
+		stream:  stream,
+		m:       t.m,
+		noBatch: t.opts.NoBatching,
+		q:       make(chan *sendReq, t.opts.sendQueue),
+		closed:  make(chan struct{}),
 	}
 }
 

@@ -81,9 +81,7 @@ type frameWriter struct {
 	m      *tcpMetrics
 	onDead func(error) // eviction / pending-failure hook, runs once
 
-	noBatch   bool
-	maxFrames int
-	maxBytes  int
+	noBatch bool
 
 	// active counts callers currently inside a Call (or inbound
 	// dispatch) on this connection. It is the batching-worthwhile signal:
@@ -228,7 +226,7 @@ func (w *frameWriter) finish(r *sendReq, err error) {
 // run is the connection's sole writer goroutine in batching mode.
 func (w *frameWriter) run(wg *sync.WaitGroup) {
 	defer wg.Done()
-	batch := make([]*sendReq, 0, w.maxFrames)
+	batch := make([]*sendReq, 0, maxBatchFrames)
 	for {
 		// Under load the queue is non-empty and the non-blocking receive
 		// skips the two-case select. (Frames taken this way after death
@@ -267,7 +265,7 @@ func (w *frameWriter) writeBatch(first *sendReq, scratch *[]*sendReq) bool {
 		if werr != nil {
 			break
 		}
-		if len(batch) >= w.maxFrames || w.stream.Buffered() >= w.maxBytes {
+		if len(batch) >= maxBatchFrames || w.stream.Buffered() >= maxBatchBytes {
 			break
 		}
 		select {

@@ -55,8 +55,8 @@ func TestGroupCommitOneFlushPerBatch(t *testing.T) {
 // the overflow detaches into a second batch (two flushes, not one).
 func TestGroupCommitMaxBatchRecords(t *testing.T) {
 	reg := metrics.NewRegistry()
-	l, _ := openTemp(t, Options{SyncEveryAppend: true, MaxBatchRecords: 4, Metrics: reg})
-	acks := make([]*Ack, 8)
+	l, _ := openTemp(t, Options{SyncEveryAppend: true, Metrics: reg})
+	acks := make([]*Ack, maxBatchRecords+4)
 	for i := range acks {
 		a, err := l.Stage([]byte{byte(i)})
 		if err != nil {
@@ -70,14 +70,16 @@ func TestGroupCommitMaxBatchRecords(t *testing.T) {
 		}
 	}
 	if got := reg.Counter("wal.flushes").Value(); got != 2 {
-		t.Fatalf("wal.flushes = %d, want 2 (8 records, batch bound 4)", got)
+		t.Fatalf("wal.flushes = %d, want 2 (%d records, batch bound %d)", got, len(acks), maxBatchRecords)
 	}
 }
 
 // TestSyncFlushesStagedBatch: Sync is a durability barrier — it must
-// flush a staged-but-unflushed batch and release its waiters.
+// flush a staged-but-unflushed batch and release its waiters. The test
+// stages a record without waiting on it, so the batch's leader has not
+// started its flush when Sync runs.
 func TestSyncFlushesStagedBatch(t *testing.T) {
-	l, _ := openTemp(t, Options{SyncEveryAppend: true, MaxBatchWait: time.Hour})
+	l, _ := openTemp(t, Options{SyncEveryAppend: true})
 	a, err := l.Stage([]byte("staged"))
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +91,7 @@ func TestSyncFlushesStagedBatch(t *testing.T) {
 	go func() { done <- a.Wait() }()
 	select {
 	case err := <-done:
-		// The leader's MaxBatchWait window must observe the barrier's
-		// flush instead of sleeping the full hour.
+		// The leader must observe the barrier's flush.
 		if err != nil {
 			t.Fatalf("Wait after Sync barrier: %v", err)
 		}
@@ -323,15 +324,12 @@ func TestGroupCommitBatchFailureReleasesAllWaiters(t *testing.T) {
 // flushes would silently re-number records on recovery.
 func TestGroupCommitFlushesInSeqOrder(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SyncEveryAppend: true, MaxBatchRecords: 1})
+	l, err := Open(dir, Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := l.Stage([]byte("first")) // fills batch 1; its leader is not waiting yet
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := l.Stage([]byte("second")) // batch 2 forms behind it
+	a1 := fillBatch(t, l, []byte("first")) // batch 1; its leader is not waiting yet
+	a2, err := l.Stage([]byte("second"))   // batch 2 forms behind it
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,10 +353,28 @@ func TestGroupCommitFlushesInSeqOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[a1.Seq()] != "first" || got[a2.Seq()] != "second" {
+	if len(got) != maxBatchRecords+1 || got[a1.Seq()] != "first" || got[a2.Seq()] != "second" {
 		t.Fatalf("replayed %v, want seq %d=first, %d=second (batches flushed out of order?)",
 			got, a1.Seq(), a2.Seq())
 	}
+}
+
+// fillBatch stages first and then enough filler records to fill its
+// group-commit batch, without waiting on any: the batch detaches from
+// staging, so the next Stage starts a newer one. It returns first's ack,
+// the batch leader's.
+func fillBatch(t *testing.T, l *Log, first []byte) *Ack {
+	t.Helper()
+	a, err := l.Stage(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < maxBatchRecords; i++ {
+		if _, err := l.Stage([]byte("filler")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a
 }
 
 // TestFailedBatchWriteReturnsSequences: a batch whose write fails and is
@@ -368,18 +384,15 @@ func TestGroupCommitFlushesInSeqOrder(t *testing.T) {
 // assigned-sequence space silently drops them at recovery.
 func TestFailedBatchWriteReturnsSequences(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SyncEveryAppend: true, MaxBatchRecords: 1})
+	l, err := Open(dir, Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append([]byte("durable")); err != nil { // seq 1
 		t.Fatal(err)
 	}
-	a1, err := l.Stage([]byte("doomed")) // seq 2, full batch
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := l.Stage([]byte("stranded")) // seq 3, newer batch
+	a1 := fillBatch(t, l, []byte("doomed")) // seq 2 leads a full batch
+	a2, err := l.Stage([]byte("stranded"))  // newer batch
 	if err != nil {
 		t.Fatal(err)
 	}

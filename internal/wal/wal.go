@@ -25,9 +25,10 @@
 // leader) performs a single write+fsync for everyone, then releases all
 // waiters with their sequence numbers. While one leader is inside the
 // flush, the next batch accumulates behind it (leader/follower handoff),
-// so the batch size adapts to the flush latency with no tuning. The
-// MaxBatchRecords and MaxBatchWait knobs bound the batch size and let
-// deployments trade latency for larger batches.
+// so the batch size adapts to the flush latency with no tuning. A batch
+// carries at most maxBatchRecords records, and a leader never waits on a
+// timer: a timed linger for followers was measured to cost far more
+// latency than it saved in fsyncs.
 //
 // Batches always reach disk in sequence order: replay derives sequence
 // numbers from disk positions, so a flusher first drains every older
@@ -62,11 +63,16 @@ import (
 )
 
 const (
-	headerSize       = 8 // 4-byte length + 4-byte CRC
-	suffix           = ".wal"
-	defaultSegCap    = 16 << 20 // 16 MiB
-	maxRecordBytes   = 64 << 20
-	defaultBatchRecs = 1024
+	headerSize     = 8 // 4-byte length + 4-byte CRC
+	suffix         = ".wal"
+	maxRecordBytes = 64 << 20
+	// defaultSegmentBytes rotates to a new segment once the active one
+	// exceeds 16 MiB.
+	defaultSegmentBytes = 16 << 20
+	// maxBatchRecords bounds a group-commit batch: 1,024 records. A full
+	// batch detaches so the next stager starts a fresh one, and its leader
+	// flushes without yielding for more.
+	maxBatchRecords = 1024
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -84,9 +90,6 @@ var ErrClosed = errors.New("wal: closed")
 
 // Options configures a Log.
 type Options struct {
-	// SegmentBytes rotates to a new segment once the active one exceeds
-	// this size. Zero means the 16 MiB default.
-	SegmentBytes int64
 	// SyncEveryAppend makes every append durable before it returns,
 	// using group commit (see package docs). The kvstore's non-durable
 	// mode leaves this off and buffers writes, mirroring how the paper
@@ -95,18 +98,9 @@ type Options struct {
 	SyncEveryAppend bool
 	// NoGroupCommit disables batching on the durable path: each append
 	// performs its own write+fsync while holding the log mutex. This is
-	// the pre-group-commit behavior, kept as a benchmark baseline.
+	// the pre-group-commit behavior; it stays settable because it
+	// produces the serial-fsync row of the group-commit benchmark table.
 	NoGroupCommit bool
-	// MaxBatchRecords bounds how many records one group-commit batch may
-	// carry before the leader flushes without waiting for more. Zero
-	// means 1024.
-	MaxBatchRecords int
-	// MaxBatchWait, when positive, is how long a batch leader waits for
-	// followers to join before flushing. Zero flushes as soon as the
-	// leader gets the flush turn — batching then comes purely from
-	// stagers accumulating behind the previous in-flight flush, which
-	// adapts to the device's flush latency with no added idle time.
-	MaxBatchWait time.Duration
 	// Metrics, when non-nil, receives flush instrumentation:
 	// wal.appends and wal.flushes counters, and wal.flush.records /
 	// wal.flush.latency histograms (records per batch, fsync-inclusive
@@ -120,6 +114,10 @@ type Options struct {
 	// duration and record count. Called synchronously after the flush's
 	// waiters are released, off every lock; keep it cheap.
 	OnFlushStall func(d time.Duration, records int)
+
+	// segmentBytes overrides defaultSegmentBytes; tests shrink it to
+	// exercise rotation.
+	segmentBytes int64
 }
 
 // batch is one group-commit unit: records staged by concurrent appenders,
@@ -128,7 +126,7 @@ type batch struct {
 	buf      []byte
 	records  int
 	firstSeq uint64
-	full     chan struct{} // closed when MaxBatchRecords is reached
+	full     chan struct{} // closed when maxBatchRecords is reached
 	claimed  bool          // a flusher owns it (guarded by Log.mu)
 	done     chan struct{} // closed after the flush completes
 	err      error         // valid after done is closed
@@ -153,6 +151,7 @@ type Log struct {
 	pending  *batch   // batch currently accepting stagers (tail of queue)
 	queue    []*batch // staged-but-unflushed batches, oldest first
 	failed   error    // sticky failure; non-nil rejects all appends
+	failures uint64   // group flushes that failed (see Failures)
 
 	// Test hooks for fault injection (nil = the real operations).
 	writeFile func(f *os.File, p []byte) (int, error)
@@ -168,11 +167,8 @@ type Log struct {
 // Open opens (or creates) the log in dir and validates existing segments.
 // It returns the log positioned to append after the last intact record.
 func Open(dir string, opts Options) (*Log, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegCap
-	}
-	if opts.MaxBatchRecords <= 0 {
-		opts.MaxBatchRecords = defaultBatchRecs
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
@@ -368,7 +364,7 @@ func appendRecord(buf, payload []byte) []byte {
 // so no torn record is left in front of future appends; if that repair
 // fails, the log is marked sticky-failed.
 func (l *Log) writeLocked(data []byte, firstSeq uint64) error {
-	if l.activeSz >= l.opts.SegmentBytes {
+	if l.activeSz >= l.opts.segmentBytes {
 		if err := l.rollLocked(firstSeq); err != nil {
 			return err
 		}
@@ -468,9 +464,9 @@ func (l *Log) Stage(payload []byte) (*Ack, error) {
 	b.records++
 	seq := l.nextSeq
 	l.nextSeq++
-	if b.records >= l.opts.MaxBatchRecords {
+	if b.records >= maxBatchRecords {
 		// Batch is full: detach it so the next stager starts a fresh one,
-		// and wake a leader dawdling in its MaxBatchWait window.
+		// and stop its leader yielding for more.
 		l.pending = nil
 		close(b.full)
 	}
@@ -488,30 +484,20 @@ func (a *Ack) Wait() error {
 	}
 	if a.leader {
 		l := a.l
-		if w := l.opts.MaxBatchWait; w > 0 {
-			timer := time.NewTimer(w)
+		// Opportunistic coalescing: writers released by the previous
+		// flush all race to stage, and the first one in would otherwise
+		// flush a near-empty batch before the rest get scheduled. A few
+		// yields let that cohort join this batch. This is scheduling
+		// courtesy, not a timed wait — sub-millisecond timers overshoot
+		// by ~1ms under load, which would cost more than it saves.
+		for i := 0; i < 4; i++ {
 			select {
 			case <-a.b.full:
+				i = 4
 			case <-a.b.done: // a barrier flushed the batch for us
-			case <-timer.C:
-			}
-			timer.Stop()
-		} else {
-			// Opportunistic coalescing: writers released by the previous
-			// flush all race to stage, and the first one in would otherwise
-			// flush a near-empty batch before the rest get scheduled. A few
-			// yields let that cohort join this batch. This is scheduling
-			// courtesy, not a timed wait — sub-millisecond timers overshoot
-			// by ~1ms under load, which would cost more than it saves.
-			for i := 0; i < 4; i++ {
-				select {
-				case <-a.b.full:
-					i = 4
-				case <-a.b.done:
-					i = 4
-				default:
-					runtime.Gosched()
-				}
+				i = 4
+			default:
+				runtime.Gosched()
 			}
 		}
 		l.flushMu.Lock()
@@ -594,6 +580,9 @@ func (l *Log) flushBatch(b *batch) bool {
 			l.pending = nil
 		}
 	}
+	if err != nil {
+		l.failures++
+	}
 	f := l.active
 	l.mu.Unlock()
 
@@ -602,6 +591,7 @@ func (l *Log) flushBatch(b *batch) bool {
 			err = serr
 			l.mu.Lock()
 			l.failed = fmt.Errorf("%w: fsync: %v", ErrFailed, serr)
+			l.failures++
 			l.mu.Unlock()
 		}
 	}
@@ -666,6 +656,17 @@ func (l *Log) Sync() error {
 		return l.failed
 	}
 	return l.fsync(l.active)
+}
+
+// Failures returns how many group flushes have failed since Open. A
+// failed flush fails its waiters and can return its sequence numbers to
+// the log, so a reader that captured state staged behind it — a snapshot
+// dump — compares this count around its Sync barrier: a Sync that finds
+// the queue already drained by a failing leader returns nil.
+func (l *Log) Failures() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failures
 }
 
 // NextSeq returns the sequence number the next Append will receive.

@@ -99,7 +99,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 }
 
 func TestSegmentRotation(t *testing.T) {
-	l, _ := openTemp(t, Options{SegmentBytes: 64})
+	l, _ := openTemp(t, Options{segmentBytes: 64})
 	for i := 0; i < 20; i++ {
 		if _, err := l.Append(bytes.Repeat([]byte("a"), 32)); err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestCorruptMiddleDetectedOnReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 32})
+	l, err := Open(dir, Options{segmentBytes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCorruptMiddleDetectedOnReplay(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{SegmentBytes: 32})
+	l2, err := Open(dir, Options{segmentBytes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCorruptMiddleDetectedOnReplay(t *testing.T) {
 }
 
 func TestTruncateBeforeRemovesSealedSegments(t *testing.T) {
-	l, dir := openTemp(t, Options{SegmentBytes: 64})
+	l, dir := openTemp(t, Options{segmentBytes: 64})
 	for i := 0; i < 30; i++ {
 		if _, err := l.Append(bytes.Repeat([]byte("c"), 32)); err != nil {
 			t.Fatal(err)
@@ -328,7 +328,7 @@ func TestOpsAfterClose(t *testing.T) {
 }
 
 func TestConcurrentAppendsAllReplay(t *testing.T) {
-	l, _ := openTemp(t, Options{SegmentBytes: 4096})
+	l, _ := openTemp(t, Options{segmentBytes: 4096})
 	done := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		go func(w int) {
@@ -365,7 +365,7 @@ func TestConcurrentAppendsAllReplay(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 256})
+	l, err := Open(dir, Options{segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
