@@ -309,7 +309,13 @@ func (a *activation) loadState(ctx context.Context) error {
 		}
 		return err
 	}
-	if err := json.Unmarshal(data, st.State()); err != nil {
+	state := st.State()
+	if u, ok := state.(json.Unmarshaler); ok {
+		err = u.UnmarshalJSON(data) // see Stateful: no re-scan by encoding/json
+	} else {
+		err = json.Unmarshal(data, state)
+	}
+	if err != nil {
 		return fmt.Errorf("core: corrupt state for %s: %w", a.id, err)
 	}
 	a.stateVersion = ver
@@ -341,7 +347,14 @@ func (a *activation) writeState(ctx context.Context) error {
 		a.close() // self-deactivate; successor owns the state now
 		return fmt.Errorf("%w: %s migrated away mid-write", ErrStaleActivation, a.id)
 	}
-	data, err := json.Marshal(st.State())
+	state := st.State()
+	var data []byte
+	var err error
+	if m, ok := state.(json.Marshaler); ok {
+		data, err = m.MarshalJSON() // see Stateful: no compacting copy
+	} else {
+		data, err = json.Marshal(state)
+	}
 	if err != nil {
 		return err
 	}

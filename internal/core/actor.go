@@ -30,6 +30,12 @@ type Deactivator interface {
 // return a pointer to a JSON-serializable struct; the runtime unmarshals
 // stored state into it at activation and marshals it on WriteState or
 // deactivation, mirroring Orleans' grain state storage classes.
+//
+// A state that implements json.Marshaler or json.Unmarshaler is called
+// directly, not through encoding/json, which would validate and copy
+// MarshalJSON's output and scan the stored bytes before UnmarshalJSON. So
+// MarshalJSON must return compact, valid JSON, and UnmarshalJSON must
+// reject what it cannot read; the bytes are then the same either way.
 type Stateful interface {
 	State() any
 }

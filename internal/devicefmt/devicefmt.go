@@ -100,9 +100,17 @@ func decodeJSON(data []byte) (Packet, error) {
 //
 //	sensor,unix_ms
 //	v,v,v,...   (one line per channel)
+//
+// The sensor field is written and read verbatim, white space included, so
+// a name with a comma or a line break cannot be carried, nor one Decode
+// would take for another format (a leading '{' or the binary magic);
+// EncodeCSV refuses those.
 func EncodeCSV(p Packet) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if !csvCarries(p.Sensor) {
+		return nil, fmt.Errorf("%w: sensor %q cannot be a csv field", ErrMalformed, p.Sensor)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s,%d\n", p.Sensor, p.At.UnixMilli())
@@ -131,7 +139,7 @@ func decodeCSV(data []byte) (Packet, error) {
 	if err != nil {
 		return Packet{}, fmt.Errorf("%w: csv timestamp: %v", ErrMalformed, err)
 	}
-	p := Packet{Sensor: strings.TrimSpace(sensor), At: time.UnixMilli(ms).UTC()}
+	p := Packet{Sensor: sensor, At: time.UnixMilli(ms).UTC()}
 	for _, line := range lines[1:] {
 		var ch []float64
 		for _, f := range strings.Split(line, ",") {
@@ -144,6 +152,12 @@ func decodeCSV(data []byte) (Packet, error) {
 		p.PerChannel = append(p.PerChannel, ch)
 	}
 	return p, p.Validate()
+}
+
+// csvCarries reports whether a sensor name survives the CSV header:
+// no comma or line break in it, and Decode still sniffs CSV.
+func csvCarries(sensor string) bool {
+	return !strings.ContainsAny(sensor, ",\n") && sniff([]byte(sensor+",")) == formatCSV
 }
 
 // Binary format:
@@ -231,15 +245,39 @@ func decodeBinary(data []byte) (Packet, error) {
 	return p, p.Validate()
 }
 
-// Decode sniffs the payload format and normalizes it.
-func Decode(data []byte) (Packet, error) {
+type format int
+
+const (
+	formatUnknown format = iota
+	formatBinary
+	formatJSON
+	formatCSV
+)
+
+// sniff tells the formats apart by their first bytes: the binary magic,
+// '{' after leading white space, anything else not blank.
+func sniff(data []byte) format {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	switch {
 	case len(data) >= 2 && data[0] == binMagic[0] && data[1] == binMagic[1]:
-		return decodeBinary(data)
+		return formatBinary
 	case len(trimmed) > 0 && trimmed[0] == '{':
-		return decodeJSON(trimmed)
+		return formatJSON
 	case len(trimmed) > 0:
+		return formatCSV
+	default:
+		return formatUnknown
+	}
+}
+
+// Decode sniffs the payload format and normalizes it.
+func Decode(data []byte) (Packet, error) {
+	switch sniff(data) {
+	case formatBinary:
+		return decodeBinary(data)
+	case formatJSON:
+		return decodeJSON(bytes.TrimLeft(data, " \t\r\n"))
+	case formatCSV:
 		return decodeCSV(data)
 	default:
 		return Packet{}, ErrUnknownFormat

@@ -146,6 +146,34 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestCSVSensorVerbatim: the CSV sensor field is read as written, so a
+// name with white space at either end round-trips in every format, and
+// EncodeCSV refuses a name the header cannot carry back.
+func TestCSVSensorVerbatim(t *testing.T) {
+	for _, name := range []string{" s", "s ", "s\u00a0", "\u3000s\u2003", "\ts\r", " ", "s{"} {
+		p := samplePacket
+		p.Sensor = name
+		for format, enc := range map[string]func(Packet) ([]byte, error){
+			"json": EncodeJSON, "csv": EncodeCSV, "binary": EncodeBinary,
+		} {
+			data, err := enc(p)
+			if err != nil {
+				t.Fatalf("%s %q: %v", format, name, err)
+			}
+			if got, err := Decode(data); err != nil || !reflect.DeepEqual(got, p) {
+				t.Errorf("%s %q: decoded %+v (%v)", format, name, got, err)
+			}
+		}
+	}
+	for _, name := range []string{"a,b", "a\nb", "{s", " \t{s", "\xa0\xdbs"} {
+		p := samplePacket
+		p.Sensor = name
+		if _, err := EncodeCSV(p); !errors.Is(err, ErrMalformed) {
+			t.Errorf("EncodeCSV(%q): %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
 // genPacket builds a valid packet from fuzz inputs.
 func genPacket(sensorRaw string, ms int64, raw [][]float64) (Packet, bool) {
 	sensor := strings.Map(func(r rune) rune {
@@ -156,6 +184,9 @@ func genPacket(sensorRaw string, ms int64, raw [][]float64) (Packet, bool) {
 	}, sensorRaw)
 	if sensor == "" {
 		sensor = "s"
+	}
+	if !csvCarries(sensor) {
+		return Packet{}, false // a leading '{': TestCSVSensorVerbatim
 	}
 	if ms <= 0 {
 		ms = 1

@@ -274,8 +274,7 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 	c.latest = nil
 	if over := len(c.state.Window) - c.state.WindowCap; over > 0 {
 		if c.state.Archive {
-			evicted := append([]DataPoint(nil), c.state.Window[:over]...)
-			if err := archiveEvicted(ctx, ctx.Self().Key, evicted); err != nil {
+			if err := archiveEvicted(ctx, ctx.Self().Key, c.state.Window[:over]); err != nil {
 				return err
 			}
 		}

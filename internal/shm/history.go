@@ -2,7 +2,6 @@ package shm
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -32,7 +31,7 @@ func archiveEvicted(ctx *core.Context, channel string, evicted []DataPoint) erro
 	if err != nil {
 		return fmt.Errorf("shm: archive: %w", err)
 	}
-	data, err := json.Marshal(evicted)
+	data, err := marshalWindow(evicted)
 	if err != nil {
 		return err
 	}
@@ -45,8 +44,8 @@ func scanArchive(ctx context.Context, table *kvstore.Table, channel string, from
 	var out []DataPoint
 	var decodeErr error
 	err := table.Scan(ctx, channel+"/", func(it kvstore.Item) bool {
-		var chunk []DataPoint
-		if err := json.Unmarshal(it.Value, &chunk); err != nil {
+		chunk, err := unmarshalWindow(it.Value)
+		if err != nil {
 			decodeErr = fmt.Errorf("shm: corrupt history chunk %q: %w", it.Key, err)
 			return false
 		}

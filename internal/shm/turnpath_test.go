@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"aodb/internal/clock"
 	"aodb/internal/codec/codectest"
 	"aodb/internal/core"
 	"aodb/internal/kvstore"
@@ -69,6 +70,94 @@ func TestIngestAllocs(t *testing.T) {
 		t.Errorf("an insert: %.0f allocations, want at most %.1f", allocs, most)
 	} else {
 		t.Logf("an insert: %.0f allocations over %v turns a sensor", allocs, perInsert)
+	}
+}
+
+// TestChurnCycleAllocs holds churn_local's unit of work in tier-1: one
+// sensor family — sensor, two channels, virtual channel — activated from
+// its stored state, given one insert, and idle-collected with its state
+// written, on a fake clock so that a cycle collects exactly the family.
+// The bound is the count measured once the states encoded themselves
+// (90; 160 when encoding/json read and wrote them), plus 10 %.
+func TestChurnCycleAllocs(t *testing.T) {
+	codectest.SkipUnderRace(t)
+	kv, err := kvstore.Open(kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	clk := clock.NewFake(t0)
+	rt, err := core.New(core.Config{Store: kv, Clock: clk, IdleAfter: time.Second, CollectEvery: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	defer rt.Shutdown(ctx)
+	p, err := NewPlatform(rt, Options{Persist: core.PersistOnDeactivate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	silo, err := rt.AddSilo("silo-1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No aggregator: an org's three serve its hundred sensors, so
+	// churn_local reloads them once a sweep of the org, not once an insert.
+	sensor := SensorKey("org-0", 0)
+	if _, err := rt.Call(ctx, core.ID{Kind: KindSensor, Key: sensor}, ConfigureSensor{
+		Org:       "org-0",
+		Channels:  []string{ChannelKey(sensor, 0), ChannelKey(sensor, 1)},
+		Virtual:   VirtualKey(sensor),
+		WindowCap: 10,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// collect advances the clock past the idle window and waits until
+	// every activation is gone, state written and registration dropped.
+	// It advances again if a tick found nothing to collect: the collector
+	// makes its ticker on a goroutine of its own, after AddSilo returns.
+	collect := func() {
+		clk.Advance(time.Second)
+		for start := time.Now(); silo.Activations() != 0 || rt.Directory().Len() != 0; {
+			if time.Since(start) > 50*time.Millisecond {
+				clk.Advance(time.Second)
+				start = time.Now()
+			}
+			runtime.Gosched()
+		}
+	}
+	collect()
+	points := [][]float64{make([]float64, 10), make([]float64, 10)}
+	turns := rt.Metrics().Counter("core.turns")
+	i := 0
+	insert := func() {
+		i++
+		if err := p.Ingest(ctx, sensor, t0.Add(time.Duration(i)*time.Second), points); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := turns.Value()
+	insert()
+	perCycle := settle(turns) - before
+	collect()
+	activations := rt.Metrics().Counter("core.activations")
+	from := activations.Value()
+	allocs := testing.AllocsPerRun(50, func() {
+		want := turns.Value() + perCycle
+		insert()
+		for turns.Value() < want {
+			runtime.Gosched()
+		}
+		collect()
+	})
+	if per := float64(activations.Value()-from) / 51; per != 4 {
+		t.Fatalf("%.2f activations a cycle, want 4", per)
+	}
+	const most = 99.0
+	if allocs > most {
+		t.Errorf("a churn cycle: %.0f allocations, want at most %.1f", allocs, most)
+	} else {
+		t.Logf("a churn cycle: %.0f allocations over %d turns", allocs, perCycle)
 	}
 }
 
