@@ -1,6 +1,6 @@
 // Command shmbench regenerates the paper's evaluation figures for the
 // Structural Health Monitoring Data Platform against the simulated EC2
-// capacity model, plus the placement and durability ablations.
+// capacity model, plus every ablation with a command of its own.
 //
 // Usage:
 //
@@ -10,6 +10,8 @@
 //	shmbench -fig 9              # live-data latency percentiles
 //	shmbench -fig 8 -durable     # same, with durable (fsync-on-ack) grain storage
 //	shmbench -fig all            # everything
+//	shmbench -ablation objects   # §4.3: meat cuts as actors vs object versions
+//	shmbench -ablation constraints  # §4.4: txn vs registry vs workflow transfers
 //	shmbench -ablation placement # random vs prefer-local vs consistent-hash
 //	shmbench -ablation durability
 //	shmbench -ablation replication  # N/R/W quorum latency vs losses under disk wipes
@@ -32,9 +34,18 @@ import (
 	"aodb/internal/bench"
 )
 
+// The cattle ablations' sizes: cows per model and consumer traces per
+// product for objects, transfers per worker and workers for constraints.
+const (
+	cattleCows      = 20
+	cattleTraces    = 25
+	cattleTransfers = 30
+	cattleWorkers   = 4
+)
+
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 6, 7, 8, 9, or all")
-	ablation := flag.String("ablation", "", "ablation to run: placement, durability, ingest, replication (N/R/W quorum tradeoff), or elastic (live 2->8 scale-out)")
+	ablation := flag.String("ablation", "", "ablation to run: objects (cattle meat cuts), constraints (cattle transfers), placement, durability, ingest, replication (N/R/W quorum tradeoff), or elastic (live 2->8 scale-out)")
 	duration := flag.Duration("duration", 8*time.Second, "measurement duration per data point")
 	warmup := flag.Duration("warmup", 0, "warmup to discard (default duration/4)")
 	scale := flag.Int("scale", 1, "scale-model factor (population /N, per-turn cost xN)")
@@ -127,6 +138,18 @@ func run(ctx context.Context, fig, ablation string, transportBench, hot bool, ho
 	}
 	switch ablation {
 	case "":
+	case "objects":
+		results, err := bench.AblationCattleModels(ctx, cattleCows, cattleTraces)
+		if err != nil {
+			return err
+		}
+		bench.PrintCattleModels(out, results)
+	case "constraints":
+		results, err := bench.AblationConstraints(ctx, cattleTransfers, cattleWorkers)
+		if err != nil {
+			return err
+		}
+		bench.PrintConstraints(out, results)
 	case "placement":
 		results, err := bench.AblationPlacement(ctx, opts)
 		if err != nil {

@@ -171,12 +171,6 @@ type TraceModelResult struct {
 // AblationCattleModels builds the same supply chain in both models and
 // measures consumer traces: actor hops, latency, and total actor turns.
 func AblationCattleModels(ctx context.Context, cows, tracesPerProduct int) ([]TraceModelResult, error) {
-	if cows <= 0 {
-		cows = 20
-	}
-	if tracesPerProduct <= 0 {
-		tracesPerProduct = 25
-	}
 	rt, err := core.New(core.Config{IdleAfter: time.Hour, CollectEvery: time.Hour})
 	if err != nil {
 		return nil, err
@@ -320,12 +314,6 @@ type ConstraintResult struct {
 // AblationConstraints stresses cow-ownership transfers under contention
 // in each §4.4 mode and verifies the relationship invariant afterwards.
 func AblationConstraints(ctx context.Context, transfersPerWorker, workers int) ([]ConstraintResult, error) {
-	if transfersPerWorker <= 0 {
-		transfersPerWorker = 30
-	}
-	if workers <= 0 {
-		workers = 4
-	}
 	var out []ConstraintResult
 	for _, mode := range []string{cattle.ModeTxn, cattle.ModeRegistry, cattle.ModeWorkflow} {
 		res, err := runConstraintMode(ctx, mode, transfersPerWorker, workers)

@@ -2,21 +2,12 @@ package bench
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math/rand"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"aodb/internal/cluster"
 	"aodb/internal/core"
 	"aodb/internal/faults"
 	"aodb/internal/kvstore"
 	"aodb/internal/shm"
-	"aodb/internal/transport"
 )
 
 // ChaosConfig describes one chaos soak: sustained SHM load plus a stream
@@ -37,11 +28,9 @@ type ChaosConfig struct {
 	// Duration is the chaos window (default 5s); after it the injector is
 	// disabled, crashed silos restart, and the surviving state is audited.
 	Duration time.Duration
-	// CrashEvery is the silo-kill cadence (default Duration/4);
-	// RestartAfter is the outage length before the victim rejoins
-	// (default CrashEvery/2).
-	CrashEvery   time.Duration
-	RestartAfter time.Duration
+	// CrashEvery is the silo-kill cadence (default Duration/4); each
+	// victim rejoins CrashEvery/2 after its crash.
+	CrashEvery time.Duration
 	// OpTimeout bounds one client write attempt (default 2s).
 	OpTimeout time.Duration
 	// Faults configures the injector; its Seed defaults to Seed.
@@ -56,137 +45,25 @@ type ChaosConfig struct {
 }
 
 func (c *ChaosConfig) fill() {
-	if c.Silos <= 0 {
-		c.Silos = 3
-	}
-	if c.Ledgers <= 0 {
-		c.Ledgers = 8
-	}
-	if c.Clients <= 0 {
-		c.Clients = 8
-	}
-	if c.Duration <= 0 {
-		c.Duration = 5 * time.Second
-	}
-	if c.CrashEvery <= 0 {
-		c.CrashEvery = c.Duration / 4
-	}
-	if c.RestartAfter <= 0 || c.RestartAfter >= c.CrashEvery {
-		c.RestartAfter = c.CrashEvery / 2
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = 2 * time.Second
-	}
+	orDefault(&c.Silos, 3)
+	orDefault(&c.Ledgers, 8)
+	orDefault(&c.Clients, 8)
+	orDefault(&c.Duration, 5*time.Second)
+	orDefault(&c.CrashEvery, c.Duration/4)
+	orDefault(&c.OpTimeout, defaultOpTimeout)
 	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Faults.Seed == 0 {
-		c.Faults.Seed = c.Seed
+		c.Seed = defaultSeed
 	}
 }
 
 // ChaosResult reports what a soak survived.
 type ChaosResult struct {
-	AckedWrites  int      // writes acknowledged to clients during chaos
-	LostWrites   []uint64 // acked seqs missing after healing — must be empty
-	Crashes      int
-	Restarts     int
-	RetriedOps   int64    // client ops that needed more than one attempt
-	Unclassified []string // errors outside the taxonomy — must be empty
-	InjectedDrops, InjectedDups, InjectedDelays,
-	InjectedKVErrs, InjectedPanics uint64
+	LedgerAudit
+	SoakFaults
 	CallRetries   int64 // runtime-internal transparent retries
 	SHMCompleted  int64
 	SHMErrors     int64
-	BreakerTrips  bool // informational: did any circuit open
 	VerifyElapsed time.Duration
-}
-
-// ledger messages. The ledger is a write-through idempotent seq-set: a
-// put is acknowledged only after its state write is durable, and
-// re-sending an acked seq is a no-op — which is what makes at-least-once
-// retries safe to ack exactly once.
-type ledgerPut struct{ Seq uint64 }
-type ledgerSeqs struct{}
-
-type ledgerState struct {
-	Seqs map[string]bool
-}
-
-type ledgerActor struct{ state ledgerState }
-
-func (l *ledgerActor) State() any { return &l.state }
-
-func (l *ledgerActor) Receive(ctx *core.Context, msg any) (any, error) {
-	switch m := msg.(type) {
-	case ledgerPut:
-		if l.state.Seqs == nil {
-			l.state.Seqs = make(map[string]bool)
-		}
-		key := strconv.FormatUint(m.Seq, 10)
-		if l.state.Seqs[key] {
-			return true, nil // duplicate of an acked write
-		}
-		l.state.Seqs[key] = true
-		if err := ctx.WriteState(); err != nil {
-			// Not durable: roll back so a later duplicate isn't acked for
-			// free, and report the failure instead of an ack.
-			delete(l.state.Seqs, key)
-			return nil, err
-		}
-		return true, nil
-	case ledgerSeqs:
-		out := make([]uint64, 0, len(l.state.Seqs))
-		for k := range l.state.Seqs {
-			n, err := strconv.ParseUint(k, 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, n)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out, nil
-	default:
-		return nil, fmt.Errorf("ledger: unknown message %T", msg)
-	}
-}
-
-// chaosView tracks which silos the harness believes are up; the crash
-// loop maintains it. Layered under cluster.FilteredView it keeps
-// placement away from silos with open circuit breakers.
-type chaosView struct {
-	mu sync.Mutex
-	up map[string]bool
-}
-
-func (v *chaosView) set(name string, alive bool) {
-	v.mu.Lock()
-	v.up[name] = alive
-	v.mu.Unlock()
-}
-
-func (v *chaosView) View() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	names := make([]string, 0, len(v.up))
-	for n, alive := range v.up {
-		if alive {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// classified reports whether err is inside the soak's error taxonomy:
-// transient runtime failures (retried), recovered actor panics, injected
-// storage errors, and the client's own attempt deadline.
-func classified(err error) bool {
-	return core.Transient(err) ||
-		errors.Is(err, core.ErrActorPanic) ||
-		errors.Is(err, faults.ErrInjectedKVWrite) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled)
 }
 
 // RunChaos executes one chaos soak and audits the aftermath. The error
@@ -202,162 +79,33 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 		return res, err
 	}
 	defer store.Close()
-	inj := faults.New(cfg.Faults)
-	// Setup (silo creation, population) runs fault-free; the injector is
-	// enabled only for the chaos window itself.
-	inj.SetEnabled(false)
-	store.SetWriteFault(inj.KVWriteFault())
-
-	// Transport stack, innermost out: in-process delivery, then message
-	// faults, then per-silo circuit breakers.
-	local := transport.NewLocal(nil, nil)
-	breaker := transport.NewBreaker(inj.WrapTransport(local), transport.BreakerOptions{})
-	view := &chaosView{up: make(map[string]bool)}
-	panicHook := inj.PanicHook()
-
-	rt, err := core.New(core.Config{
-		Transport: breaker,
-		Store:     store,
-		View:      cluster.NewFilteredView(view, breaker.Open),
-		// Hold activations hot; chaos churn comes from crashes, not the
-		// idle collector.
-		IdleAfter:    time.Hour,
-		CollectEvery: time.Hour,
-		BeforeTurn:   func(id core.ID, msg any) { panicHook(id.String()) },
-	})
-	if err != nil {
+	s := newSoak(cfg.Silos, cfg.Faults, cfg.Seed)
+	defer s.close()
+	store.SetWriteFault(s.inj.KVWriteFault())
+	if err := s.start(core.Config{Store: store}, nil); err != nil {
 		return res, err
 	}
-	defer func() {
-		shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = rt.Shutdown(shCtx)
-	}()
-	if err := rt.RegisterKind("Ledger", func() core.Actor { return &ledgerActor{} },
-		core.WithPersistence(core.PersistExplicit)); err != nil {
-		return res, err
-	}
-	siloNames := make([]string, cfg.Silos)
-	for i := range siloNames {
-		siloNames[i] = fmt.Sprintf("silo-%d", i+1)
-		if _, err := rt.AddSilo(siloNames[i], nil); err != nil {
-			return res, err
-		}
-		view.set(siloNames[i], true)
-	}
 
-	// Background 98/1/1 SHM load, errors tolerated but counted.
 	rec := NewRecorder()
-	var shmDone chan struct{}
+	var shmDone <-chan struct{}
 	if cfg.Sensors > 0 {
-		platform, err := shm.NewPlatform(rt, shm.Options{})
+		platform, err := shm.NewPlatform(s.rt, shm.Options{})
 		if err != nil {
 			return res, err
 		}
-		pop := shm.DefaultPopulation(cfg.Sensors)
-		keys, err := platform.Populate(ctx, pop)
-		if err != nil {
+		if shmDone, err = driveSHM(ctx, platform, cfg.Sensors, cfg.Duration, cfg.OpTimeout, cfg.Seed, rec); err != nil {
 			return res, err
 		}
-		shmDone = make(chan struct{})
-		go func() {
-			defer close(shmDone)
-			_ = Drive(ctx, platform, LoadSpec{
-				SensorKeys:     keys,
-				Orgs:           pop.Orgs(),
-				UserQueries:    true,
-				RequestEvery:   time.Second,
-				Warmup:         time.Millisecond, // measure ~everything
-				Duration:       cfg.Duration,
-				RequestTimeout: cfg.OpTimeout,
-				Seed:           cfg.Seed,
-			}, rec)
-		}()
 	}
 
 	// Chaos window opens: faults fire from here until the audit.
-	inj.SetEnabled(true)
-
-	// Crash loop: one victim at a time, killed abruptly and restarted
-	// after an outage window.
+	s.inj.SetEnabled(true)
 	chaosCtx, stopChaos := context.WithTimeout(ctx, cfg.Duration)
 	defer stopChaos()
-	crashDone := make(chan struct{})
-	go func() {
-		defer close(crashDone)
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		ticker := time.NewTicker(cfg.CrashEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-chaosCtx.Done():
-				return
-			case <-ticker.C:
-			}
-			victim := siloNames[rng.Intn(len(siloNames))]
-			if err := rt.CrashSilo(victim); err != nil {
-				continue // already down from a previous iteration
-			}
-			view.set(victim, false)
-			res.Crashes++
-			select {
-			case <-chaosCtx.Done():
-				return
-			case <-time.After(cfg.RestartAfter):
-			}
-			if _, err := rt.AddSilo(victim, nil); err == nil {
-				view.set(victim, true)
-				res.Restarts++
-			}
-		}
-	}()
-
-	// Clients: each write is retried until acknowledged or its per-op
-	// patience runs out; only acknowledged writes join the audit set.
-	var (
-		seqCtr     atomic.Uint64
-		retriedOps atomic.Int64
-		ackedMu    sync.Mutex
-		acked      []uint64
-		unclassMu  sync.Mutex
-		unclass    []string
-	)
-	var clients sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		clients.Add(1)
-		go func() {
-			defer clients.Done()
-			for chaosCtx.Err() == nil {
-				seq := seqCtr.Add(1)
-				id := core.ID{Kind: "Ledger", Key: fmt.Sprintf("L%d", seq%uint64(cfg.Ledgers))}
-				attempts := 0
-				for chaosCtx.Err() == nil {
-					attempts++
-					opCtx, cancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
-					_, err := rt.Call(opCtx, id, ledgerPut{Seq: seq})
-					cancel()
-					if err == nil {
-						ackedMu.Lock()
-						acked = append(acked, seq)
-						ackedMu.Unlock()
-						break
-					}
-					if !classified(err) {
-						unclassMu.Lock()
-						if len(unclass) < 16 {
-							unclass = append(unclass, err.Error())
-						}
-						unclassMu.Unlock()
-						break
-					}
-				}
-				if attempts > 1 {
-					retriedOps.Add(1)
-				}
-			}
-		}()
-	}
-	clients.Wait()
+	crashDone := s.crashLoop(chaosCtx, cfg.CrashEvery, cfg.Seed)
+	load := &ledgerLoad{rt: s.rt, ledgers: cfg.Ledgers, opTimeout: cfg.OpTimeout, classified: classified}
+	load.start(chaosCtx, cfg.Clients)
+	load.clients.Wait()
 	<-crashDone
 	if shmDone != nil {
 		<-shmDone
@@ -366,78 +114,17 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 	// Heal: stop injecting, bring every silo back, then audit that each
 	// acknowledged write survived somewhere durable.
 	verifyStart := time.Now()
-	inj.SetEnabled(false)
 	store.SetWriteFault(nil)
-	for _, name := range siloNames {
-		if _, ok := rt.Silo(name); !ok {
-			if _, err := rt.AddSilo(name, nil); err != nil {
-				return res, fmt.Errorf("bench: healing restart of %s: %w", name, err)
-			}
-			res.Restarts++
-		}
-		view.set(name, true)
+	if err := s.heal(); err != nil {
+		return res, err
 	}
-	survived := make(map[uint64]bool)
-	for l := 0; l < cfg.Ledgers; l++ {
-		id := core.ID{Kind: "Ledger", Key: fmt.Sprintf("L%d", l)}
-		var seqs []uint64
-		deadline := time.Now().Add(30 * time.Second)
-		// Fence before reading: ledgerSeqs is a pure read, and reads are
-		// not version-checked, so a zombie activation (created before the
-		// last failover and never written through since) would answer from
-		// stale memory and misreport durable writes as lost. One write
-		// forces the version-conditional state put: a zombie fails the
-		// condition, self-deactivates, and the retried call reaches an
-		// activation hydrated from the store. The fence seq extends the
-		// client sequence, so it never collides with an audited write.
-		fence := seqCtr.Add(1)
-		for {
-			opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-			_, err := rt.Call(opCtx, id, ledgerPut{Seq: fence})
-			cancel()
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("bench: ledger %s unwritable after healing: %w", id, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		for {
-			opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-			v, err := rt.Call(opCtx, id, ledgerSeqs{})
-			cancel()
-			if err == nil {
-				seqs = v.([]uint64)
-				break
-			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("bench: ledger %s unreadable after healing: %w", id, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		for _, s := range seqs {
-			survived[s] = true
-		}
+	if res.LedgerAudit, _, err = load.audit(ctx, time.Now().Add(auditBudget)); err != nil {
+		return res, err
 	}
-	for _, s := range acked {
-		if !survived[s] {
-			res.LostWrites = append(res.LostWrites, s)
-		}
-	}
-
-	res.AckedWrites = len(acked)
-	res.RetriedOps = retriedOps.Load()
-	res.Unclassified = unclass
-	res.InjectedDrops = inj.Fired("drop")
-	res.InjectedDups = inj.Fired("dup")
-	res.InjectedDelays = inj.Fired("delay")
-	res.InjectedKVErrs = inj.Fired("kvwrite")
-	res.InjectedPanics = inj.Fired("panic")
-	res.CallRetries = rt.Metrics().Counter("core.call_retries").Value()
-	res.SHMCompleted = rec.Completed(ReqInsert) + rec.Completed(ReqLive) + rec.Completed(ReqRaw)
+	res.SoakFaults = s.faults()
+	res.CallRetries = s.rt.Metrics().Counter("core.call_retries").Value()
+	res.SHMCompleted = shmCompleted(rec)
 	res.SHMErrors = rec.Errors()
-	res.BreakerTrips = breaker.Trips() > 0
 	res.VerifyElapsed = time.Since(verifyStart)
 	return res, nil
 }

@@ -44,9 +44,7 @@ const (
 // factor (>= 1). Setup/configuration messages are free so populating a
 // large experiment does not burn simulated hours.
 func SHMCost(scale int) core.CostFunc {
-	if scale < 1 {
-		scale = 1
-	}
+	orDefault(&scale, 1)
 	s := time.Duration(scale)
 	return func(_ core.ID, msg any) time.Duration {
 		switch msg.(type) {
@@ -76,9 +74,7 @@ func SHMCost(scale int) core.CostFunc {
 // request under the population rules (2 channels, every 10th sensor
 // virtual, 3 aggregator levels), used to size offered load.
 func InsertRequestCost(scale int) time.Duration {
-	if scale < 1 {
-		scale = 1
-	}
+	orDefault(&scale, 1)
 	base := costInsertBatch + // sensor turn
 		2*costInsertPoints + // two channel turns
 		2*costVirtualInput/10 + // virtual inputs, 1 in 10 sensors

@@ -119,18 +119,10 @@ func Drive(ctx context.Context, p *shm.Platform, spec LoadSpec, rec *Recorder) e
 	if len(spec.SensorKeys) == 0 {
 		return fmt.Errorf("bench: no sensors to drive")
 	}
-	if spec.Channels <= 0 {
-		spec.Channels = 2
-	}
-	if spec.PointsPerChannel <= 0 {
-		spec.PointsPerChannel = 10
-	}
-	if spec.RequestEvery <= 0 {
-		spec.RequestEvery = time.Second
-	}
-	if spec.RequestTimeout <= 0 {
-		spec.RequestTimeout = 30 * time.Second
-	}
+	orDefault(&spec.Channels, 2)
+	orDefault(&spec.PointsPerChannel, 10)
+	orDefault(&spec.RequestEvery, time.Second)
+	orDefault(&spec.RequestTimeout, 30*time.Second)
 	runCtx, cancel := context.WithTimeout(ctx, spec.Duration)
 	defer cancel()
 

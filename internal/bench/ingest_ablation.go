@@ -29,9 +29,7 @@ type IngestResult struct {
 // bounded queue under each overload policy. Drain capacity is modeled by
 // a token bucket (1,000 items/s), the queue holds 1/4 of the burst.
 func AblationIngest(ctx context.Context, burst int) ([]IngestResult, error) {
-	if burst <= 0 {
-		burst = 2000
-	}
+	orDefault(&burst, 2000)
 	var out []IngestResult
 	for _, policy := range []struct {
 		name string

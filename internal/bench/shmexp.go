@@ -78,18 +78,12 @@ func (c *SHMConfig) fill() error {
 	if c.Sensors <= 0 {
 		return fmt.Errorf("bench: config needs sensors")
 	}
-	if c.Silos <= 0 {
-		c.Silos = 1
-	}
+	orDefault(&c.Silos, 1)
 	if c.Profile.Workers == 0 {
 		c.Profile = capacity.M5Large
 	}
-	if c.Scale < 1 {
-		c.Scale = 1
-	}
-	if c.Duration <= 0 {
-		c.Duration = 8 * time.Second
-	}
+	orDefault(&c.Scale, 1)
+	orDefault(&c.Duration, 8*time.Second)
 	if c.Warmup <= 0 || c.Warmup >= c.Duration {
 		c.Warmup = c.Duration / 4
 	}
@@ -192,9 +186,7 @@ func RunSHM(ctx context.Context, cfg SHMConfig) (SHMResult, error) {
 		Duration:         cfg.Duration,
 		Seed:             cfg.Seed,
 	}
-	if spec.Channels <= 0 {
-		spec.Channels = 2
-	}
+	orDefault(&spec.Channels, 2)
 	if err := Drive(ctx, platform, spec, rec); err != nil {
 		return SHMResult{}, err
 	}
@@ -238,9 +230,7 @@ func RunSHM(ctx context.Context, cfg SHMConfig) (SHMResult, error) {
 // shmtop HOT ACTORS panel surfaces in production.
 func HotActorExperiment(ctx context.Context, sensors int, opts FigureOptions) (SHMResult, error) {
 	opts.fill()
-	if sensors <= 0 {
-		sensors = 2000
-	}
+	orDefault(&sensors, 2000)
 	// The sketch's per-entry error bound is TotalCPU/slots; with thousands
 	// of lightly-loaded sensor actors in the mix, the slot count must be
 	// well above the inverse of the heaviest actor's CPU share or the
@@ -303,12 +293,8 @@ func figureTracer(trace bool) *telemetry.Tracer {
 }
 
 func (o *FigureOptions) fill() {
-	if o.Duration <= 0 {
-		o.Duration = 8 * time.Second
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = o.Duration / 4
-	}
+	orDefault(&o.Duration, 8*time.Second)
+	orDefault(&o.Warmup, o.Duration/4)
 	if o.Scale < 1 {
 		o.Scale = 1
 	}
