@@ -38,8 +38,8 @@ func NewStaticView(silos ...string) *StaticView {
 	return &StaticView{silos: s}
 }
 
-// View returns the fixed silo set.
-func (s *StaticView) View() []string { return append([]string(nil), s.silos...) }
+// View returns the fixed silo set, shared.
+func (s *StaticView) View() []string { return s.silos }
 
 // Subscribe is a no-op: a static view never changes, so no events fire.
 // It exists so StaticView satisfies Provider and boot code can wire a
@@ -47,7 +47,9 @@ func (s *StaticView) View() []string { return append([]string(nil), s.silos...) 
 func (s *StaticView) Subscribe(func(Event)) {}
 
 // Viewer supplies an active silo set; StaticView and the gossip agent
-// both satisfy it, as does core's runtime-internal list.
+// both satisfy it, as does core's runtime-internal list. A view is
+// read-only: it may be the provider's own slice, shared by every caller,
+// so a caller that needs to change it copies it first.
 type Viewer interface {
 	View() []string
 }
@@ -81,16 +83,20 @@ func NewFilteredView(base Viewer, reject func(silo string) bool) *FilteredView {
 }
 
 // View returns base's view minus vetoed silos (falling back to the full
-// view when everything is vetoed).
+// view when everything is vetoed). Only a veto copies the base's view.
 func (f *FilteredView) View() []string {
 	all := f.base.View()
 	if f.reject == nil {
 		return all
 	}
-	kept := make([]string, 0, len(all))
-	for _, s := range all {
+	var kept []string // nil until the first veto
+	for i, s := range all {
 		if !f.reject(s) {
-			kept = append(kept, s)
+			if kept != nil {
+				kept = append(kept, s)
+			}
+		} else if kept == nil {
+			kept = append(make([]string, 0, len(all)-1), all[:i]...)
 		}
 	}
 	if len(kept) == 0 {

@@ -28,6 +28,7 @@ import (
 type CostFunc func(id ID, msg any) time.Duration
 
 // ViewProvider supplies the current set of active silos for placement.
+// The runtime only reads the slice View returns, so it may be shared.
 type ViewProvider interface {
 	View() []string
 }
@@ -138,7 +139,7 @@ type Runtime struct {
 
 	mu       sync.RWMutex
 	silos    map[string]*Silo
-	siloList []string // sorted names, rebuilt on AddSilo
+	siloList []string // sorted names; replaced on a change, never written in place
 }
 
 // New creates a runtime. Add at least one silo and register kinds before
@@ -272,8 +273,7 @@ func (rt *Runtime) AddSilo(name string, limiter *capacity.Limiter) (*Silo, error
 	}
 	s := newSilo(name, rt, limiter)
 	rt.silos[name] = s
-	rt.siloList = append(rt.siloList, name)
-	sort.Strings(rt.siloList)
+	rt.rebuildSiloList()
 	rt.mu.Unlock()
 	if err := rt.cfg.Transport.Register(name, s.handle); err != nil {
 		rt.mu.Lock()
@@ -286,12 +286,15 @@ func (rt *Runtime) AddSilo(name string, limiter *capacity.Limiter) (*Silo, error
 	return s, nil
 }
 
+// rebuildSiloList replaces siloList with a new sorted list of rt.silos:
+// view hands the list out, so a published one is never written.
 func (rt *Runtime) rebuildSiloList() {
-	rt.siloList = rt.siloList[:0]
+	list := make([]string, 0, len(rt.silos))
 	for n := range rt.silos {
-		rt.siloList = append(rt.siloList, n)
+		list = append(list, n)
 	}
-	sort.Strings(rt.siloList)
+	sort.Strings(list)
+	rt.siloList = list
 }
 
 // RemoveSilo takes a silo out of service: it drains its activations
@@ -365,14 +368,15 @@ func (rt *Runtime) Silo(name string) (*Silo, bool) {
 	return s, ok
 }
 
-// view returns the active silo set used for placement.
+// view returns the active silo set used for placement. It is shared, not
+// copied: like any cluster.Viewer's, callers only read it.
 func (rt *Runtime) view() []string {
 	if rt.cfg.View != nil {
 		return rt.cfg.View.View()
 	}
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	return append([]string(nil), rt.siloList...)
+	return rt.siloList
 }
 
 // isShutdown reports whether Shutdown has begun.

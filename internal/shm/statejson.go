@@ -1,11 +1,14 @@
 package shm
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -20,12 +23,12 @@ import (
 // (benchmark checks, tools) keep working.
 //
 // Decoding is strict: fields in declaration order, no white space, every
-// key spelled as json.Marshal spells it. Any other input that
-// encoding/json accepts — other key order or case, unknown keys, white
-// space, null where a string or number goes — resets the state and
-// decodes it with json.Unmarshal on a method-less copy of the type, which
-// also makes every error json.Unmarshal's own. FuzzStateJSON holds both
-// halves to encoding/json.
+// key spelled as json.Marshal spells it, map keys strictly increasing. Any
+// other input that encoding/json accepts — other key order or case,
+// unknown or duplicate keys, white space, null where a string or number
+// goes — resets the state and decodes it with json.Unmarshal on a
+// method-less copy of the type, which also makes every error
+// json.Unmarshal's own. FuzzStateJSON holds both halves to encoding/json.
 
 // Method-less copies of the states: json.Marshal and json.Unmarshal on
 // these are the reference the codec reproduces, and the decoder's fallback.
@@ -34,9 +37,44 @@ type (
 	sensorStateJSON  sensorState
 	channelStateJSON channelState
 	virtualStateJSON virtualState
-	aggStateJSON     aggState
 	alertsStateJSON  alertsState
 )
+
+// aggStateJSON is the aggregator's stored form as encoding/json reads and
+// writes it, a map of maps: the reference its codec reproduces, and what
+// the decoder's fallback reads into and converts.
+type aggStateJSON struct {
+	Level      string
+	Next       string
+	PerChannel map[string]map[string]BucketStat
+}
+
+// state is j as an aggState: channels and buckets sorted by key, a nil
+// map as a nil slice, and every channel's buckets carved from one array.
+func (j *aggStateJSON) state() aggState {
+	v := aggState{Level: j.Level, Next: j.Next}
+	if j.PerChannel == nil {
+		return v
+	}
+	n := 0
+	for _, buckets := range j.PerChannel {
+		n += len(buckets)
+	}
+	v.PerChannel = make([]aggChannel, 0, len(j.PerChannel))
+	all := make([]aggBucket, 0, n)
+	for _, ch := range sortedKeys(j.PerChannel) {
+		c := aggChannel{Key: ch}
+		if buckets := j.PerChannel[ch]; buckets != nil {
+			from := len(all)
+			for _, k := range sortedKeys(buckets) {
+				all = append(all, aggBucket{Key: k, Stat: buckets[k]})
+			}
+			c.Buckets = all[from:len(all):len(all)]
+		}
+		v.PerChannel = append(v.PerChannel, c)
+	}
+	return v
+}
 
 // Encoded sizes, with the comma, that presize the encoders' buffers: a
 // point with a full-precision value, {"At":"2026-07-05T10:00:00.1Z",
@@ -92,40 +130,37 @@ func (s *orgState) MarshalJSON() ([]byte, error) {
 }
 
 func (s *orgState) UnmarshalJSON(data []byte) error {
-	var v orgState
-	return adopt(v.parse(data), s, &v, data, (*orgStateJSON)(s))
+	return adopt(s, s.parse, data, (*orgStateJSON)(s))
 }
 
 func (v *orgState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
 	d.lit(`{"Name":`)
-	v.Name = d.str()
+	d.str(&v.Name)
 	d.lit(`,"Projects":`)
-	if n := d.open(`[]`); n >= 0 {
+	if n, _ := d.open(`[]`); n >= 0 {
 		v.Projects = make([]Project, 0, n)
 		for more := n > 0; more; more = d.next(`]`) {
-			var p Project
+			p := add(&d, &v.Projects)
 			d.lit(`{"ID":`)
-			p.ID = d.str()
+			d.str(&p.ID)
 			d.lit(`,"Name":`)
-			p.Name = d.str()
+			d.str(&p.Name)
 			d.lit(`}`)
-			v.Projects = append(v.Projects, p)
 		}
 	}
 	d.lit(`,"Users":`)
-	if n := d.open(`[]`); n >= 0 {
+	if n, _ := d.open(`[]`); n >= 0 {
 		v.Users = make([]User, 0, n)
 		for more := n > 0; more; more = d.next(`]`) {
-			var u User
+			u := add(&d, &v.Users)
 			d.lit(`{"ID":`)
-			u.ID = d.str()
+			d.str(&u.ID)
 			d.lit(`,"Name":`)
-			u.Name = d.str()
+			d.str(&u.Name)
 			d.lit(`,"Role":`)
-			u.Role = d.str()
+			d.str(&u.Role)
 			d.lit(`}`)
-			v.Users = append(v.Users, u)
 		}
 	}
 	d.lit(`,"Sensors":`)
@@ -151,18 +186,17 @@ func (s *sensorState) MarshalJSON() ([]byte, error) {
 }
 
 func (s *sensorState) UnmarshalJSON(data []byte) error {
-	var v sensorState
-	return adopt(v.parse(data), s, &v, data, (*sensorStateJSON)(s))
+	return adopt(s, s.parse, data, (*sensorStateJSON)(s))
 }
 
 func (v *sensorState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
 	d.lit(`{"Org":`)
-	v.Org = d.str()
+	d.str(&v.Org)
 	d.lit(`,"Channels":`)
 	v.Channels = d.strs()
 	d.lit(`,"Virtual":`)
-	v.Virtual = d.str()
+	d.str(&v.Virtual)
 	d.lit(`,"Packets":`)
 	v.Packets = d.int(64)
 	d.lit(`}`)
@@ -205,16 +239,15 @@ func (s *channelState) MarshalJSON() ([]byte, error) {
 }
 
 func (s *channelState) UnmarshalJSON(data []byte) error {
-	var v channelState
-	return adopt(v.parse(data), s, &v, data, (*channelStateJSON)(s))
+	return adopt(s, s.parse, data, (*channelStateJSON)(s))
 }
 
 func (v *channelState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
 	d.lit(`{"Org":`)
-	v.Org = d.str()
+	d.str(&v.Org)
 	d.lit(`,"Sensor":`)
-	v.Sensor = d.str()
+	d.str(&v.Sensor)
 	d.lit(`,"WindowCap":`)
 	v.WindowCap = int(d.int(strconv.IntSize))
 	d.lit(`,"Window":`)
@@ -232,9 +265,9 @@ func (v *channelState) parse(data []byte) bool {
 	d.lit(`,"Enabled":`)
 	v.Threshold.Enabled = d.bool()
 	d.lit(`},"VirtualOut":`)
-	v.VirtualOut = d.str()
+	d.str(&v.VirtualOut)
 	d.lit(`,"Aggregator":`)
-	v.Aggregator = d.str()
+	d.str(&v.Aggregator)
 	d.lit(`,"WriteEveryBatch":`)
 	v.WriteEveryBatch = d.bool()
 	d.lit(`,"Archive":`)
@@ -261,18 +294,17 @@ func (s *virtualState) MarshalJSON() ([]byte, error) {
 }
 
 func (s *virtualState) UnmarshalJSON(data []byte) error {
-	var v virtualState
-	return adopt(v.parse(data), s, &v, data, (*virtualStateJSON)(s))
+	return adopt(s, s.parse, data, (*virtualStateJSON)(s))
 }
 
 func (v *virtualState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
 	d.lit(`{"Org":`)
-	v.Org = d.str()
+	d.str(&v.Org)
 	d.lit(`,"Inputs":`)
 	v.Inputs = d.strs()
 	d.lit(`,"Op":`)
-	v.Op = d.str()
+	d.str(&v.Op)
 	d.lit(`,"WindowCap":`)
 	v.WindowCap = int(d.int(strconv.IntSize))
 	d.lit(`,"Window":`)
@@ -283,8 +315,8 @@ func (v *virtualState) parse(data []byte) bool {
 
 func (s *aggState) MarshalJSON() ([]byte, error) {
 	n := 64 + len(s.Level) + len(s.Next)
-	for ch, buckets := range s.PerChannel {
-		n += 8 + len(ch) + bucketJSONSize*len(buckets)
+	for _, ch := range s.PerChannel {
+		n += 8 + len(ch.Key) + bucketJSONSize*len(ch.Buckets)
 	}
 	e := stateEnc{b: make([]byte, 0, n)}
 	e.raw(`{"Level":`)
@@ -293,30 +325,26 @@ func (s *aggState) MarshalJSON() ([]byte, error) {
 	e.str(s.Next)
 	e.raw(`,"PerChannel":`)
 	if e.open(s.PerChannel == nil, '{') {
-		var keys []string // one channel's bucket keys, reused
-		for i, ch := range sortedKeys(s.PerChannel, nil) {
+		for i, ch := range s.PerChannel {
 			e.sep(i)
-			e.str(ch)
+			e.str(ch.Key)
 			e.raw(`:`)
-			buckets := s.PerChannel[ch]
-			if !e.open(buckets == nil, '{') {
+			if !e.open(ch.Buckets == nil, '{') {
 				continue
 			}
-			keys = sortedKeys(buckets, keys[:0])
-			for j, k := range keys {
-				b := buckets[k]
+			for j, b := range ch.Buckets {
 				e.sep(j)
-				e.str(k)
+				e.str(b.Key)
 				e.raw(`:{"Bucket":`)
-				e.time(b.Bucket)
+				e.time(b.Stat.Bucket)
 				e.raw(`,"Count":`)
-				e.int(b.Count)
+				e.int(b.Stat.Count)
 				e.raw(`,"Sum":`)
-				e.float(b.Sum)
+				e.float(b.Stat.Sum)
 				e.raw(`,"Min":`)
-				e.float(b.Min)
+				e.float(b.Stat.Min)
 				e.raw(`,"Max":`)
-				e.float(b.Max)
+				e.float(b.Stat.Max)
 				e.raw(`}`)
 			}
 			e.raw(`}`)
@@ -327,44 +355,63 @@ func (s *aggState) MarshalJSON() ([]byte, error) {
 	return e.done()
 }
 
+// UnmarshalJSON is adopt, with the fallback's map of maps converted.
 func (s *aggState) UnmarshalJSON(data []byte) error {
-	var v aggState
-	return adopt(v.parse(data), s, &v, data, (*aggStateJSON)(s))
+	*s = aggState{}
+	if s.parse(data) {
+		return nil
+	}
+	*s = aggState{}
+	var j aggStateJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	*s = j.state()
+	return nil
 }
 
+// parse reads the channels and their buckets in the stored order, which
+// is the state's own, and sends keys that are not strictly increasing —
+// out of order or repeated — to encoding/json. One pass over the input
+// counts both levels, so the channels are one slice and all their
+// buckets one more.
 func (v *aggState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
 	d.lit(`{"Level":`)
-	v.Level = d.str()
+	d.str(&v.Level)
 	d.lit(`,"Next":`)
-	v.Next = d.str()
+	d.str(&v.Next)
 	d.lit(`,"PerChannel":`)
-	if n := d.open(`{}`); n >= 0 {
-		v.PerChannel = make(map[string]map[string]BucketStat, n)
+	if n, inner := d.open(`{}`); n >= 0 {
+		v.PerChannel = make([]aggChannel, 0, n)
+		all := make([]aggBucket, 0, inner)
+		var last []byte
 		for more := n > 0; more; more = d.next(`}`) {
-			ch := d.str()
+			ch := add(&d, &v.PerChannel)
+			last = d.key(&ch.Key, last, len(v.PerChannel) == 1)
 			d.lit(`:`)
-			var buckets map[string]BucketStat
-			if n := d.open(`{}`); n >= 0 {
-				buckets = make(map[string]BucketStat, n)
-				for more := n > 0; more; more = d.next(`}`) {
-					var b BucketStat
-					k := d.str()
-					d.lit(`:{"Bucket":`)
-					b.Bucket = d.time()
-					d.lit(`,"Count":`)
-					b.Count = d.int(64)
-					d.lit(`,"Sum":`)
-					b.Sum = d.float()
-					d.lit(`,"Min":`)
-					b.Min = d.float()
-					d.lit(`,"Max":`)
-					b.Max = d.float()
-					d.lit(`}`)
-					buckets[k] = b
-				}
+			if d.skip(`null`) {
+				continue
 			}
-			v.PerChannel[ch] = buckets
+			d.lit(`{`)
+			from := len(all)
+			var lastBucket []byte
+			for more := !d.skip(`}`); more; more = d.next(`}`) {
+				b := add(&d, &all)
+				lastBucket = d.key(&b.Key, lastBucket, len(all) == from+1)
+				d.lit(`:{"Bucket":`)
+				b.Stat.Bucket = d.time()
+				d.lit(`,"Count":`)
+				b.Stat.Count = d.int(64)
+				d.lit(`,"Sum":`)
+				b.Stat.Sum = d.float()
+				d.lit(`,"Min":`)
+				b.Stat.Min = d.float()
+				d.lit(`,"Max":`)
+				b.Stat.Max = d.float()
+				d.lit(`}`)
+			}
+			ch.Buckets = all[from:len(all):len(all)]
 		}
 	}
 	d.lit(`}`)
@@ -400,27 +447,25 @@ func (s *alertsState) MarshalJSON() ([]byte, error) {
 }
 
 func (s *alertsState) UnmarshalJSON(data []byte) error {
-	var v alertsState
-	return adopt(v.parse(data), s, &v, data, (*alertsStateJSON)(s))
+	return adopt(s, s.parse, data, (*alertsStateJSON)(s))
 }
 
 func (v *alertsState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
 	d.lit(`{"Recent":`)
-	if n := d.open(`[]`); n >= 0 {
+	if n, _ := d.open(`[]`); n >= 0 {
 		v.Recent = make([]Alert, 0, n)
 		for more := n > 0; more; more = d.next(`]`) {
-			var a Alert
+			a := add(&d, &v.Recent)
 			d.lit(`{"Channel":`)
-			a.Channel = d.str()
+			d.str(&a.Channel)
 			d.lit(`,"At":`)
 			a.At = d.time()
 			d.lit(`,"Value":`)
 			a.Value = d.float()
 			d.lit(`,"Reason":`)
-			a.Reason = d.str()
+			d.str(&a.Reason)
 			d.lit(`}`)
-			v.Recent = append(v.Recent, a)
 		}
 	}
 	d.lit(`,"Total":`)
@@ -429,17 +474,17 @@ func (v *alertsState) parse(data []byte) bool {
 	return d.end()
 }
 
-// adopt ends every state's UnmarshalJSON. When the state's parse read
-// data as the canonical form, into v, v replaces *s; any other input
-// resets *s and goes to json.Unmarshal through alias, the method-less view
-// of s. Each state's parse(data) decodes the canonical form into a zero
-// value and reports whether data was exactly that.
-func adopt[T any](parsed bool, s, v *T, data []byte, alias any) error {
-	if parsed {
-		*s = *v
+// adopt is every state's UnmarshalJSON: it resets *s and parses data into
+// it as the canonical form; any other input resets *s again and goes to
+// json.Unmarshal through alias, the method-less view of s. Each state's
+// parse(data) decodes the canonical form into a zero value and reports
+// whether data was exactly that.
+func adopt[T any](s *T, parse func([]byte) bool, data []byte, alias any) error {
+	var zero T
+	*s = zero
+	if parse(data) {
 		return nil
 	}
-	var zero T
 	*s = zero
 	return json.Unmarshal(data, alias)
 }
@@ -640,8 +685,9 @@ func (e *stateEnc) sep(i int) {
 	}
 }
 
-// sortedKeys appends m's keys to keys in json.Marshal's order, bytewise.
-func sortedKeys[V any](m map[string]V, keys []string) []string {
+// sortedKeys returns m's keys in json.Marshal's order, bytewise.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -651,14 +697,56 @@ func sortedKeys[V any](m map[string]V, keys []string) []string {
 
 // stateDec reads the canonical form at b[i:]. A mismatch clears ok, after
 // which every read is a no-op returning a zero value.
+//
+// A string without escapes is read into its field at end, not where it
+// is met: str records the field and the string's span in b, and end
+// copies every recorded span into one block sized to their total, so a
+// state's strings are one allocation and keep no reference to b.
 type stateDec struct {
 	b  []byte
 	i  int
 	ok bool
+	// owed are the strings read and not yet set, in a list taken from
+	// owedPool on the first, so that recording them allocates nothing;
+	// owedLen is their total length.
+	owed    *[]owedStr
+	owedLen int
 }
 
-// end reports whether everything read so far matched and nothing follows.
-func (d *stateDec) end() bool { return d.ok && d.i == len(d.b) }
+// owedStr is a string stateDec.end sets: *dst = b[from:to].
+type owedStr struct {
+	dst      *string
+	from, to int
+}
+
+var owedPool = sync.Pool{New: func() any { return new([]owedStr) }}
+
+// end reports whether everything read so far matched and nothing follows;
+// if so, it sets the strings owed.
+func (d *stateDec) end() bool {
+	ok := d.ok && d.i == len(d.b)
+	if d.owed == nil {
+		return ok
+	}
+	owed := *d.owed
+	if ok {
+		var block strings.Builder
+		block.Grow(d.owedLen)
+		for _, o := range owed {
+			block.Write(d.b[o.from:o.to])
+		}
+		all, at := block.String(), 0
+		for _, o := range owed {
+			*o.dst = all[at : at+o.to-o.from]
+			at += o.to - o.from
+		}
+	}
+	clear(owed)
+	*d.owed = owed[:0]
+	owedPool.Put(d.owed)
+	d.owed = nil
+	return ok
+}
 
 // lit consumes s, which must come next.
 func (d *stateDec) lit(s string) {
@@ -676,20 +764,29 @@ func (d *stateDec) skip(s string) bool {
 	return false
 }
 
-// str reads a string. One without escapes is one allocation, the copy.
-func (d *stateDec) str() string {
+// str reads a string into *dst, which end sets unless the string has
+// escapes; an escaped string is its own allocation, set now. It returns
+// the string's bytes, for the caller to compare before end.
+func (d *stateDec) str(dst *string) []byte {
 	if !d.ok || d.i >= len(d.b) || d.b[d.i] != '"' {
 		d.ok = false
-		return ""
+		return nil
 	}
 	for j := d.i + 1; j < len(d.b); {
 		switch c := d.b[j]; {
 		case c == '"':
-			s := string(d.b[d.i+1 : j])
+			s := d.b[d.i+1 : j]
+			if len(s) > 0 {
+				if d.owed == nil {
+					d.owed = owedPool.Get().(*[]owedStr)
+				}
+				*d.owed = append(*d.owed, owedStr{dst: dst, from: d.i + 1, to: j})
+				d.owedLen += len(s)
+			}
 			d.i = j + 1
 			return s
 		case c == '\\':
-			return d.strEscaped(j)
+			return d.strEscaped(dst, j)
 		case c < ' ':
 			j = len(d.b)
 		case c < utf8.RuneSelf:
@@ -705,19 +802,46 @@ func (d *stateDec) str() string {
 		}
 	}
 	d.ok = false
-	return ""
+	return nil
+}
+
+// key reads a map key into *dst and returns its bytes. It fails the
+// parse unless the key sorts after last, the key before it, or is the
+// first: the canonical form's keys are strictly increasing, so a repeated
+// or out-of-order key goes to encoding/json.
+func (d *stateDec) key(dst *string, last []byte, first bool) []byte {
+	k := d.str(dst)
+	if !first && bytes.Compare(last, k) >= 0 {
+		d.ok = false
+	}
+	return k
+}
+
+// add appends a zero element to *xs, which open sized, and returns it. A
+// valid input never outgrows that size; one that does fails the parse,
+// since the strings owed to earlier elements would point into the old
+// array.
+func add[T any](d *stateDec, xs *[]T) *T {
+	n := len(*xs)
+	if n == cap(*xs) {
+		d.ok = false
+		return new(T)
+	}
+	*xs = (*xs)[:n+1]
+	return &(*xs)[n]
 }
 
 // strEscaped finishes str from the first backslash at b[j]. Surrogate
 // escapes, which json.Marshal never writes, are left to encoding/json.
-func (d *stateDec) strEscaped(j int) string {
+func (d *stateDec) strEscaped(dst *string, j int) []byte {
 	out := append([]byte(nil), d.b[d.i+1:j]...)
 	for j < len(d.b) {
 		c := d.b[j]
 		switch {
 		case c == '"':
 			d.i = j + 1
-			return string(out)
+			*dst = string(out)
+			return out
 		case c == '\\' && j+1 < len(d.b):
 			switch c = d.b[j+1]; c {
 			case '"', '\\', '/':
@@ -736,18 +860,18 @@ func (d *stateDec) strEscaped(j int) string {
 				r := hex4(d.b[j+2:])
 				if r < 0 || utf16.IsSurrogate(r) {
 					d.ok = false
-					return ""
+					return nil
 				}
 				out = utf8.AppendRune(out, r)
 				j += 4
 			default:
 				d.ok = false
-				return ""
+				return nil
 			}
 			j += 2
 		case c == '\\' || c < ' ':
 			d.ok = false
-			return ""
+			return nil
 		case c < utf8.RuneSelf:
 			out = append(out, c)
 			j++
@@ -755,14 +879,14 @@ func (d *stateDec) strEscaped(j int) string {
 			r, size := utf8.DecodeRune(d.b[j:])
 			if r == utf8.RuneError && size == 1 {
 				d.ok = false
-				return ""
+				return nil
 			}
 			out = append(out, d.b[j:j+size]...)
 			j += size
 		}
 	}
 	d.ok = false
-	return ""
+	return nil
 }
 
 // hex4 decodes the four hex digits at the start of b, or returns -1.
@@ -893,7 +1017,7 @@ func (d *stateDec) time() time.Time {
 }
 
 func (d *stateDec) window() []DataPoint {
-	n := d.open(`[]`)
+	n, _ := d.open(`[]`)
 	if n < 0 {
 		return nil
 	}
@@ -911,30 +1035,31 @@ func (d *stateDec) window() []DataPoint {
 }
 
 func (d *stateDec) strs() []string {
-	n := d.open(`[]`)
+	n, _ := d.open(`[]`)
 	if n < 0 {
 		return nil
 	}
 	ss := make([]string, 0, n)
 	for more := n > 0; more; more = d.next(`]`) {
-		ss = append(ss, d.str())
+		d.str(add(d, &ss))
 	}
 	return ss
 }
 
 // open starts a list (brackets is "[]") or a map ("{}"). It returns -1
-// for null, 0 for an empty one, and otherwise a count of its elements to
-// size what decodes it; -1 with ok cleared for anything else.
-func (d *stateDec) open(brackets string) int {
+// for null, 0 for an empty one, and otherwise a count of its elements,
+// and of theirs, to size what decodes it; -1 with ok cleared for anything
+// else.
+func (d *stateDec) open(brackets string) (n, inner int) {
 	if d.skip(`null`) {
-		return -1
+		return -1, 0
 	}
 	d.lit(brackets[:1])
 	if !d.ok {
-		return -1
+		return -1, 0
 	}
 	if d.skip(brackets[1:]) {
-		return 0
+		return 0, 0
 	}
 	return d.elems()
 }
@@ -951,9 +1076,10 @@ func (d *stateDec) next(closing string) bool {
 
 // elems counts the elements of the non-empty array or object that starts
 // before b[i] — the commas outside nested values and strings, plus one —
-// to size what decodes it. On input that is not well formed the count is
-// only a size hint, never more than len(b).
-func (d *stateDec) elems() int {
+// and, in inner, the elements of the arrays and objects among them, to
+// size what decodes both levels. On input that is not well formed the
+// counts are only size hints, never more than len(b).
+func (d *stateDec) elems() (n, inner int) {
 	n, depth := 1, 0
 	for j := d.i; j < len(d.b); j++ {
 		switch d.b[j] {
@@ -964,17 +1090,22 @@ func (d *stateDec) elems() int {
 				}
 			}
 		case '[', '{':
-			depth++
+			if depth++; depth == 1 && j+1 < len(d.b) && d.b[j+1] != ']' && d.b[j+1] != '}' {
+				inner++
+			}
 		case ']', '}':
 			if depth == 0 {
-				return n
+				return n, inner
 			}
 			depth--
 		case ',':
-			if depth == 0 {
+			switch depth {
+			case 0:
 				n++
+			case 1:
+				inner++
 			}
 		}
 	}
-	return n
+	return n, inner
 }

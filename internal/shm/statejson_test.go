@@ -6,14 +6,18 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"aodb/internal/codec/codectest"
 	"aodb/internal/core"
 	"aodb/internal/kvstore"
 )
@@ -107,6 +111,15 @@ var fallbackInputs = []string{
 	`{"Level":"hour","Next":"","PerChannel":{"c":{"k":{"Bucket":"2026-07-05T10:00:00+02:00","Count":1,"Sum":1,"Min":1,"Max":1}},"c":null}}`,
 	`{"Level":"hour","Next":"","PerChannel":{"c":{"k":null}}}`,
 	`{"Level":"hour","Next":"","PerChannel":{"c":{"k":{"Bucket":"2026-07-05 10:00:00Z","Count":1,"Sum":1,"Min":1,"Max":1}}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"d":{},"c":{}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"c":{"k":{"Bucket":"2026-07-05T10:00:00Z","Count":1,"Sum":1,"Min":1,"Max":1}},"c":{"j":{"Bucket":"2026-07-05T11:00:00Z","Count":2,"Sum":2,"Min":2,"Max":2}}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"c":{"k":{"Bucket":"2026-07-05T10:00:00Z","Count":1,"Sum":1,"Min":1,"Max":1},"j":{"Bucket":"2026-07-05T11:00:00Z","Count":2,"Sum":2,"Min":2,"Max":2}}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"c":{"k":{"Bucket":"2026-07-05T10:00:00Z","Count":1,"Sum":1,"Min":1,"Max":1},"k":{"Bucket":"2026-07-05T11:00:00Z","Count":2,"Sum":2,"Min":2,"Max":2}}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"\u003cc\u003e":{"k\/1":{"Bucket":"2026-07-05T10:00:00Z","Count":1,"Sum":1,"Min":1,"Max":1},"k\u00e9":{"Bucket":"2026-07-05T11:00:00Z","Count":2,"Sum":2,"Min":2,"Max":2}}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"\u0064":{},"c":{}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"c":{"\u006b":{"Bucket":"2026-07-05T10:00:00Z","Count":1,"Sum":1,"Min":1,"Max":1},"j":{"Bucket":"2026-07-05T11:00:00Z","Count":2,"Sum":2,"Min":2,"Max":2}}}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"c":null}}`,
+	`{"Level":"hour","Next":"","PerChannel":{"c":null,"d":{}}}`,
 	`{"Org":"","Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":1e400}]}`,
 	`{"Org":"","Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":01}]}`,
 	`{"Org":"","Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":-}]}`,
@@ -166,9 +179,48 @@ func decodeBoth[S, A any](t *testing.T, data []byte) {
 	if (errFast == nil) != (errRef == nil) {
 		t.Fatalf("%T from %q: codec error %v, encoding/json error %v", fast, data, errFast, errRef)
 	}
-	if want := reflect.ValueOf(ref).Convert(reflect.TypeOf(fast)).Interface(); errFast == nil && !reflect.DeepEqual(fast, want) {
+	if want := fromReference[S](&ref); errFast == nil && !reflect.DeepEqual(fast, want) {
 		t.Fatalf("%T from %q:\ncodec         %#v\nencoding/json %#v", fast, data, fast, want)
 	}
+}
+
+// fromReference converts ref, a method-less type's value, to the state
+// S: the aggregator's from its legacy map of maps, the others by a
+// conversion of identical types.
+func fromReference[S, A any](ref *A) S {
+	if j, ok := any(ref).(*aggStateJSON); ok {
+		return any(j.state()).(S)
+	}
+	return reflect.ValueOf(ref).Elem().Convert(reflect.TypeOf((*S)(nil)).Elem()).Interface().(S)
+}
+
+// toReference converts s to the method-less type A whose json.Marshal
+// bytes the state's MarshalJSON must write.
+func toReference[S, A any](s *S) any {
+	if a, ok := any(s).(*aggState); ok {
+		return a.legacy()
+	}
+	return reflect.ValueOf(s).Convert(reflect.TypeOf((*A)(nil))).Interface()
+}
+
+// legacy is s as the map of maps it is stored as, nil slices as nil maps.
+func (s *aggState) legacy() *aggStateJSON {
+	j := &aggStateJSON{Level: s.Level, Next: s.Next}
+	if s.PerChannel == nil {
+		return j
+	}
+	j.PerChannel = make(map[string]map[string]BucketStat, len(s.PerChannel))
+	for _, ch := range s.PerChannel {
+		var buckets map[string]BucketStat
+		if ch.Buckets != nil {
+			buckets = make(map[string]BucketStat, len(ch.Buckets))
+			for _, b := range ch.Buckets {
+				buckets[b.Key] = b.Stat
+			}
+		}
+		j.PerChannel[ch.Key] = buckets
+	}
+	return j
 }
 
 // checkEncode encodes every state both ways, then decodes what was
@@ -190,16 +242,21 @@ func checkEncode(t *testing.T, s allStates) {
 
 // encodeBoth checks s against json.Marshal of its method-less type A,
 // and that what it writes is the canonical form its decoder reads back.
+// The one exception is an aggregator with a key of invalid UTF-8: written
+// as \ufffd, its distinct keys can read back equal or out of order, and
+// those go to encoding/json.
 func encodeBoth[S, A any](t *testing.T, s *S) {
 	t.Helper()
 	st := any(s).(stateCodec)
 	got, err := st.MarshalJSON()
-	want, wantErr := json.Marshal(reflect.ValueOf(s).Convert(reflect.TypeOf((*A)(nil))).Interface())
+	want, wantErr := json.Marshal(toReference[S, A](s))
 	if !sameError(err, wantErr) || !bytes.Equal(got, want) {
 		t.Fatalf("%T %#v:\ncodec         %s (%v)\nencoding/json %s (%v)", s, s, got, err, want, wantErr)
 	}
 	if err == nil {
-		if !any(new(S)).(stateCodec).parse(got) {
+		_, agg := any(s).(*aggState)
+		lossyKeys := agg && bytes.Contains(got, []byte(`\ufffd`))
+		if !any(new(S)).(stateCodec).parse(got) && !lossyKeys {
 			t.Fatalf("%T: the decoder does not read what the encoder wrote: %s", s, got)
 		}
 		decodeBoth[S, A](t, got)
@@ -253,11 +310,12 @@ func buildStates(g gen) allStates {
 		VirtualOut: g.str(), Aggregator: g.str(), WriteEveryBatch: g.bool(), Archive: g.bool(),
 	}
 	s.virtual = virtualState{Org: g.str(), Inputs: strs(), Op: g.str(), WindowCap: int(g.int()), Window: genList(g, point)}
-	s.agg = aggState{Level: g.str(), Next: g.str(), PerChannel: genMap(g, func() map[string]BucketStat {
+	agg := aggStateJSON{Level: g.str(), Next: g.str(), PerChannel: genMap(g, func() map[string]BucketStat {
 		return genMap(g, func() BucketStat {
 			return BucketStat{Bucket: g.time(), Count: g.int(), Sum: g.float(), Min: g.float(), Max: g.float()}
 		})
 	})}
+	s.agg = agg.state()
 	s.alerts = alertsState{
 		Recent: genList(g, func() Alert { return Alert{Channel: g.str(), At: g.time(), Value: g.float(), Reason: g.str()} }),
 		Total:  g.int(),
@@ -422,4 +480,162 @@ func TestStateWriteRefusesWhatJSONRefuses(t *testing.T) {
 	if _, err := rt.Call(ctx, bad, GetSensorInfo{}); err == nil || !strings.Contains(err.Error(), "core: corrupt state") {
 		t.Errorf("activating over corrupt state: %v, want core: corrupt state", err)
 	}
+}
+
+// orgHourAggregator is the hour aggregator of the benchmark's org: 200
+// channels, one bucket a channel.
+func orgHourAggregator() aggState {
+	hour := TruncateToLevel(t0, LevelHour)
+	j := aggStateJSON{Level: LevelHour, Next: AggregatorKey("org-0", LevelDay), PerChannel: map[string]map[string]BucketStat{}}
+	for s := 0; s < 100; s++ {
+		for c := 0; c < 2; c++ {
+			j.PerChannel[ChannelKey(SensorKey("org-0", s), c)] = map[string]BucketStat{
+				hour.Format(time.RFC3339): {Bucket: hour, Count: 10, Sum: 12.375 * float64(s+c), Min: -1.5, Max: 0.125 * float64(s)},
+			}
+		}
+	}
+	return j.state()
+}
+
+// TestAggregatorStateAllocs holds a cold aggregator's state I/O to a
+// handful of allocations, however many channels feed it: decoding the
+// benchmark org's hour state is the channel slice, the bucket array and
+// the string block; encoding it is the buffer. The bounds are the counts
+// measured once the state kept its stored order (3 and 1; 806 and 11 as a
+// map of maps), plus 10 %.
+func TestAggregatorStateAllocs(t *testing.T) {
+	codectest.SkipUnderRace(t)
+	agg := orgHourAggregator()
+	data, err := agg.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got aggState
+	if !got.parse(data) || !reflect.DeepEqual(got, agg) {
+		t.Fatalf("the decoder does not read back the aggregator's state")
+	}
+	decode := testing.AllocsPerRun(100, func() {
+		if err := got.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	encode := testing.AllocsPerRun(100, func() {
+		if _, err := agg.MarshalJSON(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const mostDecode, mostEncode = 3.3, 1.1
+	if decode > mostDecode || encode > mostEncode {
+		t.Errorf("a %d-channel, %d-byte aggregator state: %.0f allocations to decode (at most %.1f), %.0f to encode (at most %.1f)",
+			len(agg.PerChannel), len(data), decode, mostDecode, encode, mostEncode)
+	} else {
+		t.Logf("a %d-channel, %d-byte aggregator state: %.0f allocations to decode, %.0f to encode", len(agg.PerChannel), len(data), decode, encode)
+	}
+}
+
+// TestAggregatorKeepsStoredOrder: updates in any channel and bucket
+// order, new channels landing before ones the position cache holds, leave
+// the aggregator's state sorted and equal to the map of maps the same
+// updates build.
+func TestAggregatorKeepsStoredOrder(t *testing.T) {
+	a := &aggregatorActor{state: aggState{Level: LevelHour}}
+	want := aggStateJSON{Level: LevelHour, PerChannel: map[string]map[string]BucketStat{}}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		ch := fmt.Sprintf("c-%02d", 49-rng.Intn(50)*i/2000)
+		at := t0.Add(time.Duration(rng.Intn(6)) * time.Hour)
+		v := float64(i)
+		if _, err := a.Receive(nil, StatUpdate{Channel: ch, Stats: []BucketStat{{Bucket: at, Count: 1, Sum: v, Min: v, Max: v}}}); err != nil {
+			t.Fatal(err)
+		}
+		if want.PerChannel[ch] == nil {
+			want.PerChannel[ch] = map[string]BucketStat{}
+		}
+		key := at.Format(time.RFC3339)
+		cur := want.PerChannel[ch][key]
+		cur.Bucket = at
+		cur.Merge(BucketStat{Bucket: at, Count: 1, Sum: v, Min: v, Max: v})
+		want.PerChannel[ch][key] = cur
+	}
+	if len(want.PerChannel) < 40 {
+		t.Fatalf("only %d channels updated", len(want.PerChannel))
+	}
+	if !reflect.DeepEqual(a.state, want.state()) {
+		t.Errorf("the aggregator's state is not the sorted form of its updates:\n got %+v\nwant %+v", a.state, want.state())
+	}
+}
+
+// TestDecodedStateKeepsNoInput: a decoded state holds its values and
+// nothing more — no reference to its input, no slack in its string block
+// — so once the input is collected the live heap has grown by the
+// values' own bytes (window, slices, strings) plus a small constant, the
+// heap's rounding of them.
+func TestDecodedStateKeepsNoInput(t *testing.T) {
+	codectest.SkipUnderRace(t)
+	sensor := SensorKey("org-0", 0)
+	ch := &channelState{
+		Org: "org-0", Sensor: sensor, WindowCap: 4096, VirtualOut: VirtualKey(sensor),
+		Aggregator: AggregatorKey("org-0", LevelHour), Archive: true,
+	}
+	for i := 0; i < ch.WindowCap; i++ {
+		ch.Window = append(ch.Window, DataPoint{At: t0.Add(time.Duration(i) * 100 * time.Millisecond), Value: float64(i) * 0.37})
+	}
+	agg := orgHourAggregator()
+	size := func(v any) int { return int(reflect.TypeOf(v).Size()) }
+	for _, c := range []struct {
+		name string
+		from stateCodec
+		into func() stateCodec
+		own  func(stateCodec) int // the decoded value's bytes
+	}{
+		{"4096-point channel", ch, func() stateCodec { return new(channelState) }, func(st stateCodec) int {
+			s := st.(*channelState)
+			return cap(s.Window)*size(DataPoint{}) + len(s.Org) + len(s.Sensor) + len(s.VirtualOut) + len(s.Aggregator)
+		}},
+		{"200-channel aggregator", &agg, func() stateCodec { return new(aggState) }, func(st stateCodec) int {
+			s := st.(*aggState)
+			n := cap(s.PerChannel)*size(aggChannel{}) + len(s.Level) + len(s.Next)
+			for _, c := range s.PerChannel {
+				n += cap(c.Buckets)*size(aggBucket{}) + len(c.Key)
+				for _, b := range c.Buckets {
+					n += len(b.Key)
+				}
+			}
+			return n
+		}},
+	} {
+		input := func() []byte {
+			data, err := c.from.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		if err := c.into().UnmarshalJSON(input()); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		got := c.into()
+		before := liveHeap()
+		if err := got.UnmarshalJSON(input()); err != nil {
+			t.Fatal(err)
+		}
+		grew := liveHeap() - before
+		const slack = 8 << 10
+		if own := c.own(got); grew > own+slack {
+			t.Errorf("%s: the live heap grew %d bytes across a decode, want at most its %d-byte value plus %d", c.name, grew, own, slack)
+		} else {
+			t.Logf("%s: the live heap grew %d bytes across a decode, for a %d-byte value", c.name, grew, own)
+		}
+		runtime.KeepAlive(got)
+	}
+}
+
+// liveHeap collects twice, so that sync.Pool contents go too, and
+// returns the bytes still live.
+func liveHeap() int {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int(ms.HeapAlloc)
 }

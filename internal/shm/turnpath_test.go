@@ -77,8 +77,9 @@ func TestIngestAllocs(t *testing.T) {
 // sensor family — sensor, two channels, virtual channel — activated from
 // its stored state, given one insert, and idle-collected with its state
 // written, on a fake clock so that a cycle collects exactly the family.
-// The bound is the count measured once the states encoded themselves
-// (90; 160 when encoding/json read and wrote them), plus 10 %.
+// The bound is the count measured once a decoded state's strings were
+// one block and silo views were shared, not copied (76; 90 before, 160
+// when encoding/json read and wrote the states), plus 10 %.
 func TestChurnCycleAllocs(t *testing.T) {
 	codectest.SkipUnderRace(t)
 	kv, err := kvstore.Open(kvstore.Options{})
@@ -153,7 +154,7 @@ func TestChurnCycleAllocs(t *testing.T) {
 	if per := float64(activations.Value()-from) / 51; per != 4 {
 		t.Fatalf("%.2f activations a cycle, want 4", per)
 	}
-	const most = 99.0
+	const most = 83.6
 	if allocs > most {
 		t.Errorf("a churn cycle: %.0f allocations, want at most %.1f", allocs, most)
 	} else {
