@@ -301,10 +301,8 @@ func (a *activation) loadState(ctx context.Context) error {
 	data, ver, err := a.silo.rt.states.Load(ctx, a.reg.Actor)
 	if err != nil {
 		if isNotFound(err) {
-			// First activation ever: keep zero-value state, but adopt the
-			// store's version claim — zero for a plain table, a bumped
-			// epoch when a replicated store found a tombstone.
-			a.stateVersion = ver
+			// First activation ever: zero-value state at version zero,
+			// which is what every store returns for a missing key.
 			return nil
 		}
 		return err

@@ -16,10 +16,9 @@ import (
 // self-deactivation in writeState).
 type StateStore interface {
 	// Load returns the state bytes and the version the caller's writes
-	// must fence on. On a missing key it returns an ErrNotFound-matching
-	// error together with the version the caller must still adopt —
-	// zero for the plain table, possibly a bumped epoch claim for a
-	// replicated store that found a tombstone.
+	// must fence on. A missing key returns (nil, 0) and an
+	// ErrNotFound-matching error, from either store: nothing deletes
+	// state, so a key is missing only until its first write.
 	Load(ctx context.Context, key string) (data []byte, version int64, err error)
 	// Store persists data fenced on version and returns the new version.
 	// A store whose failed write may still have landed somewhere (a

@@ -5,7 +5,8 @@
 // The store provides:
 //
 //   - named tables of versioned items with optimistic conditional puts
-//     (DynamoDB conditional writes);
+//     (DynamoDB conditional writes); nothing deletes an item, as no actor
+//     state is ever deleted;
 //   - per-table provisioned throughput in read/write units with DynamoDB's
 //     rounding rules (1 write unit per started KiB, 1 read unit per started
 //     4 KiB), enforced by blocking token buckets — this is what lets the
@@ -62,15 +63,6 @@ type Item struct {
 	Key     string
 	Value   []byte
 	Version int64
-	// ExpiresAt, when non-zero, is the item's TTL deadline (DynamoDB-style
-	// TTL): reads treat the item as gone once the deadline passes, and it
-	// is physically removed lazily.
-	ExpiresAt time.Time
-}
-
-// expired reports whether the item's TTL has passed at now.
-func (it Item) expired(now time.Time) bool {
-	return !it.ExpiresAt.IsZero() && now.After(it.ExpiresAt)
 }
 
 // Options configures Open.
@@ -105,8 +97,8 @@ type Options struct {
 const defaultSnapshotEvery = 100000
 
 // WriteFault is a fault-injection hook consulted before every mutation
-// (Put/PutIf/Delete/DeleteIf). Returning a non-nil error fails the write
-// before anything is logged or applied, exactly as a storage outage would.
+// (Put/PutIf/Merge). Returning a non-nil error fails the write before
+// anything is logged or applied, exactly as a storage outage would.
 type WriteFault func(table, key string) error
 
 // Store is a collection of tables with shared durability.
@@ -174,11 +166,9 @@ type Table struct {
 	// mutSeq maps each key to the WAL sequence of the last mutation
 	// applied to it in memory (maintained on durable stores only, where
 	// a failed group-commit flush rolls mutations back). Versions are not
-	// usable as that fence: they restart at 1 after a delete, so a failed
-	// delete's rollback could mistake a concurrent writer's fresh value
-	// for the state it removed. Entries for deleted keys are the
-	// tombstones the fence needs and are kept; the map is process-local
-	// and starts empty on recovery.
+	// usable as that fence: a rolled-back write gives its version back,
+	// so a later write can reuse it with other bytes. The map is
+	// process-local and starts empty on recovery.
 	mutSeq map[string]uint64
 }
 
@@ -236,12 +226,11 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// record opcodes in the WAL.
+// record opcodes in the WAL. They are stored bytes: 2 and 4 stay
+// unused, and replay rejects them as unknown.
 const (
-	opPut = iota + 1
-	opDelete
-	opCreateTable
-	opPutTTL // opPut plus a trailing varint expiry (unix nanos)
+	opPut         = 1
+	opCreateTable = 3
 )
 
 func encodeRecord(op byte, table, key string, value []byte, version int64) []byte {
@@ -257,14 +246,9 @@ func encodeRecord(op byte, table, key string, value []byte, version int64) []byt
 	return buf
 }
 
-func encodeRecordTTL(table, key string, value []byte, version int64, expires time.Time) []byte {
-	buf := encodeRecord(opPutTTL, table, key, value, version)
-	return binary.AppendVarint(buf, expires.UnixNano())
-}
-
-func decodeRecord(payload []byte) (op byte, table, key string, value []byte, version int64, expires time.Time, err error) {
-	fail := func(e error) (byte, string, string, []byte, int64, time.Time, error) {
-		return 0, "", "", nil, 0, time.Time{}, e
+func decodeRecord(payload []byte) (op byte, table, key string, value []byte, version int64, err error) {
+	fail := func(e error) (byte, string, string, []byte, int64, error) {
+		return 0, "", "", nil, 0, e
 	}
 	if len(payload) < 1 {
 		return fail(errors.New("kvstore: empty WAL record"))
@@ -296,20 +280,12 @@ func decodeRecord(payload []byte) (op byte, table, key string, value []byte, ver
 	if sz <= 0 {
 		return fail(errors.New("kvstore: malformed WAL record version"))
 	}
-	rest = rest[sz:]
-	if op == opPutTTL {
-		nanos, sz := binary.Varint(rest)
-		if sz <= 0 {
-			return fail(errors.New("kvstore: malformed WAL record expiry"))
-		}
-		expires = time.Unix(0, nanos)
-	}
-	return op, string(tb), string(kb), append([]byte(nil), vb...), ver, expires, nil
+	return op, string(tb), string(kb), append([]byte(nil), vb...), ver, nil
 }
 
 // applyRecord applies a WAL record during recovery, without re-logging.
 func (s *Store) applyRecord(payload []byte) error {
-	op, table, key, value, version, expires, err := decodeRecord(payload)
+	op, table, key, value, version, err := decodeRecord(payload)
 	if err != nil {
 		return err
 	}
@@ -325,19 +301,12 @@ func (s *Store) applyRecord(payload []byte) error {
 			s.tables[table] = s.newTable(table, prov)
 		}
 		return nil
-	case opPut, opPutTTL:
+	case opPut:
 		t, ok := s.tables[table]
 		if !ok {
 			return fmt.Errorf("kvstore: WAL put into missing table %q", table)
 		}
-		t.items[key] = Item{Key: key, Value: value, Version: version, ExpiresAt: expires}
-		return nil
-	case opDelete:
-		t, ok := s.tables[table]
-		if !ok {
-			return fmt.Errorf("kvstore: WAL delete from missing table %q", table)
-		}
-		delete(t.items, key)
+		t.items[key] = Item{Key: key, Value: value, Version: version}
 		return nil
 	default:
 		return fmt.Errorf("kvstore: unknown WAL opcode %d", op)
@@ -449,7 +418,7 @@ func (t *Table) Get(ctx context.Context, key string) (Item, error) {
 	t.mu.RLock()
 	it, ok := t.items[key]
 	t.mu.RUnlock()
-	if !ok || it.expired(t.store.clk.Now()) {
+	if !ok {
 		return Item{}, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
 	if t.reads != nil {
@@ -467,35 +436,75 @@ func (t *Table) Get(ctx context.Context, key string) (Item, error) {
 
 // Put unconditionally writes value under key, returning the new version.
 func (t *Table) Put(ctx context.Context, key string, value []byte) (int64, error) {
-	return t.put(ctx, key, value, -1, 0)
-}
-
-// PutWithTTL writes value with a time-to-live; reads stop returning the
-// item once the TTL passes (DynamoDB-style TTL with lazy removal).
-func (t *Table) PutWithTTL(ctx context.Context, key string, value []byte, ttl time.Duration) (int64, error) {
-	if ttl <= 0 {
-		return 0, errors.New("kvstore: TTL must be positive")
-	}
-	return t.put(ctx, key, value, -1, ttl)
+	return t.put(ctx, key, value, nil)
 }
 
 // PutIf writes value only when the item's current version equals expect.
-// expect == 0 requires that the item not exist yet (an item past its TTL
-// counts as non-existent).
+// expect == 0 requires that the item not exist yet.
 func (t *Table) PutIf(ctx context.Context, key string, value []byte, expect int64) (int64, error) {
 	if expect < 0 {
 		return 0, errors.New("kvstore: negative expected version")
 	}
-	return t.put(ctx, key, value, expect, 0)
+	return t.put(ctx, key, value, func(cur Item, exists bool) error {
+		switch {
+		case expect == 0 && exists:
+			return fmt.Errorf("%w: %s/%s exists at v%d", ErrVersionMismatch, t.name, key, cur.Version)
+		case expect > 0 && cur.Version != expect:
+			return fmt.Errorf("%w: %s/%s at v%d, expected v%d", ErrVersionMismatch, t.name, key, cur.Version, expect)
+		}
+		return nil
+	})
 }
 
-func (t *Table) put(ctx context.Context, key string, value []byte, expect int64, ttl time.Duration) (int64, error) {
-	if key == "" {
-		return 0, errors.New("kvstore: empty key")
-	}
+// put is Put and PutIf: a mutation the active span counts as a store
+// write.
+func (t *Table) put(ctx context.Context, key string, value []byte, decide func(cur Item, exists bool) error) (int64, error) {
 	if sp := telemetry.SpanFrom(ctx); sp != nil {
 		start := t.store.clk.Now()
 		defer func() { sp.AddStoreWrite(t.store.clk.Since(start)) }()
+	}
+	return t.mutate(ctx, key, value, decide)
+}
+
+// errDeclined is what Merge's decide step returns to write nothing.
+var errDeclined = errors.New("kvstore: merge declined")
+
+// Merge writes value under key only when the decide callback, run under
+// the table lock against the current item, approves. It is the replica-
+// role API for replication: a replica applying a possibly-duplicated,
+// possibly-stale incoming mutation compares it against what it holds and
+// either applies or declines in one atomic pass, with the same durable
+// staging and rollback discipline as Put. The callback sees the current
+// item (zero Item when absent) and must not block, mutate cur.Value, or
+// retain it past the call. Returns whether the write was applied; a
+// declined merge performs no I/O and is not an error.
+func (t *Table) Merge(ctx context.Context, key string, value []byte, decide func(cur Item, exists bool) bool) (bool, error) {
+	if decide == nil {
+		return false, errors.New("kvstore: Merge needs a decide callback")
+	}
+	_, err := t.mutate(ctx, key, value, func(cur Item, exists bool) error {
+		if !decide(cur, exists) {
+			return errDeclined
+		}
+		return nil
+	})
+	if err == errDeclined {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// mutate is the store's one mutation path. decide (nil approves) runs
+// under the table lock against the current item and vetoes the write
+// with an error. An approved write is staged in the WAL and applied in
+// memory under the same lock (staging assigns the log order, so it must
+// agree with the per-key version order), then blocks only on the batched
+// flush after the lock is released: concurrent writers overlap their
+// fsync waits instead of serializing behind one. A flush that fails
+// unwinds the apply, fenced on the key's mutation sequence.
+func (t *Table) mutate(ctx context.Context, key string, value []byte, decide func(cur Item, exists bool) error) (int64, error) {
+	if key == "" {
+		return 0, errors.New("kvstore: empty key")
 	}
 	if err := t.store.injectWriteFault(t.name, key); err != nil {
 		return 0, err
@@ -505,60 +514,31 @@ func (t *Table) put(ctx context.Context, key string, value []byte, expect int64,
 			return 0, err
 		}
 	}
-	now := t.store.clk.Now()
 	t.mu.Lock()
-	cur, exists := t.items[key]
-	if exists && cur.expired(now) {
-		// Expired items are logically absent but keep their version
-		// counter monotone so stale conditional writers cannot resurrect.
-		exists = false
-	}
-	if expect >= 0 {
-		switch {
-		case expect == 0 && exists:
-			ver := cur.Version
+	prev, existed := t.items[key]
+	if decide != nil {
+		if err := decide(prev, existed); err != nil {
 			t.mu.Unlock()
-			return 0, fmt.Errorf("%w: %s/%s exists at v%d", ErrVersionMismatch, t.name, key, ver)
-		case expect > 0 && (!exists || cur.Version != expect):
-			ver := cur.Version
-			t.mu.Unlock()
-			return 0, fmt.Errorf("%w: %s/%s at v%d, expected v%d", ErrVersionMismatch, t.name, key, ver, expect)
+			return 0, err
 		}
 	}
-	next := cur.Version + 1
-	stored := append([]byte(nil), value...)
-	item := Item{Key: key, Value: stored, Version: next}
-	var record []byte
-	if ttl > 0 {
-		item.ExpiresAt = now.Add(ttl)
-		record = encodeRecordTTL(t.name, key, stored, next, item.ExpiresAt)
-	} else {
-		record = encodeRecord(opPut, t.name, key, stored, next)
-	}
-	// Durable fast path: stage the WAL record and apply in memory under
-	// the table lock (staging assigns the log order, so it must agree
-	// with the per-key version order), then block only on the batched
-	// flush acknowledgment after the lock is released. Concurrent
-	// writers to the same table overlap their fsync waits instead of
-	// serializing behind one.
-	ack, err := t.store.stageMutation(record)
+	item := Item{Key: key, Value: append([]byte(nil), value...), Version: prev.Version + 1}
+	ack, err := t.store.stageMutation(t.name, item)
 	if err != nil {
 		t.mu.Unlock()
 		return 0, err
 	}
-	prev, hadPrev := t.items[key]
 	prevSeq := t.noteMutation(key, ack)
 	t.items[key] = item
 	t.store.reg.Counter("kvstore.writes").Inc()
 	t.mu.Unlock()
 	if err := t.store.awaitDurable(ctx, ack); err != nil {
 		// The record never became durable: unwind the in-memory apply so
-		// an unacknowledged write cannot be read back. The fence (not the
-		// version, which restarts at 1 after deletes) decides whether the
-		// visible state is still this chain's to unwind.
+		// an unacknowledged write cannot be read back, unless the fence
+		// says the visible state is no longer this chain's to unwind.
 		t.mu.Lock()
 		if t.rollbackAllowed(key, ack) {
-			if hadPrev {
+			if existed {
 				t.items[key] = prev
 			} else {
 				delete(t.items, key)
@@ -568,213 +548,7 @@ func (t *Table) put(ctx context.Context, key string, value []byte, expect int64,
 		t.mu.Unlock()
 		return 0, err
 	}
-	return next, nil
-}
-
-// Merge writes value under key only when the decide callback, run under
-// the table lock against the current item, approves. It is the replica-
-// role API for replication: a replica applying a possibly-duplicated,
-// possibly-stale incoming mutation compares it against what it holds and
-// either applies or declines in one atomic pass, with the same durable
-// staging and rollback discipline as Put. The callback sees the current
-// item (zero Item when absent or expired) and must not block, mutate
-// cur.Value, or retain it past the call. Returns whether the write was
-// applied; a declined merge performs no I/O and is not an error.
-func (t *Table) Merge(ctx context.Context, key string, value []byte, ttl time.Duration, decide func(cur Item, exists bool) bool) (bool, error) {
-	if key == "" {
-		return false, errors.New("kvstore: empty key")
-	}
-	if decide == nil {
-		return false, errors.New("kvstore: Merge needs a decide callback")
-	}
-	if err := t.store.injectWriteFault(t.name, key); err != nil {
-		return false, err
-	}
-	if t.writes != nil {
-		if err := t.writes.Take(ctx, max1(writeUnits(len(value)))); err != nil {
-			return false, err
-		}
-	}
-	now := t.store.clk.Now()
-	t.mu.Lock()
-	cur, exists := t.items[key]
-	if exists && cur.expired(now) {
-		// Same convention as put: expired items are logically absent but
-		// keep the version counter monotone.
-		exists = false
-	}
-	var seen Item
-	if exists {
-		seen = cur
-	}
-	if !decide(seen, exists) {
-		t.mu.Unlock()
-		return false, nil
-	}
-	next := cur.Version + 1
-	stored := append([]byte(nil), value...)
-	item := Item{Key: key, Value: stored, Version: next}
-	var record []byte
-	if ttl > 0 {
-		item.ExpiresAt = now.Add(ttl)
-		record = encodeRecordTTL(t.name, key, stored, next, item.ExpiresAt)
-	} else {
-		record = encodeRecord(opPut, t.name, key, stored, next)
-	}
-	ack, err := t.store.stageMutation(record)
-	if err != nil {
-		t.mu.Unlock()
-		return false, err
-	}
-	prev, hadPrev := t.items[key]
-	prevSeq := t.noteMutation(key, ack)
-	t.items[key] = item
-	t.store.reg.Counter("kvstore.writes").Inc()
-	t.mu.Unlock()
-	if err := t.store.awaitDurable(ctx, ack); err != nil {
-		// Same fenced unwind as put: never let an unacknowledged merge be
-		// read back.
-		t.mu.Lock()
-		if t.rollbackAllowed(key, ack) {
-			if hadPrev {
-				t.items[key] = prev
-			} else {
-				delete(t.items, key)
-			}
-			t.mutSeq[key] = prevSeq
-		}
-		t.mu.Unlock()
-		return false, err
-	}
-	return true, nil
-}
-
-// DeleteIf removes key only at the expected version, for read-modify-
-// delete flows. Deleting a missing (or expired) item fails the condition.
-func (t *Table) DeleteIf(ctx context.Context, key string, expect int64) error {
-	if expect <= 0 {
-		return errors.New("kvstore: DeleteIf needs a positive expected version")
-	}
-	return t.deleteIfVersion(ctx, key, expect, false)
-}
-
-// deleteIfVersion is the version-fenced delete shared by DeleteIf and
-// Sweep. allowExpired lets Sweep reclaim items whose TTL has passed —
-// still only at the exact version it observed, so a concurrent Put that
-// resurrected the key makes the condition fail instead of deleting the
-// fresh value.
-func (t *Table) deleteIfVersion(ctx context.Context, key string, expect int64, allowExpired bool) error {
-	if err := t.store.injectWriteFault(t.name, key); err != nil {
-		return err
-	}
-	if t.writes != nil {
-		if err := t.writes.Take(ctx, 1); err != nil {
-			return err
-		}
-	}
-	now := t.store.clk.Now()
-	t.mu.Lock()
-	cur, ok := t.items[key]
-	if !ok || (!allowExpired && cur.expired(now)) || cur.Version != expect {
-		ver := cur.Version
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s at v%d, expected v%d", ErrVersionMismatch, t.name, key, ver, expect)
-	}
-	ack, err := t.store.stageMutation(encodeRecord(opDelete, t.name, key, nil, 0))
-	if err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	prevSeq := t.noteMutation(key, ack)
-	delete(t.items, key)
-	t.store.reg.Counter("kvstore.deletes").Inc()
-	t.mu.Unlock()
-	if err := t.store.awaitDurable(ctx, ack); err != nil {
-		// The delete never became durable; restore the item, fenced on
-		// the key's mutation sequence — mere absence could be a later
-		// delete's doing, and restoring under it would resurrect a value
-		// the durable log says is gone.
-		t.mu.Lock()
-		if t.rollbackAllowed(key, ack) {
-			t.items[key] = cur
-			t.mutSeq[key] = prevSeq
-		}
-		t.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// Sweep physically removes expired items, returning how many were
-// reclaimed. TTL reads are lazy, so Sweep is optional housekeeping.
-// Deletes are conditioned on the version each victim was observed at, so
-// a key resurrected by a concurrent Put is skipped rather than deleted.
-// On error the count of items actually removed so far is still returned.
-func (t *Table) Sweep(ctx context.Context) (int, error) {
-	now := t.store.clk.Now()
-	t.mu.Lock()
-	type victim struct {
-		key     string
-		version int64
-	}
-	var victims []victim
-	for k, it := range t.items {
-		if it.expired(now) {
-			victims = append(victims, victim{key: k, version: it.Version})
-		}
-	}
-	t.mu.Unlock()
-	swept := 0
-	for _, v := range victims {
-		err := t.deleteIfVersion(ctx, v.key, v.version, true)
-		if errors.Is(err, ErrVersionMismatch) {
-			continue // resurrected or already reclaimed — not ours to delete
-		}
-		if err != nil {
-			return swept, err
-		}
-		swept++
-	}
-	return swept, nil
-}
-
-// Delete removes key. Deleting a missing key is not an error, matching
-// DynamoDB semantics.
-func (t *Table) Delete(ctx context.Context, key string) error {
-	if err := t.store.injectWriteFault(t.name, key); err != nil {
-		return err
-	}
-	if t.writes != nil {
-		if err := t.writes.Take(ctx, 1); err != nil {
-			return err
-		}
-	}
-	t.mu.Lock()
-	cur, ok := t.items[key]
-	if !ok {
-		t.mu.Unlock()
-		return nil
-	}
-	ack, err := t.store.stageMutation(encodeRecord(opDelete, t.name, key, nil, 0))
-	if err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	prevSeq := t.noteMutation(key, ack)
-	delete(t.items, key)
-	t.store.reg.Counter("kvstore.deletes").Inc()
-	t.mu.Unlock()
-	if err := t.store.awaitDurable(ctx, ack); err != nil {
-		// Same fenced restore as deleteIfVersion.
-		t.mu.Lock()
-		if t.rollbackAllowed(key, ack) {
-			t.items[key] = cur
-			t.mutSeq[key] = prevSeq
-		}
-		t.mu.Unlock()
-		return err
-	}
-	return nil
+	return item.Version, nil
 }
 
 // Scan calls fn for every item whose key has the given prefix, in key
@@ -798,8 +572,8 @@ func (t *Table) Scan(ctx context.Context, prefix string, fn func(Item) bool) err
 		t.mu.RLock()
 		it, ok := t.items[k]
 		t.mu.RUnlock()
-		if !ok || it.expired(t.store.clk.Now()) {
-			continue // deleted or expired while scanning
+		if !ok {
+			continue // rolled back while scanning
 		}
 		it.Value = append([]byte(nil), it.Value...)
 		if !fn(it) {
@@ -809,18 +583,11 @@ func (t *Table) Scan(ctx context.Context, prefix string, fn func(Item) bool) err
 	return nil
 }
 
-// Len returns the number of live (non-expired) items in the table.
+// Len returns the number of items in the table.
 func (t *Table) Len() int {
-	now := t.store.clk.Now()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
-	for _, it := range t.items {
-		if !it.expired(now) {
-			n++
-		}
-	}
-	return n
+	return len(t.items)
 }
 
 // Provisioned returns the table's configured throughput.
@@ -855,17 +622,18 @@ func (t *Table) rollbackAllowed(key string, ack *wal.Ack) bool {
 	return t.mutSeq[key] >= ack.Seq()
 }
 
-// stageMutation stages a WAL record for one mutation and returns the
-// acknowledgment handle the caller must Wait on after releasing its table
-// lock. Staging is cheap (no fsync), so holding the table lock across it
-// keeps the WAL order consistent with the per-key version order without
-// serializing writers behind the disk. A nil handle (memory-only store)
+// stageMutation stages the WAL record that writes it into table and
+// returns the acknowledgment handle the caller must Wait on after
+// releasing its table lock. Staging is cheap (no fsync), so holding the
+// table lock across it keeps the WAL order consistent with the per-key
+// version order without serializing writers behind the disk. A
+// memory-only store encodes no record and returns a nil handle, which
 // needs no wait.
-func (s *Store) stageMutation(payload []byte) (*wal.Ack, error) {
+func (s *Store) stageMutation(table string, it Item) (*wal.Ack, error) {
 	if s.log == nil {
 		return nil, nil
 	}
-	ack, err := s.log.Stage(payload)
+	ack, err := s.log.Stage(encodeRecord(opPut, table, it.Key, it.Value, it.Version))
 	if err != nil {
 		return nil, err
 	}
@@ -958,7 +726,7 @@ func (s *Store) Snapshot() error {
 		t.mu.RLock()
 		st := snapshotTable{Prov: t.prov, Items: make(map[string]Item, len(t.items))}
 		for k, it := range t.items {
-			st.Items[k] = Item{Key: k, Value: append([]byte(nil), it.Value...), Version: it.Version, ExpiresAt: it.ExpiresAt}
+			st.Items[k] = Item{Key: k, Value: append([]byte(nil), it.Value...), Version: it.Version}
 		}
 		t.mu.RUnlock()
 		dump.Tables[name] = st

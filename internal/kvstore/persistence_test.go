@@ -5,93 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"aodb/internal/clock"
 )
-
-// TestSweepSkipsResurrectedKey is the regression for the Sweep race: a
-// concurrent Put between victim collection and deletion used to get its
-// fresh value deleted. The write-fault hook (which fires before Sweep's
-// conditional delete takes the table lock) stands in for the concurrent
-// writer.
-func TestSweepSkipsResurrectedKey(t *testing.T) {
-	s, fc := ttlStore(t)
-	tb, _ := s.EnsureTable("t", Throughput{})
-	ctx := context.Background()
-	if _, err := tb.PutWithTTL(ctx, "victim", []byte("stale"), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fc.Advance(2 * time.Second)
-
-	resurrected := false
-	s.SetWriteFault(func(table, key string) error {
-		if key == "victim" && !resurrected {
-			resurrected = true // the hook fires again for the Put below
-			if _, err := tb.Put(ctx, "victim", []byte("fresh")); err != nil {
-				t.Errorf("resurrecting put: %v", err)
-			}
-		}
-		return nil
-	})
-	swept, err := tb.Sweep(ctx)
-	s.SetWriteFault(nil)
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	if swept != 0 {
-		t.Fatalf("swept = %d, want 0 (only victim was resurrected)", swept)
-	}
-	it, err := tb.Get(ctx, "victim")
-	if err != nil {
-		t.Fatalf("resurrected key gone after Sweep: %v", err)
-	}
-	if !bytes.Equal(it.Value, []byte("fresh")) {
-		t.Fatalf("value = %q, want the resurrected %q", it.Value, "fresh")
-	}
-}
-
-// TestSweepReportsActualCountOnError: a mid-loop delete failure used to
-// make Sweep report 0 despite partial deletions.
-func TestSweepReportsActualCountOnError(t *testing.T) {
-	s, fc := ttlStore(t)
-	tb, _ := s.EnsureTable("t", Throughput{})
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, err := tb.PutWithTTL(ctx, key, []byte("v"), time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fc.Advance(2 * time.Second)
-
-	boom := errors.New("storage outage")
-	s.SetWriteFault(func(table, key string) error {
-		if key == "k1" {
-			return boom
-		}
-		return nil
-	})
-	swept, err := tb.Sweep(ctx)
-	s.SetWriteFault(nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("Sweep error = %v, want the injected outage", err)
-	}
-	tb.mu.RLock()
-	remaining := len(tb.items)
-	tb.mu.RUnlock()
-	if swept != 3-remaining {
-		t.Fatalf("swept = %d but %d items physically removed", swept, 3-remaining)
-	}
-	if _, ok := tb.items["k1"]; !ok {
-		t.Fatal("the failed victim was removed anyway")
-	}
-}
 
 // TestCloseDrainsBackgroundSnapshot is the regression for the untracked
 // snapshot goroutine: with a tiny snapshot cadence, Close must wait for
@@ -330,44 +252,8 @@ func TestPutFailsCleanlyAfterLogTeardown(t *testing.T) {
 	}
 }
 
-// TestDurableStoreTTLRoundTrip: the durable fast path preserves the TTL
-// record format across recovery.
-func TestDurableStoreTTLRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	fc := clock.NewFake(time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC))
-	s, err := Open(Options{Dir: dir, Durable: true, Clock: fc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := s.EnsureTable("t", Throughput{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := tb.PutWithTTL(ctx, "lease", []byte("v"), time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(Options{Dir: dir, Durable: true, Clock: fc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	tb2, err := s2.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb2.Get(ctx, "lease"); err != nil {
-		t.Fatalf("TTL item lost across durable reopen: %v", err)
-	}
-	fc.Advance(2 * time.Minute)
-	if _, err := tb2.Get(ctx, "lease"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("expired item read = %v, want ErrNotFound", err)
-	}
-}
-
-// waitForValue polls until key's in-memory state matches want (nil means
-// absent), so tests can sequence writers that are parked in flush waits.
+// waitForValue polls until key's in-memory value is want, so tests can
+// sequence writers that are parked in flush waits.
 func waitForValue(t *testing.T, tb *Table, key string, want []byte) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -375,10 +261,7 @@ func waitForValue(t *testing.T, tb *Table, key string, want []byte) {
 		tb.mu.RLock()
 		it, ok := tb.items[key]
 		tb.mu.RUnlock()
-		if want == nil && !ok {
-			return
-		}
-		if want != nil && ok && bytes.Equal(it.Value, want) {
+		if ok && bytes.Equal(it.Value, want) {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -555,13 +438,11 @@ func waitParked(t *testing.T, fn string) {
 	t.Fatalf("no goroutine in %s parked on a mutex", fn)
 }
 
-// TestFailedDurableRollbackConverges is the regression for the delete-
-// rollback resurrection race: a delete, a put (whose version restarts at
-// 1, colliding with the deleted item's) and another delete of the same
-// key all fail in one group commit. Whatever order their rollbacks run
-// in, memory must converge to the last durable state — an absence-keyed
-// (or version-keyed) restore can instead resurrect one of the failed
-// intermediates.
+// TestFailedDurableRollbackConverges holds the rollback fence: a put, a
+// Merge and another put of one key all fail in one group commit.
+// Whatever order their rollbacks run in, memory must converge to the
+// last durable state; a rollback that restored whatever it captured
+// would leave one of the failed intermediates readable.
 func TestFailedDurableRollbackConverges(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
@@ -584,15 +465,19 @@ func TestFailedDurableRollbackConverges(t *testing.T) {
 		// test's leader record.
 		holdBatch(t, s)
 		errs := make(chan error, 3)
-		go func() { errs <- tb.Delete(ctx, "k") }()
-		waitForValue(t, tb, "k", nil)
+		put := func(v string) {
+			_, err := tb.Put(ctx, "k", []byte(v))
+			errs <- err
+		}
+		go put("first")
+		waitForValue(t, tb, "k", []byte("first"))
 		go func() {
-			_, err := tb.Put(ctx, "k", []byte("phantom"))
+			_, err := tb.Merge(ctx, "k", []byte("merged"), func(Item, bool) bool { return true })
 			errs <- err
 		}()
-		waitForValue(t, tb, "k", []byte("phantom"))
-		go func() { errs <- tb.Delete(ctx, "k") }()
-		waitForValue(t, tb, "k", nil)
+		waitForValue(t, tb, "k", []byte("merged"))
+		go put("last")
+		waitForValue(t, tb, "k", []byte("last"))
 		if err := s.Sync(); err == nil { // flushes the shared batch; all three fail
 			t.Fatal("Sync with failing WAL write succeeded")
 		}
@@ -610,46 +495,6 @@ func TestFailedDurableRollbackConverges(t *testing.T) {
 				i, it.Value, it.Version, ok, "durable")
 		}
 		s.Close()
-	}
-}
-
-// TestSnapshotPreservesTTL: compaction must not drop ExpiresAt — a TTL
-// item restored from a snapshot (whose WAL prefix the snapshot
-// supersedes) used to come back immortal.
-func TestSnapshotPreservesTTL(t *testing.T) {
-	dir := t.TempDir()
-	fc := clock.NewFake(time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC))
-	s, err := Open(Options{Dir: dir, Clock: fc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := s.EnsureTable("t", Throughput{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := tb.PutWithTTL(ctx, "lease", []byte("v"), time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(Options{Dir: dir, Clock: fc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	tb2, err := s2.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb2.Get(ctx, "lease"); err != nil {
-		t.Fatalf("TTL item lost across snapshot: %v", err)
-	}
-	fc.Advance(2 * time.Minute)
-	if _, err := tb2.Get(ctx, "lease"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("expired item read = %v, want ErrNotFound (snapshot dropped ExpiresAt?)", err)
 	}
 }
 
@@ -694,4 +539,65 @@ func benchDurablePuts(b *testing.B, opts Options) {
 		}(w, n)
 	}
 	wg.Wait()
+}
+
+// TestOpensStoreWrittenBeforeTTLRemoval opens testdata/store-v1, a store
+// directory written by the code that still had TTLs: a snapshot whose
+// items carry the ExpiresAt field, then a WAL tail with a put, a merge
+// and a second table. Every item comes back at its version, and the
+// grain table keeps its provisioned throughput.
+func TestOpensStoreWrittenBeforeTTLRemoval(t *testing.T) {
+	dir := t.TempDir()
+	err := filepath.WalkDir("testdata/store-v1", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		to := filepath.Join(dir, strings.TrimPrefix(p, "testdata/store-v1"))
+		if d.IsDir() {
+			return os.MkdirAll(to, 0o755)
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(to, b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	want := map[string]map[string]Item{
+		"grains": {
+			"k0": {Value: []byte("v0b"), Version: 2},
+			"k1": {Value: []byte("v1b"), Version: 2},
+			"k2": {Value: []byte("v2"), Version: 1},
+			"k3": {Value: []byte("v3"), Version: 1},
+			"k4": {Value: []byte("v4"), Version: 1},
+		},
+		"replicas": {"a": {Value: []byte("x"), Version: 1}},
+	}
+	for name, items := range want {
+		tb, err := s.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.Len() != len(items) {
+			t.Fatalf("%s holds %d items, want %d", name, tb.Len(), len(items))
+		}
+		for k, w := range items {
+			it, err := tb.Get(ctx, k)
+			if err != nil || !bytes.Equal(it.Value, w.Value) || it.Version != w.Version {
+				t.Fatalf("%s/%s = %q v%d (%v), want %q v%d", name, k, it.Value, it.Version, err, w.Value, w.Version)
+			}
+		}
+	}
+	g, _ := s.Table("grains")
+	if p := g.Provisioned(); p != (Throughput{ReadUnits: 200, WriteUnits: 200}) {
+		t.Fatalf("grains throughput = %+v", p)
+	}
 }

@@ -49,11 +49,8 @@ func newerSummary(a, b KeySummary) bool {
 // only mismatched buckets into per-key summaries, and for every key the
 // two sides disagree on, copy the (version, value-hash) winner to the
 // loser. Returns how many divergent keys were repaired. A key missing on
-// one side is treated as never-received and pushed — which is why
-// tombstoneTTL must exceed the sweep interval by a wide margin: a
-// reclaimed tombstone plus a still-live older value on a long-dead
-// replica would otherwise resurrect (the classic Dynamo grace-period
-// caveat, documented in DESIGN.md).
+// one side is treated as never-received and pushed: nothing deletes a
+// key, so an absence is always a copy still to be made.
 func (c *Coordinator) SweepPair(ctx context.Context, a, b string, buckets int) (int, error) {
 	if buckets <= 0 {
 		buckets = 64
@@ -116,7 +113,7 @@ func (c *Coordinator) SweepPair(ctx context.Context, a, b string, buckets int) (
 			}
 			env, found, err := c.fetchFrom(ctx, src, key)
 			if err != nil || !found {
-				continue // raced with expiry or a fresh write; next sweep
+				continue // src went down or was wiped since its digest; next sweep
 			}
 			if _, err := c.applyTo(ctx, dst, key, env.Encode()); err != nil {
 				continue

@@ -44,10 +44,10 @@ type Config struct {
 	// also the node whose calls skip the network.
 	Sender string
 	// Local maps silo names to in-process replica stores. Calls to these
-	// silos bypass the transport entirely — the N=1 fast path costs one
-	// map probe more than a bare kvstore write. Leave empty (as the
-	// chaos soak does) to force every replica hop through the transport,
-	// faults and all.
+	// silos bypass the transport entirely, so an N=1 write makes no
+	// transport call (it still runs the quorum fan-out: a goroutine a
+	// home). Leave empty (as the chaos soak does) to force every replica
+	// hop through the transport, faults and all.
 	Local map[string]*Store
 	// Alive, when set, reports whether a silo is believed reachable; a
 	// write counts a home it vetoes as failed instead of paying a
@@ -152,9 +152,6 @@ const (
 	// the window, writes must clear the write quorum on both the old and
 	// new home sets, and reads consult both; SettleRing ends it early.
 	ringTransition = time.Minute
-	// tombstoneTTL bounds how long deleted keys keep their tombstones
-	// before TTL reclamation: 1 h.
-	tombstoneTTL = time.Hour
 	// callTimeout bounds each replica RPC: 2 s.
 	callTimeout = 2 * time.Second
 )
@@ -622,9 +619,8 @@ func newerEnv(a, b Envelope) bool {
 // returned version is the new activation's fencing claim: the loaded
 // envelope's epoch plus one, sequence zero, so every write this
 // activation makes orders above everything its predecessors wrote.
-// Missing keys return an error matching kvstore.ErrNotFound with the
-// version the caller must still adopt (a reclaimed-tombstone epoch, or
-// zero for virgin keys).
+// A key no home holds returns (nil, 0) and an error matching
+// kvstore.ErrNotFound.
 func (c *Coordinator) Load(ctx context.Context, key string) ([]byte, int64, error) {
 	env, found, err := c.readQuorum(ctx, key)
 	if err != nil {
@@ -640,23 +636,18 @@ func (c *Coordinator) Load(ctx context.Context, key string) ([]byte, int64, erro
 	if tr := c.cfg.Tracer; tr.Recording() {
 		tr.Record(telemetry.EpochClaim, key, 0, fmt.Sprintf("epoch %d over %s", next.Epoch, env.Version))
 	}
-	if env.Tombstone {
-		// Deleted: absent to the caller, but the epoch claim must order
-		// above the tombstone or new writes would be stale-rejected.
-		return nil, next.Packed(), fmt.Errorf("%w: %s (deleted)", kvstore.ErrNotFound, key)
-	}
 	return env.Value, next.Packed(), nil
 }
 
 // Get performs a plain quorum read (no epoch claim): the currently
-// visible value and its packed version. Missing and deleted keys return
-// an error matching kvstore.ErrNotFound.
+// visible value and its packed version. A missing key returns an error
+// matching kvstore.ErrNotFound.
 func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, int64, error) {
 	env, found, err := c.readQuorum(ctx, key)
 	if err != nil {
 		return nil, 0, err
 	}
-	if !found || env.Tombstone {
+	if !found {
 		return nil, 0, fmt.Errorf("%w: %s", kvstore.ErrNotFound, key)
 	}
 	return env.Value, env.Version.Packed(), nil
@@ -685,22 +676,4 @@ func (c *Coordinator) Store(ctx context.Context, key string, data []byte, versio
 		return next.Packed(), err
 	}
 	return next.Packed(), nil
-}
-
-// Delete quorum-writes a tombstone for key, fenced like Store. The
-// tombstone carries an absolute expiry tombstoneTTL from now; replicas
-// reclaim it via kvstore TTL once every replica has had a chance to see
-// it.
-func (c *Coordinator) Delete(ctx context.Context, key string, version int64) error {
-	v := Unpack(version)
-	next := Version{Epoch: v.Epoch, Seq: v.Seq + 1}
-	if next.Seq == 0 {
-		next = Version{Epoch: v.Epoch + 1, Seq: 1}
-	}
-	env := Envelope{
-		Version:   next,
-		Tombstone: true,
-		Expires:   c.cfg.Clock.Now().Add(tombstoneTTL),
-	}
-	return c.writeQuorum(ctx, key, env)
 }

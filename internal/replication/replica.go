@@ -69,11 +69,7 @@ func (o Outcome) String() string {
 // every replica applies "higher hash wins", so divergent same-version
 // values converge without coordination.
 func hashEnv(e Envelope) uint64 {
-	h := fnv64(string(e.Value))
-	if e.Tombstone {
-		h = ^h
-	}
-	return mix64(h)
+	return mix64(fnv64(string(e.Value)))
 }
 
 // KeySummary is one key's replication state as reported by a digest
@@ -188,18 +184,8 @@ func (s *Store) SetRebuilding(v bool) { s.rebuilding.Store(v) }
 // has seen returns Equal (or Stale) without touching storage, which is
 // what makes repairs and write retries safe.
 func (s *Store) Apply(ctx context.Context, key string, env Envelope) (Outcome, error) {
-	var ttl time.Duration
-	if env.Tombstone {
-		ttl = env.Expires.Sub(s.cfg.Clock.Now())
-		if ttl <= 0 {
-			// The tombstone is already past reclamation; still apply it
-			// (with a token TTL) so any older live value it masks dies,
-			// then let the sweep collect it.
-			ttl = time.Nanosecond
-		}
-	}
 	out := Applied
-	_, err := s.cfg.Table.Merge(ctx, key, env.Encode(), ttl, func(cur kvstore.Item, exists bool) bool {
+	_, err := s.cfg.Table.Merge(ctx, key, env.Encode(), func(cur kvstore.Item, exists bool) bool {
 		if !exists {
 			out = Applied
 			return true
@@ -234,8 +220,8 @@ func (s *Store) Apply(ctx context.Context, key string, env Envelope) (Outcome, e
 }
 
 // Fetch returns the envelope the replica holds for key, or found=false
-// when the key is absent (never written, or tombstone reclaimed). A
-// rebuilding replica refuses: its absences are meaningless.
+// when the key was never written here. A rebuilding replica refuses:
+// its absences are meaningless.
 func (s *Store) Fetch(ctx context.Context, key string) (Envelope, bool, error) {
 	if s.rebuilding.Load() {
 		return Envelope{}, false, fmt.Errorf("%w: %s", ErrRebuilding, s.cfg.Silo)
@@ -291,7 +277,7 @@ func (s *Store) BucketKeys(ctx context.Context, peer string, bucket uint32, buck
 	return out, err
 }
 
-// scanShared visits every live item whose key both this silo and peer
+// scanShared visits every item whose key both this silo and peer
 // home — under the current ring or, during a transition window, the
 // superseded one, so a silo still offers keys it no longer homes to
 // their new homes (the old→new backfill after a ring change). Keys this

@@ -1,10 +1,10 @@
 package replication
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
@@ -49,19 +49,51 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 	for _, e := range []Envelope{
 		{Version: Version{3, 9}, Value: []byte("hello")},
 		{Version: Version{1, 1}, Value: nil},
-		{Version: Version{2, 5}, Tombstone: true, Expires: time.Unix(0, 1234567890)},
 		{Value: []byte{0, 1, 2, 255}},
 	} {
 		got, err := DecodeEnvelope(e.Encode())
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !got.Equal(e) || !got.Expires.Equal(e.Expires) {
+		if !got.Equal(e) {
 			t.Fatalf("roundtrip %+v -> %+v", e, got)
 		}
 	}
 	if _, err := DecodeEnvelope(nil); err == nil {
 		t.Fatal("decoding empty bytes should fail")
+	}
+}
+
+// TestEnvelopeLayout freezes the stored envelope's bytes: a flag byte,
+// the epoch and sequence as uvarints, an expiry varint, the value. The
+// flag and expiry are always zero; bytes with either set (a tombstone,
+// as older code wrote them) are not an envelope.
+func TestEnvelopeLayout(t *testing.T) {
+	for _, c := range []struct {
+		env  Envelope
+		want []byte
+	}{
+		{Envelope{Version: Version{Epoch: 1, Seq: 2}, Value: []byte("v")}, []byte{0x00, 0x01, 0x02, 0x00, 0x76}},
+		{Envelope{Version: Version{Epoch: 300, Seq: 1}}, []byte{0x00, 0xac, 0x02, 0x01, 0x00}},
+	} {
+		got := c.env.Encode()
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("%+v encodes as % x, want % x", c.env, got, c.want)
+		}
+		back, err := DecodeEnvelope(got)
+		if err != nil || !back.Equal(c.env) {
+			t.Fatalf("% x decodes as %+v, %v", got, back, err)
+		}
+	}
+	for _, b := range [][]byte{
+		{0x01, 0x01, 0x02, 0x00, 0x76},
+		{0x01, 0x02, 0x05, 0xa4, 0x8b, 0xb0, 0x99, 0x09},
+		{0x00, 0x01, 0x02, 0x02, 0x76},
+		{0x00, 0x01, 0x02},
+	} {
+		if _, err := DecodeEnvelope(b); !errors.Is(err, errEnvelope) {
+			t.Fatalf("% x decodes with %v, want errEnvelope", b, err)
+		}
 	}
 }
 
@@ -184,26 +216,6 @@ func TestApplyOutcomes(t *testing.T) {
 	}
 }
 
-func TestApplyTombstoneExpires(t *testing.T) {
-	ctx := context.Background()
-	ring, _ := NewRing([]string{"a"})
-	st := testStore(t, "a", ring, 1)
-	if out, err := st.Apply(ctx, "k", Envelope{Version: Version{1, 1}, Value: []byte("x")}); err != nil || out != Applied {
-		t.Fatalf("apply: %v %v", out, err)
-	}
-	tomb := Envelope{Version: Version{1, 2}, Tombstone: true, Expires: time.Now().Add(50 * time.Millisecond)}
-	if out, err := st.Apply(ctx, "k", tomb); err != nil || out != Applied {
-		t.Fatalf("tombstone apply: %v %v", out, err)
-	}
-	if env, found, _ := st.Fetch(ctx, "k"); !found || !env.Tombstone {
-		t.Fatalf("tombstone should be fetchable before expiry, got found=%v env=%+v", found, env)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if _, found, _ := st.Fetch(ctx, "k"); found {
-		t.Fatal("expired tombstone should read as absent")
-	}
-}
-
 // threeSilos is a ring of exactly N=3: every silo is a home of every
 // key. fiveSilos is N+2: every key has two silos that are not its homes.
 var (
@@ -318,37 +330,6 @@ func TestQuorumWriteReadRoundtrip(t *testing.T) {
 	}
 	if data, _, _ := c.coord.Get(ctx, key); string(data) != "state-3" {
 		t.Fatalf("fenced write must not be visible, got %q", data)
-	}
-}
-
-func TestDeleteTombstoneAndReload(t *testing.T) {
-	ctx := context.Background()
-	c := newTestCluster(t, threeSilos, 3, 2, 2)
-	key := "device@7"
-	v, err := c.coord.Store(ctx, key, []byte("x"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.coord.Delete(ctx, key, v); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.coord.Get(ctx, key); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("deleted key should read not-found, got %v", err)
-	}
-	// Reload: not found, but with an epoch claim above the tombstone so
-	// new writes are not stale-rejected.
-	_, ver, err := c.coord.Load(ctx, key)
-	if !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("load after delete: %v", err)
-	}
-	if Unpack(ver).Epoch == 0 {
-		t.Fatalf("load after delete must carry an epoch claim, got %v", Unpack(ver))
-	}
-	if _, err := c.coord.Store(ctx, key, []byte("reborn"), ver); err != nil {
-		t.Fatalf("write after delete: %v", err)
-	}
-	if data, _, err := c.coord.Get(ctx, key); err != nil || string(data) != "reborn" {
-		t.Fatalf("resurrected read: %q %v", data, err)
 	}
 }
 
@@ -539,12 +520,11 @@ func TestReadRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Manually age one home replica.
+	// One home lags: a fresh replica hosted in its place never saw the
+	// write.
 	homes := c.ring.ReplicaSet(key, 3)
-	lag := c.svc.Store(homes[2])
-	if err := lag.Table().Delete(ctx, key); err != nil {
-		t.Fatal(err)
-	}
+	lag := testStore(t, homes[2], c.ring, 3)
+	c.svc.Host(homes[2], lag)
 	// R=3 read sees the hole and repairs it.
 	data, gv, err := c.coord.Get(ctx, key)
 	if err != nil || string(data) != "fresh" || gv != v {

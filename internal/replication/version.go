@@ -9,12 +9,14 @@
 //     an N-silo home set, stable across silo outages;
 //   - per-silo replica stores (Store) hold versioned envelopes in the
 //     WAL-backed kvstore and apply mutations if-newer, idempotently;
-//   - a quorum Coordinator performs durable puts/gets/deletes against
+//   - a quorum Coordinator performs durable puts and gets against
 //     strict R-of-N / W-of-N quorums of the key's home replicas, with
 //     read-repair on quorum reads and a background anti-entropy sweep
-//     (Sweeper) for convergence;
-//   - deletes are tombstones with a TTL, reclaimed lazily by the
-//     kvstore's existing TTL machinery.
+//     (Sweeper) for convergence.
+//
+// Nothing deletes a key: actor state, once written, is only ever
+// superseded by a higher version, so there are no tombstones to
+// replicate or reclaim.
 //
 // Versions are (fencing epoch, mutation seq) pairs, not vector clocks:
 // each actor key has one writer at a time (its activation), so the only
@@ -30,7 +32,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Version orders replicated mutations: the activation fencing epoch
@@ -70,48 +71,36 @@ func (v Version) Compare(o Version) int {
 func (v Version) String() string { return fmt.Sprintf("e%d.s%d", v.Epoch, v.Seq) }
 
 // Envelope is one replicated value as stored in a replica table: the
-// version that ordered it, a tombstone marker for deletes, an absolute
-// expiry for tombstone reclamation, and the payload bytes.
+// version that ordered it and the payload bytes.
 type Envelope struct {
-	Version   Version
-	Tombstone bool
-	// Expires, non-zero only on tombstones, is the absolute reclamation
-	// deadline. Carrying the absolute time (not a TTL) keeps replicas
-	// that receive the tombstone late from extending its life.
-	Expires time.Time
+	Version Version
 	Value   []byte
 }
-
-const envTombstone = 1 << 0
 
 // errEnvelope reports replica bytes that do not decode as an envelope.
 var errEnvelope = errors.New("replication: malformed envelope")
 
-// Encode renders the envelope to the bytes a replica table stores.
+// Encode renders the envelope to the bytes a replica table stores: a
+// zero flag byte, the epoch and sequence as uvarints, a zero expiry
+// varint, then the value. The two zero fields keep the layout of the
+// envelopes already stored.
 func (e Envelope) Encode() []byte {
-	buf := make([]byte, 0, 1+4*binary.MaxVarintLen64+len(e.Value))
-	var flags byte
-	if e.Tombstone {
-		flags |= envTombstone
-	}
-	buf = append(buf, flags)
+	buf := make([]byte, 0, 2+2*binary.MaxVarintLen32+len(e.Value))
+	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(e.Version.Epoch))
 	buf = binary.AppendUvarint(buf, uint64(e.Version.Seq))
-	var exp int64
-	if !e.Expires.IsZero() {
-		exp = e.Expires.UnixNano()
-	}
-	buf = binary.AppendVarint(buf, exp)
+	buf = append(buf, 0)
 	buf = append(buf, e.Value...)
 	return buf
 }
 
-// DecodeEnvelope parses replica-table bytes back into an Envelope.
+// DecodeEnvelope parses replica-table bytes back into an Envelope. A
+// non-zero flag byte or expiry is not an envelope this package writes.
 func DecodeEnvelope(b []byte) (Envelope, error) {
-	if len(b) < 1 {
+	if len(b) < 1 || b[0] != 0 {
 		return Envelope{}, errEnvelope
 	}
-	e := Envelope{Tombstone: b[0]&envTombstone != 0}
+	var e Envelope
 	rest := b[1:]
 	epoch, n := binary.Uvarint(rest)
 	if n <= 0 {
@@ -123,15 +112,11 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		return Envelope{}, errEnvelope
 	}
 	rest = rest[n:]
-	exp, n := binary.Varint(rest)
-	if n <= 0 {
+	if len(rest) < 1 || rest[0] != 0 {
 		return Envelope{}, errEnvelope
 	}
-	rest = rest[n:]
+	rest = rest[1:]
 	e.Version = Version{Epoch: uint32(epoch), Seq: uint32(seq)}
-	if exp != 0 {
-		e.Expires = time.Unix(0, exp)
-	}
 	e.Value = append([]byte(nil), rest...)
 	return e, nil
 }
@@ -140,5 +125,5 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 // the idempotent-duplicate test the apply path uses to accept retried
 // writes without treating them as conflicts.
 func (e Envelope) Equal(o Envelope) bool {
-	return e.Version == o.Version && e.Tombstone == o.Tombstone && bytes.Equal(e.Value, o.Value)
+	return e.Version == o.Version && bytes.Equal(e.Value, o.Value)
 }
