@@ -44,10 +44,11 @@ type Config struct {
 	// also the node whose calls skip the network.
 	Sender string
 	// Local maps silo names to in-process replica stores. Calls to these
-	// silos bypass the transport entirely, so an N=1 write makes no
-	// transport call (it still runs the quorum fan-out: a goroutine a
-	// home). Leave empty (as the chaos soak does) to force every replica
-	// hop through the transport, faults and all.
+	// silos bypass the transport entirely, and a write applies to its
+	// first local home on the calling goroutine, so an N=1 write makes
+	// no transport call and starts no goroutine. Leave empty (as the
+	// chaos soak does) to force every replica hop through the transport,
+	// faults and all.
 	Local map[string]*Store
 	// Alive, when set, reports whether a silo is believed reachable; a
 	// write counts a home it vetoes as failed instead of paying a
@@ -152,9 +153,21 @@ const (
 	// the window, writes must clear the write quorum on both the old and
 	// new home sets, and reads consult both; SettleRing ends it early.
 	ringTransition = time.Minute
-	// callTimeout bounds each replica RPC: 2 s.
+	// callTimeout bounds each replica RPC: 2 s. The calls a fan-out
+	// launches at one instant share one such deadline.
 	callTimeout = 2 * time.Second
 )
+
+// bounded returns ctx bounded to callTimeout from now and the function
+// that releases the deadline. A ctx that already ends sooner needs no
+// deadline of its own and comes back as it is, with a release that does
+// nothing.
+func bounded(ctx context.Context) (context.Context, context.CancelFunc) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= callTimeout {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, callTimeout)
+}
 
 // quorumFor clamps the desired N/R/W to what ring can actually provide.
 func (c *Coordinator) quorumFor(ring *Ring) (n, r, w int) {
@@ -288,7 +301,10 @@ func (c *Coordinator) Unhealthy(silo string) bool {
 	return s != nil && s.fails >= unhealthyAfter
 }
 
-// call performs one replica RPC, preferring the in-process store.
+// call performs one replica RPC, preferring the in-process store, which
+// runs under ctx as it is. A remote call runs under ctx bounded to
+// callTimeout; a fan-out passes the deadline it shares, and a lone call
+// makes its own.
 func (c *Coordinator) call(ctx context.Context, silo string, payload any) (any, error) {
 	if st, ok := c.cfg.Local[silo]; ok {
 		return serveLocal(ctx, st, payload)
@@ -296,8 +312,8 @@ func (c *Coordinator) call(ctx context.Context, silo string, payload any) (any, 
 	if c.cfg.Transport == nil {
 		return nil, &transport.UnreachableError{Node: silo, Err: errors.New("replication: no route")}
 	}
-	cctx, cancel := context.WithTimeout(ctx, callTimeout)
-	defer cancel()
+	cctx, release := bounded(ctx)
+	defer release()
 	req := transport.Request{
 		TargetKind: TargetKind,
 		TargetKey:  silo,
@@ -314,11 +330,7 @@ func (c *Coordinator) call(ctx context.Context, silo string, payload any) (any, 
 func serveLocal(ctx context.Context, st *Store, payload any) (any, error) {
 	switch m := payload.(type) {
 	case rpcApply:
-		env, err := DecodeEnvelope(m.Env)
-		if err != nil {
-			return nil, err
-		}
-		out, err := st.Apply(ctx, m.Key, env)
+		out, err := st.Apply(ctx, m.Key, m.Env)
 		if err != nil {
 			return nil, err
 		}
@@ -390,36 +402,68 @@ type writeTarget struct {
 	cur, old bool
 }
 
-// quorumTargets merges the key's home sets under the current and (when
-// in a transition window) superseded rings into one distinct target
-// list, current-ring homes first.
-func quorumTargets(key string, cur *Ring, nCur int, old *Ring, nOld int) []writeTarget {
-	homes := cur.ReplicaSet(key, nCur)
-	targets := make([]writeTarget, 0, len(homes)+nOld)
-	inCur := make(map[string]int, len(homes))
-	for _, h := range homes {
-		inCur[h] = len(targets)
-		targets = append(targets, writeTarget{silo: h, cur: true})
+// maxTargets sizes the stack buffers that a quorum operation and
+// Ring.Homes collect homes in; a larger set spills to the heap.
+const maxTargets = 8
+
+// quorumTargets appends to dst the key's home sets under the current
+// and (when in a transition window) superseded rings, merged into one
+// distinct target list, current-ring homes first.
+func quorumTargets(dst []writeTarget, key string, cur *Ring, nCur int, old *Ring, nOld int) []writeTarget {
+	var homes [maxTargets]string
+	for _, h := range cur.appendHomes(homes[:0], key, nCur) {
+		dst = append(dst, writeTarget{silo: h, cur: true})
 	}
-	if old != nil {
-		for _, h := range old.ReplicaSet(key, nOld) {
-			if i, ok := inCur[h]; ok {
-				targets[i].old = true
-			} else {
-				targets = append(targets, writeTarget{silo: h, old: true})
+	if old == nil {
+		return dst
+	}
+	inCur := len(dst)
+next:
+	for _, h := range old.appendHomes(homes[:0], key, nOld) {
+		for i := range dst[:inCur] {
+			if dst[i].silo == h {
+				dst[i].old = true
+				continue next
 			}
 		}
+		dst = append(dst, writeTarget{silo: h, old: true})
 	}
-	return targets
+	return dst
 }
 
-// writeQuorum pushes enc to the key's home set and succeeds once W homes
-// hold it; a dead or failing home is one failed home, so a write that
-// cannot reach W homes fails with ErrQuorum. During a ring transition
-// the write must clear W on the superseded ring's home set too — that is
-// what keeps R+W > N intersection valid against the union of old and new
-// replica sets mid-change. Fenced outcomes (Stale/Conflict) abort
-// immediately: a newer epoch owns the key.
+// sharedDeadline makes the one deadline the remote calls of a fan-out
+// share (see bounded). Its release may run only once every call under it
+// has returned: a call cancelled early reaches noteResult as a failure
+// and can mark a healthy home Unhealthy.
+func (c *Coordinator) sharedDeadline(ctx context.Context, targets []writeTarget) (context.Context, context.CancelFunc) {
+	for _, t := range targets {
+		if _, ok := c.cfg.Local[t.silo]; !ok {
+			return bounded(ctx)
+		}
+	}
+	return ctx, func() {}
+}
+
+// homeCtx is the context a fan-out calls silo under: an in-process home
+// keeps the caller's ctx, a remote one gets the shared deadline.
+func (c *Coordinator) homeCtx(ctx, shared context.Context, silo string) context.Context {
+	if _, ok := c.cfg.Local[silo]; ok {
+		return ctx
+	}
+	return shared
+}
+
+// writeQuorum pushes enc to the key's home set and collects the homes'
+// answers: a fence (Stale/Conflict) from any home fails the write at
+// once, since a newer epoch owns the key; otherwise it waits for every
+// home and succeeds once W homes applied it. A dead or failing home is
+// one failed home, so a write that cannot reach W homes fails with
+// ErrQuorum. During a ring transition the write must clear W on the
+// superseded ring's home set too — that is what keeps R+W > N
+// intersection valid against the union of old and new replica sets
+// mid-change. The remote homes are called on goroutines under one shared
+// deadline; the first local home is applied on the calling goroutine
+// while they run.
 func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope) error {
 	enc := env.Encode()
 	cur, old := c.rings()
@@ -429,7 +473,8 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 	if old != nil {
 		nOld, _, wOld = c.quorumFor(old)
 	}
-	targets := quorumTargets(key, cur, n, old, nOld)
+	var buf [maxTargets]writeTarget
+	targets := quorumTargets(buf[:0], key, cur, n, old, nOld)
 	corr := c.cfg.Tracer.NewCorr()
 
 	ackCur, ackOld := 0, 0
@@ -440,16 +485,28 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		err error
 	}
 	results := make(chan res, len(targets))
-	for _, t := range targets {
+	shared, release := c.sharedDeadline(ctx, targets)
+	inline := -1
+	for i, t := range targets {
 		if !c.alive(t.silo) {
 			// Known-dead home: a failed home without paying the timeout.
 			results <- res{t: t, err: &transport.UnreachableError{Node: t.silo, Err: errors.New("replication: vetoed by alive check")}}
 			continue
 		}
-		go func(t writeTarget) {
-			out, err := c.applyTo(ctx, t.silo, key, enc)
+		if _, ok := c.cfg.Local[t.silo]; ok && inline < 0 {
+			inline = i
+			continue
+		}
+		tctx := c.homeCtx(ctx, shared, t.silo)
+		go func() {
+			out, err := c.applyTo(tctx, t.silo, key, enc)
 			results <- res{t: t, out: out, err: err}
-		}(t)
+		}()
+	}
+	if inline >= 0 {
+		t := targets[inline]
+		out, err := c.applyTo(ctx, t.silo, key, enc)
+		results <- res{t: t, out: out, err: err}
 	}
 	for i := 0; i < len(targets); i++ {
 		r := <-results
@@ -467,6 +524,14 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 					c.cfg.Tracer.Record(telemetry.QuorumWriteFail, key, corr,
 						fmt.Sprintf("fenced by %s at %s", r.out, env.Version))
 				}
+				// The fence returns now; the calls still in flight keep
+				// the shared deadline until the last of them answers.
+				go func(left int) {
+					for ; left > 0; left-- {
+						<-results
+					}
+					release()
+				}(len(targets) - i - 1)
 				return errFenced(key, env.Version, r.out)
 			}
 			continue
@@ -475,6 +540,7 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 			firstErr = r.err
 		}
 	}
+	release()
 	if ackCur >= w && (old == nil || ackOld >= wOld) {
 		if corr != 0 {
 			c.cfg.Tracer.Record(telemetry.QuorumWrite, key, corr,
@@ -517,7 +583,8 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 	if old != nil {
 		nOld, rOld, _ = c.quorumFor(old)
 	}
-	targets := quorumTargets(key, cur, n, old, nOld)
+	var buf [maxTargets]writeTarget
+	targets := quorumTargets(buf[:0], key, cur, n, old, nOld)
 
 	type res struct {
 		t     writeTarget
@@ -526,11 +593,13 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 		err   error
 	}
 	results := make(chan res, len(targets))
+	shared, release := c.sharedDeadline(ctx, targets)
 	for _, t := range targets {
-		go func(t writeTarget) {
-			env, found, err := c.fetchFrom(ctx, t.silo, key)
+		tctx := c.homeCtx(ctx, shared, t.silo)
+		go func() {
+			env, found, err := c.fetchFrom(tctx, t.silo, key)
 			results <- res{t: t, env: env, found: found, err: err}
-		}(t)
+		}()
 	}
 	var oks []res
 	okCur, okOld := 0, 0
@@ -551,6 +620,7 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 		}
 		oks = append(oks, r)
 	}
+	release()
 	if okCur < rq || okOld < rOld {
 		got := okCur
 		if old != nil && okOld < got {

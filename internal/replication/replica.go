@@ -179,13 +179,18 @@ func (s *Store) Table() *kvstore.Table { return s.cfg.Table }
 // ErrRebuilding for why.
 func (s *Store) SetRebuilding(v bool) { s.rebuilding.Store(v) }
 
-// Apply merges env into the replica under the if-newer rule and reports
-// what happened. It is idempotent: re-applying any envelope the replica
-// has seen returns Equal (or Stale) without touching storage, which is
-// what makes repairs and write retries safe.
-func (s *Store) Apply(ctx context.Context, key string, env Envelope) (Outcome, error) {
+// Apply merges the encoded envelope enc into the replica under the
+// if-newer rule and reports what happened. enc is stored as sent, and
+// the store keeps no reference to it. Apply is idempotent: re-applying
+// any envelope the replica has seen returns Equal (or Stale) without
+// touching storage, which is what makes repairs and write retries safe.
+func (s *Store) Apply(ctx context.Context, key string, enc []byte) (Outcome, error) {
+	env, err := DecodeEnvelope(enc)
+	if err != nil {
+		return 0, err
+	}
 	out := Applied
-	_, err := s.cfg.Table.Merge(ctx, key, env.Encode(), func(cur kvstore.Item, exists bool) bool {
+	_, err = s.cfg.Table.Merge(ctx, key, enc, func(cur kvstore.Item, exists bool) bool {
 		if !exists {
 			out = Applied
 			return true

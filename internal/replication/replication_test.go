@@ -176,25 +176,25 @@ func TestApplyOutcomes(t *testing.T) {
 	st := testStore(t, "a", ring, 1)
 
 	v1 := Envelope{Version: Version{1, 1}, Value: []byte("x")}
-	if out, err := st.Apply(ctx, "k", v1); err != nil || out != Applied {
+	if out, err := st.Apply(ctx, "k", v1.Encode()); err != nil || out != Applied {
 		t.Fatalf("first apply: %v %v", out, err)
 	}
 	// Idempotent duplicate.
-	if out, _ := st.Apply(ctx, "k", v1); out != Equal {
+	if out, _ := st.Apply(ctx, "k", v1.Encode()); out != Equal {
 		t.Fatalf("duplicate should be Equal, got %v", out)
 	}
 	// Newer wins.
 	v2 := Envelope{Version: Version{1, 2}, Value: []byte("y")}
-	if out, _ := st.Apply(ctx, "k", v2); out != Applied {
+	if out, _ := st.Apply(ctx, "k", v2.Encode()); out != Applied {
 		t.Fatalf("newer should apply, got %v", out)
 	}
 	// Older is stale.
-	if out, _ := st.Apply(ctx, "k", v1); out != Stale {
+	if out, _ := st.Apply(ctx, "k", v1.Encode()); out != Stale {
 		t.Fatalf("older should be Stale, got %v", out)
 	}
 	// Same version, different bytes: conflict, resolved by hash.
 	c := Envelope{Version: Version{1, 2}, Value: []byte("z")}
-	if out, _ := st.Apply(ctx, "k", c); out != Conflict {
+	if out, _ := st.Apply(ctx, "k", c.Encode()); out != Conflict {
 		t.Fatalf("want Conflict, got %v", out)
 	}
 	// Whatever the hash decided, both orders must converge on one value.
@@ -204,10 +204,10 @@ func TestApplyOutcomes(t *testing.T) {
 	}
 	win := env
 	st2 := testStore(t, "a", ring, 1)
-	if out, _ := st2.Apply(ctx, "k", c); out != Applied {
+	if out, _ := st2.Apply(ctx, "k", c.Encode()); out != Applied {
 		t.Fatal("fresh replica should apply")
 	}
-	if out, _ := st2.Apply(ctx, "k", v2); out != Conflict {
+	if out, _ := st2.Apply(ctx, "k", v2.Encode()); out != Conflict {
 		t.Fatal("want Conflict on second replica")
 	}
 	env2, _, _ := st2.Fetch(ctx, "k")
@@ -499,7 +499,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 
 	// Writes and anti-entropy still flow while gated: the replica can be
 	// restored, then released, and reads recover.
-	if out, err := rebuilding.Apply(ctx, key, Envelope{Version: Version{Epoch: 9}, Value: []byte("restored")}); err != nil || out != Applied {
+	if out, err := rebuilding.Apply(ctx, key, Envelope{Version: Version{Epoch: 9}, Value: []byte("restored")}.Encode()); err != nil || out != Applied {
 		t.Fatalf("gated apply: %v %v", out, err)
 	}
 	if _, err := rebuilding.Digest(ctx, homes[2], 8); err != nil {

@@ -152,33 +152,41 @@ func (r *Ring) Size() int { return len(r.silos) }
 // then successive distinct silos around the ring. n is clamped to the
 // member count.
 func (r *Ring) ReplicaSet(key string, n int) []string {
+	return r.appendHomes(nil, key, n)
+}
+
+// appendHomes appends the key's ReplicaSet to dst, so a caller with a
+// small buffer of its own walks the ring without allocating.
+func (r *Ring) appendHomes(dst []string, key string, n int) []string {
 	if n > len(r.silos) {
 		n = len(r.silos)
 	}
 	if n <= 0 {
-		return nil
+		return dst
 	}
 	h := keyPoint(key)
 	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if idx == len(r.points) {
 		idx = 0
 	}
-	out := make([]string, 0, n)
-	taken := make([]bool, len(r.silos))
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		p := r.points[(idx+i)%len(r.points)]
-		if taken[p.silo] {
-			continue
+	start := len(dst)
+walk:
+	for i := 0; len(dst)-start < n && i < len(r.points); i++ {
+		silo := r.silos[r.points[(idx+i)%len(r.points)].silo]
+		for _, s := range dst[start:] {
+			if s == silo {
+				continue walk
+			}
 		}
-		taken[p.silo] = true
-		out = append(out, r.silos[p.silo])
+		dst = append(dst, silo)
 	}
-	return out
+	return dst
 }
 
 // Homes reports whether silo is in the key's N-replica home set.
 func (r *Ring) Homes(key string, n int, silo string) bool {
-	for _, s := range r.ReplicaSet(key, n) {
+	var buf [maxTargets]string
+	for _, s := range r.appendHomes(buf[:0], key, n) {
 		if s == silo {
 			return true
 		}

@@ -96,6 +96,9 @@ func (e Envelope) Encode() []byte {
 
 // DecodeEnvelope parses replica-table bytes back into an Envelope. A
 // non-zero flag byte or expiry is not an envelope this package writes.
+// The envelope is a view: its Value aliases b, so it holds only as long
+// as b is not written to. A caller that keeps Value past the life of a
+// buffer it does not own copies it.
 func DecodeEnvelope(b []byte) (Envelope, error) {
 	if len(b) < 1 || b[0] != 0 {
 		return Envelope{}, errEnvelope
@@ -117,7 +120,9 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 	}
 	rest = rest[1:]
 	e.Version = Version{Epoch: uint32(epoch), Seq: uint32(seq)}
-	e.Value = append([]byte(nil), rest...)
+	if len(rest) > 0 {
+		e.Value = rest
+	}
 	return e, nil
 }
 
