@@ -83,7 +83,7 @@ func EqualsGob(t *testing.T, v any) {
 // allocates on its own account and makes sync.Pool drop items at random.
 func SkipUnderRace(t testing.TB) {
 	t.Helper()
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 }

@@ -2,4 +2,5 @@
 
 package codectest
 
-const raceEnabled = false
+// RaceEnabled reports whether the test binary was built with -race.
+const RaceEnabled = false

@@ -2,4 +2,5 @@
 
 package codectest
 
-const raceEnabled = true
+// RaceEnabled reports whether the test binary was built with -race.
+const RaceEnabled = true

@@ -54,20 +54,17 @@ type activation struct {
 	// sampled. Context methods and the kvstore instrumentation read it
 	// via a.context.
 	cur *telemetry.Span
-
-	drained chan struct{} // closed after full deactivation cleanup
 }
 
 // newActivation returns an activation whose mailbox is already owned: the
 // caller hands it to a worker, whose first visit activates it.
 func newActivation(id ID, silo *Silo, cfg *kindConfig, reg directory.Registration) *activation {
 	a := &activation{
-		id:      id,
-		silo:    silo,
-		cfg:     cfg,
-		actor:   cfg.factory(),
-		reg:     reg,
-		drained: make(chan struct{}),
+		id:    id,
+		silo:  silo,
+		cfg:   cfg,
+		actor: cfg.factory(),
+		reg:   reg,
 	}
 	a.box.owned = true
 	a.lastBusy.Store(silo.rt.clk.Now().UnixNano())
@@ -253,7 +250,7 @@ func (a *activation) deactivate(c *Context, wasActive, dirty bool) {
 	}
 	a.silo.rt.directory.Unregister(a.reg)
 	a.silo.removeActivation(a)
-	close(a.drained)
+	a.box.finishTeardown()
 }
 
 // teardownHooks runs OnDeactivate and the final state write, recovering

@@ -648,7 +648,8 @@ func TestCallManyEquivalence(t *testing.T) {
 // a worker, by design, so the goroutines are counted once the gate is
 // released and the turns have finished: the handler leaves none behind
 // beyond the silo's parked workers. And a call to N warm targets allocates
-// less per target than a single Call does.
+// at most 1.1 a target (measured 1.05): a reply channel made per target
+// would cost two more.
 func TestCallManyHandlerCost(t *testing.T) {
 	h := bootLocal(t)
 	prefixes := prefixOn(t)
@@ -696,7 +697,7 @@ func TestCallManyHandlerCost(t *testing.T) {
 		}
 	})
 	t.Logf("allocs: %.1f per single Call, %.2f per target of a %d-target CallMany", single, many/n, n)
-	if many/n > single-1 {
-		t.Errorf("CallMany allocates %.2f per target, a single Call %.1f: the per-target reply channel is back", many/n, single)
+	if many/n > 1.1 {
+		t.Errorf("CallMany allocates %.2f per target, want at most 1.1: the per-target reply channel is back", many/n)
 	}
 }

@@ -53,7 +53,13 @@ type mailbox struct {
 	head   int
 	closed bool
 	owned  bool
+	done   chan struct{} // see teardownDone; closedDone once torn down
 }
+
+// closedDone is what a waiter that arrives after teardown is handed.
+var closedDone = make(chan struct{})
+
+func init() { close(closedDone) }
 
 // popState is what pop found.
 type popState uint8
@@ -135,6 +141,27 @@ func (m *mailbox) close() (wake bool) {
 	wake = !m.owned
 	m.owned = true
 	return wake
+}
+
+// teardownDone returns a channel closed once the activation's teardown has
+// finished. Few activations are ever waited for, so the first waiter makes it.
+func (m *mailbox) teardownDone() <-chan struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done == nil {
+		m.done = make(chan struct{})
+	}
+	return m.done
+}
+
+// finishTeardown wakes the teardown's waiters and hands later ones closedDone.
+func (m *mailbox) finishTeardown() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done != nil {
+		close(m.done)
+	}
+	m.done = closedDone
 }
 
 // depth reports the number of queued messages, for introspection gauges.

@@ -199,7 +199,7 @@ func (s *Silo) migrateOut(ctx context.Context, id ID, target string, corr uint64
 	}
 	act.close()
 	select {
-	case <-act.drained:
+	case <-act.box.teardownDone():
 		s.metrics.Counter("core.migrations.out").Inc()
 		s.rt.tracer.Record(telemetry.MigrateDrain, id.String(), corr, "to="+target)
 		return nil

@@ -103,9 +103,9 @@ func TestMultiReplyRunForm(t *testing.T) {
 // stand-in that returns one prepared channel list and one prepared
 // 210-slot DataPoint reply, so what is counted is the client's call plus
 // one frame each way. It guards CallManyOf alone and Platform.LiveData,
-// which calls it; the bounds are the counts measured with the reply in the
-// run form and the span context passed to the group goroutines by value,
-// plus 10 %. The same call through CallMany, which boxes every
+// which calls it; the bounds are the counts measured once send requests
+// and reply channels were recycled (13 and 21; 15 and 25 before), plus
+// 10 %. The same call through CallMany, which boxes every
 // slot, is logged beside them: a LiveData back on query.FanOut costs that.
 func TestCallManyOfAllocs(t *testing.T) {
 	codectest.SkipUnderRace(t)
@@ -169,8 +169,8 @@ func TestCallManyOfAllocs(t *testing.T) {
 		call func()
 		most float64
 	}{
-		{"CallManyOf", typed, 16.5}, // measured 15, + 10 %
-		{"LiveData", live, 27.5},    // measured 25, + 10 %
+		{"CallManyOf", typed, 14.3}, // measured 13, + 10 %
+		{"LiveData", live, 23.1},    // measured 21, + 10 %
 		{"CallMany", untyped, 0},
 	} {
 		c.call()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aodb/internal/codec/codectest"
 	"aodb/internal/telemetry"
 )
 
@@ -147,7 +148,9 @@ func TestOneHandleContract(t *testing.T) {
 				t.Fatalf("profile part on=%v: %+v", c.profile, hot)
 			}
 
-			if !on {
+			// Under -race, sync.Pool drops recycled reply channels at
+			// random, so the two counts are not comparable there.
+			if !on && !codectest.RaceEnabled {
 				allocs := testing.AllocsPerRun(200, func() {
 					if _, err := rt.Call(ctx, relay, msg); err != nil {
 						t.Fatal(err)

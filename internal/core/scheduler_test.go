@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aodb/internal/clock"
+	"aodb/internal/codec/codectest"
 )
 
 // liveKB is what the benchmark's mem_kb_per_actor is made of: live heap
@@ -259,8 +260,13 @@ func TestBlockedTurnsNeverStarveTheSilo(t *testing.T) {
 }
 
 // TestIdleActorsOwnNoGoroutine is ROADMAP's core.mem_kb_per_idle_actor row
-// as a test: an idle activation holds no goroutine and costs at most 1.5 KB
+// as a test: an idle activation holds no goroutine and costs at most 0.65 KB
 // of live heap and stacks, and a shut-down runtime leaves no worker behind.
+// The bound is the cost measured once an activation's teardown signal was
+// made only when awaited (0.587 KB; 0.696 with one made for each), plus
+// 10 %; a goroutine per activation would cost several KB. The race
+// detector's shadow memory makes the cost meaningless, so -race skips the
+// bound alone.
 func TestIdleActorsOwnNoGoroutine(t *testing.T) {
 	const actors = 20_000
 	start := runtime.NumGoroutine()
@@ -289,8 +295,8 @@ func TestIdleActorsOwnNoGoroutine(t *testing.T) {
 	if got := silo.Activations(); got != actors+1 {
 		t.Fatalf("%d activations live, want %d", got, actors+1)
 	}
-	if perActor > 1.5 {
-		t.Errorf("an idle activation costs %.3f KB, want at most 1.5", perActor)
+	if perActor > 0.65 && !codectest.RaceEnabled {
+		t.Errorf("an idle activation costs %.3f KB, want at most 0.65", perActor)
 	}
 	awaitGoroutines(t, goroutines+maxParked, "with every activation idle")
 	if err := rt.Shutdown(ctx); err != nil {

@@ -83,13 +83,18 @@ func (s *Silo) handle(ctx context.Context, req transport.Request) (any, error) {
 	return s.deliver(ctx, id, req.Payload, req.Method != "tell", req.Chain, req.Trace, remote)
 }
 
+// replyChans recycles awaited calls' reply channels. One goes back only
+// once answered: a caller that gave up drops it, as the turn still answers
+// into it, exactly once (respond). transport.respChans keeps the same rule.
+var replyChans = sync.Pool{New: func() any { return make(chan turnResult, 1) }}
+
 // deliver routes one message to the actor's activation, creating it if
 // needed, and waits for the reply when needReply is set.
 func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chain []string, trace telemetry.SpanContext, remote bool) (any, error) {
 	var reply chan turnResult
 	turnCtx := ctx
 	if needReply {
-		reply = make(chan turnResult, 1)
+		reply = replyChans.Get().(chan turnResult)
 	} else {
 		// One-way deliveries are acknowledged at enqueue, so the turn runs
 		// under nothing of the sender's: not its cancellation or deadline,
@@ -111,7 +116,7 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 		// The activation closed between resolve and push; wait for its
 		// teardown to finish, then re-resolve.
 		select {
-		case <-act.drained:
+		case <-act.box.teardownDone():
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -121,6 +126,7 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 	}
 	select {
 	case res := <-reply:
+		replyChans.Put(reply)
 		return res.val, res.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -350,7 +356,7 @@ func (s *Silo) drainAll(ctx context.Context) error {
 	}
 	for _, a := range acts {
 		select {
-		case <-a.drained:
+		case <-a.box.teardownDone():
 		case <-ctx.Done():
 			return ctx.Err()
 		}

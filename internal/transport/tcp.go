@@ -390,7 +390,9 @@ func (t *TCP) dispatch(w *frameWriter, f *codec.Frame) {
 	// see. The writer marks the stream dead (closing the connection so
 	// the peer's pending calls fail over) and counts the loss in
 	// transport.reply_write_errors; enqueue owns the frame either way.
-	_ = w.enqueue(context.Background(), &sendReq{frame: out, reply: true})
+	r := sendReqs.Get().(*sendReq)
+	r.frame, r.reply = out, true
+	_ = w.enqueue(context.Background(), r)
 }
 
 // stripeFor maps a target key onto a connection stripe. Keyed frames
@@ -592,7 +594,8 @@ func (t *TCP) Call(ctx context.Context, node string, req Request) (any, error) {
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
-	r := &sendReq{frame: requestFrame(id, req), span: telemetry.SpanFrom(ctx)}
+	r := sendReqs.Get().(*sendReq)
+	r.frame, r.span = requestFrame(id, req), telemetry.SpanFrom(ctx)
 	if err := c.enqueue(ctx, r); err != nil {
 		c.pmu.Lock()
 		delete(c.pending, id)

@@ -64,6 +64,10 @@ type sendReq struct {
 	reply bool
 }
 
+// sendReqs recycles the requests; finish, where every request is settled,
+// puts each one back.
+var sendReqs = sync.Pool{New: func() any { return new(sendReq) }}
+
 // frameWriter owns every write on one connection. In batching mode a
 // dedicated goroutine (run) drains the bounded send queue through a
 // buffered stream, flushing when the queue goes empty or a frame/byte cap
@@ -211,7 +215,7 @@ func (w *frameWriter) writeDirect(r *sendReq) error {
 
 // finish settles one frame the writer took ownership of: attributes its
 // queue-to-wire time to the caller's span, counts lost replies, and
-// returns the frame to the pool.
+// returns the frame and its request to their pools.
 func (w *frameWriter) finish(r *sendReq, err error) {
 	if r.span != nil {
 		r.span.AddFlushWait(time.Since(r.enq))
@@ -220,7 +224,8 @@ func (w *frameWriter) finish(r *sendReq, err error) {
 		w.m.replyErrors.Inc()
 	}
 	codec.PutFrame(r.frame)
-	r.frame = nil
+	*r = sendReq{}
+	sendReqs.Put(r)
 }
 
 // run is the connection's sole writer goroutine in batching mode.
