@@ -16,7 +16,6 @@
 //	shmbench -ablation durability
 //	shmbench -ablation replication  # N/R/W quorum latency vs losses under disk wipes
 //	shmbench -ablation elastic   # grow 2->8 silos live, audit zero lost acked writes
-//	shmbench -transport          # wire-path microbench: batch vs nobatch x 1/8/64 callers
 //
 // Each data point runs -duration (default 8s) with the first -warmup
 // (default duration/4) discarded, mirroring the paper's dropped first
@@ -51,33 +50,25 @@ func main() {
 	scale := flag.Int("scale", 1, "scale-model factor (population /N, per-turn cost xN)")
 	trace := flag.Bool("trace", false, "trace every request and print tail-latency attribution (figs 8/9)")
 	durable := flag.Bool("durable", false, "rerun figs 8/9 with persistence on the hot path (durable group-committed store, write-every-batch)")
-	transportBench := flag.Bool("transport", false, "run the transport wire-path microbench (batch vs nobatch at 1/8/64 callers)")
 	hot := flag.Bool("hot", false, "profile the 98/1/1 skewed workload and print the top-K hot-actor table")
 	hotK := flag.Int("hot-k", 10, "hot-actor rows with -hot")
 	hotSensors := flag.Int("hot-sensors", 2000, "sensor population with -hot")
 	flag.Parse()
 
-	if *fig == "" && *ablation == "" && !*transportBench && !*hot {
+	if *fig == "" && *ablation == "" && !*hot {
 		flag.Usage()
 		os.Exit(2)
 	}
 	opts := bench.FigureOptions{Duration: *duration, Warmup: *warmup, Scale: *scale, Trace: *trace, Durable: *durable}
 	ctx := context.Background()
-	if err := run(ctx, *fig, *ablation, *transportBench, *hot, *hotK, *hotSensors, opts); err != nil {
+	if err := run(ctx, *fig, *ablation, *hot, *hotK, *hotSensors, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "shmbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, fig, ablation string, transportBench, hot bool, hotK, hotSensors int, opts bench.FigureOptions) error {
+func run(ctx context.Context, fig, ablation string, hot bool, hotK, hotSensors int, opts bench.FigureOptions) error {
 	out := os.Stdout
-	if transportBench {
-		results, err := bench.TransportSweep(ctx, opts.Duration)
-		if err != nil {
-			return err
-		}
-		bench.PrintTransportBench(out, results)
-	}
 	if hot {
 		res, err := bench.HotActorExperiment(ctx, hotSensors, opts)
 		if err != nil {

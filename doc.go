@@ -14,8 +14,9 @@
 //     distribution substrate (on TCP a message is a length-prefixed binary
 //     frame: a hand-written header and a tagged payload, with gob only as
 //     the per-payload fallback for types without a registered form)
-//   - internal/txn, internal/index, internal/query, internal/streams —
-//     the database features layered on the actor runtime
+//   - internal/txn, internal/index, internal/streams — the database
+//     features layered on the actor runtime (a query across actors is one
+//     core.CallManyOf call)
 //   - internal/shm — the structural health monitoring data platform
 //     (the paper's implemented case study)
 //   - internal/cattle — the beef cattle tracking and tracing platform

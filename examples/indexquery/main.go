@@ -12,13 +12,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
 
 	"aodb/internal/core"
 	"aodb/internal/index"
-	"aodb/internal/query"
 	"aodb/internal/streams"
 )
 
@@ -88,19 +88,26 @@ func main() {
 		}
 	}
 
-	// Index-driven multi-actor query: mean weight in zone-b.
-	eng := query.NewEngine(rt)
-	results, err := eng.ByIndex(ctx, byZone, "Cow", "zone-b", getWeight{})
+	// Index-driven multi-actor query: mean weight in zone-b. The index
+	// names the cows; one multi-actor call asks each its weight, at one
+	// round trip per silo.
+	inB, err := byZone.Lookup(ctx, "zone-b")
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, n, err := query.Reduce(results, 0.0, func(acc float64, r query.Result) float64 {
-		return acc + r.Value.(float64)
-	})
-	if err != nil {
+	cows := make([]core.ID, len(inB))
+	for i, key := range inB {
+		cows[i] = core.ID{Kind: "Cow", Key: key}
+	}
+	weights, errs := core.CallManyOf[float64](ctx, rt, cows, getWeight{})
+	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("zone-b: %d cows, mean weight %.1f kg\n", n, sum/float64(n))
+	sum := 0.0
+	for _, kg := range weights {
+		sum += kg
+	}
+	fmt.Printf("zone-b: %d cows, mean weight %.1f kg\n", len(weights), sum/float64(len(weights)))
 
 	// An indexed attribute changes: cow-01 moves from zone-b to zone-a.
 	if err := byZone.Update(ctx, "zone-b", "zone-a", "cow-01"); err != nil {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"aodb/internal/placement"
-)
+import "aodb/internal/placement"
 
 // Actor is the application-facing interface. Receive handles one message
 // per turn; the runtime guarantees turns for one activation never overlap,
@@ -68,7 +64,6 @@ type kindConfig struct {
 	factory   Factory
 	placement placement.Strategy // nil -> runtime default
 	persist   PersistMode
-	idleAfter time.Duration // 0 -> runtime default
 }
 
 // KindOption customizes a kind registration.
@@ -84,10 +79,4 @@ func WithPlacement(s placement.Strategy) KindOption {
 // WithPersistence sets when actor state is persisted.
 func WithPersistence(m PersistMode) KindOption {
 	return func(c *kindConfig) { c.persist = m }
-}
-
-// WithIdleAfter overrides how long an activation may sit idle before the
-// collector deactivates it.
-func WithIdleAfter(d time.Duration) KindOption {
-	return func(c *kindConfig) { c.idleAfter = d }
 }

@@ -1,6 +1,6 @@
 // The multi-actor call's equivalence test lives in an external test
-// package because the harnesses it runs on (siloboot, faults, query)
-// import core.
+// package because the harnesses it runs on (siloboot, faults) import
+// core.
 package core_test
 
 import (
@@ -18,7 +18,6 @@ import (
 	"aodb/internal/faults"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
-	"aodb/internal/query"
 	"aodb/internal/siloboot"
 	"aodb/internal/transport"
 )
@@ -104,7 +103,7 @@ func newHash() *placement.ConsistentHash {
 	return h
 }
 
-// hookTransport lets a test act between CallMany's grouping and a frame's
+// hookTransport lets a test act between CallManyOf's grouping and a frame's
 // delivery, and slide a fault injector under a running runtime.
 type hookTransport struct {
 	transport.Transport
@@ -138,13 +137,13 @@ type harness struct {
 	silos map[string]*core.Runtime
 	// withFaults returns a client whose outbound calls pass through inj.
 	withFaults func(inj *faults.Injector) *core.Runtime
-	// crash kills a silo so that a CallMany issued next finds its group's
+	// crash kills a silo so that a CallManyOf issued next finds its group's
 	// frame failing at the transport.
 	crash func(victim string)
 }
 
 // bootLocal is one runtime with three silos on the in-process transport:
-// the directory is shared, so CallMany groups by registration.
+// the directory is shared, so CallManyOf groups by registration.
 func bootLocal(t *testing.T) *harness {
 	t.Helper()
 	hook := &hookTransport{Transport: transport.NewLocal(nil, nil)}
@@ -168,7 +167,7 @@ func bootLocal(t *testing.T) *harness {
 	}
 	h.crash = func(victim string) {
 		// Crash the silo under the first multi frame addressed to it:
-		// after CallMany grouped by the directory, before delivery.
+		// after CallManyOf grouped by the directory, before delivery.
 		var once atomic.Bool
 		f := func(node string, req transport.Request) {
 			if node == victim && req.TargetKind == core.MultiKind && once.CompareAndSwap(false, true) {
@@ -183,7 +182,7 @@ func bootLocal(t *testing.T) *harness {
 }
 
 // bootTCP is three siloboot silos and a siloboot client on loopback TCP
-// with a static view: the client's directory is empty, so CallMany groups
+// with a static view: the client's directory is empty, so CallManyOf groups
 // by placement and learns of moved actors from redirect slots.
 func bootTCP(t *testing.T) *harness {
 	t.Helper()
@@ -313,64 +312,28 @@ func warm(t *testing.T, rt *core.Runtime, ids []core.ID) {
 	}
 }
 
-// sameOutcome checks one CallMany slot against what Call returned for the
-// same target: the same value, or errors of the same class and message.
-func sameOutcome(t *testing.T, id core.ID, got core.CallResult, want any, wantErr error) {
-	t.Helper()
-	if got.Actor != id {
-		t.Errorf("%s: slot carries actor %s", id, got.Actor)
-	}
-	switch {
-	case wantErr == nil && got.Err == nil:
-		if got.Value != want {
-			t.Errorf("%s: CallMany = %+v, Call = %+v", id, got.Value, want)
-		}
-	case wantErr == nil || got.Err == nil:
-		t.Errorf("%s: CallMany err = %v, Call err = %v", id, got.Err, wantErr)
-	default:
-		if core.Transient(got.Err) != core.Transient(wantErr) {
-			t.Errorf("%s: CallMany err %v and Call err %v differ in class", id, got.Err, wantErr)
-		}
-		if errors.Is(got.Err, errBoom) != errors.Is(wantErr, errBoom) {
-			t.Errorf("%s: typed error kept by one path only: %v vs %v", id, got.Err, wantErr)
-		}
-		if strings.Contains(wantErr.Error(), "boom") != strings.Contains(got.Err.Error(), "boom") {
-			t.Errorf("%s: CallMany err %q, Call err %q", id, got.Err, wantErr)
-		}
-	}
+// outcome is one target's answer to a multi-actor call: its value, or nil
+// beside its error.
+type outcome struct {
+	Value any
+	Err   error
 }
 
-// compare runs CallMany and then Call per target, and checks them slot for
-// slot; then CallManyOf, checked slot for slot against CallMany.
-func compare(t *testing.T, rt *core.Runtime, ids []core.ID, msg any) []core.CallResult {
+// outcomes zips what CallManyOf returned into one outcome a target,
+// checking the shape: a slot per target, and T's zero value beside every
+// error.
+func outcomes[T comparable](t *testing.T, ids []core.ID, vals []T, errs []error) []outcome {
 	t.Helper()
-	ctx := context.Background()
-	got := rt.CallMany(ctx, ids, msg)
-	if len(got) != len(ids) {
-		t.Fatalf("CallMany returned %d slots for %d targets", len(got), len(ids))
-	}
-	for i, id := range ids {
-		want, err := rt.Call(ctx, id, msg)
-		sameOutcome(t, id, got[i], want, err)
-	}
-	sameAsMany(t, ctx, rt, ids, msg, got)
-	return got
-}
-
-// typedResults runs CallManyOf[eqVal] and returns its outcomes in
-// CallMany's shape: a slot's Value is its eqVal, or nil beside its error.
-func typedResults(t *testing.T, ctx context.Context, rt *core.Runtime, ids []core.ID, msg any) []core.CallResult {
-	t.Helper()
-	vals, errs := core.CallManyOf[eqVal](ctx, rt, ids, msg)
 	if len(vals) != len(ids) || errs != nil && len(errs) != len(ids) {
 		t.Fatalf("CallManyOf returned %d values and %d errors for %d targets", len(vals), len(errs), len(ids))
 	}
-	out := make([]core.CallResult, len(ids))
+	var zero T
+	out := make([]outcome, len(ids))
 	for i, id := range ids {
-		out[i] = core.CallResult{Actor: id, Value: vals[i]}
+		out[i].Value = vals[i]
 		if errs != nil && errs[i] != nil {
-			out[i].Value, out[i].Err = nil, errs[i]
-			if vals[i] != (eqVal{}) {
+			out[i] = outcome{Err: errs[i]}
+			if vals[i] != zero {
 				t.Errorf("%s: CallManyOf failed the slot and kept the value %+v", id, vals[i])
 			}
 		}
@@ -378,15 +341,66 @@ func typedResults(t *testing.T, ctx context.Context, rt *core.Runtime, ids []cor
 	return out
 }
 
-// sameAsMany runs CallManyOf over ids and checks every slot against what
-// CallMany answered for it: the same value, or an error of the same class.
-func sameAsMany(t *testing.T, ctx context.Context, rt *core.Runtime, ids []core.ID, msg any, many []core.CallResult) {
+// callMany runs CallManyOf[T] and returns its outcomes.
+func callMany[T comparable](t *testing.T, ctx context.Context, rt *core.Runtime, ids []core.ID, msg any) []outcome {
 	t.Helper()
-	for i, r := range typedResults(t, ctx, rt, ids, msg) {
-		sameOutcome(t, ids[i], r, many[i].Value, many[i].Err)
+	vals, errs := core.CallManyOf[T](ctx, rt, ids, msg)
+	return outcomes(t, ids, vals, errs)
+}
+
+// sameOutcome checks one multi-actor slot against what the reference
+// returned for the same target: the same value, or errors of the same
+// class and message.
+func sameOutcome(t *testing.T, id core.ID, got outcome, want any, wantErr error) {
+	t.Helper()
+	switch {
+	case wantErr == nil && got.Err == nil:
+		if got.Value != want {
+			t.Errorf("%s: CallManyOf = %+v, want %+v", id, got.Value, want)
+		}
+	case wantErr == nil || got.Err == nil:
+		t.Errorf("%s: CallManyOf err = %v, want err %v", id, got.Err, wantErr)
+	default:
+		if core.Transient(got.Err) != core.Transient(wantErr) {
+			t.Errorf("%s: CallManyOf err %v and err %v differ in class", id, got.Err, wantErr)
+		}
+		if errors.Is(got.Err, errBoom) != errors.Is(wantErr, errBoom) {
+			t.Errorf("%s: typed error kept by one path only: %v vs %v", id, got.Err, wantErr)
+		}
+		if strings.Contains(wantErr.Error(), "boom") != strings.Contains(got.Err.Error(), "boom") {
+			t.Errorf("%s: CallManyOf err %q, want err %q", id, got.Err, wantErr)
+		}
 	}
 }
 
+// compare runs CallManyOf[any] and then Call per target, and checks them
+// slot for slot; then CallManyOf[eqVal], checked slot for slot against
+// CallManyOf[any].
+func compare(t *testing.T, rt *core.Runtime, ids []core.ID, msg any) []outcome {
+	t.Helper()
+	ctx := context.Background()
+	got := callMany[any](t, ctx, rt, ids, msg)
+	for i, id := range ids {
+		want, err := rt.Call(ctx, id, msg)
+		sameOutcome(t, id, got[i], want, err)
+	}
+	sameAsAny(t, ctx, rt, ids, msg, got)
+	return got
+}
+
+// sameAsAny runs CallManyOf[eqVal] over ids and checks every slot against
+// what CallManyOf[any] answered for it: the same value, or an error of the
+// same class.
+func sameAsAny(t *testing.T, ctx context.Context, rt *core.Runtime, ids []core.ID, msg any, anys []outcome) {
+	t.Helper()
+	for i, r := range callMany[eqVal](t, ctx, rt, ids, msg) {
+		sameOutcome(t, ids[i], r, anys[i].Value, anys[i].Err)
+	}
+}
+
+// TestCallManyEquivalence: CallManyOf[any] answers every target as a
+// single Call does, in process and over TCP, where a frame whose slots
+// all succeeded with one type comes back as a run (tag 0x42).
 func TestCallManyEquivalence(t *testing.T) {
 	for _, on := range []struct {
 		name string
@@ -409,7 +423,7 @@ func TestCallManyEquivalence(t *testing.T) {
 			frames := h.counter("core.multi.frames")
 			got := compare(t, h.client, ids, eqGet{Fail: failing})
 			if d := h.counter("core.multi.frames") - frames; d != 6 {
-				t.Errorf("CallMany and CallManyOf sent %d frames to 3 silos, want 3 each", d)
+				t.Errorf("CallManyOf[any] and CallManyOf[eqVal] sent %d frames to 3 silos, want 3 each", d)
 			}
 			for i, r := range got {
 				switch {
@@ -431,9 +445,17 @@ func TestCallManyEquivalence(t *testing.T) {
 			if v := got[9].Value.(eqVal); v.Key != cold.Key || v.V != 0 {
 				t.Errorf("cold target answered %+v", v)
 			}
-			// query.FanOut is the same call.
-			for i, r := range query.NewEngine(h.client).FanOut(context.Background(), ids, eqGet{Fail: failing}) {
-				sameOutcome(t, ids[i], r, got[i].Value, got[i].Err)
+		})
+
+		// No targets: no values, no errors, no frame.
+		run("empty", func(t *testing.T, h *harness, prefixes map[string]string) {
+			frames := h.counter("core.multi.frames")
+			vals, errs := core.CallManyOf[any](context.Background(), h.client, nil, eqGet{})
+			if len(vals) != 0 || errs != nil {
+				t.Errorf("CallManyOf over no targets = %v, %v", vals, errs)
+			}
+			if d := h.counter("core.multi.frames") - frames; d != 0 {
+				t.Errorf("CallManyOf over no targets sent %d frames", d)
 			}
 		})
 
@@ -446,7 +468,7 @@ func TestCallManyEquivalence(t *testing.T) {
 			warm(t, h.client, ids[:300]) // the rest activate inside the batch
 			frames := h.counter("core.multi.frames")
 			wire := h.counter("transport.frames.sent")
-			got := h.client.CallMany(context.Background(), ids, eqGet{})
+			got := callMany[any](t, context.Background(), h.client, ids, eqGet{})
 			if d := h.counter("core.multi.frames") - frames; d != 3 {
 				t.Errorf("600 targets on one silo took %d frames, want 3", d)
 			}
@@ -466,9 +488,9 @@ func TestCallManyEquivalence(t *testing.T) {
 				t.Errorf("target activated on %q", home)
 			}
 			frames = h.counter("core.multi.frames")
-			sameAsMany(t, context.Background(), h.client, ids, eqGet{}, got)
+			sameAsAny(t, context.Background(), h.client, ids, eqGet{}, got)
 			if d := h.counter("core.multi.frames") - frames; d != 3 {
-				t.Errorf("CallManyOf over 600 targets on one silo took %d frames, want 3", d)
+				t.Errorf("CallManyOf[eqVal] over 600 targets on one silo took %d frames, want 3", d)
 			}
 		})
 
@@ -492,7 +514,7 @@ func TestCallManyEquivalence(t *testing.T) {
 				t.Errorf("migrated actor lives on %q", home)
 			}
 			if d := h.counter("core.multi.reissued") - reissued; h.tcp && d != 2 {
-				t.Errorf("%d slots re-issued by CallMany and CallManyOf, want the one redirect each", d)
+				t.Errorf("%d slots re-issued by CallManyOf[any] and CallManyOf[eqVal], want the one redirect each", d)
 			}
 		})
 
@@ -503,11 +525,11 @@ func TestCallManyEquivalence(t *testing.T) {
 			warm(t, h.client, ids)
 			h.crash("silo-2")
 			reissued := h.counter("core.multi.reissued")
-			got := h.client.CallMany(context.Background(), ids, eqGet{})
+			got := callMany[any](t, context.Background(), h.client, ids, eqGet{})
 			if d := h.counter("core.multi.reissued") - reissued; d != 5 {
 				t.Errorf("%d slots re-issued, want silo-2's 5", d)
 			}
-			sameAsMany(t, context.Background(), h.client, ids, eqGet{}, got)
+			sameAsAny(t, context.Background(), h.client, ids, eqGet{}, got)
 			for i, r := range got {
 				onVictim := strings.HasPrefix(ids[i].Key, prefixes["silo-2"]+"@")
 				switch {
@@ -526,7 +548,7 @@ func TestCallManyEquivalence(t *testing.T) {
 					// left is Call's own classified failure.
 					_, err := h.client.Call(context.Background(), ids[i], eqGet{})
 					if r.Err == nil || !core.Transient(r.Err) || !core.Transient(err) {
-						t.Errorf("%s: CallMany err = %v, Call err = %v, want both transient", ids[i], r.Err, err)
+						t.Errorf("%s: CallManyOf err = %v, Call err = %v, want both transient", ids[i], r.Err, err)
 					}
 				}
 			}
@@ -541,9 +563,9 @@ func TestCallManyEquivalence(t *testing.T) {
 			rt := h.withFaults(inj)
 			reissued := h.counter("core.multi.reissued")
 			for round := 0; round < 80; round++ {
-				results := rt.CallMany(context.Background(), ids, eqGet{})
+				results := callMany[any](t, context.Background(), rt, ids, eqGet{})
 				if round%2 == 1 {
-					results = typedResults(t, context.Background(), rt, ids, eqGet{})
+					results = callMany[eqVal](t, context.Background(), rt, ids, eqGet{})
 				}
 				for i, r := range results {
 					if r.Err != nil {
@@ -572,7 +594,7 @@ func TestCallManyEquivalence(t *testing.T) {
 			warm(t, h.client, ids)
 			dead, cancel := context.WithCancel(context.Background())
 			cancel()
-			for _, results := range [][]core.CallResult{h.client.CallMany(dead, ids, eqGet{}), typedResults(t, dead, h.client, ids, eqGet{})} {
+			for _, results := range [][]outcome{callMany[any](t, dead, h.client, ids, eqGet{}), callMany[eqVal](t, dead, h.client, ids, eqGet{})} {
 				for i, r := range results {
 					if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
 						t.Errorf("%s under a cancelled context: %v", ids[i], r.Err)
@@ -586,18 +608,22 @@ func TestCallManyEquivalence(t *testing.T) {
 			g := &gate{entered: make(chan string, 1), release: make(chan struct{})}
 			curGate.Store(g)
 			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan []core.CallResult, 1)
-			go func() { done <- h.client.CallMany(ctx, ids, eqGet{Hold: ids[1].Key}) }()
+			var vals []any
+			var errs []error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				vals, errs = core.CallManyOf[any](ctx, h.client, ids, eqGet{Hold: ids[1].Key})
+			}()
 			<-g.entered // ids[1], on silo-2, is parked mid-turn
 			cancel()
-			var got []core.CallResult
 			select {
-			case got = <-done:
+			case <-done:
 			case <-time.After(10 * time.Second):
-				t.Fatal("CallMany outlived its context")
+				t.Fatal("CallManyOf outlived its context")
 			}
 			close(g.release)
-			for i, r := range got {
+			for i, r := range outcomes(t, ids, vals, errs) {
 				onParked := strings.HasPrefix(ids[i].Key, prefixes["silo-2"]+"@")
 				if onParked && !errors.Is(r.Err, context.Canceled) {
 					t.Errorf("%s shares the parked frame: %+v", ids[i], r)
@@ -615,9 +641,9 @@ func TestCallManyEquivalence(t *testing.T) {
 			warm(t, h.client, ids)
 			odd := 4 // on silo-2, whose frame alone holds two types
 			ctx := context.Background()
-			many := h.client.CallMany(ctx, ids, eqGet{Odd: ids[odd].Key})
+			many := callMany[any](t, ctx, h.client, ids, eqGet{Odd: ids[odd].Key})
 			if v, ok := many[odd].Value.(int64); !ok || v != int64(odd+1) {
-				t.Fatalf("CallMany's odd slot = %+v", many[odd])
+				t.Fatalf("CallManyOf[any]'s odd slot = %+v", many[odd])
 			}
 			vals, errs := core.CallManyOf[eqVal](ctx, h.client, ids, eqGet{Odd: ids[odd].Key})
 			if errs == nil {
@@ -630,7 +656,7 @@ func TestCallManyEquivalence(t *testing.T) {
 						t.Errorf("odd slot: value %+v, err %v", vals[i], errs[i])
 					}
 				case errs[i] != nil || vals[i] != many[i].Value:
-					t.Errorf("%s: CallManyOf = %+v, %v; CallMany = %+v", ids[i], vals[i], errs[i], many[i])
+					t.Errorf("%s: CallManyOf[eqVal] = %+v, %v; CallManyOf[any] = %+v", ids[i], vals[i], errs[i], many[i])
 				}
 			}
 			ints, errs := core.CallManyOf[int64](ctx, h.client, ids, eqGet{Odd: ids[odd].Key})
@@ -664,13 +690,19 @@ func TestCallManyHandlerCost(t *testing.T) {
 	g := &gate{entered: make(chan string, n), release: make(chan struct{})}
 	curGate.Store(g)
 	before := runtime.NumGoroutine()
-	done := make(chan []core.CallResult, 1)
-	go func() { done <- h.client.CallMany(ctx, ids, eqGet{Hold: "*"}) }()
+	var vals []any
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		vals, errs = core.CallManyOf[any](ctx, h.client, ids, eqGet{Hold: "*"})
+	}()
 	for i := 0; i < n; i++ {
 		<-g.entered
 	}
 	close(g.release)
-	for i, r := range <-done {
+	<-done
+	for i, r := range outcomes(t, ids, vals, errs) {
 		if r.Err != nil || r.Value.(eqVal).V != i+1 {
 			t.Fatalf("slot %d = %+v", i, r)
 		}
@@ -690,14 +722,12 @@ func TestCallManyHandlerCost(t *testing.T) {
 		}
 	})
 	many := testing.AllocsPerRun(20, func() {
-		for _, r := range h.client.CallMany(ctx, ids, eqGet{}) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
+		if _, errs := core.CallManyOf[any](ctx, h.client, ids, eqGet{}); errs != nil {
+			t.Fatal(errs)
 		}
 	})
-	t.Logf("allocs: %.1f per single Call, %.2f per target of a %d-target CallMany", single, many/n, n)
+	t.Logf("allocs: %.1f per single Call, %.2f per target of a %d-target CallManyOf[any]", single, many/n, n)
 	if many/n > 1.1 {
-		t.Errorf("CallMany allocates %.2f per target, want at most 1.1: the per-target reply channel is back", many/n)
+		t.Errorf("CallManyOf[any] allocates %.2f per target, want at most 1.1: the per-target reply channel is back", many/n)
 	}
 }

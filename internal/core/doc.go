@@ -31,10 +31,10 @@
 //	rt.AddSilo("silo-1", nil)
 //	resp, err := rt.Call(ctx, core.ID{Kind: "Counter", Key: "c1"}, Add{N: 2})
 //
-// Runtime.CallMany sends one message to many actors — a query over an
+// CallManyOf sends one message to many actors — a query over an
 // organization's channels, say — at one transport round trip per
 // destination silo rather than one per actor; each target still runs an
-// ordinary turn.
+// ordinary turn, and its answer comes back as a T.
 //
 // Actor implementations receive a *Context giving them their identity,
 // asynchronous Call/Tell to other actors, and explicit state writes.

@@ -15,7 +15,8 @@ func MultiReply(values []any) any {
 }
 
 // ReplyValues is a MultiKind reply's slot values, in either form, and
-// whether it is a decoded run, whose values it boxes as CallMany does.
+// whether it is a decoded run, whose values it files as CallManyOf[any]
+// does.
 func ReplyValues(reply any) (values []any, run bool) {
 	r := reply.(multiReply)
 	if r.run == nil {
@@ -24,14 +25,12 @@ func ReplyValues(reply any) (values []any, run bool) {
 		}
 		return values, false
 	}
-	out := make(results, r.len())
-	idx := make([]int, len(out))
+	n := r.len()
+	out := &typed[any]{ids: make([]ID, n), vals: make([]any, n)}
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	out.run(idx, r.run)
-	for _, res := range out {
-		values = append(values, res.Value)
-	}
-	return values, true
+	return out.vals, true
 }

@@ -14,7 +14,7 @@ import (
 	"aodb/internal/shm"
 )
 
-// TestCallManyRoutesAsCall: CallMany renders all its targets into one
+// TestCallManyRoutesAsCall: CallManyOf renders all its targets into one
 // string and resolves each by a slice of it, so every target must reach
 // the silo a single Call reaches, whatever the targets before it look
 // like — other kinds, other key lengths, invalid ids, an unknown kind. The
@@ -33,7 +33,7 @@ func TestCallManyRoutesAsCall(t *testing.T) {
 	}
 	ctx := context.Background()
 	many := bootLocal(t)
-	got := many.client.CallMany(ctx, ids, eqGet{})
+	got := callMany[any](t, ctx, many.client, ids, eqGet{})
 	single := bootLocal(t)
 	silos := map[string]bool{}
 	for i, id := range ids {
@@ -41,16 +41,16 @@ func TestCallManyRoutesAsCall(t *testing.T) {
 		if wantErr != nil {
 			if got[i].Err == nil || got[i].Err.Error() != wantErr.Error() ||
 				errors.Is(got[i].Err, core.ErrUnknownKind) != errors.Is(wantErr, core.ErrUnknownKind) {
-				t.Errorf("%q: CallMany err = %v, Call err = %v", id, got[i].Err, wantErr)
+				t.Errorf("%q: CallManyOf err = %v, Call err = %v", id, got[i].Err, wantErr)
 			}
 			continue
 		}
 		if got[i].Err != nil || got[i].Value != want {
-			t.Errorf("%s: CallMany = %+v, Call = %+v", id, got[i], want)
+			t.Errorf("%s: CallManyOf = %+v, Call = %+v", id, got[i], want)
 		}
 		home := single.home(id)
 		if at := many.home(id); at != home {
-			t.Errorf("%s: CallMany ran it on %q, Call on %q", id, at, home)
+			t.Errorf("%s: CallManyOf ran it on %q, Call on %q", id, at, home)
 		}
 		silos[home] = true
 	}

@@ -28,13 +28,6 @@ const multiMaxTargets = 256
 // a few workers overlap the waits; the path is rare, so few are enough.
 const reissueWorkers = 16
 
-// CallResult is one target's outcome of a CallMany.
-type CallResult struct {
-	Actor ID
-	Value any
-	Err   error
-}
-
 // multiCall is the MultiKind request payload.
 type multiCall struct {
 	Targets []ID
@@ -147,46 +140,37 @@ func init() {
 		func(d *codec.Dec) multiReply { return multiReply{run: d.Run()} })
 }
 
-// CallMany sends msg to every actor in ids and returns their outcomes in
-// target order. It is Call for many targets at the price of one transport
-// round trip per destination silo: the targets are resolved as Call
-// resolves them (directory registration, else the kind's placement, over
-// one view snapshot for the whole batch), grouped by silo, and each group
-// travels as one MultiKind frame that the silo fans into the targets'
-// mailboxes. Turn semantics are Call's: every target runs one ordinary
-// turn, in FIFO order with whatever else its mailbox holds.
+// CallManyOf sends msg to every actor in ids and returns their answers in
+// target order: vals[i] is target i's value as a T. It is Call for many
+// targets at the price of one transport round trip per destination silo:
+// the targets are resolved as Call resolves them (directory registration,
+// else the kind's placement, over one view snapshot for the whole batch),
+// grouped by silo, and each group travels as one MultiKind frame that the
+// silo fans into the targets' mailboxes. Turn semantics are Call's: every
+// target runs one ordinary turn, in FIFO order with whatever else its
+// mailbox holds.
 //
-// Failures are per target. An error a handler returned is that target's
-// Err, as from Call. A slot the silo could not serve at once (a wrong-silo
-// answer, a deactivating or crashed activation), and every slot of a group
-// whose frame failed, is re-issued through Call's own retry loop, so
-// self-healing stays in one place. When ctx ends first, every target
-// still in flight reports the context's error.
-func (rt *Runtime) CallMany(ctx context.Context, ids []ID, msg any) []CallResult {
-	out := make([]CallResult, len(ids))
-	for i, id := range ids {
-		out[i].Actor = id
-	}
-	rt.callMany(ctx, ids, msg, results(out))
-	return out
-}
-
-// CallManyOf is CallMany for a caller that knows what the targets answer:
-// vals[i] is target i's value as a T. errs is nil when every target
-// succeeded; otherwise errs[i] is target i's error, as CallMany reports
-// it, and vals[i] is T's zero value. A value that is not a T (nil
-// included, unless T is an interface) is its target's error, not a panic.
-// Routing, grouping and re-issue are CallMany's own. What differs is the
-// caller's cost: a group answered in the run form is copied out of one
-// decoded []T, where CallMany boxes every slot.
+// errs is nil when every target succeeded; otherwise errs[i] is target
+// i's error and vals[i] is T's zero value. An error a handler returned is
+// that target's error, as from Call. A slot the silo could not serve at
+// once (a wrong-silo answer, a deactivating or crashed activation), and
+// every slot of a group whose frame failed, is re-issued through Call's
+// own retry loop, so self-healing stays in one place. When ctx ends first,
+// every target still in flight reports the context's error.
+//
+// A value that is not a T (nil included, unless T is an interface) is its
+// target's error, not a panic. A group answered in the run form is copied
+// out of one decoded []T; with an interface T (CallManyOf[any] answers
+// whatever each target returned) the run is filed element by element.
 func CallManyOf[T any](ctx context.Context, rt *Runtime, ids []ID, msg any) (vals []T, errs []error) {
 	out := &typed[T]{ids: ids, vals: make([]T, len(ids))}
 	rt.callMany(ctx, ids, msg, out)
 	return out.vals, out.errs
 }
 
-// outcomes is where a multi-actor call files what each target answered.
-// Each target is filed once, by one goroutine, and the call reads the
+// outcomes is where callMany files what each target answered; typed[T]
+// is its one implementation, so the gather is written once and not per
+// T. Each target is filed once, by one goroutine, and the call reads the
 // outcomes only after every goroutine that files them has finished.
 type outcomes interface {
 	value(i int, v any)
@@ -195,29 +179,6 @@ type outcomes interface {
 	run(idx []int, vs any)
 	fail(i int, err error)
 	firstErr() error
-}
-
-// results is CallMany's outcomes.
-type results []CallResult
-
-func (r results) value(i int, v any) { r[i].Value = v }
-
-func (r results) run(idx []int, vs any) {
-	run := reflect.ValueOf(vs)
-	for j, i := range idx {
-		r[i].Value = run.Index(j).Interface()
-	}
-}
-
-func (r results) fail(i int, err error) { r[i].Err = err }
-
-func (r results) firstErr() error {
-	for i := range r {
-		if r[i].Err != nil {
-			return r[i].Err
-		}
-	}
-	return nil
 }
 
 // typed is CallManyOf's outcomes. errs is made at the first failure, so a
@@ -241,8 +202,11 @@ func (o *typed[T]) value(i int, v any) {
 func (o *typed[T]) run(idx []int, vs any) {
 	run, ok := vs.([]T)
 	if !ok {
-		for _, i := range idx {
-			o.fail(i, fmt.Errorf("core: %s answered %v, want %v", o.ids[i], reflect.TypeOf(vs).Elem(), reflect.TypeFor[T]()))
+		// A run of another element type: an interface T may still hold
+		// each element, and value says so, or fails it, per target.
+		elems := reflect.ValueOf(vs)
+		for j, i := range idx {
+			o.value(i, elems.Index(j).Interface())
 		}
 		return
 	}
@@ -269,7 +233,7 @@ func (o *typed[T]) firstErr() error {
 	return nil
 }
 
-// callMany is the one gather behind CallMany and CallManyOf.
+// callMany is CallManyOf's gather, written once for every T.
 func (rt *Runtime) callMany(ctx context.Context, ids []ID, msg any, out outcomes) {
 	if len(ids) == 0 {
 		return

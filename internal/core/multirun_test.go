@@ -105,8 +105,7 @@ func TestMultiReplyRunForm(t *testing.T) {
 // one frame each way. It guards CallManyOf alone and Platform.LiveData,
 // which calls it; the bounds are the counts measured once send requests
 // and reply channels were recycled (13 and 21; 15 and 25 before), plus
-// 10 %. The same call through CallMany, which boxes every
-// slot, is logged beside them: a LiveData back on query.FanOut costs that.
+// 10 %.
 func TestCallManyOfAllocs(t *testing.T) {
 	codectest.SkipUnderRace(t)
 	silo, err := transport.NewTCPWithOptions("silo-1", "127.0.0.1:0", transport.TCPOptions{})
@@ -157,13 +156,6 @@ func TestCallManyOfAllocs(t *testing.T) {
 			t.Fatalf("LiveData: %d readings, %v", len(readings), err)
 		}
 	}
-	untyped := func() {
-		for _, r := range rt.CallMany(ctx, ids, shm.Latest{}) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		}
-	}
 	for _, c := range []struct {
 		name string
 		call func()
@@ -171,11 +163,10 @@ func TestCallManyOfAllocs(t *testing.T) {
 	}{
 		{"CallManyOf", typed, 14.3}, // measured 13, + 10 %
 		{"LiveData", live, 23.1},    // measured 21, + 10 %
-		{"CallMany", untyped, 0},
 	} {
 		c.call()
 		got := testing.AllocsPerRun(100, c.call)
-		if c.most > 0 && got > c.most {
+		if got > c.most {
 			t.Errorf("a %d-target %s over TCP: %.0f allocations, want at most %.1f", n, c.name, got, c.most)
 		} else {
 			t.Logf("a %d-target %s over TCP: %.0f allocations", n, c.name, got)

@@ -187,7 +187,7 @@ func New(cfg Config) (*Runtime, error) {
 	if err := rt.RegisterService(MigrateKind, rt.handleMigrate); err != nil {
 		return nil, err
 	}
-	// So are multi-actor calls (Runtime.CallMany), on "!multi".
+	// So are multi-actor calls (CallManyOf), on "!multi".
 	if err := rt.RegisterService(MultiKind, rt.handleMulti); err != nil {
 		return nil, err
 	}

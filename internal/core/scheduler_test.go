@@ -86,7 +86,7 @@ func (a *exclActor) Receive(ctx *Context, msg any) (any, error) {
 }
 
 // TestTurnsNeverOverlap: at most one worker owns an activation at any
-// instant, whatever flips its mailbox. Concurrent Call, Tell, CallMany,
+// instant, whatever flips its mailbox. Concurrent Call, Tell, CallManyOf,
 // DeactivateOnIdle, the idle collector at a 1 ms window and Migrate hammer
 // a handful of actors; no two turns of one actor overlap, and every
 // message the runtime accepted ran exactly one turn.
@@ -157,9 +157,14 @@ func TestTurnsNeverOverlap(t *testing.T) {
 			return took(rt.Tell(ctx, ids[r.Intn(actors)], exclMsg{}))
 		})
 	}
-	hammer(20, func(r *rand.Rand) error { // CallMany
-		for _, res := range rt.CallMany(ctx, ids, exclMsg{}) {
-			if err := took(res.Err); err != nil {
+	hammer(20, func(r *rand.Rand) error { // CallManyOf
+		_, errs := CallManyOf[any](ctx, rt, ids, exclMsg{})
+		for i := range ids {
+			var err error
+			if errs != nil {
+				err = errs[i]
+			}
+			if err := took(err); err != nil {
 				return err
 			}
 		}

@@ -290,11 +290,7 @@ func (s *Silo) collectIdle() {
 	}
 	candidates := make([]*activation, 0)
 	for _, act := range s.catalog {
-		idleAfter := act.cfg.idleAfter
-		if idleAfter == 0 {
-			idleAfter = s.rt.cfg.IdleAfter
-		}
-		if act.idleFor(now) >= idleAfter {
+		if act.idleFor(now) >= s.rt.cfg.IdleAfter {
 			candidates = append(candidates, act)
 		}
 	}

@@ -71,10 +71,6 @@ type Config struct {
 	// Wipe is the probability a WipeDecision consultation tells the
 	// chaos harness to destroy a replica's storage (see StorageWipe).
 	Wipe float64
-	// Stall is the probability a WAL fsync is stalled by up to MaxStall
-	// (deterministic magnitude) before completing; see DiskStall.
-	Stall    float64
-	MaxStall time.Duration
 	// Clock times injected delays; nil means the real clock.
 	Clock clock.Clock
 }

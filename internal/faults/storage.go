@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 )
 
-// Replica-storage faults: total storage loss (StorageWipe) and slowed
-// durability (DiskStall). Both ride the same seeded decision machinery
-// as the message and kvstore faults, so a chaos soak that wipes replicas
-// reproduces exactly under its seed.
+// Replica-storage faults: total storage loss (StorageWipe). The wipe
+// rides the same seeded decision machinery as the message and kvstore
+// faults, so a chaos soak that wipes replicas reproduces exactly under
+// its seed.
 
 // ErrInjectedWipe marks a storage wipe performed by the chaos harness.
 var ErrInjectedWipe = fmt.Errorf("faults: injected storage wipe")
@@ -51,37 +50,4 @@ func StorageWipe(dir string) error {
 		}
 	}
 	return nil
-}
-
-// DiskStall returns an fsync hook for wal.Log.InjectSyncFault that, at
-// the configured probability, sleeps a deterministic duration in
-// (0, MaxStall] before performing the real fsync — a disk whose flushes
-// intermittently take orders of magnitude longer than usual (firmware
-// GC pauses, contended virtualized volumes). Stalls slow durability but
-// never fail it, which is what distinguishes a stalling disk from a
-// failing one (KVWrite).
-func (i *Injector) DiskStall() func(*os.File) error {
-	return func(f *os.File) error {
-		if fire, sum := i.decide("stall", i.cfgStall()); fire {
-			d := time.Duration(sum%uint64(i.maxStall())) + 1
-			tm := i.clk.NewTimer(d)
-			<-tm.C()
-			tm.Stop()
-		}
-		return f.Sync()
-	}
-}
-
-func (i *Injector) cfgStall() float64 {
-	if i == nil {
-		return 0
-	}
-	return i.cfg.Stall
-}
-
-func (i *Injector) maxStall() time.Duration {
-	if i == nil || i.cfg.MaxStall <= 0 {
-		return 10 * time.Millisecond
-	}
-	return i.cfg.MaxStall
 }

@@ -25,7 +25,7 @@ type Strategy interface {
 	// Place returns the target silo for actor. caller is the silo where
 	// the triggering message originated; silos is the current active set
 	// (non-empty, sorted). actor may be a substring of a larger rendering
-	// (CallMany renders all its targets into one string): a strategy that
+	// (core.CallManyOf renders all its targets into one string): a strategy that
 	// keeps it past the call pins that whole rendering, and should clone it.
 	Place(actor, caller string, silos []string) (string, error)
 	// Name identifies the strategy in logs and benchmark output.

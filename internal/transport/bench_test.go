@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aodb/internal/metrics"
 )
@@ -22,9 +23,10 @@ func benchKeys() []string {
 
 // BenchmarkTransportCall measures cross-silo request/response round
 // trips over real loopback TCP, batching vs the NoBatching baseline, at
-// 1 and 8 concurrent callers. Throughput is the inverse of ns/op; the
+// 1, 8 and 64 concurrent callers. Throughput is the inverse of ns/op; the
 // frames/flush metric shows how much write coalescing the load level
-// actually buys (1.0 by construction for the baseline).
+// actually buys (1.0 by construction for the baseline), and p50-µs and
+// p99-µs are the round trip's latency percentiles.
 func BenchmarkTransportCall(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -59,6 +61,7 @@ func BenchmarkTransportCall(b *testing.B) {
 				// Key strings are precomputed so the loop measures the
 				// transport, not fmt.
 				keys := benchKeys()
+				lat := metrics.NewHistogram()
 
 				b.ResetTimer()
 				var next atomic.Int64
@@ -73,10 +76,12 @@ func BenchmarkTransportCall(b *testing.B) {
 							if i > int64(b.N) {
 								return
 							}
+							t0 := time.Now()
 							if _, err := a.Call(ctx, "bench-b", Request{TargetKey: keys[i%64], Payload: testPayload{int(i)}}); err != nil {
 								b.Error(err)
 								return
 							}
+							lat.RecordDuration(time.Since(t0))
 						}
 					}(c)
 				}
@@ -88,6 +93,9 @@ func BenchmarkTransportCall(b *testing.B) {
 				if flushes > 0 {
 					b.ReportMetric(float64(frames)/float64(flushes), "frames/flush")
 				}
+				snap := lat.Snapshot()
+				b.ReportMetric(float64(snap.PercentileDuration(50))/1e3, "p50-µs")
+				b.ReportMetric(float64(snap.PercentileDuration(99))/1e3, "p99-µs")
 			})
 		}
 	}

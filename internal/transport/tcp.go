@@ -32,7 +32,7 @@ type TCPOptions struct {
 	// NoBatching disables write coalescing and restores the pre-batching
 	// behavior — one mutex-serialized encode+flush per frame on the
 	// caller's goroutine. It stays settable as the reference of the
-	// batching equivalence test, the baseline of `shmbench -transport`,
+	// batching equivalence test, the baseline of BenchmarkTransportCall,
 	// and because tests outside this package pin it.
 	NoBatching bool
 	// Metrics receives transport instrumentation (flush sizes and

@@ -340,9 +340,9 @@ func (l *Log) InjectWriteFault(fn func(*os.File, []byte) (int, error)) {
 }
 
 // InjectSyncFault installs fn as the segment-fsync implementation (nil
-// restores the real fsync). It is how the faults package models stalled
-// or failing disks: a fn that sleeps produces a DiskStall, a fn that
-// errors produces a sync failure. Not for production use.
+// restores the real fsync). It is how tests model stalled or failing
+// disks: a fn that sleeps stalls the flush, a fn that errors fails it.
+// Not for production use.
 func (l *Log) InjectSyncFault(fn func(*os.File) error) {
 	l.mu.Lock()
 	l.syncFile = fn
