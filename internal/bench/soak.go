@@ -17,6 +17,7 @@ import (
 	"aodb/internal/faults"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
+	"aodb/internal/placement"
 	"aodb/internal/replication"
 	"aodb/internal/shm"
 	"aodb/internal/telemetry"
@@ -515,14 +516,14 @@ func (s *soak) faults() SoakFaults {
 // behind one service: the replicated soak's and RunQuorumLatency's.
 type replicaSet struct {
 	svc     *replication.Service
-	ring    *replication.Ring
+	ring    *placement.Ring
 	n       int
 	durable bool
 	reg     *metrics.Registry
 }
 
 func newReplicaSet(silos []string, n int, durable bool, reg *metrics.Registry) (*replicaSet, error) {
-	ring, err := replication.NewRing(silos)
+	ring, err := placement.NewRing(silos)
 	if err != nil {
 		return nil, err
 	}

@@ -40,12 +40,9 @@
 // (Dec.Len), errors stick to the decoder, and every string and slice
 // handed out is a copy, because the read buffer is reused.
 //
-// Streams come in two write flavors. An unbuffered stream (NewStream)
-// pushes every frame to the connection inside Write — one syscall per
-// frame, the transport's measured baseline. A buffered stream
-// (NewBufferedStream) keeps encoded frames in its buffer until Flush,
+// A stream keeps encoded frames in its buffer until Flush (WriteNoFlush),
 // which is what the transport's write-coalescing ("smart batching") path
-// uses to share one syscall across many frames.
+// uses to share one syscall across many frames; Write flushes at once.
 package codec
 
 import (
@@ -132,7 +129,7 @@ const (
 type Stream struct {
 	wmu   sync.Mutex
 	w     io.Writer
-	limit int // flush once this many bytes are buffered; 0 = after every frame
+	limit int // flush once this many bytes are buffered
 	enc   Enc // enc.buf is the write buffer: whole frames not yet on w
 
 	r    *bufio.Reader
@@ -141,29 +138,20 @@ type Stream struct {
 	dec  Dec
 }
 
-// NewStream wraps rw in an unbuffered frame stream: every Write lands on
-// rw before it returns.
-func NewStream(rw io.ReadWriter) *Stream {
-	// 4 KiB takes several small frames off the connection in one read; a
-	// frame larger than that is read straight into the frame buffer.
-	return &Stream{w: rw, r: bufio.NewReaderSize(rw, 4096)}
-}
-
-// NewBufferedStream wraps rw in a stream whose writes accumulate until
-// Flush (or Write, which flushes for callers that want unbuffered
-// semantics on a buffered stream), or until size bytes are waiting.
-// size <= 0 picks a 64 KiB default. The read side is NewStream's.
+// NewBufferedStream wraps rw in a frame stream whose WriteNoFlush writes
+// accumulate until Flush or Write, or until size bytes are waiting.
+// size <= 0 picks a 64 KiB default.
 func NewBufferedStream(rw io.ReadWriter, size int) *Stream {
 	if size <= 0 {
 		size = 64 << 10
 	}
-	s := NewStream(rw)
-	s.limit = size
-	return s
+	// 4 KiB takes several small frames off the connection in one read; a
+	// frame larger than that is read straight into the frame buffer.
+	return &Stream{w: rw, limit: size, r: bufio.NewReaderSize(rw, 4096)}
 }
 
-// Write encodes one frame and ensures it reaches the underlying writer
-// before returning (flushing the buffer on buffered streams).
+// Write encodes one frame and flushes the buffer, so the frame reaches
+// the underlying writer before Write returns.
 func (s *Stream) Write(f *Frame) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -174,7 +162,7 @@ func (s *Stream) Write(f *Frame) error {
 }
 
 // WriteNoFlush encodes one frame into the stream's buffer without
-// flushing it. On unbuffered streams it is identical to Write. Callers
+// flushing it, unless the buffer has reached the stream's size. Callers
 // batching frames follow a run of WriteNoFlush with one Flush.
 func (s *Stream) WriteNoFlush(f *Frame) error {
 	s.wmu.Lock()

@@ -17,7 +17,7 @@ func init() {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewStream(&buf)
+	s := NewBufferedStream(&buf, 0)
 	in := &Frame{
 		ID:         7,
 		Kind:       FrameRequest,
@@ -47,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // frames survives encode/decode, and frames without one stay zeroed.
 func TestTraceFieldsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewStream(&buf)
+	s := NewBufferedStream(&buf, 0)
 	frames := []*Frame{
 		{ID: 1, Kind: FrameRequest, Payload: ping{Seq: 1},
 			TraceID: 0xdeadbeef, ParentSpan: 77, TraceSampled: true},
@@ -76,7 +76,7 @@ func TestTraceFieldsRoundTrip(t *testing.T) {
 
 func TestErrorFrame(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewStream(&buf)
+	s := NewBufferedStream(&buf, 0)
 	if err := s.Write(&Frame{ID: 1, Kind: FrameError, Err: "kaput"}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestErrorFrame(t *testing.T) {
 
 func TestMultipleFramesInOrder(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewStream(&buf)
+	s := NewBufferedStream(&buf, 0)
 	for i := 0; i < 10; i++ {
 		if err := s.Write(&Frame{ID: uint64(i), Kind: FrameRequest, Payload: ping{Seq: i}}); err != nil {
 			t.Fatal(err)
@@ -113,14 +113,14 @@ func TestMultipleFramesInOrder(t *testing.T) {
 
 func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 	r, w := io.Pipe()
-	writer := NewStream(struct {
+	writer := NewBufferedStream(struct {
 		io.Reader
 		io.Writer
-	}{nil, w})
-	reader := NewStream(struct {
+	}{nil, w}, 0)
+	reader := NewBufferedStream(struct {
 		io.Reader
 		io.Writer
-	}{r, nil})
+	}{r, nil}, 0)
 
 	const writers, frames = 8, 50
 	var wg sync.WaitGroup
@@ -189,8 +189,8 @@ func TestBufferedStreamWriteNoFlush(t *testing.T) {
 	}
 }
 
-// TestBufferedStreamWriteFlushes: plain Write on a buffered stream keeps
-// unbuffered semantics — the frame is on the wire when Write returns.
+// TestBufferedStreamWriteFlushes: plain Write flushes — the frame is on
+// the wire when Write returns.
 func TestBufferedStreamWriteFlushes(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewBufferedStream(&buf, 0)
@@ -206,29 +206,6 @@ func TestBufferedStreamWriteFlushes(t *testing.T) {
 	}
 	if f.ID != 9 {
 		t.Fatalf("frame = %+v", f)
-	}
-}
-
-// TestUnbufferedStreamBatchingAPI: the batching entry points degrade to
-// plain writes on unbuffered streams, so one writer implementation can
-// drive both flavors.
-func TestUnbufferedStreamBatchingAPI(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStream(&buf)
-	if err := s.WriteNoFlush(&Frame{ID: 1, Kind: FrameRequest, Payload: ping{Seq: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("WriteNoFlush on unbuffered stream did not reach the writer")
-	}
-	if s.Buffered() != 0 {
-		t.Fatalf("Buffered() = %d on unbuffered stream", s.Buffered())
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush on unbuffered stream: %v", err)
-	}
-	if f, err := s.Read(); err != nil || f.ID != 1 {
-		t.Fatalf("frame, err = %+v, %v", f, err)
 	}
 }
 

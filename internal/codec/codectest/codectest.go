@@ -24,7 +24,7 @@ func init() { codec.Register(fallbackProbe{}) }
 func Encode(t testing.TB, v any) []byte {
 	t.Helper()
 	var wire bytes.Buffer
-	if err := codec.NewStream(&wire).Write(&codec.Frame{ID: 1, Kind: codec.FrameRequest, Payload: v}); err != nil {
+	if err := codec.NewBufferedStream(&wire, 0).Write(&codec.Frame{ID: 1, Kind: codec.FrameRequest, Payload: v}); err != nil {
 		t.Fatalf("encode %T: %v", v, err)
 	}
 	return wire.Bytes()
@@ -34,7 +34,7 @@ func Encode(t testing.TB, v any) []byte {
 // returns the payload read back.
 func StreamRoundTrip(t testing.TB, v any) any {
 	t.Helper()
-	f, err := codec.NewStream(bytes.NewBuffer(Encode(t, v))).Read()
+	f, err := codec.NewBufferedStream(bytes.NewBuffer(Encode(t, v)), 0).Read()
 	if err != nil {
 		t.Fatalf("decode %T: %v", v, err)
 	}

@@ -265,7 +265,7 @@ func TestFallbackSharesOneGobStream(t *testing.T) {
 // stream's read buffer, which the next frame overwrites.
 func TestReadBufferNotAliased(t *testing.T) {
 	var wire bytes.Buffer
-	s := codec.NewStream(&wire)
+	s := codec.NewBufferedStream(&wire, 0)
 	frame := func(fill byte) *codec.Frame {
 		c := string(fill)
 		return &codec.Frame{
@@ -386,7 +386,7 @@ func valid(t testing.TB) [][]byte {
 		Err: "kaput", Redirect: "silo-2", Transient: true, Payload: keys(5),
 	}
 	var wire bytes.Buffer
-	if err := codec.NewStream(&wire).Write(full); err != nil {
+	if err := codec.NewBufferedStream(&wire, 0).Write(full); err != nil {
 		t.Fatal(err)
 	}
 	out := [][]byte{wire.Bytes()}
@@ -401,7 +401,7 @@ func valid(t testing.TB) [][]byte {
 // readAll reads frames from raw until an error, recovering nothing: a
 // panic fails the test.
 func readAll(raw []byte) (frames int, err error) {
-	s := codec.NewStream(bytes.NewBuffer(raw))
+	s := codec.NewBufferedStream(bytes.NewBuffer(raw), 0)
 	for {
 		f, err := s.Read()
 		if err != nil {
@@ -555,7 +555,7 @@ func FuzzStreamRead(f *testing.F) {
 		if len(raw) > 1<<16 {
 			return
 		}
-		s := codec.NewStream(bytes.NewBuffer(raw))
+		s := codec.NewBufferedStream(bytes.NewBuffer(raw), 0)
 		consumed := 0
 		for {
 			f, err := s.Read()

@@ -117,10 +117,11 @@ func TestStateWriteBlockedByProvisionedThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	rt := newTestRuntime(t, Config{
-		Store:           kv,
-		StateThroughput: kvstore.Throughput{WriteUnits: 5},
-	})
+	// Provisioned before the runtime, which then finds the table as is.
+	if err := kv.CreateTable(StateTable, kvstore.Throughput{WriteUnits: 5}); err != nil {
+		t.Fatal(err)
+	}
+	rt := newTestRuntime(t, Config{Store: kv})
 	registerCounter(t, rt, WithPersistence(PersistExplicit))
 	rt.AddSilo("silo-1", nil)
 	ctx := context.Background()

@@ -65,7 +65,7 @@ func TestMultiReplyRunForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := codec.NewStream(bytes.NewBuffer(raw))
+	golden := codec.NewBufferedStream(bytes.NewBuffer(raw), 0)
 	at := len(codectest.Encode(t, nil)) - 1
 	for _, typ := range runTypes {
 		for _, n := range []int{1, 600} {

@@ -83,9 +83,6 @@ type Config struct {
 	// Store (for Context.Table and the table default) may still be set
 	// alongside it.
 	States StateStore
-	// StateThroughput provisions the state table when it must be created
-	// (zero = unlimited).
-	StateThroughput kvstore.Throughput
 	// Cost simulates per-turn CPU cost on capacity-limited silos.
 	Cost CostFunc
 	// IdleAfter is how long an activation may sit idle before collection
@@ -173,7 +170,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.kinds.Store(&map[string]*kindConfig{})
 	if cfg.Store != nil {
-		table, err := cfg.Store.EnsureTable(StateTable, cfg.StateThroughput)
+		table, err := cfg.Store.EnsureTable(StateTable, kvstore.Throughput{})
 		if err != nil {
 			return nil, err
 		}

@@ -166,58 +166,58 @@ func TestMultiTargetKeyIsCloned(t *testing.T) {
 // callers inline. Eight callers over one striped TCP pair alternate a
 // payload with a binary form, one that rides the fallback, and a multiCall
 // whose Msg rides the fallback inside a binary form; every echo must come
-// back intact, with write coalescing and without.
+// back intact.
 func TestWireFallbackInterleaved(t *testing.T) {
-	for _, noBatching := range []bool{false, true} {
-		t.Run(fmt.Sprintf("NoBatching=%v", noBatching), func(t *testing.T) {
-			opts := transport.TCPOptions{Stripes: 2, NoBatching: noBatching}
-			a, err := transport.NewTCPWithOptions("silo-a", "127.0.0.1:0", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			b, err := transport.NewTCPWithOptions("silo-b", "127.0.0.1:0", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			a.SetPeer("silo-b", b.Addr())
-			if err := b.Register("silo-b", func(_ context.Context, req transport.Request) (any, error) {
-				return req.Payload, nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			const callers, rounds = 8, 150
-			var wg sync.WaitGroup
-			for c := 0; c < callers; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						note := wireNote{Text: fmt.Sprintf("caller %d", c), N: i + 1}
-						var payload any
-						switch (c + i) % 3 {
-						case 0:
-							payload = multiReply{Slots: []multiSlot{{Value: float64(i)}, {Err: note.Text, Transient: true}}}
-						case 1:
-							payload = note
-						case 2:
-							payload = multiCall{Targets: wireTargets(1 + i%5), Msg: note}
-						}
-						got, err := a.Call(context.Background(), "silo-b", transport.Request{
-							TargetKind: "Echo", TargetKey: fmt.Sprintf("k%d", (c+i)%5), Method: "call", Sender: "silo-a", Payload: payload})
-						if err != nil {
-							t.Errorf("caller %d round %d: %v", c, i, err)
-							return
-						}
-						if !reflect.DeepEqual(got, payload) {
-							t.Errorf("caller %d round %d: got %#v, want %#v", c, i, got, payload)
-							return
-						}
+	// The subtest keeps the name it had while an unbatched write path
+	// existed: this is the batched path, the only one left.
+	t.Run("NoBatching=false", func(t *testing.T) {
+		opts := transport.TCPOptions{Stripes: 2}
+		a, err := transport.NewTCPWithOptions("silo-a", "127.0.0.1:0", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		b, err := transport.NewTCPWithOptions("silo-b", "127.0.0.1:0", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		a.SetPeer("silo-b", b.Addr())
+		if err := b.Register("silo-b", func(_ context.Context, req transport.Request) (any, error) {
+			return req.Payload, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		const callers, rounds = 8, 150
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					note := wireNote{Text: fmt.Sprintf("caller %d", c), N: i + 1}
+					var payload any
+					switch (c + i) % 3 {
+					case 0:
+						payload = multiReply{Slots: []multiSlot{{Value: float64(i)}, {Err: note.Text, Transient: true}}}
+					case 1:
+						payload = note
+					case 2:
+						payload = multiCall{Targets: wireTargets(1 + i%5), Msg: note}
 					}
-				}(c)
-			}
-			wg.Wait()
-		})
-	}
+					got, err := a.Call(context.Background(), "silo-b", transport.Request{
+						TargetKind: "Echo", TargetKey: fmt.Sprintf("k%d", (c+i)%5), Method: "call", Sender: "silo-a", Payload: payload})
+					if err != nil {
+						t.Errorf("caller %d round %d: %v", c, i, err)
+						return
+					}
+					if !reflect.DeepEqual(got, payload) {
+						t.Errorf("caller %d round %d: got %#v, want %#v", c, i, got, payload)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+	})
 }

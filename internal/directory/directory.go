@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"aodb/internal/placement"
 )
 
 // ErrAlreadyRegistered reports a lost registration race; the returned
@@ -78,20 +80,7 @@ func New() *Directory {
 }
 
 func (d *Directory) shard(actor string) *shard {
-	return &d.shards[fnv32(actor)%uint32(len(d.shards))]
-}
-
-func fnv32[S string | []byte](s S) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
+	return &d.shards[placement.Hash32(actor)%uint32(len(d.shards))]
 }
 
 // Register claims actor for silo. If another silo already holds the
@@ -135,7 +124,7 @@ func (d *Directory) LookupID(kind, key string) (Registration, bool) {
 	}
 	var buf [idBuf]byte
 	id := append(append(append(buf[:0], kind...), '/'), key...)
-	sh := &d.shards[fnv32(id)%uint32(len(d.shards))]
+	sh := &d.shards[placement.Hash32(id)%uint32(len(d.shards))]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	reg, ok := sh.m[string(id)]

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"aodb/internal/core"
+	"aodb/internal/placement"
 )
 
 // Kind is the actor kind implementing index shards. Register it once per
@@ -123,7 +124,7 @@ func New(rt *core.Runtime, name string, shards int) *Index {
 }
 
 func (ix *Index) shardID(value string) core.ID {
-	return core.ID{Kind: Kind, Key: fmt.Sprintf("%s/%d", ix.name, hash32(value)%uint32(ix.shards))}
+	return core.ID{Kind: Kind, Key: fmt.Sprintf("%s/%d", ix.name, placement.Hash32(value)%uint32(ix.shards))}
 }
 
 // Add indexes actor under value, waiting for the write to apply (eager
@@ -198,17 +199,4 @@ func (ix *Index) Size(ctx context.Context) (int, error) {
 		total += v.(int)
 	}
 	return total, nil
-}
-
-func hash32(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
 }

@@ -42,8 +42,8 @@ func TestRingBalanceSequentialKeys(t *testing.T) {
 // depends on. We assert a weak bound per sample pair.
 func TestHash32AvalancheProperty(t *testing.T) {
 	f := func(s string) bool {
-		a := hash32(s + "0")
-		b := hash32(s + "1")
+		a := Hash32(s + "0")
+		b := Hash32(s + "1")
 		diff := a ^ b
 		bits := 0
 		for diff != 0 {
@@ -59,10 +59,10 @@ func TestHash32AvalancheProperty(t *testing.T) {
 }
 
 func TestHash32Deterministic(t *testing.T) {
-	if hash32("org-7") != hash32("org-7") {
+	if Hash32("org-7") != Hash32("org-7") {
 		t.Fatal("hash not deterministic")
 	}
-	if hash32("org-7") == hash32("org-8") {
+	if Hash32("org-7") == Hash32("org-8") {
 		t.Fatal("trivial collision")
 	}
 }

@@ -11,10 +11,11 @@ package placement
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNoSilos is returned when the cluster has no active silos.
@@ -84,12 +85,12 @@ func (p *PreferLocal) Place(actor, caller string, silos []string) (string, error
 // Name implements Strategy.
 func (p *PreferLocal) Name() string { return "prefer-local" }
 
-// ConsistentHash places each actor on a stable silo chosen by hashing the
-// actor id onto a ring of virtual nodes. Actors that share a key prefix up
-// to PrefixSep hash identically, which lets an application co-locate an
-// actor family (an organization's sensors, channels and aggregators) on
-// one silo — the property the scale-out experiment relies on to keep
-// organizations independent.
+// ConsistentHash places each actor on a stable silo: the first home of
+// the actor's id on a Ring of virtual nodes over the active silos. Actors
+// that share a key prefix up to PrefixSep hash identically, which lets an
+// application co-locate an actor family (an organization's sensors,
+// channels and aggregators) on one silo — the property the scale-out
+// experiment relies on to keep organizations independent.
 type ConsistentHash struct {
 	// PrefixSep, when non-zero, switches to entity-family hashing: the
 	// actor's kind (everything up to and including the first '/') is
@@ -98,22 +99,19 @@ type ConsistentHash struct {
 	// regardless of kind — hashes identically and co-locates on one silo.
 	PrefixSep byte
 
-	mu       sync.Mutex
-	ringFor  []string // silo set the ring was built for
-	ring     []ringEntry
-	replicas int
+	ring atomic.Pointer[viewRing]
 }
 
-type ringEntry struct {
-	hash uint32
-	silo string
+// viewRing is the ring built for one silo set, kept with a copy of that
+// set so Place can tell when the view changed.
+type viewRing struct {
+	view []string
+	ring *Ring
 }
 
-// NewConsistentHash returns a ring-based strategy with 256 virtual nodes
-// per silo, enough to keep per-silo load within a few percent for the
-// org-level entity families the SHM platform places.
+// NewConsistentHash returns a ring-based strategy.
 func NewConsistentHash() *ConsistentHash {
-	return &ConsistentHash{replicas: 256}
+	return &ConsistentHash{}
 }
 
 // Place implements Strategy.
@@ -126,82 +124,33 @@ func (c *ConsistentHash) Place(actor, _ string, silos []string) (string, error) 
 		// Drop the "Kind/" prefix of the canonical id — but only when the
 		// slash precedes the separator, so separators inside keys that
 		// themselves contain slashes are not misparsed.
-		slash := indexByte(key, '/')
-		sep := indexByte(key, c.PrefixSep)
+		slash := strings.IndexByte(key, '/')
+		sep := strings.IndexByte(key, c.PrefixSep)
 		if slash >= 0 && (sep < 0 || slash < sep) {
 			key = key[slash+1:]
 		}
-		if i := indexByte(key, c.PrefixSep); i >= 0 {
+		if i := strings.IndexByte(key, c.PrefixSep); i >= 0 {
 			key = key[:i]
 		}
 	}
-	c.mu.Lock()
-	if !equalStrings(c.ringFor, silos) {
-		c.rebuild(silos)
+	vr := c.ring.Load()
+	if vr == nil || !slices.Equal(vr.view, silos) {
+		// A view change: derive the new set's ring, reusing the old one's
+		// hashed points, and swap it in. Callers still holding the old ring
+		// finish their search on it untouched.
+		prev := &Ring{}
+		if vr != nil {
+			prev = vr.ring
+		}
+		ring, err := prev.WithMembers(silos)
+		if err != nil {
+			return "", err
+		}
+		vr = &viewRing{view: slices.Clone(silos), ring: ring}
+		c.ring.Store(vr)
 	}
-	ring := c.ring
-	c.mu.Unlock()
-	h := hash32(key)
-	i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
-	if i == len(ring) {
-		i = 0
-	}
-	return ring[i].silo, nil
+	return vr.ring.Owner(key), nil
 }
 
 // Name implements Strategy.
 func (c *ConsistentHash) Name() string { return "consistent-hash" }
-
-func (c *ConsistentHash) rebuild(silos []string) {
-	c.ringFor = append([]string(nil), silos...)
-	// A fresh array: Place searches the ring it took outside the lock.
-	c.ring = make([]ringEntry, 0, len(silos)*c.replicas)
-	for _, s := range silos {
-		for r := 0; r < c.replicas; r++ {
-			c.ring = append(c.ring, ringEntry{hash: hash32(fmt.Sprintf("%s#%d", s, r)), silo: s})
-		}
-	}
-	sort.Slice(c.ring, func(i, j int) bool { return c.ring[i].hash < c.ring[j].hash })
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func hash32(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	// FNV-1a alone has poor avalanche on short sequential keys (e.g.
-	// "org-0".."org-41" cluster on one ring arc); a murmur3-style
-	// finalizer fixes the bit diffusion.
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aodb/internal/codec/codectest"
+	"aodb/internal/placement"
 )
 
 // Allocation guards for the replicated write path, skipped under -race
@@ -27,7 +28,7 @@ func receivedEnvelopes(n int) [][]byte {
 // was sent allocates the stored copy and nothing else.
 func TestApplyAllocs(t *testing.T) {
 	codectest.SkipUnderRace(t)
-	ring, _ := NewRing([]string{"a"})
+	ring, _ := placement.NewRing([]string{"a"})
 	st := testStore(t, "a", ring, 1)
 	ctx := context.Background()
 	encs := receivedEnvelopes(202)
@@ -49,7 +50,7 @@ func TestApplyAllocs(t *testing.T) {
 // in-process stores.
 func TestWriteQuorumAllocs(t *testing.T) {
 	codectest.SkipUnderRace(t)
-	ring, _ := NewRing(threeSilos)
+	ring, _ := placement.NewRing(threeSilos)
 	local := make(map[string]*Store, len(threeSilos))
 	for _, s := range threeSilos {
 		local[s] = testStore(t, s, ring, 3)

@@ -10,6 +10,7 @@ import (
 	"aodb/internal/clock"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
+	"aodb/internal/placement"
 	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
@@ -25,7 +26,7 @@ type Caller interface {
 type Config struct {
 	// Ring is the initial key→replica-set mapping. Required. UpdateRing
 	// swaps it live when membership changes.
-	Ring *Ring
+	Ring *placement.Ring
 	// N, R, W are the desired replication factor and the read/write
 	// quorum sizes. Defaults: N=1, R and W to majorities of N. All three
 	// are clamped per operation to the current ring's size, so a cluster
@@ -99,9 +100,9 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	suspects map[string]*suspect
-	ring     *Ring     // current ring
-	oldRing  *Ring     // previous ring, nil outside a transition window
-	oldUntil time.Time // when the old ring's quorum veto lapses
+	ring     *placement.Ring // current ring
+	oldRing  *placement.Ring // previous ring, nil outside a transition window
+	oldUntil time.Time       // when the old ring's quorum veto lapses
 
 	mReadRepair *metrics.Counter
 }
@@ -170,7 +171,7 @@ func bounded(ctx context.Context) (context.Context, context.CancelFunc) {
 }
 
 // quorumFor clamps the desired N/R/W to what ring can actually provide.
-func (c *Coordinator) quorumFor(ring *Ring) (n, r, w int) {
+func (c *Coordinator) quorumFor(ring *placement.Ring) (n, r, w int) {
 	n = c.cfg.N
 	if n > ring.Size() {
 		n = ring.Size()
@@ -194,7 +195,7 @@ func (c *Coordinator) quorumFor(ring *Ring) (n, r, w int) {
 // rings returns the current ring and, during a transition window, the
 // superseded one (nil otherwise), lazily retiring the latter once its
 // window lapses.
-func (c *Coordinator) rings() (cur, old *Ring) {
+func (c *Coordinator) rings() (cur, old *placement.Ring) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.oldRing != nil && c.cfg.Clock.Now().After(c.oldUntil) {
@@ -204,7 +205,7 @@ func (c *Coordinator) rings() (cur, old *Ring) {
 }
 
 // Ring returns the current ring.
-func (c *Coordinator) Ring() *Ring {
+func (c *Coordinator) Ring() *placement.Ring {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ring
@@ -217,7 +218,7 @@ func (c *Coordinator) Ring() *Ring {
 // while anti-entropy backfills the keys whose homes moved. Back-to-back
 // updates inside one window keep the oldest un-settled ring (quorums
 // only strengthen) and restart the window.
-func (c *Coordinator) UpdateRing(r *Ring) {
+func (c *Coordinator) UpdateRing(r *placement.Ring) {
 	if r == nil {
 		return
 	}
@@ -402,16 +403,16 @@ type writeTarget struct {
 	cur, old bool
 }
 
-// maxTargets sizes the stack buffers that a quorum operation and
-// Ring.Homes collect homes in; a larger set spills to the heap.
+// maxTargets sizes the stack buffers that a quorum operation collects
+// homes in; a larger set spills to the heap.
 const maxTargets = 8
 
 // quorumTargets appends to dst the key's home sets under the current
 // and (when in a transition window) superseded rings, merged into one
 // distinct target list, current-ring homes first.
-func quorumTargets(dst []writeTarget, key string, cur *Ring, nCur int, old *Ring, nOld int) []writeTarget {
+func quorumTargets(dst []writeTarget, key string, cur *placement.Ring, nCur int, old *placement.Ring, nOld int) []writeTarget {
 	var homes [maxTargets]string
-	for _, h := range cur.appendHomes(homes[:0], key, nCur) {
+	for _, h := range cur.AppendHomes(homes[:0], key, nCur) {
 		dst = append(dst, writeTarget{silo: h, cur: true})
 	}
 	if old == nil {
@@ -419,7 +420,7 @@ func quorumTargets(dst []writeTarget, key string, cur *Ring, nCur int, old *Ring
 	}
 	inCur := len(dst)
 next:
-	for _, h := range old.appendHomes(homes[:0], key, nOld) {
+	for _, h := range old.AppendHomes(homes[:0], key, nOld) {
 		for i := range dst[:inCur] {
 			if dst[i].silo == h {
 				dst[i].old = true

@@ -7,6 +7,7 @@ import (
 
 	"aodb/internal/clock"
 	"aodb/internal/metrics"
+	"aodb/internal/placement"
 	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
@@ -24,7 +25,7 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 	jrReplica := telemetry.New(telemetry.Config{Silo: "s2", Parts: telemetry.Events})
 
 	silos := []string{"s1", "s2", "s3"}
-	ring, err := NewRing(silos)
+	ring, err := placement.NewRing(silos)
 	if err != nil {
 		t.Fatal(err)
 	}

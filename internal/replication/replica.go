@@ -12,6 +12,7 @@ import (
 	"aodb/internal/codec"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
+	"aodb/internal/placement"
 	"aodb/internal/transport"
 )
 
@@ -69,7 +70,27 @@ func (o Outcome) String() string {
 // every replica applies "higher hash wins", so divergent same-version
 // values converge without coordination.
 func hashEnv(e Envelope) uint64 {
-	return mix64(fnv64(string(e.Value)))
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range e.Value {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return mix64(h)
+}
+
+// mix64 is the splitmix64 finalizer; it scatters the structured FNV
+// output of hashEnv and the digest's per-key folds.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // KeySummary is one key's replication state as reported by a digest
@@ -87,7 +108,7 @@ type StoreConfig struct {
 	// grain-state table).
 	Table *kvstore.Table
 	// Ring and N scope anti-entropy digests to keys this silo homes.
-	Ring *Ring
+	Ring *placement.Ring
 	N    int
 	// Clock defaults to the real clock.
 	Clock clock.Clock
@@ -114,9 +135,9 @@ type Store struct {
 	rebuilding atomic.Bool
 
 	mu       sync.RWMutex
-	ring     *Ring     // current ring
-	oldRing  *Ring     // superseded ring, nil outside a transition window
-	oldUntil time.Time // when the superseded ring drops out of digests
+	ring     *placement.Ring // current ring
+	oldRing  *placement.Ring // superseded ring, nil outside a transition window
+	oldUntil time.Time       // when the superseded ring drops out of digests
 }
 
 // NewStore builds a replica store.
@@ -143,7 +164,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 // superseded ring stays in scope for a transition window so a silo
 // keeps offering keys it used to home to their new homes (and digests
 // stay symmetric with peers mid-change).
-func (s *Store) UpdateRing(r *Ring) {
+func (s *Store) UpdateRing(r *placement.Ring) {
 	if r == nil {
 		return
 	}
@@ -161,7 +182,7 @@ func (s *Store) UpdateRing(r *Ring) {
 
 // rings returns the current ring and, within the transition window, the
 // superseded one (nil otherwise).
-func (s *Store) rings() (cur, old *Ring) {
+func (s *Store) rings() (cur, old *placement.Ring) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.oldRing != nil && s.cfg.Clock.Now().After(s.oldUntil) {
@@ -249,7 +270,7 @@ func (s *Store) Fetch(ctx context.Context, key string) (Envelope, bool, error) {
 
 // Digest folds the replica's keys shared with peer into buckets: for
 // every key both this silo and peer home (under the common ring and N),
-// bucket[keyPoint%buckets] accumulates an XOR of a key/version/value-hash
+// bucket[Hash32(key)%buckets] accumulates an XOR of a key/version/value-hash
 // mix. Two replicas with identical shared contents produce identical
 // digests; any differing key perturbs exactly one bucket on the side
 // that differs. XOR folding is order-independent, so no sort is needed.
@@ -259,8 +280,8 @@ func (s *Store) Digest(ctx context.Context, peer string, buckets int) (map[uint3
 	}
 	out := make(map[uint32]uint64)
 	err := s.scanShared(ctx, peer, func(key string, env Envelope) {
-		b := uint32(keyPoint(key) % uint64(buckets))
-		out[b] ^= mix64(keyPoint(key) ^ uint64(env.Version.Packed()) ^ hashEnv(env))
+		h := placement.Hash32(key)
+		out[h%uint32(buckets)] ^= mix64(uint64(h) ^ uint64(env.Version.Packed()) ^ hashEnv(env))
 	})
 	return out, err
 }
@@ -274,7 +295,7 @@ func (s *Store) BucketKeys(ctx context.Context, peer string, bucket uint32, buck
 	}
 	out := make(map[string]KeySummary)
 	err := s.scanShared(ctx, peer, func(key string, env Envelope) {
-		if uint32(keyPoint(key)%uint64(buckets)) != bucket {
+		if placement.Hash32(key)%uint32(buckets) != bucket {
 			return
 		}
 		out[key] = KeySummary{Packed: env.Version.Packed(), Hash: hashEnv(env)}

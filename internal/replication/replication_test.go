@@ -8,6 +8,7 @@ import (
 
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
+	"aodb/internal/placement"
 	"aodb/internal/transport"
 )
 
@@ -97,56 +98,6 @@ func TestEnvelopeLayout(t *testing.T) {
 	}
 }
 
-func TestRingReplicaSets(t *testing.T) {
-	silos := []string{"s1", "s2", "s3", "s4", "s5"}
-	r1, err := NewRing(silos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := NewRing([]string{"s5", "s4", "s3", "s2", "s1"}) // order-independent
-	counts := make(map[string]int)
-	for i := 0; i < 2000; i++ {
-		key := "actor@" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('A'+i%20))
-		set := r1.ReplicaSet(key, 3)
-		if len(set) != 3 {
-			t.Fatalf("want 3 replicas, got %v", set)
-		}
-		seen := map[string]bool{}
-		for _, s := range set {
-			if seen[s] {
-				t.Fatalf("duplicate replica in %v", set)
-			}
-			seen[s] = true
-		}
-		set2 := r2.ReplicaSet(key, 3)
-		for j := range set {
-			if set[j] != set2[j] {
-				t.Fatalf("ring not member-order independent: %v vs %v", set, set2)
-			}
-		}
-		counts[set[0]]++
-		// A larger n extends the same walk, and n clamps to the ring.
-		all := r1.ReplicaSet(key, 9)
-		if len(all) != 5 {
-			t.Fatalf("replica set should clamp to 5 members, got %v", all)
-		}
-		for j := range set {
-			if all[j] != set[j] {
-				t.Fatalf("replica set %v must be a prefix of %v", set, all)
-			}
-		}
-	}
-	// Primary ownership should spread across all members (vnode balance).
-	for _, s := range silos {
-		if counts[s] == 0 {
-			t.Fatalf("silo %s owns no keys: %v", s, counts)
-		}
-	}
-	if _, err := NewRing(nil); err == nil {
-		t.Fatal("empty ring should fail")
-	}
-}
-
 func memTable(t *testing.T) *kvstore.Table {
 	t.Helper()
 	st, err := kvstore.Open(kvstore.Options{})
@@ -161,7 +112,7 @@ func memTable(t *testing.T) *kvstore.Table {
 	return tab
 }
 
-func testStore(t *testing.T, silo string, ring *Ring, n int) *Store {
+func testStore(t *testing.T, silo string, ring *placement.Ring, n int) *Store {
 	t.Helper()
 	st, err := NewStore(StoreConfig{Silo: silo, Table: memTable(t), Ring: ring, N: n})
 	if err != nil {
@@ -172,7 +123,7 @@ func testStore(t *testing.T, silo string, ring *Ring, n int) *Store {
 
 func TestApplyOutcomes(t *testing.T) {
 	ctx := context.Background()
-	ring, _ := NewRing([]string{"a"})
+	ring, _ := placement.NewRing([]string{"a"})
 	st := testStore(t, "a", ring, 1)
 
 	v1 := Envelope{Version: Version{1, 1}, Value: []byte("x")}
@@ -229,14 +180,14 @@ var (
 type testCluster struct {
 	t     *testing.T
 	tr    *transport.Local
-	ring  *Ring
+	ring  *placement.Ring
 	svc   *Service
 	coord *Coordinator
 }
 
 func newTestCluster(t *testing.T, silos []string, n, r, w int) *testCluster {
 	t.Helper()
-	ring, err := NewRing(silos)
+	ring, err := placement.NewRing(silos)
 	if err != nil {
 		t.Fatal(err)
 	}

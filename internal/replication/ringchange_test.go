@@ -10,58 +10,9 @@ import (
 	"aodb/internal/clock"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
+	"aodb/internal/placement"
 	"aodb/internal/transport"
 )
-
-func TestWithMembersMatchesNewRing(t *testing.T) {
-	base, err := NewRing([]string{"s1", "s2", "s3", "s4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, members := range [][]string{
-		{"s1", "s2", "s3", "s4", "s5"}, // join
-		{"s1", "s2", "s4"},             // leave
-		{"s2", "s3", "s6", "s7"},       // churn
-		{"s1", "s2", "s3", "s4"},       // no-op
-	} {
-		inc, err := base.WithMembers(members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, _ := NewRing(members)
-		if !inc.Equal(full) {
-			t.Fatalf("membership mismatch: %v vs %v", inc.Members(), full.Members())
-		}
-		for i := 0; i < 500; i++ {
-			key := fmt.Sprintf("dev@%d", i)
-			a, b := inc.ReplicaSet(key, 3), full.ReplicaSet(key, 3)
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("members %v key %s: incremental %v vs full %v", members, key, a, b)
-				}
-			}
-		}
-	}
-	if _, err := base.WithMembers(nil); err == nil {
-		t.Fatal("empty membership should fail")
-	}
-
-	// Consistent-hash stability: adding one silo to four must leave most
-	// primary assignments where they were.
-	grown, _ := base.WithMembers([]string{"s1", "s2", "s3", "s4", "s5"})
-	moved := 0
-	const keys = 2000
-	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("dev@%d", i)
-		if base.ReplicaSet(key, 1)[0] != grown.ReplicaSet(key, 1)[0] {
-			moved++
-		}
-	}
-	// Ideal churn is 1/5 of keys; allow generous slack for hash variance.
-	if moved > keys/3 {
-		t.Fatalf("adding one silo moved %d/%d primaries — not incremental", moved, keys)
-	}
-}
 
 // ringChangeCluster hosts five replica stores behind a Local transport;
 // the coordinator starts on a ring over the first three.
@@ -70,14 +21,14 @@ type ringChangeCluster struct {
 	stores map[string]*Store
 	coord  *Coordinator
 	clk    *clock.Fake
-	old    *Ring // initial ring (s1-s3)
-	grown  *Ring // grown ring (s1-s5)
+	old    *placement.Ring // initial ring (s1-s3)
+	grown  *placement.Ring // grown ring (s1-s5)
 }
 
 func newRingChangeCluster(t *testing.T) *ringChangeCluster {
 	t.Helper()
 	all := []string{"s1", "s2", "s3", "s4", "s5"}
-	old, err := NewRing(all[:3])
+	old, err := placement.NewRing(all[:3])
 	if err != nil {
 		t.Fatal(err)
 	}

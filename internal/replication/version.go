@@ -5,8 +5,9 @@
 //
 // The pieces:
 //
-//   - a consistent-hash ring with virtual nodes (Ring) maps every key to
-//     an N-silo home set, stable across silo outages;
+//   - the placement ring (placement.Ring), which also places actor
+//     families, maps every key to an N-silo home set, stable across silo
+//     outages;
 //   - per-silo replica stores (Store) hold versioned envelopes in the
 //     WAL-backed kvstore and apply mutations if-newer, idempotently;
 //   - a quorum Coordinator performs durable puts and gets against

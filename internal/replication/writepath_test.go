@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aodb/internal/kvstore"
+	"aodb/internal/placement"
 	"aodb/internal/transport"
 )
 
@@ -15,7 +16,7 @@ import (
 // change what the replica holds.
 func TestApplyKeepsNoCallerBuffer(t *testing.T) {
 	ctx := context.Background()
-	ring, _ := NewRing([]string{"a"})
+	ring, _ := placement.NewRing([]string{"a"})
 	st := testStore(t, "a", ring, 1)
 	env := Envelope{Version: Version{Epoch: 1, Seq: 1}, Value: []byte("original")}
 	enc := env.Encode()

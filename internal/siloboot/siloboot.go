@@ -274,7 +274,7 @@ func Start(opts Options) (*Node, error) {
 	var svc *replication.Service
 	var rstore *replication.Store
 	if opts.Replicas > 1 && opts.Store != nil {
-		ring, err := replication.NewRing(silos)
+		ring, err := placement.NewRing(silos)
 		if err != nil {
 			return nil, err
 		}

@@ -38,55 +38,47 @@ func newTCPPairOpts(t *testing.T, opts TCPOptions) (*TCP, *TCP) {
 // very next call redials (the peer is still alive) instead of failing
 // against the cached corpse until a read loop notices.
 func TestTCPWriteFailureEvictsConn(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts TCPOptions
-	}{
-		{"batching", TCPOptions{Stripes: 1}},
-		{"nobatching", TCPOptions{Stripes: 1, NoBatching: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			a, b := newTCPPairOpts(t, mode.opts)
-			if err := b.Register("silo-b", echoHandler); err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			if _, err := a.Call(ctx, "silo-b", Request{Payload: testPayload{1}}); err != nil {
-				t.Fatal(err)
-			}
-			a.mu.Lock()
-			c := a.conns["silo-b"][0]
-			a.mu.Unlock()
-			if c == nil {
-				t.Fatal("no cached conn after first call")
-			}
-			// Break the socket under the transport: writes now fail.
-			c.raw.Close()
-			// The broken conn surfaces at most a couple of failures (the
-			// dead-write call itself plus close/teardown races), then the
-			// transport must redial and succeed — quickly, not after a
-			// read-timeout.
-			deadline := time.Now().Add(2 * time.Second)
-			var lastErr error
-			for time.Now().Before(deadline) {
-				_, err := a.Call(ctx, "silo-b", Request{Payload: testPayload{2}})
-				if err == nil {
-					a.mu.Lock()
-					cur := a.conns["silo-b"][0]
-					a.mu.Unlock()
-					if cur == c {
-						t.Fatal("call succeeded on the broken conn pointer")
-					}
-					return
+	t.Run("batching", func(t *testing.T) {
+		a, b := newTCPPairOpts(t, TCPOptions{Stripes: 1})
+		if err := b.Register("silo-b", echoHandler); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if _, err := a.Call(ctx, "silo-b", Request{Payload: testPayload{1}}); err != nil {
+			t.Fatal(err)
+		}
+		a.mu.Lock()
+		c := a.conns["silo-b"][0]
+		a.mu.Unlock()
+		if c == nil {
+			t.Fatal("no cached conn after first call")
+		}
+		// Break the socket under the transport: writes now fail.
+		c.raw.Close()
+		// The broken conn surfaces at most a couple of failures (the
+		// dead-write call itself plus close/teardown races), then the
+		// transport must redial and succeed — quickly, not after a
+		// read-timeout.
+		deadline := time.Now().Add(2 * time.Second)
+		var lastErr error
+		for time.Now().Before(deadline) {
+			_, err := a.Call(ctx, "silo-b", Request{Payload: testPayload{2}})
+			if err == nil {
+				a.mu.Lock()
+				cur := a.conns["silo-b"][0]
+				a.mu.Unlock()
+				if cur == c {
+					t.Fatal("call succeeded on the broken conn pointer")
 				}
-				lastErr = err
-				if !IsUnreachable(err) {
-					t.Fatalf("broken-conn call failed with non-transient error: %v", err)
-				}
+				return
 			}
-			t.Fatalf("never redialed after write failure: %v", lastErr)
-		})
-	}
+			lastErr = err
+			if !IsUnreachable(err) {
+				t.Fatalf("broken-conn call failed with non-transient error: %v", err)
+			}
+		}
+		t.Fatalf("never redialed after write failure: %v", lastErr)
+	})
 }
 
 // TestTCPQueuedFramesFailFastOnConnDeath: many calls are queued or in
@@ -230,68 +222,56 @@ func TestTCPStripedConnectionsConcurrent(t *testing.T) {
 // stream dead and count transport.reply_write_errors instead of
 // vanishing silently.
 func TestTCPReplyWriteErrorCounted(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts TCPOptions
-	}{
-		{"batching", TCPOptions{}},
-		{"nobatching", TCPOptions{NoBatching: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			reg := metrics.NewRegistry()
-			opts := mode.opts
-			opts.Metrics = reg
-			tp, err := NewTCPWithOptions("srv", "127.0.0.1:0", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tp.Close()
-			if err := tp.Register("srv", echoHandler); err != nil {
-				t.Fatal(err)
-			}
-			// A pipe stands in for the accepted connection; closing the
-			// far end makes every write fail immediately.
-			here, there := net.Pipe()
-			there.Close()
-			w := tp.newWriter("", here, tp.newStream(here))
-			if !tp.opts.NoBatching {
-				tp.wg.Add(1)
-				go w.run(&tp.wg)
-			}
-			f := codec.GetFrame()
-			f.ID = 7
-			f.Kind = codec.FrameRequest
-			f.Payload = testPayload{3}
-			tp.dispatch(w, f)
-			deadline := time.Now().Add(2 * time.Second)
-			for reg.Counter("transport.reply_write_errors").Value() == 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if got := reg.Counter("transport.reply_write_errors").Value(); got != 1 {
-				t.Fatalf("reply_write_errors = %d, want 1", got)
-			}
-			// The failed reply kills the stream (counting happens just
-			// before the kill, so poll).
-			select {
-			case <-w.closed:
-			case <-time.After(2 * time.Second):
-				t.Fatal("writer not marked dead by reply write failure")
-			}
-			// A second reply on the dead stream is also counted, not hung.
-			f2 := codec.GetFrame()
-			f2.ID = 8
-			f2.Kind = codec.FrameRequest
-			f2.Payload = testPayload{4}
-			tp.dispatch(w, f2)
-			deadline = time.Now().Add(2 * time.Second)
-			for reg.Counter("transport.reply_write_errors").Value() < 2 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if got := reg.Counter("transport.reply_write_errors").Value(); got != 2 {
-				t.Fatalf("reply_write_errors after dead-stream reply = %d, want 2", got)
-			}
-		})
-	}
+	t.Run("batching", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		tp, err := NewTCPWithOptions("srv", "127.0.0.1:0", TCPOptions{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tp.Close()
+		if err := tp.Register("srv", echoHandler); err != nil {
+			t.Fatal(err)
+		}
+		// A pipe stands in for the accepted connection; closing the
+		// far end makes every write fail immediately.
+		here, there := net.Pipe()
+		there.Close()
+		w := tp.newWriter("", here, codec.NewBufferedStream(here, writeBuffer))
+		tp.wg.Add(1)
+		go w.run(&tp.wg)
+		f := codec.GetFrame()
+		f.ID = 7
+		f.Kind = codec.FrameRequest
+		f.Payload = testPayload{3}
+		tp.dispatch(w, f)
+		deadline := time.Now().Add(2 * time.Second)
+		for reg.Counter("transport.reply_write_errors").Value() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := reg.Counter("transport.reply_write_errors").Value(); got != 1 {
+			t.Fatalf("reply_write_errors = %d, want 1", got)
+		}
+		// The failed reply kills the stream (counting happens just
+		// before the kill, so poll).
+		select {
+		case <-w.closed:
+		case <-time.After(2 * time.Second):
+			t.Fatal("writer not marked dead by reply write failure")
+		}
+		// A second reply on the dead stream is also counted, not hung.
+		f2 := codec.GetFrame()
+		f2.ID = 8
+		f2.Kind = codec.FrameRequest
+		f2.Payload = testPayload{4}
+		tp.dispatch(w, f2)
+		deadline = time.Now().Add(2 * time.Second)
+		for reg.Counter("transport.reply_write_errors").Value() < 2 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := reg.Counter("transport.reply_write_errors").Value(); got != 2 {
+			t.Fatalf("reply_write_errors after dead-stream reply = %d, want 2", got)
+		}
+	})
 }
 
 // TestFrameWriterCoalesces pins the smart-batching contract at the unit
@@ -306,7 +286,7 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	defer tp.Close()
 	here, there := net.Pipe()
 	defer here.Close()
-	w := tp.newWriter("peer", here, tp.newStream(here))
+	w := tp.newWriter("peer", here, codec.NewBufferedStream(here, writeBuffer))
 	// Pretend several callers are active so enqueue takes the queue path
 	// instead of the solo-caller inline write (which would block on the
 	// unread pipe).

@@ -11,13 +11,15 @@ import (
 
 	"aodb/internal/codec"
 	"aodb/internal/metrics"
+	"aodb/internal/placement"
 	"aodb/internal/telemetry"
 )
 
 // TCPOptions tunes the TCP transport's wire path. The zero value gives
-// the production defaults: write coalescing on, four connection stripes
-// per peer, and an inbound dispatch pool sized to GOMAXPROCS. The batch
-// and buffer bounds are constants (maxBatchFrames and its neighbours).
+// the production defaults: four connection stripes per peer and an
+// inbound dispatch pool sized to GOMAXPROCS. Writes always coalesce; the
+// batch and buffer bounds are constants (maxBatchFrames and its
+// neighbours).
 type TCPOptions struct {
 	// Stripes is how many parallel connections to open per peer. Each
 	// stripe is a codec.Stream of its own — write mutex, buffer, writer
@@ -29,12 +31,6 @@ type TCPOptions struct {
 	// write batches. It stays settable because tests outside this package
 	// pin a stripe count.
 	Stripes int
-	// NoBatching disables write coalescing and restores the pre-batching
-	// behavior — one mutex-serialized encode+flush per frame on the
-	// caller's goroutine. It stays settable as the reference of the
-	// batching equivalence test, the baseline of BenchmarkTransportCall,
-	// and because tests outside this package pin it.
-	NoBatching bool
 	// Metrics receives transport instrumentation (flush sizes and
 	// latency, send-queue depth, lost replies, evictions); nil allocates
 	// a private registry.
@@ -237,23 +233,14 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// newStream builds the stream flavor the configured write path needs.
-func (t *TCP) newStream(conn net.Conn) *codec.Stream {
-	if t.opts.NoBatching {
-		return codec.NewStream(conn)
-	}
-	return codec.NewBufferedStream(conn, writeBuffer)
-}
-
 func (t *TCP) newWriter(peer string, raw net.Conn, stream *codec.Stream) *frameWriter {
 	return &frameWriter{
-		peer:    peer,
-		raw:     raw,
-		stream:  stream,
-		m:       t.m,
-		noBatch: t.opts.NoBatching,
-		q:       make(chan *sendReq, t.opts.sendQueue),
-		closed:  make(chan struct{}),
+		peer:   peer,
+		raw:    raw,
+		stream: stream,
+		m:      t.m,
+		q:      make(chan *sendReq, t.opts.sendQueue),
+		closed: make(chan struct{}),
 	}
 }
 
@@ -303,12 +290,10 @@ func (t *TCP) claimWorker() bool {
 // go back through a frameWriter so replies coalesce too.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer conn.Close()
-	stream := t.newStream(conn)
+	stream := codec.NewBufferedStream(conn, writeBuffer)
 	w := t.newWriter("", conn, stream)
-	if !t.opts.NoBatching {
-		t.wg.Add(1)
-		go w.run(&t.wg)
-	}
+	t.wg.Add(1)
+	go w.run(&t.wg)
 	defer w.fail(errConnClosed)
 	for {
 		f, err := stream.Read()
@@ -406,17 +391,7 @@ func (t *TCP) stripeFor(key string) int {
 	if key == "" {
 		return int(t.rr.Add(1) % uint64(n))
 	}
-	// FNV-1a plus a murmur-style finalizer: plain FNV clusters similar
-	// keys when reduced modulo a small stripe count.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % uint64(n))
+	return int(placement.Hash32(key) % uint32(n))
 }
 
 // conn returns (dialing if necessary) the striped connection to node for
@@ -453,7 +428,7 @@ func (t *TCP) conn(node, key string) (*tcpConn, error) {
 		return nil, &UnreachableError{Node: node, Err: fmt.Errorf("dial %s: %w", addr, err)}
 	}
 	c := &tcpConn{
-		frameWriter: t.newWriter(node, raw, t.newStream(raw)),
+		frameWriter: t.newWriter(node, raw, codec.NewBufferedStream(raw, writeBuffer)),
 		t:           t,
 		stripe:      stripe,
 		pending:     make(map[uint64]chan *codec.Frame),
@@ -480,15 +455,9 @@ func (t *TCP) conn(node, key string) (*tcpConn, error) {
 	t.conns[node][stripe] = c
 	// Goroutine registration happens under the same lock that guards
 	// closed, so Close's Wait can never race a late Add.
-	goroutines := 1 // readLoop
-	if !t.opts.NoBatching {
-		goroutines++ // writer
-	}
-	t.wg.Add(goroutines)
+	t.wg.Add(2) // writer and readLoop
 	t.mu.Unlock()
-	if !t.opts.NoBatching {
-		go c.run(&t.wg)
-	}
+	go c.run(&t.wg)
 	go func() {
 		defer t.wg.Done()
 		c.readLoop()

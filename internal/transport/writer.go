@@ -68,12 +68,11 @@ type sendReq struct {
 // puts each one back.
 var sendReqs = sync.Pool{New: func() any { return new(sendReq) }}
 
-// frameWriter owns every write on one connection. In batching mode a
-// dedicated goroutine (run) drains the bounded send queue through a
-// buffered stream, flushing when the queue goes empty or a frame/byte cap
-// is hit — under load many frames share one syscall, under light load a
-// frame is one flush away. With noBatch the caller writes directly
-// through the stream's mutex, which is the transport's measured baseline.
+// frameWriter owns every write on one connection. A dedicated goroutine
+// (run) drains the bounded send queue through a buffered stream,
+// flushing when the queue goes empty or a frame/byte cap is hit — under
+// load many frames share one syscall, under light load a frame is one
+// flush away. A solo caller writes inline (see enqueue).
 //
 // A writer dies exactly once (fail): the connection closes, the eviction
 // hook runs, and every frame still queued — or mid-enqueue, guarded by
@@ -85,12 +84,10 @@ type frameWriter struct {
 	m      *tcpMetrics
 	onDead func(error) // eviction / pending-failure hook, runs once
 
-	noBatch bool
-
 	// active counts callers currently inside a Call (or inbound
 	// dispatch) on this connection. It is the batching-worthwhile signal:
-	// a solo caller writes inline — identical cost to the unbatched
-	// baseline — because nobody else's frames could share its flush, while
+	// a solo caller writes inline — one encode and one flush on its own
+	// goroutine — because nobody else's frames could share its flush, while
 	// concurrent callers go through the queue where the writer coalesces
 	// them. (The TCP autocorking idea: only cork when the flow is busy.)
 	active atomic.Int32
@@ -141,9 +138,6 @@ func (w *frameWriter) enqueue(ctx context.Context, r *sendReq) error {
 	if r.span != nil {
 		r.enq = time.Now()
 	}
-	if w.noBatch {
-		return w.writeDirect(r)
-	}
 	if w.active.Load() <= 1 {
 		// Solo caller: no concurrent frames exist to coalesce with, so the
 		// queue hop to the writer goroutine would only add latency. Write
@@ -192,11 +186,10 @@ func (w *frameWriter) enqueue(ctx context.Context, r *sendReq) error {
 	}
 }
 
-// writeDirect is the NoBatching path: encode and flush inline on the
-// caller's goroutine, serialized by the stream's write mutex — the
-// pre-batching behavior, kept as the measured baseline. A failed write
-// kills the connection immediately so the next call redials instead of
-// hitting a cached broken conn.
+// writeDirect is the solo caller's path: encode and flush inline on the
+// caller's goroutine, serialized by the stream's write mutex. A failed
+// write kills the connection immediately so the next call redials
+// instead of hitting a cached broken conn.
 func (w *frameWriter) writeDirect(r *sendReq) error {
 	start := time.Now()
 	err := w.stream.Write(r.frame)
@@ -228,7 +221,8 @@ func (w *frameWriter) finish(r *sendReq, err error) {
 	sendReqs.Put(r)
 }
 
-// run is the connection's sole writer goroutine in batching mode.
+// run is the connection's writer goroutine: it writes every frame that
+// went through the queue.
 func (w *frameWriter) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	batch := make([]*sendReq, 0, maxBatchFrames)
@@ -297,6 +291,10 @@ func (w *frameWriter) writeBatch(first *sendReq, scratch *[]*sendReq) bool {
 		}
 		break
 	}
+	// The batch leaves the queue before its flush: once flushed, a peer's
+	// reply can reach the caller, and it must not see these frames still
+	// counted as queued.
+	w.m.sendqDepth.Add(-int64(len(batch)))
 	if werr == nil {
 		werr = w.stream.Flush()
 	}
@@ -307,7 +305,6 @@ func (w *frameWriter) writeBatch(first *sendReq, scratch *[]*sendReq) bool {
 		w.m.framesSent.Add(int64(len(batch)))
 	}
 	for _, br := range batch {
-		w.m.sendqDepth.Add(-1)
 		w.finish(br, werr)
 	}
 	for i := range batch {

@@ -198,7 +198,6 @@ func TestShortWriteRepairedLogStaysUsable(t *testing.T) {
 	}{
 		{"buffered", Options{}},
 		{"durable-group-commit", Options{SyncEveryAppend: true}},
-		{"durable-serial", Options{SyncEveryAppend: true, NoGroupCommit: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -514,11 +513,4 @@ func benchAppendParallel(b *testing.B, opts Options, workers int) {
 // number: 8 concurrent writers, fsync on every ack, group-committed.
 func BenchmarkGroupCommitDurableAppends8(b *testing.B) {
 	benchAppendParallel(b, Options{SyncEveryAppend: true}, 8)
-}
-
-// BenchmarkGroupCommitBaselineSerialFsync8 is the pre-group-commit
-// behavior (one write+fsync per record under the log mutex) under the
-// same 8-writer load — the baseline the tentpole is measured against.
-func BenchmarkGroupCommitBaselineSerialFsync8(b *testing.B) {
-	benchAppendParallel(b, Options{SyncEveryAppend: true, NoGroupCommit: true}, 8)
 }

@@ -96,11 +96,6 @@ type Options struct {
 	// batches storage writes rather than paying one durable write per
 	// request.
 	SyncEveryAppend bool
-	// NoGroupCommit disables batching on the durable path: each append
-	// performs its own write+fsync while holding the log mutex. This is
-	// the pre-group-commit behavior; it stays settable because it
-	// produces the serial-fsync row of the group-commit benchmark table.
-	NoGroupCommit bool
 	// Metrics, when non-nil, receives flush instrumentation:
 	// wal.appends and wal.flushes counters, and wal.flush.records /
 	// wal.flush.latency histograms (records per batch, fsync-inclusive
@@ -425,26 +420,15 @@ func (l *Log) Stage(payload []byte) (*Ack, error) {
 		l.mAppends.Inc()
 	}
 
-	if !l.opts.SyncEveryAppend || l.opts.NoGroupCommit {
-		// Immediate write: buffered mode, or the serial-fsync baseline.
+	if !l.opts.SyncEveryAppend {
+		// Buffered mode: write now, sync never.
 		seq := l.nextSeq
-		data := appendRecord(nil, payload)
-		if err := l.writeLocked(data, seq); err != nil {
+		if err := l.writeLocked(appendRecord(nil, payload), seq); err != nil {
 			l.mu.Unlock()
 			return nil, err
 		}
 		l.nextSeq++
-		var err error
-		if l.opts.SyncEveryAppend {
-			err = l.fsync(l.active)
-			if err != nil {
-				l.failed = fmt.Errorf("%w: fsync: %v", ErrFailed, err)
-			}
-		}
 		l.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 		return &Ack{l: l, seq: seq}, nil
 	}
 
