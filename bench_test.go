@@ -349,7 +349,7 @@ func BenchmarkCapacityLimiter(b *testing.B) {
 	ctx := context.Background()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := l.Execute(ctx, 0, func() error { return nil }); err != nil {
+			if err := l.ExecuteTimed(ctx, 0, func() error { return nil }, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

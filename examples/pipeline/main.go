@@ -144,6 +144,22 @@ func main() {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// The analyst's other online queries pass the same gate.
+	channel := shm.ChannelKey(sensor, 0)
+	pts, err := secure.RawData(ctx, anaToken, channel, start, start.Add(time.Minute))
+	if err != nil {
+		log.Fatal(err)
+	}
+	hours, err := secure.Aggregates(ctx, anaToken, org, shm.LevelHour, channel)
+	if err != nil {
+		log.Fatal(err)
+	}
+	alerts, err := secure.Alerts(ctx, anaToken, org, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("analyst: %d raw points in the first minute of %s, %d hourly aggregate(s), %d alert(s)\n",
+		len(pts), channel, len(hours), len(alerts))
 
 	// Shut the runtime down: actor state archives into the store.
 	if err := rt.Shutdown(ctx); err != nil {

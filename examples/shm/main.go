@@ -3,8 +3,10 @@
 //
 // The example installs an organization with extension and inclination
 // sensors on two silos, streams a morning of readings (with a simulated
-// structural event), and then exercises every online query the platform
-// serves: live data, raw time ranges, accumulated change, statistical
+// structural event; the inclination gateway sends JSON, CSV and binary
+// payloads in turn), and then exercises every online query the platform
+// serves: live data, raw time ranges, historical data reaching past the
+// in-memory window into the archive, accumulated change, statistical
 // aggregates, and threshold alerts.
 //
 //	go run ./examples/shm
@@ -18,12 +20,20 @@ import (
 	"time"
 
 	"aodb/internal/core"
+	"aodb/internal/devicefmt"
+	"aodb/internal/kvstore"
 	"aodb/internal/shm"
 )
 
 func main() {
 	ctx := context.Background()
-	rt, err := core.New(core.Config{})
+	// The store holds the archive of points older than a channel's window.
+	store, err := kvstore.Open(kvstore.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer store.Close()
+	rt, err := core.New(core.Config{Store: store})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +53,9 @@ func main() {
 	}
 
 	// One organization monitoring the Great Belt Bridge, with two sensors:
-	// an extension sensor (with alert thresholds and a virtual channel
-	// summing its two channels) and an inclination sensor.
+	// an extension sensor (with alert thresholds, a virtual channel
+	// summing its two channels, and an 800-point window whose older points
+	// go to the archive) and an inclination sensor.
 	const org = "org-0"
 	if err := platform.CreateOrganization(ctx, org, "Bridge Operations A/S"); err != nil {
 		log.Fatal(err)
@@ -53,6 +64,7 @@ func main() {
 	if err := platform.InstallSensor(ctx, shm.SensorSpec{
 		Org: org, Key: extension, PhysicalChannels: 2, WithVirtual: true,
 		Threshold: shm.Threshold{Min: -25, Max: 25, Enabled: true},
+		WindowCap: 800, Archive: true,
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -68,6 +80,9 @@ func main() {
 	// event pushes the extension beyond its alert threshold.
 	start := time.Date(2026, 7, 5, 6, 0, 0, 0, time.UTC)
 	fmt.Println("ingesting 2 simulated hours of sensor data...")
+	// Heterogeneous devices (non-functional requirement 3): IngestRaw
+	// recognizes each payload's format and normalizes it.
+	encoders := []func(devicefmt.Packet) ([]byte, error){devicefmt.EncodeJSON, devicefmt.EncodeCSV, devicefmt.EncodeBinary}
 	for sec := 0; sec < 7200; sec += 60 { // one request per simulated minute to keep the example quick
 		at := start.Add(time.Duration(sec) * time.Second)
 		phase := float64(sec) / 900
@@ -79,10 +94,14 @@ func main() {
 		if err := platform.Ingest(ctx, extension, at, [][]float64{ext, packet(10, func(i int) float64 { return 5 * math.Cos(phase) })}); err != nil {
 			log.Fatal(err)
 		}
-		if err := platform.Ingest(ctx, inclination, at, [][]float64{
+		payload, err := encoders[sec/60%len(encoders)](devicefmt.Packet{Sensor: inclination, At: at, PerChannel: [][]float64{
 			packet(10, func(i int) float64 { return 0.2 * math.Sin(phase/2) }),
 			packet(10, func(i int) float64 { return 0.1 * math.Cos(phase/2) }),
-		}); err != nil {
+		}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := platform.IngestRaw(ctx, payload); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -106,6 +125,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %d points; first %.2f, last %.2f\n", len(pts), pts[0].Value, pts[len(pts)-1].Value)
+
+	fmt.Println("\n--- historical data (extension ch-0, the whole run: archive + window) ---")
+	hist, err := platform.HistoricalData(ctx, shm.ChannelKey(extension, 0), start, start.Add(2*time.Hour))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  %d points from %s to %s\n", len(hist), hist[0].At.Format(time.TimeOnly), hist[len(hist)-1].At.Format(time.TimeOnly))
 
 	acc, err := platform.AccumulatedChange(ctx, shm.ChannelKey(extension, 0))
 	if err != nil {

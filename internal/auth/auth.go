@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 
 	"aodb/internal/codec"
 	"aodb/internal/core"
@@ -88,12 +87,8 @@ type (
 		User  string
 		Roles []Role
 	}
-	// RevokeUser deletes a user and invalidates its token.
-	RevokeUser struct{ User string }
 	// Check authenticates a token hash, replying with the Principal.
 	Check struct{ TokenHash string }
-	// ListUsers returns the tenant's user names (sorted).
-	ListUsers struct{}
 )
 
 type userRecord struct {
@@ -132,9 +127,6 @@ func (a *tenantAuthActor) Receive(ctx *core.Context, msg any) (any, error) {
 			return nil, err
 		}
 		return token, nil
-	case RevokeUser:
-		delete(a.state.Users, m.User)
-		return nil, ctx.WriteState()
 	case Check:
 		for user, rec := range a.state.Users {
 			if subtle.ConstantTimeCompare([]byte(rec.TokenHash), []byte(m.TokenHash)) == 1 {
@@ -146,13 +138,6 @@ func (a *tenantAuthActor) Receive(ctx *core.Context, msg any) (any, error) {
 			}
 		}
 		return nil, ErrUnauthenticated
-	case ListUsers:
-		out := make([]string, 0, len(a.state.Users))
-		for u := range a.state.Users {
-			out = append(out, u)
-		}
-		sort.Strings(out)
-		return out, nil
 	default:
 		return nil, fmt.Errorf("auth: unknown message %T", msg)
 	}
@@ -174,9 +159,7 @@ func hashToken(token string) string {
 
 func init() {
 	codec.Register(CreateUser{})
-	codec.Register(RevokeUser{})
 	codec.Register(Check{})
-	codec.Register(ListUsers{})
 	codec.Register(Principal{})
 	codec.Register([]Role{})
 }
@@ -208,12 +191,6 @@ func (s *Service) CreateUser(ctx context.Context, tenant, user string, roles ...
 	return v.(string), nil
 }
 
-// RevokeUser removes a user, invalidating its token immediately.
-func (s *Service) RevokeUser(ctx context.Context, tenant, user string) error {
-	_, err := s.rt.Call(ctx, tenantID(tenant), RevokeUser{User: user})
-	return err
-}
-
 // Authenticate resolves a token within a tenant.
 func (s *Service) Authenticate(ctx context.Context, tenant, token string) (Principal, error) {
 	v, err := s.rt.Call(ctx, tenantID(tenant), Check{TokenHash: hashToken(token)})
@@ -235,13 +212,4 @@ func (s *Service) Authorize(ctx context.Context, tenant, token string, perm Perm
 		return Principal{}, fmt.Errorf("%w: %s needs %q", ErrForbidden, p.User, perm)
 	}
 	return p, nil
-}
-
-// Users lists a tenant's users.
-func (s *Service) Users(ctx context.Context, tenant string) ([]string, error) {
-	v, err := s.rt.Call(ctx, tenantID(tenant), ListUsers{})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]string), nil
 }

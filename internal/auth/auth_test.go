@@ -141,42 +141,6 @@ func TestAuthorize(t *testing.T) {
 	}
 }
 
-func TestRevokeInvalidatesToken(t *testing.T) {
-	s, _ := newService(t, nil)
-	ctx := context.Background()
-	token, err := s.CreateUser(ctx, "org-1", "temp", RoleAnalyst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RevokeUser(ctx, "org-1", "temp"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Authenticate(ctx, "org-1", token); !errors.Is(err, ErrUnauthenticated) {
-		t.Fatalf("revoked token authenticated: %v", err)
-	}
-	// Revoking again (or a ghost) is harmless.
-	if err := s.RevokeUser(ctx, "org-1", "ghost"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestListUsers(t *testing.T) {
-	s, _ := newService(t, nil)
-	ctx := context.Background()
-	for _, u := range []string{"carol", "alice", "bob"} {
-		if _, err := s.CreateUser(ctx, "org-1", u, RoleAnalyst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	users, err := s.Users(ctx, "org-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(users) != 3 || users[0] != "alice" || users[2] != "carol" {
-		t.Fatalf("users = %v", users)
-	}
-}
-
 func TestTokensDistinct(t *testing.T) {
 	s, _ := newService(t, nil)
 	ctx := context.Background()

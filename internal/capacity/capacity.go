@@ -41,9 +41,6 @@ type Profile struct {
 var (
 	M5Large  = Profile{Name: "m5.large", Workers: 2, Speed: 1.0}
 	M5XLarge = Profile{Name: "m5.xlarge", Workers: 4, Speed: 0.75}
-	// M52XLarge follows the same ECU-derived scaling one step up (3× an
-	// m5.large), used by the benchmarking-client host in the paper's setup.
-	M52XLarge = Profile{Name: "m5.2xlarge", Workers: 8, Speed: 0.75}
 )
 
 // Capacity returns the profile's sustainable turns/second for a given
@@ -106,17 +103,12 @@ type TurnTiming struct {
 	Burn     time.Duration
 }
 
-// Execute runs fn after charging cost of simulated CPU on one worker slot.
-// Zero-cost work still takes a slot, bounding true concurrency. It blocks
-// while all slots are busy — that queueing delay is the latency the paper's
-// percentile figures measure.
-func (l *Limiter) Execute(ctx context.Context, cost time.Duration, fn func() error) error {
-	return l.ExecuteTimed(ctx, cost, fn, nil)
-}
-
-// ExecuteTimed is Execute with an optional timing probe: when tm is
-// non-nil the slot wait and simulated burn are measured into it. A nil
-// tm adds no clock reads to the path.
+// ExecuteTimed runs fn after charging cost of simulated CPU on one worker
+// slot. Zero-cost work still takes a slot, bounding true concurrency. It
+// blocks while all slots are busy — that queueing delay is the latency the
+// paper's percentile figures measure. When tm is non-nil the slot wait and
+// simulated burn are measured into it; a nil tm adds no clock reads to the
+// path.
 func (l *Limiter) ExecuteTimed(ctx context.Context, cost time.Duration, fn func() error, tm *TurnTiming) error {
 	if l == nil {
 		return fn()

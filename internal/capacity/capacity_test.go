@@ -12,7 +12,7 @@ import (
 func TestNilLimiterRunsImmediately(t *testing.T) {
 	var l *Limiter
 	ran := false
-	if err := l.Execute(context.Background(), time.Hour, func() error { ran = true; return nil }); err != nil {
+	if err := l.execute(context.Background(), time.Hour, func() error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -26,7 +26,7 @@ func TestNilLimiterRunsImmediately(t *testing.T) {
 func TestExecutePropagatesError(t *testing.T) {
 	l := NewLimiter(Profile{Workers: 1, Speed: 1}, nil)
 	want := errors.New("boom")
-	if err := l.Execute(context.Background(), 0, func() error { return want }); !errors.Is(err, want) {
+	if err := l.execute(context.Background(), 0, func() error { return want }); !errors.Is(err, want) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
@@ -39,7 +39,7 @@ func TestConcurrencyBoundedByWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.Execute(context.Background(), 0, func() error {
+			l.execute(context.Background(), 0, func() error {
 				cur := inFlight.Add(1)
 				for {
 					p := peak.Load()
@@ -69,7 +69,7 @@ func TestThroughputMatchesCapacity(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.Execute(context.Background(), time.Millisecond, func() error { return nil })
+			l.execute(context.Background(), time.Millisecond, func() error { return nil })
 		}()
 	}
 	wg.Wait()
@@ -89,7 +89,7 @@ func TestSpeedScalesCost(t *testing.T) {
 	fast := NewLimiter(Profile{Workers: 1, Speed: 4}, nil)
 	start := time.Now()
 	for i := 0; i < 10; i++ {
-		fast.Execute(context.Background(), 4*time.Millisecond, func() error { return nil })
+		fast.execute(context.Background(), 4*time.Millisecond, func() error { return nil })
 	}
 	elapsed := time.Since(start)
 	// 10 turns x 4ms / speed 4 = ~10ms.
@@ -101,11 +101,11 @@ func TestSpeedScalesCost(t *testing.T) {
 func TestExecuteCancelWhileQueued(t *testing.T) {
 	l := NewLimiter(Profile{Workers: 1, Speed: 1}, nil)
 	release := make(chan struct{})
-	go l.Execute(context.Background(), 0, func() error { <-release; return nil })
+	go l.execute(context.Background(), 0, func() error { <-release; return nil })
 	time.Sleep(10 * time.Millisecond) // let the first turn take the slot
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err := l.Execute(ctx, 0, func() error { return nil })
+	err := l.execute(ctx, 0, func() error { return nil })
 	close(release)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued Execute = %v, want DeadlineExceeded", err)
@@ -117,7 +117,7 @@ func TestExecuteCancelDuringBurn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := l.Execute(ctx, time.Hour, func() error { return nil })
+	err := l.execute(ctx, time.Hour, func() error { return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
@@ -152,4 +152,9 @@ func TestDefaultsAppliedToDegenerateProfile(t *testing.T) {
 	if l.Profile().Workers != 1 || l.Profile().Speed != 1 {
 		t.Fatalf("profile = %+v, want defaults 1/1", l.Profile())
 	}
+}
+
+// execute runs fn with no timing probe.
+func (l *Limiter) execute(ctx context.Context, cost time.Duration, fn func() error) error {
+	return l.ExecuteTimed(ctx, cost, fn, nil)
 }

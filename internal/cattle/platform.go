@@ -76,12 +76,6 @@ func NewPlatform(rt *core.Runtime, opts Options) (*Platform, error) {
 	return p, nil
 }
 
-// Runtime returns the underlying runtime.
-func (p *Platform) Runtime() *core.Runtime { return p.rt }
-
-// Coordinator returns the platform's transaction coordinator.
-func (p *Platform) Coordinator() *txn.Coordinator { return p.coor }
-
 // RegisterCow creates a cow owned by farmer, updating both sides of the
 // relationship plus the ownership registry (used by the registry
 // constraint mode and the consistency checker).

@@ -17,7 +17,7 @@ import (
 func TestCattleOverTCP(t *testing.T) {
 	view := []string{"silo-1", "silo-2"}
 	newNode := func(name string) (*core.Runtime, *Platform, *transport.TCP) {
-		tcp, err := transport.NewTCP(name, "127.0.0.1:0")
+		tcp, err := transport.NewTCPWithOptions(name, "127.0.0.1:0", transport.TCPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestCattleOverTCP(t *testing.T) {
 	}
 	rt1, _, tcp1 := newNode("silo-1")
 	rt2, _, tcp2 := newNode("silo-2")
-	_, client, tcpC := newNode("client")
+	rt, client, tcpC := newNode("client")
 	if _, err := rt1.AddSilo("silo-1", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,6 @@ func TestCattleOverTCP(t *testing.T) {
 	tcpC.SetPeer("silo-2", tcp2.Addr())
 
 	ctx := context.Background()
-	rt := client.Runtime()
 	if _, err := rt.Call(ctx, core.ID{Kind: KindFarmer, Key: "farm-1"}, CreateFarmer{Name: "f"}); err != nil {
 		t.Fatal(err)
 	}

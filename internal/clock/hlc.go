@@ -98,7 +98,3 @@ func (s *HLCSource) Observe(remote HLC) HLC {
 		}
 	}
 }
-
-// Last returns the most recently issued timestamp without advancing the
-// clock (zero if none was issued yet).
-func (s *HLCSource) Last() HLC { return HLC(s.last.Load()) }

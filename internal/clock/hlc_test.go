@@ -91,12 +91,4 @@ func TestHLCZeroAndString(t *testing.T) {
 	if z.String() != "hlc:0" {
 		t.Fatalf("zero string: %q", z.String())
 	}
-	s := NewHLC(NewFake(time.Unix(1000, 0)))
-	if s.Last() != 0 {
-		t.Fatal("Last before first Now should be zero")
-	}
-	h := s.Now()
-	if s.Last() != h {
-		t.Fatalf("Last %v != issued %v", s.Last(), h)
-	}
 }

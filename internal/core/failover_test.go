@@ -15,69 +15,9 @@ import (
 	"aodb/internal/kvstore"
 )
 
-// TestRemoveSiloFailover exercises the silo-loss recovery path: a
-// persistent actor lives on one silo, the silo is removed, and the next
-// call re-activates the actor elsewhere with its persisted state.
-func TestRemoveSiloFailover(t *testing.T) {
-	kv, err := kvstore.Open(kvstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv.Close()
-	rt := newTestRuntime(t, Config{Store: kv})
-	registerCounter(t, rt, WithPersistence(PersistOnDeactivate))
-	rt.AddSilo("silo-1", nil)
-	rt.AddSilo("silo-2", nil)
-	ctx := context.Background()
-
-	// Spread some actors; find one on each silo.
-	perSilo := map[string]ID{}
-	for i := 0; len(perSilo) < 2 && i < 200; i++ {
-		id := ID{"Counter", fmt.Sprintf("c%d", i)}
-		if _, err := rt.Call(ctx, id, addMsg{N: i}); err != nil {
-			t.Fatal(err)
-		}
-		reg, ok := rt.Directory().Lookup(id.String())
-		if !ok {
-			t.Fatal("no registration after call")
-		}
-		if _, seen := perSilo[reg.Silo]; !seen {
-			perSilo[reg.Silo] = id
-		}
-	}
-	victim, ok := perSilo["silo-1"]
-	if !ok {
-		t.Fatal("no actor landed on silo-1")
-	}
-	before, err := rt.Call(ctx, victim, getMsg{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := rt.RemoveSilo(ctx, "silo-1"); err != nil {
-		t.Fatal(err)
-	}
-	// The actor must come back on silo-2 with its persisted state.
-	after, err := rt.Call(ctx, victim, getMsg{})
-	if err != nil {
-		t.Fatalf("call after silo loss: %v", err)
-	}
-	if after != before {
-		t.Fatalf("state after failover = %v, want %v", after, before)
-	}
-	reg, ok := rt.Directory().Lookup(victim.String())
-	if !ok || reg.Silo != "silo-2" {
-		t.Fatalf("registration after failover = %+v, want silo-2", reg)
-	}
-	// And new work keeps flowing.
-	if _, err := rt.Call(ctx, ID{"Counter", "fresh"}, addMsg{1}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRemoveUnknownSilo(t *testing.T) {
 	rt := newTestRuntime(t, Config{})
-	if err := rt.RemoveSilo(context.Background(), "ghost"); err == nil {
+	if err := rt.CrashSilo("ghost"); err == nil {
 		t.Fatal("removing unknown silo succeeded")
 	}
 }
@@ -88,7 +28,7 @@ func TestRemoveLastSiloLeavesRuntimeCallableAfterReAdd(t *testing.T) {
 	rt.AddSilo("silo-1", nil)
 	ctx := context.Background()
 	rt.Call(ctx, ID{"Counter", "x"}, addMsg{1})
-	if err := rt.RemoveSilo(ctx, "silo-1"); err != nil {
+	if err := rt.CrashSilo("silo-1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Call(ctx, ID{"Counter", "x"}, getMsg{}); err == nil {

@@ -25,9 +25,6 @@ func (id ID) is(s string) bool {
 	return len(s) == n+1+len(id.Key) && s[:n] == id.Kind && s[n] == '/' && s[n+1:] == id.Key
 }
 
-// IsZero reports whether the ID is empty.
-func (id ID) IsZero() bool { return id.Kind == "" && id.Key == "" }
-
 // Validate checks that the ID can be routed.
 func (id ID) Validate() error {
 	if id.Kind == "" {

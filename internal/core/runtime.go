@@ -294,46 +294,11 @@ func (rt *Runtime) rebuildSiloList() {
 	rt.siloList = list
 }
 
-// RemoveSilo takes a silo out of service: it drains its activations
-// (persisting state where configured), evicts its directory entries so
-// actors can re-activate elsewhere, and removes it from the placement
-// view. It models both graceful decommission and — when the silo's state
-// was persisted — recovery from silo loss.
-func (rt *Runtime) RemoveSilo(ctx context.Context, name string) error {
-	rt.mu.Lock()
-	s, ok := rt.silos[name]
-	if !ok {
-		rt.mu.Unlock()
-		return fmt.Errorf("core: no silo %q", name)
-	}
-	delete(rt.silos, name)
-	rt.rebuildSiloList()
-	rt.mu.Unlock()
-
-	close(s.collectorStop)
-	select {
-	case <-s.collectorDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if err := s.drainAll(ctx); err != nil {
-		return err
-	}
-	// Evict any remaining registrations (activations unregister themselves
-	// during teardown; this catches ones that failed mid-activation).
-	rt.directory.EvictSilo(name)
-	if d, ok := rt.cfg.Transport.(transport.Deregisterer); ok {
-		d.Deregister(name)
-	}
-	return nil
-}
-
 // CrashSilo abruptly kills a silo, simulating process death: nothing is
 // drained or persisted, in-memory activation state is lost, queued and
 // in-flight work fails transient, directory entries are evicted so actors
 // re-activate elsewhere, and the transport stops delivering to the name.
-// Re-adding the same name with AddSilo models a process restart. Compare
-// RemoveSilo, which is a graceful decommission.
+// Re-adding the same name with AddSilo models a process restart.
 func (rt *Runtime) CrashSilo(name string) error {
 	rt.mu.Lock()
 	s, ok := rt.silos[name]
@@ -556,7 +521,7 @@ func place(strat placement.Strategy, key, callerSilo string, view []string) (str
 // that proves unreachable may be a live activation behind a lost message,
 // and unregistering it here would let the retry place a second one. A
 // registration is removed by its owner (activation teardown), by
-// membership (CrashSilo, RemoveSilo, a gossip death's EvictSilo) or by a
+// membership (CrashSilo, a gossip death's EvictSilo) or by a
 // forced migration's fence — never by a caller.
 func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []string, id ID, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext, redirect string) (any, error) {
 	var target string

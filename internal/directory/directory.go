@@ -177,18 +177,3 @@ func (d *Directory) Len() int {
 	}
 	return n
 }
-
-// CountBySilo returns per-silo activation counts, useful for placement
-// balance assertions in tests and benchmarks.
-func (d *Directory) CountBySilo() map[string]int {
-	out := make(map[string]int)
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.RLock()
-		for _, reg := range sh.m {
-			out[reg.Silo]++
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}

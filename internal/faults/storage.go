@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -10,9 +9,6 @@ import (
 // rides the same seeded decision machinery as the message and kvstore
 // faults, so a chaos soak that wipes replicas reproduces exactly under
 // its seed.
-
-// ErrInjectedWipe marks a storage wipe performed by the chaos harness.
-var ErrInjectedWipe = fmt.Errorf("faults: injected storage wipe")
 
 // WipeDecision consults the seeded "wipe:<silo>" fault point: whether
 // this consultation should wipe the silo's replica storage. The harness

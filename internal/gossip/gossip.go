@@ -943,11 +943,3 @@ func (a *Agent) Loads() map[string]int64 {
 	}
 	return out
 }
-
-// Incarnation returns this agent's current incarnation number (bumped on
-// each self-refutation).
-func (a *Agent) Incarnation() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.incarnation
-}

@@ -134,11 +134,6 @@ func (ix *Index) Add(ctx context.Context, value, actor string) error {
 	return err
 }
 
-// AddAsync indexes without waiting (eventual maintenance).
-func (ix *Index) AddAsync(ctx context.Context, value, actor string) error {
-	return ix.rt.Tell(ctx, ix.shardID(value), Add{Value: value, Actor: actor})
-}
-
 // Remove deletes actor from value's posting list.
 func (ix *Index) Remove(ctx context.Context, value, actor string) error {
 	_, err := ix.rt.Call(ctx, ix.shardID(value), Remove{Value: value, Actor: actor})

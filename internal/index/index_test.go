@@ -169,29 +169,6 @@ func TestSeparateIndexesDoNotCollide(t *testing.T) {
 	}
 }
 
-func TestAddAsyncEventuallyVisible(t *testing.T) {
-	rt := newRuntime(t)
-	ix := New(rt, "ix", 2)
-	ctx := context.Background()
-	if err := ix.AddAsync(ctx, "v", "a"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		got, err := ix.Lookup(ctx, "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async add never became visible")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestConcurrentMaintenance(t *testing.T) {
 	rt := newRuntime(t)
 	ix := New(rt, "ix", 4)

@@ -200,13 +200,6 @@ func (q *Queue[T]) drain() {
 	}
 }
 
-// Depth returns the current buffer occupancy.
-func (q *Queue[T]) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.count
-}
-
 // Metrics exposes the queue's registry.
 func (q *Queue[T]) Metrics() *metrics.Registry { return q.reg }
 

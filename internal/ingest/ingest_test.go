@@ -129,7 +129,7 @@ func TestPolicyDropOldest(t *testing.T) {
 	}
 	// Wait for the worker to take item 0 out of the buffer.
 	deadline := time.Now().Add(time.Second)
-	for q.Depth() != 0 {
+	for q.Metrics().Gauge("ingest.depth").Value() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up item 0")
 		}
@@ -251,7 +251,7 @@ func TestDepthGauge(t *testing.T) {
 	}
 	q.Submit(0)
 	deadline := time.Now().Add(time.Second)
-	for q.Depth() != 0 {
+	for q.Metrics().Gauge("ingest.depth").Value() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("item never picked up")
 		}
@@ -260,8 +260,8 @@ func TestDepthGauge(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		q.Submit(i)
 	}
-	if d := q.Depth(); d != 3 {
-		t.Fatalf("Depth = %d, want 3", d)
+	if d := q.Metrics().Gauge("ingest.depth").Value(); d != 3 {
+		t.Fatalf("depth gauge = %d, want 3", d)
 	}
 	close(block)
 	q.Close()

@@ -376,18 +376,6 @@ func (s *Store) EnsureTable(name string, prov Throughput) (*Table, error) {
 	return s.Table(name)
 }
 
-// Tables returns the sorted table names.
-func (s *Store) Tables() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // DynamoDB capacity-unit rounding.
 func writeUnits(size int) float64 { return float64((size + 1023) / 1024) }
 func readUnits(size int) float64  { return float64((size + 4095) / 4096) }
@@ -589,9 +577,6 @@ func (t *Table) Len() int {
 	defer t.mu.RUnlock()
 	return len(t.items)
 }
-
-// Provisioned returns the table's configured throughput.
-func (t *Table) Provisioned() Throughput { return t.prov }
 
 // noteMutation records ack's sequence as the key's latest applied
 // mutation and returns the previous fence value, which the mutation's

@@ -207,19 +207,6 @@ func TestCreateTableDuplicate(t *testing.T) {
 	}
 }
 
-func TestTablesSorted(t *testing.T) {
-	s := memStore(t)
-	for _, n := range []string{"c", "a", "b"} {
-		if err := s.CreateTable(n, Throughput{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Tables()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("Tables() = %v", got)
-	}
-}
-
 func TestProvisionedThroughputLimitsWrites(t *testing.T) {
 	// 200 write units/s, like the paper's DynamoDB configuration. 100
 	// small writes beyond the burst should take ~(100-burst)/200 s.
@@ -355,7 +342,7 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tb2.Provisioned(); got.ReadUnits != 7 || got.WriteUnits != 9 {
+	if got := tb2.prov; got.ReadUnits != 7 || got.WriteUnits != 9 {
 		t.Fatalf("provisioned throughput not recovered: %+v", got)
 	}
 	it, err := tb2.Get(ctx, "post")

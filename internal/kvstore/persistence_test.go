@@ -597,7 +597,7 @@ func TestOpensStoreWrittenBeforeTTLRemoval(t *testing.T) {
 		}
 	}
 	g, _ := s.Table("grains")
-	if p := g.Provisioned(); p != (Throughput{ReadUnits: 200, WriteUnits: 200}) {
+	if p := g.prov; p != (Throughput{ReadUnits: 200, WriteUnits: 200}) {
 		t.Fatalf("grains throughput = %+v", p)
 	}
 }

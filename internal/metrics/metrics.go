@@ -5,7 +5,7 @@
 //
 // The histogram design follows HdrHistogram's log-linear layout:
 // logarithmic buckets with linear sub-buckets, giving a bounded relative
-// error (MaxRelativeError, ~1.6% with 64 sub-buckets) over a huge dynamic
+// error (maxRelativeError, ~1.6% with 64 sub-buckets) over a huge dynamic
 // range while staying allocation-free on the record path. That matters
 // here because the paper's evaluation (Figures 8 and 9) reports
 // 50th..99.9th percentile latencies, and the recorder sits on the
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,11 +68,11 @@ const (
 	bucketCount = (maxExponent - subBucketBits + 1) * subBucketCount
 )
 
-// MaxRelativeError is the worst-case relative quantization error of a
+// maxRelativeError is the worst-case relative quantization error of a
 // histogram value: each power-of-two range is split into subBucketCount
 // linear sub-buckets, so a recorded value is off from its bucket's
 // representative by at most one sub-bucket width.
-const MaxRelativeError = 1.0 / subBucketCount
+const maxRelativeError = 1.0 / subBucketCount
 
 // histogramLayout names the bucket layout a serialized snapshot was
 // produced under, so merging processes can refuse mismatched layouts
@@ -166,9 +165,6 @@ func (h *Histogram) Record(v int64) {
 
 // RecordDuration adds a duration in nanoseconds.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
-
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Snapshot captures a point-in-time view of a histogram.
 type Snapshot struct {
@@ -302,7 +298,7 @@ func (s Snapshot) String() string {
 // Merge returns the combination of two snapshots, as if every value
 // recorded into either histogram had been recorded into one. Because the
 // bucket layout is identical, merged percentiles carry the same
-// MaxRelativeError bound as single-histogram percentiles.
+// maxRelativeError bound as single-histogram percentiles.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
 	if o.Count == 0 && o.counts == nil {
 		return s
@@ -475,20 +471,4 @@ func (r *Registry) Histograms() map[string]Snapshot {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// Dump renders every metric in the registry, sorted by name, one per line.
-func (r *Registry) Dump() string {
-	var lines []string
-	for name, v := range r.Counters() {
-		lines = append(lines, fmt.Sprintf("counter %s = %d", name, v))
-	}
-	for name, v := range r.Gauges() {
-		lines = append(lines, fmt.Sprintf("gauge %s = %d", name, v))
-	}
-	for name, h := range r.Histograms() {
-		lines = append(lines, fmt.Sprintf("histogram %s: %s", name, h))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -55,15 +55,11 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, index: make(map[string]*topkNode, k)}
 }
 
-// Offer adds weight to key's counter, possibly evicting the current
-// minimum-count key to admit it.
-func (t *TopK) Offer(key string, weight int64) {
-	t.Observe(key, weight, TopKEntry{Bytes: -1})
-}
-
-// Observe is Offer with the auxiliary payload: aux.Turns is added,
-// aux.HighWater raises the high-water mark, aux.Bytes replaces the byte
-// size unless negative, and a non-empty aux.Label replaces the label.
+// Observe adds weight to key's counter, possibly evicting the current
+// minimum-count key to admit it, and applies the auxiliary payload:
+// aux.Turns is added, aux.HighWater raises the high-water mark, aux.Bytes
+// replaces the byte size unless negative, and a non-empty aux.Label
+// replaces the label.
 func (t *TopK) Observe(key string, weight int64, aux TopKEntry) {
 	t.mu.Lock()
 	t.total += weight

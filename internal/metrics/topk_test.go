@@ -11,7 +11,7 @@ func TestTopKExactWhenUnderCapacity(t *testing.T) {
 	s := NewTopK(8)
 	for i := 0; i < 5; i++ {
 		for j := 0; j <= i; j++ {
-			s.Offer(fmt.Sprintf("k%d", i), 10)
+			s.offer(fmt.Sprintf("k%d", i), 10)
 		}
 	}
 	got := s.Snapshot()
@@ -37,7 +37,7 @@ func TestTopKHeavyHittersSurface(t *testing.T) {
 	truth := make(map[string]int64)
 	rng := rand.New(rand.NewSource(42))
 	offer := func(key string, w int64) {
-		s.Offer(key, w)
+		s.offer(key, w)
 		truth[key] += w
 	}
 	heavy := []string{"Sensor@hot-1", "Org@hot-2", "User@hot-3"}
@@ -114,8 +114,8 @@ func TestMergeTopKMatchesUnionStream(t *testing.T) {
 		if i%7 == 0 {
 			key, w = "s1-hot", 200
 		}
-		s1.Offer(key, w)
-		union.Offer(key, w)
+		s1.offer(key, w)
+		union.offer(key, w)
 		truth[key] += w
 	}
 	for i := 0; i < 50000; i++ {
@@ -124,8 +124,8 @@ func TestMergeTopKMatchesUnionStream(t *testing.T) {
 		if i%9 == 0 {
 			key, w = "s2-hot", 300
 		}
-		s2.Offer(key, w)
-		union.Offer(key, w)
+		s2.offer(key, w)
+		union.offer(key, w)
 		truth[key] += w
 	}
 	merged := MergeTopK(10, s1.Snapshot(), s2.Snapshot())
@@ -198,4 +198,9 @@ func TestMergeTopKOverlappingKeys(t *testing.T) {
 	if e.Label != "silo-2" {
 		t.Fatalf("label should follow heaviest contribution, got %q", e.Label)
 	}
+}
+
+// offer adds weight to key's counter with no auxiliary payload.
+func (t *TopK) offer(key string, weight int64) {
+	t.Observe(key, weight, TopKEntry{Bytes: -1})
 }

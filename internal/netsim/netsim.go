@@ -30,8 +30,6 @@ var (
 	// SameAZ models EC2 instances in one availability zone, the paper's
 	// deployment: ~100µs one-way plus serialization cost.
 	SameAZ = Profile{Base: 100 * time.Microsecond, PerKB: 2 * time.Microsecond, JitterFrac: 0.2}
-	// CrossAZ models instances across availability zones.
-	CrossAZ = Profile{Base: 600 * time.Microsecond, PerKB: 2 * time.Microsecond, JitterFrac: 0.2}
 )
 
 // Model maps (from, to) host pairs to a link profile. The zero Model treats

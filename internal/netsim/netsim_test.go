@@ -50,9 +50,3 @@ func TestDeterministicForSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestCrossAZSlowerThanSameAZ(t *testing.T) {
-	if CrossAZ.Base <= SameAZ.Base {
-		t.Fatal("CrossAZ profile should be slower than SameAZ")
-	}
-}

@@ -153,16 +153,11 @@ func (r *Ring) Owner(key string) string {
 	return r.silos[r.points[r.first(key)].silo]
 }
 
-// ReplicaSet returns the n distinct silos that home the key, in
+// AppendHomes appends to dst the n distinct silos that home the key, in
 // preference order: the first owner clockwise from the key's point,
 // then successive distinct silos around the ring. n is clamped to the
-// member count.
-func (r *Ring) ReplicaSet(key string, n int) []string {
-	return r.AppendHomes(nil, key, n)
-}
-
-// AppendHomes appends the key's ReplicaSet to dst, so a caller with a
-// small buffer of its own walks the ring without allocating.
+// member count. A caller with a small buffer of its own walks the ring
+// without allocating.
 func (r *Ring) AppendHomes(dst []string, key string, n int) []string {
 	n = min(n, len(r.silos))
 	if n <= 0 {

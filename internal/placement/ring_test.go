@@ -15,7 +15,7 @@ func TestRingReplicaSets(t *testing.T) {
 	counts := make(map[string]int)
 	for i := 0; i < 2000; i++ {
 		key := "actor@" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('A'+i%20))
-		set := r1.ReplicaSet(key, 3)
+		set := r1.AppendHomes(nil, key, 3)
 		if len(set) != 3 {
 			t.Fatalf("want 3 replicas, got %v", set)
 		}
@@ -26,7 +26,7 @@ func TestRingReplicaSets(t *testing.T) {
 			}
 			seen[s] = true
 		}
-		set2 := r2.ReplicaSet(key, 3)
+		set2 := r2.AppendHomes(nil, key, 3)
 		for j := range set {
 			if set[j] != set2[j] {
 				t.Fatalf("ring not member-order independent: %v vs %v", set, set2)
@@ -34,7 +34,7 @@ func TestRingReplicaSets(t *testing.T) {
 		}
 		counts[set[0]]++
 		// A larger n extends the same walk, and n clamps to the ring.
-		all := r1.ReplicaSet(key, 9)
+		all := r1.AppendHomes(nil, key, 9)
 		if len(all) != 5 {
 			t.Fatalf("replica set should clamp to 5 members, got %v", all)
 		}
@@ -76,7 +76,7 @@ func TestWithMembersMatchesNewRing(t *testing.T) {
 		}
 		for i := 0; i < 500; i++ {
 			key := fmt.Sprintf("dev@%d", i)
-			a, b := inc.ReplicaSet(key, 3), full.ReplicaSet(key, 3)
+			a, b := inc.AppendHomes(nil, key, 3), full.AppendHomes(nil, key, 3)
 			for j := range a {
 				if a[j] != b[j] {
 					t.Fatalf("members %v key %s: incremental %v vs full %v", members, key, a, b)
@@ -95,7 +95,7 @@ func TestWithMembersMatchesNewRing(t *testing.T) {
 	const keys = 2000
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("dev@%d", i)
-		if base.ReplicaSet(key, 1)[0] != grown.ReplicaSet(key, 1)[0] {
+		if base.AppendHomes(nil, key, 1)[0] != grown.AppendHomes(nil, key, 1)[0] {
 			moved++
 		}
 	}

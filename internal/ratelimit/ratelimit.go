@@ -9,16 +9,11 @@ package ratelimit
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"aodb/internal/clock"
 )
-
-// ErrWouldBlock is returned by TryTake when insufficient tokens are
-// available.
-var ErrWouldBlock = errors.New("ratelimit: insufficient tokens")
 
 // Bucket is a token bucket refilled continuously at Rate tokens/second up
 // to Burst tokens.
@@ -47,9 +42,6 @@ func NewBucket(clk clock.Clock, rate float64, burst float64) *Bucket {
 	return &Bucket{clk: clk, rate: rate, burst: burst, tokens: burst, last: clk.Now()}
 }
 
-// Rate returns the sustained refill rate in tokens/second.
-func (b *Bucket) Rate() float64 { return b.rate }
-
 func (b *Bucket) refillLocked(now time.Time) {
 	elapsed := now.Sub(b.last).Seconds()
 	if elapsed <= 0 {
@@ -60,18 +52,6 @@ func (b *Bucket) refillLocked(now time.Time) {
 		b.tokens = b.burst
 	}
 	b.last = now
-}
-
-// TryTake removes n tokens if available, returning ErrWouldBlock otherwise.
-func (b *Bucket) TryTake(n float64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(b.clk.Now())
-	if b.tokens < n {
-		return ErrWouldBlock
-	}
-	b.tokens -= n
-	return nil
 }
 
 // Take blocks until n tokens are available or ctx is done. It uses
@@ -103,12 +83,4 @@ func (b *Bucket) Take(ctx context.Context, n float64) error {
 	case <-timer.C():
 		return nil
 	}
-}
-
-// Available returns the current token balance (after refill).
-func (b *Bucket) Available() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(b.clk.Now())
-	return b.tokens
 }

@@ -9,11 +9,22 @@ import (
 	"aodb/internal/clock"
 )
 
+// tryTake takes n tokens only if the bucket holds them now: Take with a
+// context that is already done refunds a reservation it would wait for.
+func tryTake(b *Bucket, n float64) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return b.Take(ctx, n)
+}
+
 func TestNewBucketStartsFull(t *testing.T) {
 	f := clock.NewFake(time.Unix(0, 0))
 	b := NewBucket(f, 10, 5)
-	if got := b.Available(); got != 5 {
-		t.Fatalf("Available = %v, want 5", got)
+	if err := tryTake(b, 5); err != nil {
+		t.Fatalf("full bucket refused its burst: %v", err)
+	}
+	if err := tryTake(b, 0.01); err == nil {
+		t.Fatal("bucket held more than its burst")
 	}
 }
 
@@ -30,24 +41,27 @@ func TestTryTakeDrainsThenBlocks(t *testing.T) {
 	f := clock.NewFake(time.Unix(0, 0))
 	b := NewBucket(f, 10, 3)
 	for i := 0; i < 3; i++ {
-		if err := b.TryTake(1); err != nil {
-			t.Fatalf("TryTake %d failed: %v", i, err)
+		if err := tryTake(b, 1); err != nil {
+			t.Fatalf("tryTake %d failed: %v", i, err)
 		}
 	}
-	if err := b.TryTake(1); !errors.Is(err, ErrWouldBlock) {
-		t.Fatalf("TryTake on empty bucket = %v, want ErrWouldBlock", err)
+	if err := tryTake(b, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("tryTake on empty bucket = %v, want it to refuse", err)
 	}
 }
 
 func TestRefillOverTime(t *testing.T) {
 	f := clock.NewFake(time.Unix(0, 0))
 	b := NewBucket(f, 10, 10)
-	if err := b.TryTake(10); err != nil {
+	if err := tryTake(b, 10); err != nil {
 		t.Fatal(err)
 	}
 	f.Advance(500 * time.Millisecond) // 5 tokens back
-	if got := b.Available(); got < 4.99 || got > 5.01 {
-		t.Fatalf("Available after 500ms = %v, want ~5", got)
+	if err := tryTake(b, 4.99); err != nil {
+		t.Fatalf("~5 tokens not back after 500ms: %v", err)
+	}
+	if err := tryTake(b, 0.02); err == nil {
+		t.Fatal("more than ~5 tokens back after 500ms")
 	}
 }
 
@@ -55,15 +69,18 @@ func TestRefillCapsAtBurst(t *testing.T) {
 	f := clock.NewFake(time.Unix(0, 0))
 	b := NewBucket(f, 100, 10)
 	f.Advance(time.Hour)
-	if got := b.Available(); got != 10 {
-		t.Fatalf("Available = %v, want burst cap 10", got)
+	if err := tryTake(b, 10); err != nil {
+		t.Fatalf("burst not refilled: %v", err)
+	}
+	if err := tryTake(b, 0.01); err == nil {
+		t.Fatal("refill exceeded the burst cap of 10")
 	}
 }
 
 func TestTakeBlocksUntilRefill(t *testing.T) {
 	f := clock.NewFake(time.Unix(0, 0))
 	b := NewBucket(f, 10, 1)
-	if err := b.TryTake(1); err != nil {
+	if err := tryTake(b, 1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -94,7 +111,7 @@ func TestTakeBlocksUntilRefill(t *testing.T) {
 func TestTakeRespectsContextCancel(t *testing.T) {
 	f := clock.NewFake(time.Unix(0, 0))
 	b := NewBucket(f, 1, 1)
-	if err := b.TryTake(1); err != nil {
+	if err := tryTake(b, 1); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

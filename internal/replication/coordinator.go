@@ -152,7 +152,7 @@ const (
 	// after an UpdateRing: 1 min, long enough for one anti-entropy sweep
 	// to backfill the moved replicas under the default cadence. During
 	// the window, writes must clear the write quorum on both the old and
-	// new home sets, and reads consult both; SettleRing ends it early.
+	// new home sets, and reads consult both.
 	ringTransition = time.Minute
 	// callTimeout bounds each replica RPC: 2 s. The calls a fan-out
 	// launches at one instant share one such deadline.
@@ -238,14 +238,6 @@ func (c *Coordinator) UpdateRing(r *placement.Ring) {
 		tr.Record(telemetry.RingChange, "", 0,
 			fmt.Sprintf("members=%v (transition window open)", r.Members()))
 	}
-}
-
-// SettleRing ends the transition window immediately — the caller knows
-// anti-entropy has already backfilled the moved replicas.
-func (c *Coordinator) SettleRing() {
-	c.mu.Lock()
-	c.oldRing = nil
-	c.mu.Unlock()
 }
 
 // N returns the effective replication factor on the current ring.
@@ -708,20 +700,6 @@ func (c *Coordinator) Load(ctx context.Context, key string) ([]byte, int64, erro
 		tr.Record(telemetry.EpochClaim, key, 0, fmt.Sprintf("epoch %d over %s", next.Epoch, env.Version))
 	}
 	return env.Value, next.Packed(), nil
-}
-
-// Get performs a plain quorum read (no epoch claim): the currently
-// visible value and its packed version. A missing key returns an error
-// matching kvstore.ErrNotFound.
-func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, int64, error) {
-	env, found, err := c.readQuorum(ctx, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !found {
-		return nil, 0, fmt.Errorf("%w: %s", kvstore.ErrNotFound, key)
-	}
-	return env.Value, env.Version.Packed(), nil
 }
 
 // Store quorum-writes data under key, fenced on the packed version the

@@ -191,9 +191,6 @@ func (s *Store) rings() (cur, old *placement.Ring) {
 	return s.ring, s.oldRing
 }
 
-// Table exposes the backing table (for tests and tooling).
-func (s *Store) Table() *kvstore.Table { return s.cfg.Table }
-
 // SetRebuilding gates (true) or releases (false) the replica's read
 // path. A replica restored onto empty storage must stay gated until an
 // anti-entropy pass against its peers comes back clean — see

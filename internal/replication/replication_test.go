@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"aodb/internal/kvstore"
@@ -259,7 +260,7 @@ func TestQuorumWriteReadRoundtrip(t *testing.T) {
 	if Unpack(v2).Seq != Unpack(v1).Seq+1 {
 		t.Fatalf("sequence should advance: %v -> %v", Unpack(v1), Unpack(v2))
 	}
-	data, gv, err := c.coord.Get(ctx, key)
+	data, gv, err := c.coord.get(ctx, key)
 	if err != nil || string(data) != "state-2" || gv != v2 {
 		t.Fatalf("get: %q v=%v err=%v", data, Unpack(gv), err)
 	}
@@ -279,7 +280,7 @@ func TestQuorumWriteReadRoundtrip(t *testing.T) {
 	if _, err := c.coord.Store(ctx, key, []byte("zombie"), v2); !errors.Is(err, kvstore.ErrVersionMismatch) {
 		t.Fatalf("zombie write should fence, got %v", err)
 	}
-	if data, _, _ := c.coord.Get(ctx, key); string(data) != "state-3" {
+	if data, _, _ := c.coord.get(ctx, key); string(data) != "state-3" {
 		t.Fatalf("fenced write must not be visible, got %q", data)
 	}
 }
@@ -304,7 +305,7 @@ func TestReadQuorumCountsHomesOnly(t *testing.T) {
 			ctx := context.Background()
 			c := newTestCluster(t, fiveSilos, 3, 2, 2)
 			key := "device@101"
-			walk := c.ring.ReplicaSet(key, len(fiveSilos))
+			walk := c.ring.AppendHomes(nil, key, len(fiveSilos))
 			homes, others := walk[:3], walk[3:]
 
 			c.down(homes[2])
@@ -321,13 +322,13 @@ func TestReadQuorumCountsHomesOnly(t *testing.T) {
 
 			_, _, err = c.coord.Load(ctx, key)
 			requireTransientQuorum(t, "Load", err)
-			_, _, err = c.coord.Get(ctx, key)
+			_, _, err = c.coord.get(ctx, key)
 			requireTransientQuorum(t, "Get", err)
 
 			// The write was never lost: with its holders back, it reads.
 			c.up(homes[0])
 			c.up(homes[1])
-			data, gv, err := c.coord.Get(ctx, key)
+			data, gv, err := c.coord.get(ctx, key)
 			if err != nil || string(data) != "acked" || gv != v {
 				t.Fatalf("read with the homes back: %q at %s, %v", data, Unpack(gv), err)
 			}
@@ -344,7 +345,7 @@ func TestMissedHomeConvergesByAntiEntropy(t *testing.T) {
 	ctx := context.Background()
 	c := newTestCluster(t, fiveSilos, 3, 2, 2)
 	key := "device@13"
-	homes := c.ring.ReplicaSet(key, 3)
+	homes := c.ring.AppendHomes(nil, key, 3)
 
 	// One home down: the other two ack, and no other silo takes a copy.
 	missed := homes[0]
@@ -389,7 +390,7 @@ func TestFailedWriteSpendsItsVersion(t *testing.T) {
 	ctx := context.Background()
 	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	key := "device@31"
-	homes := c.ring.ReplicaSet(key, 3)
+	homes := c.ring.AppendHomes(nil, key, 3)
 
 	// Two dead homes: attempt 1 lands on one replica and fails its quorum.
 	for _, dead := range homes[1:] {
@@ -430,7 +431,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 	ctx := context.Background()
 	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	key := "device@59"
-	homes := c.ring.ReplicaSet(key, 3)
+	homes := c.ring.AppendHomes(nil, key, 3)
 	if _, err := c.coord.Store(ctx, key, []byte("acked"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 	if _, _, err := rebuilding.Fetch(ctx, key); !errors.Is(err, ErrRebuilding) {
 		t.Fatalf("gated fetch: %v", err)
 	}
-	if _, _, err := c.coord.Get(ctx, key); !errors.Is(err, ErrQuorum) {
+	if _, _, err := c.coord.get(ctx, key); !errors.Is(err, ErrQuorum) {
 		t.Fatalf("read with one live answer should fail quorum, got %v", err)
 	}
 
@@ -457,7 +458,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 		t.Fatalf("gated digest: %v", err)
 	}
 	rebuilding.SetRebuilding(false)
-	data, _, err := c.coord.Get(ctx, key)
+	data, _, err := c.coord.get(ctx, key)
 	if err != nil || string(data) != "restored" {
 		t.Fatalf("read after release: %q %v", data, err)
 	}
@@ -473,11 +474,11 @@ func TestReadRepair(t *testing.T) {
 	}
 	// One home lags: a fresh replica hosted in its place never saw the
 	// write.
-	homes := c.ring.ReplicaSet(key, 3)
+	homes := c.ring.AppendHomes(nil, key, 3)
 	lag := testStore(t, homes[2], c.ring, 3)
 	c.svc.Host(homes[2], lag)
 	// R=3 read sees the hole and repairs it.
-	data, gv, err := c.coord.Get(ctx, key)
+	data, gv, err := c.coord.get(ctx, key)
 	if err != nil || string(data) != "fresh" || gv != v {
 		t.Fatalf("get: %q %v %v", data, Unpack(gv), err)
 	}
@@ -548,4 +549,25 @@ func TestCoordinatorUnhealthy(t *testing.T) {
 	if c.coord.Unhealthy("s3") {
 		t.Fatal("s3 should recover after a successful call")
 	}
+}
+
+// get is a plain quorum read, with no epoch claim: the visible value and
+// its packed version. A missing key matches kvstore.ErrNotFound.
+func (c *Coordinator) get(ctx context.Context, key string) ([]byte, int64, error) {
+	env, found, err := c.readQuorum(ctx, key)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !found {
+		return nil, 0, fmt.Errorf("%w: %s", kvstore.ErrNotFound, key)
+	}
+	return env.Value, env.Version.Packed(), nil
+}
+
+// settleRing ends the ring-transition window at once, as if its time had
+// run out.
+func (c *Coordinator) settleRing() {
+	c.mu.Lock()
+	c.oldRing = nil
+	c.mu.Unlock()
 }

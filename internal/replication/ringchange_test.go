@@ -75,7 +75,7 @@ func newRingChangeCluster(t *testing.T) *ringChangeCluster {
 func (c *ringChangeCluster) movedKey(t *testing.T) string {
 	for i := 0; i < 10000; i++ {
 		key := fmt.Sprintf("dev@%d", i)
-		a, b := c.old.ReplicaSet(key, 3), c.grown.ReplicaSet(key, 3)
+		a, b := c.old.AppendHomes(nil, key, 3), c.grown.AppendHomes(nil, key, 3)
 		for j := range a {
 			if a[j] != b[j] {
 				return key
@@ -107,7 +107,7 @@ func TestQuorumDuringRingChange(t *testing.T) {
 	}
 
 	// Mid-transition read must still intersect the pre-change write.
-	data, _, err := c.coord.Get(ctx, key)
+	data, _, err := c.coord.get(ctx, key)
 	if err != nil || string(data) != "before" {
 		t.Fatalf("mid-transition read = %q, %v (pre-change write lost to new homes)", data, err)
 	}
@@ -118,7 +118,7 @@ func TestQuorumDuringRingChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	newHolds := 0
-	for _, s := range c.grown.ReplicaSet(key, 3) {
+	for _, s := range c.grown.AppendHomes(nil, key, 3) {
 		if env, found, _ := c.stores[s].Fetch(ctx, key); found && string(env.Value) == "during" {
 			newHolds++
 		}
@@ -127,7 +127,7 @@ func TestQuorumDuringRingChange(t *testing.T) {
 		t.Fatalf("mid-transition write on %d/3 new homes, want >= W=2", newHolds)
 	}
 	oldHolds := 0
-	for _, s := range c.old.ReplicaSet(key, 3) {
+	for _, s := range c.old.AppendHomes(nil, key, 3) {
 		if env, found, _ := c.stores[s].Fetch(ctx, key); found && string(env.Value) == "during" {
 			oldHolds++
 		}
@@ -136,11 +136,11 @@ func TestQuorumDuringRingChange(t *testing.T) {
 		t.Fatalf("mid-transition write on %d/3 old homes, want >= W=2", oldHolds)
 	}
 
-	// Once the window lapses (no explicit SettleRing — the clock does
+	// Once the window lapses (no explicit settleRing — the clock does
 	// it), reads run purely against the grown ring and still see the
 	// mid-transition write.
 	c.clk.Advance(2 * ringTransition)
-	data, gv, err := c.coord.Get(ctx, key)
+	data, gv, err := c.coord.get(ctx, key)
 	if err != nil || string(data) != "during" || gv != v1 {
 		t.Fatalf("post-transition read = %q v=%v, %v", data, gv, err)
 	}
@@ -158,7 +158,7 @@ func TestRingChangeWriteNeedsOldQuorum(t *testing.T) {
 
 	// Take down every old home that is not also a new home... and then
 	// some: kill all three old homes so at most the overlap acks.
-	for _, s := range c.old.ReplicaSet(key, 3) {
+	for _, s := range c.old.AppendHomes(nil, key, 3) {
 		c.tr.Deregister(s)
 	}
 	if _, err := c.coord.Store(ctx, key, []byte("split"), 0); !errors.Is(err, ErrQuorum) {
@@ -186,24 +186,24 @@ func TestAntiEntropyBackfillsMovedReplicas(t *testing.T) {
 	if _, err := c.coord.SweepOnce(ctx, "", 64); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range c.grown.ReplicaSet(key, 3) {
+	for _, s := range c.grown.AppendHomes(nil, key, 3) {
 		env, found, err := c.stores[s].Fetch(ctx, key)
 		if err != nil || !found || string(env.Value) != "payload" {
 			t.Fatalf("new home %s not backfilled: found=%v err=%v", s, found, err)
 		}
 	}
 
-	c.coord.SettleRing()
+	c.coord.settleRing()
 	inNew := make(map[string]bool)
-	for _, s := range c.grown.ReplicaSet(key, 3) {
+	for _, s := range c.grown.AppendHomes(nil, key, 3) {
 		inNew[s] = true
 	}
-	for _, s := range c.old.ReplicaSet(key, 3) {
+	for _, s := range c.old.AppendHomes(nil, key, 3) {
 		if !inNew[s] {
 			c.tr.Deregister(s)
 		}
 	}
-	data, _, err := c.coord.Get(ctx, key)
+	data, _, err := c.coord.get(ctx, key)
 	if err != nil || string(data) != "payload" {
 		t.Fatalf("read after settle + old-home loss = %q, %v", data, err)
 	}

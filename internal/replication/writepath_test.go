@@ -40,7 +40,7 @@ func TestFenceLeavesSiblingCallsRunning(t *testing.T) {
 	ctx := context.Background()
 	c := newTestCluster(t, threeSilos, 3, 2, 2)
 	key := "device@fenced"
-	homes := c.ring.ReplicaSet(key, 3)
+	homes := c.ring.AppendHomes(nil, key, 3)
 	fencer, slow := homes[0], homes[1]
 	successor := Envelope{Version: Version{Epoch: 5, Seq: 1}, Value: []byte("successor")}
 	if _, err := c.svc.Store(fencer).Apply(ctx, key, successor.Encode()); err != nil {

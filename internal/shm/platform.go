@@ -42,14 +42,10 @@ type Options struct {
 	// shutdown, i.e. PersistOnDeactivate; PersistNone turns storage off
 	// entirely for pure in-memory benchmarking.
 	Persist core.PersistMode
-	// WindowCap bounds each channel's in-memory window (default 4096).
-	WindowCap int
 	// PreferLocal co-locates channels, virtual channels, aggregators and
 	// alerts with their callers, the placement fix §5 describes. When
 	// false, the runtime default placement applies (Orleans-style random).
 	PreferLocal bool
-	// Threshold, when Enabled, applies to every physical channel.
-	Threshold Threshold
 }
 
 // NewPlatform registers the SHM kinds on rt and returns the facade.
@@ -112,8 +108,10 @@ type SensorSpec struct {
 	// WithVirtual adds a virtual channel summing the physical ones (the
 	// paper: every tenth sensor).
 	WithVirtual bool
-	// WindowCap and Threshold default from platform Options semantics.
+	// WindowCap bounds each channel's in-memory window (default 4096).
 	WindowCap int
+	// Threshold, when Enabled, applies to each of the sensor's physical
+	// channels.
 	Threshold Threshold
 	// WriteEveryBatch forces a grain-storage write per ingestion request
 	// on every channel (the §5 durability ablation).

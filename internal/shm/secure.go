@@ -24,9 +24,6 @@ func Secure(p *Platform, a *auth.Service) *SecurePlatform {
 	return &SecurePlatform{p: p, auth: a}
 }
 
-// Auth exposes the underlying auth service (for user management).
-func (s *SecurePlatform) Auth() *auth.Service { return s.auth }
-
 // InstallSensor requires configure rights on the owning org.
 func (s *SecurePlatform) InstallSensor(ctx context.Context, token string, spec SensorSpec) error {
 	if _, err := s.auth.Authorize(ctx, spec.Org, token, auth.PermConfigure); err != nil {

@@ -42,13 +42,13 @@ func setupSecureOrg(t *testing.T, s *SecurePlatform, org string) (engineer, devi
 		t.Fatal(err)
 	}
 	var err error
-	if engineer, err = s.Auth().CreateUser(ctx, org, "eng", auth.RoleEngineer); err != nil {
+	if engineer, err = s.auth.CreateUser(ctx, org, "eng", auth.RoleEngineer); err != nil {
 		t.Fatal(err)
 	}
-	if device, err = s.Auth().CreateUser(ctx, org, "gw", auth.RoleDevice); err != nil {
+	if device, err = s.auth.CreateUser(ctx, org, "gw", auth.RoleDevice); err != nil {
 		t.Fatal(err)
 	}
-	if analyst, err = s.Auth().CreateUser(ctx, org, "ana", auth.RoleAnalyst); err != nil {
+	if analyst, err = s.auth.CreateUser(ctx, org, "ana", auth.RoleAnalyst); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.InstallSensor(ctx, engineer, SensorSpec{Org: org, Key: SensorKey(org, 0), PhysicalChannels: 1}); err != nil {

@@ -17,7 +17,7 @@ import (
 // agree without a shared directory.
 func newTCPNode(t *testing.T, name string, view []string) (*core.Runtime, *Platform, *transport.TCP) {
 	t.Helper()
-	tcp, err := transport.NewTCP(name, "127.0.0.1:0")
+	tcp, err := transport.NewTCPWithOptions(name, "127.0.0.1:0", transport.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

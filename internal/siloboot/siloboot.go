@@ -43,8 +43,6 @@ type Options struct {
 	// Peers holds comma-separated name=addr pairs for the other processes
 	// (see SplitPairs).
 	Peers string
-	// TCP tunes the wire path (stripes, batching).
-	TCP transport.TCPOptions
 	// Breaker wraps the transport in per-peer circuit breakers (servers
 	// want this; a short-lived load client typically does not).
 	Breaker bool
@@ -196,12 +194,9 @@ func Start(opts Options) (*Node, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	topts := opts.TCP
-	if topts.Metrics == nil {
-		topts.Metrics = reg
-	}
+	topts := transport.TCPOptions{Metrics: reg}
 	tracer := newTracer(opts)
-	if opts.Events && topts.StampHLC == nil {
+	if opts.Events {
 		// Frames leaving this process carry a causal timestamp; local
 		// deliveries skip the mint (they share the recorder's clock).
 		topts.StampHLC = tracer.StampHLC

@@ -165,8 +165,6 @@ func TestGossipBootAndElasticJoin(t *testing.T) {
 			for _, n := range []*Node{n1, n2, n3} {
 				reg, ok := n.Runtime.Directory().Lookup(id.String())
 				t.Logf("%s directory on %s: %v %v", id, n.Name, reg, ok)
-				data, ver, lerr := n.Coordinator.Get(ctx, id.String())
-				t.Logf("%s replica read via %s: %q v=%v err=%v", id, n.Name, data, ver, lerr)
 			}
 			t.Fatalf("%s state = %v, want %d", id, v, i+1)
 		}

@@ -134,13 +134,6 @@ func (ix *Index) Update(ctx context.Context, actor string, lat, lon float64, pre
 	return err
 }
 
-// Remove deletes an actor's last known position.
-func (ix *Index) Remove(ctx context.Context, actor string, lat, lon float64) error {
-	row, col := ix.cellOf(lat, lon)
-	_, err := ix.rt.Call(ctx, ix.cellID(row, col), Delete{Actor: actor})
-	return err
-}
-
 // QueryBox returns every indexed position inside the box, sorted by
 // actor key. It contacts only the grid cells the box overlaps.
 func (ix *Index) QueryBox(ctx context.Context, box Box) ([]Position, error) {

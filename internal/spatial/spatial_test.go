@@ -141,24 +141,6 @@ func TestUpdateWithinCellKeepsSingleEntry(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	ix := newIndex(t, 0.1)
-	ctx := context.Background()
-	if err := ix.Update(ctx, "cow-1", 55.31, 10.41, 0, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Remove(ctx, "cow-1", 55.31, 10.41); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ix.QueryBox(ctx, Box{MinLat: 55, MaxLat: 56, MinLon: 10, MaxLon: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("removed actor still indexed: %v", got)
-	}
-}
-
 func TestInvertedBoxRejected(t *testing.T) {
 	ix := newIndex(t, 0.1)
 	if _, err := ix.QueryBox(context.Background(), Box{MinLat: 2, MaxLat: 1}); err == nil {

@@ -12,7 +12,6 @@ package streams
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"aodb/internal/core"
 )
@@ -36,12 +35,8 @@ type Event struct {
 type (
 	// Subscribe adds an actor to the stream's subscriber set.
 	Subscribe struct{ Subscriber string }
-	// Unsubscribe removes an actor.
-	Unsubscribe struct{ Subscriber string }
 	// Publish fans Payload out to all subscribers.
 	Publish struct{ Payload any }
-	// Subscribers returns the sorted subscriber list.
-	Subscribers struct{}
 )
 
 type brokerActor struct {
@@ -65,9 +60,6 @@ func (b *brokerActor) Receive(ctx *core.Context, msg any) (any, error) {
 		}
 		b.subs[m.Subscriber] = struct{}{}
 		return len(b.subs), nil
-	case Unsubscribe:
-		delete(b.subs, m.Subscriber)
-		return len(b.subs), nil
 	case Publish:
 		b.seq++
 		ev := Event{Stream: ctx.Self().Key, Seq: b.seq, Payload: m.Payload}
@@ -82,13 +74,6 @@ func (b *brokerActor) Receive(ctx *core.Context, msg any) (any, error) {
 			}
 		}
 		return b.seq, firstErr
-	case Subscribers:
-		out := make([]string, 0, len(b.subs))
-		for s := range b.subs {
-			out = append(out, s)
-		}
-		sort.Strings(out)
-		return out, nil
 	default:
 		return nil, fmt.Errorf("streams: unknown message %T", msg)
 	}
@@ -116,12 +101,6 @@ func (s *Stream) Subscribe(ctx context.Context, subscriber core.ID) error {
 	return err
 }
 
-// Unsubscribe removes subscriber.
-func (s *Stream) Unsubscribe(ctx context.Context, subscriber core.ID) error {
-	_, err := s.rt.Call(ctx, s.id(), Unsubscribe{Subscriber: subscriber.String()})
-	return err
-}
-
 // Publish fans payload out to every subscriber and returns the event's
 // sequence number.
 func (s *Stream) Publish(ctx context.Context, payload any) (uint64, error) {
@@ -131,13 +110,4 @@ func (s *Stream) Publish(ctx context.Context, payload any) (uint64, error) {
 	}
 	seq, _ := v.(uint64)
 	return seq, nil
-}
-
-// Subscribers returns the current subscriber IDs.
-func (s *Stream) Subscribers(ctx context.Context) ([]string, error) {
-	v, err := s.rt.Call(ctx, s.id(), Subscribers{})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]string), nil
 }

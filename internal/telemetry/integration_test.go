@@ -44,7 +44,7 @@ func (hopActor) Receive(ctx *core.Context, msg any) (any, error) {
 // runtime with consistent-hash placement over the shared static view.
 func newTCPNode(t *testing.T, name string, view []string) (*core.Runtime, *transport.TCP, *telemetry.Tracer) {
 	t.Helper()
-	tcp, err := transport.NewTCP(name, "127.0.0.1:0")
+	tcp, err := transport.NewTCPWithOptions(name, "127.0.0.1:0", transport.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestTCPQueuedFramesFailFastOnConnDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer caller.Close()
-	peer, err := NewTCP("peer", "127.0.0.1:0")
+	peer, err := NewTCPWithOptions("peer", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTCPQueuedFramesFailFastOnConnDeath(t *testing.T) {
 	var peer2 *TCP
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		peer2, err = NewTCP("peer", addr)
+		peer2, err = NewTCPWithOptions("peer", addr, TCPOptions{})
 		if err == nil {
 			break
 		}

@@ -34,12 +34,12 @@ func init() {
 func TestTCPBatchingFaultEquivalence(t *testing.T) {
 	for _, callers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("callers=%d", callers), func(t *testing.T) {
-			a, err := transport.NewTCP("silo-a", "127.0.0.1:0")
+			a, err := transport.NewTCPWithOptions("silo-a", "127.0.0.1:0", transport.TCPOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			b, err := transport.NewTCP("silo-b", "127.0.0.1:0")
+			b, err := transport.NewTCPWithOptions("silo-b", "127.0.0.1:0", transport.TCPOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,13 +10,13 @@ import (
 // address; the caller's pooled connection died with the old process, and
 // the next Call must dial a fresh connection instead of failing forever.
 func TestTCPReconnectsAfterPeerRestart(t *testing.T) {
-	caller, err := NewTCP("caller", "127.0.0.1:0")
+	caller, err := NewTCPWithOptions("caller", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer caller.Close()
 
-	peer1, err := NewTCP("peer", "127.0.0.1:0")
+	peer1, err := NewTCPWithOptions("peer", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestTCPReconnectsAfterPeerRestart(t *testing.T) {
 	var peer2 *TCP
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		peer2, err = NewTCP("peer", addr)
+		peer2, err = NewTCPWithOptions("peer", addr, TCPOptions{})
 		if err == nil {
 			break
 		}
@@ -81,12 +81,12 @@ func TestTCPReconnectsAfterPeerRestart(t *testing.T) {
 // hang, and not an unclassifiable error — and a retry of the same call
 // against the restarted peer must succeed over a fresh connection.
 func TestTCPPeerRestartMidCall(t *testing.T) {
-	caller, err := NewTCP("caller", "127.0.0.1:0")
+	caller, err := NewTCPWithOptions("caller", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer caller.Close()
-	peer1, err := NewTCP("peer", "127.0.0.1:0")
+	peer1, err := NewTCPWithOptions("peer", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTCPPeerRestartMidCall(t *testing.T) {
 	var peer2 *TCP
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		peer2, err = NewTCP("peer", addr)
+		peer2, err = NewTCPWithOptions("peer", addr, TCPOptions{})
 		if err == nil {
 			break
 		}
@@ -169,12 +169,12 @@ func TestTCPPeerRestartMidCall(t *testing.T) {
 // TestTCPInFlightCallsFailOnConnectionLoss: requests waiting on a
 // connection that dies get errors, not hangs.
 func TestTCPInFlightCallsFailOnConnectionLoss(t *testing.T) {
-	caller, err := NewTCP("caller", "127.0.0.1:0")
+	caller, err := NewTCPWithOptions("caller", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer caller.Close()
-	peer, err := NewTCP("peer", "127.0.0.1:0")
+	peer, err := NewTCPWithOptions("peer", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,12 @@ func (e *redirectingError) RedirectTarget() string { return e.winner }
 // typed RedirectError — gob flattens error values to strings, so the
 // target rides in its own frame field.
 func TestTCPRedirectSurvivesWire(t *testing.T) {
-	caller, err := NewTCP("caller", "127.0.0.1:0")
+	caller, err := NewTCPWithOptions("caller", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer caller.Close()
-	peer, err := NewTCP("peer", "127.0.0.1:0")
+	peer, err := NewTCPWithOptions("peer", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,13 +139,9 @@ type tcpConn struct {
 // pooling it then would deliver a stale response to an unrelated call.
 var respChans = sync.Pool{New: func() any { return make(chan *codec.Frame, 1) }}
 
-// NewTCP starts a TCP endpoint for node listening on addr (host:port;
-// use ":0" for an ephemeral port, then read Addr()) with default options.
-func NewTCP(node, addr string) (*TCP, error) {
-	return NewTCPWithOptions(node, addr, TCPOptions{})
-}
-
-// NewTCPWithOptions starts a TCP endpoint with explicit wire-path tuning.
+// NewTCPWithOptions starts a TCP endpoint for node listening on addr
+// (host:port; use ":0" for an ephemeral port, then read Addr()). The zero
+// TCPOptions is the default wire path.
 func NewTCPWithOptions(node, addr string, opts TCPOptions) (*TCP, error) {
 	opts.fill()
 	// The inbound dispatch pool: max(4×GOMAXPROCS, maxBatchFrames)
@@ -190,7 +186,7 @@ func (t *TCP) SetPeer(node, addr string) {
 }
 
 // Register binds the local silo's inbound handler. The node name must
-// match the one given to NewTCP; a TCP endpoint hosts exactly one silo.
+// match the one given to NewTCPWithOptions; a TCP endpoint hosts exactly one silo.
 func (t *TCP) Register(node string, h Handler) error {
 	if node != t.node {
 		return fmt.Errorf("transport: endpoint %q cannot host silo %q", t.node, node)

@@ -119,11 +119,11 @@ func TestLocalCallCancelledDuringDelay(t *testing.T) {
 
 func newTCPPair(t *testing.T) (*TCP, *TCP) {
 	t.Helper()
-	a, err := NewTCP("silo-a", "127.0.0.1:0")
+	a, err := NewTCPWithOptions("silo-a", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCP("silo-b", "127.0.0.1:0")
+	b, err := NewTCPWithOptions("silo-b", "127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		a.Close()
 		t.Fatal(err)

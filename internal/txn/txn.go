@@ -121,11 +121,6 @@ func (s *State) Handle(now time.Time, msg any, h Hooks) (resp any, handled bool,
 	}
 }
 
-// Locked reports whether a transaction currently holds this participant.
-func (s *State) Locked(now time.Time) bool {
-	return s.holder != "" && now.Before(s.expires)
-}
-
 func (s *State) clear() {
 	s.holder = ""
 	s.staged = nil

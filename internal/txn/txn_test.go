@@ -182,7 +182,7 @@ func TestParticipantStateLockAndLease(t *testing.T) {
 	if _, handled, err := s.Handle(now, Prepare{TxnID: "t1", Op: 1}, hooks); !handled || err != nil {
 		t.Fatalf("prepare t1: handled=%v err=%v", handled, err)
 	}
-	if !s.Locked(now) {
+	if !s.locked(now) {
 		t.Fatal("not locked after prepare")
 	}
 	// Second txn conflicts while the lease is live.
@@ -214,11 +214,11 @@ func TestAbortForeignTxnIsNoop(t *testing.T) {
 	var s State
 	s.Handle(now, Prepare{TxnID: "t1", Op: 1}, Hooks{})
 	s.Handle(now, Abort{TxnID: "other"}, Hooks{})
-	if !s.Locked(now) {
+	if !s.locked(now) {
 		t.Fatal("abort of foreign txn released the lock")
 	}
 	s.Handle(now, Abort{TxnID: "t1"}, Hooks{})
-	if s.Locked(now) {
+	if s.locked(now) {
 		t.Fatal("abort of own txn did not release the lock")
 	}
 }
@@ -243,4 +243,9 @@ func TestNonTxnMessagePassesThrough(t *testing.T) {
 	if handled {
 		t.Fatal("ordinary message claimed by txn state")
 	}
+}
+
+// locked reports whether a transaction holds this participant at now.
+func (s *State) locked(now time.Time) bool {
+	return s.holder != "" && now.Before(s.expires)
 }

@@ -747,14 +747,6 @@ func (l *Log) TruncateBefore(seq uint64) error {
 	return nil
 }
 
-// Segments returns the first-sequence numbers of live segments (for tests
-// and introspection).
-func (l *Log) Segments() []uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]uint64(nil), l.segments...)
-}
-
 // Close flushes all staged batches, syncs, and closes the active segment.
 func (l *Log) Close() error {
 	l.flushMu.Lock()

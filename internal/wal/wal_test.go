@@ -105,7 +105,7 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(l.Segments()); n < 3 {
+	if n := len(l.liveSegments()); n < 3 {
 		t.Fatalf("segments = %d, want >= 3 after rotation", n)
 	}
 	var count int
@@ -201,7 +201,7 @@ func TestTruncateBeforeRemovesSealedSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs := l.Segments()
+	segs := l.liveSegments()
 	if len(segs) < 3 {
 		t.Fatalf("need >=3 segments, got %d", len(segs))
 	}
@@ -209,7 +209,7 @@ func TestTruncateBeforeRemovesSealedSegments(t *testing.T) {
 	if err := l.TruncateBefore(cut); err != nil {
 		t.Fatal(err)
 	}
-	remaining := l.Segments()
+	remaining := l.liveSegments()
 	if len(remaining) != 1 || remaining[0] != cut {
 		t.Fatalf("segments after truncate = %v, want [%d]", remaining, cut)
 	}
@@ -241,7 +241,7 @@ func TestTruncateBeforeKeepsActiveSegment(t *testing.T) {
 	if err := l.TruncateBefore(100); err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Segments()) != 1 {
+	if len(l.liveSegments()) != 1 {
 		t.Fatal("active segment must survive TruncateBefore")
 	}
 }
@@ -395,4 +395,11 @@ func TestRoundTripProperty(t *testing.T) {
 	if i != len(written) {
 		t.Fatalf("replayed %d, want %d", i, len(written))
 	}
+}
+
+// liveSegments returns the first-sequence numbers of the live segments.
+func (l *Log) liveSegments() []uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]uint64(nil), l.segments...)
 }

@@ -64,14 +64,6 @@ func New() *Warehouse {
 	return &Warehouse{channelID: make(map[string]int)}
 }
 
-// Rows returns the fact count.
-func (w *Warehouse) Rows() int { return len(w.times) }
-
-// Channels returns the channel dimension, ordered by key.
-func (w *Warehouse) Channels() []Channel {
-	return append([]Channel(nil), w.channels...)
-}
-
 // channelKey interns a channel dimension row.
 func (w *Warehouse) channelKey(org, sensor, name string, kind ChannelKind) int {
 	if id, ok := w.channelID[name]; ok {
@@ -230,35 +222,6 @@ func (w *Warehouse) RollUp(filter Filter, group GroupBy, grain Grain) ([]Aggrega
 		return out[i].Bucket.Before(out[j].Bucket)
 	})
 	return out, nil
-}
-
-// Point is one raw fact row returned by Slice.
-type Point struct {
-	Channel string
-	At      time.Time
-	Value   float64
-}
-
-// Slice returns the matching raw facts in time order.
-func (w *Warehouse) Slice(filter Filter) []Point {
-	var out []Point
-	for i := range w.times {
-		if !filter.matches(w, i) {
-			continue
-		}
-		out = append(out, Point{
-			Channel: w.channels[w.chans[i]].Name,
-			At:      time.Unix(0, w.times[i]).UTC(),
-			Value:   w.values[i],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].At.Equal(out[j].At) {
-			return out[i].At.Before(out[j].At)
-		}
-		return out[i].Channel < out[j].Channel
-	})
-	return out
 }
 
 // persistedChannelState mirrors the JSON the SHM channel actors persist

@@ -26,12 +26,11 @@ func seed(w *Warehouse) {
 func TestRowsAndChannels(t *testing.T) {
 	w := New()
 	seed(w)
-	if w.Rows() != 31 {
-		t.Fatalf("rows = %d, want 31", w.Rows())
+	if len(w.times) != 31 {
+		t.Fatalf("rows = %d, want 31", len(w.times))
 	}
-	chans := w.Channels()
-	if len(chans) != 4 {
-		t.Fatalf("channels = %d, want 4 (dictionary interning broken)", len(chans))
+	if len(w.channels) != 4 {
+		t.Fatalf("channels = %d, want 4 (dictionary interning broken)", len(w.channels))
 	}
 }
 
@@ -117,31 +116,17 @@ func TestRollUpUnknownGrouping(t *testing.T) {
 func TestFilterTimeRangeAndKind(t *testing.T) {
 	w := New()
 	seed(w)
-	pts := w.Slice(Filter{Org: "org-1", Kind: Virtual})
-	if len(pts) != 1 || pts[0].Value != 42 {
-		t.Fatalf("virtual slice = %+v", pts)
+	rows, err := w.RollUp(Filter{Org: "org-1", Kind: Virtual}, GroupChannel, ByDay)
+	if err != nil || len(rows) != 1 || rows[0].Count != 1 || rows[0].Sum != 42 {
+		t.Fatalf("virtual facts = %+v (%v)", rows, err)
 	}
-	pts = w.Slice(Filter{Channel: "s1/ch-0", From: t0.Add(30 * time.Minute), To: t0.Add(70 * time.Minute)})
-	if len(pts) != 2 || pts[0].Value != 2 || pts[1].Value != 3 {
-		t.Fatalf("range slice = %+v", pts)
-	}
-}
-
-func TestSliceOrdering(t *testing.T) {
-	w := New()
-	w.AddReading("o", "s", "b", Physical, t0.Add(time.Minute), 2)
-	w.AddReading("o", "s", "a", Physical, t0.Add(time.Minute), 1)
-	w.AddReading("o", "s", "a", Physical, t0, 0)
-	pts := w.Slice(Filter{})
-	if pts[0].Value != 0 || pts[1].Channel != "a" || pts[2].Channel != "b" {
-		t.Fatalf("ordering = %+v", pts)
+	// Readings at +40 min and +60 min fall inside [+30 min, +70 min].
+	rows, err = w.RollUp(Filter{Channel: "s1/ch-0", From: t0.Add(30 * time.Minute), To: t0.Add(70 * time.Minute)}, GroupChannel, ByDay)
+	if err != nil || len(rows) != 1 || rows[0].Count != 2 || rows[0].Min != 2 || rows[0].Max != 3 {
+		t.Fatalf("range facts = %+v (%v)", rows, err)
 	}
 }
 
-// TestExportFromStore runs the full paper pipeline: SHM platform ingests
-// with persistence, the runtime shuts down (archiving actor state in the
-// grain store), and the warehouse exports the archived windows into the
-// star schema for analytical queries.
 func TestExportFromStore(t *testing.T) {
 	kv, err := kvstore.Open(kvstore.Options{})
 	if err != nil {
@@ -199,7 +184,7 @@ func TestExportFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 channels x 6 points + virtual x 6.
-	if n != 18 || w.Rows() != 18 {
+	if n != 18 || len(w.times) != 18 {
 		t.Fatalf("exported %d facts, want 18", n)
 	}
 	rows, err := w.RollUp(Filter{Org: "org-0", Kind: Physical}, GroupChannel, ByHour)
@@ -209,12 +194,13 @@ func TestExportFromStore(t *testing.T) {
 	if len(rows) != 2 || rows[0].Count != 6 {
 		t.Fatalf("rollup = %+v", rows)
 	}
-	virt := w.Slice(Filter{Kind: Virtual})
-	if len(virt) != 6 || virt[0].Value != 11 {
-		t.Fatalf("virtual facts = %+v", virt)
+	// The virtual channel sums each row: 11, 22, 11, 22, 11, 22.
+	virt, err := w.RollUp(Filter{Kind: Virtual}, GroupChannel, ByDay)
+	if err != nil || len(virt) != 1 || virt[0].Count != 6 || virt[0].Min != 11 || virt[0].Sum != 99 {
+		t.Fatalf("virtual facts = %+v (%v)", virt, err)
 	}
 	// Virtual channels derive their sensor from the key.
-	for _, ch := range w.Channels() {
+	for _, ch := range w.channels {
 		if ch.Kind == Virtual && ch.Sensor != sensor {
 			t.Fatalf("virtual channel sensor = %q, want %q", ch.Sensor, sensor)
 		}
