@@ -71,7 +71,7 @@ func run(opts siloboot.Options, sensors int, duration, warmup time.Duration, que
 		return err
 	}
 	if node.Gossip != nil {
-		fmt.Printf("shmload: following gossip membership (view: %v)\n", node.Gossip.View())
+		fmt.Printf("shmload: following gossip membership (view: %v)\n", node.View.View().Members)
 	}
 
 	ctx := context.Background()

@@ -115,7 +115,7 @@ func main() {
 	fmt.Println("\nrunning the supply chain (actor model, Figure 3)...")
 	sh := core.ID{Kind: cattle.KindSlaughterhouse, Key: "sh-odense"}
 	must(rt.Call(ctx, sh, cattle.CreateSlaughterhouse{Name: "Odense Meats"}))
-	must(rt.Call(ctx, sh, cattle.Slaughter{Cow: "cow-2041", CutIDs: []string{"cut-r1", "cut-r2"}, CutWeight: 14.5}))
+	must(rt.Call(ctx, sh, cattle.Slaughter{Cow: "cow-2041", CutIDs: []string{"cut-r1", "cut-r2"}, CutWeight: 14.5, CutAt: born.AddDate(2, 0, 0).Add(-24 * time.Hour)}))
 	dist := core.ID{Kind: cattle.KindDistributor, Key: "dist-dk"}
 	must(rt.Call(ctx, dist, cattle.CreateDistributor{Name: "DK Logistics"}))
 	for i, cut := range []string{"cut-r1", "cut-r2"} {
@@ -164,7 +164,7 @@ func main() {
 	}
 	osh := core.ID{Kind: cattle.KindObjSlaughterhouse, Key: "osh-odense"}
 	must(rt.Call(ctx, osh, cattle.CreateSlaughterhouse{Name: "Odense Meats (obj)"}))
-	must(rt.Call(ctx, osh, cattle.ObjSlaughter{Cow: "cow-2042", CutIDs: []string{"ocut-1", "ocut-2"}, CutWeight: 13.1}))
+	must(rt.Call(ctx, osh, cattle.ObjSlaughter{Cow: "cow-2042", CutIDs: []string{"ocut-1", "ocut-2"}, CutWeight: 13.1, CutAt: born.AddDate(2, 0, 0).Add(-24 * time.Hour)}))
 	for _, cut := range []string{"ocut-1", "ocut-2"} {
 		must(rt.Call(ctx, osh, cattle.ObjSendCut{Cut: cut, ToKind: cattle.KindObjDistributor, ToKey: "odist-dk"}))
 	}

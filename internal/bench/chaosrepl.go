@@ -182,7 +182,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	defer s.close() // the runtime shuts down before the stores close
 
 	coord, err := replication.NewCoordinator(replication.Config{
-		Ring:      set.ring,
+		Ring:      set.view,
 		N:         cfg.N,
 		R:         cfg.R,
 		W:         cfg.W,
@@ -413,7 +413,7 @@ func RunQuorumLatency(ctx context.Context, cfg QuorumLatencyConfig) (QuorumLaten
 		}
 	}
 	coord, err := replication.NewCoordinator(replication.Config{
-		Ring: set.ring, N: cfg.N, R: cfg.R, W: cfg.W,
+		Ring: set.view, N: cfg.N, R: cfg.R, W: cfg.W,
 		Transport: tr, Sender: names[0], Local: locals,
 	})
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 
 // classifiedElastic is the growth run's error taxonomy: everything the
 // replicated soak tolerates, plus a joiner's replica store answering
-// before its rebuilding gate has cleared (its first clean anti-entropy
-// sweep lifts it — retry).
+// before its rebuilding gate has cleared (a clean anti-entropy sweep of
+// all its peer pairs lifts it — retry).
 func classifiedElastic(err error) bool {
 	return classifiedRepl(err) || errors.Is(err, replication.ErrRebuilding)
 }
@@ -252,9 +252,9 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 		// Convergence: every member and the client see the full view.
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			all := len(client.Gossip.View()) == n
+			all := len(client.View.View().Members) == n
 			for _, node := range nodes {
-				all = all && len(node.Gossip.View()) == n
+				all = all && len(node.View.View().Members) == n
 			}
 			if all {
 				break

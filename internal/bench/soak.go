@@ -17,7 +17,6 @@ import (
 	"aodb/internal/faults"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
-	"aodb/internal/placement"
 	"aodb/internal/replication"
 	"aodb/internal/shm"
 	"aodb/internal/telemetry"
@@ -343,27 +342,29 @@ type SoakFaults struct {
 // loop maintains it. Layered under cluster.FilteredView it keeps
 // placement away from silos with open circuit breakers.
 type chaosView struct {
-	mu sync.Mutex
-	up map[string]bool
+	mu   sync.Mutex
+	up   map[string]bool
+	view *cluster.View // published by set
 }
 
 func (v *chaosView) set(name string, alive bool) {
 	v.mu.Lock()
-	v.up[name] = alive
-	v.mu.Unlock()
-}
-
-func (v *chaosView) View() []string {
-	v.mu.Lock()
 	defer v.mu.Unlock()
-	names := make([]string, 0, len(v.up))
+	v.up[name] = alive
+	next := &cluster.View{Seq: v.view.Seq + 1}
 	for n, alive := range v.up {
 		if alive {
-			names = append(names, n)
+			next.Members = append(next.Members, n)
 		}
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(next.Members)
+	v.view = next // no Ring: placement reads only Members, and no replica is homed on this view
+}
+
+func (v *chaosView) View() *cluster.View {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.view
 }
 
 func (v *chaosView) isUp(name string) bool {
@@ -397,7 +398,7 @@ func newSoak(silos int, fc faults.Config, seed int64) *soak {
 	return &soak{
 		inj:     inj,
 		breaker: transport.NewBreaker(inj.WrapTransport(transport.NewLocal(nil, nil)), transport.BreakerOptions{}),
-		view:    &chaosView{up: make(map[string]bool)},
+		view:    &chaosView{up: make(map[string]bool), view: cluster.NewStaticView()},
 		silos:   siloNames(silos),
 	}
 }
@@ -497,7 +498,7 @@ func (s *soak) heal() error {
 	return nil
 }
 
-func (s *soak) allUp() bool { return len(s.view.View()) == len(s.silos) }
+func (s *soak) allUp() bool { return len(s.view.View().Members) == len(s.silos) }
 
 func (s *soak) faults() SoakFaults {
 	return SoakFaults{
@@ -512,22 +513,23 @@ func (s *soak) faults() SoakFaults {
 	}
 }
 
-// replicaSet builds per-silo replica stacks on one ring, all hosted
-// behind one service: the replicated soak's and RunQuorumLatency's.
+// replicaSet builds per-silo replica stacks on one fixed view, all
+// hosted behind one service: the replicated soak's and
+// RunQuorumLatency's.
 type replicaSet struct {
 	svc     *replication.Service
-	ring    *placement.Ring
+	view    *cluster.View
 	n       int
 	durable bool
 	reg     *metrics.Registry
 }
 
 func newReplicaSet(silos []string, n int, durable bool, reg *metrics.Registry) (*replicaSet, error) {
-	ring, err := placement.NewRing(silos)
+	view, err := replication.NewRing(silos)
 	if err != nil {
 		return nil, err
 	}
-	return &replicaSet{svc: replication.NewService(), ring: ring, n: n, durable: durable, reg: reg}, nil
+	return &replicaSet{svc: replication.NewService(), view: view, n: n, durable: durable, reg: reg}, nil
 }
 
 // host opens silo's stack in dir (a kvstore, its state table and the
@@ -542,7 +544,7 @@ func (rs *replicaSet) host(silo, dir string, ready func(*kvstore.Store, *replica
 	if err == nil {
 		var store *replication.Store
 		store, err = replication.NewStore(replication.StoreConfig{
-			Silo: silo, Table: tab, Ring: rs.ring, N: rs.n, Metrics: rs.reg,
+			Silo: silo, Table: tab, N: rs.n, Metrics: rs.reg,
 		})
 		if err == nil {
 			ready(st, store)

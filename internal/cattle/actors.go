@@ -180,6 +180,15 @@ type slaughterhouseState struct {
 
 func (s *slaughterhouseActor) State() any { return &s.state }
 
+// cutTime is when a slaughter's cuts were made: the time the message
+// carries, or now by the runtime clock when it carries none.
+func cutTime(ctx *core.Context, at time.Time) time.Time {
+	if at.IsZero() {
+		return ctx.Clock().Now()
+	}
+	return at
+}
+
 func (s *slaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
 	case CreateSlaughterhouse:
@@ -196,14 +205,14 @@ func (s *slaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error) {
 			MarkSlaughtered{Slaughterhouse: ctx.Self().Key}); err != nil {
 			return nil, err
 		}
-		now := ctx.Clock().Now()
+		cutAt := cutTime(ctx, m.CutAt)
 		for _, cutID := range m.CutIDs {
 			rec := MeatCutRecord{
 				ID:             cutID,
 				Cow:            m.Cow,
 				Slaughterhouse: ctx.Self().Key,
 				WeightKg:       m.CutWeight,
-				CutAt:          now,
+				CutAt:          cutAt,
 				Holder:         ctx.Self().Key,
 				Version:        1,
 			}
@@ -220,7 +229,7 @@ func (s *slaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error) {
 				Inputs:  []string{m.Cow},
 				Outputs: append([]string(nil), m.CutIDs...),
 				Where:   ctx.Self().Key,
-				At:      now,
+				At:      cutAt,
 			}); err != nil {
 				return nil, err
 			}

@@ -6,12 +6,22 @@ import (
 	"testing"
 	"time"
 
+	"aodb/internal/clock"
 	"aodb/internal/core"
 )
 
+// slaughtered is when the evented chain's cow is cut: before its cuts
+// are dispatched, at born + 3 years.
+var slaughtered = born.AddDate(3, 0, -1)
+
 func newEventPlatform(t *testing.T) *Platform {
 	t.Helper()
-	rt, err := core.New(core.Config{})
+	return newEventPlatformOn(t, core.Config{})
+}
+
+func newEventPlatformOn(t *testing.T, cfg core.Config) *Platform {
+	t.Helper()
+	rt, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +52,7 @@ func runEventedChain(t *testing.T, p *Platform) string {
 	}
 	sh := core.ID{Kind: KindSlaughterhouse, Key: "sh-1"}
 	rt.Call(ctx, sh, CreateSlaughterhouse{Name: "sh"})
-	if _, err := rt.Call(ctx, sh, Slaughter{Cow: "cow-1", CutIDs: []string{"cut-1", "cut-2"}, CutWeight: 8}); err != nil {
+	if _, err := rt.Call(ctx, sh, Slaughter{Cow: "cow-1", CutIDs: []string{"cut-1", "cut-2"}, CutWeight: 8, CutAt: slaughtered}); err != nil {
 		t.Fatal(err)
 	}
 	dist := core.ID{Kind: KindDistributor, Key: "dist-1"}
@@ -144,6 +154,49 @@ func TestChainOfCustodyWalksBackToCow(t *testing.T) {
 		if chain[i].At.Before(chain[i-1].At) {
 			t.Fatalf("chain not time-ordered at %d: %+v", i, chain)
 		}
+	}
+}
+
+// TestSlaughterCarriesCutTime: the slaughtering event is stamped with
+// the cut time the message carries, not with the runtime clock, so a
+// chain recorded after the fact still reads slaughter before dispatch.
+func TestSlaughterCarriesCutTime(t *testing.T) {
+	later := clock.NewFake(born.AddDate(10, 0, 0))
+	p := newEventPlatformOn(t, core.Config{Clock: later})
+	product := runEventedChain(t, p)
+	cowEvents := waitEvents(t, p, "cow-1", 2)
+	if got := cowEvents[1]; got.Step != StepSlaughtering || !got.At.Equal(slaughtered) {
+		t.Fatalf("slaughter event = %+v, want %s at %v", got, StepSlaughtering, slaughtered)
+	}
+	waitEvents(t, p, "cut-1", 4)
+	waitEvents(t, p, "cut-2", 4)
+	chain, err := p.ChainOfCustody(context.Background(), product)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slaughter, dispatch := -1, -1
+	for i, ev := range chain {
+		switch {
+		case ev.Step == StepSlaughtering && slaughter < 0:
+			slaughter = i
+		case ev.Step == StepShipping && dispatch < 0:
+			dispatch = i
+		}
+	}
+	if slaughter < 0 || dispatch < 0 || slaughter > dispatch {
+		t.Fatalf("slaughter at %d, first dispatch at %d in %+v", slaughter, dispatch, chain)
+	}
+
+	// A slaughter that carries no time falls back to the runtime clock.
+	sh := core.ID{Kind: KindSlaughterhouse, Key: "sh-1"}
+	if err := p.RegisterCow(context.Background(), "cow-2", "farm-1", "angus", born); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.rt.Call(context.Background(), sh, Slaughter{Cow: "cow-2", CutIDs: []string{"cut-3"}, CutWeight: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got := waitEvents(t, p, "cow-2", 2)[1]; !got.At.Equal(later.Now()) {
+		t.Fatalf("unstamped slaughter at %v, want the clock's %v", got.At, later.Now())
 	}
 }
 

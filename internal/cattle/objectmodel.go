@@ -2,6 +2,7 @@ package cattle
 
 import (
 	"fmt"
+	"time"
 
 	"aodb/internal/codec"
 	"aodb/internal/core"
@@ -25,11 +26,14 @@ const (
 
 // Object-model messages.
 type (
-	// ObjSlaughter processes a cow into locally held cut records.
+	// ObjSlaughter processes a cow into locally held cut records. CutAt
+	// is when the cuts were made; the zero time means now, by the runtime
+	// clock.
 	ObjSlaughter struct {
 		Cow       string
 		CutIDs    []string
 		CutWeight float64
+		CutAt     time.Time
 	}
 	// ObjTransferCut hands a cut record to the next custodian. The
 	// receiving actor stores a new version of the record.
@@ -134,14 +138,14 @@ func (s *objSlaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error
 			MarkSlaughtered{Slaughterhouse: ctx.Self().Key}); err != nil {
 			return nil, err
 		}
-		now := ctx.Clock().Now()
+		cutAt := cutTime(ctx, m.CutAt)
 		for _, cutID := range m.CutIDs {
 			s.state.Cuts[cutID] = MeatCutRecord{
 				ID:             cutID,
 				Cow:            m.Cow,
 				Slaughterhouse: ctx.Self().Key,
 				WeightKg:       m.CutWeight,
-				CutAt:          now,
+				CutAt:          cutAt,
 				Holder:         ctx.Self().Key,
 				Version:        1,
 			}

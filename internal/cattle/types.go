@@ -160,11 +160,13 @@ type (
 
 	// CreateSlaughterhouse initializes a Slaughterhouse actor.
 	CreateSlaughterhouse struct{ Name string }
-	// Slaughter processes a cow into cuts (requirement 3).
+	// Slaughter processes a cow into cuts (requirement 3). CutAt is when
+	// the cuts were made; the zero time means now, by the runtime clock.
 	Slaughter struct {
 		Cow       string
 		CutIDs    []string
 		CutWeight float64
+		CutAt     time.Time
 	}
 	// GetSlaughtered lists processed cows.
 	GetSlaughtered struct{}

@@ -1,13 +1,13 @@
 // Package cluster is the membership surface the rest of the runtime wires
-// against: which silos are in the active view, and when one should be
-// treated as suspect or dead. Two providers exist — StaticView, a silo set
-// fixed at boot, and the SWIM agent in internal/gossip — plus
-// FilteredView, a health veto layered over either. View changes are
-// delivered to subscribers; the boot code uses them to evict a dead
-// silo's directory registrations so its actors can re-activate elsewhere.
+// against: one published View of which silos are in the cluster, and the
+// events that mark a silo suspect or dead. The membership owner — a static
+// view fixed at boot, or the SWIM agent in internal/gossip — builds a View
+// once per change; placement, rebalancing and replication read it, and
+// none of them re-derives it. FilteredView is a health veto layered over
+// either owner at read time.
 package cluster
 
-import "sort"
+import "aodb/internal/placement"
 
 // SiloStatus is the lifecycle state of a silo in a membership view.
 type SiloStatus string
@@ -25,50 +25,56 @@ type Event struct {
 	Status SiloStatus
 }
 
-// StaticView is a minimal membership provider for single-process setups
-// that do not need heartbeats: the silo set is fixed at construction.
-type StaticView struct {
-	silos []string
+// View is one published membership. It is immutable and shared by every
+// reader, so nobody writes to it.
+type View struct {
+	// Seq numbers the owner's views: each change publishes Seq+1.
+	Seq uint64
+	// Members are the silos in the view, sorted and distinct.
+	Members []string
+	// Ring is the consistent-hash ring over Members, which homes
+	// replicated state keys. Nil when the view has no member, or when
+	// its owner homes no replica on it (the chaos soak's crash view).
+	Ring *placement.Ring
 }
 
-// NewStaticView returns a fixed active-silo view (sorted).
-func NewStaticView(silos ...string) *StaticView {
-	s := append([]string(nil), silos...)
-	sort.Strings(s)
-	return &StaticView{silos: s}
+// View returns v itself: a view that never changes is its own Viewer.
+func (v *View) View() *View { return v }
+
+// Next returns the view that follows v over members: sequence number
+// Seq+1, and a ring derived from v's so that only joining members are
+// hashed. v may be nil, which makes the first view (Seq 1).
+func (v *View) Next(members []string) *View {
+	next := &View{Seq: 1}
+	prev := &placement.Ring{}
+	if v != nil {
+		next.Seq = v.Seq + 1
+		if v.Ring != nil {
+			prev = v.Ring
+		}
+	}
+	if ring, err := prev.WithMembers(members); err == nil {
+		next.Ring, next.Members = ring, ring.Members()
+	}
+	return next
 }
 
-// View returns the fixed silo set, shared.
-func (s *StaticView) View() []string { return s.silos }
+// NewStaticView returns a fixed view over silos, for deployments whose
+// silo set is known at boot. Order and duplicates are normalized away.
+func NewStaticView(silos ...string) *View { return (*View)(nil).Next(silos) }
 
-// Subscribe is a no-op: a static view never changes, so no events fire.
-// It exists so StaticView satisfies Provider and boot code can wire a
-// static or gossip-fed view through the identical subscription path.
-func (s *StaticView) Subscribe(func(Event)) {}
-
-// Viewer supplies an active silo set; StaticView and the gossip agent
-// both satisfy it, as does core's runtime-internal list. A view is
-// read-only: it may be the provider's own slice, shared by every caller,
-// so a caller that needs to change it copies it first.
+// Viewer supplies the current published view: a fixed View, the gossip
+// agent, and FilteredView all satisfy it. A reader calls View again for
+// each decision rather than keeping the result, so it follows changes.
 type Viewer interface {
-	View() []string
+	View() *View
 }
 
-// Provider is the full membership surface consumers wire against: a live
-// silo view plus change notifications. The gossip agent, StaticView
-// (events never fire), and FilteredView (events delegate to the base) all
-// satisfy it, so call sites select a provider
-// once at boot and never branch again.
-type Provider interface {
-	Viewer
-	Subscribe(fn func(Event))
-}
-
-// FilteredView layers a health veto over another view provider: silos the
-// reject predicate currently vetoes (typically ones whose transport
-// circuit breaker is open) are hidden from placement, so new activations
-// land on silos that are actually answering. If the veto would empty the
-// view entirely, the unfiltered view is returned instead — degrading to
+// FilteredView layers a health veto over another view: silos the reject
+// predicate currently vetoes (typically ones whose transport circuit
+// breaker is open) are hidden from placement, so new activations land on
+// silos that are actually answering. If the veto would empty the view
+// entirely, the unfiltered view is returned instead — degrading to
 // ordinary fail-and-retry routing (which is also what lets half-open
 // breakers see probe traffic) rather than reporting an empty cluster.
 type FilteredView struct {
@@ -77,18 +83,21 @@ type FilteredView struct {
 }
 
 // NewFilteredView wraps base so that silos with reject(name) == true are
-// excluded from View. A nil reject filters nothing.
+// excluded from the view's Members. A nil reject filters nothing.
 func NewFilteredView(base Viewer, reject func(silo string) bool) *FilteredView {
 	return &FilteredView{base: base, reject: reject}
 }
 
-// View returns base's view minus vetoed silos (falling back to the full
-// view when everything is vetoed). Only a veto copies the base's view.
-func (f *FilteredView) View() []string {
-	all := f.base.View()
+// View returns base's view minus vetoed members (falling back to the
+// full view when everything is vetoed). Only a veto copies the base's
+// view; the copy keeps the base's Seq and Ring, since a veto steers
+// placement and moves no replica.
+func (f *FilteredView) View() *View {
+	base := f.base.View()
 	if f.reject == nil {
-		return all
+		return base
 	}
+	all := base.Members
 	var kept []string // nil until the first veto
 	for i, s := range all {
 		if !f.reject(s) {
@@ -100,17 +109,9 @@ func (f *FilteredView) View() []string {
 		}
 	}
 	if len(kept) == 0 {
-		return all
+		return base
 	}
-	return kept
-}
-
-// Subscribe delegates to the base provider when it has one; a filtered
-// view over a plain Viewer simply never fires events. The veto itself is
-// a read-time filter, not a membership change, so it produces no events
-// of its own.
-func (f *FilteredView) Subscribe(fn func(Event)) {
-	if p, ok := f.base.(Provider); ok {
-		p.Subscribe(fn)
-	}
+	v := *base
+	v.Members = kept
+	return &v
 }

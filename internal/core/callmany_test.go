@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"aodb/internal/cluster"
 	"aodb/internal/codec"
 	"aodb/internal/core"
 	"aodb/internal/faults"
@@ -222,7 +223,7 @@ func bootTCP(t *testing.T) *harness {
 		rt, err := core.New(core.Config{
 			Transport: noClose{inj.WrapTransport(nodes[0].TCP)},
 			Placement: newHash(),
-			View:      staticView(siloNames),
+			View:      cluster.NewStaticView(siloNames...),
 			Metrics:   h.reg,
 		})
 		if err != nil {
@@ -241,10 +242,6 @@ func bootTCP(t *testing.T) *harness {
 	}
 	return h
 }
-
-type staticView []string
-
-func (v staticView) View() []string { return v }
 
 // noClose keeps a second runtime's Shutdown from closing the transport it
 // shares with the harness's client.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"aodb/internal/cluster"
 	"aodb/internal/codec"
 	"aodb/internal/codec/codectest"
 	"aodb/internal/core"
@@ -134,7 +135,7 @@ func TestCallManyOfAllocs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := core.New(core.Config{Transport: client, View: staticView{"silo-1"}})
+	rt, err := core.New(core.Config{Transport: client, View: cluster.NewStaticView("silo-1")})
 	if err != nil {
 		t.Fatal(err)
 	}

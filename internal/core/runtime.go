@@ -13,6 +13,7 @@ import (
 
 	"aodb/internal/capacity"
 	"aodb/internal/clock"
+	"aodb/internal/cluster"
 	"aodb/internal/directory"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
@@ -26,12 +27,6 @@ import (
 // CostFunc means all turns are free (still bounded in concurrency if the
 // silo has a limiter).
 type CostFunc func(id ID, msg any) time.Duration
-
-// ViewProvider supplies the current set of active silos for placement.
-// The runtime only reads the slice View returns, so it may be shared.
-type ViewProvider interface {
-	View() []string
-}
 
 // RetryPolicy configures the self-healing call path: transient failures
 // (see Transient) are retried transparently with exponential backoff and
@@ -90,9 +85,9 @@ type Config struct {
 	IdleAfter time.Duration
 	// CollectEvery is the idle-collector period (default 15 seconds).
 	CollectEvery time.Duration
-	// View overrides the silo set used for placement. Nil means all silos
-	// added to this Runtime.
-	View ViewProvider
+	// View overrides the silo set used for placement with the members of
+	// its published view. Nil means all silos added to this Runtime.
+	View cluster.Viewer
 	// Clock defaults to the real clock.
 	Clock clock.Clock
 	// Metrics receives runtime instrumentation; nil allocates a registry.
@@ -331,10 +326,10 @@ func (rt *Runtime) Silo(name string) (*Silo, bool) {
 }
 
 // view returns the active silo set used for placement. It is shared, not
-// copied: like any cluster.Viewer's, callers only read it.
+// copied: like a published cluster.View's, callers only read it.
 func (rt *Runtime) view() []string {
 	if rt.cfg.View != nil {
-		return rt.cfg.View.View()
+		return rt.cfg.View.View().Members
 	}
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()

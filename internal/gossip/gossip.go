@@ -8,14 +8,14 @@
 // protocol adds no per-member background load and converges in O(log n)
 // periods regardless of cluster size.
 //
-// The Agent exposes the same subscriber surface as cluster.StaticView
-// (View + Subscribe firing cluster.Event), so placement, the replication
-// ring, and the directory consume a live view without knowing whether it
-// came from gossip or a static list. Messages run over the
-// cluster's existing transport under the reserved "!gossip" target kind
-// rather than a separate UDP socket: probe RTTs then measure the same
-// path actor calls take, which is exactly the reachability placement
-// cares about.
+// The Agent is a cluster.Viewer: it publishes one cluster.View per
+// membership change, so placement and the replication ring follow a live
+// view without knowing whether it came from gossip or a static list.
+// Subscribe delivers the per-silo events behind each change. Messages
+// run over the cluster's existing transport under the reserved "!gossip"
+// target kind rather than a separate UDP socket: probe RTTs then measure
+// the same path actor calls take, which is exactly the reachability
+// placement cares about.
 package gossip
 
 import (
@@ -24,8 +24,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aodb/internal/clock"
@@ -247,6 +249,7 @@ type Agent struct {
 	probeIdx    int
 	subs        []func(cluster.Event)
 	pending     []pendingEvent
+	view        atomic.Pointer[cluster.View] // written under mu
 	incarnation uint64
 	leaving     bool
 	started     bool
@@ -300,6 +303,7 @@ func New(cfg Config) (*Agent, error) {
 		a.gIncarnation.Set(1)
 	}
 	a.refreshGaugesLocked()
+	a.publishLocked()
 	return a, nil
 }
 
@@ -710,6 +714,21 @@ func (a *Agent) noteChangeLocked(m *memberState, prev *Member) {
 	}
 	a.pending = append(a.pending, ev)
 	a.refreshGaugesLocked()
+	a.publishLocked()
+}
+
+// publishLocked publishes the next view when the set of members usable
+// for placement changed: alive and suspect (a suspect is still presumed
+// alive until the refutation window closes — evicting early would churn
+// placement on every dropped probe).
+func (a *Agent) publishLocked() {
+	names := a.aliveNamesLocked()
+	sort.Strings(names)
+	prev := a.view.Load()
+	if prev != nil && slices.Equal(prev.Members, names) {
+		return
+	}
+	a.view.Store(prev.Next(names))
 }
 
 func (a *Agent) flushEvents() {
@@ -895,20 +914,12 @@ func (a *Agent) pickLocked(k int, exclude ...string) []string {
 	return pool
 }
 
-// View returns the sorted names of members currently usable for
-// placement: alive and suspect (a suspect is still presumed alive until
-// the refutation window closes — evicting early would churn placement
-// on every dropped probe).
-func (a *Agent) View() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := a.aliveNamesLocked()
-	sort.Strings(out)
-	return out
-}
+// View returns the published view: the members alive or suspect, and
+// their ring. It takes no lock and copies nothing.
+func (a *Agent) View() *cluster.View { return a.view.Load() }
 
 // Subscribe registers fn for membership change events (fired from agent
-// goroutines). Together with View this is the cluster.Provider surface.
+// goroutines).
 func (a *Agent) Subscribe(fn func(cluster.Event)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

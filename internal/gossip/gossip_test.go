@@ -3,6 +3,7 @@ package gossip_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -40,16 +41,13 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func equalView(got []string, want ...string) bool {
-	if len(got) != len(want) {
+// equalView reports whether the published view holds exactly want, with
+// a ring over the same members.
+func equalView(v *cluster.View, want ...string) bool {
+	if !slices.Equal(v.Members, want) {
 		return false
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return v.Ring != nil && slices.Equal(v.Ring.Members(), want)
 }
 
 // partition is a transport wrapper whose Call fails when the (sender,
@@ -273,7 +271,7 @@ func TestIndirectProbeKeepsMemberAlive(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 
 	if !equalView(agents["silo-1"].View(), "silo-1", "silo-2", "silo-3") {
-		t.Errorf("silo-1 view = %v, want all three", agents["silo-1"].View())
+		t.Errorf("silo-1 view = %v, want all three", agents["silo-1"].View().Members)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -329,7 +327,7 @@ func TestObserver(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	for _, name := range names {
 		if !equalView(agents[name].View(), "silo-1", "silo-2") {
-			t.Errorf("%s view = %v: observer leaked into membership", name, agents[name].View())
+			t.Errorf("%s view = %v: observer leaked into membership", name, agents[name].View().Members)
 		}
 	}
 }
@@ -373,10 +371,10 @@ func TestLoadsPiggyback(t *testing.T) {
 	})
 }
 
-// Compile-time checks: all membership providers expose the same
-// subscriber surface.
+// Compile-time checks: every membership owner publishes through the one
+// Viewer surface.
 var (
-	_ cluster.Provider = (*gossip.Agent)(nil)
-	_ cluster.Provider = (*cluster.StaticView)(nil)
-	_ cluster.Provider = (*cluster.FilteredView)(nil)
+	_ cluster.Viewer = (*gossip.Agent)(nil)
+	_ cluster.Viewer = (*cluster.View)(nil)
+	_ cluster.Viewer = (*cluster.FilteredView)(nil)
 )

@@ -17,21 +17,16 @@ package rebalance
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"aodb/internal/clock"
+	"aodb/internal/cluster"
 	"aodb/internal/core"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
 )
-
-// Viewer is the live silo set (cluster.Provider, gossip.Agent, or a
-// static view).
-type Viewer interface {
-	View() []string
-}
 
 // Move is one planned migration.
 type Move struct {
@@ -49,9 +44,9 @@ type Config struct {
 	Runtime *core.Runtime
 	// Silo is the silo whose activations this rebalancer manages.
 	Silo string
-	// View is the live membership; migration targets come from it.
-	// Required.
-	View Viewer
+	// View is the live membership; migration targets come from its
+	// members. Required.
+	View cluster.Viewer
 	// Strategy, when set, enables placement-diff planning: any local
 	// activation whose Strategy.Place target is another silo is moved
 	// there. Leave nil for non-deterministic strategies (random,
@@ -139,9 +134,8 @@ func New(cfg Config) (*Rebalancer, error) {
 // placement diff against the current view, then overload shedding,
 // capped at maxMoves.
 func (rb *Rebalancer) Plan() []Move {
-	view := append([]string(nil), rb.cfg.View.View()...)
-	sort.Strings(view)
-	if len(view) < 2 || !contains(view, rb.cfg.Silo) {
+	view := rb.cfg.View.View().Members
+	if len(view) < 2 || !slices.Contains(view, rb.cfg.Silo) {
 		// Nowhere to move to, or this silo is itself out of the view
 		// (suspected dead): moving actors around would fight failover.
 		return nil
@@ -317,13 +311,4 @@ func (rb *Rebalancer) Start() {
 func (rb *Rebalancer) Stop() {
 	rb.once.Do(func() { close(rb.stop) })
 	<-rb.done
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -7,27 +7,29 @@ import (
 	"testing"
 	"time"
 
+	"aodb/internal/cluster"
 	"aodb/internal/core"
 	"aodb/internal/kvstore"
 	"aodb/internal/placement"
 	"aodb/internal/telemetry"
 )
 
-// mutView is a membership view a test can grow mid-run.
+// mutView is a membership view a test can grow mid-run: set publishes
+// the next view.
 type mutView struct {
-	mu    sync.Mutex
-	silos []string
+	mu   sync.Mutex
+	view *cluster.View
 }
 
-func (v *mutView) View() []string {
+func (v *mutView) View() *cluster.View {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return append([]string(nil), v.silos...)
+	return v.view
 }
 
 func (v *mutView) set(silos ...string) {
 	v.mu.Lock()
-	v.silos = silos
+	v.view = v.view.Next(silos)
 	v.mu.Unlock()
 }
 

@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"aodb/internal/cluster"
 	"aodb/internal/codec/codectest"
-	"aodb/internal/placement"
 )
 
 // Allocation guards for the replicated write path, skipped under -race
@@ -28,8 +28,7 @@ func receivedEnvelopes(n int) [][]byte {
 // was sent allocates the stored copy and nothing else.
 func TestApplyAllocs(t *testing.T) {
 	codectest.SkipUnderRace(t)
-	ring, _ := placement.NewRing([]string{"a"})
-	st := testStore(t, "a", ring, 1)
+	st := testStore(t, "a", 1)
 	ctx := context.Background()
 	encs := receivedEnvelopes(202)
 	i := 0
@@ -50,12 +49,12 @@ func TestApplyAllocs(t *testing.T) {
 // in-process stores.
 func TestWriteQuorumAllocs(t *testing.T) {
 	codectest.SkipUnderRace(t)
-	ring, _ := placement.NewRing(threeSilos)
+	view := cluster.NewStaticView(threeSilos...)
 	local := make(map[string]*Store, len(threeSilos))
 	for _, s := range threeSilos {
-		local[s] = testStore(t, s, ring, 3)
+		local[s] = testStore(t, s, 3)
 	}
-	c, err := NewCoordinator(Config{Ring: ring, N: 3, Local: local})
+	c, err := NewCoordinator(Config{Ring: view, N: 3, Local: local})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,39 +2,12 @@ package replication
 
 import (
 	"context"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"aodb/internal/placement"
 )
-
-// digestFrom asks silo for its bucketed digest of the keys it shares
-// with peer.
-func (c *Coordinator) digestFrom(ctx context.Context, silo, peer string, buckets int) (map[uint32]uint64, error) {
-	resp, err := c.call(ctx, silo, rpcDigest{Peer: peer, Buckets: buckets})
-	c.noteResult(silo, err)
-	if err != nil {
-		return nil, err
-	}
-	r, ok := resp.(rpcDigestResp)
-	if !ok {
-		return nil, errBadRPC
-	}
-	return r.Buckets, nil
-}
-
-// keysFrom asks silo for the per-key summaries of one shared bucket.
-func (c *Coordinator) keysFrom(ctx context.Context, silo, peer string, bucket uint32, buckets int) (map[string]KeySummary, error) {
-	resp, err := c.call(ctx, silo, rpcKeys{Peer: peer, Bucket: bucket, Buckets: buckets})
-	c.noteResult(silo, err)
-	if err != nil {
-		return nil, err
-	}
-	r, ok := resp.(rpcKeysResp)
-	if !ok {
-		return nil, errBadRPC
-	}
-	return r.Keys, nil
-}
 
 // newerSummary mirrors newerEnv over wire summaries.
 func newerSummary(a, b KeySummary) bool {
@@ -45,53 +18,41 @@ func newerSummary(a, b KeySummary) bool {
 	return a.Hash > b.Hash
 }
 
-// SweepPair reconciles one silo pair: exchange bucket digests, expand
-// only mismatched buckets into per-key summaries, and for every key the
-// two sides disagree on, copy the (version, value-hash) winner to the
-// loser. Returns how many divergent keys were repaired. A key missing on
-// one side is treated as never-received and pushed: nothing deletes a
-// key, so an absence is always a copy still to be made.
-func (c *Coordinator) SweepPair(ctx context.Context, a, b string, buckets int) (int, error) {
-	if buckets <= 0 {
-		buckets = 64
-	}
-	da, err := c.digestFrom(ctx, a, b, buckets)
+// sweepPair reconciles one silo pair over the keys both home under the
+// given rings (cur first, by its members): exchange bucket digests,
+// expand only mismatched buckets into per-key summaries, and for every
+// key the two sides disagree on, copy the (version, value-hash) winner to
+// the loser. A key missing on one side is treated as never-received and
+// pushed: nothing deletes a key, so an absence is always a copy still to
+// be made. Returns how many divergent keys were repaired: keys a home
+// under cur took the winner for. A racing write that brought the loser
+// level first is no divergence, nor is a superseded ring's home left
+// behind — writes stop reaching it once a handoff closes anywhere, and
+// no quorum needs it after this one closes.
+func (c *Coordinator) sweepPair(ctx context.Context, a, b string, buckets int, cur *placement.Ring, rings [][]string) (int, error) {
+	n, _, _ := c.quorumFor(cur)
+	da, err := ask[rpcDigestResp](ctx, c, a, rpcDigest{Peer: b, Buckets: buckets, Rings: rings})
 	if err != nil {
 		return 0, err
 	}
-	db, err := c.digestFrom(ctx, b, a, buckets)
+	db, err := ask[rpcDigestResp](ctx, c, b, rpcDigest{Peer: a, Buckets: buckets, Rings: rings})
 	if err != nil {
 		return 0, err
 	}
-	mismatch := make(map[uint32]bool)
-	for k, v := range da {
-		if db[k] != v {
-			mismatch[k] = true
-		}
-	}
-	for k, v := range db {
-		if da[k] != v {
-			mismatch[k] = true
-		}
-	}
-	if len(mismatch) == 0 {
-		return 0, nil
-	}
-	order := make([]uint32, 0, len(mismatch))
-	for k := range mismatch {
-		order = append(order, k)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	divergent := 0
-	for _, bucket := range order {
-		ka, err := c.keysFrom(ctx, a, b, bucket, buckets)
+	for bucket := uint32(0); bucket < uint32(buckets); bucket++ {
+		if da.Buckets[bucket] == db.Buckets[bucket] {
+			continue
+		}
+		ra, err := ask[rpcKeysResp](ctx, c, a, rpcKeys{Peer: b, Bucket: bucket, Buckets: buckets, Rings: rings})
 		if err != nil {
 			return divergent, err
 		}
-		kb, err := c.keysFrom(ctx, b, a, bucket, buckets)
+		rb, err := ask[rpcKeysResp](ctx, c, b, rpcKeys{Peer: a, Bucket: bucket, Buckets: buckets, Rings: rings})
 		if err != nil {
 			return divergent, err
 		}
+		ka, kb := ra.Keys, rb.Keys
 		keys := make(map[string]bool, len(ka)+len(kb))
 		for k := range ka {
 			keys[k] = true
@@ -115,7 +76,7 @@ func (c *Coordinator) SweepPair(ctx context.Context, a, b string, buckets int) (
 			if err != nil || !found {
 				continue // src went down or was wiped since its digest; next sweep
 			}
-			if _, err := c.applyTo(ctx, dst, key, env.Encode()); err != nil {
+			if out, err := c.applyTo(ctx, dst, key, env.Encode()); err != nil || out != Applied || !cur.Homes(key, n, dst) {
 				continue
 			}
 			divergent++
@@ -125,64 +86,109 @@ func (c *Coordinator) SweepPair(ctx context.Context, a, b string, buckets int) (
 	return divergent, nil
 }
 
-// SweepOnce reconciles every live silo pair (optionally only pairs
-// involving `only`, which is how each shmserver process avoids sweeping
-// the whole cluster's pairs). It is the one repair path besides read
-// repair: a home that missed writes while down, or came back wiped,
-// converges here.
+// SweepOnce reconciles every live pair of the current view's members
+// (optionally only pairs involving `only`, which is how each shmserver
+// process avoids sweeping the whole cluster's pairs). It is the one repair
+// path besides read repair: a home that missed writes while down, or came
+// back wiped, converges here. While a handoff is open the pairs compare
+// keys homed under either ring, so the old→new backfill of moved replicas
+// rides these very pairs; a member that left the view is not swept.
+//
+// A clean pair — swept with no error and no divergent key — is evidence.
+// A local replica's read gate (Store.SetRebuilding) lifts once at least
+// one pair naming it was swept and every one came back clean: a pair
+// skipped for a dead peer, or a view with no peer, is no evidence. An
+// all-pairs sweep that started ready (see ready) and came back clean
+// closes the handoff; one silo's pairs cannot, since this coordinator
+// serves keys whose new homes may not include that silo.
 func (c *Coordinator) SweepOnce(ctx context.Context, only string, buckets int) (divergent int, err error) {
-	// During a ring transition, sweep over the union membership: the
-	// old→new backfill of moved replicas rides these very pairs.
-	cur, old := c.rings()
-	members := cur.Members()
-	if old != nil {
-		seen := make(map[string]bool, len(members))
-		for _, m := range members {
-			seen[m] = true
-		}
-		for _, m := range old.Members() {
-			if !seen[m] {
-				members = append(members, m)
-			}
-		}
-		sort.Strings(members)
+	if buckets <= 0 {
+		buckets = 64
 	}
-	var firstErr error
+	rs := c.state(false)
+	closes := only == "" && c.ready(rs)
+	members := rs.cur.Members()
+	rings := [][]string{members}
+	if rs.old != nil {
+		rings = append(rings, rs.old.Members())
+	}
+	clean := make(map[string]bool, len(c.cfg.Local)) // local silo → all its pairs clean
 	for i := 0; i < len(members); i++ {
 		for j := i + 1; j < len(members); j++ {
 			a, b := members[i], members[j]
 			if only != "" && a != only && b != only {
 				continue
 			}
-			if !c.alive(a) || !c.alive(b) {
-				continue
+			ok := c.alive(a) && c.alive(b)
+			if ok {
+				n, perr := c.sweepPair(ctx, a, b, buckets, rs.cur, rings)
+				divergent += n
+				if perr != nil && err == nil {
+					err = perr
+				}
+				ok = n == 0 && perr == nil
 			}
-			n, perr := c.SweepPair(ctx, a, b, buckets)
-			divergent += n
-			if perr != nil && firstErr == nil {
-				firstErr = perr
+			closes = closes && ok
+			for _, s := range [2]string{a, b} {
+				if prev, seen := clean[s]; c.cfg.Local[s] != nil {
+					clean[s] = ok && (prev || !seen)
+				}
 			}
 		}
 	}
 	c.cfg.Metrics.Counter("replication.antientropy.sweeps").Inc()
-	return divergent, firstErr
+	for silo, ok := range clean {
+		if ok {
+			c.cfg.Local[silo].SetRebuilding(false)
+		}
+	}
+	if closes {
+		c.mu.Lock()
+		if c.rs == rs { // a ring published since the sweep began is not covered
+			c.rs = &ringState{cur: rs.cur}
+		}
+		c.mu.Unlock()
+	}
+	return divergent, err
 }
 
-// Sweeper runs the anti-entropy sweep on a period in the background.
+// gated reports whether a local replica's read gate is still shut.
+func (c *Coordinator) gated() bool {
+	for _, st := range c.cfg.Local {
+		if st.rebuilding.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+const (
+	// resweepEvery is the sweep cadence while evidence is owed — while a
+	// local read gate is shut, and while an open handoff is ready to
+	// close: 200 ms.
+	resweepEvery = 200 * time.Millisecond
+	// resweepTimeout bounds each of those sweeps: 5 s.
+	resweepTimeout = 5 * time.Second
+)
+
+// Sweeper runs the anti-entropy sweep in the background: every period,
+// and every resweepEvery while evidence is owed.
 type Sweeper struct {
 	c       *Coordinator
 	every   time.Duration
 	only    string
 	buckets int
 
-	once sync.Once
-	stop chan struct{}
-	done chan struct{}
+	started atomic.Bool
+	once    sync.Once
+	stop    chan struct{}
+	done    chan struct{}
 }
 
 // NewSweeper builds a background sweeper over c. only restricts sweeps
-// to silo pairs involving that silo (empty sweeps all pairs); buckets
-// sizes the digest exchange (<=0 for the default).
+// to silo pairs involving that silo (empty sweeps all pairs) unless a
+// handoff is ready to close; buckets sizes the digest exchange (<=0 for the
+// default).
 func NewSweeper(c *Coordinator, every time.Duration, only string, buckets int) *Sweeper {
 	if every <= 0 {
 		every = 30 * time.Second
@@ -197,27 +203,47 @@ func NewSweeper(c *Coordinator, every time.Duration, only string, buckets int) *
 	}
 }
 
-// Start launches the sweep loop; call Stop to end it.
+// Start launches the sweep loop; call Stop to end it. The loop looks
+// every resweepEvery: it sweeps at once, then every period, and at each
+// look while evidence is owed. Once an open handoff is ready to close it
+// sweeps every pair, not only this silo's: only that sweep closes it.
 func (s *Sweeper) Start() {
+	s.started.Store(true)
 	go func() {
 		defer close(s.done)
-		t := s.c.cfg.Clock.NewTicker(s.every)
+		t := s.c.cfg.Clock.NewTicker(resweepEvery)
 		defer t.Stop()
+		var last time.Time
 		for {
+			ready := s.c.ready(s.c.state(false))
+			owed := ready || s.c.gated()
+			if now := s.c.cfg.Clock.Now(); owed || now.Sub(last) >= s.every {
+				last = now
+				only, timeout := s.only, s.every
+				if ready {
+					only = ""
+				}
+				if owed {
+					timeout = resweepTimeout
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), timeout)
+				_, _ = s.c.SweepOnce(ctx, only, s.buckets)
+				cancel()
+			}
 			select {
 			case <-s.stop:
 				return
 			case <-t.C():
-				ctx, cancel := context.WithTimeout(context.Background(), s.every)
-				_, _ = s.c.SweepOnce(ctx, s.only, s.buckets)
-				cancel()
 			}
 		}
 	}()
 }
 
 // Stop ends the sweep loop and waits for the in-flight sweep to finish.
+// A sweeper never started stops at once.
 func (s *Sweeper) Stop() {
 	s.once.Do(func() { close(s.stop) })
-	<-s.done
+	if s.started.Load() {
+		<-s.done
+	}
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aodb/internal/clock"
+	"aodb/internal/cluster"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
@@ -24,9 +26,12 @@ type Caller interface {
 
 // Config configures a quorum Coordinator.
 type Config struct {
-	// Ring is the initial key→replica-set mapping. Required. UpdateRing
-	// swaps it live when membership changes.
-	Ring *placement.Ring
+	// Ring is the membership view whose ring homes each key's replicas.
+	// Required, and its view must have a ring. A fixed view (NewRing,
+	// cluster.NewStaticView) keeps one ring for good; a live one (the
+	// gossip agent) is read on every operation, and each ring it
+	// publishes opens a handoff (see state).
+	Ring cluster.Viewer
 	// N, R, W are the desired replication factor and the read/write
 	// quorum sizes. Defaults: N=1, R and W to majorities of N. All three
 	// are clamped per operation to the current ring's size, so a cluster
@@ -100,9 +105,15 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	suspects map[string]*suspect
-	ring     *placement.Ring // current ring
-	oldRing  *placement.Ring // previous ring, nil outside a transition window
-	oldUntil time.Time       // when the old ring's quorum veto lapses
+	// The handoff, under mu: the rings of view seq that operations work
+	// under, the states a ring change replaced while writes taken under
+	// them may still run (see ready), when the open handoff began and
+	// whether its alarm is recorded.
+	seq     uint64
+	rs      *ringState
+	stale   []*ringState
+	opened  time.Time
+	alarmed bool
 
 	mReadRepair *metrics.Counter
 }
@@ -120,7 +131,11 @@ const unhealthyAfter = 3
 
 // NewCoordinator builds a Coordinator.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
-	if cfg.Ring == nil {
+	var view *cluster.View
+	if cfg.Ring != nil {
+		view = cfg.Ring.View()
+	}
+	if view == nil || view.Ring == nil {
 		return nil, errors.New("replication: coordinator needs a ring")
 	}
 	if cfg.N <= 0 {
@@ -133,7 +148,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	if cfg.Transport == nil {
-		for _, silo := range cfg.Ring.Members() {
+		for _, silo := range view.Members {
 			if _, ok := cfg.Local[silo]; !ok {
 				return nil, fmt.Errorf("replication: no transport and no local store for %q", silo)
 			}
@@ -141,18 +156,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	return &Coordinator{
 		cfg:         cfg,
-		ring:        cfg.Ring,
+		seq:         view.Seq,
+		rs:          &ringState{cur: view.Ring},
 		suspects:    make(map[string]*suspect),
 		mReadRepair: cfg.Metrics.Counter("replication.readrepair.count"),
 	}, nil
 }
 
 const (
-	// ringTransition is how long a superseded ring keeps its quorum veto
-	// after an UpdateRing: 1 min, long enough for one anti-entropy sweep
-	// to backfill the moved replicas under the default cadence. During
-	// the window, writes must clear the write quorum on both the old and
-	// new home sets, and reads consult both.
+	// ringTransition is how long a handoff may stay open before it is
+	// recorded as an anomaly: 1 min, two sweeps' worth under the default
+	// cadence. It is an alarm only; the handoff still waits for a clean
+	// sweep.
 	ringTransition = time.Minute
 	// callTimeout bounds each replica RPC: 2 s. The calls a fan-out
 	// launches at one instant share one such deadline.
@@ -170,8 +185,12 @@ func bounded(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, callTimeout)
 }
 
-// quorumFor clamps the desired N/R/W to what ring can actually provide.
+// quorumFor clamps the desired N/R/W to what ring can actually provide
+// (nothing, for no ring).
 func (c *Coordinator) quorumFor(ring *placement.Ring) (n, r, w int) {
+	if ring == nil {
+		return 0, 0, 0
+	}
 	n = c.cfg.N
 	if n > ring.Size() {
 		n = ring.Size()
@@ -192,64 +211,85 @@ func (c *Coordinator) quorumFor(ring *placement.Ring) (n, r, w int) {
 	return n, r, w
 }
 
-// rings returns the current ring and, during a transition window, the
-// superseded one (nil otherwise), lazily retiring the latter once its
-// window lapses.
-func (c *Coordinator) rings() (cur, old *placement.Ring) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.oldRing != nil && c.cfg.Clock.Now().After(c.oldUntil) {
-		c.oldRing = nil
-	}
-	return c.ring, c.oldRing
+// ringState is what one operation works under: the ring keys are homed
+// on and, while a handoff is open, the ring it replaced. A state is
+// replaced, never changed; only its count of writes still running moves.
+type ringState struct {
+	cur, old *placement.Ring
+	writes   atomic.Int64
 }
 
-// Ring returns the current ring.
-func (c *Coordinator) Ring() *placement.Ring {
+// state returns the current ring state, counting the caller as a write
+// in flight under it when write is set (it calls rs.writes.Add(-1) once
+// done). A ring the view published since the last call opens a handoff
+// first: until a clean anti-entropy sweep closes it (see SweepOnce),
+// writes must clear W on both home sets and reads consult both, so R+W >
+// N intersection holds against the union of old and new replica sets
+// while the moved keys are backfilled. Back-to-back changes keep the
+// oldest unsettled ring: quorums only strengthen. A handoff open past
+// ringTransition is recorded once as an anomaly, and stays open.
+func (c *Coordinator) state(write bool) *ringState {
+	v := c.cfg.Ring.View()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ring
+	if v.Seq > c.seq && v.Ring != nil {
+		c.seq = v.Seq
+		if !v.Ring.Equal(c.rs.cur) {
+			old := c.rs.old
+			if old == nil {
+				old, c.opened, c.alarmed = c.rs.cur, c.cfg.Clock.Now(), false
+			}
+			c.stale = append(c.stale, c.rs)
+			c.rs = &ringState{cur: v.Ring, old: old}
+			c.cfg.Metrics.Counter("replication.ring.changes").Inc()
+			c.cfg.Metrics.Gauge("replication.ring.size").Set(int64(v.Ring.Size()))
+			if tr := c.cfg.Tracer; tr.Recording() {
+				tr.Record(telemetry.RingChange, "", 0,
+					fmt.Sprintf("members=%v (transition window open)", v.Members))
+			}
+		}
+	}
+	if c.rs.old != nil && !c.alarmed && c.cfg.Clock.Now().Sub(c.opened) > ringTransition {
+		c.alarmed = true
+		c.cfg.Tracer.Record(telemetry.HandoffStalled, "", 0,
+			fmt.Sprintf("members=%v open since %s, no clean sweep yet", c.rs.cur.Members(), c.opened.Format(time.RFC3339)))
+	}
+	if write {
+		c.rs.writes.Add(1)
+	}
+	return c.rs
 }
 
-// UpdateRing swaps the replica ring live (a silo joined or left). The
-// superseded ring stays in the quorum path for ringTransition: writes
-// must clear W on both home sets and reads consult both, so R+W > N
-// intersection holds against the union of old and new replica sets
-// while anti-entropy backfills the keys whose homes moved. Back-to-back
-// updates inside one window keep the oldest un-settled ring (quorums
-// only strengthen) and restart the window.
-func (c *Coordinator) UpdateRing(r *placement.Ring) {
-	if r == nil {
-		return
-	}
+// ready reports whether a clean all-pairs sweep starting now under rs
+// may close its open handoff. Every write that took a state from before
+// the last ring change has returned (it could land behind the sweep, on
+// homes reads stop consulting), and the handoff is callTimeout old, so a
+// write another process began on the old ring meanwhile has landed too.
+func (c *Coordinator) ready(rs *ringState) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r.Equal(c.ring) {
-		return
+	if rs != c.rs || rs.old == nil || c.cfg.Clock.Now().Sub(c.opened) < callTimeout {
+		return false
 	}
-	if c.oldRing == nil || c.cfg.Clock.Now().After(c.oldUntil) {
-		c.oldRing = c.ring
+	for _, s := range c.stale {
+		if s.writes.Load() > 0 {
+			return false
+		}
 	}
-	c.ring = r
-	c.oldUntil = c.cfg.Clock.Now().Add(ringTransition)
-	c.cfg.Metrics.Counter("replication.ring.changes").Inc()
-	c.cfg.Metrics.Gauge("replication.ring.size").Set(int64(r.Size()))
-	if tr := c.cfg.Tracer; tr.Recording() {
-		tr.Record(telemetry.RingChange, "", 0,
-			fmt.Sprintf("members=%v (transition window open)", r.Members()))
-	}
+	c.stale = c.stale[:0] // a replaced state takes no new write
+	return true
 }
 
 // N returns the effective replication factor on the current ring.
 func (c *Coordinator) N() int {
-	n, _, _ := c.quorumFor(c.Ring())
+	n, _, _ := c.quorumFor(c.state(false).cur)
 	return n
 }
 
 // Quorums returns the effective read and write quorum sizes on the
 // current ring.
 func (c *Coordinator) Quorums() (r, w int) {
-	_, r, w = c.quorumFor(c.Ring())
+	_, r, w = c.quorumFor(c.state(false).cur)
 	return r, w
 }
 
@@ -339,13 +379,13 @@ func serveLocal(ctx context.Context, st *Store, payload any) (any, error) {
 		}
 		return resp, nil
 	case rpcDigest:
-		d, err := st.Digest(ctx, m.Peer, m.Buckets)
+		d, err := st.Digest(ctx, m.Peer, m.Buckets, m.Rings)
 		if err != nil {
 			return nil, err
 		}
 		return rpcDigestResp{Buckets: d}, nil
 	case rpcKeys:
-		ks, err := st.BucketKeys(ctx, m.Peer, m.Bucket, m.Buckets)
+		ks, err := st.BucketKeys(ctx, m.Peer, m.Bucket, m.Buckets, m.Rings)
 		if err != nil {
 			return nil, err
 		}
@@ -355,41 +395,34 @@ func serveLocal(ctx context.Context, st *Store, payload any) (any, error) {
 }
 
 func (c *Coordinator) applyTo(ctx context.Context, silo, key string, enc []byte) (Outcome, error) {
-	resp, err := c.call(ctx, silo, rpcApply{Key: key, Env: enc})
-	c.noteResult(silo, err)
-	if err != nil {
-		return 0, err
-	}
-	r, ok := resp.(rpcApplyResp)
-	if !ok {
-		return 0, fmt.Errorf("%w: apply response %T", errBadRPC, resp)
-	}
-	return Outcome(r.Outcome), nil
+	r, err := ask[rpcApplyResp](ctx, c, silo, rpcApply{Key: key, Env: enc})
+	return Outcome(r.Outcome), err
 }
 
 func (c *Coordinator) fetchFrom(ctx context.Context, silo, key string) (Envelope, bool, error) {
-	resp, err := c.call(ctx, silo, rpcFetch{Key: key})
-	c.noteResult(silo, err)
-	if err != nil {
+	r, err := ask[rpcFetchResp](ctx, c, silo, rpcFetch{Key: key})
+	if err != nil || !r.Found {
 		return Envelope{}, false, err
-	}
-	r, ok := resp.(rpcFetchResp)
-	if !ok {
-		return Envelope{}, false, fmt.Errorf("%w: fetch response %T", errBadRPC, resp)
-	}
-	if !r.Found {
-		return Envelope{}, false, nil
 	}
 	env, err := DecodeEnvelope(r.Env)
-	if err != nil {
-		return Envelope{}, false, err
+	return env, err == nil, err
+}
+
+// ask performs one replica RPC on silo, feeds its outcome to the storage
+// health tracker, and returns the answer as a T.
+func ask[T any](ctx context.Context, c *Coordinator, silo string, payload any) (T, error) {
+	resp, err := c.call(ctx, silo, payload)
+	c.noteResult(silo, err)
+	r, ok := resp.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %T answered with %T", errBadRPC, payload, resp)
 	}
-	return env, true, nil
+	return r, err
 }
 
 // writeTarget is one distinct replica a quorum operation talks to,
-// tagged with which ring(s)' home set it belongs to — during a ring
-// transition an ack must be credited to every home set the silo is in.
+// tagged with which ring(s)' home set it belongs to — during a handoff an
+// ack must be credited to every home set the silo is in.
 type writeTarget struct {
 	silo     string
 	cur, old bool
@@ -400,7 +433,7 @@ type writeTarget struct {
 const maxTargets = 8
 
 // quorumTargets appends to dst the key's home sets under the current
-// and (when in a transition window) superseded rings, merged into one
+// and (while a handoff is open) superseded rings, merged into one
 // distinct target list, current-ring homes first.
 func quorumTargets(dst []writeTarget, key string, cur *placement.Ring, nCur int, old *placement.Ring, nOld int) []writeTarget {
 	var homes [maxTargets]string
@@ -451,7 +484,7 @@ func (c *Coordinator) homeCtx(ctx, shared context.Context, silo string) context.
 // once, since a newer epoch owns the key; otherwise it waits for every
 // home and succeeds once W homes applied it. A dead or failing home is
 // one failed home, so a write that cannot reach W homes fails with
-// ErrQuorum. During a ring transition the write must clear W on the
+// ErrQuorum. While a handoff is open the write must clear W on the
 // superseded ring's home set too — that is what keeps R+W > N
 // intersection valid against the union of old and new replica sets
 // mid-change. The remote homes are called on goroutines under one shared
@@ -459,13 +492,11 @@ func (c *Coordinator) homeCtx(ctx, shared context.Context, silo string) context.
 // while they run.
 func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope) error {
 	enc := env.Encode()
-	cur, old := c.rings()
+	rs := c.state(true)
+	defer rs.writes.Add(-1)
+	cur, old := rs.cur, rs.old
 	n, _, w := c.quorumFor(cur)
-	wOld := 0
-	nOld := 0
-	if old != nil {
-		nOld, _, wOld = c.quorumFor(old)
-	}
+	nOld, _, wOld := c.quorumFor(old)
 	var buf [maxTargets]writeTarget
 	targets := quorumTargets(buf[:0], key, cur, n, old, nOld)
 	corr := c.cfg.Tracer.NewCorr()
@@ -534,7 +565,7 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		}
 	}
 	release()
-	if ackCur >= w && (old == nil || ackOld >= wOld) {
+	if ackCur >= w && ackOld >= wOld {
 		if corr != 0 {
 			c.cfg.Tracer.Record(telemetry.QuorumWrite, key, corr,
 				fmt.Sprintf("acks=%d/%d at %s", ackCur, w, env.Version))
@@ -545,17 +576,21 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 	if old != nil && ackOld < acked {
 		acked = ackOld
 	}
-	if corr != 0 {
-		detail := fmt.Sprintf("acks=%d/%d at %s", acked, w, env.Version)
-		if firstErr != nil {
-			detail += ": " + firstErr.Error()
-		}
-		c.cfg.Tracer.Record(telemetry.QuorumWriteFail, key, corr, detail)
-	}
+	return c.noQuorum(telemetry.QuorumWriteFail, key, corr, "acks", acked, w, " at "+env.Version.String(), firstErr)
+}
+
+// noQuorum records a read or write that got only got of want answers
+// (what names them; at is appended to the recorded count) and returns
+// its ErrQuorum.
+func (c *Coordinator) noQuorum(kind telemetry.EventKind, key string, corr uint64, what string, got, want int, at string, firstErr error) error {
+	cause := ""
 	if firstErr != nil {
-		return fmt.Errorf("%w: %s got %d/%d acks: %v", ErrQuorum, key, acked, w, firstErr)
+		cause = ": " + firstErr.Error()
 	}
-	return fmt.Errorf("%w: %s got %d/%d acks", ErrQuorum, key, acked, w)
+	if corr != 0 {
+		c.cfg.Tracer.Record(kind, key, corr, fmt.Sprintf("%s=%d/%d%s%s", what, got, want, at, cause))
+	}
+	return fmt.Errorf("%w: %s got %d/%d %s%s", ErrQuorum, key, got, want, what, cause)
 }
 
 // readQuorum collects R home answers for key (a clean "not found" from a
@@ -563,19 +598,16 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 // (version, value-hash) order, repairing any responder that returned an
 // older answer. Only homes answer: any R homes intersect the W homes
 // that acked the last write, so a read that cannot reach R homes fails
-// with ErrQuorum rather than answer without that write. During a ring
-// transition R answers are required from the superseded ring's home set
+// with ErrQuorum rather than answer without that write. While a handoff
+// is open R answers are required from the superseded ring's home set
 // as well — a write acked before the change only intersects the old
 // homes, and the new homes' "not found" answers must not outvote it.
 // found is false when no responder held the key.
 func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, bool, error) {
-	cur, old := c.rings()
+	rs := c.state(false)
+	cur, old := rs.cur, rs.old
 	n, rq, _ := c.quorumFor(cur)
-	rOld := 0
-	nOld := 0
-	if old != nil {
-		nOld, rOld, _ = c.quorumFor(old)
-	}
+	nOld, rOld, _ := c.quorumFor(old)
 	var buf [maxTargets]writeTarget
 	targets := quorumTargets(buf[:0], key, cur, n, old, nOld)
 
@@ -619,17 +651,7 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 		if old != nil && okOld < got {
 			got = okOld
 		}
-		if tr := c.cfg.Tracer; tr.Recording() {
-			detail := fmt.Sprintf("reads=%d/%d", got, rq)
-			if firstErr != nil {
-				detail += ": " + firstErr.Error()
-			}
-			tr.Record(telemetry.QuorumReadFail, key, tr.NewCorr(), detail)
-		}
-		if firstErr != nil {
-			return Envelope{}, false, fmt.Errorf("%w: %s got %d/%d reads: %v", ErrQuorum, key, got, rq, firstErr)
-		}
-		return Envelope{}, false, fmt.Errorf("%w: %s got %d/%d reads", ErrQuorum, key, got, rq)
+		return Envelope{}, false, c.noQuorum(telemetry.QuorumReadFail, key, c.cfg.Tracer.NewCorr(), "reads", got, rq, "", firstErr)
 	}
 	var win Envelope
 	var winFound bool

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"aodb/internal/clock"
+	"aodb/internal/cluster"
 	"aodb/internal/metrics"
-	"aodb/internal/placement"
 	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
@@ -25,15 +25,12 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 	jrReplica := telemetry.New(telemetry.Config{Silo: "s2", Parts: telemetry.Events})
 
 	silos := []string{"s1", "s2", "s3"}
-	ring, err := placement.NewRing(silos)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := cluster.NewStaticView(silos...)
 	tr := transport.NewLocal(nil, nil)
 	t.Cleanup(func() { _ = tr.Close() })
 	svc := NewService()
 	for _, s := range silos {
-		st := testStore(t, s, ring, 3)
+		st := testStore(t, s, 3)
 		svc.Host(s, st)
 		silo := s
 		if err := tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
@@ -45,7 +42,7 @@ func TestQuorumFanoutHLCContinuity(t *testing.T) {
 		}
 	}
 	coord, err := NewCoordinator(Config{
-		Ring:      ring,
+		Ring:      view,
 		N:         3,
 		R:         2,
 		W:         2,

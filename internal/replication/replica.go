@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"aodb/internal/clock"
+	"aodb/internal/cluster"
 	"aodb/internal/codec"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
@@ -107,11 +107,12 @@ type StoreConfig struct {
 	// Table holds the replicated envelopes (normally the runtime's
 	// grain-state table).
 	Table *kvstore.Table
-	// Ring and N scope anti-entropy digests to keys this silo homes.
-	Ring *placement.Ring
-	N    int
-	// Clock defaults to the real clock.
-	Clock clock.Clock
+	// Ring has no effect: setting it changes nothing, since each digest
+	// request names the rings it is scoped to (see Digest). It stays only
+	// while benchmark/probe.go sets it; delete it with that line.
+	Ring cluster.Viewer
+	// N scopes anti-entropy digests to keys this silo homes.
+	N int
 	// Metrics receives replication instrumentation; nil allocates one.
 	Metrics *metrics.Registry
 }
@@ -134,10 +135,8 @@ type Store struct {
 	cfg        StoreConfig
 	rebuilding atomic.Bool
 
-	mu       sync.RWMutex
-	ring     *placement.Ring // current ring
-	oldRing  *placement.Ring // superseded ring, nil outside a transition window
-	oldUntil time.Time       // when the superseded ring drops out of digests
+	mu    sync.Mutex
+	rings []*placement.Ring // rings recent digest requests named, newest last
 }
 
 // NewStore builds a replica store.
@@ -145,50 +144,35 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Table == nil {
 		return nil, errors.New("replication: store needs a table")
 	}
-	if cfg.Ring == nil {
-		return nil, errors.New("replication: store needs a ring")
-	}
 	if cfg.N <= 0 {
 		cfg.N = 1
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Real()
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	return &Store{cfg: cfg, ring: cfg.Ring}, nil
+	return &Store{cfg: cfg}, nil
 }
 
-// UpdateRing swaps the ring anti-entropy digests are scoped to. The
-// superseded ring stays in scope for a transition window so a silo
-// keeps offering keys it used to home to their new homes (and digests
-// stay symmetric with peers mid-change).
-func (s *Store) UpdateRing(r *placement.Ring) {
-	if r == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r.Equal(s.ring) {
-		return
-	}
-	if s.oldRing == nil || s.cfg.Clock.Now().After(s.oldUntil) {
-		s.oldRing = s.ring
-	}
-	s.ring = r
-	s.oldUntil = s.cfg.Clock.Now().Add(ringTransition)
-}
+// keptRings is how many rings a store keeps for reuse: enough for the
+// current and superseded rings of two coordinators' sweeps.
+const keptRings = 4
 
-// rings returns the current ring and, within the transition window, the
-// superseded one (nil otherwise).
-func (s *Store) rings() (cur, old *placement.Ring) {
+// ringOver returns the ring over members, reusing one a recent digest
+// request named, so a sweep hashes a ring once rather than per request.
+func (s *Store) ringOver(members []string) (*placement.Ring, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.oldRing != nil && s.cfg.Clock.Now().After(s.oldUntil) {
-		s.oldRing = nil
+	for _, r := range s.rings {
+		if slices.Equal(r.Members(), members) {
+			return r, nil
+		}
 	}
-	return s.ring, s.oldRing
+	r, err := placement.NewRing(members)
+	if err != nil {
+		return nil, err
+	}
+	s.rings = append(s.rings[max(len(s.rings)-keptRings+1, 0):], r)
+	return r, nil
 }
 
 // SetRebuilding gates (true) or releases (false) the replica's read
@@ -266,32 +250,34 @@ func (s *Store) Fetch(ctx context.Context, key string) (Envelope, bool, error) {
 }
 
 // Digest folds the replica's keys shared with peer into buckets: for
-// every key both this silo and peer home (under the common ring and N),
-// bucket[Hash32(key)%buckets] accumulates an XOR of a key/version/value-hash
-// mix. Two replicas with identical shared contents produce identical
+// every key both this silo and peer home, each under one of the named
+// rings (given by their members), bucket[Hash32(key)%buckets]
+// accumulates an XOR of a key/version/value-hash mix. Two replicas asked
+// over the same rings with identical shared contents produce identical
 // digests; any differing key perturbs exactly one bucket on the side
 // that differs. XOR folding is order-independent, so no sort is needed.
-func (s *Store) Digest(ctx context.Context, peer string, buckets int) (map[uint32]uint64, error) {
+func (s *Store) Digest(ctx context.Context, peer string, buckets int, rings [][]string) (map[uint32]uint64, error) {
 	if buckets <= 0 {
 		buckets = 1
 	}
 	out := make(map[uint32]uint64)
-	err := s.scanShared(ctx, peer, func(key string, env Envelope) {
+	err := s.scanShared(ctx, peer, rings, func(key string, env Envelope) {
 		h := placement.Hash32(key)
 		out[h%uint32(buckets)] ^= mix64(uint64(h) ^ uint64(env.Version.Packed()) ^ hashEnv(env))
 	})
 	return out, err
 }
 
-// BucketKeys lists the replica's keys shared with peer that fall in the
-// given bucket, with each key's version and value hash — the second
-// round of a digest exchange, fetched only for buckets that mismatched.
-func (s *Store) BucketKeys(ctx context.Context, peer string, bucket uint32, buckets int) (map[string]KeySummary, error) {
+// BucketKeys lists the replica's keys shared with peer under the named
+// rings that fall in the given bucket, with each key's version and value
+// hash — the second round of a digest exchange, fetched only for buckets
+// that mismatched.
+func (s *Store) BucketKeys(ctx context.Context, peer string, bucket uint32, buckets int, rings [][]string) (map[string]KeySummary, error) {
 	if buckets <= 0 {
 		buckets = 1
 	}
 	out := make(map[string]KeySummary)
-	err := s.scanShared(ctx, peer, func(key string, env Envelope) {
+	err := s.scanShared(ctx, peer, rings, func(key string, env Envelope) {
 		if placement.Hash32(key)%uint32(buckets) != bucket {
 			return
 		}
@@ -300,27 +286,29 @@ func (s *Store) BucketKeys(ctx context.Context, peer string, bucket uint32, buck
 	return out, err
 }
 
-// scanShared visits every item whose key both this silo and peer
-// home — under the current ring or, during a transition window, the
-// superseded one, so a silo still offers keys it no longer homes to
-// their new homes (the old→new backfill after a ring change). Keys this
-// silo does not home under either ring are skipped.
-func (s *Store) scanShared(ctx context.Context, peer string, fn func(key string, env Envelope)) error {
+// scanShared visits every item whose key both this silo and peer home,
+// each under one of the named rings. The sweeping coordinator names its
+// current ring and, while a handoff is open, the superseded one, so a
+// silo still offers keys it no longer homes to their new homes (the
+// old→new backfill after a ring change), and both sides of a pair scan
+// the same scope whatever their own processes' views are.
+func (s *Store) scanShared(ctx context.Context, peer string, rings [][]string, fn func(key string, env Envelope)) error {
 	self := s.cfg.Silo
-	cur, old := s.rings()
-	n := s.cfg.N
-	if n > cur.Size() {
-		n = cur.Size()
-	}
-	nOld := s.cfg.N
-	if old != nil && nOld > old.Size() {
-		nOld = old.Size()
+	scope := make([]*placement.Ring, 0, len(rings))
+	for _, members := range rings {
+		r, err := s.ringOver(members)
+		if err != nil {
+			return err
+		}
+		scope = append(scope, r)
 	}
 	homes := func(key, silo string) bool {
-		if cur.Homes(key, n, silo) {
-			return true
+		for _, r := range scope {
+			if r.Homes(key, min(s.cfg.N, r.Size()), silo) {
+				return true
+			}
 		}
-		return old != nil && old.Homes(key, nOld, silo)
+		return false
 	}
 	return s.cfg.Table.Scan(ctx, "", func(it kvstore.Item) bool {
 		if !homes(it.Key, self) || !homes(it.Key, peer) {
@@ -356,6 +344,7 @@ type (
 	rpcDigest struct {
 		Peer    string
 		Buckets int
+		Rings   [][]string
 	}
 	rpcDigestResp struct {
 		Buckets map[uint32]uint64
@@ -364,6 +353,7 @@ type (
 		Peer    string
 		Bucket  uint32
 		Buckets int
+		Rings   [][]string
 	}
 	rpcKeysResp struct {
 		Keys map[string]KeySummary

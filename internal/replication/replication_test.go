@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"aodb/internal/cluster"
 	"aodb/internal/kvstore"
 	"aodb/internal/metrics"
 	"aodb/internal/placement"
@@ -113,9 +114,9 @@ func memTable(t *testing.T) *kvstore.Table {
 	return tab
 }
 
-func testStore(t *testing.T, silo string, ring *placement.Ring, n int) *Store {
+func testStore(t *testing.T, silo string, n int) *Store {
 	t.Helper()
-	st, err := NewStore(StoreConfig{Silo: silo, Table: memTable(t), Ring: ring, N: n})
+	st, err := NewStore(StoreConfig{Silo: silo, Table: memTable(t), N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +125,7 @@ func testStore(t *testing.T, silo string, ring *placement.Ring, n int) *Store {
 
 func TestApplyOutcomes(t *testing.T) {
 	ctx := context.Background()
-	ring, _ := placement.NewRing([]string{"a"})
-	st := testStore(t, "a", ring, 1)
+	st := testStore(t, "a", 1)
 
 	v1 := Envelope{Version: Version{1, 1}, Value: []byte("x")}
 	if out, err := st.Apply(ctx, "k", v1.Encode()); err != nil || out != Applied {
@@ -155,7 +155,7 @@ func TestApplyOutcomes(t *testing.T) {
 		t.Fatalf("fetch: %v %v", found, err)
 	}
 	win := env
-	st2 := testStore(t, "a", ring, 1)
+	st2 := testStore(t, "a", 1)
 	if out, _ := st2.Apply(ctx, "k", c.Encode()); out != Applied {
 		t.Fatal("fresh replica should apply")
 	}
@@ -188,19 +188,17 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, silos []string, n, r, w int) *testCluster {
 	t.Helper()
-	ring, err := placement.NewRing(silos)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := cluster.NewStaticView(silos...)
 	tr := transport.NewLocal(nil, nil)
 	t.Cleanup(func() { _ = tr.Close() })
-	c := &testCluster{t: t, tr: tr, ring: ring, svc: NewService()}
+	c := &testCluster{t: t, tr: tr, ring: view.Ring, svc: NewService()}
 	for _, s := range silos {
-		c.svc.Host(s, testStore(t, s, ring, n))
+		c.svc.Host(s, testStore(t, s, n))
 		c.up(s)
 	}
+	var err error
 	c.coord, err = NewCoordinator(Config{
-		Ring:      ring,
+		Ring:      view,
 		N:         n,
 		R:         r,
 		W:         w,
@@ -454,7 +452,7 @@ func TestRebuildingReplicaDoesNotAnswerReads(t *testing.T) {
 	if out, err := rebuilding.Apply(ctx, key, Envelope{Version: Version{Epoch: 9}, Value: []byte("restored")}.Encode()); err != nil || out != Applied {
 		t.Fatalf("gated apply: %v %v", out, err)
 	}
-	if _, err := rebuilding.Digest(ctx, homes[2], 8); err != nil {
+	if _, err := rebuilding.Digest(ctx, homes[2], 8, [][]string{threeSilos}); err != nil {
 		t.Fatalf("gated digest: %v", err)
 	}
 	rebuilding.SetRebuilding(false)
@@ -475,7 +473,7 @@ func TestReadRepair(t *testing.T) {
 	// One home lags: a fresh replica hosted in its place never saw the
 	// write.
 	homes := c.ring.AppendHomes(nil, key, 3)
-	lag := testStore(t, homes[2], c.ring, 3)
+	lag := testStore(t, homes[2], 3)
 	c.svc.Host(homes[2], lag)
 	// R=3 read sees the hole and repairs it.
 	data, gv, err := c.coord.get(ctx, key)
@@ -502,7 +500,7 @@ func TestAntiEntropyRestoresWipedReplica(t *testing.T) {
 	}
 	// Wipe one silo's table outright (storage loss), then sweep.
 	victim := "s2"
-	wiped := testStore(t, victim, c.ring, 3)
+	wiped := testStore(t, victim, 3)
 	c.svc.Host(victim, wiped)
 	divergent, err := c.coord.SweepOnce(ctx, "", 16)
 	if err != nil {
@@ -562,12 +560,4 @@ func (c *Coordinator) get(ctx context.Context, key string) ([]byte, int64, error
 		return nil, 0, fmt.Errorf("%w: %s", kvstore.ErrNotFound, key)
 	}
 	return env.Value, env.Version.Packed(), nil
-}
-
-// settleRing ends the ring-transition window at once, as if its time had
-// run out.
-func (c *Coordinator) settleRing() {
-	c.mu.Lock()
-	c.oldRing = nil
-	c.mu.Unlock()
 }

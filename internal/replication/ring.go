@@ -1,11 +1,17 @@
 package replication
 
-import "aodb/internal/placement"
+import (
+	"errors"
 
-// Ring is the placement ring, which homes replicated state keys as it
-// places actor families. The alias and NewRing keep the names the
-// benchmark harness calls.
-type Ring = placement.Ring
+	"aodb/internal/cluster"
+)
 
-// NewRing is placement.NewRing.
-func NewRing(silos []string) (*Ring, error) { return placement.NewRing(silos) }
+// NewRing returns a fixed view over silos: a coordinator built on it
+// homes keys on one ring for good.
+func NewRing(silos []string) (*cluster.View, error) {
+	v := cluster.NewStaticView(silos...)
+	if v.Ring == nil {
+		return nil, errors.New("replication: ring needs at least one silo")
+	}
+	return v, nil
+}

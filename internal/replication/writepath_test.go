@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aodb/internal/kvstore"
-	"aodb/internal/placement"
 	"aodb/internal/transport"
 )
 
@@ -16,8 +15,7 @@ import (
 // change what the replica holds.
 func TestApplyKeepsNoCallerBuffer(t *testing.T) {
 	ctx := context.Background()
-	ring, _ := placement.NewRing([]string{"a"})
-	st := testStore(t, "a", ring, 1)
+	st := testStore(t, "a", 1)
 	env := Envelope{Version: Version{Epoch: 1, Seq: 1}, Value: []byte("original")}
 	enc := env.Encode()
 	if out, err := st.Apply(ctx, "k", enc); err != nil || out != Applied {

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -159,6 +158,9 @@ type Node struct {
 	Breaker  *transport.Breaker // nil unless Options.Breaker
 	Tracer   *telemetry.Tracer  // nil unless Options.Trace, Profile or Events
 	Runtime  *core.Runtime
+	// View is the membership every layer reads: a static view over
+	// Options.Silos, or the gossip agent's published view.
+	View cluster.Viewer
 	// Gossip and Rebalancer are set by their Options flags; both start on
 	// JoinCluster and stop in Drain.
 	Gossip     *gossip.Agent
@@ -168,8 +170,6 @@ type Node struct {
 	Coordinator *replication.Coordinator
 	Sweeper     *replication.Sweeper
 	store       *kvstore.Store
-	// bootstrapCancel stops the rebuilding-gate bootstrap loop.
-	bootstrapCancel context.CancelFunc
 }
 
 // Start builds the transport, placement, and runtime. The caller still
@@ -223,13 +223,13 @@ func Start(opts Options) (*Node, error) {
 
 	// Membership: by default a static view over opts.Silos, identical on
 	// every node. With Gossip on, the view is a live SWIM agent instead —
-	// same Viewer/Provider surface, so nothing downstream branches on
-	// which one it got. The agent's Load sampler needs the runtime, which
-	// doesn't exist yet; it reads through an atomic holder filled in
-	// after core.New.
+	// the same Viewer surface, publishing one view per change, so nothing
+	// downstream branches on which one it got. The agent's Load sampler
+	// needs the runtime, which doesn't exist yet; it reads through an
+	// atomic holder filled in after core.New.
 	var rtHold atomic.Pointer[core.Runtime]
 	var agent *gossip.Agent
-	var view cluster.Viewer = cluster.NewStaticView(silos...)
+	var members cluster.Viewer = cluster.NewStaticView(silos...)
 	if opts.Gossip {
 		name := opts.Name
 		agent, err = gossip.New(gossip.Config{
@@ -255,30 +255,28 @@ func Start(opts Options) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		view = agent
+		members = agent
 	}
+	view := members
 
 	// Replicated state: this process hosts its own replica store locally
 	// (the N=1 fast path never touches the transport) and reaches peer
 	// replicas through the same breaker-wrapped transport as actor
-	// traffic. The coordinator becomes the runtime's state store, and
-	// storage-dead silos are vetoed from placement alongside open-circuit
-	// ones.
+	// traffic. The coordinator homes keys on the membership's published
+	// ring and follows its changes through handoffs; it becomes the
+	// runtime's state store, and storage-dead silos are vetoed from
+	// placement alongside open-circuit ones.
 	var coord *replication.Coordinator
 	var sweeper *replication.Sweeper
 	var svc *replication.Service
 	var rstore *replication.Store
 	if opts.Replicas > 1 && opts.Store != nil {
-		ring, err := placement.NewRing(silos)
-		if err != nil {
-			return nil, err
-		}
 		tab, err := opts.Store.EnsureTable(core.StateTable, kvstore.Throughput{})
 		if err != nil {
 			return nil, err
 		}
 		rstore, err = replication.NewStore(replication.StoreConfig{
-			Silo: opts.Name, Table: tab, Ring: ring, N: opts.Replicas, Metrics: reg,
+			Silo: opts.Name, Table: tab, N: opts.Replicas, Metrics: reg,
 		})
 		if err != nil {
 			return nil, err
@@ -286,7 +284,7 @@ func Start(opts Options) (*Node, error) {
 		svc = replication.NewService()
 		svc.Host(opts.Name, rstore)
 		coord, err = replication.NewCoordinator(replication.Config{
-			Ring:      ring,
+			Ring:      members,
 			N:         opts.Replicas,
 			R:         opts.ReadQuorum,
 			W:         opts.WriteQuorum,
@@ -352,10 +350,9 @@ func Start(opts Options) (*Node, error) {
 		}
 		// Membership events drive the rest of the stack: a death evicts
 		// the silo's directory registrations (so its actors fail over on
-		// the next call), any view change re-derives the replication ring
-		// (the coordinator keeps the superseded ring's quorum veto through
-		// a transition window), and the rebalancer re-plans immediately.
-		var ringMu sync.Mutex
+		// the next call), and the rebalancer re-plans immediately. The
+		// replication ring needs no event: the coordinator reads the
+		// agent's published view.
 		agent.Subscribe(func(e cluster.Event) {
 			switch e.Status {
 			case cluster.StatusActive:
@@ -367,73 +364,44 @@ func Start(opts Options) (*Node, error) {
 				// ring capture, so the survivors persist the window
 				// around a crash even though the crashed silo cannot.
 				tracer.Record(telemetry.MemberDead, "", 0, "member="+e.Silo)
-			}
-			if e.Status == cluster.StatusDead {
 				rt.Directory().EvictSilo(e.Silo)
-			}
-			if coord != nil {
-				ringMu.Lock()
-				if members := agent.View(); len(members) > 0 {
-					if next, rerr := coord.Ring().WithMembers(members); rerr == nil {
-						coord.UpdateRing(next)
-						rstore.UpdateRing(next)
-					}
-				}
-				ringMu.Unlock()
 			}
 			if rebalancer != nil {
 				rebalancer.Notify()
 			}
 		})
 	}
-	var bootstrapCancel context.CancelFunc
 	if coord != nil {
 		if err := rt.RegisterService(replication.TargetKind, svc.Handle); err != nil {
 			return nil, err
 		}
+		// Gate this silo's replica reads until an anti-entropy pass over
+		// all its peer pairs comes back clean: a replica restarted onto
+		// wiped (or stale) storage must not answer quorum reads (see
+		// replication.ErrRebuilding). The sweeper re-sweeps every 200 ms
+		// until then; a gossip silo alone in its view waits for a peer, a
+		// static set of one has none to wait for. Quorum reads meanwhile
+		// fail transient and retry, or are served by ungated replicas. A
+		// gossip silo sweeps from JoinCluster on.
+		rstore.SetRebuilding(agent != nil || len(members.View().Members) > 1)
 		sweeper = replication.NewSweeper(coord, opts.SweepEvery, opts.Name, 0)
-		sweeper.Start()
-		// Gate this silo's replica reads until one anti-entropy pass over
-		// its peer pairs comes back clean. A replica restarted onto wiped
-		// (or stale) storage must not answer quorum reads — its absences
-		// are meaningless and can defeat quorum intersection (see
-		// replication.ErrRebuilding). A fresh or caught-up store clears
-		// the gate on the first clean pass, typically well under a second
-		// once peers are reachable; a wiped one stays gated until its
-		// peers push everything back. Quorum reads meanwhile fail
-		// transient and retry, or are served by the ungated replicas.
-		rstore.SetRebuilding(true)
-		var bctx context.Context
-		bctx, bootstrapCancel = context.WithCancel(context.Background())
-		go func() {
-			for bctx.Err() == nil {
-				sctx, cancel := context.WithTimeout(bctx, 5*time.Second)
-				n, serr := coord.SweepOnce(sctx, opts.Name, 0)
-				cancel()
-				if serr == nil && n == 0 {
-					rstore.SetRebuilding(false)
-					return
-				}
-				select {
-				case <-bctx.Done():
-				case <-time.After(200 * time.Millisecond):
-				}
-			}
-		}()
+		if agent == nil {
+			sweeper.Start()
+		}
 	}
 	return &Node{
-		Name:            opts.Name,
-		Registry:        reg,
-		TCP:             tcp,
-		Breaker:         breaker,
-		Tracer:          tracer,
-		Runtime:         rt,
-		Gossip:          agent,
-		Rebalancer:      rebalancer,
-		Coordinator:     coord,
-		Sweeper:         sweeper,
-		store:           opts.Store,
-		bootstrapCancel: bootstrapCancel,
+		Name:        opts.Name,
+		Registry:    reg,
+		TCP:         tcp,
+		Breaker:     breaker,
+		Tracer:      tracer,
+		Runtime:     rt,
+		View:        members,
+		Gossip:      agent,
+		Rebalancer:  rebalancer,
+		Coordinator: coord,
+		Sweeper:     sweeper,
+		store:       opts.Store,
 	}, nil
 }
 
@@ -465,15 +433,18 @@ func newTracer(opts Options) *telemetry.Tracer {
 }
 
 // JoinCluster starts the gossip agent (probing Seeds synchronously, so
-// the first view is already merged when it returns) and the background
-// rebalancer. Call it after kinds are registered and AddSilo has run:
-// the join announcement is what makes peers route actors here, so the
-// silo must be ready to serve before it goes out. A no-op without
-// -gossip / -rebalance.
+// the first view is already merged when it returns), a gossip silo's
+// anti-entropy sweeper, and the background rebalancer. Call it after
+// kinds are registered and AddSilo has run: the join announcement is what
+// makes peers route actors here, so the silo must be ready to serve
+// before it goes out. A no-op without -gossip / -rebalance.
 func (n *Node) JoinCluster() error {
 	if n.Gossip != nil {
 		if err := n.Gossip.Start(); err != nil {
 			return err
+		}
+		if n.Sweeper != nil {
+			n.Sweeper.Start()
 		}
 	}
 	if n.Rebalancer != nil {
@@ -487,9 +458,6 @@ func (n *Node) JoinCluster() error {
 // and put a final WAL sync barrier on the store — every acknowledged
 // write is on disk before the process exits.
 func (n *Node) Drain(ctx context.Context) error {
-	if n.bootstrapCancel != nil {
-		n.bootstrapCancel()
-	}
 	if n.Rebalancer != nil {
 		n.Rebalancer.Stop()
 	}

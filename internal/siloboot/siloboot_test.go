@@ -114,7 +114,7 @@ func TestGossipBootAndElasticJoin(t *testing.T) {
 		"silo-1="+addr1, "silo-1="+addr1)
 
 	sees := func(n *Node, want int) func() bool {
-		return func() bool { return len(n.Gossip.View()) == want }
+		return func() bool { return len(n.View.View().Members) == want }
 	}
 	waitFor(t, "two-silo view on silo-1", sees(n1, 2))
 	waitFor(t, "two-silo view on silo-2", sees(n2, 2))
@@ -218,7 +218,7 @@ func TestStartParsesLists(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := node.Coordinator.Ring().Members(); !slices.Equal(got, []string{"silo-1", "silo-2"}) {
+			if got := node.View.View().Ring.Members(); !slices.Equal(got, []string{"silo-1", "silo-2"}) {
 				t.Fatalf("ring members = %q, want [silo-1 silo-2]", got)
 			}
 		})

@@ -17,8 +17,8 @@ import (
 // outcomes, breaker trips, slow turns, WAL flush stalls), each stamped
 // with a hybrid logical clock so the rings of many silos merge into one
 // causally ordered timeline after the fact.
-// Anomalies (quorum loss, actor panics, members declared dead,
-// SLO-breaching turns) freeze a snapshot of the ring to disk so the
+// Anomalies (quorum loss, actor panics, members declared dead, a ring
+// handoff open past its alarm, SLO-breaching turns) freeze a snapshot of the ring to disk so the
 // interesting window survives wraparound — and the process.
 
 // EventKind classifies a flight-recorder event.
@@ -44,6 +44,7 @@ const (
 	WALStall
 	Captured
 	EpochClaim
+	HandoffStalled
 )
 
 var eventKindNames = [...]string{
@@ -65,6 +66,7 @@ var eventKindNames = [...]string{
 	WALStall:        "wal-stall",
 	Captured:        "captured",
 	EpochClaim:      "epoch-claim",
+	HandoffStalled:  "handoff-stalled",
 }
 
 // String returns the kind's wire name (used in /events JSON and filters).
@@ -90,7 +92,7 @@ func ParseEventKind(s string) EventKind {
 // reconstruct after the fact.
 func (k EventKind) anomalous() bool {
 	switch k {
-	case QuorumWriteFail, QuorumReadFail, ActorPanic, MemberDead:
+	case QuorumWriteFail, QuorumReadFail, ActorPanic, MemberDead, HandoffStalled:
 		return true
 	}
 	return false

@@ -192,18 +192,26 @@ func (w *frameWriter) enqueue(ctx context.Context, r *sendReq) error {
 // instead of hitting a cached broken conn.
 func (w *frameWriter) writeDirect(r *sendReq) error {
 	start := time.Now()
+	w.countFlush(1)
 	err := w.stream.Write(r.frame)
 	if err == nil {
-		w.m.flushes.Inc()
-		w.m.flushFrames.Record(1)
 		w.m.flushLatency.RecordDuration(time.Since(start))
-		w.m.framesSent.Inc()
 	}
 	w.finish(r, err)
 	if err != nil {
 		w.fail(err)
 	}
 	return err
+}
+
+// countFlush counts a flush of n frames before it goes to the wire: once
+// it is out, a peer's reply can reach the caller, which must find its
+// frame counted. A flush that then fails kills the connection, so its
+// frames count as sent into a dead stream.
+func (w *frameWriter) countFlush(n int) {
+	w.m.flushes.Inc()
+	w.m.flushFrames.Record(int64(n))
+	w.m.framesSent.Add(int64(n))
 }
 
 // finish settles one frame the writer took ownership of: attributes its
@@ -293,16 +301,14 @@ func (w *frameWriter) writeBatch(first *sendReq, scratch *[]*sendReq) bool {
 	}
 	// The batch leaves the queue before its flush: once flushed, a peer's
 	// reply can reach the caller, and it must not see these frames still
-	// counted as queued.
+	// counted as queued, nor not yet counted as sent.
 	w.m.sendqDepth.Add(-int64(len(batch)))
 	if werr == nil {
+		w.countFlush(len(batch))
 		werr = w.stream.Flush()
 	}
 	if werr == nil {
-		w.m.flushes.Inc()
-		w.m.flushFrames.Record(int64(len(batch)))
 		w.m.flushLatency.RecordDuration(time.Since(start))
-		w.m.framesSent.Add(int64(len(batch)))
 	}
 	for _, br := range batch {
 		w.finish(br, werr)
