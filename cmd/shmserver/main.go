@@ -13,7 +13,8 @@
 // silo live-migrate its activations whose consistent-hash home moved —
 // drain with a state flush, redirect markers, version fences — so the
 // cluster spreads load onto a joiner within seconds (see
-// scripts/scale_smoke.sh for the elastic-growth demo).
+// scripts/scale_smoke.sh for the elastic-growth demo). Actors stay on
+// their hash homes whatever the silos' loads.
 //
 // A two-silo cluster on one machine:
 //
@@ -109,7 +110,7 @@ func main() {
 		Breaker: true,
 	}
 	opts.Flags(flag.CommandLine, true)
-	flag.BoolVar(&opts.Rebalance, "rebalance", false, "live-migrate actors whose placement moved after a membership change (and shed hot actors with -profile)")
+	flag.BoolVar(&opts.Rebalance, "rebalance", false, "live-migrate actors whose consistent-hash home moved to another silo after a membership change")
 	flag.DurationVar(&opts.RebalanceEvery, "rebalance-every", opts.RebalanceEvery, "background rebalance planning period with -rebalance")
 	flag.DurationVar(&opts.SweepEvery, "sweep-every", opts.SweepEvery, "anti-entropy sweep period with -replicas")
 	flag.StringVar(&opts.ObsAddr, "introspect", "", "HTTP introspection listen address (empty = off)")

@@ -116,6 +116,8 @@ func (a *activation) visit(c *Context) {
 			env.fail(fmt.Errorf("core: %s lost to silo crash: %w", a.id, ErrTransient))
 		case a.poison != nil:
 			env.fail(fmt.Errorf("core: %s deactivating after panic: %w", a.id, ErrTransient))
+		case env.msg == loadedProbe{}: // a hand-off waits on the first load
+			env.respond(nil, nil)
 		default:
 			if a.poison = a.turn(c, env); a.poison != nil {
 				a.box.close()

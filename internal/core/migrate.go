@@ -22,6 +22,10 @@ const MigrateKind = "!migrate"
 // placement.
 const movedTTL = 2 * time.Minute
 
+// activateBudget bounds the activate half of a hand-off, its load
+// retries included, at 5 s: a forced drain has spent the caller's budget.
+const activateBudget = 5 * time.Second
+
 type movedEntry struct {
 	target string
 	until  time.Time
@@ -54,6 +58,10 @@ type migratePrepare struct {
 	Corr uint64
 }
 
+// loadedProbe is activateFor's message to the activation it creates: the
+// worker answers it without a turn, so the reply says the state loaded.
+type loadedProbe struct{}
+
 func init() {
 	codec.Register(migrateDrain{})
 	codec.Register(migrateActivate{})
@@ -63,12 +71,12 @@ func init() {
 // Migrate moves actor id to the target silo: drain-with-state-flush at
 // the source (its final write lands before the activation's directory
 // registration disappears), then re-activation at the target, which
-// loads that state. Calls arriving at the old silo meanwhile are
-// redirected — the same wrong-silo path an activation race uses — so
-// nothing is lost or double-executed. If the source cannot finish
-// draining within ctx's budget the hand-off is forced: the lagging
-// activation is fenced (its late state writes fail as stale) and the
-// target activates anyway.
+// loads that state; Migrate returns once that load has succeeded. Calls
+// arriving at the old silo meanwhile are redirected — the same wrong-silo
+// path an activation race uses — so nothing is lost or double-executed.
+// If the source cannot finish draining within ctx's budget the hand-off
+// is forced: the lagging activation is fenced (its late state writes fail
+// as stale) and the target activates anyway, on a budget of its own.
 //
 // Migrating an actor that is not currently active just activates it at
 // the target; migrating to the silo already hosting it is a no-op.
@@ -119,12 +127,14 @@ func (rt *Runtime) Migrate(ctx context.Context, id ID, target string) error {
 			}
 		}
 	}
+	actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), activateBudget)
+	defer cancel()
 	if tgt, hosted := rt.Silo(target); hosted {
-		if err := tgt.activateFor(ctx, id, corr); err != nil {
+		if err := tgt.activateFor(actx, id, corr); err != nil {
 			return err
 		}
 	} else {
-		_, err := rt.cfg.Transport.Call(ctx, target, rt.migrateReq(id, migrateActivate{Corr: corr}))
+		_, err := rt.cfg.Transport.Call(actx, target, rt.migrateReq(id, migrateActivate{Corr: corr}))
 		if err != nil && !IsWrongSilo(err) {
 			return err
 		}
@@ -166,7 +176,9 @@ func (rt *Runtime) handleMigrate(ctx context.Context, silo string, req transport
 		}
 		return nil, s.migrateOut(dctx, id, p.Target, p.Corr)
 	case migrateActivate:
-		return nil, s.activateFor(ctx, id, p.Corr)
+		actx, cancel := context.WithTimeout(ctx, activateBudget)
+		defer cancel()
+		return nil, s.activateFor(actx, id, p.Corr)
 	case migratePrepare:
 		s.clearMoved(id)
 		return nil, nil
@@ -220,24 +232,61 @@ func (s *Silo) clearMoved(id ID) {
 }
 
 // activateFor is the target half of a hand-off: drop any stale redirect
-// marker (the actor is moving here) and activate through the ordinary
+// marker (the actor is moving here), activate through the ordinary
 // resolve path, so the registration race and state load behave exactly
-// as they would for an incoming call. Losing the race to a third silo
-// is fine — the actor is live, which is all a migration guarantees.
+// as they would for an incoming call, and wait for the state to load. A
+// transient load error (a joiner's replica still rebuilding) is retried
+// until ctx expires or the silo stops, so a nil return leaves the actor
+// live. Losing the race to a third silo is fine — the actor is live,
+// which is all a migration guarantees.
 func (s *Silo) activateFor(ctx context.Context, id ID, corr uint64) error {
 	s.mu.Lock()
 	delete(s.moved, id)
 	_, existed := s.catalog[id]
 	s.mu.Unlock()
-	if _, err := s.resolve(ctx, id); err != nil {
+	for backoff := baseBackoff; ; backoff = min(2*backoff, maxBackoff) {
+		err := s.stateReadable(ctx, id)
+		if err == nil {
+			if _, err = s.deliver(ctx, id, loadedProbe{}, true, nil, telemetry.SpanContext{}, false); err == nil {
+				break
+			}
+		}
 		if IsWrongSilo(err) {
 			return nil
 		}
-		return err
+		if !Transient(err) {
+			return err
+		}
+		t := s.rt.clk.NewTimer(backoff)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return err
+		case <-s.collectorStop: // crashed or shut down
+			t.Stop()
+			return err
+		case <-t.C():
+		}
 	}
+	detail := "already active" // a call activated it here first
 	if !existed {
+		detail = ""
 		s.metrics.Counter("core.migrations.in").Inc()
-		s.rt.tracer.Record(telemetry.MigrateActivate, id.String(), corr, "")
+	}
+	s.rt.tracer.Record(telemetry.MigrateActivate, id.String(), corr, detail)
+	return nil
+}
+
+// stateReadable loads id's state and drops it. A hand-off waits on it
+// before it registers an activation: one whose first load fails is this
+// silo's activation, taking calls it can only fail, until it tears down.
+func (s *Silo) stateReadable(ctx context.Context, id ID) error {
+	cfg, ok := s.rt.kind(id.Kind)
+	if !ok || cfg.persist == PersistNone || s.rt.states == nil {
+		return nil
+	}
+	if _, _, err := s.rt.states.Load(ctx, id.String()); err != nil && !isNotFound(err) {
+		return err
 	}
 	return nil
 }

@@ -299,3 +299,94 @@ func TestMovedMarkerRedirects(t *testing.T) {
 		t.Fatalf("target hosts %d activations, want 1", n)
 	}
 }
+
+// failingLoads fails one Load of one key with err, after letting skip
+// loads of it through, as a joining silo's replica store does while its
+// read gate is still up.
+type failingLoads struct {
+	StateStore
+	mu   sync.Mutex
+	key  string
+	skip int
+	err  error
+}
+
+func (f *failingLoads) fail(key string, skip int, err error) {
+	f.mu.Lock()
+	f.key, f.skip, f.err = key, skip, err
+	f.mu.Unlock()
+}
+
+func (f *failingLoads) Load(ctx context.Context, key string) ([]byte, int64, error) {
+	f.mu.Lock()
+	var err error
+	if key == f.key && f.err != nil {
+		if f.skip == 0 {
+			err, f.err = f.err, nil
+		}
+		f.skip--
+	}
+	f.mu.Unlock()
+	if err != nil {
+		return nil, 0, err
+	}
+	return f.StateStore.Load(ctx, key)
+}
+
+// TestMigrateLandsLive: Migrate returns only once the target has loaded
+// the actor's state. A transient load failure at the target, whether the
+// hand-off's first read of the state or the new activation's, is retried
+// rather than reported as a move that left the actor active nowhere; a
+// permanent one fails the hand-off.
+func TestMigrateLandsLive(t *testing.T) {
+	kv, err := kvstore.Open(kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	table, err := kv.EnsureTable(StateTable, kvstore.Throughput{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := &failingLoads{StateStore: tableStateStore{t: table}}
+	rt := newTestRuntime(t, Config{States: states})
+	registerCounter(t, rt, WithPersistence(PersistOnDeactivate))
+	rt.AddSilo("silo-1", nil)
+	rt.AddSilo("silo-2", nil)
+	ctx := context.Background()
+
+	id := ID{"Counter", "joiner"}
+	if _, err := rt.Call(ctx, id, addMsg{N: 41}); err != nil {
+		t.Fatal(err)
+	}
+	other := map[string]string{"silo-1": "silo-2", "silo-2": "silo-1"}
+	reg, _ := rt.Directory().Lookup(id.String())
+	at := reg.Silo
+	for skip := 0; skip < 2; skip++ {
+		dst := other[at]
+		states.fail(id.String(), skip, fmt.Errorf("test: replica rebuilding: %w", ErrTransient))
+		if err := rt.Migrate(ctx, id, dst); err != nil {
+			t.Fatalf("Migrate over a transient failure of load %d: %v", skip+1, err)
+		}
+		counts := rt.Metrics().Counters()
+		if counts["core.activations"] != int64(2+skip) || counts["core.migrations.in"] != int64(1+skip) {
+			t.Fatalf("after Migrate %d: core.activations = %d, core.migrations.in = %d; want %d and %d (the target's activation loaded)",
+				skip+1, counts["core.activations"], counts["core.migrations.in"], 2+skip, 1+skip)
+		}
+		if s, _ := rt.Silo(dst); s.Activations() != 1 {
+			t.Fatalf("target hosts %d activations after Migrate %d, want 1", s.Activations(), skip+1)
+		}
+		if v, err := rt.Call(ctx, id, getMsg{}); err != nil || v.(int) != 41 {
+			t.Fatalf("state after Migrate %d = %v, %v; want 41", skip+1, v, err)
+		}
+		at = dst
+	}
+
+	states.fail(id.String(), 0, errors.New("test: corrupt replica"))
+	if err := rt.Migrate(ctx, id, other[at]); err == nil {
+		t.Fatal("Migrate over a permanent load failure succeeded")
+	}
+	if got := rt.Metrics().Counters()["core.migrations.in"]; got != 2 {
+		t.Fatalf("core.migrations.in = %d after a failed hand-off, want 2", got)
+	}
+}

@@ -138,10 +138,10 @@ func TestProfilerNilIsInert(t *testing.T) {
 	if _, err := rt.Call(context.Background(), ID{"Counter", "a"}, addMsg{1}); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Tracer() != nil {
+	if rt.tracer != nil {
 		t.Fatal("expected nil tracer")
 	}
-	if rt.Tracer().HotActors() != nil {
+	if rt.tracer.HotActors() != nil {
 		t.Fatal("nil tracer returned data")
 	}
 }

@@ -349,9 +349,6 @@ func (rt *Runtime) costOf(id ID, msg any) time.Duration {
 // Metrics exposes the runtime's instrument registry.
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.metrics }
 
-// Tracer exposes the runtime's recorder; nil when none is configured.
-func (rt *Runtime) Tracer() *telemetry.Tracer { return rt.tracer }
-
 // Clock exposes the runtime clock.
 func (rt *Runtime) Clock() clock.Clock { return rt.clk }
 

@@ -85,10 +85,6 @@ type Member struct {
 	ObsAddr     string
 	State       State
 	Incarnation uint64
-	// Load is the member's self-reported load figure (the cluster
-	// convention is current activation count), piggybacked on its probe
-	// traffic. Zero until the member has been heard from directly.
-	Load int64
 }
 
 // Update is the wire form of one membership rumor.
@@ -110,7 +106,6 @@ type Ping struct {
 	Observer bool
 	// Full asks for a full state sync in the ack (used while joining).
 	Full    bool
-	Load    int64
 	Updates []Update
 }
 
@@ -119,7 +114,6 @@ type Ping struct {
 type Ack struct {
 	From    string
 	Ok      bool
-	Load    int64
 	Updates []Update
 }
 
@@ -175,9 +169,6 @@ type Config struct {
 	// views but never announces itself, so it gains a live view of the
 	// cluster without becoming a member (the load client uses this).
 	Observer bool
-	// Load, when set, is sampled on every outgoing probe and piggybacked
-	// as this member's load figure (convention: activation count).
-	Load func() int64
 	// OnPeer is called (outside the agent lock) whenever gossip reveals
 	// a member address — the hook that teaches the transport new routes.
 	OnPeer func(name, addr string)
@@ -378,17 +369,14 @@ func (a *Agent) handlePing(p Ping) Ack {
 	if p.From != "" && !p.Observer {
 		_, knewSender = a.members[p.From]
 		a.applyLocked(Update{Name: p.From, Addr: p.FromAddr, State: uint8(StateAlive), Incarnation: 0})
-		if m := a.members[p.From]; m != nil {
-			m.Load = p.Load
-			if p.FromAddr != "" {
-				m.Addr = p.FromAddr
-			}
+		if m := a.members[p.From]; m != nil && p.FromAddr != "" {
+			m.Addr = p.FromAddr
 		}
 	}
 	for _, u := range p.Updates {
 		a.applyLocked(u)
 	}
-	ack := Ack{From: a.cfg.Name, Ok: true, Load: a.loadLocked()}
+	ack := Ack{From: a.cfg.Name, Ok: true}
 	if p.Full || !knewSender {
 		ack.Updates = a.fullStateLocked()
 	} else {
@@ -410,7 +398,7 @@ func (a *Agent) handlePingReq(pr PingReq) Ack {
 	a.flushEvents()
 	ok := a.probeOnce(pr.Target, false)
 	a.mu.Lock()
-	ack := Ack{From: a.cfg.Name, Ok: ok, Load: a.loadLocked(), Updates: a.piggybackLocked()}
+	ack := Ack{From: a.cfg.Name, Ok: ok, Updates: a.piggybackLocked()}
 	a.mu.Unlock()
 	return ack
 }
@@ -471,7 +459,6 @@ func (a *Agent) probeOnce(target string, full bool) bool {
 		FromAddr: a.cfg.Addr,
 		Observer: a.cfg.Observer,
 		Full:     full,
-		Load:     a.loadLocked(),
 		Updates:  a.piggybackLocked(),
 	}
 	a.mu.Unlock()
@@ -484,7 +471,7 @@ func (a *Agent) probeOnce(target string, full bool) bool {
 	if !ok {
 		return false
 	}
-	a.mergeAck(target, ack)
+	a.mergeAck(ack)
 	return ack.Ok
 }
 
@@ -499,7 +486,6 @@ func (a *Agent) indirectProbe(target string) bool {
 	type result struct {
 		ack Ack
 		err error
-		via string
 	}
 	ch := make(chan result, len(relays))
 	for _, r := range relays {
@@ -509,7 +495,7 @@ func (a *Agent) indirectProbe(target string) bool {
 			a.mu.Unlock()
 			resp, err := a.callWithTimeout(relay, pr)
 			ack, _ := resp.(Ack)
-			ch <- result{ack: ack, err: err, via: relay}
+			ch <- result{ack: ack, err: err}
 		}(r)
 	}
 	ok := false
@@ -518,7 +504,7 @@ func (a *Agent) indirectProbe(target string) bool {
 		if res.err != nil {
 			continue
 		}
-		a.mergeAck(res.via, res.ack)
+		a.mergeAck(res.ack)
 		if res.ack.Ok {
 			ok = true
 		}
@@ -559,11 +545,8 @@ func (a *Agent) callWithTimeout(target string, payload any) (any, error) {
 	}
 }
 
-func (a *Agent) mergeAck(from string, ack Ack) {
+func (a *Agent) mergeAck(ack Ack) {
 	a.mu.Lock()
-	if m := a.members[from]; m != nil && ack.From == from {
-		m.Load = ack.Load
-	}
 	for _, u := range ack.Updates {
 		a.applyLocked(u)
 	}
@@ -822,13 +805,6 @@ func (a *Agent) fullStateLocked() []Update {
 	return out
 }
 
-func (a *Agent) loadLocked() int64 {
-	if a.cfg.Load == nil {
-		return 0
-	}
-	return a.cfg.Load()
-}
-
 func (a *Agent) aliveNamesLocked() []string {
 	var out []string
 	for _, m := range a.members {
@@ -935,22 +911,5 @@ func (a *Agent) Members() []Member {
 		out = append(out, m.Member)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Loads returns the latest self-reported load per alive member (the
-// rebalancer's cluster-load view), including this agent's own sample.
-func (a *Agent) Loads() map[string]int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]int64, len(a.members))
-	for _, m := range a.members {
-		if m.State == StateAlive || m.State == StateSuspect {
-			out[m.Name] = m.Load
-		}
-	}
-	if !a.cfg.Observer {
-		out[a.cfg.Name] = a.loadLocked()
-	}
 	return out
 }

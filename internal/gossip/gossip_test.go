@@ -332,45 +332,6 @@ func TestObserver(t *testing.T) {
 	}
 }
 
-// TestLoadsPiggyback: self-reported load figures reach peers.
-func TestLoadsPiggyback(t *testing.T) {
-	lt := transport.NewLocal(nil, nil)
-	defer lt.Close()
-
-	regA := metrics.NewRegistry()
-	cfgA := fastConfig("silo-1", lt, nil, regA)
-	cfgA.Load = func() int64 { return 7 }
-	a, err := gossip.New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgB := fastConfig("silo-2", lt, [][2]string{{"silo-1", "sim://silo-1"}}, nil)
-	cfgB.Load = func() int64 { return 3 }
-	b, err := gossip.New(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt.Register("silo-1", func(ctx context.Context, req transport.Request) (any, error) {
-		return a.Handle(ctx, "silo-1", req)
-	})
-	lt.Register("silo-2", func(ctx context.Context, req transport.Request) (any, error) {
-		return b.Handle(ctx, "silo-2", req)
-	})
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Stop()
-	defer b.Stop()
-
-	waitFor(t, 5*time.Second, "loads propagate", func() bool {
-		la, lb := a.Loads(), b.Loads()
-		return la["silo-2"] == 3 && lb["silo-1"] == 7
-	})
-}
-
 // Compile-time checks: every membership owner publishes through the one
 // Viewer surface.
 var (

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"aodb/internal/cluster"
@@ -61,8 +60,7 @@ type Options struct {
 	Seeds string
 	// Rebalance starts a background rebalancer (silos only): on membership
 	// changes it live-migrates this silo's activations whose consistent-
-	// hash home moved, and with -profile it sheds the hottest actors when
-	// this silo's gossiped load runs far above the cluster mean.
+	// hash home moved.
 	Rebalance bool
 	// RebalanceEvery is the background planning period (0 = 10s);
 	// membership events trigger immediate rounds regardless.
@@ -224,33 +222,19 @@ func Start(opts Options) (*Node, error) {
 	// Membership: by default a static view over opts.Silos, identical on
 	// every node. With Gossip on, the view is a live SWIM agent instead —
 	// the same Viewer surface, publishing one view per change, so nothing
-	// downstream branches on which one it got. The agent's Load sampler
-	// needs the runtime, which doesn't exist yet; it reads through an
-	// atomic holder filled in after core.New.
-	var rtHold atomic.Pointer[core.Runtime]
+	// downstream branches on which one it got.
 	var agent *gossip.Agent
 	var members cluster.Viewer = cluster.NewStaticView(silos...)
 	if opts.Gossip {
-		name := opts.Name
 		agent, err = gossip.New(gossip.Config{
-			Name:      name,
+			Name:      opts.Name,
 			Addr:      tcp.Addr(),
 			ObsAddr:   opts.ObsAddr,
 			Transport: tr,
 			Seeds:     seeds,
 			Observer:  !member,
-			Load: func() int64 {
-				rt := rtHold.Load()
-				if rt == nil {
-					return 0
-				}
-				if s, ok := rt.Silo(name); ok {
-					return int64(s.Activations())
-				}
-				return 0
-			},
-			OnPeer:  tcp.SetPeer,
-			Metrics: reg,
+			OnPeer:    tcp.SetPeer,
+			Metrics:   reg,
 		})
 		if err != nil {
 			return nil, err
@@ -322,20 +306,13 @@ func Start(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	rtHold.Store(rt)
-
 	var rebalancer *rebalance.Rebalancer
 	if opts.Rebalance && member {
-		var loads func() map[string]int64
-		if agent != nil {
-			loads = agent.Loads
-		}
 		rebalancer, err = rebalance.New(rebalance.Config{
 			Runtime:  rt,
 			Silo:     opts.Name,
 			View:     view,
 			Strategy: hash,
-			Loads:    loads,
 			Every:    opts.RebalanceEvery,
 			Metrics:  reg,
 		})

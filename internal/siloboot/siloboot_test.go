@@ -11,6 +11,7 @@ import (
 	"aodb/internal/codec"
 	"aodb/internal/core"
 	"aodb/internal/kvstore"
+	"aodb/internal/placement"
 )
 
 func init() {
@@ -168,6 +169,78 @@ func TestGossipBootAndElasticJoin(t *testing.T) {
 			}
 			t.Fatalf("%s state = %v, want %d", id, v, i+1)
 		}
+	}
+}
+
+// TestRebalanceKeepsHashHomes: the shipped wiring (gossip view,
+// consistent-hash placement, a rebalancer on every silo) leaves a lopsided
+// but correctly placed cluster alone. Every actor of one entity family
+// shares one hash home, so one silo hosts them all and the other none;
+// rebalance rounds on both silos move nothing, since any actor moved off
+// its home would be moved back by the target's next placement diff.
+func TestRebalanceKeepsHashHomes(t *testing.T) {
+	n1 := startSilo(t, "silo-1", "silo-1,silo-2", "", "")
+	addr1 := n1.TCP.Addr()
+	n2 := startSilo(t, "silo-2", "silo-1,silo-2",
+		"silo-1="+addr1, "silo-1="+addr1)
+	nodes := []*Node{n1, n2}
+	for _, n := range nodes {
+		waitFor(t, "two-silo view on "+n.Name, func() bool { return len(n.View.View().Members) == 2 })
+	}
+	ctx := context.Background()
+	waitFor(t, "replica stores to finish bootstrapping", func() bool {
+		_, err := n1.Runtime.Call(ctx, core.ID{Kind: "Tick", Key: "probe@0"}, readMsg{})
+		return err == nil
+	})
+
+	const actors = 24
+	ids := make([]core.ID, actors)
+	for i := range ids {
+		ids[i] = core.ID{Kind: "Tick", Key: fmt.Sprintf("fam@%d", i)}
+		if _, err := n1.Runtime.Call(ctx, ids[i], tickMsg{N: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hash := placement.NewConsistentHash()
+	hash.PrefixSep = '@'
+	home, err := hash.Place(ids[0].String(), "", []string{"silo-1", "silo-2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosted := func() map[core.ID]string {
+		at := make(map[core.ID]string)
+		for _, n := range nodes {
+			s, _ := n.Runtime.Silo(n.Name)
+			for _, id := range s.ActiveIDs() {
+				at[id] = n.Name
+			}
+		}
+		return at
+	}
+	for _, id := range ids {
+		if at := hosted()[id]; at != home {
+			t.Fatalf("%s active on %q before rebalancing, want its hash home %s", id, at, home)
+		}
+	}
+
+	time.Sleep(time.Second) // a few probe rounds
+	for round := 0; round < 3; round++ {
+		for _, n := range nodes {
+			n.Rebalancer.Rebalance(ctx)
+		}
+	}
+	var moves int64 // the background rounds' too
+	for _, n := range nodes {
+		moves += n.Registry.Counters()["rebalance.moves.done"]
+	}
+	at := hosted()
+	for _, id := range ids {
+		if at[id] != home {
+			t.Errorf("%s active on %q after rebalancing, want its hash home %s", id, at[id], home)
+		}
+	}
+	if moves != 0 {
+		t.Fatalf("rebalancing a cluster where every actor sits on its hash home moved %d actors, want 0", moves)
 	}
 }
 

@@ -84,7 +84,17 @@ wait_metric '^aodb_cluster_gossip_members_alive 9' "view convergence on 3 silos"
   -peers "silo-1=$L1,silo-2=$L2,silo-3=$L3" -gossip -seeds "silo-1=$L1" \
   -sensors 2000 -duration 25s -warmup 1s -queries=true >"$data/load.out" 2>&1 &
 loadpid=$!
-sleep 3
+
+# Kill mid-run, not mid-populate: once the load drives, every actor is
+# live and touched about once a second, so silo-3's share fails over to
+# the survivors and its rejoin has a placement diff to migrate back.
+for _ in $(seq 300); do
+  grep -q '^shmload: driving' "$data/load.out" && break
+  sleep 0.2
+done
+grep -q '^shmload: driving' "$data/load.out" \
+  || { echo "timeline smoke: shmload never started driving"; cat "$data/load.out"; exit 1; }
+sleep 2
 
 # The incident: silo-3 dies without a goodbye.
 kill -9 "$pid3"; wait "$pid3" 2>/dev/null || true; pid3=
@@ -104,7 +114,7 @@ echo "timeline smoke: anomaly capture present"
 
 # Recovery: silo-3 rejoins off a seed; the rebalancers migrate actors
 # whose consistent-hash home is silo-3 back onto it. The cumulative
-# migrations counter can't distinguish pre-kill shedding from the
+# migrations counter can't distinguish pre-kill moves from the
 # post-rejoin wave, so wait for the activation event to land in the
 # rejoined silo's own journal.
 start_silo silo-3 "$L3" "$O3" "silo-1=$L1"
@@ -140,10 +150,14 @@ done
 echo "timeline smoke: causal order holds (suspect@$s -> dead@$d -> ring-change@$r -> migrate-activate@$m)"
 
 # The dead window must also be visible in shmtop's TIMELINE panel, and
-# filters must narrow to the incident.
-"$bin/shmtop" -cluster "http://$O1" -once -k 5 -events 10 | grep -q "TIMELINE" \
+# filters must narrow to the incident. Capture before grepping:
+# `shmtop | grep -q` under pipefail fails when grep exits while shmtop
+# still writes (SIGPIPE).
+frame=$("$bin/shmtop" -cluster "http://$O1" -once -k 5 -events 10)
+echo "$frame" | grep -q "TIMELINE" \
   || { echo "timeline smoke: shmtop missing TIMELINE panel"; exit 1; }
-"$bin/shmtop" -trace -cluster "http://$O1" -kind member-dead | grep -q "member-dead" \
+dead=$("$bin/shmtop" -trace -cluster "http://$O1" -kind member-dead)
+echo "$dead" | grep -q "member-dead" \
   || { echo "timeline smoke: shmtop -trace -kind filter broken"; exit 1; }
 
 echo "timeline smoke: OK"
