@@ -126,9 +126,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Each channel answers its newest reading, so the view has settled
+		// once the virtual channel has combined the newest round: every
+		// reading then carries the same time.
 		settled := len(live) == 3
 		for _, r := range live {
-			if r.Point.At.IsZero() {
+			if r.Point.At.IsZero() || !r.Point.At.Equal(live[0].Point.At) {
 				settled = false
 			}
 		}

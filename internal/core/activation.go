@@ -87,6 +87,32 @@ func (a *activation) close() {
 	}
 }
 
+// pushInline is push for a NonBlocking message: when the push flips the
+// owned bit and a has started healthy, the caller runs the turn itself, on
+// c, instead of handing a to a worker. inline reports that it did. What the
+// turn leaves — more queued, a close, DeactivateOnIdle, a poison — goes to
+// a worker after it, as a push would have sent it.
+func (a *activation) pushInline(env envelope, c *Context) (ok, inline bool) {
+	ok, wake := a.box.push(env)
+	if !wake {
+		return ok, false
+	}
+	// The flip made the caller the owner, so it may read what only the
+	// owner touches; the queue held nothing before env.
+	if !a.started || a.activateErr != nil || a.poison != nil || a.crashed.Load() {
+		a.silo.workers.handOff(a)
+		return true, false
+	}
+	env, _ = a.box.pop(false)
+	if a.poison = a.turn(c, env); a.poison != nil {
+		a.box.close()
+	}
+	if !a.box.releaseIfIdle(a.closeOnIdle.Load()) {
+		a.silo.workers.handOff(a)
+	}
+	return true, true
+}
+
 // visit is one worker's tenure as owner: activate on the first, run turns
 // until the mailbox is empty, and let go — or deactivate, once it is closed
 // and drained. A panic in any turn poisons the activation: the panicking

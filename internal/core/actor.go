@@ -36,6 +36,15 @@ type Stateful interface {
 	State() any
 }
 
+// NonBlocking marks a message whose every handler answers from the
+// actor's memory: it neither blocks nor calls another actor. A multi-actor
+// frame (CallManyOf) of such a message runs each target's turn on the
+// goroutine serving the frame when that target is idle, instead of handing
+// it to a worker, on a silo with no capacity limiter.
+type NonBlocking interface {
+	NonBlocking()
+}
+
 // Factory creates a fresh, un-activated actor instance of some kind.
 type Factory func() Actor
 

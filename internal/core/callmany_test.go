@@ -80,6 +80,8 @@ func (a *eqActor) Receive(ctx *core.Context, msg any) (any, error) {
 			return int64(a.v), nil
 		}
 		return eqVal{Kind: a.kind, Key: key, V: a.v}, nil
+	case eqPeek:
+		return a.peek(ctx, m)
 	}
 	return nil, fmt.Errorf("eqActor: unknown message %T", msg)
 }

@@ -14,12 +14,14 @@ import (
 // context.Context (cancellation, deadlines) plus the actor-facing runtime
 // surface: identity, messaging, and persistence.
 //
-// A Context belongs to the worker running the turn, not to the actor: the
-// worker resets it for every turn and lifecycle hook it runs. It is valid
-// only for the duration of the turn that received it; actors must not
-// retain it across turns, nor hand it to a goroutine that outlives the turn.
-// A turn blocked in an awaited Call keeps its worker, so the nested turn
-// runs on another worker with a Context of its own.
+// A Context belongs to whatever runs the turn, not to the actor: a worker
+// resets its own for every turn and lifecycle hook it runs, and a
+// NonBlocking multi-actor frame's inline turns share one that lives in the
+// frame. It is valid only for the duration of the turn that received it;
+// actors must not retain it across turns, nor hand it to a goroutine that
+// outlives the turn. A nested turn never shares its caller's Context: it
+// runs on a worker, or inline under a frame's own, and a caller's turn may
+// be blocked beneath it on the same goroutine.
 type Context struct {
 	context.Context
 	rt    *Runtime

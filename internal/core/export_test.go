@@ -34,3 +34,29 @@ func ReplyValues(reply any) (values []any, run bool) {
 	out.run(idx, r.run)
 	return out.vals, true
 }
+
+// Busy reports whether the actor id has an activation on one of rt's
+// silos whose mailbox a worker still owns: a caller has its answer before
+// the worker that ran the turn lets the mailbox go.
+func Busy(rt *Runtime, id ID) bool {
+	rt.mu.RLock()
+	silos := make([]*Silo, 0, len(rt.silos))
+	for _, s := range rt.silos {
+		silos = append(silos, s)
+	}
+	rt.mu.RUnlock()
+	for _, s := range silos {
+		s.mu.Lock()
+		a := s.catalog[id]
+		s.mu.Unlock()
+		if a != nil {
+			a.box.mu.Lock()
+			owned := a.box.owned
+			a.box.mu.Unlock()
+			if owned {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -41,9 +41,11 @@ type turnResult struct {
 // No goroutine waits on a mailbox. The owned bit says a worker holds the
 // activation (or has been handed it): push, close and closeIfEmpty report
 // the idle→owned flip, and whoever flips it hands the activation to a
-// worker (or is one); the worker gives the bit back inside pop, in the critical section
-// that found the queue empty, so a push either lands before that pop or
-// flips the bit again. Open and unowned implies empty; a closed mailbox
+// worker (or is one); the worker gives the bit back inside pop, in the
+// critical section that found the queue empty, so a push either lands
+// before that pop or flips the bit again. A NonBlocking multi-actor
+// frame's push may instead run its one turn itself and give the bit back
+// with releaseIfIdle. Open and unowned implies empty; a closed mailbox
 // stays owned for good, by the worker that tears the activation down. The
 // zero value is an open, idle, empty mailbox.
 type mailbox struct {
@@ -116,6 +118,20 @@ func (m *mailbox) pop(closeOnIdle bool) (envelope, popState) {
 	m.q = m.q[:n]
 	m.head = 0
 	return env, popped
+}
+
+// releaseIfIdle gives the owned bit back if the mailbox is empty and open
+// and closeOnIdle is not asked for, and reports whether it did. It is pop's
+// release for an owner that ran a turn outside a worker: false leaves the
+// caller owning the mailbox, to hand to a worker as a push would.
+func (m *mailbox) releaseIfIdle(closeOnIdle bool) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.head != len(m.q) || m.closed || closeOnIdle {
+		return false
+	}
+	m.owned = false
+	return true
 }
 
 // closeIfEmpty closes the mailbox if it is idle and reports whether it did,

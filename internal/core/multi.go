@@ -483,6 +483,9 @@ type gather struct {
 	slots   []multiSlot
 	pending atomic.Int32
 	done    chan struct{}
+	// ctx is the Context of the turns the serving goroutine runs itself
+	// (see deliverMany), reset per turn as a worker's is.
+	ctx Context
 }
 
 // set files one target's outcome. Slots are distinct memory and the
@@ -538,9 +541,20 @@ func (rt *Runtime) handleMulti(ctx context.Context, silo string, req transport.R
 // closing, its previous activation is mid-teardown, another silo holds
 // it) has its slot filled with that error — transient, so the caller
 // re-issues it — instead of holding up the batch.
+//
+// A NonBlocking message on a silo with no capacity limiter runs inline:
+// where the push finds a target idle, this goroutine runs the turn itself
+// before it pushes the next, and hands the target to a worker only if the
+// turn left it something to do. A handoff costs more than such a turn, and
+// a limited silo keeps a worker a turn because there a turn sleeps its
+// modeled cost, which in series would add up. Turns run in target order,
+// so a handler that does Call a later target finds it not yet pushed.
 func (s *Silo) deliverMany(ctx context.Context, req transport.Request, call multiCall, g *gather) {
 	env := s.envelope(ctx, call.Msg, req.Chain, req.Trace, req.Sender != s.name)
 	env.gather = g
+	_, nonBlocking := call.Msg.(NonBlocking)
+	runInline := nonBlocking && s.limiter == nil
+	var inlined int64
 	var cfg *kindConfig
 	for i, id := range call.Targets {
 		if cfg == nil || cfg.kind != id.Kind {
@@ -553,11 +567,27 @@ func (s *Silo) deliverMany(ctx context.Context, req transport.Request, call mult
 		}
 		env.slot = int32(i)
 		act, err := s.resolveOnce(id, cfg, true)
-		if err == nil && !act.push(env) {
-			err = fmt.Errorf("core: %s is deactivating: %w", id, ErrTransient)
+		if err == nil {
+			var ok, inline bool
+			if runInline {
+				ok, inline = act.pushInline(env, &g.ctx)
+			} else {
+				ok = act.push(env)
+			}
+			if inline {
+				inlined++
+			}
+			if !ok {
+				err = fmt.Errorf("core: %s is deactivating: %w", id, ErrTransient)
+			}
 		}
 		if err != nil {
 			g.set(i, nil, err)
 		}
+	}
+	if inlined > 0 {
+		// Nothing may keep the last turn's activation through the gather.
+		g.ctx = Context{Context: context.Background()}
+		s.metrics.Counter("core.multi.inline").Add(inlined)
 	}
 }

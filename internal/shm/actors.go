@@ -160,9 +160,8 @@ func (s *sensorActor) Receive(ctx *core.Context, msg any) (any, error) {
 // readings, the accumulated change, threshold alerting, and feeds virtual
 // channels and aggregators.
 type physicalChannelActor struct {
-	state channelState
-	// latest is the Latest reply, boxed (volatile; see latestReply).
-	latest any
+	state  channelState
+	latest newest // what Latest answers (volatile)
 }
 
 type channelState struct {
@@ -181,6 +180,11 @@ type channelState struct {
 }
 
 func (c *physicalChannelActor) State() any { return &c.state }
+
+func (c *physicalChannelActor) OnActivate(*core.Context) error {
+	c.latest.rescan(c.state.Window)
+	return nil
+}
 
 const defaultWindowCap = 4096
 
@@ -202,7 +206,7 @@ func (c *physicalChannelActor) Receive(ctx *core.Context, msg any) (any, error) 
 	case InsertPoints:
 		return nil, c.insert(ctx, m.Points)
 	case Latest:
-		return latestReply(&c.latest, c.state.Window), nil
+		return c.latest.reply(c.state.Window), nil
 	case RangeQuery:
 		return c.rangeQuery(m.From, m.To), nil
 	case HistoryQuery:
@@ -271,7 +275,7 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 		}
 	}
 	c.state.Window = append(c.state.Window, points...)
-	c.latest = nil
+	c.latest.appended(c.state.Window, len(points))
 	if over := len(c.state.Window) - c.state.WindowCap; over > 0 {
 		if c.state.Archive {
 			if err := archiveEvicted(ctx, ctx.Self().Key, c.state.Window[:over]); err != nil {
@@ -279,6 +283,7 @@ func (c *physicalChannelActor) insert(ctx *core.Context, points []DataPoint) err
 			}
 		}
 		c.state.Window = append(c.state.Window[:0], c.state.Window[over:]...)
+		c.latest.evicted(c.state.Window, over)
 	}
 	if c.state.VirtualOut != "" {
 		if err := ctx.Tell(core.ID{Kind: KindVirtualChannel, Key: c.state.VirtualOut},
@@ -329,19 +334,63 @@ func addStat(stats []BucketStat, b time.Time, v float64) []BucketStat {
 // noLatest is the Latest reply of an empty window, boxed once.
 var noLatest any = DataPoint{}
 
-// latestReply is a window's Latest reply, boxed once per change of the
-// window rather than once per query: *memo holds the box until the owner
-// sets it to nil on appending. A reply is immutable once returned (a value
-// inside an interface cannot be changed), and an actor's turns run one at
-// a time, so every query until the next append shares the box.
-func latestReply(memo *any, window []DataPoint) any {
-	if *memo == nil {
-		if len(window) == 0 {
-			return noLatest
+// newest is where a channel's window holds the reading Latest answers:
+// the greatest At, the later arrival on a tie. Points can arrive out of
+// time order (two ingest workers, a virtual channel's rounds), so that is
+// not always the last one appended. It is volatile: a channel rescans its
+// window on activation, and after an eviction drops that reading.
+//
+// The reply is boxed once per change of that reading rather than once per
+// query: box holds it until at moves to another. A reply is
+// immutable once returned (a value inside an interface cannot be changed),
+// and an actor's turns run one at a time, so every query until then
+// shares the box.
+type newest struct {
+	at  int // index in the window; meaningless while it is empty
+	box any
+}
+
+// rescan finds the newest reading of window afresh.
+func (n *newest) rescan(window []DataPoint) {
+	n.at, n.box = 0, nil
+	n.scan(window, 1)
+}
+
+// scan moves at to any reading of window[from:] that is at least as new.
+func (n *newest) scan(window []DataPoint, from int) {
+	for i := from; i < len(window); i++ {
+		if !window[i].At.Before(window[n.at].At) {
+			n.at, n.box = i, nil
 		}
-		*memo = window[len(window)-1]
 	}
-	return *memo
+}
+
+// appended follows an append of the last k readings of window.
+func (n *newest) appended(window []DataPoint, k int) {
+	if from := len(window) - k; from > 0 {
+		n.scan(window, from)
+	} else {
+		n.rescan(window)
+	}
+}
+
+// evicted follows the eviction of the first over readings, which moved
+// the rest of window to its front.
+func (n *newest) evicted(window []DataPoint, over int) {
+	if n.at -= over; n.at < 0 {
+		n.rescan(window)
+	}
+}
+
+// reply is the Latest reply for window.
+func (n *newest) reply(window []DataPoint) any {
+	if len(window) == 0 {
+		return noLatest
+	}
+	if n.box == nil {
+		n.box = window[n.at]
+	}
+	return n.box
 }
 
 func (c *physicalChannelActor) rangeQuery(from, to time.Time) []DataPoint {
@@ -384,8 +433,7 @@ type virtualChannelActor struct {
 	// needed because inputs deliver asynchronously and one channel may
 	// run several packets ahead of another.
 	pending map[string][][]DataPoint
-	// latest is the Latest reply, boxed (volatile; see latestReply).
-	latest any
+	latest  newest // what Latest answers (volatile)
 }
 
 type virtualState struct {
@@ -400,6 +448,7 @@ func (v *virtualChannelActor) State() any { return &v.state }
 
 func (v *virtualChannelActor) OnActivate(*core.Context) error {
 	v.pending = make(map[string][][]DataPoint)
+	v.latest.rescan(v.state.Window)
 	return nil
 }
 
@@ -423,14 +472,15 @@ func (v *virtualChannelActor) Receive(ctx *core.Context, msg any) (any, error) {
 		for v.roundReady() {
 			derived := v.combine()
 			v.state.Window = append(v.state.Window, derived...)
-			v.latest = nil
+			v.latest.appended(v.state.Window, len(derived))
 			if over := len(v.state.Window) - v.state.WindowCap; over > 0 {
 				v.state.Window = append(v.state.Window[:0], v.state.Window[over:]...)
+				v.latest.evicted(v.state.Window, over)
 			}
 		}
 		return nil, nil
 	case Latest:
-		return latestReply(&v.latest, v.state.Window), nil
+		return v.latest.reply(v.state.Window), nil
 	case RangeQuery:
 		return pointsIn(v.state.Window, m.From, m.To), nil
 	default:

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aodb/internal/capacity"
 	"aodb/internal/codec/codectest"
 	"aodb/internal/core"
 )
@@ -109,6 +110,163 @@ func TestLatestFollowsInserts(t *testing.T) {
 		}
 		if len(pts) != capacity {
 			t.Errorf("%s holds %d points, want the window evicted to %d", ch, len(pts), capacity)
+		}
+	}
+}
+
+// TestLatestIsNewestByTime: Latest answers the reading with the greatest
+// At, the later arrival on a tie, however the packets arrive — here out
+// of time order, with two packets at one time, and with a window so small
+// that the newest reading is evicted by older ones arriving after it. The
+// expected readings come from a model of the window: the last WindowCap
+// arrivals, searched whole.
+func TestLatestIsNewestByTime(t *testing.T) {
+	p := newPlatform(t, Options{})
+	ctx := context.Background()
+	const org, capacity = "org-0", 5
+	if err := p.CreateOrganization(ctx, org, "o"); err != nil {
+		t.Fatal(err)
+	}
+	spec := SensorSpec{Org: org, Key: SensorKey(org, 0), PhysicalChannels: 2, WithVirtual: true, WindowCap: capacity}
+	if err := p.InstallSensor(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	ch0, ch1, virt := ChannelKey(spec.Key, 0), ChannelKey(spec.Key, 1), VirtualKey(spec.Key)
+	// Two points a packet, 100 ms apart; the two packets at 3 s differ in
+	// value. The 9 s packet is gone from the window three packets later.
+	seconds := []int{5, 2, 9, 3, 3, 1, 0, 7, 4}
+	arrived := map[string][]DataPoint{}
+	newest := func(ch string) DataPoint {
+		w := arrived[ch]
+		w = w[max(0, len(w)-capacity):]
+		best := w[0]
+		for _, q := range w[1:] {
+			if !q.At.Before(best.At) {
+				best = q
+			}
+		}
+		return best
+	}
+	for n, sec := range seconds {
+		at := t0.Add(time.Duration(sec) * time.Second)
+		per := [][]float64{{float64(n), float64(n) + 0.5}, {float64(100 + n), float64(100+n) + 0.5}}
+		if err := p.Ingest(ctx, spec.Key, at, per); err != nil {
+			t.Fatal(err)
+		}
+		for j := range 2 {
+			pt := at.Add(time.Duration(j) * 100 * time.Millisecond)
+			arrived[ch0] = append(arrived[ch0], DataPoint{At: pt, Value: per[0][j]})
+			arrived[ch1] = append(arrived[ch1], DataPoint{At: pt, Value: per[1][j]})
+			arrived[virt] = append(arrived[virt], DataPoint{At: pt, Value: per[0][j] + per[1][j]})
+		}
+		live := func() map[string]DataPoint {
+			readings, err := p.LiveData(ctx, org)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := map[string]DataPoint{}
+			for _, r := range readings {
+				out[r.Channel] = r.Point
+			}
+			return out
+		}
+		// The physical channels answer after their inserts (FIFO), and
+		// once they have, the virtual channel's round is queued ahead of
+		// the second read.
+		got := live()
+		got[virt] = live()[virt]
+		for _, ch := range []string{ch0, ch1, virt} {
+			if want := newest(ch); !got[ch].At.Equal(want.At) || got[ch].Value != want.Value {
+				t.Errorf("after packet %d (%d s): %s Latest = %+v, want %+v", n, sec, ch, got[ch], want)
+			}
+		}
+	}
+}
+
+// TestLatestRescansOnActivation: a channel's newest reading is not stored;
+// an activation finds it in the window it loaded.
+func TestLatestRescansOnActivation(t *testing.T) {
+	window := []DataPoint{
+		{At: t0.Add(2 * time.Second), Value: 1},
+		{At: t0.Add(4 * time.Second), Value: 2},
+		{At: t0.Add(4 * time.Second), Value: 3},
+		{At: t0.Add(1 * time.Second), Value: 4},
+	}
+	phys := &physicalChannelActor{state: channelState{Window: window}}
+	virt := &virtualChannelActor{state: virtualState{Window: window}}
+	for name, a := range map[string]interface {
+		core.Actor
+		core.Activator
+	}{"physical": phys, "virtual": virt} {
+		if err := a.OnActivate(nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Receive(nil, Latest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := window[2]; got != want {
+			t.Errorf("%s channel activated on an unsorted window: Latest = %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+// TestLiveDataRunsInline: a warm LiveData's Latest turns run on the
+// goroutine serving each frame, counted in core.multi.inline — all 210
+// of them on a silo with no capacity limiter, none on a limited silo,
+// whose turns each take a worker.
+func TestLiveDataRunsInline(t *testing.T) {
+	for _, limited := range []bool{false, true} {
+		rt, err := core.New(core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		defer rt.Shutdown(ctx)
+		p, err := NewPlatform(rt, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var limiter *capacity.Limiter
+		if limited {
+			limiter = capacity.NewLimiter(capacity.M5Large, rt.Clock())
+		}
+		if _, err := rt.AddSilo("silo-1", limiter); err != nil {
+			t.Fatal(err)
+		}
+		pop := DefaultPopulation(100)
+		keys, err := p.Populate(ctx, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			if err := p.Ingest(ctx, key, t0, [][]float64{{1}, {2}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := int64(pop.TotalChannels())
+		if limited {
+			want = 0
+		}
+		// A worker lets a mailbox go just after its turn's answer, so a
+		// read may find one still owned, however long the turns have been
+		// quiet; a few reads make sure of a frame that finds all idle.
+		inline := rt.Metrics().Counter("core.multi.inline")
+		var got int64 = -1
+		for try := 0; try < 5 && got != want; try++ {
+			settle(rt.Metrics().Counter("core.turns"))
+			before := inline.Value()
+			readings, err := p.LiveData(ctx, OrgKey(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(readings) != pop.TotalChannels() {
+				t.Fatalf("LiveData read %d channels, want %d", len(readings), pop.TotalChannels())
+			}
+			got = inline.Value() - before
+		}
+		if got != want {
+			t.Errorf("limited=%v: a warm %d-channel LiveData ran %d turns inline, want %d", limited, pop.TotalChannels(), got, want)
 		}
 	}
 }

@@ -198,7 +198,8 @@ type (
 	HistoryQuery struct{ From, To time.Time }
 	// InsertPoints appends readings to a channel window.
 	InsertPoints struct{ Points []DataPoint }
-	// Latest returns the channel's most recent DataPoint.
+	// Latest returns the channel's newest DataPoint: the reading in its
+	// window with the greatest At, the later arrival on a tie.
 	Latest struct{}
 	// RangeQuery returns the window's points in [From, To].
 	RangeQuery struct{ From, To time.Time }
@@ -240,6 +241,10 @@ type (
 	// GetAlerts returns the most recent alerts (up to Limit, newest last).
 	GetAlerts struct{ Limit int }
 )
+
+// NonBlocking marks Latest as answered from memory (core.NonBlocking), so
+// a LiveData frame runs its turns on the goroutine that serves it.
+func (Latest) NonBlocking() {}
 
 // OrgInfo is the reply to GetOrgInfo.
 type OrgInfo struct {
