@@ -173,9 +173,8 @@ type slaughterhouseActor struct {
 }
 
 type slaughterhouseState struct {
-	Name        string
-	Slaughtered []string
-	CutsMade    int
+	Name     string
+	CutsMade int
 }
 
 func (s *slaughterhouseActor) State() any { return &s.state }
@@ -220,7 +219,6 @@ func (s *slaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error) {
 				return nil, err
 			}
 		}
-		s.state.Slaughtered = append(s.state.Slaughtered, m.Cow)
 		s.state.CutsMade += len(m.CutIDs)
 		if s.recordEvents {
 			if err := recordEvent(ctx, Event{
@@ -235,8 +233,6 @@ func (s *slaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error) {
 			}
 		}
 		return m.CutIDs, nil
-	case GetSlaughtered:
-		return append([]string(nil), s.state.Slaughtered...), nil
 	default:
 		return nil, fmt.Errorf("cattle: Slaughterhouse: unknown message %T", msg)
 	}
@@ -278,8 +274,7 @@ type distributorActor struct {
 }
 
 type distributorState struct {
-	Name       string
-	Deliveries []string
+	Name string
 }
 
 func (d *distributorActor) State() any { return &d.state }
@@ -304,10 +299,7 @@ func (d *distributorActor) Receive(ctx *core.Context, msg any) (any, error) {
 			CompleteDelivery{Arrived: m.Arrived}); err != nil {
 			return nil, err
 		}
-		d.state.Deliveries = append(d.state.Deliveries, m.Delivery)
 		return nil, nil
-	case GetDeliveries:
-		return append([]string(nil), d.state.Deliveries...), nil
 	default:
 		return nil, fmt.Errorf("cattle: Distributor: unknown message %T", msg)
 	}
@@ -367,8 +359,6 @@ func (d *deliveryActor) Receive(ctx *core.Context, msg any) (any, error) {
 			}
 		}
 		return nil, nil
-	case GetDelivery:
-		return d.state.Entry, nil
 	default:
 		return nil, fmt.Errorf("cattle: Delivery: unknown message %T", msg)
 	}
@@ -382,9 +372,8 @@ type retailerActor struct {
 }
 
 type retailerState struct {
-	Name     string
-	Cuts     []string
-	Products []string
+	Name string
+	Cuts []string
 }
 
 func (r *retailerActor) State() any { return &r.state }
@@ -416,7 +405,6 @@ func (r *retailerActor) Receive(ctx *core.Context, msg any) (any, error) {
 		if _, err := ctx.Call(core.ID{Kind: KindMeatProduct, Key: m.Product}, CreateProduct{Record: rec}); err != nil {
 			return nil, err
 		}
-		r.state.Products = append(r.state.Products, m.Product)
 		if r.recordEvents {
 			if err := recordEvent(ctx, Event{
 				Type:   AggregationEvent,
@@ -431,8 +419,6 @@ func (r *retailerActor) Receive(ctx *core.Context, msg any) (any, error) {
 			}
 		}
 		return nil, nil
-	case GetProducts:
-		return append([]string(nil), r.state.Products...), nil
 	default:
 		return nil, fmt.Errorf("cattle: Retailer: unknown message %T", msg)
 	}

@@ -263,14 +263,6 @@ func TestObjectModelChainAndTrace(t *testing.T) {
 		}
 	}
 	dist := core.ID{Kind: KindObjDistributor, Key: "odist-1"}
-	v, err := p.rt.Call(ctx, dist, ObjGetCut{Cut: "oc-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := v.(MeatCutRecord)
-	if rec.Version != 2 || rec.Holder != "odist-1" {
-		t.Fatalf("distributor's version = %+v", rec)
-	}
 	// Local itinerary update, then transfer to retailer (version 3).
 	if _, err := p.rt.Call(ctx, dist, ObjDeliver{Cut: "oc-1", Entry: ItineraryEntry{
 		Distributor: "odist-1", From: "osh-1", To: "oret-1", Vehicle: "truck",
@@ -304,18 +296,30 @@ func TestObjectModelChainAndTrace(t *testing.T) {
 	if len(oc1.Itinerary) != 1 || oc1.Itinerary[0].Vehicle != "truck" {
 		t.Fatalf("embedded itinerary = %+v", oc1.Itinerary)
 	}
+	// Each transfer copied the record and bumped its version.
+	if oc1.Version != 3 || oc1.Holder != "oret-1" {
+		t.Fatalf("retailer's version = %+v", oc1)
+	}
 	// Object model: 1 retailer hop + 1 cow hop, fewer than actor model's 4.
 	if trace.Hops != 2 {
 		t.Fatalf("hops = %d, want 2", trace.Hops)
 	}
 	// The slaughterhouse still holds its own (older) version — redundancy
-	// is the documented cost.
-	sv, err := p.rt.Call(ctx, sh, ObjGetCut{Cut: "oc-1"})
+	// is the documented cost: sent on to a second retailer, it arrives as
+	// version 2, without the distributor's itinerary entry.
+	if _, err := p.rt.Call(ctx, sh, ObjSendCut{Cut: "oc-1", ToKind: KindObjRetailer, ToKey: "oret-2"}); err != nil {
+		t.Fatal(err)
+	}
+	ret2 := core.ID{Kind: KindObjRetailer, Key: "oret-2"}
+	if _, err := p.rt.Call(ctx, ret2, ObjMakeProduct{Product: "oprod-2", Name: "Old Box", Cuts: []string{"oc-1"}}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.rt.Call(ctx, ret2, ObjGetProduct{Product: "oprod-2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv.(MeatCutRecord).Version != 1 {
-		t.Fatalf("slaughterhouse version = %+v", sv)
+	if old := v.(MeatProductRecord).CutCopies[0]; old.Version != 2 || len(old.Itinerary) != 0 {
+		t.Fatalf("slaughterhouse's version, sent on = %+v", old)
 	}
 }
 
@@ -323,8 +327,8 @@ func TestObjectModelMissingCutErrors(t *testing.T) {
 	p := newPlatform(t)
 	ctx := context.Background()
 	dist := core.ID{Kind: KindObjDistributor, Key: "od"}
-	if _, err := p.rt.Call(ctx, dist, ObjGetCut{Cut: "nope"}); err == nil {
-		t.Fatal("reading unheld cut succeeded")
+	if _, err := p.rt.Call(ctx, dist, ObjSendCut{Cut: "nope", ToKind: KindObjRetailer, ToKey: "or"}); err == nil {
+		t.Fatal("sending unheld cut succeeded")
 	}
 	if _, err := p.rt.Call(ctx, dist, ObjDeliver{Cut: "nope"}); err == nil {
 		t.Fatal("delivering unheld cut succeeded")
@@ -341,17 +345,15 @@ func TestTransferModesKeepConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			if mode == ModeRegistry {
-				// The registry mode keeps the relation in the registry actor.
-				v, err := p.rt.Call(ctx, core.ID{Kind: KindOwnershipRegistry, Key: "global"}, RegOwner{Cow: "cow-0"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.(string) != "farm-2" {
-					t.Fatalf("registry owner = %v", v)
-				}
+				// The registry mode keeps the relation in the registry actor:
+				// the cow is in the buyer's herd, and the seller no longer
+				// owns it, so a second sale by the seller is refused.
 				herd, _ := p.rt.Call(ctx, core.ID{Kind: KindOwnershipRegistry, Key: "global"}, RegHerd{Farmer: "farm-2"})
 				if got := herd.([]string); len(got) != 1 || got[0] != "cow-0" {
 					t.Fatalf("registry herd = %v", got)
+				}
+				if err := p.Transfer(ctx, mode, "cow-0", "farm-1", "farm-2"); err == nil {
+					t.Fatal("registry accepted a sale by the former owner")
 				}
 				return
 			}

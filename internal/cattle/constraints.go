@@ -14,7 +14,7 @@ func init() {
 	for _, v := range []any{
 		txn.Prepare{}, txn.Commit{}, txn.Abort{},
 		txnRemoveCow{}, txnAddCow{}, txnSetOwner{},
-		RegAssign{}, RegTransfer{}, RegOwner{}, RegHerd{},
+		RegAssign{}, RegTransfer{}, RegHerd{},
 	} {
 		codec.Register(v)
 	}
@@ -116,8 +116,6 @@ type (
 	RegAssign struct{ Cow, Farmer string }
 	// RegTransfer atomically moves a cow between farmers.
 	RegTransfer struct{ Cow, From, To string }
-	// RegOwner returns a cow's owner.
-	RegOwner struct{ Cow string }
 	// RegHerd returns a farmer's cows (sorted).
 	RegHerd struct{ Farmer string }
 )
@@ -162,8 +160,6 @@ func (r *ownershipRegistryActor) Receive(_ *core.Context, msg any) (any, error) 
 		r.herdOf(m.To)[m.Cow] = true
 		r.state.OwnerOf[m.Cow] = m.To
 		return nil, nil
-	case RegOwner:
-		return r.state.OwnerOf[m.Cow], nil
 	case RegHerd:
 		herd := r.herdOf(m.Farmer)
 		out := make([]string, 0, len(herd))

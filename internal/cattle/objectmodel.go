@@ -43,8 +43,6 @@ type (
 		Cut   string
 		Entry ItineraryEntry
 	}
-	// ObjGetCut reads the custodian's local version of a cut.
-	ObjGetCut struct{ Cut string }
 	// ObjSendCut asks the custodian to transfer a cut onward.
 	ObjSendCut struct {
 		Cut    string
@@ -63,7 +61,7 @@ type (
 
 func init() {
 	for _, v := range []any{
-		ObjSlaughter{}, ObjTransferCut{}, ObjDeliver{}, ObjGetCut{}, ObjSendCut{},
+		ObjSlaughter{}, ObjTransferCut{}, ObjDeliver{}, ObjSendCut{},
 		ObjMakeProduct{}, ObjGetProduct{},
 	} {
 		codec.Register(v)
@@ -92,12 +90,6 @@ func (c *custodian) receive(ctx *core.Context, msg any) (any, bool, error) {
 		rec.Itinerary = append([]ItineraryEntry(nil), m.Record.Itinerary...)
 		c.Cuts[rec.ID] = rec
 		return nil, true, nil
-	case ObjGetCut:
-		rec, ok := c.Cuts[m.Cut]
-		if !ok {
-			return nil, true, fmt.Errorf("cattle: %s holds no version of cut %s", ctx.Self().Key, m.Cut)
-		}
-		return rec, true, nil
 	case ObjSendCut:
 		rec, ok := c.Cuts[m.Cut]
 		if !ok {
@@ -119,7 +111,6 @@ type objSlaughterhouseActor struct {
 type objSlaughterhouseState struct {
 	Name string
 	custodian
-	Slaughtered []string
 }
 
 func (s *objSlaughterhouseActor) State() any { return &s.state }
@@ -150,10 +141,7 @@ func (s *objSlaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error
 				Version:        1,
 			}
 		}
-		s.state.Slaughtered = append(s.state.Slaughtered, m.Cow)
 		return m.CutIDs, nil
-	case GetSlaughtered:
-		return append([]string(nil), s.state.Slaughtered...), nil
 	default:
 		return nil, fmt.Errorf("cattle: ObjSlaughterhouse: unknown message %T", msg)
 	}
@@ -167,7 +155,6 @@ type objDistributorActor struct {
 type objDistributorState struct {
 	Name string
 	custodian
-	Deliveries int
 }
 
 func (d *objDistributorActor) State() any { return &d.state }
@@ -189,10 +176,7 @@ func (d *objDistributorActor) Receive(ctx *core.Context, msg any) (any, error) {
 		// The itinerary update is local: no message to any MeatCut actor.
 		rec.Itinerary = append(rec.Itinerary, m.Entry)
 		d.state.Cuts[m.Cut] = rec
-		d.state.Deliveries++
 		return nil, nil
-	case GetDeliveries:
-		return d.state.Deliveries, nil
 	default:
 		return nil, fmt.Errorf("cattle: ObjDistributor: unknown message %T", msg)
 	}
@@ -247,12 +231,6 @@ func (r *objRetailerActor) Receive(ctx *core.Context, msg any) (any, error) {
 			return nil, fmt.Errorf("cattle: retailer %s has no product %s", ctx.Self().Key, m.Product)
 		}
 		return rec, nil
-	case GetProducts:
-		out := make([]string, 0, len(r.state.Products))
-		for p := range r.state.Products {
-			out = append(out, p)
-		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("cattle: ObjRetailer: unknown message %T", msg)
 	}

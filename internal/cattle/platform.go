@@ -20,8 +20,6 @@ type Platform struct {
 
 // Options configures kind registration.
 type Options struct {
-	// Persist selects the actor-state policy.
-	Persist core.PersistMode
 	// SpatialCellSize, when positive, maintains a grid spatial index of
 	// live cow positions (degrees per cell) and enables CowsInArea /
 	// CowsNear queries. Registers the spatial kind on the runtime.
@@ -34,10 +32,6 @@ type Options struct {
 
 // NewPlatform registers both the actor-model and object-model kinds on rt.
 func NewPlatform(rt *core.Runtime, opts Options) (*Platform, error) {
-	var kindOpts []core.KindOption
-	if opts.Persist != core.PersistNone {
-		kindOpts = append(kindOpts, core.WithPersistence(opts.Persist))
-	}
 	events := opts.RecordEvents
 	regs := []struct {
 		kind    string
@@ -58,7 +52,7 @@ func NewPlatform(rt *core.Runtime, opts Options) (*Platform, error) {
 		{KindEventLog, func() core.Actor { return &eventLogActor{} }},
 	}
 	for _, r := range regs {
-		if err := rt.RegisterKind(r.kind, r.factory, kindOpts...); err != nil {
+		if err := rt.RegisterKind(r.kind, r.factory); err != nil {
 			return nil, err
 		}
 	}

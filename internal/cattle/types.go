@@ -168,8 +168,6 @@ type (
 		CutWeight float64
 		CutAt     time.Time
 	}
-	// GetSlaughtered lists processed cows.
-	GetSlaughtered struct{}
 
 	// CreateCut initializes a MeatCut actor (actor model).
 	CreateCut struct{ Record MeatCutRecord }
@@ -192,8 +190,6 @@ type (
 		Departed time.Time
 		Arrived  time.Time
 	}
-	// GetDeliveries lists the distributor's deliveries.
-	GetDeliveries struct{}
 
 	// CreateDelivery initializes a Delivery actor.
 	CreateDelivery struct {
@@ -206,8 +202,6 @@ type (
 	}
 	// CompleteDelivery records arrival and updates the cut's itinerary.
 	CompleteDelivery struct{ Arrived time.Time }
-	// GetDelivery returns the delivery's entry.
-	GetDelivery struct{}
 
 	// CreateRetailer initializes a Retailer actor.
 	CreateRetailer struct{ Name string }
@@ -220,8 +214,6 @@ type (
 		Cuts    []string
 		MadeAt  time.Time
 	}
-	// GetProducts lists the retailer's product keys.
-	GetProducts struct{}
 
 	// CreateProduct initializes a MeatProduct actor.
 	CreateProduct struct{ Record MeatProductRecord }
@@ -235,11 +227,11 @@ func init() {
 		Trace{}, FenceAlert{}, PrevPosition{},
 		RegisterCow{}, CollarReading{}, SetFence{}, GetTrajectory{}, GetCowInfo{}, SetOwner{}, MarkSlaughtered{},
 		CreateFarmer{}, AddCow{}, RemoveCow{}, ListCows{}, GetFenceAlerts{},
-		CreateSlaughterhouse{}, Slaughter{}, GetSlaughtered{},
+		CreateSlaughterhouse{}, Slaughter{},
 		CreateCut{}, AddItinerary{}, SetHolder{}, GetCut{},
-		CreateDistributor{}, Dispatch{}, GetDeliveries{},
-		CreateDelivery{}, CompleteDelivery{}, GetDelivery{},
-		CreateRetailer{}, ReceiveCut{}, MakeProduct{}, GetProducts{},
+		CreateDistributor{}, Dispatch{},
+		CreateDelivery{}, CompleteDelivery{},
+		CreateRetailer{}, ReceiveCut{}, MakeProduct{},
 		CreateProduct{}, GetProduct{},
 		[]GeoPoint{}, []ItineraryEntry{}, []MeatCutRecord{}, []CowInfo{}, []FenceAlert{}, []string{},
 	} {

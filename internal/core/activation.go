@@ -242,7 +242,7 @@ func (a *activation) turn(c *Context, env envelope) (panicked error) {
 		a.cur = nil
 		tr.EndTurn(&tn, execDur, timing.SlotWait, timing.Burn, turnErr, panicked != nil)
 	}
-	a.silo.metrics.Counter("core.turns").Inc()
+	a.silo.turns.Inc()
 	return panicked
 }
 

@@ -12,6 +12,7 @@ import (
 	"aodb/internal/capacity"
 	"aodb/internal/kvstore"
 	"aodb/internal/placement"
+	"aodb/internal/telemetry"
 )
 
 // counterActor is a Stateful test actor.
@@ -72,6 +73,17 @@ func newTestRuntime(t *testing.T, cfg Config) *Runtime {
 		}
 	})
 	return rt
+}
+
+// callOnce delivers msg to id as a Call's first attempt does, through
+// routeOnce, and returns that attempt's answer as it is: no retry, no
+// wrong-silo re-route, no wrapping.
+func callOnce(ctx context.Context, rt *Runtime, id ID, msg any) (any, error) {
+	cfg, ok := rt.kind(id.Kind)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
+	}
+	return rt.routeOnce(ctx, "", nil, id, msg, rt.strategy(cfg), "call", telemetry.SpanContext{}, "")
 }
 
 // awaitTurns waits until the runtime has finished n turns. A caller's reply

@@ -81,12 +81,17 @@ func TestSentinelMatching(t *testing.T) {
 }
 
 // TestCallErrorsKeepClassification: errors surfaced by real Calls stay
-// classified after the runtime wraps them with routing context.
+// classified, on the first attempt and after the runtime wraps them with
+// routing context.
 func TestCallErrorsKeepClassification(t *testing.T) {
-	rt := newTestRuntime(t, Config{Retry: RetryPolicy{Disabled: true}})
+	rt := newTestRuntime(t, Config{})
 	registerCounter(t, rt)
 	// No silos: the call must fail ErrNoSilos and classify transient.
-	_, err := rt.Call(context.Background(), ID{"Counter", "a"}, getMsg{})
+	_, err := callOnce(context.Background(), rt, ID{"Counter", "a"}, getMsg{})
+	if !errors.Is(err, ErrNoSilos) || !Transient(err) {
+		t.Fatalf("no-silos attempt: %v (transient=%v)", err, Transient(err))
+	}
+	_, err = rt.Call(context.Background(), ID{"Counter", "a"}, getMsg{})
 	if !errors.Is(err, ErrNoSilos) || !Transient(err) {
 		t.Fatalf("no-silos call: %v (transient=%v)", err, Transient(err))
 	}

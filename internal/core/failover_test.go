@@ -346,7 +346,7 @@ func TestCrashedTurnWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	rt := newTestRuntime(t, Config{Store: kv, Retry: RetryPolicy{Disabled: true}})
+	rt := newTestRuntime(t, Config{Store: kv})
 	entered, release := make(chan struct{}), make(chan struct{})
 	rt.RegisterKind("Slow", func() Actor { return &slowWriter{entered: entered, release: release} },
 		WithPersistence(PersistExplicit))
@@ -354,7 +354,7 @@ func TestCrashedTurnWritesNothing(t *testing.T) {
 	id := ID{"Slow", "w"}
 	done := make(chan error, 1)
 	go func() {
-		_, err := rt.Call(context.Background(), id, 7)
+		_, err := callOnce(context.Background(), rt, id, 7)
 		done <- err
 	}()
 	<-entered // the turn is past the crashed check and has not written yet
@@ -395,8 +395,9 @@ func (w *slowWriter) Receive(ctx *Context, msg any) (any, error) {
 // ErrShutdown. The chaos soak used to leak the permanent "runtime shut
 // down" from calls that raced a silo crash.
 func TestCrashSiloErrorsAreTransient(t *testing.T) {
-	// Retries off, so every raw error of the race reaches the caller.
-	rt := newTestRuntime(t, Config{Retry: RetryPolicy{Disabled: true}})
+	// Callers make one attempt each, so every raw error of the race
+	// reaches them.
+	rt := newTestRuntime(t, Config{})
 	registerCounter(t, rt)
 	addSilo(t, rt, "s1")
 	addSilo(t, rt, "s2")
@@ -430,7 +431,7 @@ func TestCrashSiloErrorsAreTransient(t *testing.T) {
 					return
 				default:
 				}
-				_, err := rt.Call(ctx, ID{"Counter", fmt.Sprintf("c%d-%d", w, i%50)}, addMsg{N: 1})
+				_, err := callOnce(ctx, rt, ID{"Counter", fmt.Sprintf("c%d-%d", w, i%50)}, addMsg{N: 1})
 				calls.Add(1)
 				if err != nil {
 					failed.Add(1)

@@ -108,10 +108,10 @@ func TestActorPanicIsolatedAndReactivates(t *testing.T) {
 }
 
 // TestPanicFailsQueuedCallsTransient: messages queued behind a panicking
-// turn must fail with a retryable classification (here retries are
-// disabled so the classification itself is visible to the caller).
+// turn must fail with a retryable classification (here each call makes
+// one attempt, so the classification itself is visible to the caller).
 func TestPanicFailsQueuedCallsTransient(t *testing.T) {
-	rt := newTestRuntime(t, Config{Retry: RetryPolicy{Disabled: true}})
+	rt := newTestRuntime(t, Config{})
 	gate := make(chan struct{})
 	if err := rt.RegisterKind("Chaos", func() Actor { return &chaosActor{gate: gate} }); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestPanicFailsQueuedCallsTransient(t *testing.T) {
 	// Park a turn so we can queue behind it deterministically.
 	held := make(chan error, 1)
 	go func() {
-		_, err := rt.Call(ctx, id, holdMsg{})
+		_, err := callOnce(ctx, rt, id, holdMsg{})
 		held <- err
 	}()
 	waitForActive(t, rt, 1)
@@ -132,13 +132,13 @@ func TestPanicFailsQueuedCallsTransient(t *testing.T) {
 	// deterministic: panic turn, then the call that must see the poison.
 	bombed := make(chan error, 1)
 	go func() {
-		_, err := rt.Call(ctx, id, panicMsg{})
+		_, err := callOnce(ctx, rt, id, panicMsg{})
 		bombed <- err
 	}()
 	waitForQueued(t, rt, id, 1)
 	queued := make(chan error, 1)
 	go func() {
-		_, err := rt.Call(ctx, id, getMsg{})
+		_, err := callOnce(ctx, rt, id, getMsg{})
 		queued <- err
 	}()
 	waitForQueued(t, rt, id, 2)
@@ -230,17 +230,18 @@ func TestCallRetriesTransientFailures(t *testing.T) {
 	}
 }
 
-// TestCallRetryDisabledFailsFast: with retries off the first transient
-// failure surfaces directly, still classified for the caller.
-func TestCallRetryDisabledFailsFast(t *testing.T) {
+// TestFirstAttemptFailsTransient: a first attempt's transient failure
+// surfaces from routeOnce as it is, classified for the retry loop, and the
+// attempt counts no retry.
+func TestFirstAttemptFailsTransient(t *testing.T) {
 	inner := transport.NewLocal(nil, nil)
 	ft := &failFirstTransport{Transport: inner}
 	ft.remaining.Store(1)
-	rt := newTestRuntime(t, Config{Transport: ft, Retry: RetryPolicy{Disabled: true}})
+	rt := newTestRuntime(t, Config{Transport: ft})
 	registerCounter(t, rt)
 	addSilo(t, rt, "s1")
 
-	_, err := rt.Call(context.Background(), ID{"Counter", "a"}, addMsg{3})
+	_, err := callOnce(context.Background(), rt, ID{"Counter", "a"}, addMsg{3})
 	if err == nil || !Transient(err) {
 		t.Fatalf("err = %v, want transient failure", err)
 	}
@@ -409,7 +410,7 @@ func TestZombieWriteFenced(t *testing.T) {
 	if kverr != nil {
 		t.Fatal(kverr)
 	}
-	rt := newTestRuntime(t, Config{Store: store, Retry: RetryPolicy{Disabled: true}})
+	rt := newTestRuntime(t, Config{Store: store})
 	registerCounter(t, rt, WithPersistence(PersistExplicit))
 	addSilo(t, rt, "s1")
 	ctx := context.Background()
@@ -437,7 +438,7 @@ func TestZombieWriteFenced(t *testing.T) {
 	}
 
 	// The zombie's next write must be fenced and classified transient.
-	_, err = rt.Call(ctx, id, saveMsg{})
+	_, err = callOnce(ctx, rt, id, saveMsg{})
 	if !errors.Is(err, ErrStaleActivation) {
 		t.Fatalf("zombie write error = %v, want ErrStaleActivation", err)
 	}

@@ -182,10 +182,7 @@ func TestForcedMigrationFencesZombieWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	// Retries disabled so the zombie's caller sees the fence directly
-	// (with retries on, the call would transparently re-run at the
-	// target — correct, but it would hide what this test asserts).
-	rt := newTestRuntime(t, Config{Store: kv, Retry: RetryPolicy{Disabled: true}})
+	rt := newTestRuntime(t, Config{Store: kv})
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	if err := rt.RegisterKind("Fence", func() Actor {
@@ -209,8 +206,11 @@ func TestForcedMigrationFencesZombieWrite(t *testing.T) {
 	}
 
 	callErr := make(chan error, 1)
+	// One attempt, so the zombie's caller sees the fence directly (a Call
+	// would transparently re-run at the target — correct, but it would
+	// hide what this test asserts).
 	go func() {
-		_, err := rt.Call(ctx, id, blockThenAddMsg{N: 100})
+		_, err := callOnce(ctx, rt, id, blockThenAddMsg{N: 100})
 		callErr <- err
 	}()
 	<-entered // the turn is now wedged mid-execution

@@ -28,18 +28,9 @@ import (
 // silo has a limiter).
 type CostFunc func(id ID, msg any) time.Duration
 
-// RetryPolicy configures the self-healing call path: transient failures
+// The retry schedule of the self-healing call path: transient failures
 // (see Transient) are retried transparently with exponential backoff and
-// jitter, up to maxAttempts and within a per-call time budget. The zero
-// value retries; set Disabled to turn transparent retries off.
-type RetryPolicy struct {
-	// Disabled turns off transparent retries (wrong-silo re-routing, an
-	// internal correctness mechanism, still happens). It stays settable
-	// because tests read a first attempt's error through it.
-	Disabled bool
-}
-
-// The retry schedule of the self-healing call path.
+// jitter, up to maxAttempts and within a per-call time budget.
 const (
 	// maxAttempts is the total number of tries including the first: 4.
 	maxAttempts = 4
@@ -92,8 +83,6 @@ type Config struct {
 	Clock clock.Clock
 	// Metrics receives runtime instrumentation; nil allocates a registry.
 	Metrics *metrics.Registry
-	// Retry configures transparent retries of transient call failures.
-	Retry RetryPolicy
 	// BeforeTurn, when set, runs at the start of every actor turn, inside
 	// the panic-isolation boundary. It exists for fault injection (a hook
 	// that panics exercises the recovery path exactly as an application
@@ -425,11 +414,6 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 	// immediate (no backoff) but must not spin forever under pathological
 	// churn.
 	const maxHops = 8
-	disabled := rt.cfg.Retry.Disabled
-	attempts := maxAttempts
-	if disabled {
-		attempts = 1
-	}
 	backoff := baseBackoff
 	// The retry deadline is armed lazily on the first failure, so the
 	// happy path allocates no timer and pays nothing for the budget.
@@ -458,7 +442,7 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 			return nil, retries, hops, err
 		}
 		attempt++
-		if attempt > attempts {
+		if attempt > maxAttempts {
 			break
 		}
 		if ctx.Err() != nil {
@@ -485,10 +469,7 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 		}
 		backoff = min(2*backoff, maxBackoff)
 	}
-	if disabled {
-		return nil, retries, hops, lastErr
-	}
-	return nil, retries, hops, fmt.Errorf("core: %s failed after %d attempts: %w", id, attempts, lastErr)
+	return nil, retries, hops, fmt.Errorf("core: %s failed after %d attempts: %w", id, maxAttempts, lastErr)
 }
 
 // strategy is the placement a kind's actors use: its own, else the

@@ -25,7 +25,8 @@ type Silo struct {
 	rt      *Runtime
 	limiter *capacity.Limiter // nil = unbounded
 	metrics *metrics.Registry
-	workers workers // the goroutines that run this silo's turns
+	turns   *metrics.Counter // core.turns, resolved once: every turn counts
+	workers workers          // the goroutines that run this silo's turns
 
 	mu          sync.Mutex
 	catalog     map[ID]*activation
@@ -48,6 +49,7 @@ func newSilo(name string, rt *Runtime, limiter *capacity.Limiter) *Silo {
 		rt:            rt,
 		limiter:       limiter,
 		metrics:       rt.metrics,
+		turns:         rt.metrics.Counter("core.turns"),
 		catalog:       make(map[ID]*activation),
 		collectorStop: make(chan struct{}),
 		collectorDone: make(chan struct{}),

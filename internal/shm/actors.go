@@ -60,13 +60,6 @@ func (o *organizationActor) Receive(ctx *core.Context, msg any) (any, error) {
 			o.state.Channels = append(o.state.Channels, info.Virtual)
 		}
 		return nil, ctx.WriteState()
-	case GetOrgInfo:
-		return OrgInfo{
-			Name:     o.state.Name,
-			Projects: append([]Project(nil), o.state.Projects...),
-			Users:    append([]User(nil), o.state.Users...),
-			Sensors:  append([]string(nil), o.state.Sensors...),
-		}, nil
 	case GetChannels:
 		return append([]string(nil), o.state.Channels...), nil
 	default:
@@ -213,9 +206,6 @@ func (c *physicalChannelActor) Receive(ctx *core.Context, msg any) (any, error) 
 		return c.historyQuery(ctx, m.From, m.To)
 	case GetAccumulated:
 		return c.state.Accumulated, nil
-	case SetThreshold:
-		c.state.Threshold = m.Threshold
-		return nil, nil
 	default:
 		return nil, fmt.Errorf("shm: PhysicalChannel: unknown message %T", msg)
 	}
@@ -581,13 +571,6 @@ func (a *aggregatorActor) State() any { return &a.state }
 
 func (a *aggregatorActor) Receive(ctx *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
-	case ConfigureAggregator:
-		a.state.Level = m.Level
-		a.state.Next = m.Next
-		if a.state.PerChannel == nil {
-			a.state.PerChannel = []aggChannel{}
-		}
-		return nil, ctx.WriteState()
 	case StatUpdate:
 		if a.state.Level == "" {
 			// Self-configure from the key ("org-3@agg/hour"): aggregators

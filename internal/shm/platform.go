@@ -265,7 +265,6 @@ type Population struct {
 	ChannelsPerSensor int // physical channels per sensor
 	VirtualEveryNth   int
 	WindowCap         int
-	Threshold         Threshold
 	WriteEveryBatch   bool
 }
 
@@ -320,7 +319,6 @@ func (p *Platform) Populate(ctx context.Context, pop Population) ([]string, erro
 			PhysicalChannels: pop.ChannelsPerSensor,
 			WithVirtual:      withVirtual,
 			WindowCap:        pop.WindowCap,
-			Threshold:        pop.Threshold,
 			WriteEveryBatch:  pop.WriteEveryBatch,
 		}); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -102,8 +103,22 @@ func TestPopulationMatchesPaperStructure(t *testing.T) {
 }
 
 func TestPopulateCreatesStructure(t *testing.T) {
-	p := newPlatform(t, Options{})
+	kv, err := kvstore.Open(kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
 	ctx := context.Background()
+	rt, err := core.New(core.Config{Store: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(ctx)
+	p, err := NewPlatform(rt, Options{Persist: core.PersistOnDeactivate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.AddSilo("silo-1", nil)
 	keys, err := p.Populate(ctx, DefaultPopulation(20))
 	if err != nil {
 		t.Fatal(err)
@@ -111,13 +126,22 @@ func TestPopulateCreatesStructure(t *testing.T) {
 	if len(keys) != 20 {
 		t.Fatalf("sensor keys = %d", len(keys))
 	}
-	v, err := p.rt.Call(ctx, core.ID{Kind: KindOrganization, Key: OrgKey(0)}, GetOrgInfo{})
+	// The org writes its state at every change: its passive project and
+	// user objects and its sensors are in the store.
+	table, err := kv.Table(core.StateTable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := v.(OrgInfo)
-	if len(info.Sensors) != 20 || len(info.Projects) != 1 || len(info.Users) != 1 {
-		t.Fatalf("org info = %+v", info)
+	it, err := table.Get(ctx, core.ID{Kind: KindOrganization, Key: OrgKey(0)}.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var org orgState
+	if err := json.Unmarshal(it.Value, &org); err != nil {
+		t.Fatal(err)
+	}
+	if len(org.Sensors) != 20 || len(org.Projects) != 1 || len(org.Users) != 1 {
+		t.Fatalf("org state = %+v", org)
 	}
 	chans, err := p.rt.Call(ctx, core.ID{Kind: KindOrganization, Key: OrgKey(0)}, GetChannels{})
 	if err != nil {
@@ -421,12 +445,12 @@ func TestStatePersistsAcrossRuntimeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt2.AddSilo("silo-1", nil)
-	v, err := p2.rt.Call(ctx, core.ID{Kind: KindOrganization, Key: "org-0"}, GetOrgInfo{})
+	v, err := p2.rt.Call(ctx, core.ID{Kind: KindOrganization, Key: "org-0"}, GetChannels{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(OrgInfo).Name != "Durable Org" {
-		t.Fatalf("org info after restart = %+v", v)
+	if chans := v.([]string); len(chans) != 1 || chans[0] != ChannelKey(spec.Key, 0) {
+		t.Fatalf("org channels after restart = %v", chans)
 	}
 	pts, err := p2.RawData(ctx, ChannelKey(spec.Key, 0), t0.Add(-time.Hour), t0.Add(time.Hour))
 	if err != nil {

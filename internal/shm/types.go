@@ -140,8 +140,6 @@ type (
 	AddUser struct{ ID, Name, Role string }
 	// AttachSensor tells the org about one of its sensors.
 	AttachSensor struct{ SensorKey string }
-	// GetOrgInfo returns the OrgInfo snapshot.
-	GetOrgInfo struct{}
 	// GetChannels returns every channel key owned by the org's sensors.
 	GetChannels struct{}
 
@@ -205,8 +203,6 @@ type (
 	RangeQuery struct{ From, To time.Time }
 	// GetAccumulated returns the channel's accumulated change.
 	GetAccumulated struct{}
-	// SetThreshold replaces the channel's alert threshold.
-	SetThreshold struct{ Threshold Threshold }
 
 	// ConfigureVirtual initializes a VirtualChannel with its inputs.
 	ConfigureVirtual struct {
@@ -221,12 +217,6 @@ type (
 		Points []DataPoint
 	}
 
-	// ConfigureAggregator sets an aggregator's level and optional next
-	// level to forward to (hour -> day -> month).
-	ConfigureAggregator struct {
-		Level string
-		Next  string // aggregator key of the next level, "" for last
-	}
 	// StatUpdate folds per-bucket statistics into an aggregator.
 	StatUpdate struct {
 		Channel string
@@ -246,14 +236,6 @@ type (
 // a LiveData frame runs its turns on the goroutine that serves it.
 func (Latest) NonBlocking() {}
 
-// OrgInfo is the reply to GetOrgInfo.
-type OrgInfo struct {
-	Name     string
-	Projects []Project
-	Users    []User
-	Sensors  []string
-}
-
 // SensorInfo is the reply to GetSensorInfo.
 type SensorInfo struct {
 	Org      string
@@ -272,13 +254,13 @@ type LiveReading struct {
 func init() {
 	for _, v := range []any{
 		DataPoint{}, Threshold{}, Project{}, User{}, Alert{}, BucketStat{},
-		CreateOrg{}, AddProject{}, AddUser{}, AttachSensor{}, GetOrgInfo{}, GetChannels{},
+		CreateOrg{}, AddProject{}, AddUser{}, AttachSensor{}, GetChannels{},
 		ConfigureSensor{}, InsertBatch{}, GetSensorInfo{},
-		ConfigureChannel{}, InsertPoints{}, Latest{}, RangeQuery{}, GetAccumulated{}, SetThreshold{}, HistoryQuery{},
+		ConfigureChannel{}, InsertPoints{}, Latest{}, RangeQuery{}, GetAccumulated{}, HistoryQuery{},
 		ConfigureVirtual{}, VirtualInput{},
-		ConfigureAggregator{}, StatUpdate{}, GetAggregates{},
+		StatUpdate{}, GetAggregates{},
 		RaiseAlert{}, GetAlerts{},
-		OrgInfo{}, SensorInfo{}, LiveReading{},
+		SensorInfo{}, LiveReading{},
 		[]DataPoint{}, []BucketStat{}, []LiveReading{}, []Alert{}, []string{},
 		[]float64{}, [][]float64{}, map[string][]BucketStat{},
 	} {

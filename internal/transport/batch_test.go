@@ -287,6 +287,9 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	here, there := net.Pipe()
 	defer here.Close()
 	w := tp.newWriter("peer", here, codec.NewBufferedStream(here, writeBuffer))
+	// Stop the writer before tp.Close waits for it, also when a check
+	// fails: a writer blocked on the pipe would hang the package.
+	defer w.fail(errConnClosed)
 	// Pretend several callers are active so enqueue takes the queue path
 	// instead of the solo-caller inline write (which would block on the
 	// unread pipe).
@@ -313,10 +316,15 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	}
 	// Unblock the pipe; everything drains.
 	go io.Copy(io.Discard, there) //nolint:errcheck
+	// A flush's latency sample is recorded after its frames count as
+	// sent, so wait for the last sample too.
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("transport.frames.sent").Value() < frames {
+	for reg.Counter("transport.frames.sent").Value() < frames ||
+		reg.Histogram("transport.flush.latency").Snapshot().Count < reg.Histogram("transport.flush.frames").Snapshot().Count {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d frames flushed", reg.Counter("transport.frames.sent").Value(), frames)
+			t.Fatalf("only %d of %d frames flushed, %d of %d flush latencies recorded",
+				reg.Counter("transport.frames.sent").Value(), frames,
+				reg.Histogram("transport.flush.latency").Snapshot().Count, reg.Histogram("transport.flush.frames").Snapshot().Count)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -336,7 +344,6 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	if lat := reg.Histogram("transport.flush.latency").Snapshot(); lat.Count != snap.Count {
 		t.Fatalf("flush.latency count = %d, want %d", lat.Count, snap.Count)
 	}
-	w.fail(errConnClosed)
 }
 
 // TestTCPMetricsEndToEnd: driving real traffic populates the flush

@@ -106,38 +106,14 @@ func truncate(t time.Time, g Grain) time.Time {
 	}
 }
 
-// Filter restricts a query's fact scan. Zero fields mean "any".
+// Filter restricts a query's fact scan to one organization; the zero
+// Filter scans every fact.
 type Filter struct {
-	Org     string
-	Sensor  string
-	Channel string
-	Kind    ChannelKind
-	From    time.Time
-	To      time.Time
+	Org string
 }
 
 func (f Filter) matches(w *Warehouse, i int) bool {
-	ch := w.channels[w.chans[i]]
-	if f.Org != "" && ch.Org != f.Org {
-		return false
-	}
-	if f.Sensor != "" && ch.Sensor != f.Sensor {
-		return false
-	}
-	if f.Channel != "" && ch.Name != f.Channel {
-		return false
-	}
-	if f.Kind != "" && ch.Kind != f.Kind {
-		return false
-	}
-	t := w.times[i]
-	if !f.From.IsZero() && t < f.From.UnixNano() {
-		return false
-	}
-	if !f.To.IsZero() && t > f.To.UnixNano() {
-		return false
-	}
-	return true
+	return f.Org == "" || w.channels[w.chans[i]].Org == f.Org
 }
 
 // Aggregate is one roll-up output row.

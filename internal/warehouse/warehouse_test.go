@@ -74,12 +74,12 @@ func TestRollUpByOrgAndHour(t *testing.T) {
 func TestRollUpByChannelAndDay(t *testing.T) {
 	w := New()
 	seed(w)
-	rows, err := w.RollUp(Filter{Org: "org-1", Kind: Physical}, GroupChannel, ByDay)
+	rows, err := w.RollUp(Filter{Org: "org-1"}, GroupChannel, ByDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v, want 2 channels x 1 day", rows)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %+v, want 3 channels x 1 day", rows)
 	}
 	if rows[0].Group != "s1/ch-0" || rows[0].Count != 10 || rows[0].Min != 0 || rows[0].Max != 9 {
 		t.Fatalf("ch-0 day row = %+v", rows[0])
@@ -89,6 +89,9 @@ func TestRollUpByChannelAndDay(t *testing.T) {
 	}
 	if rows[1].Mean() != 45 {
 		t.Fatalf("mean = %v", rows[1].Mean())
+	}
+	if rows[2].Group != "s1/virt" || rows[2].Count != 1 || rows[2].Sum != 42 {
+		t.Fatalf("virtual day row = %+v", rows[2])
 	}
 }
 
@@ -110,20 +113,6 @@ func TestRollUpUnknownGrouping(t *testing.T) {
 	w := New()
 	if _, err := w.RollUp(Filter{}, GroupBy("bogus"), ByHour); err == nil {
 		t.Fatal("bogus grouping accepted")
-	}
-}
-
-func TestFilterTimeRangeAndKind(t *testing.T) {
-	w := New()
-	seed(w)
-	rows, err := w.RollUp(Filter{Org: "org-1", Kind: Virtual}, GroupChannel, ByDay)
-	if err != nil || len(rows) != 1 || rows[0].Count != 1 || rows[0].Sum != 42 {
-		t.Fatalf("virtual facts = %+v (%v)", rows, err)
-	}
-	// Readings at +40 min and +60 min fall inside [+30 min, +70 min].
-	rows, err = w.RollUp(Filter{Channel: "s1/ch-0", From: t0.Add(30 * time.Minute), To: t0.Add(70 * time.Minute)}, GroupChannel, ByDay)
-	if err != nil || len(rows) != 1 || rows[0].Count != 2 || rows[0].Min != 2 || rows[0].Max != 3 {
-		t.Fatalf("range facts = %+v (%v)", rows, err)
 	}
 }
 
@@ -187,17 +176,17 @@ func TestExportFromStore(t *testing.T) {
 	if n != 18 || len(w.times) != 18 {
 		t.Fatalf("exported %d facts, want 18", n)
 	}
-	rows, err := w.RollUp(Filter{Org: "org-0", Kind: Physical}, GroupChannel, ByHour)
+	// Two physical channels, then the virtual one, in one hour.
+	rows, err := w.RollUp(Filter{Org: "org-0"}, GroupChannel, ByHour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Count != 6 {
+	if len(rows) != 3 || rows[0].Count != 6 || rows[1].Count != 6 {
 		t.Fatalf("rollup = %+v", rows)
 	}
 	// The virtual channel sums each row: 11, 22, 11, 22, 11, 22.
-	virt, err := w.RollUp(Filter{Kind: Virtual}, GroupChannel, ByDay)
-	if err != nil || len(virt) != 1 || virt[0].Count != 6 || virt[0].Min != 11 || virt[0].Sum != 99 {
-		t.Fatalf("virtual facts = %+v (%v)", virt, err)
+	if virt := rows[2]; virt.Group != shm.VirtualKey(sensor) || virt.Count != 6 || virt.Min != 11 || virt.Sum != 99 {
+		t.Fatalf("virtual facts = %+v", virt)
 	}
 	// Virtual channels derive their sensor from the key.
 	for _, ch := range w.channels {

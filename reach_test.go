@@ -21,8 +21,9 @@ import (
 // testOnlyAllowed names the identifiers under internal/ that only tests
 // reach and that stay anyway, each with its reason. A key is a package
 // path below internal/ followed by the identifier ("clock.NewFake",
-// "wal.Log.InjectWriteFault"), or a bare package path, which allows every
-// identifier the package declares.
+// "wal.Log.InjectWriteFault"), a struct type, which allows every field it
+// declares, or a bare package path, which allows every identifier the
+// package declares.
 var testOnlyAllowed = map[string]string{
 	"clock.NewFake":             "fake clock: the deterministic time source the timing tests drive",
 	"clock.Fake.Advance":        "fake clock: moves test time forward and fires the timers it passes",
@@ -32,13 +33,16 @@ var testOnlyAllowed = map[string]string{
 	"bench.RunChaos":            "the in-process chaos soak: the soak gate runs it as TestChaosSoak",
 	"bench.InsertRequestCost":   "capacity model: the per-insert cost TestCostModelCalibration holds to the paper's m5.large ceiling",
 	"capacity.Profile.Capacity": "capacity model: the instance ceiling TestCostModelCalibration checks",
+	"faults.Config":             "the soak gate's fault mix: only the chaos soaks set Dup, Delay and Panic",
+	"bench.ChaosConfig":         "the config of bench.RunChaos, which only the soak gate runs",
 }
 
 // TestNoTestOnlyCode fails on any identifier declared under internal/
 // that no non-test file in the module reaches and that testOnlyAllowed
-// does not name, and on any allow-list entry that is reached or names
-// nothing. Code only tests call is not part of the system: delete it, or
-// wire it into the program or example it belongs to.
+// does not name, and on any allow-list entry that is reached, names
+// nothing, names a message type or gives no reason. Code only tests call
+// is not part of the system: delete it, or wire it into the program or
+// example it belongs to.
 func TestNoTestOnlyCode(t *testing.T) {
 	m := loadRoot(t)
 	unreached, stale := reachScan(m, testOnlyAllowed)
@@ -52,8 +56,10 @@ func TestNoTestOnlyCode(t *testing.T) {
 
 // TestReachScanFixture runs the scan over testdata/reach, a module with
 // one planted case of each kind: an unreached exported func, a method
-// reached only through an errors.As interface literal, and an allow-listed
-// identifier. Only the first may be reported.
+// reached only through an errors.As interface literal, an allow-listed
+// identifier, a message named only in a case clause and codec.Register, a
+// message built only in a test file, and a field that is only read. The
+// first and the last three are reported.
 func TestReachScanFixture(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "reach"))
 	if err != nil {
@@ -65,22 +71,24 @@ func TestReachScanFixture(t *testing.T) {
 	for _, u := range unreached {
 		got = append(got, u.name)
 	}
-	if want := []string{"widget.Unused"}; strings.Join(got, ",") != strings.Join(want, ",") {
+	if want := []string{"widget.Orphan", "widget.Ping.Limit", "widget.Probe", "widget.Unused"}; strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("unreached = %v, want %v", got, want)
 	}
 	if len(stale) != 0 {
 		t.Errorf("stale = %v, want none", stale)
 	}
 
-	// An entry for a reached identifier and one for a missing identifier
-	// are both stale.
-	allow = map[string]string{"widget.Spare": "x", "widget.Unused": "x", "widget.Reached": "x", "widget.Gone": "x"}
+	// An entry for a reached identifier, a missing identifier or a message
+	// type (even one whose field it would cover), and one without a
+	// reason, are stale.
+	allow = map[string]string{"widget.Spare": " ", "widget.Unused": "x", "widget.Reached": "x", "widget.Gone": "x",
+		"widget.Orphan": "x", "widget.Probe": "x", "widget.Ping": "x"}
 	_, stale = reachScan(m, allow)
 	got = got[:0]
 	for _, s := range stale {
 		got = append(got, s.name)
 	}
-	if want := []string{"widget.Gone", "widget.Reached"}; strings.Join(got, ",") != strings.Join(want, ",") {
+	if want := []string{"widget.Gone", "widget.Orphan", "widget.Ping", "widget.Probe", "widget.Reached", "widget.Spare"}; strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("stale = %v, want %v", got, want)
 	}
 }
@@ -237,7 +245,8 @@ type staleEntry struct{ name, why string }
 
 // reachScan reports the identifiers declared in non-test files under the
 // module's internal/ that nothing reaches, minus those allow names, and
-// the entries of allow that are stale: reached, or naming nothing.
+// the entries of allow that are stale: reached, naming nothing, naming a
+// message type, or giving no reason.
 //
 // Declared: exported types, package-level consts and vars, exported
 // fields of exported struct types, and every func and method, exported
@@ -247,6 +256,13 @@ type staleEntry struct{ name, why string }
 // reached when some non-test file names an interface type, named or
 // literal, with a method of the same name, or when the standard library
 // calls it through one of implicitMethods.
+//
+// Two kinds count as reached only by what gives them a value. A field is
+// reached only where some non-test file writes it (see writes). A message,
+// a struct type named in a type-switch case or built inside an init
+// function (where codec.Register is called), is reached only where some
+// non-test file builds a value of it outside init: a composite literal,
+// new(T) or a declared variable of type T.
 func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEntry) {
 	prefix := m.path + "/internal/"
 	type decl struct {
@@ -347,21 +363,46 @@ func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEnt
 		}
 	}
 
+	w := writes(m)
+	messages := map[string]bool{} // declared names of message types
 	var unreached []unreachedIdent
 	allowedHits := map[string]bool{}
 	for obj, d := range declared {
-		if reached[obj] || (d.method && ifaceMethods[obj.Name()]) {
-			continue
+		v, _ := obj.(*types.Var)
+		field := v != nil && v.IsField()
+		if w.messages[obj] {
+			messages[d.name] = true
 		}
-		key := d.name
-		if _, ok := allow[key]; !ok {
-			key = pkgOf[d.name]
-			if _, ok := allow[key]; !ok {
-				unreached = append(unreached, unreachedIdent{d.name, stdFset.Position(d.pos)})
+		switch {
+		case field:
+			if w.fields[obj] {
 				continue
 			}
+		case w.messages[obj]:
+			if w.built[obj] {
+				continue
+			}
+		case reached[obj] || (d.method && ifaceMethods[obj.Name()]):
+			continue
 		}
-		allowedHits[key] = true
+		// An entry names the identifier, the struct type that declares a
+		// field, or the package.
+		keys := []string{d.name}
+		if field {
+			keys = append(keys, d.name[:strings.LastIndex(d.name, ".")])
+		}
+		hit := ""
+		for _, k := range append(keys, pkgOf[d.name]) {
+			if _, ok := allow[k]; ok {
+				hit = k
+				break
+			}
+		}
+		if hit == "" {
+			unreached = append(unreached, unreachedIdent{d.name, stdFset.Position(d.pos)})
+			continue
+		}
+		allowedHits[hit] = true
 	}
 	sort.Slice(unreached, func(i, j int) bool { return unreached[i].name < unreached[j].name })
 
@@ -370,8 +411,12 @@ func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEnt
 		known[name], known[pkg] = true, true
 	}
 	var stale []staleEntry
-	for key := range allow {
+	for key, why := range allow {
 		switch {
+		case strings.TrimSpace(why) == "":
+			stale = append(stale, staleEntry{key, "gives no reason"})
+		case messages[key]:
+			stale = append(stale, staleEntry{key, "names a message type; a message no program sends goes, with its handler branches"})
 		case !known[key]:
 			stale = append(stale, staleEntry{key, "names no identifier or package under internal/"})
 		case !allowedHits[key]:
@@ -380,6 +425,140 @@ func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEnt
 	}
 	sort.Slice(stale, func(i, j int) bool { return stale[i].name < stale[j].name })
 	return unreached, stale
+}
+
+// written is what the module's non-test files give a value to.
+type written struct {
+	fields   map[types.Object]bool // fields written
+	built    map[types.Object]bool // struct types a value is built of outside init
+	messages map[types.Object]bool // struct types named in a type-switch case or built in init
+}
+
+// writes walks every non-test file of m. A field is written by a keyed
+// composite literal, an assignment, ++ or --, a range clause's = or an
+// address taken (&x.F, or x.F.M() with M on *T); an unkeyed literal writes
+// every field. Writing x.F.G, or x.F[i] with F an array, writes F too,
+// unless the path crosses a pointer.
+func writes(m *module) written {
+	w := written{fields: map[types.Object]bool{}, built: map[types.Object]bool{}, messages: map[types.Object]bool{}}
+	// named is the struct type T or *T names, nil for any other type.
+	named := func(t types.Type) types.Object {
+		if pt, ok := t.(*types.Pointer); ok {
+			t = pt.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			if _, ok := n.Underlying().(*types.Struct); ok {
+				return n.Origin().Obj()
+			}
+		}
+		return nil
+	}
+	for _, p := range m.list {
+		write := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					s := p.info.Selections[x]
+					if s == nil || s.Kind() != types.FieldVal {
+						return
+					}
+					w.fields[s.Obj().(*types.Var).Origin()] = true
+					if s.Indirect() {
+						return
+					}
+					e = x.X
+				case *ast.IndexExpr:
+					if _, ok := p.info.TypeOf(x.X).Underlying().(*types.Array); !ok {
+						return
+					}
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, _ := d.(*ast.FuncDecl)
+				inInit := fd != nil && fd.Recv == nil && fd.Name.Name == "init"
+				build := func(t types.Type) {
+					if obj := named(t); obj != nil {
+						if inInit {
+							w.messages[obj] = true
+						} else {
+							w.built[obj] = true
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						t := p.info.TypeOf(n)
+						if pt, ok := t.(*types.Pointer); ok { // an elided &T{} inside []*T{...}
+							t = pt.Elem()
+						}
+						build(t)
+						st, ok := t.Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								w.fields[p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+							} else {
+								w.fields[st.Field(i).Origin()] = true
+							}
+						}
+					case *ast.CallExpr:
+						if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) == 1 {
+							if b, ok := p.info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
+								build(p.info.TypeOf(n.Args[0]))
+							}
+						}
+					case *ast.ValueSpec:
+						if n.Type != nil {
+							if _, ok := p.info.TypeOf(n.Type).(*types.Pointer); !ok {
+								build(p.info.TypeOf(n.Type))
+							}
+						}
+					case *ast.TypeSwitchStmt:
+						for _, c := range n.Body.List {
+							for _, e := range c.(*ast.CaseClause).List {
+								if obj := named(p.info.TypeOf(e)); obj != nil {
+									w.messages[obj] = true
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, l := range n.Lhs {
+							write(l)
+						}
+					case *ast.IncDecStmt:
+						write(n.X)
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							write(n.Key)
+							write(n.Value)
+						}
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X)
+						}
+					case *ast.SelectorExpr:
+						if s := p.info.Selections[n]; s != nil && s.Kind() == types.MethodVal && !s.Indirect() {
+							if _, ok := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ok {
+								write(n.X)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return w
 }
 
 // recvName is the base type name of a method receiver: T for T, *T, T[K]

@@ -1,6 +1,6 @@
 // Command fixture is the reachability scan's planted module: it reaches
-// widget.Reached by a call and widget.Busy's marker method only through
-// the interface literal it hands to errors.As.
+// widget.Reached by a call, widget.Busy's marker method only through the
+// interface literal it hands to errors.As, and widget.Ping by sending one.
 package main
 
 import (
@@ -15,4 +15,5 @@ func main() {
 	var err error = widget.Busy{}
 	var transient interface{ TransientError() bool }
 	fmt.Println(errors.As(err, &transient))
+	fmt.Println(widget.Handle(widget.Ping{Seq: 1}))
 }
