@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	authSvc, err := auth.New(rt, core.PersistOnDeactivate)
+	authSvc, err := auth.New(rt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,9 +62,6 @@ func main() {
 
 	// Tenant setup: an engineer provisions, devices ingest, analysts read.
 	const org = "org-0"
-	if err := platform.CreateOrganization(ctx, org, "Pipeline Org"); err != nil {
-		log.Fatal(err)
-	}
 	engToken, err := authSvc.CreateUser(ctx, org, "engineer", auth.RoleEngineer)
 	if err != nil {
 		log.Fatal(err)

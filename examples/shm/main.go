@@ -57,9 +57,6 @@ func main() {
 	// summing its two channels, and an 800-point window whose older points
 	// go to the archive) and an inclination sensor.
 	const org = "org-0"
-	if err := platform.CreateOrganization(ctx, org, "Bridge Operations A/S"); err != nil {
-		log.Fatal(err)
-	}
 	extension := shm.SensorKey(org, 0)
 	if err := platform.InstallSensor(ctx, shm.SensorSpec{
 		Org: org, Key: extension, PhysicalChannels: 2, WithVirtual: true,
@@ -158,7 +155,7 @@ func main() {
 		log.Fatal("expected alerts from the simulated event")
 	}
 	for _, a := range alerts {
-		fmt.Printf("  %s: %s (value %.2f)\n", a.At.Format(time.TimeOnly), a.Reason, a.Value)
+		fmt.Printf("  %s %s: %s (value %.2f)\n", a.At.Format(time.TimeOnly), a.Channel, a.Reason, a.Value)
 	}
 }
 

@@ -169,11 +169,12 @@ type Service struct {
 	rt *core.Runtime
 }
 
-// New registers the auth kind (persistently when the runtime has a
-// store) and returns the service.
-func New(rt *core.Runtime, persist core.PersistMode) (*Service, error) {
+// New registers the auth kind and returns the service. A tenant's users
+// outlive its activation: on a runtime with a store they are loaded at
+// activation and written when it is collected or the runtime shuts down.
+func New(rt *core.Runtime) (*Service, error) {
 	if err := rt.RegisterKind(Kind, func() core.Actor { return &tenantAuthActor{} },
-		core.WithPersistence(persist)); err != nil {
+		core.WithPersistence(core.PersistOnDeactivate)); err != nil {
 		return nil, err
 	}
 	return &Service{rt: rt}, nil

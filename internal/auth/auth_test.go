@@ -13,10 +13,6 @@ import (
 
 func newService(t *testing.T, kv *kvstore.Store) (*Service, *core.Runtime) {
 	t.Helper()
-	persist := core.PersistNone
-	if kv != nil {
-		persist = core.PersistOnDeactivate
-	}
 	rt, err := core.New(core.Config{Store: kv})
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +23,7 @@ func newService(t *testing.T, kv *kvstore.Store) (*Service, *core.Runtime) {
 		rt.Shutdown(ctx)
 	})
 	rt.AddSilo("silo-1", nil)
-	s, err := New(rt, persist)
+	s, err := New(rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +165,7 @@ func TestUsersAndHashesPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := New(rt1, core.PersistOnDeactivate)
+	s1, err := New(rt1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +183,7 @@ func TestUsersAndHashesPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt2.Shutdown(ctx)
-	s2, err := New(rt2, core.PersistOnDeactivate)
+	s2, err := New(rt2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,9 +190,6 @@ func AblationCattleModels(ctx context.Context, cows, tracesPerProduct int) ([]Tr
 		return nil, err
 	}
 	born := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	if _, err := rt.Call(ctx, core.ID{Kind: cattle.KindFarmer, Key: "farm-1"}, cattle.CreateFarmer{Name: "farm-1"}); err != nil {
-		return nil, err
-	}
 
 	// Build both chains for every cow.
 	type productRef struct{ actorProduct, objRetailer, objProduct string }
@@ -204,13 +201,6 @@ func AblationCattleModels(ctx context.Context, cows, tracesPerProduct int) ([]Tr
 		}
 		// Actor-model chain.
 		sh := core.ID{Kind: cattle.KindSlaughterhouse, Key: "sh-1"}
-		if i == 0 {
-			rt.Call(ctx, sh, cattle.CreateSlaughterhouse{Name: "sh"})
-			rt.Call(ctx, core.ID{Kind: cattle.KindDistributor, Key: "dist-1"}, cattle.CreateDistributor{Name: "d"})
-			rt.Call(ctx, core.ID{Kind: cattle.KindRetailer, Key: "ret-1"}, cattle.CreateRetailer{Name: "r"})
-			rt.Call(ctx, core.ID{Kind: cattle.KindObjSlaughterhouse, Key: "osh-1"}, cattle.CreateSlaughterhouse{Name: "osh"})
-			rt.Call(ctx, core.ID{Kind: cattle.KindObjRetailer, Key: "oret-1"}, cattle.CreateRetailer{Name: "or"})
-		}
 		cut1, cut2 := cow+"/c1", cow+"/c2"
 		if _, err := rt.Call(ctx, sh, cattle.Slaughter{Cow: cow, CutIDs: []string{cut1, cut2}, CutWeight: 10}); err != nil {
 			return nil, err
@@ -343,11 +333,6 @@ func runConstraintMode(ctx context.Context, mode string, transfersPerWorker, wor
 	}
 	born := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	farmers := []string{"farm-1", "farm-2"}
-	for _, f := range farmers {
-		if _, err := rt.Call(ctx, core.ID{Kind: cattle.KindFarmer, Key: f}, cattle.CreateFarmer{Name: f}); err != nil {
-			return ConstraintResult{}, err
-		}
-	}
 	// One cow per worker so contention is per-cow bounce between farms.
 	var cows []string
 	for w := 0; w < workers; w++ {

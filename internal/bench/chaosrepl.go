@@ -249,7 +249,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 			// finishes the job then), then release the read gate.
 			for chaosCtx.Err() == nil {
 				sctx, cancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
-				n, serr := coord.SweepOnce(sctx, victim.name, 64)
+				n, serr := coord.SweepOnce(sctx, victim.name)
 				cancel()
 				if serr == nil && n == 0 && s.allUp() {
 					victim.mu.Lock()
@@ -285,7 +285,7 @@ func RunChaosReplicated(ctx context.Context, cfg ReplChaosConfig) (ReplChaosResu
 	deadline := time.Now().Add(auditBudget)
 	for {
 		sctx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-		n, serr := coord.SweepOnce(sctx, "", 64)
+		n, serr := coord.SweepOnce(sctx, "")
 		cancel()
 		if serr == nil && n == 0 {
 			break

@@ -120,7 +120,6 @@ type farmerActor struct {
 }
 
 type farmerState struct {
-	Name   string
 	Cows   map[string]bool
 	Alerts []FenceAlert
 }
@@ -136,9 +135,6 @@ func (f *farmerActor) ensure() {
 func (f *farmerActor) Receive(ctx *core.Context, msg any) (any, error) {
 	f.ensure()
 	switch m := msg.(type) {
-	case CreateFarmer:
-		f.state.Name = m.Name
-		return nil, ctx.WriteState()
 	case AddCow:
 		f.state.Cows[m.Cow] = true
 		return nil, nil
@@ -166,18 +162,11 @@ func (f *farmerActor) Receive(ctx *core.Context, msg any) (any, error) {
 }
 
 // slaughterhouseActor turns cows into meat cut actors, recording
-// provenance (requirement 3).
+// provenance (requirement 3). It keeps no state: each cut's record lives
+// in its MeatCut actor, and the cow records where it was slaughtered.
 type slaughterhouseActor struct {
-	state        slaughterhouseState
 	recordEvents bool
 }
-
-type slaughterhouseState struct {
-	Name     string
-	CutsMade int
-}
-
-func (s *slaughterhouseActor) State() any { return &s.state }
 
 // cutTime is when a slaughter's cuts were made: the time the message
 // carries, or now by the runtime clock when it carries none.
@@ -190,9 +179,6 @@ func cutTime(ctx *core.Context, at time.Time) time.Time {
 
 func (s *slaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
-	case CreateSlaughterhouse:
-		s.state.Name = m.Name
-		return nil, ctx.WriteState()
 	case Slaughter:
 		if len(m.CutIDs) == 0 {
 			return nil, fmt.Errorf("cattle: slaughter of %s yields no cuts", m.Cow)
@@ -219,7 +205,6 @@ func (s *slaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error) {
 				return nil, err
 			}
 		}
-		s.state.CutsMade += len(m.CutIDs)
 		if s.recordEvents {
 			if err := recordEvent(ctx, Event{
 				Type:    TransformationEvent,
@@ -268,22 +253,12 @@ func (c *meatCutActor) Receive(ctx *core.Context, msg any) (any, error) {
 }
 
 // distributorActor manages delivery actors (Figure 3: a Distributor actor
-// manages multiple Delivery actors).
-type distributorActor struct {
-	state distributorState
-}
-
-type distributorState struct {
-	Name string
-}
-
-func (d *distributorActor) State() any { return &d.state }
+// manages multiple Delivery actors). It keeps no state: each delivery is
+// its own actor.
+type distributorActor struct{}
 
 func (d *distributorActor) Receive(ctx *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
-	case CreateDistributor:
-		d.state.Name = m.Name
-		return nil, ctx.WriteState()
 	case Dispatch:
 		if _, err := ctx.Call(core.ID{Kind: KindDelivery, Key: m.Delivery}, CreateDelivery{
 			Distributor: ctx.Self().Key,
@@ -372,7 +347,6 @@ type retailerActor struct {
 }
 
 type retailerState struct {
-	Name string
 	Cuts []string
 }
 
@@ -380,9 +354,6 @@ func (r *retailerActor) State() any { return &r.state }
 
 func (r *retailerActor) Receive(ctx *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
-	case CreateRetailer:
-		r.state.Name = m.Name
-		return nil, ctx.WriteState()
 	case ReceiveCut:
 		if _, err := ctx.Call(core.ID{Kind: KindMeatCut, Key: m.Cut}, SetHolder{Holder: ctx.Self().Key}); err != nil {
 			return nil, err
@@ -400,7 +371,6 @@ func (r *retailerActor) Receive(ctx *core.Context, msg any) (any, error) {
 			Retailer: ctx.Self().Key,
 			Name:     m.Name,
 			Cuts:     append([]string(nil), m.Cuts...),
-			MadeAt:   m.MadeAt,
 		}
 		if _, err := ctx.Call(core.ID{Kind: KindMeatProduct, Key: m.Product}, CreateProduct{Record: rec}); err != nil {
 			return nil, err

@@ -39,11 +39,6 @@ func newPlatform(t *testing.T) *Platform {
 func setupFarm(t *testing.T, p *Platform) {
 	t.Helper()
 	ctx := context.Background()
-	for _, f := range []string{"farm-1", "farm-2"} {
-		if _, err := p.rt.Call(ctx, core.ID{Kind: KindFarmer, Key: f}, CreateFarmer{Name: f}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for i := 0; i < 4; i++ {
 		if err := p.RegisterCow(ctx, fmt.Sprintf("cow-%d", i), "farm-1", "angus", born); err != nil {
 			t.Fatal(err)
@@ -141,9 +136,6 @@ func TestSlaughterOnlyOnce(t *testing.T) {
 	setupFarm(t, p)
 	ctx := context.Background()
 	sh := core.ID{Kind: KindSlaughterhouse, Key: "sh-1"}
-	if _, err := p.rt.Call(ctx, sh, CreateSlaughterhouse{Name: "Main"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := p.rt.Call(ctx, sh, Slaughter{Cow: "cow-0", CutIDs: []string{"cut-1", "cut-2"}, CutWeight: 12}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +146,6 @@ func TestSlaughterOnlyOnce(t *testing.T) {
 	// Second slaughter, even at another slaughterhouse, must fail: "a cow
 	// can only be slaughtered once in exactly one slaughterhouse".
 	sh2 := core.ID{Kind: KindSlaughterhouse, Key: "sh-2"}
-	p.rt.Call(ctx, sh2, CreateSlaughterhouse{Name: "Rival"})
 	if _, err := p.rt.Call(ctx, sh2, Slaughter{Cow: "cow-0", CutIDs: []string{"cut-3"}}); err == nil {
 		t.Fatal("double slaughter accepted")
 	}
@@ -170,15 +161,11 @@ func buildChain(t *testing.T, p *Platform, cow string) string {
 	t.Helper()
 	ctx := context.Background()
 	sh := core.ID{Kind: KindSlaughterhouse, Key: "sh-1"}
-	if _, err := p.rt.Call(ctx, sh, CreateSlaughterhouse{Name: "Main"}); err != nil && !strings.Contains(err.Error(), "already") {
-		t.Fatal(err)
-	}
 	cut1, cut2 := cow+"/cut-1", cow+"/cut-2"
 	if _, err := p.rt.Call(ctx, sh, Slaughter{Cow: cow, CutIDs: []string{cut1, cut2}, CutWeight: 10}); err != nil {
 		t.Fatal(err)
 	}
 	dist := core.ID{Kind: KindDistributor, Key: "dist-1"}
-	p.rt.Call(ctx, dist, CreateDistributor{Name: "Trucks"})
 	for i, cut := range []string{cut1, cut2} {
 		if _, err := p.rt.Call(ctx, dist, Dispatch{
 			Delivery: fmt.Sprintf("%s/del-%d", cow, i),
@@ -193,7 +180,6 @@ func buildChain(t *testing.T, p *Platform, cow string) string {
 		}
 	}
 	ret := core.ID{Kind: KindRetailer, Key: "ret-1"}
-	p.rt.Call(ctx, ret, CreateRetailer{Name: "SuperMart"})
 	for _, cut := range []string{cut1, cut2} {
 		if _, err := p.rt.Call(ctx, ret, ReceiveCut{Cut: cut}); err != nil {
 			t.Fatal(err)
@@ -240,7 +226,6 @@ func TestProductRequiresReceivedCuts(t *testing.T) {
 	setupFarm(t, p)
 	ctx := context.Background()
 	ret := core.ID{Kind: KindRetailer, Key: "ret-9"}
-	p.rt.Call(ctx, ret, CreateRetailer{Name: "r"})
 	if _, err := p.rt.Call(ctx, ret, MakeProduct{Product: "p", Name: "n", Cuts: []string{"ghost-cut"}}); err == nil {
 		t.Fatal("product from unreceived cut accepted")
 	}
@@ -251,7 +236,6 @@ func TestObjectModelChainAndTrace(t *testing.T) {
 	setupFarm(t, p)
 	ctx := context.Background()
 	sh := core.ID{Kind: KindObjSlaughterhouse, Key: "osh-1"}
-	p.rt.Call(ctx, sh, CreateSlaughterhouse{Name: "Obj Main"})
 	if _, err := p.rt.Call(ctx, sh, ObjSlaughter{Cow: "cow-2", CutIDs: []string{"oc-1", "oc-2"}, CutWeight: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +259,6 @@ func TestObjectModelChainAndTrace(t *testing.T) {
 		}
 	}
 	ret := core.ID{Kind: KindObjRetailer, Key: "oret-1"}
-	p.rt.Call(ctx, ret, CreateRetailer{Name: "Obj Mart"})
 	if _, err := p.rt.Call(ctx, ret, ObjMakeProduct{Product: "oprod-1", Name: "Obj Box", Cuts: []string{"oc-1", "oc-2"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +303,12 @@ func TestObjectModelChainAndTrace(t *testing.T) {
 	}
 	if old := v.(MeatProductRecord).CutCopies[0]; old.Version != 2 || len(old.Itinerary) != 0 {
 		t.Fatalf("slaughterhouse's version, sent on = %+v", old)
+	}
+	// A custodian keeps the newest copy it was given: oret-1 holds version
+	// 3 and refuses the slaughterhouse's copy, which arrives as version 2.
+	_, err = p.rt.Call(ctx, sh, ObjSendCut{Cut: "oc-1", ToKind: KindObjRetailer, ToKey: "oret-1"})
+	if err == nil || !strings.Contains(err.Error(), "holds version 3 of cut oc-1, not taking version 2") {
+		t.Fatalf("an older copy sent to the holder of version 3: %v", err)
 	}
 }
 

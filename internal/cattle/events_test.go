@@ -44,19 +44,14 @@ func runEventedChain(t *testing.T, p *Platform) string {
 	t.Helper()
 	ctx := context.Background()
 	rt := p.rt
-	if _, err := rt.Call(ctx, core.ID{Kind: KindFarmer, Key: "farm-1"}, CreateFarmer{Name: "f"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.RegisterCow(ctx, "cow-1", "farm-1", "angus", born); err != nil {
 		t.Fatal(err)
 	}
 	sh := core.ID{Kind: KindSlaughterhouse, Key: "sh-1"}
-	rt.Call(ctx, sh, CreateSlaughterhouse{Name: "sh"})
 	if _, err := rt.Call(ctx, sh, Slaughter{Cow: "cow-1", CutIDs: []string{"cut-1", "cut-2"}, CutWeight: 8, CutAt: slaughtered}); err != nil {
 		t.Fatal(err)
 	}
 	dist := core.ID{Kind: KindDistributor, Key: "dist-1"}
-	rt.Call(ctx, dist, CreateDistributor{Name: "d"})
 	for i, cut := range []string{"cut-1", "cut-2"} {
 		if _, err := rt.Call(ctx, dist, Dispatch{
 			Delivery: fmt.Sprintf("del-%d", i), Cut: cut,
@@ -67,7 +62,6 @@ func runEventedChain(t *testing.T, p *Platform) string {
 		}
 	}
 	ret := core.ID{Kind: KindRetailer, Key: "ret-1"}
-	rt.Call(ctx, ret, CreateRetailer{Name: "r"})
 	for _, cut := range []string{"cut-1", "cut-2"} {
 		if _, err := rt.Call(ctx, ret, ReceiveCut{Cut: cut}); err != nil {
 			t.Fatal(err)
@@ -212,9 +206,6 @@ func TestEventsOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := p.rt.Call(ctx, core.ID{Kind: KindFarmer, Key: "farm-1"}, CreateFarmer{Name: "f"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.RegisterCow(ctx, "cow-1", "farm-1", "angus", born); err != nil {
 		t.Fatal(err)
 	}

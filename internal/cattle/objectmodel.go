@@ -85,8 +85,14 @@ func (c *custodian) receive(ctx *core.Context, msg any) (any, bool, error) {
 	switch m := msg.(type) {
 	case ObjTransferCut:
 		rec := m.Record
-		rec.Holder = ctx.Self().Key
 		rec.Version++
+		// A copy that is not newer than the one held is stale: the cut
+		// went on from here and comes back by an older path.
+		if held, ok := c.Cuts[rec.ID]; ok && held.Version >= rec.Version {
+			return nil, true, fmt.Errorf("cattle: %s holds version %d of cut %s, not taking version %d",
+				ctx.Self().Key, held.Version, rec.ID, rec.Version)
+		}
+		rec.Holder = ctx.Self().Key
 		rec.Itinerary = append([]ItineraryEntry(nil), m.Record.Itinerary...)
 		c.Cuts[rec.ID] = rec
 		return nil, true, nil
@@ -105,12 +111,7 @@ func (c *custodian) receive(ctx *core.Context, msg any) (any, bool, error) {
 
 // objSlaughterhouseActor creates cut records as local objects.
 type objSlaughterhouseActor struct {
-	state objSlaughterhouseState
-}
-
-type objSlaughterhouseState struct {
-	Name string
-	custodian
+	state custodian
 }
 
 func (s *objSlaughterhouseActor) State() any { return &s.state }
@@ -120,9 +121,6 @@ func (s *objSlaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error
 		return resp, err
 	}
 	switch m := msg.(type) {
-	case CreateSlaughterhouse:
-		s.state.Name = m.Name
-		return nil, nil
 	case ObjSlaughter:
 		s.state.ensure()
 		if _, err := ctx.Call(core.ID{Kind: KindCow, Key: m.Cow},
@@ -149,12 +147,7 @@ func (s *objSlaughterhouseActor) Receive(ctx *core.Context, msg any) (any, error
 
 // objDistributorActor updates its local cut copies as it delivers them.
 type objDistributorActor struct {
-	state objDistributorState
-}
-
-type objDistributorState struct {
-	Name string
-	custodian
+	state custodian
 }
 
 func (d *objDistributorActor) State() any { return &d.state }
@@ -164,9 +157,6 @@ func (d *objDistributorActor) Receive(ctx *core.Context, msg any) (any, error) {
 		return resp, err
 	}
 	switch m := msg.(type) {
-	case CreateDistributor:
-		d.state.Name = m.Name
-		return nil, nil
 	case ObjDeliver:
 		d.state.ensure()
 		rec, ok := d.state.Cuts[m.Cut]
@@ -189,7 +179,6 @@ type objRetailerActor struct {
 }
 
 type objRetailerState struct {
-	Name string
 	custodian
 	Products map[string]MeatProductRecord
 }
@@ -204,9 +193,6 @@ func (r *objRetailerActor) Receive(ctx *core.Context, msg any) (any, error) {
 		r.state.Products = make(map[string]MeatProductRecord)
 	}
 	switch m := msg.(type) {
-	case CreateRetailer:
-		r.state.Name = m.Name
-		return nil, nil
 	case ObjMakeProduct:
 		r.state.ensure()
 		rec := MeatProductRecord{
@@ -214,7 +200,6 @@ func (r *objRetailerActor) Receive(ctx *core.Context, msg any) (any, error) {
 			Retailer: ctx.Self().Key,
 			Name:     m.Name,
 			Cuts:     append([]string(nil), m.Cuts...),
-			MadeAt:   ctx.Clock().Now(),
 		}
 		for _, cutID := range m.Cuts {
 			cut, ok := r.state.Cuts[cutID]

@@ -31,6 +31,9 @@ type Options struct {
 }
 
 // NewPlatform registers both the actor-model and object-model kinds on rt.
+// Every kind keeps its state across activations: on a runtime with a
+// store, an actor loads its state when it activates and writes it when it
+// is collected or the runtime shuts down (core.PersistOnDeactivate).
 func NewPlatform(rt *core.Runtime, opts Options) (*Platform, error) {
 	events := opts.RecordEvents
 	regs := []struct {
@@ -52,7 +55,7 @@ func NewPlatform(rt *core.Runtime, opts Options) (*Platform, error) {
 		{KindEventLog, func() core.Actor { return &eventLogActor{} }},
 	}
 	for _, r := range regs {
-		if err := rt.RegisterKind(r.kind, r.factory); err != nil {
+		if err := rt.RegisterKind(r.kind, r.factory, core.WithPersistence(core.PersistOnDeactivate)); err != nil {
 			return nil, err
 		}
 	}

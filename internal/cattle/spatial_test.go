@@ -32,9 +32,6 @@ func newSpatialPlatform(t *testing.T) *Platform {
 func TestCowsInAreaTracksMovement(t *testing.T) {
 	p := newSpatialPlatform(t)
 	ctx := context.Background()
-	if _, err := p.rt.Call(ctx, core.ID{Kind: KindFarmer, Key: "farm-1"}, CreateFarmer{Name: "f"}); err != nil {
-		t.Fatal(err)
-	}
 	// Three cows in the north pasture, two in the south.
 	for i := 0; i < 5; i++ {
 		cow := fmt.Sprintf("cow-%d", i)

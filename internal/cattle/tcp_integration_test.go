@@ -56,9 +56,6 @@ func TestCattleOverTCP(t *testing.T) {
 	tcpC.SetPeer("silo-2", tcp2.Addr())
 
 	ctx := context.Background()
-	if _, err := rt.Call(ctx, core.ID{Kind: KindFarmer, Key: "farm-1"}, CreateFarmer{Name: "f"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := client.RegisterCow(ctx, "cow-1", "farm-1", "angus", born); err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +63,10 @@ func TestCattleOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := core.ID{Kind: KindSlaughterhouse, Key: "sh-1"}
-	if _, err := rt.Call(ctx, sh, CreateSlaughterhouse{Name: "s"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := rt.Call(ctx, sh, Slaughter{Cow: "cow-1", CutIDs: []string{"cut-1"}, CutWeight: 9}); err != nil {
 		t.Fatal(err)
 	}
 	dist := core.ID{Kind: KindDistributor, Key: "dist-1"}
-	rt.Call(ctx, dist, CreateDistributor{Name: "d"})
 	if _, err := rt.Call(ctx, dist, Dispatch{
 		Delivery: "del-1", Cut: "cut-1", From: "sh-1", To: "ret-1",
 		Vehicle: "truck", Departed: born.AddDate(3, 0, 0), Arrived: born.AddDate(3, 0, 1),
@@ -81,7 +74,6 @@ func TestCattleOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	ret := core.ID{Kind: KindRetailer, Key: "ret-1"}
-	rt.Call(ctx, ret, CreateRetailer{Name: "r"})
 	if _, err := rt.Call(ctx, ret, ReceiveCut{Cut: "cut-1"}); err != nil {
 		t.Fatal(err)
 	}

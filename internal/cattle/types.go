@@ -102,7 +102,6 @@ type MeatProductRecord struct {
 	// CutCopies embeds full cut records in the object model so consumer
 	// traces need no further messaging.
 	CutCopies []MeatCutRecord
-	MadeAt    time.Time
 }
 
 // Trace is the consumer-facing provenance answer (functional requirement
@@ -148,8 +147,6 @@ type (
 	// MarkSlaughtered finalizes the cow at a slaughterhouse.
 	MarkSlaughtered struct{ Slaughterhouse string }
 
-	// CreateFarmer initializes a Farmer actor.
-	CreateFarmer struct{ Name string }
 	// AddCow / RemoveCow maintain the farmer's herd set.
 	AddCow    struct{ Cow string }
 	RemoveCow struct{ Cow string }
@@ -158,8 +155,6 @@ type (
 	// GetFenceAlerts returns fence violations received so far.
 	GetFenceAlerts struct{}
 
-	// CreateSlaughterhouse initializes a Slaughterhouse actor.
-	CreateSlaughterhouse struct{ Name string }
 	// Slaughter processes a cow into cuts (requirement 3). CutAt is when
 	// the cuts were made; the zero time means now, by the runtime clock.
 	Slaughter struct {
@@ -178,8 +173,6 @@ type (
 	// GetCut returns the cut record.
 	GetCut struct{}
 
-	// CreateDistributor initializes a Distributor actor.
-	CreateDistributor struct{ Name string }
 	// Dispatch creates a Delivery actor moving a cut (requirement 4).
 	Dispatch struct {
 		Delivery string // delivery actor key
@@ -203,8 +196,6 @@ type (
 	// CompleteDelivery records arrival and updates the cut's itinerary.
 	CompleteDelivery struct{ Arrived time.Time }
 
-	// CreateRetailer initializes a Retailer actor.
-	CreateRetailer struct{ Name string }
 	// ReceiveCut records custody of a cut at the retailer (requirement 5).
 	ReceiveCut struct{ Cut string }
 	// MakeProduct assembles a product from received cuts.
@@ -212,7 +203,7 @@ type (
 		Product string // product actor key
 		Name    string
 		Cuts    []string
-		MadeAt  time.Time
+		MadeAt  time.Time // when the product was made, its event's time
 	}
 
 	// CreateProduct initializes a MeatProduct actor.
@@ -226,12 +217,12 @@ func init() {
 		GeoPoint{}, Fence{}, CowInfo{}, ItineraryEntry{}, MeatCutRecord{}, MeatProductRecord{},
 		Trace{}, FenceAlert{}, PrevPosition{},
 		RegisterCow{}, CollarReading{}, SetFence{}, GetTrajectory{}, GetCowInfo{}, SetOwner{}, MarkSlaughtered{},
-		CreateFarmer{}, AddCow{}, RemoveCow{}, ListCows{}, GetFenceAlerts{},
-		CreateSlaughterhouse{}, Slaughter{},
+		AddCow{}, RemoveCow{}, ListCows{}, GetFenceAlerts{},
+		Slaughter{},
 		CreateCut{}, AddItinerary{}, SetHolder{}, GetCut{},
-		CreateDistributor{}, Dispatch{},
+		Dispatch{},
 		CreateDelivery{}, CompleteDelivery{},
-		CreateRetailer{}, ReceiveCut{}, MakeProduct{},
+		ReceiveCut{}, MakeProduct{},
 		CreateProduct{}, GetProduct{},
 		[]GeoPoint{}, []ItineraryEntry{}, []MeatCutRecord{}, []CowInfo{}, []FenceAlert{}, []string{},
 	} {

@@ -29,26 +29,26 @@ func newerSummary(a, b KeySummary) bool {
 // level first is no divergence, nor is a superseded ring's home left
 // behind — writes stop reaching it once a handoff closes anywhere, and
 // no quorum needs it after this one closes.
-func (c *Coordinator) sweepPair(ctx context.Context, a, b string, buckets int, cur *placement.Ring, rings [][]string) (int, error) {
+func (c *Coordinator) sweepPair(ctx context.Context, a, b string, cur *placement.Ring, rings [][]string) (int, error) {
 	n, _, _ := c.quorumFor(cur)
-	da, err := ask[rpcDigestResp](ctx, c, a, rpcDigest{Peer: b, Buckets: buckets, Rings: rings})
+	da, err := ask[rpcDigestResp](ctx, c, a, rpcDigest{Peer: b, Buckets: sweepBuckets, Rings: rings})
 	if err != nil {
 		return 0, err
 	}
-	db, err := ask[rpcDigestResp](ctx, c, b, rpcDigest{Peer: a, Buckets: buckets, Rings: rings})
+	db, err := ask[rpcDigestResp](ctx, c, b, rpcDigest{Peer: a, Buckets: sweepBuckets, Rings: rings})
 	if err != nil {
 		return 0, err
 	}
 	divergent := 0
-	for bucket := uint32(0); bucket < uint32(buckets); bucket++ {
+	for bucket := uint32(0); bucket < sweepBuckets; bucket++ {
 		if da.Buckets[bucket] == db.Buckets[bucket] {
 			continue
 		}
-		ra, err := ask[rpcKeysResp](ctx, c, a, rpcKeys{Peer: b, Bucket: bucket, Buckets: buckets, Rings: rings})
+		ra, err := ask[rpcKeysResp](ctx, c, a, rpcKeys{Peer: b, Bucket: bucket, Buckets: sweepBuckets, Rings: rings})
 		if err != nil {
 			return divergent, err
 		}
-		rb, err := ask[rpcKeysResp](ctx, c, b, rpcKeys{Peer: a, Bucket: bucket, Buckets: buckets, Rings: rings})
+		rb, err := ask[rpcKeysResp](ctx, c, b, rpcKeys{Peer: a, Bucket: bucket, Buckets: sweepBuckets, Rings: rings})
 		if err != nil {
 			return divergent, err
 		}
@@ -101,10 +101,7 @@ func (c *Coordinator) sweepPair(ctx context.Context, a, b string, buckets int, c
 // all-pairs sweep that started ready (see ready) and came back clean
 // closes the handoff; one silo's pairs cannot, since this coordinator
 // serves keys whose new homes may not include that silo.
-func (c *Coordinator) SweepOnce(ctx context.Context, only string, buckets int) (divergent int, err error) {
-	if buckets <= 0 {
-		buckets = 64
-	}
+func (c *Coordinator) SweepOnce(ctx context.Context, only string) (divergent int, err error) {
 	rs := c.state(false)
 	closes := only == "" && c.ready(rs)
 	members := rs.cur.Members()
@@ -121,7 +118,7 @@ func (c *Coordinator) SweepOnce(ctx context.Context, only string, buckets int) (
 			}
 			ok := c.alive(a) && c.alive(b)
 			if ok {
-				n, perr := c.sweepPair(ctx, a, b, buckets, rs.cur, rings)
+				n, perr := c.sweepPair(ctx, a, b, rs.cur, rings)
 				divergent += n
 				if perr != nil && err == nil {
 					err = perr
@@ -169,15 +166,17 @@ const (
 	resweepEvery = 200 * time.Millisecond
 	// resweepTimeout bounds each of those sweeps: 5 s.
 	resweepTimeout = 5 * time.Second
+	// sweepBuckets is how many hash buckets a pair's digests fold its
+	// shared keys into; only a mismatched bucket's keys are exchanged.
+	sweepBuckets = 64
 )
 
 // Sweeper runs the anti-entropy sweep in the background: every period,
 // and every resweepEvery while evidence is owed.
 type Sweeper struct {
-	c       *Coordinator
-	every   time.Duration
-	only    string
-	buckets int
+	c     *Coordinator
+	every time.Duration
+	only  string
 
 	started atomic.Bool
 	once    sync.Once
@@ -187,19 +186,17 @@ type Sweeper struct {
 
 // NewSweeper builds a background sweeper over c. only restricts sweeps
 // to silo pairs involving that silo (empty sweeps all pairs) unless a
-// handoff is ready to close; buckets sizes the digest exchange (<=0 for the
-// default).
-func NewSweeper(c *Coordinator, every time.Duration, only string, buckets int) *Sweeper {
+// handoff is ready to close.
+func NewSweeper(c *Coordinator, every time.Duration, only string) *Sweeper {
 	if every <= 0 {
 		every = 30 * time.Second
 	}
 	return &Sweeper{
-		c:       c,
-		every:   every,
-		only:    only,
-		buckets: buckets,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		c:     c,
+		every: every,
+		only:  only,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -227,7 +224,7 @@ func (s *Sweeper) Start() {
 					timeout = resweepTimeout
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), timeout)
-				_, _ = s.c.SweepOnce(ctx, only, s.buckets)
+				_, _ = s.c.SweepOnce(ctx, only)
 				cancel()
 			}
 			select {

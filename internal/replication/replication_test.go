@@ -361,7 +361,7 @@ func TestMissedHomeConvergesByAntiEntropy(t *testing.T) {
 
 	// The home returns: one sweep brings it to the acked version.
 	c.up(missed)
-	if n, err := c.coord.SweepOnce(ctx, "", 16); err != nil || n == 0 {
+	if n, err := c.coord.SweepOnce(ctx, ""); err != nil || n == 0 {
 		t.Fatalf("sweep after the home returned: divergent=%d err=%v", n, err)
 	}
 	env, found, err := c.svc.Store(missed).Fetch(ctx, key)
@@ -502,7 +502,7 @@ func TestAntiEntropyRestoresWipedReplica(t *testing.T) {
 	victim := "s2"
 	wiped := testStore(t, victim, 3)
 	c.svc.Host(victim, wiped)
-	divergent, err := c.coord.SweepOnce(ctx, "", 16)
+	divergent, err := c.coord.SweepOnce(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestAntiEntropyRestoresWipedReplica(t *testing.T) {
 	}
 	// One more sweep must find nothing: convergence within a bounded
 	// sweep count, byte-identical state.
-	if d2, err := c.coord.SweepOnce(ctx, "", 16); err != nil || d2 != 0 {
+	if d2, err := c.coord.SweepOnce(ctx, ""); err != nil || d2 != 0 {
 		t.Fatalf("second sweep should be clean, got %d %v", d2, err)
 	}
 	for _, k := range keys {

@@ -98,7 +98,7 @@ func (c *ringChangeCluster) sweepClean(t *testing.T) {
 	c.coord.N()
 	c.clk.Advance(callTimeout)
 	for i := 0; ; i++ {
-		n, err := c.coord.SweepOnce(context.Background(), "", 64)
+		n, err := c.coord.SweepOnce(context.Background(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestAntiEntropyBackfillsMovedReplicas(t *testing.T) {
 	}
 
 	c.grow()
-	if _, err := c.coord.SweepOnce(ctx, "", 64); err != nil {
+	if _, err := c.coord.SweepOnce(ctx, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range c.grown.AppendHomes(nil, key, 3) {
@@ -235,7 +235,7 @@ func TestAntiEntropyBackfillsMovedReplicas(t *testing.T) {
 
 	// A clean sweep of one silo's pairs is no evidence for the handoff:
 	// the coordinator serves keys whose new homes may not include it.
-	if n, err := c.coord.SweepOnce(ctx, "s1", 64); err != nil || n != 0 {
+	if n, err := c.coord.SweepOnce(ctx, "s1"); err != nil || n != 0 {
 		t.Fatalf("s1's pairs after the backfill: %d repairs, %v", n, err)
 	}
 	if !c.open() {
@@ -323,7 +323,7 @@ func TestBackfillWithoutSharedHome(t *testing.T) {
 		}
 	}
 	c.clk.Advance(callTimeout)
-	if _, err := c.coord.SweepOnce(ctx, "", 64); err == nil {
+	if _, err := c.coord.SweepOnce(ctx, ""); err == nil {
 		t.Fatal("sweep with a member down reported no error")
 	}
 	if !c.open() {
@@ -413,7 +413,7 @@ func TestSweeperClosesHandoff(t *testing.T) {
 	if _, err := c.coord.Store(ctx, key, []byte("payload"), 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSweeper(c.coord, time.Hour, "s4", 0)
+	sw := NewSweeper(c.coord, time.Hour, "s4")
 	sw.Start()
 	defer sw.Stop()
 	c.grow()
@@ -466,7 +466,7 @@ func TestHandoffWaitsForOldRingWrites(t *testing.T) {
 	c.grow()
 	c.coord.N()
 	c.clk.Advance(callTimeout)
-	if n, err := c.coord.SweepOnce(ctx, "", 64); err != nil || n != 0 {
+	if n, err := c.coord.SweepOnce(ctx, ""); err != nil || n != 0 {
 		t.Fatalf("sweep with the write held: %d repairs, %v", n, err)
 	}
 	if !c.open() {
@@ -511,15 +511,15 @@ func TestSweepLiftsGateOnEvidence(t *testing.T) {
 		_, _, err := s1.Fetch(ctx, "k")
 		return errors.Is(err, ErrRebuilding)
 	}
-	if _, err := coord.SweepOnce(ctx, "s1", 0); err != nil || !gated() {
+	if _, err := coord.SweepOnce(ctx, "s1"); err != nil || !gated() {
 		t.Fatalf("one-member view: sweep %v, gated %v; want the gate kept", err, gated())
 	}
 	view.publish([]string{"s1", "s2"})
-	if _, err := coord.SweepOnce(ctx, "s1", 0); err != nil || !gated() {
+	if _, err := coord.SweepOnce(ctx, "s1"); err != nil || !gated() {
 		t.Fatalf("peer vetoed: sweep %v, gated %v; want the gate kept", err, gated())
 	}
 	s2Up.Store(true)
-	if _, err := coord.SweepOnce(ctx, "s1", 0); err != nil || gated() {
+	if _, err := coord.SweepOnce(ctx, "s1"); err != nil || gated() {
 		t.Fatalf("peer swept clean: sweep %v, gated %v; want the gate lifted", err, gated())
 	}
 }

@@ -19,17 +19,13 @@ const (
 	KindAlerts          = "Alerts"
 )
 
-// organizationActor encapsulates an organization and its passive project
-// and user objects (Figure 4).
+// organizationActor is an organization (Figure 4): it knows every channel
+// of its sensors, so a live query fans out without a hop per sensor.
 type organizationActor struct {
 	state orgState
 }
 
 type orgState struct {
-	Name     string
-	Projects []Project
-	Users    []User
-	Sensors  []string // sensor actor keys
 	Channels []string // all channel keys across sensors, for live queries
 }
 
@@ -37,17 +33,7 @@ func (o *organizationActor) State() any { return &o.state }
 
 func (o *organizationActor) Receive(ctx *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
-	case CreateOrg:
-		o.state.Name = m.Name
-		return nil, ctx.WriteState()
-	case AddProject:
-		o.state.Projects = append(o.state.Projects, Project{ID: m.ID, Name: m.Name})
-		return nil, ctx.WriteState()
-	case AddUser:
-		o.state.Users = append(o.state.Users, User{ID: m.ID, Name: m.Name, Role: m.Role})
-		return nil, ctx.WriteState()
 	case AttachSensor:
-		o.state.Sensors = append(o.state.Sensors, m.SensorKey)
 		// Ask the sensor for its channels so live queries can fan out
 		// without an extra hop per request.
 		v, err := ctx.Call(core.ID{Kind: KindSensor, Key: m.SensorKey}, GetSensorInfo{})
@@ -94,7 +80,6 @@ func (s *sensorActor) Receive(ctx *core.Context, msg any) (any, error) {
 		for _, ch := range m.Channels {
 			if _, err := ctx.Call(core.ID{Kind: KindPhysicalChannel, Key: ch}, ConfigureChannel{
 				Org:             m.Org,
-				Sensor:          ctx.Self().Key,
 				WindowCap:       m.WindowCap,
 				VirtualOut:      m.Virtual,
 				Threshold:       m.Threshold,
@@ -107,7 +92,6 @@ func (s *sensorActor) Receive(ctx *core.Context, msg any) (any, error) {
 		}
 		if m.Virtual != "" {
 			if _, err := ctx.Call(core.ID{Kind: KindVirtualChannel, Key: m.Virtual}, ConfigureVirtual{
-				Org:       m.Org,
 				Inputs:    m.Channels,
 				Op:        "sum",
 				WindowCap: m.WindowCap,
@@ -159,7 +143,6 @@ type physicalChannelActor struct {
 
 type channelState struct {
 	Org             string
-	Sensor          string
 	WindowCap       int
 	Window          []DataPoint
 	Accumulated     float64 // sum of |delta| between consecutive readings
@@ -185,7 +168,6 @@ func (c *physicalChannelActor) Receive(ctx *core.Context, msg any) (any, error) 
 	switch m := msg.(type) {
 	case ConfigureChannel:
 		c.state.Org = m.Org
-		c.state.Sensor = m.Sensor
 		c.state.WindowCap = m.WindowCap
 		if c.state.WindowCap <= 0 {
 			c.state.WindowCap = defaultWindowCap
@@ -427,7 +409,6 @@ type virtualChannelActor struct {
 }
 
 type virtualState struct {
-	Org       string
 	Inputs    []string
 	Op        string
 	WindowCap int
@@ -445,7 +426,6 @@ func (v *virtualChannelActor) OnActivate(*core.Context) error {
 func (v *virtualChannelActor) Receive(ctx *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
 	case ConfigureVirtual:
-		v.state.Org = m.Org
 		v.state.Inputs = append([]string(nil), m.Inputs...)
 		v.state.Op = m.Op
 		if v.state.Op == "" {
@@ -702,7 +682,6 @@ type alertsActor struct {
 
 type alertsState struct {
 	Recent []Alert
-	Total  int64
 }
 
 const maxAlertsKept = 1000
@@ -713,7 +692,6 @@ func (a *alertsActor) Receive(_ *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
 	case RaiseAlert:
 		a.state.Recent = append(a.state.Recent, m.Alert)
-		a.state.Total++
 		if over := len(a.state.Recent) - maxAlertsKept; over > 0 {
 			a.state.Recent = append(a.state.Recent[:0], a.state.Recent[over:]...)
 		}

@@ -36,9 +36,6 @@ func newArchivingPlatform(t *testing.T) (*Platform, *kvstore.Store) {
 func installArchiving(t *testing.T, p *Platform, windowCap int) string {
 	t.Helper()
 	ctx := context.Background()
-	if err := p.CreateOrganization(ctx, "org-0", "o"); err != nil {
-		t.Fatal(err)
-	}
 	spec := SensorSpec{
 		Org: "org-0", Key: SensorKey("org-0", 0),
 		PhysicalChannels: 1, WindowCap: windowCap, Archive: true,
@@ -124,9 +121,6 @@ func TestHistorySurvivesRuntimeRestart(t *testing.T) {
 func TestHistoryQueryWithoutArchiveEqualsWindow(t *testing.T) {
 	p, _ := newArchivingPlatform(t)
 	ctx := context.Background()
-	if err := p.CreateOrganization(ctx, "org-1", "o"); err != nil {
-		t.Fatal(err)
-	}
 	spec := SensorSpec{Org: "org-1", Key: SensorKey("org-1", 0), PhysicalChannels: 1, WindowCap: 10}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -155,9 +149,6 @@ func TestArchiveWithoutStoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := p.CreateOrganization(ctx, "org-0", "o"); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.InstallSensor(ctx, SensorSpec{
 		Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 1, WindowCap: 5, Archive: true,
 	}); err != nil {

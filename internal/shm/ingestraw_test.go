@@ -14,9 +14,6 @@ import (
 func TestIngestRawAllFormats(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
-	if err := p.CreateOrganization(ctx, "org-0", "o"); err != nil {
-		t.Fatal(err)
-	}
 	encoders := map[string]func(devicefmt.Packet) ([]byte, error){
 		"json":   devicefmt.EncodeJSON,
 		"csv":    devicefmt.EncodeCSV,

@@ -25,9 +25,6 @@ func TestLatestFollowsInserts(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
 	const org, capacity = "org-0", 15
-	if err := p.CreateOrganization(ctx, org, "o"); err != nil {
-		t.Fatal(err)
-	}
 	spec := SensorSpec{Org: org, Key: SensorKey(org, 0), PhysicalChannels: 2, WithVirtual: true, WindowCap: capacity}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -124,9 +121,6 @@ func TestLatestIsNewestByTime(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
 	const org, capacity = "org-0", 5
-	if err := p.CreateOrganization(ctx, org, "o"); err != nil {
-		t.Fatal(err)
-	}
 	spec := SensorSpec{Org: org, Key: SensorKey(org, 0), PhysicalChannels: 2, WithVirtual: true, WindowCap: capacity}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)

@@ -84,21 +84,6 @@ func NewPlatform(rt *core.Runtime, opts Options) (*Platform, error) {
 // Runtime returns the underlying runtime.
 func (p *Platform) Runtime() *core.Runtime { return p.rt }
 
-// CreateOrganization sets up an organization with one project and one
-// user, the structure the paper's population uses (one org, one user, one
-// project per 100 sensors).
-func (p *Platform) CreateOrganization(ctx context.Context, org, name string) error {
-	id := core.ID{Kind: KindOrganization, Key: org}
-	if _, err := p.rt.Call(ctx, id, CreateOrg{Name: name}); err != nil {
-		return err
-	}
-	if _, err := p.rt.Call(ctx, id, AddProject{ID: org + "/project-1", Name: name + " monitoring"}); err != nil {
-		return err
-	}
-	_, err := p.rt.Call(ctx, id, AddUser{ID: org + "/user-1", Name: "operator", Role: "engineer"})
-	return err
-}
-
 // SensorSpec describes one sensor to install.
 type SensorSpec struct {
 	Org string
@@ -124,8 +109,9 @@ type SensorSpec struct {
 // InstallSensor creates and wires a sensor via a single message to the
 // Sensor actor, which configures its own channels and virtual channel (so
 // the family co-locates under prefer-local placement), then registers the
-// sensor with its organization. The org's aggregator chain needs no
-// setup: aggregators self-configure from their keys on first update.
+// sensor with its organization. Neither the org nor its aggregator chain
+// needs setup: the org activates on its first sensor, and aggregators
+// self-configure from their keys on first update.
 func (p *Platform) InstallSensor(ctx context.Context, spec SensorSpec) error {
 	if spec.PhysicalChannels <= 0 {
 		spec.PhysicalChannels = 2
@@ -255,10 +241,12 @@ func (p *Platform) Alerts(ctx context.Context, org string, limit int) ([]Alert, 
 	return v.([]Alert), nil
 }
 
-// Population mirrors the paper's experimental environment: for every 100
-// sensors one organization with a single user and project; each sensor
-// has two physical channels; every tenth sensor gets a virtual channel
-// summing them (100 sensors = 210 channels).
+// Population mirrors the paper's experimental environment: one
+// organization for every 100 sensors; each sensor has two physical
+// channels; every tenth sensor gets a virtual channel summing them (100
+// sensors = 210 channels). The paper's one user and one project per
+// organization are not modelled: no query reads them, and users live in
+// internal/auth.
 type Population struct {
 	Sensors           int
 	SensorsPerOrg     int
@@ -293,8 +281,8 @@ func (pop Population) TotalChannels() int {
 	return pop.Sensors*pop.ChannelsPerSensor + virtual
 }
 
-// Populate creates the organizations and sensors. It returns the sensor
-// keys in creation order for the load generator.
+// Populate installs the sensors, each attached to its organization. It
+// returns the sensor keys in creation order for the load generator.
 func (p *Platform) Populate(ctx context.Context, pop Population) ([]string, error) {
 	if pop.SensorsPerOrg <= 0 {
 		pop.SensorsPerOrg = 100
@@ -304,13 +292,7 @@ func (p *Platform) Populate(ctx context.Context, pop Population) ([]string, erro
 	}
 	keys := make([]string, 0, pop.Sensors)
 	for s := 0; s < pop.Sensors; s++ {
-		orgIdx := s / pop.SensorsPerOrg
-		org := OrgKey(orgIdx)
-		if s%pop.SensorsPerOrg == 0 {
-			if err := p.CreateOrganization(ctx, org, fmt.Sprintf("Organization %d", orgIdx)); err != nil {
-				return nil, err
-			}
-		}
+		org := OrgKey(s / pop.SensorsPerOrg)
 		key := SensorKey(org, s%pop.SensorsPerOrg)
 		withVirtual := pop.VirtualEveryNth > 0 && s%pop.VirtualEveryNth == pop.VirtualEveryNth-1
 		if err := p.InstallSensor(ctx, SensorSpec{

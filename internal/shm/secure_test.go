@@ -26,7 +26,7 @@ func newSecurePlatform(t *testing.T) *SecurePlatform {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := auth.New(rt, core.PersistNone)
+	a, err := auth.New(rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,6 @@ func newSecurePlatform(t *testing.T) *SecurePlatform {
 func setupSecureOrg(t *testing.T, s *SecurePlatform, org string) (engineer, device, analyst string) {
 	t.Helper()
 	ctx := context.Background()
-	if err := s.p.CreateOrganization(ctx, org, org); err != nil {
-		t.Fatal(err)
-	}
 	var err error
 	if engineer, err = s.auth.CreateUser(ctx, org, "eng", auth.RoleEngineer); err != nil {
 		t.Fatal(err)

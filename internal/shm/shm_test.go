@@ -2,7 +2,6 @@ package shm
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -102,6 +101,9 @@ func TestPopulationMatchesPaperStructure(t *testing.T) {
 	}
 }
 
+// TestPopulateCreatesStructure: a population of 120 sensors is two orgs,
+// and the platform serves it as built — the sensor keys in creation
+// order, each sensor its org's, and each org's channels for live queries.
 func TestPopulateCreatesStructure(t *testing.T) {
 	kv, err := kvstore.Open(kvstore.Options{})
 	if err != nil {
@@ -119,37 +121,36 @@ func TestPopulateCreatesStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.AddSilo("silo-1", nil)
-	keys, err := p.Populate(ctx, DefaultPopulation(20))
+	keys, err := p.Populate(ctx, DefaultPopulation(120))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 20 {
-		t.Fatalf("sensor keys = %d", len(keys))
+	if len(keys) != 120 {
+		t.Fatalf("sensor keys = %d, want 120", len(keys))
 	}
-	// The org writes its state at every change: its passive project and
-	// user objects and its sensors are in the store.
-	table, err := kv.Table(core.StateTable)
-	if err != nil {
-		t.Fatal(err)
+	for s, key := range keys {
+		org := OrgKey(s / 100)
+		if want := SensorKey(org, s%100); key != want {
+			t.Fatalf("sensor key %d = %q, want %q", s, key, want)
+		}
+		v, err := rt.Call(ctx, core.ID{Kind: KindSensor, Key: key}, GetSensorInfo{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := v.(SensorInfo); info.Org != org || len(info.Channels) != 2 {
+			t.Fatalf("sensor %s = %+v", key, info)
+		}
 	}
-	it, err := table.Get(ctx, core.ID{Kind: KindOrganization, Key: OrgKey(0)}.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var org orgState
-	if err := json.Unmarshal(it.Value, &org); err != nil {
-		t.Fatal(err)
-	}
-	if len(org.Sensors) != 20 || len(org.Projects) != 1 || len(org.Users) != 1 {
-		t.Fatalf("org state = %+v", org)
-	}
-	chans, err := p.rt.Call(ctx, core.ID{Kind: KindOrganization, Key: OrgKey(0)}, GetChannels{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 sensors x 2 channels + 2 virtual (sensors 10 and 20).
-	if got := len(chans.([]string)); got != 42 {
-		t.Fatalf("org channels = %d, want 42", got)
+	// Per org: its sensors x 2 channels + a virtual channel on every
+	// tenth sensor.
+	for org, want := range map[string]int{OrgKey(0): 100*2 + 10, OrgKey(1): 20*2 + 2} {
+		chans, err := rt.Call(ctx, core.ID{Kind: KindOrganization, Key: org}, GetChannels{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(chans.([]string)); got != want {
+			t.Errorf("%s channels = %d, want %d", org, got, want)
+		}
 	}
 }
 
@@ -157,9 +158,6 @@ func TestIngestionUpdatesWindowAndLatest(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 2}
-	if err := p.CreateOrganization(ctx, "org-0", "Test Org"); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +184,6 @@ func TestIngestionUpdatesWindowAndLatest(t *testing.T) {
 func TestAccumulatedChange(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
-	p.CreateOrganization(ctx, "org-0", "o")
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 1}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -224,7 +221,6 @@ func TestAccumulatedChange(t *testing.T) {
 func TestVirtualChannelSumsInputs(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
-	p.CreateOrganization(ctx, "org-0", "o")
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 2, WithVirtual: true}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -248,7 +244,6 @@ func TestVirtualChannelSumsInputs(t *testing.T) {
 func TestThresholdAlerts(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
-	p.CreateOrganization(ctx, "org-0", "o")
 	spec := SensorSpec{
 		Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 1,
 		Threshold: Threshold{Min: 0, Max: 100, Enabled: true},
@@ -281,7 +276,6 @@ func TestThresholdAlerts(t *testing.T) {
 func TestAggregatorChain(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
-	p.CreateOrganization(ctx, "org-0", "o")
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 1}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -373,7 +367,6 @@ func TestLiveDataQuery(t *testing.T) {
 func TestWindowCapEnforced(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
-	p.CreateOrganization(ctx, "org-0", "o")
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 1, WindowCap: 25}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -395,7 +388,6 @@ func TestWindowCapEnforced(t *testing.T) {
 func TestMismatchedPacketRejected(t *testing.T) {
 	p := newPlatform(t, Options{})
 	ctx := context.Background()
-	p.CreateOrganization(ctx, "org-0", "o")
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 2}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -422,7 +414,6 @@ func TestStatePersistsAcrossRuntimeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt1.AddSilo("silo-1", nil)
-	p1.CreateOrganization(ctx, "org-0", "Durable Org")
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 1}
 	if err := p1.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)

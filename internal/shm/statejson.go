@@ -14,7 +14,10 @@ import (
 	"unicode/utf8"
 )
 
-// The state codec. The six actor states encode themselves: MarshalJSON
+// The state codec. The actor states that change on the ingest path — the
+// sensor's, the channels', the aggregators' and the alerts' — encode
+// themselves (the organization's, a list of channel keys that changes
+// only when a sensor is attached, is left to encoding/json): MarshalJSON
 // writes, into one presized buffer and without reflection, the bytes
 // json.Marshal writes for the same value, and UnmarshalJSON parses that
 // form back without reflection and without keeping the input. Stored state
@@ -33,7 +36,6 @@ import (
 // Method-less copies of the states: json.Marshal and json.Unmarshal on
 // these are the reference the codec reproduces, and the decoder's fallback.
 type (
-	orgStateJSON     orgState
 	sensorStateJSON  sensorState
 	channelStateJSON channelState
 	virtualStateJSON virtualState
@@ -84,93 +86,6 @@ const (
 	bucketJSONSize = 128
 )
 
-func (s *orgState) MarshalJSON() ([]byte, error) {
-	n := 96 + len(s.Name) + stringsSize(s.Sensors) + stringsSize(s.Channels)
-	for _, p := range s.Projects {
-		n += 20 + len(p.ID) + len(p.Name)
-	}
-	for _, u := range s.Users {
-		n += 28 + len(u.ID) + len(u.Name) + len(u.Role)
-	}
-	e := stateEnc{b: make([]byte, 0, n)}
-	e.raw(`{"Name":`)
-	e.str(s.Name)
-	e.raw(`,"Projects":`)
-	if e.open(s.Projects == nil, '[') {
-		for i, p := range s.Projects {
-			e.sep(i)
-			e.raw(`{"ID":`)
-			e.str(p.ID)
-			e.raw(`,"Name":`)
-			e.str(p.Name)
-			e.raw(`}`)
-		}
-		e.raw(`]`)
-	}
-	e.raw(`,"Users":`)
-	if e.open(s.Users == nil, '[') {
-		for i, u := range s.Users {
-			e.sep(i)
-			e.raw(`{"ID":`)
-			e.str(u.ID)
-			e.raw(`,"Name":`)
-			e.str(u.Name)
-			e.raw(`,"Role":`)
-			e.str(u.Role)
-			e.raw(`}`)
-		}
-		e.raw(`]`)
-	}
-	e.raw(`,"Sensors":`)
-	e.strs(s.Sensors)
-	e.raw(`,"Channels":`)
-	e.strs(s.Channels)
-	e.raw(`}`)
-	return e.done()
-}
-
-func (s *orgState) UnmarshalJSON(data []byte) error {
-	return adopt(s, s.parse, data, (*orgStateJSON)(s))
-}
-
-func (v *orgState) parse(data []byte) bool {
-	d := stateDec{b: data, ok: true}
-	d.lit(`{"Name":`)
-	d.str(&v.Name)
-	d.lit(`,"Projects":`)
-	if n, _ := d.open(`[]`); n >= 0 {
-		v.Projects = make([]Project, 0, n)
-		for more := n > 0; more; more = d.next(`]`) {
-			p := add(&d, &v.Projects)
-			d.lit(`{"ID":`)
-			d.str(&p.ID)
-			d.lit(`,"Name":`)
-			d.str(&p.Name)
-			d.lit(`}`)
-		}
-	}
-	d.lit(`,"Users":`)
-	if n, _ := d.open(`[]`); n >= 0 {
-		v.Users = make([]User, 0, n)
-		for more := n > 0; more; more = d.next(`]`) {
-			u := add(&d, &v.Users)
-			d.lit(`{"ID":`)
-			d.str(&u.ID)
-			d.lit(`,"Name":`)
-			d.str(&u.Name)
-			d.lit(`,"Role":`)
-			d.str(&u.Role)
-			d.lit(`}`)
-		}
-	}
-	d.lit(`,"Sensors":`)
-	v.Sensors = d.strs()
-	d.lit(`,"Channels":`)
-	v.Channels = d.strs()
-	d.lit(`}`)
-	return d.end()
-}
-
 func (s *sensorState) MarshalJSON() ([]byte, error) {
 	e := stateEnc{b: make([]byte, 0, 72+len(s.Org)+len(s.Virtual)+stringsSize(s.Channels))}
 	e.raw(`{"Org":`)
@@ -204,12 +119,10 @@ func (v *sensorState) parse(data []byte) bool {
 }
 
 func (s *channelState) MarshalJSON() ([]byte, error) {
-	n := 320 + len(s.Org) + len(s.Sensor) + len(s.VirtualOut) + len(s.Aggregator) + pointJSONSize*len(s.Window)
+	n := 320 + len(s.Org) + len(s.VirtualOut) + len(s.Aggregator) + pointJSONSize*len(s.Window)
 	e := stateEnc{b: make([]byte, 0, n)}
 	e.raw(`{"Org":`)
 	e.str(s.Org)
-	e.raw(`,"Sensor":`)
-	e.str(s.Sensor)
 	e.raw(`,"WindowCap":`)
 	e.int(int64(s.WindowCap))
 	e.raw(`,"Window":`)
@@ -246,8 +159,6 @@ func (v *channelState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
 	d.lit(`{"Org":`)
 	d.str(&v.Org)
-	d.lit(`,"Sensor":`)
-	d.str(&v.Sensor)
 	d.lit(`,"WindowCap":`)
 	v.WindowCap = int(d.int(strconv.IntSize))
 	d.lit(`,"Window":`)
@@ -277,11 +188,9 @@ func (v *channelState) parse(data []byte) bool {
 }
 
 func (s *virtualState) MarshalJSON() ([]byte, error) {
-	n := 96 + len(s.Org) + len(s.Op) + stringsSize(s.Inputs) + pointJSONSize*len(s.Window)
+	n := 96 + len(s.Op) + stringsSize(s.Inputs) + pointJSONSize*len(s.Window)
 	e := stateEnc{b: make([]byte, 0, n)}
-	e.raw(`{"Org":`)
-	e.str(s.Org)
-	e.raw(`,"Inputs":`)
+	e.raw(`{"Inputs":`)
 	e.strs(s.Inputs)
 	e.raw(`,"Op":`)
 	e.str(s.Op)
@@ -299,9 +208,7 @@ func (s *virtualState) UnmarshalJSON(data []byte) error {
 
 func (v *virtualState) parse(data []byte) bool {
 	d := stateDec{b: data, ok: true}
-	d.lit(`{"Org":`)
-	d.str(&v.Org)
-	d.lit(`,"Inputs":`)
+	d.lit(`{"Inputs":`)
 	v.Inputs = d.strs()
 	d.lit(`,"Op":`)
 	d.str(&v.Op)
@@ -440,8 +347,6 @@ func (s *alertsState) MarshalJSON() ([]byte, error) {
 		}
 		e.raw(`]`)
 	}
-	e.raw(`,"Total":`)
-	e.int(s.Total)
 	e.raw(`}`)
 	return e.done()
 }
@@ -468,8 +373,6 @@ func (v *alertsState) parse(data []byte) bool {
 			d.lit(`}`)
 		}
 	}
-	d.lit(`,"Total":`)
-	v.Total = d.int(64)
 	d.lit(`}`)
 	return d.end()
 }

@@ -70,10 +70,10 @@ func TestStateJSONMatchesEncodingJSON(t *testing.T) {
 // that they decode as encoding/json decodes them).
 func TestStateJSONStoredFixtures(t *testing.T) {
 	for name, st := range map[string]stateCodec{
-		"channel":   &channelState{},
-		"agg-hour":  &aggState{},
-		"agg-day":   &aggState{},
-		"agg-month": &aggState{},
+		"channel-v2": &channelState{},
+		"agg-hour":   &aggState{},
+		"agg-day":    &aggState{},
+		"agg-month":  &aggState{},
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", "state", name+".json"))
 		if err != nil {
@@ -120,15 +120,14 @@ var fallbackInputs = []string{
 	`{"Level":"hour","Next":"","PerChannel":{"c":{"\u006b":{"Bucket":"2026-07-05T10:00:00Z","Count":1,"Sum":1,"Min":1,"Max":1},"j":{"Bucket":"2026-07-05T11:00:00Z","Count":2,"Sum":2,"Min":2,"Max":2}}}}`,
 	`{"Level":"hour","Next":"","PerChannel":{"c":null}}`,
 	`{"Level":"hour","Next":"","PerChannel":{"c":null,"d":{}}}`,
-	`{"Org":"","Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":1e400}]}`,
-	`{"Org":"","Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":01}]}`,
-	`{"Org":"","Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":-}]}`,
-	`{"Recent":[{"Channel":"c","At":null,"Value":1,"Reason":"r"}],"Total":1}`,
+	`{"Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":1e400}]}`,
+	`{"Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":01}]}`,
+	`{"Inputs":[],"Op":"sum","WindowCap":10,"Window":[{"At":"2026-07-05T10:00:00Z","Value":-}]}`,
+	`{"Recent":[{"Channel":"c","At":null,"Value":1,"Reason":"r"}]}`,
 	`{"Recent":[],"Total":1}`,
 	`null`,
 	``,
 	`{}`,
-	"{\"Name\":\"\xff\",\"Projects\":[],\"Users\":null,\"Sensors\":[\"\x01\"],\"Channels\":[]}",
 }
 
 // FuzzStateJSON holds the codec to encoding/json both ways. Decode: on any
@@ -136,7 +135,7 @@ var fallbackInputs = []string{
 // fail, or both succeed with deep-equal values. Encode: for states built
 // from the bytes, MarshalJSON returns json.Marshal's bytes and error.
 func FuzzStateJSON(f *testing.F) {
-	for _, name := range []string{"channel", "agg-hour", "agg-day", "agg-month"} {
+	for _, name := range []string{"channel", "channel-v2", "agg-hour", "agg-day", "agg-month"} {
 		data, err := os.ReadFile(filepath.Join("testdata", "state", name+".json"))
 		if err != nil {
 			f.Fatal(err)
@@ -156,7 +155,6 @@ func FuzzStateJSON(f *testing.F) {
 // checkDecode decodes data as every state both ways.
 func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
-	decodeBoth[orgState, orgStateJSON](t, data)
 	decodeBoth[sensorState, sensorStateJSON](t, data)
 	decodeBoth[channelState, channelStateJSON](t, data)
 	decodeBoth[virtualState, virtualStateJSON](t, data)
@@ -227,7 +225,6 @@ func (s *aggState) legacy() *aggStateJSON {
 // written.
 func checkEncode(t *testing.T, s allStates) {
 	t.Helper()
-	encodeBoth[orgState, orgStateJSON](t, &s.org)
 	encodeBoth[sensorState, sensorStateJSON](t, &s.sensor)
 	encodeBoth[channelState, channelStateJSON](t, &s.channel)
 	encodeBoth[virtualState, virtualStateJSON](t, &s.virtual)
@@ -271,7 +268,6 @@ func sameError(a, b error) bool {
 }
 
 type allStates struct {
-	org     orgState
 	sensor  sensorState
 	channel channelState
 	virtual virtualState
@@ -295,21 +291,14 @@ func buildStates(g gen) allStates {
 	strs := func() []string { return genList(g, g.str) }
 	point := func() DataPoint { return DataPoint{At: g.time(), Value: g.float()} }
 	var s allStates
-	s.org = orgState{
-		Name:     g.str(),
-		Projects: genList(g, func() Project { return Project{ID: g.str(), Name: g.str()} }),
-		Users:    genList(g, func() User { return User{ID: g.str(), Name: g.str(), Role: g.str()} }),
-		Sensors:  strs(),
-		Channels: strs(),
-	}
 	s.sensor = sensorState{Org: g.str(), Channels: strs(), Virtual: g.str(), Packets: g.int()}
 	s.channel = channelState{
-		Org: g.str(), Sensor: g.str(), WindowCap: int(g.int()), Window: genList(g, point),
+		Org: g.str(), WindowCap: int(g.int()), Window: genList(g, point),
 		Accumulated: g.float(), LastValue: g.float(), HasLast: g.bool(),
 		Threshold:  Threshold{Min: g.float(), Max: g.float(), Enabled: g.bool()},
 		VirtualOut: g.str(), Aggregator: g.str(), WriteEveryBatch: g.bool(), Archive: g.bool(),
 	}
-	s.virtual = virtualState{Org: g.str(), Inputs: strs(), Op: g.str(), WindowCap: int(g.int()), Window: genList(g, point)}
+	s.virtual = virtualState{Inputs: strs(), Op: g.str(), WindowCap: int(g.int()), Window: genList(g, point)}
 	agg := aggStateJSON{Level: g.str(), Next: g.str(), PerChannel: genMap(g, func() map[string]BucketStat {
 		return genMap(g, func() BucketStat {
 			return BucketStat{Bucket: g.time(), Count: g.int(), Sum: g.float(), Min: g.float(), Max: g.float()}
@@ -318,7 +307,6 @@ func buildStates(g gen) allStates {
 	s.agg = agg.state()
 	s.alerts = alertsState{
 		Recent: genList(g, func() Alert { return Alert{Channel: g.str(), At: g.time(), Value: g.float(), Reason: g.str()} }),
-		Total:  g.int(),
 	}
 	return s
 }
@@ -574,7 +562,7 @@ func TestDecodedStateKeepsNoInput(t *testing.T) {
 	codectest.SkipUnderRace(t)
 	sensor := SensorKey("org-0", 0)
 	ch := &channelState{
-		Org: "org-0", Sensor: sensor, WindowCap: 4096, VirtualOut: VirtualKey(sensor),
+		Org: "org-0", WindowCap: 4096, VirtualOut: VirtualKey(sensor),
 		Aggregator: AggregatorKey("org-0", LevelHour), Archive: true,
 	}
 	for i := 0; i < ch.WindowCap; i++ {
@@ -590,7 +578,7 @@ func TestDecodedStateKeepsNoInput(t *testing.T) {
 	}{
 		{"4096-point channel", ch, func() stateCodec { return new(channelState) }, func(st stateCodec) int {
 			s := st.(*channelState)
-			return cap(s.Window)*size(DataPoint{}) + len(s.Org) + len(s.Sensor) + len(s.VirtualOut) + len(s.Aggregator)
+			return cap(s.Window)*size(DataPoint{}) + len(s.Org) + len(s.VirtualOut) + len(s.Aggregator)
 		}},
 		{"200-channel aggregator", &agg, func() stateCodec { return new(aggState) }, func(st stateCodec) int {
 			s := st.(*aggState)

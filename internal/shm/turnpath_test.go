@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -176,31 +177,86 @@ func settle(c *metrics.Counter) int64 {
 }
 
 // TestStoredStateUnchanged: the stored JSON of a channel and of each
-// aggregator level is byte for byte what the code before the turn-path
-// cut wrote for the same history (testdata/state), and a state that code
-// wrote reads back and re-encodes to the same bytes.
+// aggregator level is byte for byte what testdata/state pins for the same
+// history (channel-v2.json for the channel since it lost its Sensor), and
+// that state reads back and re-encodes to the same bytes. channel.json,
+// what the code before that wrote, is a read fixture: it loads, without
+// the dropped field, and re-encodes as channel-v2.json.
 func TestStoredStateUnchanged(t *testing.T) {
 	got := storedStates(t)
-	for name, st := range map[string]any{
-		"channel":   &channelState{},
-		"agg-hour":  &aggState{},
-		"agg-day":   &aggState{},
-		"agg-month": &aggState{},
+	for name, c := range map[string]struct {
+		file  string
+		state any
+	}{
+		"channel":   {"channel-v2", &channelState{}},
+		"agg-hour":  {"agg-hour", &aggState{}},
+		"agg-day":   {"agg-day", &aggState{}},
+		"agg-month": {"agg-month", &aggState{}},
 	} {
-		want, err := os.ReadFile(filepath.Join("testdata", "state", name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := readFixture(t, c.file)
 		if !bytes.Equal(got[name], want) {
 			t.Errorf("%s state:\n got %s\nwant %s", name, got[name], want)
 		}
-		if err := json.Unmarshal(want, st); err != nil {
+		if err := json.Unmarshal(want, c.state); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if again, _ := json.Marshal(st); !bytes.Equal(again, want) {
+		if again, _ := json.Marshal(c.state); !bytes.Equal(again, want) {
 			t.Errorf("%s state re-encodes as\n%s\nnot\n%s", name, again, want)
 		}
 	}
+	var old channelState
+	if err := json.Unmarshal(readFixture(t, "channel"), &old); err != nil {
+		t.Fatalf("channel.json: %v", err)
+	}
+	if again, _ := json.Marshal(&old); !bytes.Equal(again, readFixture(t, "channel-v2")) {
+		t.Errorf("channel.json loads and re-encodes as\n%s\nnot as channel-v2.json", again)
+	}
+}
+
+// TestOrgStateWrittenBeforeTrimLoads: an org state stored by the code that
+// still kept the org's name, projects, users and sensors
+// (testdata/state/org.json) activates, and the org serves its channels.
+func TestOrgStateWrittenBeforeTrimLoads(t *testing.T) {
+	kv, err := kvstore.Open(kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	ctx := context.Background()
+	rt, err := core.New(core.Config{Store: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(ctx)
+	if _, err := NewPlatform(rt, Options{Persist: core.PersistOnDeactivate}); err != nil {
+		t.Fatal(err)
+	}
+	rt.AddSilo("silo-1", nil)
+	table, err := kv.Table(core.StateTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	org := core.ID{Kind: KindOrganization, Key: "org-0"}
+	if _, err := table.Put(ctx, org.String(), readFixture(t, "org")); err != nil {
+		t.Fatal(err)
+	}
+	v, err := rt.Call(ctx, org, GetChannels{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"org-0@sensor-0/ch-0", "org-0@sensor-0/ch-1", "org-0@sensor-0/virt", "org-0@sensor-1/ch-0", "org-0@sensor-1/ch-1"}
+	if got := v.([]string); !reflect.DeepEqual(got, want) {
+		t.Errorf("channels of the stored org = %v, want %v", got, want)
+	}
+}
+
+func readFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "state", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // storedStates runs a fixed history on one silo with state written at
@@ -224,9 +280,6 @@ func storedStates(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	rt.AddSilo("silo-1", nil)
-	if err := p.CreateOrganization(ctx, "org-0", "o"); err != nil {
-		t.Fatal(err)
-	}
 	spec := SensorSpec{Org: "org-0", Key: SensorKey("org-0", 0), PhysicalChannels: 2, WithVirtual: true}
 	if err := p.InstallSensor(ctx, spec); err != nil {
 		t.Fatal(err)

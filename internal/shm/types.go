@@ -4,9 +4,8 @@
 //
 // The actor model follows the paper's Figure 4:
 //
-//   - Organization actors encapsulate projects and users as non-actor
-//     objects (the granularity principle of §4.2: projects are passive),
-//     and know their sensors.
+//   - Organization actors know every channel of their sensors, which the
+//     live-data query fans out to.
 //   - Sensor actors hold sensor metadata and route ingested packets to
 //     their channels.
 //   - PhysicalChannel actors hold a window of raw data points per sensor
@@ -49,20 +48,6 @@ type Threshold struct {
 // Violates reports whether v falls outside the configured band.
 func (t Threshold) Violates(v float64) bool {
 	return t.Enabled && (v < t.Min || v > t.Max)
-}
-
-// Project is a passive construction project record encapsulated inside an
-// Organization actor (a non-actor object per §4.2).
-type Project struct {
-	ID   string
-	Name string
-}
-
-// User is a passive user record inside an Organization actor.
-type User struct {
-	ID   string
-	Name string
-	Role string
 }
 
 // Alert is one threshold violation event.
@@ -132,12 +117,6 @@ func TruncateToLevel(t time.Time, level string) time.Time {
 // Messages exchanged between SHM actors and the platform facade. All are
 // registered with the codec so they survive the TCP transport.
 type (
-	// CreateOrg initializes an Organization actor.
-	CreateOrg struct{ Name string }
-	// AddProject records a passive project object inside the org.
-	AddProject struct{ ID, Name string }
-	// AddUser records a passive user object inside the org.
-	AddUser struct{ ID, Name, Role string }
 	// AttachSensor tells the org about one of its sensors.
 	AttachSensor struct{ SensorKey string }
 	// GetChannels returns every channel key owned by the org's sensors.
@@ -175,7 +154,6 @@ type (
 	// ConfigureChannel initializes a channel actor.
 	ConfigureChannel struct {
 		Org        string
-		Sensor     string
 		WindowCap  int
 		VirtualOut string // virtual channel key fed by this channel
 		Threshold  Threshold
@@ -206,7 +184,6 @@ type (
 
 	// ConfigureVirtual initializes a VirtualChannel with its inputs.
 	ConfigureVirtual struct {
-		Org       string
 		Inputs    []string
 		Op        string // "sum" (the paper's example) or "mean"
 		WindowCap int
@@ -253,8 +230,8 @@ type LiveReading struct {
 
 func init() {
 	for _, v := range []any{
-		DataPoint{}, Threshold{}, Project{}, User{}, Alert{}, BucketStat{},
-		CreateOrg{}, AddProject{}, AddUser{}, AttachSensor{}, GetChannels{},
+		DataPoint{}, Threshold{}, Alert{}, BucketStat{},
+		AttachSensor{}, GetChannels{},
 		ConfigureSensor{}, InsertBatch{}, GetSensorInfo{},
 		ConfigureChannel{}, InsertPoints{}, Latest{}, RangeQuery{}, GetAccumulated{}, HistoryQuery{},
 		ConfigureVirtual{}, VirtualInput{},

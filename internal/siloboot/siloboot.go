@@ -361,7 +361,7 @@ func Start(opts Options) (*Node, error) {
 		// fail transient and retry, or are served by ungated replicas. A
 		// gossip silo sweeps from JoinCluster on.
 		rstore.SetRebuilding(agent != nil || len(members.View().Members) > 1)
-		sweeper = replication.NewSweeper(coord, opts.SweepEvery, opts.Name, 0)
+		sweeper = replication.NewSweeper(coord, opts.SweepEvery, opts.Name)
 		if agent == nil {
 			sweeper.Start()
 		}

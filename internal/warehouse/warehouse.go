@@ -202,11 +202,10 @@ func (w *Warehouse) RollUp(filter Filter, group GroupBy, grain Grain) ([]Aggrega
 
 // persistedChannelState mirrors the JSON the SHM channel actors persist
 // to the grain table (internal/shm channelState / virtualState). Only the
-// exported fields the warehouse needs are decoded; unknown fields are
-// ignored, so the coupling is additive-safe.
+// window is decoded, and unknown fields are ignored, so the coupling is
+// additive-safe: a channel's org and sensor are its key's own
+// ("org-3@sensor-17/ch-0", "org-3@sensor-17/virt").
 type persistedChannelState struct {
-	Org    string
-	Sensor string
 	Window []struct {
 		At    time.Time
 		Value float64
@@ -230,16 +229,13 @@ func ExportFromStore(ctx context.Context, w *Warehouse, store *kvstore.Store, ta
 				return true // not a channel state; skip
 			}
 			name := strings.TrimPrefix(it.Key, prefix)
-			sensor := st.Sensor
-			if sensor == "" && kind == Virtual {
-				// Virtual channels persist Org+Inputs; derive the sensor
-				// from the key ("org-3@sensor-17/virt").
-				if i := strings.LastIndex(name, "/"); i > 0 {
-					sensor = name[:i]
-				}
+			org, _, _ := strings.Cut(name, "@")
+			sensor := name
+			if i := strings.LastIndex(name, "/"); i > 0 {
+				sensor = name[:i]
 			}
 			for _, p := range st.Window {
-				w.AddReading(st.Org, sensor, name, kind, p.At, p.Value)
+				w.AddReading(org, sensor, name, kind, p.At, p.Value)
 				loaded++
 			}
 			return true

@@ -133,9 +133,6 @@ func TestExportFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.AddSilo("silo-1", nil)
-	if err := platform.CreateOrganization(ctx, "org-0", "Org"); err != nil {
-		t.Fatal(err)
-	}
 	sensor := shm.SensorKey("org-0", 0)
 	if err := platform.InstallSensor(ctx, shm.SensorSpec{
 		Org: "org-0", Key: sensor, PhysicalChannels: 2, WithVirtual: true,
@@ -188,10 +185,10 @@ func TestExportFromStore(t *testing.T) {
 	if virt := rows[2]; virt.Group != shm.VirtualKey(sensor) || virt.Count != 6 || virt.Min != 11 || virt.Sum != 99 {
 		t.Fatalf("virtual facts = %+v", virt)
 	}
-	// Virtual channels derive their sensor from the key.
+	// Every channel's org and sensor come from its key.
 	for _, ch := range w.channels {
-		if ch.Kind == Virtual && ch.Sensor != sensor {
-			t.Fatalf("virtual channel sensor = %q, want %q", ch.Sensor, sensor)
+		if ch.Org != "org-0" || ch.Sensor != sensor {
+			t.Fatalf("channel %s: org %q, sensor %q, want org-0, %q", ch.Name, ch.Org, ch.Sensor, sensor)
 		}
 	}
 }

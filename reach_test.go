@@ -58,8 +58,9 @@ func TestNoTestOnlyCode(t *testing.T) {
 // one planted case of each kind: an unreached exported func, a method
 // reached only through an errors.As interface literal, an allow-listed
 // identifier, a message named only in a case clause and codec.Register, a
-// message built only in a test file, and a field that is only read. The
-// first and the last three are reported.
+// message built only in a test file, a field that is only read, and state
+// fields only written, only appended to, or only read by their encoder.
+// The first and the last six are reported.
 func TestReachScanFixture(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "reach"))
 	if err != nil {
@@ -71,7 +72,9 @@ func TestReachScanFixture(t *testing.T) {
 	for _, u := range unreached {
 		got = append(got, u.name)
 	}
-	if want := []string{"widget.Orphan", "widget.Ping.Limit", "widget.Probe", "widget.Unused"}; strings.Join(got, ",") != strings.Join(want, ",") {
+	want := []string{"widget.Mark.By", "widget.Orphan", "widget.Ping.Limit", "widget.Probe", "widget.Unused",
+		"widget.counterState.Log", "widget.counterState.Note"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("unreached = %v, want %v", got, want)
 	}
 	if len(stale) != 0 {
@@ -263,6 +266,11 @@ type staleEntry struct{ name, why string }
 // function (where codec.Register is called), is reached only where some
 // non-test file builds a value of it outside init: a composite literal,
 // new(T) or a declared variable of type T.
+//
+// State is reached only where it is read. Every field, exported or not, of
+// a type some State method returns, and of the struct types that type
+// holds, counts as reached only where some non-test file reads it (see
+// stateReads); an exported field of an exported type must also be written.
 func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEntry) {
 	prefix := m.path + "/internal/"
 	type decl struct {
@@ -270,21 +278,27 @@ func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEnt
 		pos        token.Pos
 		method     bool
 		start, end token.Pos // the declaration's span; uses inside it do not count
+		// A field is reached only where written (an exported field of an
+		// exported type), only where read (a state field), or both.
+		mustWrite, mustRead bool
 	}
 	declared := map[types.Object]*decl{}
 	pkgOf := map[string]string{} // declared name -> package path below internal/
+	state := stateTypes(m)
 	for _, p := range m.list {
 		rel, ok := strings.CutPrefix(p.path, prefix)
 		if !ok {
 			continue
 		}
-		add := func(id *ast.Ident, name string, method bool, node ast.Node) {
+		add := func(id *ast.Ident, name string, method bool, node ast.Node) *decl {
 			obj := p.info.Defs[id]
 			if obj == nil {
-				return
+				return &decl{}
 			}
-			declared[obj] = &decl{name: rel + "." + name, pos: id.Pos(), method: method, start: node.Pos(), end: node.End()}
+			d := &decl{name: rel + "." + name, pos: id.Pos(), method: method, start: node.Pos(), end: node.End()}
+			declared[obj] = d
 			pkgOf[rel+"."+name] = rel
+			return d
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
@@ -302,18 +316,24 @@ func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEnt
 					for _, s := range d.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
-							if !s.Name.IsExported() {
+							isState := state[p.info.Defs[s.Name]]
+							if !s.Name.IsExported() && !isState {
 								continue
 							}
-							add(s.Name, s.Name.Name, false, s)
+							if s.Name.IsExported() {
+								add(s.Name, s.Name.Name, false, s)
+							} else {
+								pkgOf[rel+"."+s.Name.Name] = rel // an allow-list key for its fields
+							}
 							st, ok := s.Type.(*ast.StructType)
 							if !ok {
 								continue
 							}
 							for _, fld := range st.Fields.List {
 								for _, n := range fld.Names {
-									if n.IsExported() {
-										add(n, s.Name.Name+"."+n.Name, false, n)
+									if setting := s.Name.IsExported() && n.IsExported(); setting || isState {
+										d := add(n, s.Name.Name+"."+n.Name, false, n)
+										d.mustWrite, d.mustRead = setting, isState
 									}
 								}
 							}
@@ -364,6 +384,7 @@ func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEnt
 	}
 
 	w := writes(m)
+	read := stateReads(m, state)
 	messages := map[string]bool{} // declared names of message types
 	var unreached []unreachedIdent
 	allowedHits := map[string]bool{}
@@ -375,7 +396,7 @@ func reachScan(m *module, allow map[string]string) ([]unreachedIdent, []staleEnt
 		}
 		switch {
 		case field:
-			if w.fields[obj] {
+			if (w.fields[obj] || !d.mustWrite) && (read[obj] || !d.mustRead) {
 				continue
 			}
 		case w.messages[obj]:
@@ -559,6 +580,166 @@ func writes(m *module) written {
 		}
 	}
 	return w
+}
+
+// stateTypes is the set of struct types whose fields are actor state: the
+// types some State method of the module returns (a *T returned counts as
+// T), and the module's struct types their fields hold, through pointers,
+// slices, arrays, maps, named types and embedding.
+func stateTypes(m *module) map[types.Object]bool {
+	state := map[types.Object]bool{}
+	seen := map[types.Object]bool{}
+	var hold func(t types.Type)
+	hold = func(t types.Type) {
+		switch u := t.(type) {
+		case *types.Pointer:
+			hold(u.Elem())
+		case *types.Slice:
+			hold(u.Elem())
+		case *types.Array:
+			hold(u.Elem())
+		case *types.Map:
+			hold(u.Key())
+			hold(u.Elem())
+		case *types.Named:
+			obj := u.Origin().Obj()
+			if seen[obj] || obj.Pkg() == nil || obj.Pkg().Path() != m.path && !strings.HasPrefix(obj.Pkg().Path(), m.path+"/") {
+				return
+			}
+			seen[obj] = true
+			st, ok := u.Underlying().(*types.Struct)
+			if !ok {
+				hold(u.Underlying())
+				return
+			}
+			state[obj] = true
+			for i := 0; i < st.NumFields(); i++ {
+				hold(st.Field(i).Type())
+			}
+		}
+	}
+	for _, p := range m.list {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Name.Name != "State" || fd.Body == nil || fd.Type.Params.NumFields() != 0 {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if r, ok := n.(*ast.ReturnStmt); ok {
+						for _, e := range r.Results {
+							hold(p.info.TypeOf(e))
+						}
+					}
+					_, lit := n.(*ast.FuncLit)
+					return !lit
+				})
+			}
+		}
+	}
+	return state
+}
+
+// stateCodecMethods are the methods through which a state type encodes and
+// decodes itself; they touch every field, so their reads prove nothing.
+var stateCodecMethods = map[string]bool{"MarshalJSON": true, "UnmarshalJSON": true, "parse": true}
+
+// stateReads returns the fields some non-test file of m reads. A
+// selector x.F is a read except where it is written — on the left of an
+// assignment, under ++ or --, a range clause's = target, the map delete
+// or clear empties, with every field on the path (x.F.G = v and
+// x.F[k] = v write F) — where it only feeds a write back to F (x.F =
+// append(x.F, …)), and inside a MarshalJSON, UnmarshalJSON or parse
+// method of a state type.
+func stateReads(m *module, state map[types.Object]bool) map[types.Object]bool {
+	read := map[types.Object]bool{}
+	for _, p := range m.list {
+		field := func(e ast.Expr) types.Object {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					return s.Obj().(*types.Var).Origin()
+				}
+			}
+			return nil
+		}
+		builtin := func(call *ast.CallExpr) string {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+				if b, ok := p.info.Uses[id].(*types.Builtin); ok {
+					return b.Name()
+				}
+			}
+			return ""
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && stateCodecMethods[fd.Name.Name] {
+					recv := fd.Recv.List[0].Type
+					if st, ok := recv.(*ast.StarExpr); ok {
+						recv = st.X
+					}
+					if n, ok := p.info.TypeOf(recv).(*types.Named); ok && state[n.Origin().Obj()] {
+						continue
+					}
+				}
+				notRead := map[*ast.SelectorExpr]bool{}
+				written := func(e ast.Expr) {
+					for {
+						switch x := e.(type) {
+						case *ast.ParenExpr:
+							e = x.X
+						case *ast.SelectorExpr:
+							notRead[x] = true
+							e = x.X
+						case *ast.IndexExpr:
+							e = x.X
+						case *ast.StarExpr:
+							e = x.X
+						default:
+							return
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for i, l := range n.Lhs {
+							written(l)
+							if n.Tok != token.ASSIGN || len(n.Rhs) != len(n.Lhs) {
+								continue
+							}
+							call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr)
+							if f := field(l); f == nil || !ok || builtin(call) != "append" {
+								continue
+							}
+							ast.Inspect(call, func(c ast.Node) bool {
+								if sel, ok := c.(*ast.SelectorExpr); ok && field(sel) == field(l) {
+									notRead[sel] = true
+								}
+								return true
+							})
+						}
+					case *ast.IncDecStmt:
+						written(n.X)
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							written(n.Key)
+							written(n.Value)
+						}
+					case *ast.CallExpr:
+						if b := builtin(n); (b == "delete" || b == "clear") && len(n.Args) > 0 {
+							written(n.Args[0])
+						}
+					case *ast.SelectorExpr:
+						if f := field(n); f != nil && !notRead[n] {
+							read[f] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return read
 }
 
 // recvName is the base type name of a method receiver: T for T, *T, T[K]

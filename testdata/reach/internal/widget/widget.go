@@ -1,7 +1,11 @@
 // Package widget holds one identifier of each kind the scan tells apart.
 package widget
 
-import "fixture/internal/codec"
+import (
+	"encoding/json"
+
+	"fixture/internal/codec"
+)
 
 // Reached is called from main.
 func Reached() {}
@@ -50,4 +54,41 @@ func Handle(msg any) int {
 		return -1
 	}
 	return 0
+}
+
+// Counter is a stateful actor: what State returns is its state.
+type Counter struct{ state counterState }
+
+type counterState struct {
+	Hits int // Hit returns it
+	// Note is written and never read; the scan reports it.
+	Note string
+	// Log is only ever appended to; the scan reports it.
+	Log []string
+	// Last is read through Mark, a type the state holds.
+	Last Mark
+}
+
+// Mark is held by the counter's state, so its fields are state too.
+type Mark struct {
+	At int // Hit reads it
+	// By is written and never read; the scan reports it.
+	By string
+}
+
+func (c *Counter) State() any { return &c.state }
+
+// MarshalJSON encodes every field; its reads do not count.
+func (s *counterState) MarshalJSON() ([]byte, error) {
+	return json.Marshal([]any{s.Hits, s.Note, s.Log, s.Last.At, s.Last.By})
+}
+
+// Hit records one hit by who and returns the hits counted before it.
+func (c *Counter) Hit(who string) int {
+	prev := c.state.Last.At
+	c.state.Hits++
+	c.state.Note = who
+	c.state.Log = append(c.state.Log, who)
+	c.state.Last = Mark{At: c.state.Hits, By: who}
+	return prev
 }
