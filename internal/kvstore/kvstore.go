@@ -12,8 +12,9 @@
 //     4 KiB), enforced by blocking token buckets — this is what lets the
 //     benchmarks reproduce the paper's "200 reads and 200 writes per
 //     second" grain-storage configuration;
-//   - durability through a write-ahead log plus snapshot compaction, with
-//     crash recovery on open;
+//   - durability through a write-ahead log, its one on-disk format:
+//     compaction re-logs the live items and drops the segments they
+//     supersede, and recovery replays the log on open;
 //   - a memory-only mode (empty Dir) for benchmarks that, like the paper's,
 //     deliberately keep grain storage off the hot path.
 package kvstore
@@ -28,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,7 +74,7 @@ type Options struct {
 	// mutation applies in memory under the table lock, then waits only
 	// for the shared batch flush, so concurrent writers amortize one
 	// fsync instead of serializing behind per-record flushes. Off (the
-	// default), WAL writes are buffered and synced on snapshot/Close,
+	// default), WAL writes are buffered and synced on compaction/Close,
 	// mirroring how the paper keeps storage off the hot path.
 	Durable bool
 	// Clock drives the throughput buckets; nil means the real clock.
@@ -87,14 +87,14 @@ type Options struct {
 	FlushStallAfter time.Duration
 	OnFlushStall    func(d time.Duration, records int)
 
-	// snapshotEvery overrides defaultSnapshotEvery; tests lower it to
+	// compactEvery overrides defaultCompactEvery; tests lower it to
 	// trigger compaction after a few writes.
-	snapshotEvery int
+	compactEvery int
 }
 
-// defaultSnapshotEvery starts a background snapshot compaction after
-// every 100,000 WAL records.
-const defaultSnapshotEvery = 100000
+// defaultCompactEvery starts a background compaction after every 100,000
+// WAL records.
+const defaultCompactEvery = 100000
 
 // WriteFault is a fault-injection hook consulted before every mutation
 // (Put/PutIf/Merge). Returning a non-nil error fails the write before
@@ -110,17 +110,19 @@ type Store struct {
 	clk     clock.Clock
 	reg     *metrics.Registry
 	closed  bool
-	applied atomic.Int64 // WAL records staged (drives snapshot cadence)
+	applied atomic.Int64 // WAL records staged (drives compaction cadence)
+	// legacySeq is the last sequence a legacy snapshot covers (0: none).
+	legacySeq uint64
 
-	// Background snapshot lifecycle: at most one compaction goroutine at
-	// a time, drained on Close. snapMu guards only these two fields and
-	// is never held while taking mu or a table lock — the snapshot
-	// trigger fires under the writer's table lock, and nesting the
-	// store lock there would invert against Snapshot's mu→table order.
-	snapMu       sync.Mutex
-	snapInFlight bool
-	snapClosed   bool
-	snapWG       sync.WaitGroup
+	// Background compaction lifecycle: at most one compaction goroutine
+	// at a time, drained on Close. compactMu guards only these two fields
+	// and is never held while taking mu or a table lock — the compaction
+	// trigger fires under the writer's table lock, and nesting the store
+	// lock there would invert against compact's mu→table order.
+	compactMu     sync.Mutex
+	compacting    bool
+	compactClosed bool
+	compactWG     sync.WaitGroup
 
 	// flushWait records how long durable writes blocked on group commit.
 	flushWait *metrics.Histogram
@@ -172,13 +174,11 @@ type Table struct {
 	mutSeq map[string]uint64
 }
 
-const snapshotSuffix = ".snap"
-
-// Open opens or creates a store. With a durability directory, any existing
-// snapshot is loaded and the WAL tail replayed on top of it.
+// Open opens or creates a store. With a durability directory, the WAL is
+// replayed, on top of a legacy snapshot if one is there.
 func Open(opts Options) (*Store, error) {
-	if opts.snapshotEvery <= 0 {
-		opts.snapshotEvery = defaultSnapshotEvery
+	if opts.compactEvery <= 0 {
+		opts.compactEvery = defaultCompactEvery
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real()
@@ -199,8 +199,8 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	lastSeq, err := s.loadLatestSnapshot()
-	if err != nil {
+	var err error
+	if s.legacySeq, err = s.loadLegacySnapshot(); err != nil {
 		return nil, err
 	}
 	l, err := wal.Open(filepath.Join(opts.Dir, "wal"), wal.Options{
@@ -214,8 +214,8 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.log = l
 	err = l.Replay(func(seq uint64, payload []byte) error {
-		if seq <= lastSeq {
-			return nil // covered by the snapshot
+		if seq <= s.legacySeq {
+			return nil // covered by the legacy snapshot
 		}
 		return s.applyRecord(payload)
 	})
@@ -283,28 +283,35 @@ func decodeRecord(payload []byte) (op byte, table, key string, value []byte, ver
 	return op, string(tb), string(kb), append([]byte(nil), vb...), ver, nil
 }
 
+// provUnits packs throughput into a create record's version: read<<32|write.
+func provUnits(p Throughput) int64 { return int64(p.ReadUnits)<<32 | int64(p.WriteUnits) }
+
 // applyRecord applies a WAL record during recovery, without re-logging.
+// The last put of a key wins. A put can precede its table's create when
+// a compaction truncated the first create: it creates the table, and the
+// compaction's create that follows sets the throughput.
 func (s *Store) applyRecord(payload []byte) error {
 	op, table, key, value, version, err := decodeRecord(payload)
 	if err != nil {
 		return err
 	}
+	t, ok := s.tables[table]
 	switch op {
 	case opCreateTable:
-		if _, ok := s.tables[table]; !ok {
-			// Throughput is not persisted as rate state; version field
-			// smuggles the units (read<<32|write) for recovery.
-			prov := Throughput{
-				ReadUnits:  float64(version >> 32),
-				WriteUnits: float64(version & 0xffffffff),
-			}
-			s.tables[table] = s.newTable(table, prov)
+		prov := Throughput{
+			ReadUnits:  float64(version >> 32),
+			WriteUnits: float64(version & 0xffffffff),
 		}
+		nt := s.newTable(table, prov)
+		if ok {
+			nt.items = t.items
+		}
+		s.tables[table] = nt
 		return nil
 	case opPut:
-		t, ok := s.tables[table]
 		if !ok {
-			return fmt.Errorf("kvstore: WAL put into missing table %q", table)
+			t = s.newTable(table, Throughput{})
+			s.tables[table] = t
 		}
 		t.items[key] = Item{Key: key, Value: value, Version: version}
 		return nil
@@ -338,8 +345,7 @@ func (s *Store) CreateTable(name string, prov Throughput) error {
 		return ErrTableExists
 	}
 	if s.log != nil {
-		encoded := int64(prov.ReadUnits)<<32 | int64(prov.WriteUnits)
-		if _, err := s.log.Append(encodeRecord(opCreateTable, name, "", nil, encoded)); err != nil {
+		if _, err := s.log.Append(encodeRecord(opCreateTable, name, "", nil, provUnits(prov))); err != nil {
 			return err
 		}
 	}
@@ -622,31 +628,31 @@ func (s *Store) stageMutation(table string, it Item) (*wal.Ack, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.applied.Add(1)%int64(s.opts.snapshotEvery) == 0 {
-		s.kickSnapshot()
+	if s.applied.Add(1)%int64(s.opts.compactEvery) == 0 {
+		s.kickCompaction()
 	}
 	return ack, nil
 }
 
-// kickSnapshot starts a background snapshot compaction unless one is
-// already running or the store is closing. Compaction failure must not
-// fail the write that triggered it (the WAL still has everything), but
-// the goroutine is tracked: single-flight, and drained by Close so a
-// background snapshot can never race the log teardown.
-func (s *Store) kickSnapshot() {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.snapInFlight || s.snapClosed {
+// kickCompaction starts a background compaction unless one is already
+// running or the store is closing. Compaction failure must not fail the
+// write that triggered it (the WAL still has everything), but the
+// goroutine is tracked: single-flight, and drained by Close so a
+// background compaction can never race the log teardown.
+func (s *Store) kickCompaction() {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	if s.compacting || s.compactClosed {
 		return
 	}
-	s.snapInFlight = true
-	s.snapWG.Add(1)
+	s.compacting = true
+	s.compactWG.Add(1)
 	go func() {
-		defer s.snapWG.Done()
-		_ = s.Snapshot()
-		s.snapMu.Lock()
-		s.snapInFlight = false
-		s.snapMu.Unlock()
+		defer s.compactWG.Done()
+		_ = s.compact()
+		s.compactMu.Lock()
+		s.compacting = false
+		s.compactMu.Unlock()
 	}()
 }
 
@@ -674,129 +680,111 @@ func (s *Store) awaitDurable(ctx context.Context, ack *wal.Ack) error {
 	return err
 }
 
-// snapshotFile is the gob-encoded on-disk snapshot format.
-type snapshotFile struct {
-	LastSeq uint64
-	Tables  map[string]snapshotTable
-}
-
-type snapshotTable struct {
-	Prov  Throughput
-	Items map[string]Item
-}
-
-// Snapshot writes a full dump of the store and truncates the WAL prefix it
-// covers. It is a no-op for memory-only stores.
-func (s *Store) Snapshot() error {
+// compact re-logs the store's live data and drops the sealed segments it
+// supersedes (a no-op for memory-only stores). Each table stages a create
+// and, under its read lock, a put of every item at its version; writers
+// stage under the write lock, so each key's records stay in order. Nothing
+// deletes an item, so these records rebuild every table, and a segment a
+// crash leaves behind replays before them.
+func (s *Store) compact() error {
 	if s.log == nil {
 		return nil
 	}
-	// Block writers for a consistent cut. Tables are small relative to the
-	// WAL (actor states), so a stop-the-world dump is acceptable here.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	// The cutoff is read before the dump: every record <= LastSeq was
-	// applied before its table's cut (staging and applying share the
-	// table lock), so the snapshot covers it. Records applied during the
-	// dump carry later sequences and replay idempotently on top.
 	failures := s.log.Failures()
-	dump := snapshotFile{
-		LastSeq: s.log.NextSeq() - 1,
-		Tables:  make(map[string]snapshotTable, len(s.tables)),
+	var first uint64
+	var err error
+	stage := func(rec []byte) {
+		var ack *wal.Ack
+		if ack, err = s.log.Stage(rec); err == nil && first == 0 {
+			first = ack.Seq()
+		}
 	}
 	for name, t := range s.tables {
 		t.mu.RLock()
-		st := snapshotTable{Prov: t.prov, Items: make(map[string]Item, len(t.items))}
+		stage(encodeRecord(opCreateTable, name, "", nil, provUnits(t.prov)))
 		for k, it := range t.items {
-			st.Items[k] = Item{Key: k, Value: append([]byte(nil), it.Value...), Version: it.Version}
+			if err != nil {
+				break
+			}
+			stage(encodeRecord(opPut, name, k, it.Value, it.Version))
 		}
 		t.mu.RUnlock()
-		dump.Tables[name] = st
+		if err != nil {
+			break
+		}
 	}
 	s.mu.Unlock()
-
-	// Flush barrier: the dump can capture a durable-mode mutation whose
-	// group-commit flush is still in flight. If that flush then failed,
-	// the writer would get an error and roll the mutation back — but the
-	// dump took its copy first, so committing the snapshot (and letting
-	// it supersede the WAL prefix) would smuggle the unacknowledged write
-	// into recovery. Syncing here makes every captured mutation durable
-	// before the snapshot is committed; on failure the snapshot is
-	// abandoned and the WAL remains the only truth. The flush that fails
-	// may also be run by its own batch leader after the dump, leaving
-	// Sync an empty queue, so any flush failure since the cutoff abandons
-	// the snapshot too.
+	if err != nil {
+		return err
+	}
+	// Flush barrier: a copied item can be a durable write whose flush is
+	// in flight. If it fails, the batches staged after it fail too, and
+	// the failure may hand first's sequence to another record or be run
+	// by its batch's own leader before Sync. So any flush failure since
+	// the copy began abandons the compaction: the WAL keeps everything.
 	if err := s.log.Sync(); err != nil {
 		return err
 	}
 	if s.log.Failures() != failures {
-		return errors.New("kvstore: snapshot abandoned: a WAL flush failed after its cutoff")
+		return errors.New("kvstore: compaction abandoned: a WAL flush failed after it began")
 	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dump); err != nil {
-		return err
+	kept, err := s.log.TruncateBefore(first)
+	if err != nil || kept <= s.legacySeq {
+		return err // the legacy snapshot still keeps old deletes out of replay
 	}
-	final := filepath.Join(s.opts.Dir, fmt.Sprintf("%020d%s", dump.LastSeq, snapshotSuffix))
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	if err := s.log.TruncateBefore(dump.LastSeq + 1); err != nil {
-		return err
-	}
-	// Remove older snapshots.
-	entries, err := os.ReadDir(s.opts.Dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), snapshotSuffix) || e.Name() == filepath.Base(final) {
-			continue
+	snaps, err := s.legacySnapshots()
+	for _, p := range snaps {
+		if err == nil {
+			err = os.Remove(p)
 		}
-		_ = os.Remove(filepath.Join(s.opts.Dir, e.Name()))
 	}
-	return nil
+	return err
 }
 
-// loadLatestSnapshot restores table state from the newest snapshot, if any,
-// returning the last WAL sequence it covers.
-func (s *Store) loadLatestSnapshot() (uint64, error) {
+// legacySnapshots lists the gob snapshots older builds wrote beside the
+// WAL, oldest first (names are zero-padded sequences). Open loads the
+// newest; a compaction removes them all once it has truncated every
+// record the newest covers; nothing writes one.
+func (s *Store) legacySnapshots() ([]string, error) {
 	entries, err := os.ReadDir(s.opts.Dir)
-	if err != nil {
+	var out []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".snap") {
+			out = append(out, filepath.Join(s.opts.Dir, e.Name()))
+		}
+	}
+	return out, err
+}
+
+// snapshotFile is the gob layout of a legacy snapshot.
+type snapshotFile struct {
+	LastSeq uint64
+	Tables  map[string]struct {
+		Prov  Throughput
+		Items map[string]Item
+	}
+}
+
+// loadLegacySnapshot loads the newest legacy snapshot, if any, and
+// returns the last WAL sequence it covers.
+func (s *Store) loadLegacySnapshot() (uint64, error) {
+	snaps, err := s.legacySnapshots()
+	if err != nil || len(snaps) == 0 {
 		return 0, err
 	}
-	var best string
-	var bestSeq uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, snapshotSuffix) {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, snapshotSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		if best == "" || seq > bestSeq {
-			best, bestSeq = name, seq
-		}
-	}
-	if best == "" {
-		return 0, nil
-	}
-	data, err := os.ReadFile(filepath.Join(s.opts.Dir, best))
+	newest := snaps[len(snaps)-1]
+	data, err := os.ReadFile(newest)
 	if err != nil {
 		return 0, err
 	}
 	var dump snapshotFile
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dump); err != nil {
-		return 0, fmt.Errorf("kvstore: decode snapshot %s: %w", best, err)
+		return 0, fmt.Errorf("kvstore: decode snapshot %s: %w", newest, err)
 	}
 	for name, st := range dump.Tables {
 		t := s.newTable(name, st.Prov)
@@ -819,8 +807,8 @@ func (s *Store) Sync() error {
 // Metrics exposes the store's registry.
 func (s *Store) Metrics() *metrics.Registry { return s.reg }
 
-// Close syncs and closes the store. Any in-flight background snapshot is
-// drained first so compaction can never race the log teardown.
+// Close syncs and closes the store. Any in-flight background compaction
+// is drained first so it can never race the log teardown.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -830,10 +818,10 @@ func (s *Store) Close() error {
 	s.closed = true
 	l := s.log
 	s.mu.Unlock()
-	s.snapMu.Lock()
-	s.snapClosed = true
-	s.snapMu.Unlock()
-	s.snapWG.Wait()
+	s.compactMu.Lock()
+	s.compactClosed = true
+	s.compactMu.Unlock()
+	s.compactWG.Wait()
 	if l != nil {
 		return l.Close()
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,12 +17,12 @@ import (
 )
 
 // TestCloseDrainsBackgroundSnapshot is the regression for the untracked
-// snapshot goroutine: with a tiny snapshot cadence, Close must wait for
-// (not race) an in-flight background compaction. Run with -race.
+// compaction goroutine: with a tiny compaction cadence, Close must wait
+// for (not race) an in-flight background compaction. Run with -race.
 func TestCloseDrainsBackgroundSnapshot(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		dir := t.TempDir()
-		s, err := Open(Options{Dir: dir, snapshotEvery: 2})
+		s, err := Open(Options{Dir: dir, compactEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,9 +36,9 @@ func TestCloseDrainsBackgroundSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Close immediately, while a background snapshot is likely mid-dump.
+		// Close immediately, while a background compaction is likely mid-copy.
 		if err := s.Close(); err != nil {
-			t.Fatalf("Close with in-flight snapshot: %v", err)
+			t.Fatalf("Close with in-flight compaction: %v", err)
 		}
 		// The store must be intact on reopen.
 		s2, err := Open(Options{Dir: dir})
@@ -55,15 +56,16 @@ func TestCloseDrainsBackgroundSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotSingleFlight: concurrent snapshot triggers collapse into
-// one compaction at a time (kickSnapshot is single-flight).
+// TestSnapshotSingleFlight: concurrent compaction triggers collapse into
+// one compaction at a time (kickCompaction is single-flight), and the
+// records they re-log between durable writers' records recover to the
+// acked versions.
 func TestSnapshotSingleFlight(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, snapshotEvery: 1})
+	s, err := Open(Options{Dir: dir, Durable: true, compactEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	tb, err := s.EnsureTable("t", Throughput{})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +77,7 @@ func TestSnapshotSingleFlight(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := tb.Put(ctx, fmt.Sprintf("w%d-k%d", w, i), []byte("v")); err != nil {
+				if _, err := tb.Put(ctx, fmt.Sprintf("w%d-k%d", w, i%5), []byte{byte(i)}); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -83,9 +85,23 @@ func TestSnapshotSingleFlight(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// No assertion beyond surviving -race and Close draining cleanly: every
-	// one of the 100 writes requested a snapshot, and the single-flight
-	// guard kept the overlapping compactions from corrupting each other.
+	// Every one of the 100 writes requested a compaction; Close drains
+	// the one in flight.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	want := make(map[string]Item)
+	for w := 0; w < 4; w++ {
+		for k := 0; k < 5; k++ {
+			want[fmt.Sprintf("w%d-k%d", w, k)] = Item{Value: []byte{byte(20 + k)}, Version: 5}
+		}
+	}
+	checkItems(t, s2, "t", want)
 }
 
 // putAll is a little helper for the recovery matrix below.
@@ -98,12 +114,13 @@ func putAll(t *testing.T, tb *Table, kv map[string]string) {
 	}
 }
 
-// TestRecoverySnapshotWithoutTruncation models a crash between
-// Snapshot's dump and the WAL truncation: both the snapshot and the full
-// WAL (including records the snapshot already covers) exist on disk.
-// Recovery must not double-apply the covered prefix. With the default
-// segment size the WAL keeps a single segment that TruncateBefore never
-// removes, so a plain Snapshot leaves exactly this state behind.
+// TestRecoverySnapshotWithoutTruncation models a crash between a
+// compaction's re-log and the WAL truncation: the full WAL and the
+// compaction's copies of the live items both exist on disk. Recovery
+// must come out at the acked versions, not double-apply the prefix. With
+// the default segment size the WAL keeps a single segment that
+// TruncateBefore never removes, so a plain compaction leaves exactly this
+// state behind.
 func TestRecoverySnapshotWithoutTruncation(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, Durable: true})
@@ -119,10 +136,10 @@ func TestRecoverySnapshotWithoutTruncation(t *testing.T) {
 	if _, err := tb.Put(ctx, "a", []byte("2")); err != nil { // a at v2
 		t.Fatal(err)
 	}
-	if err := s.Snapshot(); err != nil {
+	if err := s.compact(); err != nil {
 		t.Fatal(err)
 	}
-	putAll(t, tb, map[string]string{"c": "1"}) // after the snapshot
+	putAll(t, tb, map[string]string{"c": "1"}) // after the compaction
 	// Crash: no Close. Durable mode means every acked write is on disk.
 	s2, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -280,12 +297,12 @@ func holdBatch(t *testing.T, s *Store) {
 	}
 }
 
-// TestSnapshotAbortsWhenFlushFails: Snapshot's dump can capture a write
+// TestCompactionAbortsWhenFlushFails: a compaction can copy a write
 // whose group-commit flush is still in flight. If that flush fails, the
-// write is rolled back and its caller gets an error — so the snapshot
-// must abort rather than commit a dump that would make the
+// write is rolled back and its caller gets an error — so the compaction
+// must abort rather than truncate behind a copy that would make the
 // unacknowledged write visible after recovery.
-func TestSnapshotAbortsWhenFlushFails(t *testing.T) {
+func TestCompactionAbortsWhenFlushFails(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	s, err := Open(Options{Dir: dir, Durable: true})
@@ -312,8 +329,8 @@ func TestSnapshotAbortsWhenFlushFails(t *testing.T) {
 	// leader record) has not happened yet — exactly what a background
 	// compaction could catch mid-flight.
 	waitForValue(t, tb, "k", []byte("bad"))
-	if err := s.Snapshot(); err == nil {
-		t.Fatal("snapshot committed a dump containing a write whose flush failed")
+	if err := s.compact(); err == nil {
+		t.Fatal("compaction committed a copy of a write whose flush failed")
 	}
 	if err := <-putErr; err == nil {
 		t.Fatal("put acked without durability")
@@ -340,15 +357,15 @@ func TestSnapshotAbortsWhenFlushFails(t *testing.T) {
 	s.Close()
 }
 
-// TestSnapshotAbortsWhenLeaderFailsFlush: the flush that fails can be run
-// by the batch's own leader after Snapshot's dump, just before its Sync
-// barrier. The failure gives the batch's sequences back and leaves Sync
-// an empty queue, so the barrier alone would pass and the snapshot would
-// commit the unacknowledged write under a cutoff that covers it. The
-// test orders the race: an earlier batch holds the flush turn in a
-// blocked fsync while the doomed batch's leader and then Snapshot's
+// TestCompactionAbortsWhenLeaderFailsFlush: the flush that fails can be
+// run by the batch's own leader after the compaction's copy, just before
+// its Sync barrier. The failure gives the batch's sequences back and
+// leaves Sync an empty queue, so the barrier alone would pass and the
+// compaction would truncate behind the unacknowledged write. The test
+// orders the race: an earlier batch holds the flush turn in a blocked
+// fsync while the doomed batch's leader and then the compaction's
 // barrier queue up behind it.
-func TestSnapshotAbortsWhenLeaderFailsFlush(t *testing.T) {
+func TestCompactionAbortsWhenLeaderFailsFlush(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	s, err := Open(Options{Dir: dir, Durable: true})
@@ -387,9 +404,9 @@ func TestSnapshotAbortsWhenLeaderFailsFlush(t *testing.T) {
 	s.log.InjectWriteFault(func(f *os.File, p []byte) (int, error) {
 		return 0, errors.New("disk full")
 	})
-	snapErr := make(chan error, 1)
-	go func() { snapErr <- s.Snapshot() }()
-	waitParked(t, "kvstore.(*Store).Snapshot") // dump taken, barrier queued
+	compactErr := make(chan error, 1)
+	go func() { compactErr <- s.compact() }()
+	waitParked(t, "kvstore.(*Store).compact") // copy staged, barrier queued
 	close(release)
 	if err := <-otherErr; err != nil {
 		t.Fatalf("earlier batch: %v", err)
@@ -397,8 +414,8 @@ func TestSnapshotAbortsWhenLeaderFailsFlush(t *testing.T) {
 	if err := <-putErr; err == nil {
 		t.Fatal("put acked without durability")
 	}
-	if err := <-snapErr; err == nil {
-		t.Fatal("snapshot committed a dump containing a write whose flush its leader failed")
+	if err := <-compactErr; err == nil {
+		t.Fatal("compaction committed a copy of a write whose flush its leader failed")
 	}
 	s.log.InjectWriteFault(nil)
 	// Crash-reopen: only the acked write may be visible.
@@ -600,4 +617,273 @@ func TestOpensStoreWrittenBeforeTTLRemoval(t *testing.T) {
 	if p := g.prov; p != (Throughput{ReadUnits: 200, WriteUnits: 200}) {
 		t.Fatalf("grains throughput = %+v", p)
 	}
+}
+
+// segments lists the WAL's segment files in dir.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepathGlob(filepath.Join(dir, "wal"), ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// fillSegments puts n 1 MiB values round-robin over keys big-0..big-3,
+// rolling the WAL past its 16 MiB segments, and returns what each key
+// holds last.
+func fillSegments(t *testing.T, tb *Table, n int) map[string]Item {
+	t.Helper()
+	last := make(map[string]Item)
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("big-%d", i%4)
+		val := bytes.Repeat([]byte{byte(i)}, 1<<20)
+		ver, err := tb.Put(context.Background(), key, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last[key] = Item{Value: val, Version: ver}
+	}
+	return last
+}
+
+// checkItems fails unless table name holds exactly want, at want's
+// versions.
+func checkItems(t *testing.T, s *Store, name string, want map[string]Item) {
+	t.Helper()
+	tb, err := s.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Len() != len(want) {
+		t.Fatalf("%s holds %d items, want %d", name, tb.Len(), len(want))
+	}
+	for k, w := range want {
+		it, err := tb.Get(context.Background(), k)
+		if err != nil || !bytes.Equal(it.Value, w.Value) || it.Version != w.Version {
+			t.Fatalf("%s/%s = %.8q… v%d (%v), want %.8q… v%d", name, k, it.Value, it.Version, err, w.Value, w.Version)
+		}
+	}
+}
+
+// TestCompactionRemovesSealedSegments: a compaction over sealed segments
+// removes them, and the reopened store rebuilds both tables from the
+// records it re-logged — the kept segment's older puts replay before
+// their table's create — with every item at its version and the
+// provisioned throughput intact.
+func TestCompactionRemovesSealedSegments(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable("grains", Throughput{ReadUnits: 7, WriteUnits: 9}); err != nil {
+		t.Fatal(err)
+	}
+	grains, _ := s.Table("grains")
+	small := map[string]Item{}
+	for i, k := range []string{"a", "b", "a", "c", "a"} {
+		v := []byte(fmt.Sprintf("%s%d", k, i))
+		ver, err := grains.Put(ctx, k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small[k] = Item{Value: v, Version: ver}
+	}
+	big, err := s.EnsureTable("big", Throughput{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigItems := fillSegments(t, big, 40)
+	before := segments(t, dir)
+	if len(before) < 3 {
+		t.Fatalf("40 MiB of puts left %d segments, want at least 3", len(before))
+	}
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+	after := segments(t, dir)
+	if len(after) != 1 || after[0] != before[len(before)-1] {
+		t.Fatalf("segments after compaction = %v, want only the active %s", after, before[len(before)-1])
+	}
+	ver, err := grains.Put(ctx, "post", []byte("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small["post"] = Item{Value: []byte("p"), Version: ver}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	checkItems(t, s2, "grains", small)
+	checkItems(t, s2, "big", bigItems)
+	g, _ := s2.Table("grains")
+	b, _ := s2.Table("big")
+	if g.prov != (Throughput{ReadUnits: 7, WriteUnits: 9}) || b.prov != (Throughput{}) {
+		t.Fatalf("throughput after reopen: grains %+v, big %+v", g.prov, b.prov)
+	}
+}
+
+// TestCompactionWriteFaultRemovesNoSegment: a WAL write that fails under
+// the compaction's records fails the compaction before it truncates. No
+// segment goes, and a crash-reopen holds every acked write and not the
+// one the failed flush rolled back.
+func TestCompactionWriteFaultRemovesNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s, err := Open(Options{Dir: dir, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	big, err := s.EnsureTable("big", Throughput{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigItems := fillSegments(t, big, 20)
+	tb, err := s.EnsureTable("t", Throughput{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Put(ctx, "k", []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	before := segments(t, dir)
+	if len(before) < 2 {
+		t.Fatalf("20 MiB of puts left %d segments, want a sealed one", len(before))
+	}
+	s.log.InjectWriteFault(func(f *os.File, p []byte) (int, error) {
+		return 0, errors.New("disk full")
+	})
+	// The doomed put and the compaction's records share the batch the
+	// test's own record holds open.
+	holdBatch(t, s)
+	putErr := make(chan error, 1)
+	go func() {
+		_, err := tb.Put(ctx, "k", []byte("bad"))
+		putErr <- err
+	}()
+	waitForValue(t, tb, "k", []byte("bad"))
+	if err := s.compact(); err == nil {
+		t.Fatal("compaction succeeded while its records failed to write")
+	}
+	if err := <-putErr; err == nil {
+		t.Fatal("put acked without durability")
+	}
+	s.log.InjectWriteFault(nil)
+	if after := segments(t, dir); !slices.Equal(after, before) {
+		t.Fatalf("segments after failed compaction = %v, want %v", after, before)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	defer s2.Close()
+	checkItems(t, s2, "big", bigItems)
+	checkItems(t, s2, "t", map[string]Item{"k": {Value: []byte("good"), Version: 1}})
+}
+
+// copyFixture copies files of testdata/fixture into a fresh directory.
+func copyFixture(t *testing.T, fixture string, files ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join("testdata", fixture, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, f)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestOpensStoreWithSnapshotOnlyPrefix opens testdata/store-snap-prefix,
+// a store directory written by the code that still wrote gob snapshots:
+// a snapshot at sequence 12 and a WAL that starts at 13, so the records
+// before it are in the snapshot alone. Every item comes back at its
+// version with its table's throughput. A compaction re-logs them and
+// removes the snapshot, and the store reopens the same from its WAL.
+func TestOpensStoreWithSnapshotOnlyPrefix(t *testing.T) {
+	dir := copyFixture(t, "store-snap-prefix", "00000000000000000012.snap", "wal/00000000000000000013.wal")
+	item := func(v string, ver int64) Item { return Item{Value: []byte(v), Version: ver} }
+	want := map[string]map[string]Item{
+		"grains": {
+			"k0": item("v0b", 2), "k1": item("v1b", 2), "k2": item("v2b", 2),
+			"k3": item("v3", 1), "k4": item("v4", 1), "k5": item("v5", 1),
+		},
+		"replicas": {"a": item("x", 1), "pad": item("p", 2)},
+		"late":     {"z": item("zz", 1)},
+	}
+	prov := map[string]Throughput{"grains": {ReadUnits: 200, WriteUnits: 200}, "replicas": {}, "late": {WriteUnits: 5}}
+	check := func(s *Store) {
+		t.Helper()
+		for name, items := range want {
+			checkItems(t, s, name, items)
+			if tb, _ := s.Table(name); tb.prov != prov[name] {
+				t.Fatalf("%s throughput = %+v, want %+v", name, tb.prov, prov[name])
+			}
+		}
+	}
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s)
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepathGlob(dir, ".snap"); len(snaps) != 0 {
+		t.Fatalf("compaction left %v", snaps)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2)
+}
+
+// TestCompactionKeepsSnapshotOverDeletes opens testdata/store-deletes,
+// written by the code that could still delete: one WAL segment holding a
+// put, a delete of that key (opcode 2, which replay now rejects) and a
+// later write, and a snapshot at sequence 5 that covers the delete. The
+// segment is the active one, so a compaction cannot truncate it; the
+// snapshot must stay, or the next Open would replay what it covers.
+func TestCompactionKeepsSnapshotOverDeletes(t *testing.T) {
+	dir := copyFixture(t, "store-deletes", "00000000000000000005.snap", "wal/00000000000000000001.wal")
+	want := map[string]Item{"k0": {Value: []byte("v0"), Version: 1}, "k1": {Value: []byte("v1b"), Version: 2}}
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkItems(t, s, "grains", want)
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepathGlob(dir, ".snap"); len(snaps) != 1 {
+		t.Fatalf("snapshots after compaction = %v, want the one covering the delete", snaps)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	checkItems(t, s2, "grains", want)
 }

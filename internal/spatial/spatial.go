@@ -22,9 +22,12 @@ import (
 // Kind is the grid shard actor kind. Register once per runtime.
 const Kind = "sys.spatial"
 
-// RegisterKind installs the spatial shard actor kind on rt.
+// RegisterKind installs the spatial shard actor kind on rt. A shard keeps
+// its cell across activations, as the actors it indexes keep theirs: on a
+// runtime with a store it loads the cell when it activates and writes it
+// when it is collected or the runtime shuts down.
 func RegisterKind(rt *core.Runtime) error {
-	return rt.RegisterKind(Kind, func() core.Actor { return &shardActor{} })
+	return rt.RegisterKind(Kind, func() core.Actor { return &shardActor{} }, core.WithPersistence(core.PersistOnDeactivate))
 }
 
 // Position is an indexed actor's current location.
@@ -56,25 +59,34 @@ type (
 )
 
 type shardActor struct {
-	positions map[string]Position
+	state shardState
 }
 
+// shardState is one cell's stored posting list.
+type shardState struct {
+	Positions map[string]Position
+}
+
+func (s *shardActor) State() any { return &s.state }
+
 func (s *shardActor) OnActivate(*core.Context) error {
-	s.positions = make(map[string]Position)
+	if s.state.Positions == nil {
+		s.state.Positions = make(map[string]Position)
+	}
 	return nil
 }
 
 func (s *shardActor) Receive(_ *core.Context, msg any) (any, error) {
 	switch m := msg.(type) {
 	case Upsert:
-		s.positions[m.Pos.Actor] = m.Pos
+		s.state.Positions[m.Pos.Actor] = m.Pos
 		return nil, nil
 	case Delete:
-		delete(s.positions, m.Actor)
+		delete(s.state.Positions, m.Actor)
 		return nil, nil
 	case QueryCell:
 		var out []Position
-		for _, p := range s.positions {
+		for _, p := range s.state.Positions {
 			if m.Box.Contains(p.Lat, p.Lon) {
 				out = append(out, p)
 			}

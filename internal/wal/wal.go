@@ -287,7 +287,9 @@ func countRecords(path string, tolerateTail bool) (uint64, int64, error) {
 }
 
 // rollLocked seals the active segment and starts a new one whose first
-// record will carry sequence first.
+// record will carry sequence first. The directory is synced before any
+// record lands in the new segment (a file's fsync does not keep its
+// entry); a failed directory sync fails the log, as a failed fsync does.
 func (l *Log) rollLocked(first uint64) error {
 	if l.active != nil {
 		if err := l.fsync(l.active); err != nil {
@@ -301,6 +303,12 @@ func (l *Log) rollLocked(first uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		l.active = nil
+		l.failed = fmt.Errorf("%w: sync dir: %v", ErrFailed, err)
+		return l.failed
+	}
 	l.active = f
 	l.activeSz = 0
 	l.firstSeq = first
@@ -309,6 +317,19 @@ func (l *Log) rollLocked(first uint64) error {
 	}
 	l.segments = append(l.segments, first)
 	return nil
+}
+
+// syncDir makes dir's entries — created or removed segments — durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (l *Log) write(f *os.File, p []byte) (int, error) {
@@ -633,35 +654,24 @@ func (l *Log) Sync() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.active == nil {
-		return ErrClosed
-	}
 	if l.failed != nil {
 		return l.failed
+	}
+	if l.active == nil {
+		return ErrClosed
 	}
 	return l.fsync(l.active)
 }
 
 // Failures returns how many group flushes have failed since Open. A
 // failed flush fails its waiters and can return its sequence numbers to
-// the log, so a reader that captured state staged behind it — a snapshot
-// dump — compares this count around its Sync barrier: a Sync that finds
-// the queue already drained by a failing leader returns nil.
+// the log, so a caller that staged records behind it — the kvstore's
+// compaction — compares this count around its Sync barrier: a Sync that
+// finds the queue already drained by a failing leader returns nil.
 func (l *Log) Failures() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.failures
-}
-
-// NextSeq returns the sequence number the next Append will receive.
-// Sequences for staged-but-unflushed records are already taken, but are
-// returned to the log if their batch's write fails and is repaired — a
-// cutoff derived from NextSeq is only meaningful for records whose
-// durability a Sync barrier has confirmed.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
 }
 
 // Replay calls fn for every record in sequence order. Replay takes a
@@ -724,27 +734,27 @@ func replaySegment(path string, first uint64, tolerateTail bool, fn func(uint64,
 	}
 }
 
-// TruncateBefore removes sealed segments whose records all precede seq.
-// It is used after a snapshot makes the log prefix redundant. The active
-// segment is never removed.
-func (l *Log) TruncateBefore(seq uint64) error {
+// TruncateBefore removes sealed segments whose records all precede seq,
+// syncs the directory, and returns the first sequence of the oldest kept
+// segment. It is used once records from seq on supersede the log prefix:
+// the kvstore's compaction re-logs its live items. The active segment is
+// never removed.
+func (l *Log) TruncateBefore(seq uint64) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var kept []uint64
-	for i, first := range l.segments {
-		isActive := i == len(l.segments)-1
-		// A sealed segment's records span [first, next_first). It is safe
-		// to delete when the following segment starts at or before seq.
-		if !isActive && l.segments[i+1] <= seq {
-			if err := os.Remove(filepath.Join(l.dir, segName(first))); err != nil {
-				return err
-			}
-			continue
+	// A sealed segment's records span [first, next_first). It is safe to
+	// delete when the following segment starts at or before seq.
+	n := len(l.segments)
+	for len(l.segments) > 1 && l.segments[1] <= seq {
+		if err := os.Remove(filepath.Join(l.dir, segName(l.segments[0]))); err != nil {
+			return 0, err
 		}
-		kept = append(kept, first)
+		l.segments = l.segments[1:]
 	}
-	l.segments = kept
-	return nil
+	if len(l.segments) == n {
+		return l.segments[0], nil
+	}
+	return l.segments[0], syncDir(l.dir)
 }
 
 // Close flushes all staged batches, syncs, and closes the active segment.

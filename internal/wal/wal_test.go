@@ -32,8 +32,8 @@ func TestAppendAssignsSequentialSeqs(t *testing.T) {
 			t.Fatalf("seq = %d, want %d", seq, want)
 		}
 	}
-	if l.NextSeq() != 6 {
-		t.Fatalf("NextSeq = %d, want 6", l.NextSeq())
+	if l.nextSeq != 6 {
+		t.Fatalf("nextSeq = %d, want 6", l.nextSeq)
 	}
 }
 
@@ -206,8 +206,8 @@ func TestTruncateBeforeRemovesSealedSegments(t *testing.T) {
 		t.Fatalf("need >=3 segments, got %d", len(segs))
 	}
 	cut := segs[len(segs)-1] // everything before the active segment
-	if err := l.TruncateBefore(cut); err != nil {
-		t.Fatal(err)
+	if kept, err := l.TruncateBefore(cut); err != nil || kept != cut {
+		t.Fatalf("TruncateBefore(%d) = %d, %v", cut, kept, err)
 	}
 	remaining := l.liveSegments()
 	if len(remaining) != 1 || remaining[0] != cut {
@@ -238,7 +238,7 @@ func TestTruncateBeforeKeepsActiveSegment(t *testing.T) {
 	if _, err := l.Append([]byte("only")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.TruncateBefore(100); err != nil {
+	if _, err := l.TruncateBefore(100); err != nil {
 		t.Fatal(err)
 	}
 	if len(l.liveSegments()) != 1 {
