@@ -174,8 +174,8 @@ func (a *activation) activate(c *Context) (err error) {
 			return err
 		}
 	}
-	a.silo.metrics.Counter("core.activations").Inc()
-	a.silo.metrics.Gauge("core.active").Add(1)
+	a.silo.activations.Inc()
+	a.silo.active.Add(1)
 	return nil
 }
 
@@ -273,8 +273,8 @@ func (a *activation) deactivate(c *Context, wasActive, dirty bool) {
 		if !dirty {
 			a.teardownHooks(c)
 		}
-		a.silo.metrics.Gauge("core.active").Add(-1)
-		a.silo.metrics.Counter("core.deactivations").Inc()
+		a.silo.active.Add(-1)
+		a.silo.deactivations.Inc()
 	}
 	a.silo.rt.directory.Unregister(a.reg)
 	a.silo.removeActivation(a)
@@ -398,7 +398,7 @@ func (a *activation) writeState(ctx context.Context) error {
 		return err
 	}
 	a.stateVersion = next
-	a.silo.metrics.Counter("core.state_writes").Inc()
+	a.silo.stateWrites.Inc()
 	a.observeState(len(data))
 	return nil
 }

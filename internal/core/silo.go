@@ -28,6 +28,11 @@ type Silo struct {
 	turns   *metrics.Counter // core.turns, resolved once: every turn counts
 	workers workers          // the goroutines that run this silo's turns
 
+	// Resolved once, like turns: core.activations, core.deactivations,
+	// core.state_writes and the core.active gauge.
+	activations, deactivations, stateWrites *metrics.Counter
+	active                                  *metrics.Gauge
+
 	mu          sync.Mutex
 	catalog     map[ID]*activation
 	catalogPeak int // most activations held since catalog was last made
@@ -50,6 +55,10 @@ func newSilo(name string, rt *Runtime, limiter *capacity.Limiter) *Silo {
 		limiter:       limiter,
 		metrics:       rt.metrics,
 		turns:         rt.metrics.Counter("core.turns"),
+		activations:   rt.metrics.Counter("core.activations"),
+		deactivations: rt.metrics.Counter("core.deactivations"),
+		stateWrites:   rt.metrics.Counter("core.state_writes"),
+		active:        rt.metrics.Gauge("core.active"),
 		catalog:       make(map[ID]*activation),
 		collectorStop: make(chan struct{}),
 		collectorDone: make(chan struct{}),

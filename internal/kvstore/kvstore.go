@@ -124,8 +124,10 @@ type Store struct {
 	compactClosed bool
 	compactWG     sync.WaitGroup
 
-	// flushWait records how long durable writes blocked on group commit.
-	flushWait *metrics.Histogram
+	// flushWait records how long durable writes blocked on group commit;
+	// reads and writes count Get and applied mutations.
+	flushWait     *metrics.Histogram
+	reads, writes *metrics.Counter
 
 	// writeFault, when set, is invoked on the write path; nil (the normal
 	// case) costs one atomic pointer load.
@@ -193,6 +195,8 @@ func Open(opts Options) (*Store, error) {
 		reg:    opts.Metrics,
 	}
 	s.flushWait = s.reg.Histogram("kvstore.flush_wait")
+	s.reads = s.reg.Counter("kvstore.reads")
+	s.writes = s.reg.Counter("kvstore.writes")
 	if opts.Dir == "" {
 		return s, nil
 	}
@@ -233,8 +237,8 @@ const (
 	opCreateTable = 3
 )
 
-func encodeRecord(op byte, table, key string, value []byte, version int64) []byte {
-	buf := make([]byte, 0, 1+len(table)+len(key)+len(value)+5*binary.MaxVarintLen64)
+// appendRecord appends the WAL payload of one record to buf.
+func appendRecord(buf []byte, op byte, table, key string, value []byte, version int64) []byte {
 	buf = append(buf, op)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	buf = append(buf, table...)
@@ -345,7 +349,11 @@ func (s *Store) CreateTable(name string, prov Throughput) error {
 		return ErrTableExists
 	}
 	if s.log != nil {
-		if _, err := s.log.Append(encodeRecord(opCreateTable, name, "", nil, provUnits(prov))); err != nil {
+		ack, err := s.stageRecord(opCreateTable, name, "", nil, provUnits(prov))
+		if err == nil {
+			err = ack.Wait()
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -422,7 +430,7 @@ func (t *Table) Get(ctx context.Context, key string) (Item, error) {
 			}
 		}
 	}
-	t.store.reg.Counter("kvstore.reads").Inc()
+	t.store.reads.Inc()
 	out := it
 	out.Value = append([]byte(nil), it.Value...)
 	return out, nil
@@ -524,7 +532,7 @@ func (t *Table) mutate(ctx context.Context, key string, value []byte, decide fun
 	}
 	prevSeq := t.noteMutation(key, ack)
 	t.items[key] = item
-	t.store.reg.Counter("kvstore.writes").Inc()
+	t.store.writes.Inc()
 	t.mu.Unlock()
 	if err := t.store.awaitDurable(ctx, ack); err != nil {
 		// The record never became durable: unwind the in-memory apply so
@@ -590,8 +598,8 @@ func (t *Table) Len() int {
 // maintain the fence: buffered and memory-only stores never reach the
 // rollback path (their staging errors surface before the apply and Wait
 // cannot fail).
-func (t *Table) noteMutation(key string, ack *wal.Ack) uint64 {
-	if ack == nil || !t.store.opts.Durable {
+func (t *Table) noteMutation(key string, ack wal.Ack) uint64 {
+	if t.store.log == nil || !t.store.opts.Durable {
 		return 0
 	}
 	prev := t.mutSeq[key]
@@ -609,7 +617,7 @@ func (t *Table) noteMutation(key string, ack *wal.Ack) uint64 {
 // current state is not ours to replace — whichever failed writer the
 // fence does point at will finish the unwind. Must be called with t.mu
 // held.
-func (t *Table) rollbackAllowed(key string, ack *wal.Ack) bool {
+func (t *Table) rollbackAllowed(key string, ack wal.Ack) bool {
 	return t.mutSeq[key] >= ack.Seq()
 }
 
@@ -618,20 +626,28 @@ func (t *Table) rollbackAllowed(key string, ack *wal.Ack) bool {
 // releasing its table lock. Staging is cheap (no fsync), so holding the
 // table lock across it keeps the WAL order consistent with the per-key
 // version order without serializing writers behind the disk. A
-// memory-only store encodes no record and returns a nil handle, which
-// needs no wait.
-func (s *Store) stageMutation(table string, it Item) (*wal.Ack, error) {
+// memory-only store encodes no record and returns the zero handle, whose
+// Wait returns at once.
+func (s *Store) stageMutation(table string, it Item) (wal.Ack, error) {
 	if s.log == nil {
-		return nil, nil
+		return wal.Ack{}, nil
 	}
-	ack, err := s.log.Stage(encodeRecord(opPut, table, it.Key, it.Value, it.Version))
+	ack, err := s.stageRecord(opPut, table, it.Key, it.Value, it.Version)
 	if err != nil {
-		return nil, err
+		return wal.Ack{}, err
 	}
 	if s.applied.Add(1)%int64(s.opts.compactEvery) == 0 {
 		s.kickCompaction()
 	}
 	return ack, nil
+}
+
+// stageRecord stages one WAL record, framed straight into the log's
+// group-commit batch.
+func (s *Store) stageRecord(op byte, table, key string, value []byte, version int64) (wal.Ack, error) {
+	return s.log.StageAppend(func(buf []byte) []byte {
+		return appendRecord(buf, op, table, key, value, version)
+	})
 }
 
 // kickCompaction starts a background compaction unless one is already
@@ -663,11 +679,8 @@ func (s *Store) kickCompaction() {
 // active span so traced runs can pin tail latency on flush waits. In
 // buffered mode the record was written at stage time and this returns
 // immediately.
-func (s *Store) awaitDurable(ctx context.Context, ack *wal.Ack) error {
-	if ack == nil {
-		return nil
-	}
-	if !s.opts.Durable {
+func (s *Store) awaitDurable(ctx context.Context, ack wal.Ack) error {
+	if s.log == nil || !s.opts.Durable {
 		return ack.Wait()
 	}
 	start := s.clk.Now()
@@ -698,20 +711,20 @@ func (s *Store) compact() error {
 	failures := s.log.Failures()
 	var first uint64
 	var err error
-	stage := func(rec []byte) {
-		var ack *wal.Ack
-		if ack, err = s.log.Stage(rec); err == nil && first == 0 {
+	stage := func(op byte, table, key string, value []byte, version int64) {
+		var ack wal.Ack
+		if ack, err = s.stageRecord(op, table, key, value, version); err == nil && first == 0 {
 			first = ack.Seq()
 		}
 	}
 	for name, t := range s.tables {
 		t.mu.RLock()
-		stage(encodeRecord(opCreateTable, name, "", nil, provUnits(t.prov)))
+		stage(opCreateTable, name, "", nil, provUnits(t.prov))
 		for k, it := range t.items {
 			if err != nil {
 				break
 			}
-			stage(encodeRecord(opPut, name, k, it.Value, it.Version))
+			stage(opPut, name, k, it.Value, it.Version)
 		}
 		t.mu.RUnlock()
 		if err != nil {

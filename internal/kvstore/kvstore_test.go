@@ -418,7 +418,7 @@ func TestEnsureTableIdempotent(t *testing.T) {
 
 func TestRecordEncodingRoundTripProperty(t *testing.T) {
 	f := func(table, key string, value []byte, version int64) bool {
-		got, gt, gk, gv, gver, err := decodeRecord(encodeRecord(opPut, table, key, value, version))
+		got, gt, gk, gv, gver, err := decodeRecord(appendRecord(nil, opPut, table, key, value, version))
 		if err != nil {
 			return false
 		}

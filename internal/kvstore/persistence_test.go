@@ -3,8 +3,10 @@ package kvstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -292,7 +294,7 @@ func waitForValue(t *testing.T, tb *Table, key string, want []byte) {
 // flushes the batch.
 func holdBatch(t *testing.T, s *Store) {
 	t.Helper()
-	if _, err := s.log.Stage(encodeRecord(opPut, "t", "held", nil, 1)); err != nil {
+	if _, err := s.stageRecord(opPut, "t", "held", nil, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -400,7 +402,7 @@ func TestCompactionAbortsWhenLeaderFailsFlush(t *testing.T) {
 		putErr <- err
 	}()
 	waitForValue(t, tb, "k", []byte("bad"))
-	waitParked(t, "wal.(*Ack).Wait") // the doomed batch's leader queues first
+	waitParked(t, "wal.Ack.Wait") // the doomed batch's leader queues first
 	s.log.InjectWriteFault(func(f *os.File, p []byte) (int, error) {
 		return 0, errors.New("disk full")
 	})
@@ -886,4 +888,67 @@ func TestCompactionKeepsSnapshotOverDeletes(t *testing.T) {
 	}
 	defer s2.Close()
 	checkItems(t, s2, "grains", want)
+}
+
+// TestRecordsFramedInPlace: what a durable store's writes leave in its
+// WAL is, byte for byte, each record's payload from appendRecord behind
+// its length and Castagnoli CRC, whether it was framed by one writer or
+// joined a batch with others.
+func TestRecordsFramedInPlace(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	prov := Throughput{ReadUnits: 7, WriteUnits: 3}
+	tb, err := s.EnsureTable("grains", prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(payload []byte) []byte {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		return append(hdr[:], payload...)
+	}
+	want := frame(appendRecord(nil, opCreateTable, "grains", "", nil, provUnits(prov)))
+	value := bytes.Repeat([]byte("v"), 1500)
+	for i := 0; i < 3; i++ {
+		if _, err := tb.Put(ctx, "solo", value[:i*700]); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, frame(appendRecord(nil, opPut, "grains", "solo", value[:i*700], int64(i+1)))...)
+	}
+	holdBatch(t, s) // the next puts join one batch with the held record
+	want = append(want, frame(appendRecord(nil, opPut, "t", "held", nil, 1))...)
+	var wg sync.WaitGroup
+	for _, k := range []string{"a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := tb.Put(ctx, k, value); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitForValue(t, tb, "a", value)
+	waitForValue(t, tb, "b", value)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	got, err := os.ReadFile(filepath.Join(dir, "wal", "00000000000000000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, want) {
+		t.Fatalf("WAL holds %d bytes that do not start with the %d hand-framed ones", len(got), len(want))
+	}
+	tail := got[len(want):]
+	a := frame(appendRecord(nil, opPut, "grains", "a", value, 1))
+	b := frame(appendRecord(nil, opPut, "grains", "b", value, 1))
+	if !bytes.Equal(tail, append(append([]byte(nil), a...), b...)) && !bytes.Equal(tail, append(append([]byte(nil), b...), a...)) {
+		t.Fatalf("batched tail of %d bytes is not the two framed puts", len(tail))
+	}
 }

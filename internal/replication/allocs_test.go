@@ -6,6 +6,8 @@ import (
 
 	"aodb/internal/cluster"
 	"aodb/internal/codec/codectest"
+	"aodb/internal/kvstore"
+	"aodb/internal/transport"
 )
 
 // Allocation guards for the replicated write path, skipped under -race
@@ -68,9 +70,68 @@ func TestWriteQuorumAllocs(t *testing.T) {
 		}
 		ver = v
 	})
-	if got > 12.1 {
-		t.Errorf("3-home local write: %.1f allocations, want at most 12.1", got)
+	if got > 9.9 {
+		t.Errorf("3-home local write: %.1f allocations, want at most 9.9", got)
 	} else {
 		t.Logf("3-home local write: %.0f allocations", got)
+	}
+}
+
+// TestRemoteWriteQuorumAllocs: a quorum write as the benchmark's
+// replication probe makes it, N=3 W=2 over durable stores: the first home
+// in-process, the other two behind transport.NewLocal. Its caller cannot
+// be cancelled, so the remote calls take the coordinator's tick deadline,
+// and the apply request is boxed once for all three homes.
+func TestRemoteWriteQuorumAllocs(t *testing.T) {
+	codectest.SkipUnderRace(t)
+	tr := transport.NewLocal(nil, nil)
+	t.Cleanup(func() { _ = tr.Close() })
+	svc := NewService()
+	local := map[string]*Store{}
+	for i, silo := range threeSilos {
+		kv, err := kvstore.Open(kvstore.Options{Dir: t.TempDir(), Durable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = kv.Close() })
+		tab, err := kv.EnsureTable("grains", kvstore.Throughput{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewStore(StoreConfig{Silo: silo, Table: tab, N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Host(silo, st)
+		if i == 0 {
+			local[silo] = st
+			continue
+		}
+		err = tr.Register(silo, func(ctx context.Context, req transport.Request) (any, error) {
+			return svc.Handle(ctx, silo, req)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewCoordinator(Config{Ring: cluster.NewStaticView(threeSilos...), N: 3, R: 2, W: 2,
+		Transport: tr, Sender: threeSilos[0], Local: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	data := make([]byte, 1800)
+	var ver int64
+	got := testing.AllocsPerRun(200, func() {
+		v, err := c.Store(ctx, "PhysicalChannel/org-1@sensor-2/ch-0", data, ver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ver = v
+	})
+	if got > 19.8 {
+		t.Errorf("3-home write, 2 remote: %.1f allocations, want at most 19.8", got)
+	} else {
+		t.Logf("3-home write, 2 remote: %.0f allocations", got)
 	}
 }

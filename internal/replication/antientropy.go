@@ -76,7 +76,7 @@ func (c *Coordinator) sweepPair(ctx context.Context, a, b string, cur *placement
 			if err != nil || !found {
 				continue // src went down or was wiped since its digest; next sweep
 			}
-			if out, err := c.applyTo(ctx, dst, key, env.Encode()); err != nil || out != Applied || !cur.Homes(key, n, dst) {
+			if out, err := c.applyTo(ctx, dst, rpcApply{Key: key, Env: env.Encode()}); err != nil || out != Applied || !cur.Homes(key, n, dst) {
 				continue
 			}
 			divergent++

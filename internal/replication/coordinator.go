@@ -116,6 +116,10 @@ type Coordinator struct {
 	alarmed bool
 
 	mReadRepair *metrics.Counter
+
+	// tick is the deadline the remote calls of uncancellable callers
+	// share (see bounded).
+	tick atomic.Pointer[tickDeadline]
 }
 
 // suspect tracks consecutive replica-storage failures for one silo, the
@@ -172,17 +176,55 @@ const (
 	// callTimeout bounds each replica RPC: 2 s. The calls a fan-out
 	// launches at one instant share one such deadline.
 	callTimeout = 2 * time.Second
+	// deadlineTick is how long one shared deadline serves new calls from
+	// callers that cannot be cancelled: 100 ms. A call under it gets
+	// between callTimeout less the tick and callTimeout.
+	deadlineTick = 100 * time.Millisecond
 )
+
+// tickDeadline is one tick's shared deadline: ctx ends callTimeout after
+// the tick began, and new calls take it until the tick ends at next.
+type tickDeadline struct {
+	ctx  context.Context
+	next time.Time
+}
 
 // bounded returns ctx bounded to callTimeout from now and the function
 // that releases the deadline. A ctx that already ends sooner needs no
 // deadline of its own and comes back as it is, with a release that does
-// nothing.
-func bounded(ctx context.Context) (context.Context, context.CancelFunc) {
+// nothing. A ctx that can never be cancelled (every told turn's state
+// write) and carries no span gets the coordinator's current tick
+// deadline instead of a timer of its own: it has nothing else a call
+// could need, and the tick's context is made once per deadlineTick.
+func (c *Coordinator) bounded(ctx context.Context) (context.Context, context.CancelFunc) {
+	if ctx.Done() == nil && telemetry.SpanFrom(ctx) == nil {
+		return c.tickContext(), func() {}
+	}
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= callTimeout {
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, callTimeout)
+}
+
+// tickContext returns the current tick's deadline context, starting a
+// new tick when the last one has ended. Nothing cancels a tick's context
+// before its deadline, since calls taken in its tick may run that long;
+// its own timer ends it then, and the cancel that AfterFunc runs only
+// releases what that timer already has.
+func (c *Coordinator) tickContext() context.Context {
+	now := time.Now()
+	cur := c.tick.Load()
+	if cur != nil && now.Before(cur.next) {
+		return cur.ctx
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), now.Add(callTimeout))
+	context.AfterFunc(ctx, cancel)
+	t := &tickDeadline{ctx: ctx, next: now.Add(deadlineTick)}
+	if !c.tick.CompareAndSwap(cur, t) {
+		cancel() // another caller started this tick first; use its deadline
+		return c.tick.Load().ctx
+	}
+	return ctx
 }
 
 // quorumFor clamps the desired N/R/W to what ring can actually provide
@@ -345,7 +387,7 @@ func (c *Coordinator) call(ctx context.Context, silo string, payload any) (any, 
 	if c.cfg.Transport == nil {
 		return nil, &transport.UnreachableError{Node: silo, Err: errors.New("replication: no route")}
 	}
-	cctx, release := bounded(ctx)
+	cctx, release := c.bounded(ctx)
 	defer release()
 	req := transport.Request{
 		TargetKind: TargetKind,
@@ -394,8 +436,10 @@ func serveLocal(ctx context.Context, st *Store, payload any) (any, error) {
 	return nil, fmt.Errorf("%w: payload %T", errBadRPC, payload)
 }
 
-func (c *Coordinator) applyTo(ctx context.Context, silo, key string, enc []byte) (Outcome, error) {
-	r, err := ask[rpcApplyResp](ctx, c, silo, rpcApply{Key: key, Env: enc})
+// applyTo sends one apply to silo. The request is an rpcApply, boxed
+// once by the caller for all the homes it goes to.
+func (c *Coordinator) applyTo(ctx context.Context, silo string, apply any) (Outcome, error) {
+	r, err := ask[rpcApplyResp](ctx, c, silo, apply)
 	return Outcome(r.Outcome), err
 }
 
@@ -464,7 +508,7 @@ next:
 func (c *Coordinator) sharedDeadline(ctx context.Context, targets []writeTarget) (context.Context, context.CancelFunc) {
 	for _, t := range targets {
 		if _, ok := c.cfg.Local[t.silo]; !ok {
-			return bounded(ctx)
+			return c.bounded(ctx)
 		}
 	}
 	return ctx, func() {}
@@ -479,7 +523,7 @@ func (c *Coordinator) homeCtx(ctx, shared context.Context, silo string) context.
 	return shared
 }
 
-// writeQuorum pushes enc to the key's home set and collects the homes'
+// writeQuorum pushes env to the key's home set and collects the homes'
 // answers: a fence (Stale/Conflict) from any home fails the write at
 // once, since a newer epoch owns the key; otherwise it waits for every
 // home and succeeds once W homes applied it. A dead or failing home is
@@ -491,7 +535,7 @@ func (c *Coordinator) homeCtx(ctx, shared context.Context, silo string) context.
 // deadline; the first local home is applied on the calling goroutine
 // while they run.
 func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope) error {
-	enc := env.Encode()
+	var apply any = rpcApply{Key: key, Env: env.Encode()}
 	rs := c.state(true)
 	defer rs.writes.Add(-1)
 	cur, old := rs.cur, rs.old
@@ -523,13 +567,13 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		}
 		tctx := c.homeCtx(ctx, shared, t.silo)
 		go func() {
-			out, err := c.applyTo(tctx, t.silo, key, enc)
+			out, err := c.applyTo(tctx, t.silo, apply)
 			results <- res{t: t, out: out, err: err}
 		}()
 	}
 	if inline >= 0 {
 		t := targets[inline]
-		out, err := c.applyTo(ctx, t.silo, key, enc)
+		out, err := c.applyTo(ctx, t.silo, apply)
 		results <- res{t: t, out: out, err: err}
 	}
 	for i := 0; i < len(targets); i++ {
@@ -669,13 +713,13 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (Envelope, boo
 	// Read-repair: push the winner to every responder that answered with
 	// something older (or nothing). Best-effort and synchronous — the
 	// repairs hit at most N-1 homes that just proved reachable.
-	enc := win.Encode()
+	var apply any = rpcApply{Key: key, Env: win.Encode()}
 	repaired := 0
 	for _, r := range oks {
 		if r.found && !newerEnv(win, r.env) {
 			continue
 		}
-		if out, err := c.applyTo(ctx, r.t.silo, key, enc); err == nil && out == Applied {
+		if out, err := c.applyTo(ctx, r.t.silo, apply); err == nil && out == Applied {
 			c.mReadRepair.Inc()
 			repaired++
 		}

@@ -43,8 +43,8 @@ const (
 	Conflict
 )
 
-// applyCounter names the per-outcome apply counters, spelled out so the
-// apply path does not build a name per call.
+// applyCounter names the per-outcome apply counters, which NewStore
+// resolves once.
 var applyCounter = [...]string{
 	Applied:  "replication.apply.applied",
 	Equal:    "replication.apply.equal",
@@ -134,6 +134,7 @@ var ErrRebuilding = errors.New("replication: replica rebuilding")
 type Store struct {
 	cfg        StoreConfig
 	rebuilding atomic.Bool
+	applied    [len(applyCounter)]*metrics.Counter // by Outcome
 
 	mu    sync.Mutex
 	rings []*placement.Ring // rings recent digest requests named, newest last
@@ -150,7 +151,13 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	return &Store{cfg: cfg}, nil
+	s := &Store{cfg: cfg}
+	for out, name := range applyCounter {
+		if name != "" {
+			s.applied[out] = cfg.Metrics.Counter(name)
+		}
+	}
+	return s, nil
 }
 
 // keptRings is how many rings a store keeps for reuse: enough for the
@@ -222,7 +229,7 @@ func (s *Store) Apply(ctx context.Context, key string, enc []byte) (Outcome, err
 	if err != nil {
 		return 0, err
 	}
-	s.cfg.Metrics.Counter(applyCounter[out]).Inc()
+	s.applied[out].Inc()
 	return out, nil
 }
 

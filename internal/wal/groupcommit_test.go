@@ -20,7 +20,7 @@ func TestGroupCommitOneFlushPerBatch(t *testing.T) {
 	reg := metrics.NewRegistry()
 	l, _ := openTemp(t, Options{SyncEveryAppend: true, Metrics: reg})
 	const n = 10
-	acks := make([]*Ack, n)
+	acks := make([]Ack, n)
 	for i := range acks {
 		a, err := l.Stage([]byte{byte(i)})
 		if err != nil {
@@ -56,7 +56,7 @@ func TestGroupCommitOneFlushPerBatch(t *testing.T) {
 func TestGroupCommitMaxBatchRecords(t *testing.T) {
 	reg := metrics.NewRegistry()
 	l, _ := openTemp(t, Options{SyncEveryAppend: true, Metrics: reg})
-	acks := make([]*Ack, maxBatchRecords+4)
+	acks := make([]Ack, maxBatchRecords+4)
 	for i := range acks {
 		a, err := l.Stage([]byte{byte(i)})
 		if err != nil {
@@ -289,7 +289,7 @@ func TestGroupCommitBatchFailureReleasesAllWaiters(t *testing.T) {
 		return 0, fmt.Errorf("disk full")
 	}
 	const n = 5
-	acks := make([]*Ack, n)
+	acks := make([]Ack, n)
 	for i := range acks {
 		a, err := l.Stage([]byte{byte(i)})
 		if err != nil {
@@ -362,7 +362,7 @@ func TestGroupCommitFlushesInSeqOrder(t *testing.T) {
 // group-commit batch, without waiting on any: the batch detaches from
 // staging, so the next Stage starts a newer one. It returns first's ack,
 // the batch leader's.
-func fillBatch(t *testing.T, l *Log, first []byte) *Ack {
+func fillBatch(t *testing.T, l *Log, first []byte) Ack {
 	t.Helper()
 	a, err := l.Stage(first)
 	if err != nil {

@@ -30,6 +30,13 @@
 // timer: a timed linger for followers was measured to cost far more
 // latency than it saved in fsyncs.
 //
+// A record is framed in place: StageAppend reserves the header in the
+// batch buffer, lets the caller append the payload there, then writes
+// back the length and the CRC, so no payload is built on its own and
+// copied in. Once a flush has handed a batch's bytes to the kernel, its
+// buffer (and the join buffer of a multi-batch flush) is kept for the
+// next batches, so a steady writer allocates no record memory at all.
+//
 // Batches always reach disk in sequence order: replay derives sequence
 // numbers from disk positions, so a flusher first drains every older
 // unflushed batch (coalesced into its own write+fsync) before its own.
@@ -73,6 +80,11 @@ const (
 	// batch detaches so the next stager starts a fresh one, and its leader
 	// flushes without yielding for more.
 	maxBatchRecords = 1024
+	// keptBuffers and keptBufferBytes bound the flushed buffers a log
+	// keeps for reuse: two, of at most 64 KiB each. One batch fills while
+	// one flushes; a larger buffer (a compaction's batch) is dropped.
+	keptBuffers     = 2
+	keptBufferBytes = 64 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -147,6 +159,10 @@ type Log struct {
 	queue    []*batch // staged-but-unflushed batches, oldest first
 	failed   error    // sticky failure; non-nil rejects all appends
 	failures uint64   // group flushes that failed (see Failures)
+	kept     [][]byte // written buffers, emptied, for the next records
+
+	// group is the batches one flush writes, under flushMu.
+	group []*batch
 
 	// Test hooks for fault injection (nil = the real operations).
 	writeFile func(f *os.File, p []byte) (int, error)
@@ -365,13 +381,42 @@ func (l *Log) InjectSyncFault(fn func(*os.File) error) {
 	l.mu.Unlock()
 }
 
-// appendRecord frames payload and appends it to buf.
-func appendRecord(buf, payload []byte) []byte {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// appendFramed appends one record to buf: a header, then the payload
+// fill appends after it, then the length and CRC written back over the
+// header. A payload over maxRecordBytes leaves buf as it was and fails.
+func appendFramed(buf []byte, fill func([]byte) []byte) ([]byte, error) {
+	start := len(buf)
+	buf = fill(append(buf, make([]byte, headerSize)...))
+	payload := buf[start+headerSize:]
+	if len(payload) > maxRecordBytes {
+		return buf[:start], fmt.Errorf("wal: record too large (%d bytes)", len(payload))
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf, nil
+}
+
+// takeBuffer returns an empty buffer for a batch, a join or a buffered
+// record: a kept one when there is one. Must be called with l.mu held.
+func (l *Log) takeBuffer() []byte {
+	n := len(l.kept)
+	if n == 0 {
+		return nil
+	}
+	buf := l.kept[n-1]
+	l.kept[n-1] = nil
+	l.kept = l.kept[:n-1]
+	return buf
+}
+
+// keepBuffer keeps buf for the next records, unless enough are kept or
+// it is too large to hold on to. The caller must be done with its bytes:
+// a buffer is kept once its write has returned. Must be called with l.mu
+// held.
+func (l *Log) keepBuffer(buf []byte) {
+	if buf != nil && cap(buf) <= keptBufferBytes && len(l.kept) < keptBuffers {
+		l.kept = append(l.kept, buf[:0])
+	}
 }
 
 // writeLocked writes pre-framed record data for records starting at
@@ -403,7 +448,8 @@ func (l *Log) writeLocked(data []byte, firstSeq uint64) error {
 }
 
 // Ack is the handle for one staged record: Seq is its assigned sequence
-// number, Wait blocks until the record's durability outcome is known.
+// number, Wait blocks until the record's durability outcome is known. It
+// is a value: staging a record allocates no handle.
 type Ack struct {
 	l      *Log
 	b      *batch // nil when the record was already written at stage time
@@ -413,59 +459,78 @@ type Ack struct {
 
 // Seq returns the record's sequence number. The sequence is assigned at
 // stage time; it is meaningful only if Wait returns nil.
-func (a *Ack) Seq() uint64 { return a.seq }
+func (a Ack) Seq() uint64 { return a.seq }
 
 // Stage appends payload to the log's current group-commit batch and
-// returns an acknowledgment handle. The record's bytes are not on disk
-// until Wait returns nil; callers that separate staging from waiting (the
-// kvstore's durable fast path applies its memtable update in between) must
-// always call Wait.
+// returns an acknowledgment handle (see StageAppend).
+func (l *Log) Stage(payload []byte) (Ack, error) {
+	return l.StageAppend(func(buf []byte) []byte { return append(buf, payload...) })
+}
+
+// StageAppend stages one record whose payload fill appends to the buffer
+// it is given and returns the acknowledgment handle. The record is framed
+// in place, in the batch's own buffer, so fill runs under the log's lock:
+// it must only append, and must not block or call back into the log. The
+// record's bytes are not on disk until Wait returns nil; callers that
+// separate staging from waiting (the kvstore's durable fast path applies
+// its memtable update in between) must always call Wait.
 //
 // In non-durable mode (SyncEveryAppend off) the record is written — but
-// not synced — before Stage returns, and Wait is a no-op.
-func (l *Log) Stage(payload []byte) (*Ack, error) {
-	if len(payload) > maxRecordBytes {
-		return nil, fmt.Errorf("wal: record too large (%d bytes)", len(payload))
-	}
+// not synced — before StageAppend returns, and Wait is a no-op.
+func (l *Log) StageAppend(fill func([]byte) []byte) (Ack, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return nil, err
+		return Ack{}, l.failed
 	}
 	if l.active == nil {
-		l.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if l.mAppends != nil {
-		l.mAppends.Inc()
+		return Ack{}, ErrClosed
 	}
 
 	if !l.opts.SyncEveryAppend {
 		// Buffered mode: write now, sync never.
 		seq := l.nextSeq
-		if err := l.writeLocked(appendRecord(nil, payload), seq); err != nil {
-			l.mu.Unlock()
-			return nil, err
+		buf, err := appendFramed(l.takeBuffer(), fill)
+		if err == nil {
+			if l.mAppends != nil {
+				l.mAppends.Inc()
+			}
+			err = l.writeLocked(buf, seq)
+		}
+		l.keepBuffer(buf)
+		if err != nil {
+			return Ack{}, err
 		}
 		l.nextSeq++
-		l.mu.Unlock()
-		return &Ack{l: l, seq: seq}, nil
+		return Ack{l: l, seq: seq}, nil
 	}
 
 	// Group-commit path: stage into the shared batch; the batch's first
 	// stager becomes its flush leader.
 	leader := l.pending == nil
+	b := l.pending
 	if leader {
-		l.pending = &batch{
+		b = &batch{
+			buf:      l.takeBuffer(),
 			firstSeq: l.nextSeq,
 			full:     make(chan struct{}),
 			done:     make(chan struct{}),
 		}
-		l.queue = append(l.queue, l.pending)
 	}
-	b := l.pending
-	b.buf = appendRecord(b.buf, payload)
+	var err error
+	if b.buf, err = appendFramed(b.buf, fill); err != nil {
+		if leader {
+			l.keepBuffer(b.buf)
+		}
+		return Ack{}, err
+	}
+	if leader {
+		l.pending = b
+		l.queue = append(l.queue, b)
+	}
+	if l.mAppends != nil {
+		l.mAppends.Inc()
+	}
 	b.records++
 	seq := l.nextSeq
 	l.nextSeq++
@@ -475,15 +540,14 @@ func (l *Log) Stage(payload []byte) (*Ack, error) {
 		l.pending = nil
 		close(b.full)
 	}
-	l.mu.Unlock()
-	return &Ack{l: l, b: b, seq: seq, leader: leader}, nil
+	return Ack{l: l, b: b, seq: seq, leader: leader}, nil
 }
 
 // Wait blocks until the staged record is durable (or its batch failed)
 // and returns the batch's outcome. The batch leader performs the flush;
 // followers park until the leader (or a Sync/Close barrier) releases
 // them.
-func (a *Ack) Wait() error {
+func (a Ack) Wait() error {
 	if a.b == nil {
 		return nil // written at stage time
 	}
@@ -545,8 +609,12 @@ func (l *Log) flushBatch(b *batch) bool {
 	for l.queue[idx] != b {
 		idx++
 	}
-	group := l.queue[: idx+1 : idx+1]
-	l.queue = l.queue[idx+1:]
+	// The group moves out of the queue, which keeps its backing array.
+	l.group = append(l.group[:0], l.queue[:idx+1]...)
+	group := l.group
+	left := copy(l.queue, l.queue[idx+1:])
+	clear(l.queue[left:])
+	l.queue = l.queue[:left]
 	records := 0
 	for _, q := range group {
 		q.claimed = true
@@ -557,7 +625,7 @@ func (l *Log) flushBatch(b *batch) bool {
 	}
 	data := b.buf
 	if len(group) > 1 {
-		data = nil
+		data = l.takeBuffer()
 		for _, q := range group {
 			data = append(data, q.buf...)
 		}
@@ -581,12 +649,22 @@ func (l *Log) flushBatch(b *batch) bool {
 				q.err = abort
 				close(q.done)
 			}
-			l.queue = nil
+			clear(l.queue)
+			l.queue = l.queue[:0]
 			l.pending = nil
 		}
 	}
 	if err != nil {
 		l.failures++
+	}
+	// The write has returned, so nothing reads the group's bytes again:
+	// its buffers, the join buffer first, go to the next batches.
+	if len(group) > 1 {
+		l.keepBuffer(data)
+	}
+	for _, q := range group {
+		l.keepBuffer(q.buf)
+		q.buf = nil
 	}
 	f := l.active
 	l.mu.Unlock()
@@ -606,9 +684,10 @@ func (l *Log) flushBatch(b *batch) bool {
 		l.mFlushRecords.Record(int64(records))
 		l.mFlushLatency.RecordDuration(elapsed)
 	}
-	for _, q := range group {
+	for i, q := range group {
 		q.err = err
 		close(q.done)
+		group[i] = nil
 	}
 	if l.opts.OnFlushStall != nil && l.opts.FlushStallAfter > 0 && elapsed >= l.opts.FlushStallAfter {
 		l.opts.OnFlushStall(elapsed, records)
